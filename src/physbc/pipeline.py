@@ -193,9 +193,11 @@ def run(config: RunConfig) -> RunArtifacts:
     }
 
     # ---- residual audit -------------------------------------------------------
+    t0 = clock()
     residuals = check_certificate(
         certificate, RESIDUAL_TOLERANCE, retained, initial_cover, unsafe_cover
     )
+    timings["audit"] = clock() - t0
 
     # ---- Lipschitz estimation ---------------------------------------------------
     t0 = clock()

@@ -4,12 +4,24 @@ Both entry points minimise the shared slack ``s`` over rows
 ``a_i . v + b_i <= s``: equivalently they compute
 ``min_v max_i (a_i . v + b_i)``.
 
-:func:`solve` is the production path; it hands the epigraph LP to the HiGHS
-backend, which is deterministic for identical input.  :func:`solve_minmax_direct`
-is an independent implementation used for cross-checks: an exchange method
-that grows a working set of rows and solves each restricted problem exactly
-with a small dense two-phase simplex under Bland's rule (lowest index enters
-and leaves, so it cannot cycle).  Both report which rows bind at the optimum.
+The systems this package assembles are tall and thin (up to a few hundred
+thousand rows over a handful of decision columns) and only a few rows bind at
+the optimum.  Both entry points therefore run one exchange driver, constraint
+generation in the manner of Kelley's cutting-plane method: solve the problem
+restricted to a small working set of rows exactly, evaluate every row with one
+matrix-vector product, admit the worst row, and repeat until no row exceeds
+the restricted slack.  They differ only in the restricted solver, and the two
+share no arithmetic:
+
+* :func:`solve`, the production path, uses the HiGHS LP backend, which is
+  deterministic for identical input;
+* :func:`solve_minmax_direct`, the cross-check, uses a small dense two-phase
+  simplex under Bland's rule (lowest index enters and leaves, so it cannot
+  cycle).
+
+Both restricted solvers box the decision at ``_ARTIFICIAL_BOX``, so both
+routes share one seed working set and one unbounded rule.  Both report which
+rows bind at the optimum.
 """
 
 from __future__ import annotations
@@ -28,9 +40,9 @@ STATUS_ITERATION_LIMIT = "iteration-limit"
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
 
-# Magnitude of the direct method's internal bounding box.  Decision vertices
-# of well-posed systems stay far below it; a converged solution pressed
-# against it means the underlying problem is unbounded.
+# Magnitude of the box on every restricted problem's decision.  Decision
+# vertices of well-posed systems stay far below it; a converged solution
+# pressed against it means the underlying problem is unbounded.
 _ARTIFICIAL_BOX = 1e6
 
 
@@ -60,63 +72,102 @@ def _validate(rows: np.ndarray, offsets: np.ndarray):
     return A, b
 
 
-def _active_set(A: np.ndarray, b: np.ndarray, decision: np.ndarray, slack: float) -> np.ndarray:
-    values = A @ decision + b
-    tol = 1e-6 * max(1.0, abs(slack))
-    return np.nonzero(values >= slack - tol)[0]
+def _seed_rows(A: np.ndarray, b: np.ndarray) -> list:
+    """Initial working set: each column's largest and smallest row, plus the
+    row with the largest offset.
 
-
-def solve(rows: np.ndarray, offsets: np.ndarray) -> SolveResult:
-    """Minimise the row maximum via the HiGHS LP backend.
-
-    Infeasibility cannot occur for this structure (the slack absorbs any
-    violation), so an infeasible status from the backend is reported as an
-    internal error rather than returned.
+    Chosen from the data rather than from the row order, so the seed does not
+    depend on how a caller stacks its rows: a block of near-collinear leading
+    rows would start the exchange from a singular restricted problem.
     """
-    A, b = _validate(rows, offsets)
-    count, width = A.shape
+    picks = np.concatenate([A.argmax(axis=0), A.argmin(axis=0), [b.argmax()]])
+    return np.unique(picks).tolist()
+
+
+def _exchange(A: np.ndarray, b: np.ndarray, restricted, max_iterations: int) -> SolveResult:
+    """Constraint generation over the rows of ``A v + b``.
+
+    Each round solves the working-set rows exactly with ``restricted``
+    (``(A_w, b_w) -> (decision, slack)``, boxed at ``_ARTIFICIAL_BOX``),
+    evaluates every row with one matrix-vector product and admits the
+    globally worst row (lowest index on ties), until no row exceeds the
+    restricted slack.  A converged decision pressed against the box means the
+    full problem is unbounded.  The reported slack is clamped to the maximum
+    over all rows, so it never understates the decision's true objective.
+    """
+    width = A.shape[1]
+    working = _seed_rows(A, b)
+    decision = np.full(width, np.nan)
+    slack = float("nan")
+    for _ in range(max_iterations):
+        decision, slack = restricted(A[working], b[working])
+        values = A @ decision + b
+        worst = int(np.argmax(values))
+        if values[worst] <= slack + 1e-9 * max(1.0, abs(slack)):
+            if np.max(np.abs(decision)) >= 0.5 * _ARTIFICIAL_BOX:
+                return SolveResult(
+                    slack=float("-inf"),
+                    decision=np.full(width, np.nan),
+                    status=STATUS_UNBOUNDED,
+                    active_rows=np.empty(0, dtype=int),
+                )
+            slack = max(slack, float(values[worst]))
+            tol = 1e-6 * max(1.0, abs(slack))
+            return SolveResult(
+                slack=slack,
+                decision=decision,
+                status=STATUS_OPTIMAL,
+                active_rows=np.nonzero(values >= slack - tol)[0],
+            )
+        if worst in working:
+            raise SolverInternalError("exchange stalled on an already-admitted row")
+        working.append(worst)
+    return SolveResult(
+        slack=slack,
+        decision=decision,
+        status=STATUS_ITERATION_LIMIT,
+        active_rows=np.empty(0, dtype=int),
+    )
+
+
+def _restricted_highs(A_w: np.ndarray, b_w: np.ndarray):
+    """Exact minimax over the working-set rows via the HiGHS LP backend.
+
+    The decision is boxed at ``_ARTIFICIAL_BOX`` through variable bounds, so
+    the epigraph LP is always bounded and feasible; any other backend status
+    is an internal error.  Returns (decision, slack).
+    """
+    k, width = A_w.shape
     objective = np.zeros(width + 1)
     objective[-1] = 1.0
-    lifted = np.hstack([A, -np.ones((count, 1))])
     result = linprog(
         objective,
-        A_ub=lifted,
-        b_ub=-b,
-        bounds=[(None, None)] * (width + 1),
+        A_ub=np.hstack([A_w, -np.ones((k, 1))]),
+        b_ub=-b_w,
+        bounds=[(-_ARTIFICIAL_BOX, _ARTIFICIAL_BOX)] * width + [(None, None)],
         method="highs",
         options={
             "primal_feasibility_tolerance": FEASIBILITY_TOL,
             "dual_feasibility_tolerance": OPTIMALITY_TOL,
         },
     )
-    if result.status == 3:
-        return SolveResult(
-            slack=float("-inf"),
-            decision=np.full(width, np.nan),
-            status=STATUS_UNBOUNDED,
-            active_rows=np.empty(0, dtype=int),
-        )
-    if result.status == 1:
-        return SolveResult(
-            slack=float(result.x[-1]) if result.x is not None else float("nan"),
-            decision=result.x[:-1] if result.x is not None else np.full(width, np.nan),
-            status=STATUS_ITERATION_LIMIT,
-            active_rows=np.empty(0, dtype=int),
-        )
     if result.status != 0:
         raise SolverInternalError(f"LP backend returned status {result.status}: {result.message}")
-    decision = result.x[:-1]
-    slack = float(result.x[-1])
-    return SolveResult(
-        slack=slack,
-        decision=decision,
-        status=STATUS_OPTIMAL,
-        active_rows=_active_set(A, b, decision, slack),
-    )
+    return result.x[:-1], float(result.x[-1])
+
+
+def solve(rows: np.ndarray, offsets: np.ndarray) -> SolveResult:
+    """Minimise the row maximum by constraint generation over HiGHS solves.
+
+    Every round admits a row not yet in the working set, so the exchange
+    converges within one round per row and never reports an iteration limit.
+    """
+    A, b = _validate(rows, offsets)
+    return _exchange(A, b, _restricted_highs, max_iterations=A.shape[0])
 
 
 # --------------------------------------------------------------------------
-# Independent direct method: exchange over row maxima.
+# Independent restricted solver: dense two-phase simplex.
 # --------------------------------------------------------------------------
 
 
@@ -259,43 +310,10 @@ def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray):
 def solve_minmax_direct(
     rows: np.ndarray, offsets: np.ndarray, max_iterations: int = 500
 ) -> SolveResult:
-    """Exchange method: grow a working set until no row is violated.
+    """Minimise the row maximum by constraint generation over dense simplex solves.
 
-    Independent of the LP backend; intended as a cross-check.  Each round
-    solves the current working set exactly, then admits the globally worst
-    row (lowest index on ties).  A converged solution pressed against the
-    internal bounding box is reported as unbounded.
+    Independent of the LP backend in its arithmetic; intended as a
+    cross-check of :func:`solve`.
     """
     A, b = _validate(rows, offsets)
-    count, width = A.shape
-    working = list(range(min(count, width + 2)))
-    decision = np.zeros(width)
-    slack = float("nan")
-    for _ in range(max_iterations):
-        decision, slack = _restricted_minmax(A[working], b[working])
-        values = A @ decision + b
-        worst = int(np.argmax(values))
-        if values[worst] <= slack + 1e-9 * max(1.0, abs(slack)):
-            if np.max(np.abs(decision)) >= 0.5 * _ARTIFICIAL_BOX:
-                return SolveResult(
-                    slack=float("-inf"),
-                    decision=np.full(width, np.nan),
-                    status=STATUS_UNBOUNDED,
-                    active_rows=np.empty(0, dtype=int),
-                )
-            slack = max(slack, float(values[worst]))
-            return SolveResult(
-                slack=slack,
-                decision=decision,
-                status=STATUS_OPTIMAL,
-                active_rows=_active_set(A, b, decision, slack),
-            )
-        if worst in working:
-            raise SolverInternalError("exchange stalled on an already-admitted row")
-        working.append(worst)
-    return SolveResult(
-        slack=slack,
-        decision=decision,
-        status=STATUS_ITERATION_LIMIT,
-        active_rows=np.empty(0, dtype=int),
-    )
+    return _exchange(A, b, _restricted_minmax, max_iterations)

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import linprog
+
+from physbc.solver import FEASIBILITY_TOL, OPTIMALITY_TOL, STATUS_OPTIMAL, SolveResult
 
 
 def minimax_by_vertices(rows, offsets, feas_tol=1e-7):
@@ -41,6 +44,39 @@ def minimax_by_vertices(rows, offsets, feas_tol=1e-7):
     slacks = solutions[feasible, -1]
     best = int(np.argmin(slacks))
     return float(slacks[best]), solutions[feasible][best, :d]
+
+
+def minimax_full_lp(rows, offsets):
+    """One-shot HiGHS solve of the whole epigraph LP ``min s`` over ``A v - s <= -b``.
+
+    Hands every row to the backend at once, with the decision unbounded, and
+    reports the backend's own slack: a drop-in for :func:`physbc.solver.solve`
+    on bounded instances that shares only the backend with it.  Active rows
+    follow the solver's rule: within 1e-6 (relative to the slack) of the optimum.
+    """
+    A = np.atleast_2d(np.asarray(rows, dtype=float))
+    b = np.atleast_1d(np.asarray(offsets, dtype=float))
+    count, width = A.shape
+    objective = np.zeros(width + 1)
+    objective[-1] = 1.0
+    result = linprog(
+        objective,
+        A_ub=np.hstack([A, -np.ones((count, 1))]),
+        b_ub=-b,
+        bounds=[(None, None)] * (width + 1),
+        method="highs",
+        options={
+            "primal_feasibility_tolerance": FEASIBILITY_TOL,
+            "dual_feasibility_tolerance": OPTIMALITY_TOL,
+        },
+    )
+    if result.status != 0:
+        raise RuntimeError(f"full LP did not solve: {result.message}")
+    decision = result.x[:-1]
+    slack = float(result.x[-1])
+    values = A @ decision + b
+    active = np.nonzero(values >= slack - 1e-6 * max(1.0, abs(slack)))[0]
+    return SolveResult(slack, decision, STATUS_OPTIMAL, active)
 
 
 def random_bounded_instance(rng, variables, extra_rows, bound=10.0):

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from oracles import minimax_full_lp
+from physbc.cli import REFERENCE_RESULTS, reference_config
 from physbc.config import (
     MODE_PROBABILISTIC,
     FilterSpec,
@@ -80,6 +82,8 @@ def test_report_has_expected_sections(det_run):
     assert report["residuals"]["passes_at_slack"]
     assert set(report["solver"]["active_rows"]) == {
         "initial", "unsafe", "flow", "bound", "gap"}
+    assert set(report["timing"]) == {
+        "sample", "filter", "assemble", "solve", "audit", "lipschitz", "certify", "validate"}
     # serialisable end to end
     json.loads(report_json(report))
 
@@ -90,6 +94,31 @@ def test_reports_are_deterministic(det_run):
     b = dict(again.report)
     a.pop("timing"), b.pop("timing")
     assert report_json(a) == report_json(b)
+
+
+def _full_lp_with_clamp(rows, offsets):
+    """The one-shot full-LP oracle, its slack lifted to the maximum over all
+    rows as the shipped solver reports it (a rounding-level difference)."""
+    result = minimax_full_lp(rows, offsets)
+    values = rows @ result.decision + offsets
+    return replace(result, slack=max(result.slack, float(values.max())))
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE_RESULTS))
+def test_constraint_generation_matches_full_lp_on_reference_systems(key, monkeypatch):
+    config = reference_config(key, 0.05)
+    shipped = run(config)
+    rows, offsets, _ = shipped.system.full_rows()
+    oracle = minimax_full_lp(rows, offsets)
+    assert shipped.solve_result.optimal
+    assert shipped.solve_result.slack == pytest.approx(oracle.slack, abs=1e-9)
+    assert shipped.solve_result.decision == pytest.approx(oracle.decision, abs=1e-9)
+
+    monkeypatch.setattr("physbc.pipeline.solve", _full_lp_with_clamp)
+    reference = run(config)
+    a, b = dict(shipped.report), dict(reference.report)
+    a.pop("timing"), b.pop("timing")
+    assert a == b
 
 
 def test_probabilistic_run(prob_run):

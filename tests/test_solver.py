@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import minimax_by_vertices, random_bounded_instance
+from oracles import minimax_by_vertices, minimax_full_lp, random_bounded_instance
 from physbc.solver import (
     STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
@@ -106,6 +106,10 @@ def test_backend_matches_vertex_enumeration(seed):
     result = solve(rows, offsets)
     assert result.optimal
     assert result.slack == pytest.approx(oracle[0], abs=1e-6)
+    # constraint generation reaches the vertex the one-shot full LP reaches
+    full = minimax_full_lp(rows, offsets)
+    assert result.slack == pytest.approx(full.slack, abs=1e-9)
+    assert result.decision == pytest.approx(full.decision, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -170,3 +174,52 @@ def test_routes_agree_on_random_small_instances(variables, extra, seed):
     direct = solve_minmax_direct(rows, offsets)
     assert backend.optimal and direct.optimal
     assert direct.slack == pytest.approx(backend.slack, abs=1e-6, rel=1e-6)
+
+
+def test_direct_survives_near_collinear_leading_rows():
+    """A barrier-shaped system over [unsafe_level, q2, q1, q0] whose first six
+    rows are near-collinear initial rows with a zero unsafe-level column.
+
+    Seeding the exchange with the leading rows made the dense simplex start
+    from a rank-3 restricted problem and fail on a singular basis; the seed
+    now comes from each column's extreme rows and the largest offset.
+    """
+    level = 1e-4
+
+    def basis(x):
+        return np.stack([x**2, x, np.ones_like(x)], axis=1)
+
+    x0 = np.linspace(0.1, 0.101, 6)
+    xu = np.linspace(2.5, 2.7, 4)
+    xs = np.linspace(0.1, 2.7, 40)
+    ys = xs + 0.3 * xs * (1.0 - xs / 2.7)
+    rows = np.vstack([
+        np.hstack([np.zeros((6, 1)), basis(x0)]),
+        np.hstack([np.ones((4, 1)), -basis(xu)]),
+        np.hstack([np.zeros((40, 1)), basis(ys) - 0.9 * basis(xs)]),
+        np.vstack([np.eye(4), -np.eye(4)]),
+        [[-1.0, 0.0, 0.0, 0.0]],
+    ])
+    offsets = np.concatenate([np.full(6, -level), np.zeros(44), np.full(8, -100.0), [level]])
+
+    backend = solve(rows, offsets)
+    direct = solve_minmax_direct(rows, offsets)
+    assert backend.optimal and direct.optimal
+    assert direct.slack == pytest.approx(backend.slack, abs=1e-6)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_reported_slack_bounds_every_row(solver, variables, extra, seed):
+    # the slack is never below the returned decision's true objective
+    rng = np.random.default_rng(seed)
+    rows, offsets = random_bounded_instance(rng, variables, extra)
+    result = solver(rows, offsets)
+    assert result.optimal
+    values = rows @ result.decision + offsets
+    assert values.max() <= result.slack + 1e-9 * max(1.0, abs(result.slack))
