@@ -43,6 +43,11 @@ class FilterOutcome:
         """True where the input pair was kept."""
         return self.discrepancies <= self.threshold
 
+    @property
+    def max_jump(self) -> Optional[Tuple[int, int]]:
+        """Longest contiguous run of discarded pairs, as in :class:`DiscrepancyProfile`."""
+        return _longest_run(self.discrepancies > self.threshold)
+
 
 @dataclass(frozen=True, eq=False)
 class DiscrepancyProfile:

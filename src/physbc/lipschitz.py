@@ -5,6 +5,11 @@ expression ``x -> B(successor(x)) - decay * B(x)`` evaluated on recorded
 pairs.  Both estimators below work on finite-difference slopes between
 randomly drawn sample pairs and return the maximum of the two per-family
 constants, which is what the certification conditions consume.
+
+The pair indices are drawn in one go from the configured seed; the slopes are
+then computed in fixed chunks of pairs, skipping pairs whose states coincide.
+The pairwise estimator keeps running maxima, so its memory does not grow with
+the pair budget; the extreme-value estimator gathers the slopes in draw order.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from .sampling import Dataset
 
 METHOD_PAIRWISE = "pairwise-max"
 METHOD_EXTREME = "extreme-value"
+
+_CHUNK = 1 << 16  # pairs per streamed slope chunk
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,15 @@ class LipschitzEstimate:
         return max(self.barrier, self.flow)
 
 
-def _pair_slopes(certificate: BarrierCertificate, dataset: Dataset, config: LipschitzConfig):
-    """Finite-difference slopes over random distinct sample pairs."""
+def _slope_chunks(certificate: BarrierCertificate, dataset: Dataset, config: LipschitzConfig):
+    """Finite-difference slopes over random sample pairs, streamed in draw order.
+
+    The pairs are drawn up front as two index arrays; their slopes are then
+    computed ``_CHUNK`` pairs at a time, so no budget-sized slope array is
+    ever built.  Yields ``(barrier, flow, keep)`` per chunk: entries where
+    ``keep`` is false come from coincident states (equal indices included)
+    and hold no slope.  Raises after the last chunk if no pair was kept.
+    """
     if certificate.template.dimension != dataset.dimension:
         raise ModelMismatchError("certificate and dataset dimensions differ")
     if dataset.count < 2:
@@ -66,28 +80,51 @@ def _pair_slopes(certificate: BarrierCertificate, dataset: Dataset, config: Lips
     rng = np.random.default_rng(config.seed)
     left = rng.integers(0, dataset.count, size=config.pair_budget)
     right = rng.integers(0, dataset.count, size=config.pair_budget)
-    keep = left != right
-    left, right = left[keep], right[keep]
-    gaps = np.linalg.norm(dataset.states[left] - dataset.states[right], axis=1)
-    keep = gaps > 0.0
-    if not keep.any():
+    states = dataset.states
+    coords = states[:, 0] if dataset.dimension == 1 else None
+    kept = 0
+    for start in range(0, config.pair_budget, _CHUNK):
+        i, j = left[start:start + _CHUNK], right[start:start + _CHUNK]
+        if coords is not None:
+            # sqrt(d * d) is what norm(axis=1) computes for a single column
+            gaps = coords.take(i)
+            gaps -= coords.take(j)
+            gaps *= gaps
+            np.sqrt(gaps, out=gaps)
+        else:
+            gaps = np.linalg.norm(states[i] - states[j], axis=1)
+        keep = gaps > 0.0
+        kept += np.count_nonzero(keep)
+        yield _slopes(barrier_vals, i, j, gaps, keep), _slopes(flow_vals, i, j, gaps, keep), keep
+    if kept == 0:
         raise DegenerateDataError("all drawn state pairs coincide")
-    left, right, gaps = left[keep], right[keep], gaps[keep]
-    barrier_slopes = np.abs(barrier_vals[left] - barrier_vals[right]) / gaps
-    flow_slopes = np.abs(flow_vals[left] - flow_vals[right]) / gaps
-    return barrier_slopes, flow_slopes
+
+
+def _slopes(values: np.ndarray, i: np.ndarray, j: np.ndarray, gaps: np.ndarray,
+            keep: np.ndarray) -> np.ndarray:
+    """``|values[i] - values[j]| / gaps`` where ``keep``; other entries are junk."""
+    out = values.take(i)
+    out -= values.take(j)
+    np.abs(out, out=out)
+    np.divide(out, gaps, out=out, where=keep)
+    return out
 
 
 def estimate_pairwise(
     certificate: BarrierCertificate, dataset: Dataset, config: LipschitzConfig
 ) -> LipschitzEstimate:
     """Maximum observed slope times a safety multiplier."""
-    barrier_slopes, flow_slopes = _pair_slopes(certificate, dataset, config)
+    barrier = flow = -np.inf
+    used = 0
+    for barrier_slopes, flow_slopes, keep in _slope_chunks(certificate, dataset, config):
+        used += np.count_nonzero(keep)
+        barrier = np.maximum(barrier, barrier_slopes.max(where=keep, initial=-np.inf))
+        flow = np.maximum(flow, flow_slopes.max(where=keep, initial=-np.inf))
     return LipschitzEstimate(
-        barrier=config.multiplier * float(barrier_slopes.max()),
-        flow=config.multiplier * float(flow_slopes.max()),
+        barrier=config.multiplier * float(barrier),
+        flow=config.multiplier * float(flow),
         method=METHOD_PAIRWISE,
-        samples_used=barrier_slopes.size,
+        samples_used=int(used),
         safety_multiplier=config.multiplier,
     )
 
@@ -116,7 +153,9 @@ def estimate_extreme_value(
     Slope observations are split into ``config.batches`` equal batches; the
     fitted location can never fall below the raw observed maximum.
     """
-    barrier_slopes, flow_slopes = _pair_slopes(certificate, dataset, config)
+    chunks = list(_slope_chunks(certificate, dataset, config))
+    barrier_slopes = np.concatenate([b[keep] for b, _, keep in chunks])
+    flow_slopes = np.concatenate([f[keep] for _, f, keep in chunks])
     if barrier_slopes.size < 2 * config.batches:
         raise DegenerateDataError(
             f"{barrier_slopes.size} slope observations cannot fill "

@@ -232,16 +232,23 @@ def check_safety_empirically(
     first_hit = np.full(trajectories, -1, dtype=int)
     hit_state = np.zeros((trajectories, model.dimension))
 
-    def record(step: int, batch: np.ndarray):
-        inside = unsafe.contains(batch)
-        fresh = inside & (first_hit < 0)
-        first_hit[fresh] = step
-        hit_state[fresh] = batch[fresh]
-
-    record(0, states)
-    for k in range(1, horizon + 1):
-        states = model.step_many(states)
-        record(k, states)
+    # The loop repeats step_many's arithmetic in its order, and
+    # RegionBox.contains at rtol = 0, without their per-call checks.
+    lower, upper = unsafe.lower, unsafe.upper
+    linear_t, offset = model.linear.T, model.offset
+    quadratic, perturbation = model.quadratic, model.perturbation
+    for k in range(horizon + 1):
+        if k:
+            y = states @ linear_t + offset
+            if quadratic is not None:
+                y += np.einsum("ni,kij,nj->nk", states, quadratic, states)
+            if perturbation is not None:
+                y += perturbation(states)
+            states = y
+        fresh = ((states >= lower) & (states <= upper)).all(axis=1) & (first_hit < 0)
+        if fresh.any():
+            first_hit[fresh] = k
+            hit_state[fresh] = states[fresh]
 
     violating = np.nonzero(first_hit >= 0)[0]
     events = tuple(

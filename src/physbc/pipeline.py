@@ -35,7 +35,8 @@ from .certify import (
 )
 from .config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, RunConfig
 from .errors import PhysbcError
-from .filtering import FilterConfig, apply_filter, discrepancy_profile
+from .filtering import FilterConfig, apply_filter
+from .filtering import discrepancy_profile  # noqa: F401  (bench/tracing.py wraps this name)
 from .lipschitz import (
     METHOD_EXTREME,
     METHOD_PAIRWISE,
@@ -128,14 +129,12 @@ def run(config: RunConfig) -> RunArtifacts:
     t0 = clock()
     filter_report: dict
     if config.filter.enabled:
-        fconfig = FilterConfig(config.filter.threshold)
-        outcome = apply_filter(dataset, physics, fconfig)
+        outcome = apply_filter(dataset, physics, FilterConfig(config.filter.threshold))
         retained = outcome.retained
-        profile = discrepancy_profile(dataset, physics, fconfig)
+        max_jump = outcome.max_jump
         jump = None
-        if profile.max_jump is not None:
-            start, length = profile.max_jump
-            jump = {"start_index": start, "length": length}
+        if max_jump is not None:
+            jump = {"start_index": max_jump[0], "length": max_jump[1]}
         filter_report = {
             "enabled": True,
             "threshold": config.filter.threshold,

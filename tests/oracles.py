@@ -7,6 +7,14 @@ import numpy as np
 from scipy import integrate
 from scipy.optimize import linprog
 
+from physbc.errors import DegenerateDataError, InvalidStateError, ModelMismatchError
+from physbc.lipschitz import (
+    METHOD_EXTREME,
+    METHOD_PAIRWISE,
+    LipschitzEstimate,
+    _reverse_weibull_location,
+)
+from physbc.models import SafetyCheck
 from physbc.solver import FEASIBILITY_TOL, OPTIMALITY_TOL, STATUS_OPTIMAL, SolveResult
 
 
@@ -101,3 +109,99 @@ def beta_inc_by_quadrature(nu, lam, gam):
     value, _ = integrate.quad(density, 0.0, nu, points=points or None,
                               epsabs=1e-13, epsrel=1e-11, limit=200)
     return value
+
+
+def pair_slopes_whole_array(certificate, dataset, config):
+    """Finite-difference slopes over random distinct sample pairs, all at once.
+
+    Draws the pairs as :mod:`physbc.lipschitz` does, then compresses the index
+    arrays twice and builds every slope: the straightforward form of the
+    streamed kernel.
+    """
+    if certificate.template.dimension != dataset.dimension:
+        raise ModelMismatchError("certificate and dataset dimensions differ")
+    if dataset.count < 2:
+        raise DegenerateDataError("need at least two states to form slope pairs")
+    barrier_vals = certificate.evaluate(dataset.states)
+    flow_vals = certificate.evaluate(dataset.successors) - certificate.decay * barrier_vals
+
+    rng = np.random.default_rng(config.seed)
+    left = rng.integers(0, dataset.count, size=config.pair_budget)
+    right = rng.integers(0, dataset.count, size=config.pair_budget)
+    keep = left != right
+    left, right = left[keep], right[keep]
+    gaps = np.linalg.norm(dataset.states[left] - dataset.states[right], axis=1)
+    keep = gaps > 0.0
+    if not keep.any():
+        raise DegenerateDataError("all drawn state pairs coincide")
+    left, right, gaps = left[keep], right[keep], gaps[keep]
+    barrier_slopes = np.abs(barrier_vals[left] - barrier_vals[right]) / gaps
+    flow_slopes = np.abs(flow_vals[left] - flow_vals[right]) / gaps
+    return barrier_slopes, flow_slopes
+
+
+def pairwise_whole_array(certificate, dataset, config):
+    """Drop-in for :func:`physbc.lipschitz.estimate_pairwise` on whole slope arrays."""
+    barrier_slopes, flow_slopes = pair_slopes_whole_array(certificate, dataset, config)
+    return LipschitzEstimate(
+        barrier=config.multiplier * float(barrier_slopes.max()),
+        flow=config.multiplier * float(flow_slopes.max()),
+        method=METHOD_PAIRWISE,
+        samples_used=barrier_slopes.size,
+        safety_multiplier=config.multiplier,
+    )
+
+
+def extreme_value_whole_array(certificate, dataset, config):
+    """Drop-in for :func:`physbc.lipschitz.estimate_extreme_value` on whole slope arrays."""
+    barrier_slopes, flow_slopes = pair_slopes_whole_array(certificate, dataset, config)
+    if barrier_slopes.size < 2 * config.batches:
+        raise DegenerateDataError("too few slope observations for the batches")
+    batch_size = barrier_slopes.size // config.batches
+    used = config.batches * batch_size
+
+    def endpoint(slopes):
+        maxima = slopes[:used].reshape(config.batches, batch_size).max(axis=1)
+        return max(_reverse_weibull_location(maxima, config.shape), float(slopes.max()))
+
+    return LipschitzEstimate(
+        barrier=endpoint(barrier_slopes),
+        flow=endpoint(flow_slopes),
+        method=METHOD_EXTREME,
+        samples_used=used,
+        safety_multiplier=1.0,
+    )
+
+
+def safety_by_step_many(model, initial, unsafe, trajectories=1000, horizon=500, seed=0):
+    """Drop-in for :func:`physbc.models.check_safety_empirically` built from public calls.
+
+    Advances the batch with ``model.step_many`` and tests membership with
+    ``unsafe.contains`` at every step.
+    """
+    if initial.dimension != model.dimension or unsafe.dimension != model.dimension:
+        raise InvalidStateError("region dimension does not match the model")
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(initial.lower, initial.upper, size=(trajectories, model.dimension))
+    first_hit = np.full(trajectories, -1, dtype=int)
+    hit_state = np.zeros((trajectories, model.dimension))
+
+    def record(step, batch):
+        inside = unsafe.contains(batch)
+        fresh = inside & (first_hit < 0)
+        first_hit[fresh] = step
+        hit_state[fresh] = batch[fresh]
+
+    record(0, states)
+    for k in range(1, horizon + 1):
+        states = model.step_many(states)
+        record(k, states)
+
+    violating = np.nonzero(first_hit >= 0)[0]
+    events = tuple((int(i), int(first_hit[i]), hit_state[i].copy()) for i in violating)
+    return SafetyCheck(
+        trajectories=trajectories,
+        horizon=horizon,
+        violation_count=len(events),
+        violations=events,
+    )

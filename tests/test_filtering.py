@@ -87,6 +87,17 @@ def test_profile_locates_longest_discarded_run():
     assert profile.max_jump == (1, 2)
 
 
+@pytest.mark.parametrize(
+    "deviations",
+    [[0.0, 0.02, 0.02, 0.0, 0.02, 0.0], [0.02, 0.0, 0.02, 0.0], [0.0, 0.001]],
+)
+def test_outcome_max_jump_matches_profile(deviations):
+    data = _dataset_with_deviations(deviations)
+    outcome = apply_filter(data, supply_demand(), FilterConfig(0.005))
+    profile = discrepancy_profile(data, supply_demand(), FilterConfig(0.005))
+    assert outcome.max_jump == profile.max_jump
+
+
 def test_profile_first_maximal_run_wins_ties():
     data = _dataset_with_deviations([0.02, 0.0, 0.02, 0.0])
     profile = discrepancy_profile(data, supply_demand(), FilterConfig(0.005))

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from oracles import extreme_value_whole_array, pairwise_whole_array
 from physbc.barrier import BarrierCertificate, BarrierTemplate
 from physbc.errors import DegenerateDataError, ModelMismatchError
 from physbc.lipschitz import (
+    _CHUNK,
     METHOD_EXTREME,
     METHOD_PAIRWISE,
     LipschitzConfig,
     estimate_extreme_value,
     estimate_pairwise,
 )
-from physbc.models import RegionBox, supply_demand
-from physbc.sampling import SCHEME_GRID, Dataset, sample_grid
+from physbc.models import RegionBox, SystemModel, supply_demand
+from physbc.sampling import SCHEME_GRID, Dataset, sample_grid, sample_iid
 
 DOMAIN = RegionBox.interval(0.5, 2.7)
 
@@ -133,3 +135,85 @@ def test_config_validation():
         LipschitzConfig(batches=1)
     with pytest.raises(ValueError):
         LipschitzConfig(shape=0.0)
+
+
+ESTIMATOR_ORACLES = [
+    (estimate_pairwise, pairwise_whole_array),
+    (estimate_extreme_value, extreme_value_whole_array),
+]
+
+
+def _outcome(estimator, certificate, data, config):
+    """Compared fields of an estimate, or the error type it raised."""
+    try:
+        estimate = estimator(certificate, data, config)
+    except DegenerateDataError as exc:
+        return type(exc)
+    return estimate.barrier, estimate.flow, estimate.samples_used
+
+
+def _line_data():
+    return sample_grid(supply_demand(), DOMAIN, 300)
+
+
+def _plane_data():
+    square = RegionBox(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
+    quad = np.zeros((2, 2, 2))
+    quad[0, 0, 1] = 0.3
+    quad[1, 0, 0] = -0.2
+    model = SystemModel.quadratic_polynomial(quad, np.array([[0.9, 0.1], [0.0, 0.7]]),
+                                             np.array([0.05, 0.0]))
+    return sample_iid(model, square, 500, seed=11)
+
+
+def _duplicated_data():
+    line = _line_data()
+    states = np.repeat(line.states[:40], 4, axis=0)
+    successors = np.repeat(line.successors[:40], 4, axis=0)
+    return Dataset(states, successors, SCHEME_GRID, DOMAIN)
+
+
+def _quadratic_certificate(dimension):
+    template = BarrierTemplate.quadratic(dimension)
+    coefficients = np.linspace(-1.5, 2.0, template.size)
+    return BarrierCertificate(template, coefficients, 0.83, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("budget", [1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 12_345])
+@pytest.mark.parametrize("estimator, oracle", ESTIMATOR_ORACLES)
+def test_streamed_slopes_match_whole_array_oracle(budget, estimator, oracle):
+    data = _line_data()
+    cert = _quadratic_certificate(1)
+    for seed in (0, 1):
+        config = LipschitzConfig(pair_budget=budget, seed=seed, batches=20)
+        streamed = _outcome(estimator, cert, data, config)
+        assert streamed == _outcome(oracle, cert, data, config)
+        # one slope cannot fill the extreme-value batches; everything else estimates
+        assert isinstance(streamed, tuple) != (budget == 1 and estimator is estimate_extreme_value)
+
+
+@pytest.mark.parametrize("make_data", [_plane_data, _duplicated_data])
+@pytest.mark.parametrize("estimator, oracle", ESTIMATOR_ORACLES)
+def test_streamed_slopes_match_oracle_in_2d_and_with_duplicates(make_data, estimator, oracle):
+    data = make_data()
+    cert = _quadratic_certificate(data.dimension)
+    config = LipschitzConfig(pair_budget=_CHUNK + 777, seed=3)
+    streamed = _outcome(estimator, cert, data, config)
+    assert isinstance(streamed, tuple)
+    assert streamed == _outcome(oracle, cert, data, config)
+
+
+def test_duplicate_states_drop_zero_gap_pairs():
+    data = _duplicated_data()
+    config = LipschitzConfig(pair_budget=10_000, seed=2)
+    estimate = estimate_pairwise(_quadratic_certificate(1), data, config)
+    # 40 distinct states, each 4 times: about 1 in 40 pairs has a zero gap
+    assert 9_600 < estimate.samples_used < 9_850
+
+
+@pytest.mark.parametrize("estimator", [estimate_pairwise, estimate_extreme_value])
+def test_all_coincident_pairs_raise(estimator):
+    same = Dataset(np.full((5, 1), 1.0), np.full((5, 1), 1.3), SCHEME_GRID, DOMAIN)
+    config = LipschitzConfig(pair_budget=_CHUNK + 5, seed=0, batches=2)
+    with pytest.raises(DegenerateDataError, match="coincide"):
+        estimator(linear_barrier(1.0), same, config)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import safety_by_step_many
 from physbc.errors import InvalidStateError
 from physbc.models import (
     PRESET_MODELS,
@@ -190,3 +191,47 @@ def test_safety_check_region_dimension_mismatch():
     square = RegionBox(np.zeros(2), np.ones(2))
     with pytest.raises(InvalidStateError):
         check_safety_empirically(model, square, square, trajectories=5, horizon=2)
+
+
+def _plane_quadratic():
+    quad = np.zeros((2, 2, 2))
+    quad[0, 0, 1] = 0.05
+    quad[1, 0, 0] = -0.03
+    return SystemModel.quadratic_polynomial(
+        quad, np.array([[0.9, 0.05], [0.0, 0.85]]), np.array([0.1, 0.08])
+    )
+
+
+# Unsafe sets narrower than one step near them: some trajectories start
+# inside, some enter later at varying steps, and some jump over.
+SAFETY_CASES = {
+    "affine": (supply_demand, (0.5, 2.2), (2.1, 2.15)),
+    "perturbed": (
+        lambda: SystemModel.perturbed(supply_demand(), PerturbationField(0.01, 1250 / 2.2)),
+        (0.5, 2.2), (2.1, 2.15),
+    ),
+    "quadratic": (logistic_growth, (0.05, 0.5), (0.45, 0.47)),
+    "perturbed-quadratic": (
+        lambda: SystemModel.perturbed(logistic_growth(), PerturbationField(0.002, 1250.0)),
+        (0.05, 0.5), (0.45, 0.47),
+    ),
+    "plane-quadratic": (_plane_quadratic, ([0.0, 0.0], [0.8, 0.4]), ([0.7, 0.35], [0.8, 0.4])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAFETY_CASES))
+def test_safety_check_matches_step_many_oracle(name):
+    make_model, initial, unsafe = SAFETY_CASES[name]
+    model = make_model()
+    initial = RegionBox(np.array(initial[0], ndmin=1), np.array(initial[1], ndmin=1))
+    unsafe = RegionBox(np.array(unsafe[0], ndmin=1), np.array(unsafe[1], ndmin=1))
+    args = (model, initial, unsafe, 200, 60, 3)
+    lean = check_safety_empirically(*args)
+    oracle = safety_by_step_many(*args)
+    assert 0 < lean.violation_count < 200
+    assert lean.violation_count == oracle.violation_count
+    steps = [step for _, step, _ in lean.violations]
+    assert min(steps) == 0 and len(set(steps)) > 3
+    for (i, step, state), (j, ref_step, ref_state) in zip(lean.violations, oracle.violations):
+        assert (i, step) == (j, ref_step)
+        assert np.array_equal(state, ref_state)

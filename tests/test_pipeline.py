@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from oracles import minimax_full_lp
+from oracles import (
+    extreme_value_whole_array,
+    minimax_full_lp,
+    pairwise_whole_array,
+    safety_by_step_many,
+)
 from physbc.cli import REFERENCE_RESULTS, reference_config
 from physbc.config import (
     MODE_PROBABILISTIC,
@@ -119,6 +124,18 @@ def test_constraint_generation_matches_full_lp_on_reference_systems(key, monkeyp
     a, b = dict(shipped.report), dict(reference.report)
     a.pop("timing"), b.pop("timing")
     assert a == b
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE_RESULTS))
+def test_streamed_kernels_match_oracles_on_reference_systems(key, monkeypatch):
+    config = reference_config(key, 0.05)
+    shipped = dict(run(config).report)
+    monkeypatch.setattr("physbc.pipeline.estimate_pairwise", pairwise_whole_array)
+    monkeypatch.setattr("physbc.pipeline.estimate_extreme_value", extreme_value_whole_array)
+    monkeypatch.setattr("physbc.pipeline.check_safety_empirically", safety_by_step_many)
+    reference = dict(run(config).report)
+    shipped.pop("timing"), reference.pop("timing")
+    assert report_json(shipped) == report_json(reference)
 
 
 def test_probabilistic_run(prob_run):
