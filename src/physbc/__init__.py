@@ -67,7 +67,6 @@ from .models import (
 from .pipeline import RunArtifacts, region_cover, run, write_artifacts
 from .sampling import (
     Dataset,
-    SamplePair,
     covering_radius,
     load_dataset,
     sample_grid,
@@ -108,7 +107,6 @@ __all__ = [
     "RunArtifacts",
     "RunConfig",
     "SafetyCheck",
-    "SamplePair",
     "SolveResult",
     "SolverInternalError",
     "SystemModel",

@@ -36,7 +36,7 @@ from .config import (
 from .errors import PhysbcError
 from .models import check_safety_empirically
 from .pipeline import run, write_artifacts
-from .sampling import load_dataset
+from .sampling import load_dataset, write_rows
 
 # Baseline outcomes for the bundled case studies.  ``reproduce`` reruns each
 # setting and prints ours-next-to-baseline with relative drift; drift is
@@ -393,13 +393,11 @@ def cmd_plotdata(report_path, out_dir, points):
                 kept = disc <= config.filter.threshold
             else:
                 kept = np.ones(dataset.count, dtype=bool)
+            # Same bytes as csv.writer: repr floats, integer flags, CRLF endings.
             with open(os.path.join(out_dir, "samples.csv"), "w", newline="", encoding="ascii") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "y", "discrepancy", "retained"])
-                writer.writerows(
-                    zip(dataset.states[:, 0].tolist(), dataset.successors[:, 0].tolist(),
-                        disc.tolist(), kept.astype(int).tolist())
-                )
+                fh.write("x,y,discrepancy,retained\r\n")
+                write_rows(fh, "%r,%r,%r,%d\r\n", np.column_stack(
+                    [dataset.states[:, 0], dataset.successors[:, 0], disc, kept]))
             written.append("samples.csv")
             jump = report.get("filter", {}).get("max_jump")
             if config.filter.enabled and jump:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -328,16 +329,17 @@ def report_json(report: dict) -> str:
 def write_artifacts(artifacts: RunArtifacts, out_dir: str) -> dict:
     """Write report, certificate, and (optionally) the dataset to a directory.
 
-    Returns the final report dict (with the dataset path filled in when the
-    dataset was saved).  Paths inside the report stay relative so identical
-    runs in different directories produce identical bytes.
+    Returns the final report dict (with the dataset path filled in, and the
+    write time as ``timing["save"]``, when the dataset was saved).  Paths
+    inside the report stay relative so identical runs in different
+    directories produce identical bytes.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     report = dict(artifacts.report)
     if artifacts.config.save_data:
+        t0 = time.perf_counter()
         save_dataset(artifacts.dataset, os.path.join(out_dir, "dataset.csv"))
+        report["timing"] = {**report["timing"], "save": round(time.perf_counter() - t0, 6)}
         report["dataset"] = {**report["dataset"], "path": "dataset.csv"}
     with open(os.path.join(out_dir, "certificate.json"), "w", encoding="ascii") as fh:
         fh.write(json.dumps(artifacts.certificate.to_dict(), indent=2, sort_keys=True) + "\n")

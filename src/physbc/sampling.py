@@ -3,18 +3,25 @@
 A dataset is an ordered collection of (state, successor) pairs recorded from
 one model over one domain box.  Grid and i.i.d.-uniform schemes are provided;
 both are reproducible from their parameters (the i.i.d. scheme from its seed).
+
+Datasets persist as CSV written in blocks: :func:`write_rows` formats 65 536
+rows with one ``%`` operation, which gives the same text as formatting them
+row by row.  :func:`load_dataset` parses the body with ``np.loadtxt`` and
+hands any file it cannot take as is to a line loop, which either returns the
+same values or names the offending line.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     CapacityError,
@@ -36,11 +43,12 @@ DEFAULT_MAX_SAMPLES = 20_000_000
 # dimension >= 2.
 MAX_LATTICE_POINTS = 50_000_000
 
+# Rows formatted per ``%`` operation when writing CSV.
+_ROW_CHUNK = 65_536
 
-@dataclass(frozen=True)
-class SamplePair:
-    state: np.ndarray
-    successor: np.ndarray
+# ASCII separators that ``np.loadtxt`` strips around a number as whitespace
+# but ``float`` rejects; a body holding one goes to the line loop.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +85,6 @@ class Dataset:
     @property
     def dimension(self) -> int:
         return self.states.shape[1]
-
-    def pair(self, index: int) -> SamplePair:
-        return SamplePair(self.states[index].copy(), self.successors[index].copy())
 
     def take(self, mask: np.ndarray, filtered: Optional[bool] = None) -> "Dataset":
         """Subset in original order; marks the result filtered unless told otherwise."""
@@ -182,6 +187,8 @@ def covering_radius(
             f"reference lattice of {reference_resolution}^{n} points exceeds "
             f"the {MAX_LATTICE_POINTS} limit"
         )
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     axes = [np.linspace(domain.lower[i], domain.upper[i], reference_resolution) for i in range(n)]
     worst = 0.0
@@ -195,21 +202,31 @@ def covering_radius(
     return worst
 
 
+def write_rows(fh, line_format: str, rows: np.ndarray) -> None:
+    """Write each row of a 2-D array through ``line_format``.
+
+    ``line_format`` holds one ``%`` conversion per column and ends in the line
+    terminator.  Rows go out in chunks of ``_ROW_CHUNK``, each formatted by a
+    single ``%`` over the chunk's values, so the text is what formatting the
+    rows one at a time would give.
+    """
+    for start in range(0, rows.shape[0], _ROW_CHUNK):
+        chunk = rows[start:start + _ROW_CHUNK]
+        fh.write((line_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write pairs as CSV plus a JSON metadata sidecar.
 
-    Floats are rendered with 17 significant digits so a round trip through
-    :func:`load_dataset` reproduces them bit for bit.
+    Floats are rendered with 17 significant digits (``%.17g``, formatted in
+    blocks by :func:`write_rows`) so a round trip through :func:`load_dataset`
+    reproduces them bit for bit.
     """
     n = dataset.dimension
-    header = ",".join(
-        [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)]
-    )
     rows = np.hstack([dataset.states, dataset.successors])
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(_header(n) + "\n")
+        write_rows(fh, ",".join(["%.17g"] * (2 * n)) + "\n", rows)
     meta = {
         "scheme": dataset.scheme,
         "seed": dataset.seed,
@@ -224,7 +241,13 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    """Inverse of :func:`save_dataset`; parse failures carry a line number."""
+    """Inverse of :func:`save_dataset`; parse failures carry a line number.
+
+    The body is parsed by ``np.loadtxt``, which reads ``%.17g`` text bit for
+    bit.  A body it rejects, or whose shape disagrees with the sidecar, is
+    read again by the line loop, which accepts what ``float`` accepts (blank
+    lines included) and names the first bad line.
+    """
     sidecar = _sidecar_path(path)
     if not os.path.exists(sidecar):
         raise DatasetParseError(f"missing metadata sidecar {sidecar}")
@@ -246,29 +269,59 @@ def load_dataset(path: str) -> Dataset:
     values = np.empty((count, 2 * n))
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
-        expected = ",".join([f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)])
+        expected = _header(n)
         if header != expected:
             raise DatasetParseError(f"expected header {expected!r}, got {header!r}", line=1)
-        row = 0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if row >= count:
-                raise DatasetParseError("more data rows than the sidecar count", line=lineno)
-            parts = line.split(",")
-            if len(parts) != 2 * n:
-                raise DatasetParseError(
-                    f"expected {2 * n} columns, got {len(parts)}", line=lineno
-                )
-            try:
-                values[row] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise DatasetParseError(str(exc), line=lineno) from exc
-            row += 1
+        parsed = _loadtxt_rows(fh)
+        if parsed is not None and parsed.shape == values.shape:
+            values = parsed
+        else:
+            # Restart from the top of the file, as the line loop always has:
+            # text is decoded in chunks counted from there, so an undecodable
+            # byte is reported at the same chunk offset.
+            fh.seek(0)
+            fh.readline()
+            _parse_rows(fh, values)
+    return Dataset(values[:, :n], values[:, n:], scheme, domain, seed=seed, filtered=filtered)
+
+
+def _loadtxt_rows(fh) -> Optional[np.ndarray]:
+    """The rest of ``fh`` as parsed by ``np.loadtxt``; None if it rejects the text."""
+    try:
+        text = fh.read()
+        if any(c in text for c in _LOADTXT_ONLY_SPACE):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a body without rows warns
+            return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+
+
+def _parse_rows(fh, values: np.ndarray) -> None:
+    """Fill ``values`` from the rest of ``fh`` line by line; blank lines are skipped."""
+    count, width = values.shape
+    row = 0
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        if row >= count:
+            raise DatasetParseError("more data rows than the sidecar count", line=lineno)
+        parts = line.split(",")
+        if len(parts) != width:
+            raise DatasetParseError(f"expected {width} columns, got {len(parts)}", line=lineno)
+        try:
+            values[row] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise DatasetParseError(str(exc), line=lineno) from exc
+        row += 1
     if row != count:
         raise DatasetParseError(f"sidecar promises {count} rows, file has {row}")
-    return Dataset(values[:, :n], values[:, n:], scheme, domain, seed=seed, filtered=filtered)
+
+
+def _header(n: int) -> str:
+    return ",".join([f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)])
 
 
 def _sidecar_path(path: str) -> str:

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import SolverInternalError
 
@@ -128,6 +127,17 @@ def _exchange(A: np.ndarray, b: np.ndarray, restricted, max_iterations: int) -> 
         status=STATUS_ITERATION_LIMIT,
         active_rows=np.empty(0, dtype=int),
     )
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call.
+
+    Importing the package therefore loads no scipy; :func:`_restricted_highs`
+    looks this name up at call time, so it can be wrapped or replaced.
+    """
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
 
 
 def _restricted_highs(A_w: np.ndarray, b_w: np.ndarray):

@@ -1,20 +1,28 @@
 """Brute-force oracles shared by the solver and acceptance tests."""
 
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 from scipy import integrate
 from scipy.optimize import linprog
 
-from physbc.errors import DegenerateDataError, InvalidStateError, ModelMismatchError
+from physbc.errors import (
+    DatasetParseError,
+    DegenerateDataError,
+    InvalidStateError,
+    ModelMismatchError,
+)
 from physbc.lipschitz import (
     METHOD_EXTREME,
     METHOD_PAIRWISE,
     LipschitzEstimate,
     _reverse_weibull_location,
 )
-from physbc.models import SafetyCheck
+from physbc.models import RegionBox, SafetyCheck
+from physbc.sampling import Dataset
 from physbc.solver import FEASIBILITY_TOL, OPTIMALITY_TOL, STATUS_OPTIMAL, SolveResult
 
 
@@ -205,3 +213,77 @@ def safety_by_step_many(model, initial, unsafe, trajectories=1000, horizon=500, 
         violation_count=len(events),
         violations=events,
     )
+
+
+def _sidecar(path):
+    return os.path.splitext(path)[0] + ".meta.json"
+
+
+def save_dataset_rowwise(dataset, path):
+    """Drop-in for :func:`physbc.sampling.save_dataset` that formats one value at a time."""
+    n = dataset.dimension
+    header = ",".join([f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)])
+    rows = np.hstack([dataset.states, dataset.successors])
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    meta = {
+        "scheme": dataset.scheme,
+        "seed": dataset.seed,
+        "domain": dataset.domain.to_dict(),
+        "count": dataset.count,
+        "dimension": n,
+        "filtered": dataset.filtered,
+    }
+    with open(_sidecar(path), "w", encoding="ascii") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_dataset_rowwise(path):
+    """Drop-in for :func:`physbc.sampling.load_dataset` that parses one line at a time."""
+    sidecar = _sidecar(path)
+    if not os.path.exists(sidecar):
+        raise DatasetParseError(f"missing metadata sidecar {sidecar}")
+    with open(sidecar, "r", encoding="ascii") as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetParseError(f"invalid sidecar JSON: {exc}") from exc
+    try:
+        domain = RegionBox.from_dict(meta["domain"])
+        scheme = meta["scheme"]
+        count = int(meta["count"])
+        n = int(meta["dimension"])
+        seed = meta.get("seed")
+        filtered = bool(meta.get("filtered", False))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetParseError(f"sidecar is missing or corrupts a field: {exc}") from exc
+
+    values = np.empty((count, 2 * n))
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().rstrip("\n")
+        expected = ",".join([f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)])
+        if header != expected:
+            raise DatasetParseError(f"expected header {expected!r}, got {header!r}", line=1)
+        row = 0
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            if row >= count:
+                raise DatasetParseError("more data rows than the sidecar count", line=lineno)
+            parts = line.split(",")
+            if len(parts) != 2 * n:
+                raise DatasetParseError(
+                    f"expected {2 * n} columns, got {len(parts)}", line=lineno
+                )
+            try:
+                values[row] = [float(p) for p in parts]
+            except ValueError as exc:
+                raise DatasetParseError(str(exc), line=lineno) from exc
+            row += 1
+    if row != count:
+        raise DatasetParseError(f"sidecar promises {count} rows, file has {row}")
+    return Dataset(values[:, :n], values[:, n:], scheme, domain, seed=seed, filtered=filtered)

@@ -1,15 +1,22 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import physbc
+from oracles import load_dataset_rowwise
 from physbc.barrier import BarrierCertificate
 from physbc.cli import REFERENCE_RESULTS, _drift, main, reference_config
 from physbc.config import (
     LipschitzSpec,
+    RunConfig,
     SamplingSpec,
     ValidationSpec,
     preset,
@@ -152,6 +159,40 @@ def test_plotdata_series_are_consistent(run_dir, tmp_path):
     assert retained == report["filter"]["retained_count"]
 
 
+def samples_csv_oracle(run_dir):
+    """samples.csv as ``csv.writer`` renders it from the run's saved arrays."""
+    report = json.loads((run_dir / "report.json").read_text())
+    config = RunConfig.from_dict(report["config"])
+    dataset = load_dataset_rowwise(str(run_dir / "dataset.csv"))
+    disc = np.linalg.norm(
+        config.physics_model().step_many(dataset.states) - dataset.successors, axis=1)
+    if config.filter.enabled:
+        kept = disc <= config.filter.threshold
+    else:
+        kept = np.ones(dataset.count, dtype=bool)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["x", "y", "discrepancy", "retained"])
+    writer.writerows(zip(dataset.states[:, 0].tolist(), dataset.successors[:, 0].tolist(),
+                         disc.tolist(), kept.astype(int).tolist()))
+    return out.getvalue().encode("ascii")
+
+
+@pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "unfiltered"])
+def test_plotdata_samples_match_csv_writer_bytes(run_dir, config_path, tmp_path, filtered):
+    if not filtered:
+        run_dir = tmp_path / "raw"
+        result = CliRunner().invoke(
+            main, ["run", "--config", config_path, "--no-filter", "--out", str(run_dir)])
+        assert result.exit_code in (0, 2), result.output
+    out = tmp_path / "plots"
+    result = CliRunner().invoke(main, [
+        "plotdata", "--report", str(run_dir / "report.json"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert (out / "samples.csv").read_bytes() == samples_csv_oracle(run_dir)
+    assert (out / "jump.csv").exists() == filtered
+
+
 def test_plotdata_rejects_missing_report(tmp_path):
     result = CliRunner().invoke(main, [
         "plotdata", "--report", str(tmp_path / "nope.json")])
@@ -225,3 +266,15 @@ def test_reference_config_shapes():
     prob = reference_config("lg-prob-phys")
     assert prob.guarantee.mode == "probabilistic"
     assert prob.sampling.count == 260_000
+
+
+# -------------------------------------------------------------------- import
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, physbc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(physbc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -191,6 +191,20 @@ def test_write_artifacts_respects_save_data_flag(tmp_path):
     assert report["dataset"]["path"] is None
 
 
+def test_write_artifacts_times_the_dataset_write_only_when_saved(det_run, tmp_path):
+    timing = dict(det_run.report["timing"])
+    saved = write_artifacts(det_run, str(tmp_path / "saved"))
+    stored = json.loads((tmp_path / "saved" / "report.json").read_text())
+    assert set(stored["timing"]) == set(saved["timing"]) == set(timing) | {"save"}
+    assert stored["timing"]["save"] >= 0
+    assert det_run.report["timing"] == timing
+
+    lean = replace(det_run, config=replace(det_run.config, save_data=False))
+    write_artifacts(lean, str(tmp_path / "lean"))
+    stored = json.loads((tmp_path / "lean" / "report.json").read_text())
+    assert stored["timing"] == timing
+
+
 def test_run_without_bounds_fails_honestly():
     config = replace(
         quick(preset("supply-demand")),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from physbc.errors import (
     NoCoverError,
     RegionViolationError,
 )
+from oracles import load_dataset_rowwise, save_dataset_rowwise
 from physbc.models import RegionBox, supply_demand
 from physbc.sampling import (
     SCHEME_GRID,
@@ -94,9 +97,8 @@ def test_dataset_take_preserves_order_and_flags():
     assert sub.count == 3
     assert np.array_equal(sub.states, data.states[[1, 4, 7]])
     assert sub.filtered and not data.filtered
-    pair = sub.pair(0)
-    assert pair.state == pytest.approx(data.states[1])
-    assert pair.successor == pytest.approx(data.successors[1])
+    assert np.array_equal(sub.states[0], data.states[1])
+    assert np.array_equal(sub.successors[0], data.successors[1])
 
 
 def test_covering_radius_three_point_example():
@@ -223,3 +225,137 @@ def test_load_requires_sidecar(tmp_path):
     (tmp_path / "d.meta.json").unlink()
     with pytest.raises(DatasetParseError):
         load_dataset(path)
+
+
+# ------------------------------------------------ block I/O against the oracles
+
+
+def _saved_bytes(save, data, path):
+    save(data, str(path))
+    return path.read_bytes(), path.with_suffix(".meta.json").read_bytes()
+
+
+def _same_save_bytes(data, tmp_path):
+    fast = _saved_bytes(save_dataset, data, tmp_path / "fast.csv")
+    slow = _saved_bytes(save_dataset_rowwise, data, tmp_path / "slow.csv")
+    assert fast == slow
+
+
+@pytest.mark.parametrize("count", [65_535, 65_536, 65_537])
+def test_save_matches_rowwise_oracle_around_chunk_edge(tmp_path, count):
+    _same_save_bytes(sample_iid(supply_demand(), DOMAIN, count, seed=count), tmp_path)
+
+
+def test_save_matches_rowwise_oracle_in_2d(tmp_path):
+    square = RegionBox(np.array([-1.0, 0.0]), np.array([1.0, 3.0]))
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(square.lower, square.upper, size=(1000, 2))
+    _same_save_bytes(Dataset(xs, np.sin(xs) * 1e-3 + xs, SCHEME_IID, square, seed=5), tmp_path)
+
+
+def test_save_matches_rowwise_oracle_on_edge_values(tmp_path):
+    box = RegionBox.interval(-1.0, 1.0)
+    states = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
+              0.1 + 0.2, np.nextafter(1.0, 0.0), -1.0, 1.0, 2 / 3]
+    successors = [1e308, -1e308, 5e-324, -0.0, 1.7976931348623157e308, 1e16, 123456789012345678.0,
+                  9007199254740993.0, 1e-5, np.inf, -np.inf, np.nan]
+    data = Dataset(np.array(states)[:, None], np.array(successors)[:, None], SCHEME_GRID, box)
+    _same_save_bytes(data, tmp_path)
+    back = load_dataset(str(tmp_path / "fast.csv"))
+    assert back.states.tobytes() == data.states.tobytes()
+    assert back.successors.tobytes() == data.successors.tobytes()
+
+
+def _outcome(load, path):
+    """What a loader makes of a file: its arrays and metadata, or its exception."""
+    try:
+        data = load(path)
+    except Exception as exc:  # the oracle and the loader must fail alike
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return (data.states.tobytes(), data.successors.tobytes(), data.states.shape,
+            data.scheme, data.seed, data.filtered)
+
+
+def _edit_lines(lines, case):
+    """Apply one named corruption to the text lines of a saved 1-D, 8-row dataset."""
+    if case == "blank-lines":
+        return lines[:3] + [""] + lines[3:] + ["", ""]
+    if case == "whitespace-only-line":
+        return lines[:4] + ["  \t "] + lines[4:]
+    if case == "underscores":
+        return lines[:2] + ["1.2_5,1_0"] + lines[3:]
+    if case == "trailing-comma":
+        return lines[:5] + [lines[5] + ","] + lines[6:]
+    if case == "extra-row":
+        return lines + ["0.6,0.9"]
+    if case == "missing-row":
+        return lines[:-1]
+    if case == "three-columns":
+        return lines[:6] + ["0.6,0.9,1.0"] + lines[7:]
+    if case == "padded-fields":
+        return [lines[0]] + [" " + line.replace(",", " ,\t") + "\x0c" for line in lines[1:]]
+    if case.startswith("separator-"):
+        # np.loadtxt reads "0.6\x1c" as 0.6 for each of \x1c-\x1f; float() rejects it
+        sep = chr(int(case[-2:], 16))
+        row = f"0.6{sep},0.9" if case.startswith("separator-beside-comma") else f"0.6,0.9{sep}"
+        return lines[:3] + [row] + lines[4:]
+    if case == "not-a-number":
+        return lines[:4] + ["0.6,abc"] + lines[5:]
+    if case == "out-of-domain":
+        return lines[:4] + ["9.0,0.9"] + lines[5:]
+    return lines
+
+
+SEPARATORS = ["1c", "1d", "1e", "1f"]
+LOAD_CASES = (["clean", "blank-lines", "whitespace-only-line", "underscores", "trailing-comma",
+               "extra-row", "missing-row", "three-columns", "padded-fields", "not-a-number",
+               "out-of-domain"]
+              + [f"separator-beside-comma-{sep}" for sep in SEPARATORS]
+              + [f"separator-at-line-end-{sep}" for sep in SEPARATORS])
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", LOAD_CASES)
+def test_load_matches_rowwise_oracle(tmp_path, case, crlf):
+    data = sample_iid(supply_demand(), DOMAIN, 8, seed=1)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    lines = _edit_lines(path.read_text().splitlines(), case)
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("ascii") + b"\n")
+    fast, slow = _outcome(load_dataset, str(path)), _outcome(load_dataset_rowwise, str(path))
+    assert fast == slow
+    if case in ("clean", "blank-lines"):
+        assert fast[0] == data.states.tobytes()
+    if case in ("whitespace-only-line", "underscores") or case.startswith("separator-at-line-end"):
+        assert fast[2] == (8, 1)  # only the line loop accepts these
+    if case in ("trailing-comma", "extra-row", "missing-row", "three-columns",
+                "not-a-number") or case.startswith("separator-beside-comma"):
+        assert fast[0] is DatasetParseError
+
+
+@pytest.mark.parametrize("body", [
+    b"0.6,0.9\n\xff\n",                        # undecodable byte
+    b"0.6,0.9\nbad\n0.7,0.9\n\xff\n",            # a bad line before it, same chunk
+    b"0.6,0.9\nbad\n" + b"0.7,0.9\n" * 2000 + b"\xff\n",  # ... in a later chunk
+    b"0.7,0.9\n" * 2000 + b"\xff\n",               # the error names a chunk offset
+    b"",                                        # no rows at all
+    b"\n\n",                                    # blank lines only
+])
+def test_load_matches_rowwise_oracle_on_raw_bodies(tmp_path, body):
+    data = sample_iid(supply_demand(), DOMAIN, 2, seed=1)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    path.write_bytes(b"x_1,y_1\n" + body)
+    assert _outcome(load_dataset, str(path)) == _outcome(load_dataset_rowwise, str(path))
+
+
+@pytest.mark.parametrize("count", [-1, 0])
+def test_load_matches_rowwise_oracle_on_sidecar_counts(tmp_path, count):
+    data = sample_iid(supply_demand(), DOMAIN, 2, seed=1)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    sidecar = tmp_path / "d.meta.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "count": count}))
+    path.write_text("x_1,y_1\n" if count == 0 else "bad header\n")
+    assert _outcome(load_dataset, str(path)) == _outcome(load_dataset_rowwise, str(path))

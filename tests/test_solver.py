@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import physbc.solver
 from oracles import minimax_by_vertices, minimax_full_lp, random_bounded_instance
 from physbc.solver import (
     STATUS_ITERATION_LIMIT,
@@ -223,3 +224,17 @@ def test_reported_slack_bounds_every_row(solver, variables, extra, seed):
     assert result.optimal
     values = rows @ result.decision + offsets
     assert values.max() <= result.slack + 1e-9 * max(1.0, abs(result.slack))
+
+
+def test_solve_calls_linprog_through_the_module_attribute(monkeypatch):
+    calls = []
+    backend = physbc.solver.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["A_ub"].shape[0])
+        return backend(*args, **kwargs)
+
+    monkeypatch.setattr(physbc.solver, "linprog", counting)
+    result = solve(np.array([[1.0], [-1.0]]), np.zeros(2))
+    assert result.status == STATUS_OPTIMAL
+    assert calls
