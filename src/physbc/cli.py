@@ -34,6 +34,7 @@ from .config import (
     preset,
 )
 from .errors import PhysbcError
+from .filtering import discrepancies
 from .models import check_safety_empirically
 from .pipeline import run, write_artifacts
 from .sampling import load_dataset, write_rows
@@ -385,10 +386,7 @@ def cmd_plotdata(report_path, out_dir, points):
             click.echo(f"note: dataset not readable ({exc}); skipping samples.csv")
             dataset = None
         if dataset is not None:
-            physics = config.physics_model()
-            disc = np.linalg.norm(
-                physics.step_many(dataset.states) - dataset.successors, axis=1
-            )
+            disc = discrepancies(dataset, config.physics_model())
             if config.filter.enabled:
                 kept = disc <= config.filter.threshold
             else:

@@ -15,6 +15,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .barrier import DEFAULT_COEFF_BOUND, DEFAULT_INITIAL_LEVEL
+from .lipschitz import LipschitzSpec
 from .models import (
     KIND_AFFINE,
     KIND_QUADRATIC,
@@ -59,20 +61,10 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    coeff_bound: Optional[float] = 100.0
+    coeff_bound: Optional[float] = DEFAULT_COEFF_BOUND
     level_gap_row: bool = True
-    initial_level: float = 1e-4
+    initial_level: float = DEFAULT_INITIAL_LEVEL
     cross_check: bool = False
-
-
-@dataclass(frozen=True)
-class LipschitzSpec:
-    method: str = "pairwise-max"
-    pair_budget: int = 1_000_000
-    multiplier: float = 1.1
-    seed: int = 7
-    batches: int = 50
-    shape: float = 1.0
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,6 @@ from .models import SystemModel
 from .sampling import Dataset
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    """Admissible deviation ``threshold`` (strictly positive)."""
-
-    threshold: float
-
-    def __post_init__(self):
-        if not (self.threshold > 0):
-            raise ValueError("threshold must be strictly positive")
-
-
 @dataclass(frozen=True, eq=False)
 class FilterOutcome:
     retained: Dataset
@@ -60,7 +49,8 @@ class DiscrepancyProfile:
     max_jump: Optional[Tuple[int, int]]
 
 
-def _discrepancies(dataset: Dataset, physics: SystemModel) -> np.ndarray:
+def discrepancies(dataset: Dataset, physics: SystemModel) -> np.ndarray:
+    """Euclidean distance of each recorded successor from the physics prediction."""
     if physics.dimension != dataset.dimension:
         raise ModelMismatchError(
             f"physics model is {physics.dimension}-dimensional, "
@@ -70,30 +60,34 @@ def _discrepancies(dataset: Dataset, physics: SystemModel) -> np.ndarray:
     return np.linalg.norm(predicted - dataset.successors, axis=1)
 
 
-def apply_filter(dataset: Dataset, physics: SystemModel, config: FilterConfig) -> FilterOutcome:
-    """Keep pairs whose recorded successor is physics-consistent.
+def apply_filter(dataset: Dataset, physics: SystemModel, threshold: float) -> FilterOutcome:
+    """Keep pairs whose recorded successor is within ``threshold`` (> 0) of physics.
 
     Order is preserved and the retained dataset is flagged ``filtered``.
     An all-discarding threshold is legal and yields an empty retained set.
     """
-    disc = _discrepancies(dataset, physics)
-    keep = disc <= config.threshold
+    if not (threshold > 0):
+        raise ValueError("threshold must be strictly positive")
+    disc = discrepancies(dataset, physics)
+    keep = disc <= threshold
     retained = dataset.take(keep, filtered=True)
     return FilterOutcome(
         retained=retained,
         retained_count=int(keep.sum()),
         discarded_count=int((~keep).sum()),
         discrepancies=disc,
-        threshold=config.threshold,
+        threshold=threshold,
     )
 
 
 def discrepancy_profile(
-    dataset: Dataset, physics: SystemModel, config: FilterConfig
+    dataset: Dataset, physics: SystemModel, threshold: float
 ) -> DiscrepancyProfile:
     """Per-pair discrepancies plus the longest contiguous discarded run."""
-    disc = _discrepancies(dataset, physics)
-    discarded = disc > config.threshold
+    if not (threshold > 0):
+        raise ValueError("threshold must be strictly positive")
+    disc = discrepancies(dataset, physics)
+    discarded = disc > threshold
     return DiscrepancyProfile(
         states=dataset.states,
         discrepancies=disc,

@@ -30,14 +30,19 @@ _CHUNK = 1 << 16  # pairs per streamed slope chunk
 
 
 @dataclass(frozen=True)
-class LipschitzConfig:
+class LipschitzSpec:
+    """Estimator knobs; the ``lipschitz`` section of a run config."""
+
+    method: str = METHOD_PAIRWISE
     pair_budget: int = 1_000_000
-    seed: int = 0
     multiplier: float = 1.1  # headroom on top of the pairwise maximum
+    seed: int = 7
     batches: int = 50  # extreme-value method only
     shape: float = 1.0  # assumed tail shape for the extreme-value fit
 
     def __post_init__(self):
+        if self.method not in (METHOD_PAIRWISE, METHOD_EXTREME):
+            raise ValueError(f"unknown lipschitz method {self.method!r}")
         if self.pair_budget < 1:
             raise ValueError("pair_budget must be positive")
         if self.multiplier < 1.0:
@@ -61,7 +66,7 @@ class LipschitzEstimate:
         return max(self.barrier, self.flow)
 
 
-def _slope_chunks(certificate: BarrierCertificate, dataset: Dataset, config: LipschitzConfig):
+def _slope_chunks(certificate: BarrierCertificate, dataset: Dataset, config: LipschitzSpec):
     """Finite-difference slopes over random sample pairs, streamed in draw order.
 
     The pairs are drawn up front as two index arrays; their slopes are then
@@ -111,7 +116,7 @@ def _slopes(values: np.ndarray, i: np.ndarray, j: np.ndarray, gaps: np.ndarray,
 
 
 def estimate_pairwise(
-    certificate: BarrierCertificate, dataset: Dataset, config: LipschitzConfig
+    certificate: BarrierCertificate, dataset: Dataset, config: LipschitzSpec
 ) -> LipschitzEstimate:
     """Maximum observed slope times a safety multiplier."""
     barrier = flow = -np.inf
@@ -146,7 +151,7 @@ def _reverse_weibull_location(maxima: np.ndarray, shape: float) -> float:
 
 
 def estimate_extreme_value(
-    certificate: BarrierCertificate, dataset: Dataset, config: LipschitzConfig
+    certificate: BarrierCertificate, dataset: Dataset, config: LipschitzSpec
 ) -> LipschitzEstimate:
     """Extreme-value estimate: fit batch maxima, report the distribution's endpoint.
 

@@ -36,12 +36,11 @@ from .certify import (
 )
 from .config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, RunConfig
 from .errors import PhysbcError
-from .filtering import FilterConfig, apply_filter
+from .filtering import apply_filter
 from .filtering import discrepancy_profile  # noqa: F401  (bench/tracing.py wraps this name)
 from .lipschitz import (
     METHOD_EXTREME,
     METHOD_PAIRWISE,
-    LipschitzConfig,
     LipschitzEstimate,
     estimate_extreme_value,
     estimate_pairwise,
@@ -130,7 +129,7 @@ def run(config: RunConfig) -> RunArtifacts:
     t0 = clock()
     filter_report: dict
     if config.filter.enabled:
-        outcome = apply_filter(dataset, physics, FilterConfig(config.filter.threshold))
+        outcome = apply_filter(dataset, physics, config.filter.threshold)
         retained = outcome.retained
         max_jump = outcome.max_jump
         jump = None
@@ -201,19 +200,10 @@ def run(config: RunConfig) -> RunArtifacts:
 
     # ---- Lipschitz estimation ---------------------------------------------------
     t0 = clock()
-    lconfig = LipschitzConfig(
-        pair_budget=config.lipschitz.pair_budget,
-        seed=config.lipschitz.seed,
-        multiplier=config.lipschitz.multiplier,
-        batches=config.lipschitz.batches,
-        shape=config.lipschitz.shape,
-    )
     if config.lipschitz.method == METHOD_PAIRWISE:
-        estimate = estimate_pairwise(certificate, retained, lconfig)
+        estimate = estimate_pairwise(certificate, retained, config.lipschitz)
     elif config.lipschitz.method == METHOD_EXTREME:
-        estimate = estimate_extreme_value(certificate, retained, lconfig)
-    else:
-        raise ValueError(f"unknown lipschitz method {config.lipschitz.method!r}")
+        estimate = estimate_extreme_value(certificate, retained, config.lipschitz)
     timings["lipschitz"] = clock() - t0
 
     # ---- certification ---------------------------------------------------------

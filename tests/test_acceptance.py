@@ -23,7 +23,7 @@ from physbc.certify import (
 )
 from physbc.cli import REFERENCE_RESULTS
 from physbc.config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, preset
-from physbc.filtering import FilterConfig, apply_filter
+from physbc.filtering import apply_filter
 from physbc.models import RegionBox
 from physbc.pipeline import run
 from physbc.sampling import covering_radius, sample_iid
@@ -176,8 +176,8 @@ def test_criterion_6_monotonicity_properties():
         lo, hi = np.sort(rng.uniform(1e-4, 0.02, size=2))
         if lo == hi:
             continue
-        kept_lo = apply_filter(data, physics, FilterConfig(float(lo))).retained_count
-        kept_hi = apply_filter(data, physics, FilterConfig(float(hi))).retained_count
+        kept_lo = apply_filter(data, physics, float(lo)).retained_count
+        kept_hi = apply_filter(data, physics, float(hi)).retained_count
         retention_ok = retention_ok and kept_lo <= kept_hi
 
     # (b) the optimal slack never improves when rows are added

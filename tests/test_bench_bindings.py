@@ -1,0 +1,68 @@
+"""The benchmark's tracer (bench/tracing.py) wraps physbc functions by name.
+
+It replaces attributes of ``physbc.pipeline``, ``physbc.cli`` and
+``physbc.solver``, so a rename or deletion of one of those names, or a call
+site that stops looking its name up on the module, breaks a traced run.
+"""
+
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
+import physbc.cli
+import physbc.pipeline
+import physbc.solver
+from physbc.config import LipschitzSpec, SamplingSpec, ValidationSpec, preset
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+MODULES = (physbc.pipeline, physbc.cli, physbc.solver)
+
+
+def make_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.Tracer()
+
+
+def bindings():
+    names = [dict(vars(module)) for module in MODULES]
+    callbacks = {verb: cmd.callback for verb, cmd in physbc.cli.main.commands.items()}
+    return names, callbacks
+
+
+def test_tracer_installs_and_uninstalls_cleanly():
+    before = bindings()
+    tracer = make_tracer()
+    tracer.install_physbc()
+    try:
+        assert bindings() != before
+    finally:
+        tracer.uninstall()
+    after = bindings()
+    assert after[1] == before[1]
+    for old, new in zip(before[0], after[0]):
+        assert new.keys() == old.keys()
+        assert all(new[name] is old[name] for name in old)
+
+
+def test_traced_run_records_every_stage():
+    config = replace(
+        preset("supply-demand"),
+        sampling=SamplingSpec(count=4000, seed=2024),
+        lipschitz=LipschitzSpec(pair_budget=20_000, seed=7),
+        validation=ValidationSpec(trajectories=20, horizon=50, seed=99),
+    )
+    tracer = make_tracer()
+    tracer.install_physbc()
+    try:
+        physbc.pipeline.run(config)
+    finally:
+        tracer.uninstall()
+    names = {span["name"] for span in tracer.spans}
+    assert names >= {
+        "pipeline.run", "pipeline.hash", "sampling.generate", "filtering.filter",
+        "barrier.assemble", "solver.solve", "solver.linprog", "barrier.audit",
+        "lipschitz.estimate", "sampling.covering_radius", "certify.check",
+        "models.validate",
+    }

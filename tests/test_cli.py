@@ -86,6 +86,25 @@ def test_run_rejects_malformed_config(tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("section", [{"method": "spectral"}, {"pair_budget": 0}],
+                         ids=["unknown-method", "zero-pair-budget"])
+def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatch):
+    data = small_config_dict()
+    data["lipschitz"].update(section)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+
+    def no_work(config):
+        raise AssertionError("the pipeline ran on a config that should not load")
+
+    monkeypatch.setattr("physbc.cli.run", no_work)
+    result = CliRunner().invoke(main, ["run", "--config", str(bad),
+                                       "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert "error: could not load config" in result.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_preset_with_overrides(tmp_path):
     out = tmp_path / "preset-out"
     result = CliRunner().invoke(

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from physbc.errors import ModelMismatchError
-from physbc.filtering import (
-    FilterConfig,
-    apply_filter,
-    discrepancy_profile,
-)
+from physbc.filtering import apply_filter, discrepancy_profile
 from physbc.models import RegionBox, supply_demand
 from physbc.sampling import SCHEME_IID, Dataset
 
@@ -23,7 +19,7 @@ def _dataset_with_deviations(deviations):
 
 def test_filter_keeps_boundary_pairs():
     data = _dataset_with_deviations([0.0, 0.005, -0.005, 0.0051, -0.02])
-    out = apply_filter(data, supply_demand(), FilterConfig(0.005))
+    out = apply_filter(data, supply_demand(), 0.005)
     assert out.retained_count == 3
     assert out.discarded_count == 2
     assert out.mask.tolist() == [True, True, True, False, False]
@@ -33,16 +29,15 @@ def test_filter_keeps_boundary_pairs():
 
 def test_filter_preserves_order():
     data = _dataset_with_deviations([0.01, 0.0, 0.01, 0.001, 0.0])
-    out = apply_filter(data, supply_demand(), FilterConfig(0.005))
+    out = apply_filter(data, supply_demand(), 0.005)
     assert np.array_equal(out.retained.states, data.states[[1, 3, 4]])
     assert np.array_equal(out.retained.successors, data.successors[[1, 3, 4]])
 
 
 def test_filter_is_idempotent():
     data = _dataset_with_deviations(np.linspace(-0.01, 0.01, 21).tolist())
-    config = FilterConfig(0.004)
-    once = apply_filter(data, supply_demand(), config)
-    twice = apply_filter(once.retained, supply_demand(), config)
+    once = apply_filter(data, supply_demand(), 0.004)
+    twice = apply_filter(once.retained, supply_demand(), 0.004)
     assert twice.discarded_count == 0
     assert np.array_equal(twice.retained.states, once.retained.states)
 
@@ -51,7 +46,7 @@ def test_filter_retention_monotone_in_threshold():
     rng = np.random.default_rng(5)
     data = _dataset_with_deviations(rng.normal(scale=0.01, size=400).tolist())
     counts = [
-        apply_filter(data, supply_demand(), FilterConfig(t)).retained_count
+        apply_filter(data, supply_demand(), t).retained_count
         for t in np.linspace(1e-4, 0.03, 15)
     ]
     assert counts == sorted(counts)
@@ -59,17 +54,18 @@ def test_filter_retention_monotone_in_threshold():
 
 def test_filter_may_discard_everything():
     data = _dataset_with_deviations([0.02, -0.03, 0.04])
-    out = apply_filter(data, supply_demand(), FilterConfig(1e-6))
+    out = apply_filter(data, supply_demand(), 1e-6)
     assert out.retained_count == 0
     assert out.retained.count == 0
     assert out.discarded_count == 3
 
 
 def test_filter_threshold_must_be_positive():
+    data = _dataset_with_deviations([0.0, 0.001])
     with pytest.raises(ValueError):
-        FilterConfig(0.0)
+        apply_filter(data, supply_demand(), 0.0)
     with pytest.raises(ValueError):
-        FilterConfig(-0.1)
+        apply_filter(data, supply_demand(), -0.1)
 
 
 def test_filter_dimension_mismatch():
@@ -77,12 +73,12 @@ def test_filter_dimension_mismatch():
     xs = np.array([[0.1, 0.1]])
     data = Dataset(xs, xs, SCHEME_IID, square, seed=0)
     with pytest.raises(ModelMismatchError):
-        apply_filter(data, supply_demand(), FilterConfig(0.005))
+        apply_filter(data, supply_demand(), 0.005)
 
 
 def test_profile_locates_longest_discarded_run():
     data = _dataset_with_deviations([0.0, 0.02, 0.02, 0.0, 0.02, 0.0])
-    profile = discrepancy_profile(data, supply_demand(), FilterConfig(0.005))
+    profile = discrepancy_profile(data, supply_demand(), 0.005)
     assert profile.discarded_mask.tolist() == [False, True, True, False, True, False]
     assert profile.max_jump == (1, 2)
 
@@ -93,20 +89,20 @@ def test_profile_locates_longest_discarded_run():
 )
 def test_outcome_max_jump_matches_profile(deviations):
     data = _dataset_with_deviations(deviations)
-    outcome = apply_filter(data, supply_demand(), FilterConfig(0.005))
-    profile = discrepancy_profile(data, supply_demand(), FilterConfig(0.005))
+    outcome = apply_filter(data, supply_demand(), 0.005)
+    profile = discrepancy_profile(data, supply_demand(), 0.005)
     assert outcome.max_jump == profile.max_jump
 
 
 def test_profile_first_maximal_run_wins_ties():
     data = _dataset_with_deviations([0.02, 0.0, 0.02, 0.0])
-    profile = discrepancy_profile(data, supply_demand(), FilterConfig(0.005))
+    profile = discrepancy_profile(data, supply_demand(), 0.005)
     assert profile.max_jump == (0, 1)
 
 
 def test_profile_without_discards():
     data = _dataset_with_deviations([0.0, 0.001])
-    profile = discrepancy_profile(data, supply_demand(), FilterConfig(0.005))
+    profile = discrepancy_profile(data, supply_demand(), 0.005)
     assert profile.max_jump is None
     assert not profile.discarded_mask.any()
 
@@ -118,5 +114,5 @@ def test_sinusoidal_deviation_splits_in_half():
     xs = np.linspace(0.5, 2.7, 40_001)[:, None]
     dev = threshold * np.sqrt(2.0) * np.sin(2 * np.pi * 1250.0 * xs)
     data = Dataset(xs, model.step_many(xs) + dev, SCHEME_IID, DOMAIN, seed=0)
-    out = apply_filter(data, model, FilterConfig(threshold))
+    out = apply_filter(data, model, threshold)
     assert out.retained_count / data.count == pytest.approx(0.5, abs=0.01)

@@ -8,7 +8,7 @@ from physbc.lipschitz import (
     _CHUNK,
     METHOD_EXTREME,
     METHOD_PAIRWISE,
-    LipschitzConfig,
+    LipschitzSpec,
     estimate_extreme_value,
     estimate_pairwise,
 )
@@ -31,7 +31,7 @@ def linear_barrier(slope, decay=0.83):
 
 def test_linear_barrier_slopes_are_exact():
     data = sample_grid(supply_demand(), DOMAIN, 200)
-    config = LipschitzConfig(pair_budget=20_000, seed=1, multiplier=1.0)
+    config = LipschitzSpec(pair_budget=20_000, seed=1, multiplier=1.0)
     estimate = estimate_pairwise(linear_barrier(3.0), data, config)
     # every finite difference of B(x) = 3x has slope exactly 3
     assert estimate.barrier == pytest.approx(3.0, rel=1e-12)
@@ -43,8 +43,8 @@ def test_linear_barrier_slopes_are_exact():
 
 def test_multiplier_scales_the_estimate():
     data = sample_grid(supply_demand(), DOMAIN, 150)
-    base = LipschitzConfig(pair_budget=10_000, seed=2, multiplier=1.0)
-    padded = LipschitzConfig(pair_budget=10_000, seed=2, multiplier=1.1)
+    base = LipschitzSpec(pair_budget=10_000, seed=2, multiplier=1.0)
+    padded = LipschitzSpec(pair_budget=10_000, seed=2, multiplier=1.1)
     lo = estimate_pairwise(linear_barrier(3.0), data, base)
     hi = estimate_pairwise(linear_barrier(3.0), data, padded)
     assert hi.barrier == pytest.approx(1.1 * lo.barrier)
@@ -64,7 +64,7 @@ def test_quadratic_barrier_estimate_brackets_true_constant():
             return x.copy()
 
     data = sample_grid(Identity(), box, 600)
-    config = LipschitzConfig(pair_budget=300_000, seed=3, multiplier=1.1)
+    config = LipschitzSpec(pair_budget=300_000, seed=3, multiplier=1.1)
     estimate = estimate_pairwise(cert, data, config)
     # sup |B'| = 2 on [0, 1]; secant slopes approach but never exceed it
     assert 1.8 <= estimate.barrier / 1.1 <= 2.0
@@ -74,8 +74,8 @@ def test_quadratic_barrier_estimate_brackets_true_constant():
 def test_pairwise_is_deterministic_per_seed():
     data = sample_grid(supply_demand(), DOMAIN, 100)
     cert = linear_barrier(2.0)
-    a = estimate_pairwise(cert, data, LipschitzConfig(pair_budget=5_000, seed=9))
-    b = estimate_pairwise(cert, data, LipschitzConfig(pair_budget=5_000, seed=9))
+    a = estimate_pairwise(cert, data, LipschitzSpec(pair_budget=5_000, seed=9))
+    b = estimate_pairwise(cert, data, LipschitzSpec(pair_budget=5_000, seed=9))
     assert (a.barrier, a.flow, a.samples_used) == (b.barrier, b.flow, b.samples_used)
 
 
@@ -83,9 +83,9 @@ def test_extreme_value_never_undercuts_observed_max():
     data = sample_grid(supply_demand(), DOMAIN, 400)
     template = BarrierTemplate.quadratic(1)
     cert = BarrierCertificate(template, np.array([2.0, -1.0, 0.5]), 0.83, 0.0, 1.0)
-    config = LipschitzConfig(pair_budget=50_000, seed=4, batches=40)
+    config = LipschitzSpec(pair_budget=50_000, seed=4, batches=40)
     extreme = estimate_extreme_value(cert, data, config)
-    raw = estimate_pairwise(cert, data, LipschitzConfig(pair_budget=50_000, seed=4,
+    raw = estimate_pairwise(cert, data, LipschitzSpec(pair_budget=50_000, seed=4,
                                                         multiplier=1.0))
     assert extreme.barrier >= raw.barrier - 1e-12
     assert extreme.flow >= raw.flow - 1e-12
@@ -96,14 +96,14 @@ def test_extreme_value_never_undercuts_observed_max():
 def test_extreme_value_collapses_to_mean_for_constant_slopes():
     # linear barrier: every batch maximum equals 3, spread is zero
     data = sample_grid(supply_demand(), DOMAIN, 300)
-    config = LipschitzConfig(pair_budget=30_000, seed=5, batches=30)
+    config = LipschitzSpec(pair_budget=30_000, seed=5, batches=30)
     estimate = estimate_extreme_value(linear_barrier(3.0), data, config)
     assert estimate.barrier == pytest.approx(3.0, rel=1e-12)
 
 
 def test_extreme_value_needs_enough_observations():
     data = sample_grid(supply_demand(), DOMAIN, 5)
-    config = LipschitzConfig(pair_budget=20, seed=6, batches=50)
+    config = LipschitzSpec(pair_budget=20, seed=6, batches=50)
     with pytest.raises(DegenerateDataError):
         estimate_extreme_value(linear_barrier(1.0), data, config)
 
@@ -112,10 +112,10 @@ def test_degenerate_datasets_are_rejected():
     cert = linear_barrier(1.0)
     one = Dataset(np.array([[1.0]]), np.array([[1.3]]), SCHEME_GRID, DOMAIN)
     with pytest.raises(DegenerateDataError):
-        estimate_pairwise(cert, one, LipschitzConfig(pair_budget=100, seed=0))
+        estimate_pairwise(cert, one, LipschitzSpec(pair_budget=100, seed=0))
     same = Dataset(np.full((5, 1), 1.0), np.full((5, 1), 1.3), SCHEME_GRID, DOMAIN)
     with pytest.raises(DegenerateDataError):
-        estimate_pairwise(cert, same, LipschitzConfig(pair_budget=100, seed=0))
+        estimate_pairwise(cert, same, LipschitzSpec(pair_budget=100, seed=0))
 
 
 def test_dimension_mismatch_is_rejected():
@@ -123,18 +123,18 @@ def test_dimension_mismatch_is_rejected():
     xs = np.array([[0.1, 0.2], [0.8, 0.9]])
     data = Dataset(xs, xs, SCHEME_GRID, square)
     with pytest.raises(ModelMismatchError):
-        estimate_pairwise(linear_barrier(1.0), data, LipschitzConfig(pair_budget=100, seed=0))
+        estimate_pairwise(linear_barrier(1.0), data, LipschitzSpec(pair_budget=100, seed=0))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LipschitzConfig(pair_budget=0)
+        LipschitzSpec(pair_budget=0)
     with pytest.raises(ValueError):
-        LipschitzConfig(multiplier=0.9)
+        LipschitzSpec(multiplier=0.9)
     with pytest.raises(ValueError):
-        LipschitzConfig(batches=1)
+        LipschitzSpec(batches=1)
     with pytest.raises(ValueError):
-        LipschitzConfig(shape=0.0)
+        LipschitzSpec(shape=0.0)
 
 
 ESTIMATOR_ORACLES = [
@@ -185,7 +185,7 @@ def test_streamed_slopes_match_whole_array_oracle(budget, estimator, oracle):
     data = _line_data()
     cert = _quadratic_certificate(1)
     for seed in (0, 1):
-        config = LipschitzConfig(pair_budget=budget, seed=seed, batches=20)
+        config = LipschitzSpec(pair_budget=budget, seed=seed, batches=20)
         streamed = _outcome(estimator, cert, data, config)
         assert streamed == _outcome(oracle, cert, data, config)
         # one slope cannot fill the extreme-value batches; everything else estimates
@@ -197,7 +197,7 @@ def test_streamed_slopes_match_whole_array_oracle(budget, estimator, oracle):
 def test_streamed_slopes_match_oracle_in_2d_and_with_duplicates(make_data, estimator, oracle):
     data = make_data()
     cert = _quadratic_certificate(data.dimension)
-    config = LipschitzConfig(pair_budget=_CHUNK + 777, seed=3)
+    config = LipschitzSpec(pair_budget=_CHUNK + 777, seed=3)
     streamed = _outcome(estimator, cert, data, config)
     assert isinstance(streamed, tuple)
     assert streamed == _outcome(oracle, cert, data, config)
@@ -205,7 +205,7 @@ def test_streamed_slopes_match_oracle_in_2d_and_with_duplicates(make_data, estim
 
 def test_duplicate_states_drop_zero_gap_pairs():
     data = _duplicated_data()
-    config = LipschitzConfig(pair_budget=10_000, seed=2)
+    config = LipschitzSpec(pair_budget=10_000, seed=2)
     estimate = estimate_pairwise(_quadratic_certificate(1), data, config)
     # 40 distinct states, each 4 times: about 1 in 40 pairs has a zero gap
     assert 9_600 < estimate.samples_used < 9_850
@@ -214,6 +214,6 @@ def test_duplicate_states_drop_zero_gap_pairs():
 @pytest.mark.parametrize("estimator", [estimate_pairwise, estimate_extreme_value])
 def test_all_coincident_pairs_raise(estimator):
     same = Dataset(np.full((5, 1), 1.0), np.full((5, 1), 1.3), SCHEME_GRID, DOMAIN)
-    config = LipschitzConfig(pair_budget=_CHUNK + 5, seed=0, batches=2)
+    config = LipschitzSpec(pair_budget=_CHUNK + 5, seed=0, batches=2)
     with pytest.raises(DegenerateDataError, match="coincide"):
         estimator(linear_barrier(1.0), same, config)
