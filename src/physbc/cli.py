@@ -424,6 +424,10 @@ def cmd_plotdata(report_path, out_dir, points):
 @click.option("--seed", type=int, default=None, help="Override simulation seed.")
 def cmd_validate(cert_path, config_path, trajectories, horizon, seed):
     """Check a saved certificate's levels and simulate the true system."""
+    for name, value in (("trajectories", trajectories), ("horizon", horizon)):
+        if value is not None and value < 1:
+            click.echo(f"error: --{name} must be at least 1", err=True)
+            sys.exit(1)
     try:
         config = _load_config(config_path)
         with open(cert_path, encoding="ascii") as fh:
@@ -432,8 +436,8 @@ def cmd_validate(cert_path, config_path, trajectories, horizon, seed):
             config.true_model(),
             config.initial,
             config.unsafe,
-            trajectories=trajectories or config.validation.trajectories,
-            horizon=horizon or config.validation.horizon,
+            trajectories=config.validation.trajectories if trajectories is None else trajectories,
+            horizon=config.validation.horizon if horizon is None else horizon,
             seed=seed if seed is not None else config.validation.seed,
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -2,14 +2,22 @@
 
 Two slope families matter: the barrier map ``x -> B(x)`` and the flow
 expression ``x -> B(successor(x)) - decay * B(x)`` evaluated on recorded
-pairs.  Both estimators below work on finite-difference slopes between
-randomly drawn sample pairs and return the maximum of the two per-family
-constants, which is what the certification conditions consume.
+pairs.  Both estimators return the largest finite-difference slope of each
+family between sample states, which is what the certification conditions
+consume.
 
-The pair indices are drawn in one go from the configured seed; the slopes are
-then computed in fixed chunks of pairs, skipping pairs whose states coincide.
-The pairwise estimator keeps running maxima, so its memory does not grow with
-the pair budget; the extreme-value estimator gathers the slopes in draw order.
+In 1-D, :func:`estimate_pairwise` is exact: the steepest slope over all pairs
+is the steepest between neighbouring distinct coordinates (a secant over a
+wider span is a weighted mean of the secants it covers), so one sort gives the
+maximum over every sample pair.  States that coincide are grouped, and each
+group contributes the extreme values of both families.
+
+For n >= 2, and for the extreme-value method in any dimension, the slopes come
+from ``pair_budget`` random pairs.  Their indices are drawn in one go from the
+configured seed; the slopes are then computed in fixed chunks of pairs,
+skipping pairs whose states coincide.  The pairwise estimator keeps running
+maxima, so its memory does not grow with the pair budget; the extreme-value
+estimator gathers the slopes in draw order.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ class LipschitzSpec:
     """Estimator knobs; the ``lipschitz`` section of a run config."""
 
     method: str = METHOD_PAIRWISE
+    # pair_budget and seed drive the random-pair draw only: pairwise-max for
+    # n >= 2 and the extreme-value method; 1-D pairwise-max needs no draw
     pair_budget: int = 1_000_000
     multiplier: float = 1.1  # headroom on top of the pairwise maximum
     seed: int = 7
@@ -66,6 +76,48 @@ class LipschitzEstimate:
         return max(self.barrier, self.flow)
 
 
+def _slope_values(certificate: BarrierCertificate, dataset: Dataset):
+    """Per-sample barrier and flow values, once the dataset can form a pair."""
+    if certificate.template.dimension != dataset.dimension:
+        raise ModelMismatchError("certificate and dataset dimensions differ")
+    if dataset.count < 2:
+        raise DegenerateDataError("need at least two states to form slope pairs")
+    barrier_vals = certificate.evaluate(dataset.states)
+    flow_vals = certificate.evaluate(dataset.successors) - certificate.decay * barrier_vals
+    return barrier_vals, flow_vals
+
+
+def _neighbour_maxima(certificate: BarrierCertificate, dataset: Dataset):
+    """Exact largest barrier and flow slopes over all pairs of a 1-D dataset.
+
+    Sorts the states once and groups equal coordinates; between adjacent
+    groups the steepest slope pairs one group's highest value with the other's
+    lowest.  Where three values are collinear a wider secant can round one ulp
+    above the neighbour slopes, which the multiplier's headroom dwarfs.
+    Returns ``(barrier, flow, adjacent group pairs)``.
+    """
+    barrier_vals, flow_vals = _slope_values(certificate, dataset)
+    coords = dataset.states[:, 0]
+    order = np.argsort(coords)
+    coords = coords[order]
+    fresh = np.empty(coords.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(coords[1:], coords[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    if starts.size < 2:
+        raise DegenerateDataError("all sample states coincide")
+    gaps = np.diff(coords[starts])
+
+    def steepest(values: np.ndarray) -> float:
+        values = values[order]
+        lo = np.minimum.reduceat(values, starts)
+        hi = np.maximum.reduceat(values, starts)
+        rise = np.maximum(np.abs(hi[1:] - lo[:-1]), np.abs(lo[1:] - hi[:-1]))
+        return float((rise / gaps).max())
+
+    return steepest(barrier_vals), steepest(flow_vals), starts.size - 1
+
+
 def _slope_chunks(certificate: BarrierCertificate, dataset: Dataset, config: LipschitzSpec):
     """Finite-difference slopes over random sample pairs, streamed in draw order.
 
@@ -75,12 +127,7 @@ def _slope_chunks(certificate: BarrierCertificate, dataset: Dataset, config: Lip
     ``keep`` is false come from coincident states (equal indices included)
     and hold no slope.  Raises after the last chunk if no pair was kept.
     """
-    if certificate.template.dimension != dataset.dimension:
-        raise ModelMismatchError("certificate and dataset dimensions differ")
-    if dataset.count < 2:
-        raise DegenerateDataError("need at least two states to form slope pairs")
-    barrier_vals = certificate.evaluate(dataset.states)
-    flow_vals = certificate.evaluate(dataset.successors) - certificate.decay * barrier_vals
+    barrier_vals, flow_vals = _slope_values(certificate, dataset)
 
     rng = np.random.default_rng(config.seed)
     left = rng.integers(0, dataset.count, size=config.pair_budget)
@@ -118,13 +165,20 @@ def _slopes(values: np.ndarray, i: np.ndarray, j: np.ndarray, gaps: np.ndarray,
 def estimate_pairwise(
     certificate: BarrierCertificate, dataset: Dataset, config: LipschitzSpec
 ) -> LipschitzEstimate:
-    """Maximum observed slope times a safety multiplier."""
-    barrier = flow = -np.inf
-    used = 0
-    for barrier_slopes, flow_slopes, keep in _slope_chunks(certificate, dataset, config):
-        used += np.count_nonzero(keep)
-        barrier = np.maximum(barrier, barrier_slopes.max(where=keep, initial=-np.inf))
-        flow = np.maximum(flow, flow_slopes.max(where=keep, initial=-np.inf))
+    """Largest sample slope times a safety multiplier.
+
+    Exact over all sample pairs in 1-D; over ``config.pair_budget`` random
+    pairs for n >= 2.
+    """
+    if dataset.dimension == 1:
+        barrier, flow, used = _neighbour_maxima(certificate, dataset)
+    else:
+        barrier = flow = -np.inf
+        used = 0
+        for barrier_slopes, flow_slopes, keep in _slope_chunks(certificate, dataset, config):
+            used += np.count_nonzero(keep)
+            barrier = np.maximum(barrier, barrier_slopes.max(where=keep, initial=-np.inf))
+            flow = np.maximum(flow, flow_slopes.max(where=keep, initial=-np.inf))
     return LipschitzEstimate(
         barrier=config.multiplier * float(barrier),
         flow=config.multiplier * float(flow),

@@ -181,6 +181,26 @@ def extreme_value_whole_array(certificate, dataset, config):
     )
 
 
+def pairwise_all_pairs(certificate, dataset):
+    """Largest barrier and flow slopes over every pair of distinct sample states.
+
+    Builds all ``N (N - 1) / 2`` pairs, so only usable on small datasets: the
+    exact sample maximum, before any multiplier, that
+    :func:`physbc.lipschitz.estimate_pairwise` claims in 1-D.
+    """
+    barrier_vals = certificate.evaluate(dataset.states)
+    flow_vals = certificate.evaluate(dataset.successors) - certificate.decay * barrier_vals
+    left, right = np.triu_indices(dataset.count, k=1)
+    gaps = np.linalg.norm(dataset.states[left] - dataset.states[right], axis=1)
+    keep = gaps > 0.0
+    if not keep.any():
+        raise DegenerateDataError("all sample states coincide")
+    left, right, gaps = left[keep], right[keep], gaps[keep]
+    barrier = np.abs(barrier_vals[left] - barrier_vals[right]) / gaps
+    flow = np.abs(flow_vals[left] - flow_vals[right]) / gaps
+    return float(barrier.max()), float(flow.max())
+
+
 def safety_by_step_many(model, initial, unsafe, trajectories=1000, horizon=500, seed=0):
     """Drop-in for :func:`physbc.models.check_safety_empirically` built from public calls.
 

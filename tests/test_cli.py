@@ -143,6 +143,22 @@ def test_validate_flags_tampered_certificate(run_dir, config_path, tmp_path):
     assert "VIOLATED" in result.output
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("option", ["--trajectories", "--horizon"])
+def test_validate_rejects_counts_below_one(option, value, run_dir, config_path, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated with a count below one")
+
+    monkeypatch.setattr("physbc.cli.check_safety_empirically", no_simulation)
+    counts = {"--trajectories": "10", "--horizon": "20", option: value}
+    result = CliRunner().invoke(main, [
+        "validate", "--certificate", str(run_dir / "certificate.json"), "--config", config_path,
+        *[item for pair in counts.items() for item in pair],
+    ])
+    assert result.exit_code == 1
+    assert f"error: {option} must be at least 1" in result.output
+
+
 # ------------------------------------------------------------------ plotdata
 
 

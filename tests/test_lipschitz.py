@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import extreme_value_whole_array, pairwise_whole_array
+from oracles import extreme_value_whole_array, pairwise_all_pairs, pairwise_whole_array
 from physbc.barrier import BarrierCertificate, BarrierTemplate
 from physbc.errors import DegenerateDataError, ModelMismatchError
 from physbc.lipschitz import (
@@ -72,8 +74,8 @@ def test_quadratic_barrier_estimate_brackets_true_constant():
 
 
 def test_pairwise_is_deterministic_per_seed():
-    data = sample_grid(supply_demand(), DOMAIN, 100)
-    cert = linear_barrier(2.0)
+    data = _plane_data()
+    cert = _quadratic_certificate(2)
     a = estimate_pairwise(cert, data, LipschitzSpec(pair_budget=5_000, seed=9))
     b = estimate_pairwise(cert, data, LipschitzSpec(pair_budget=5_000, seed=9))
     assert (a.barrier, a.flow, a.samples_used) == (b.barrier, b.flow, b.samples_used)
@@ -85,8 +87,9 @@ def test_extreme_value_never_undercuts_observed_max():
     cert = BarrierCertificate(template, np.array([2.0, -1.0, 0.5]), 0.83, 0.0, 1.0)
     config = LipschitzSpec(pair_budget=50_000, seed=4, batches=40)
     extreme = estimate_extreme_value(cert, data, config)
-    raw = estimate_pairwise(cert, data, LipschitzSpec(pair_budget=50_000, seed=4,
-                                                        multiplier=1.0))
+    # the maximum over the same random draw
+    raw = pairwise_whole_array(cert, data, LipschitzSpec(pair_budget=50_000, seed=4,
+                                                         multiplier=1.0))
     assert extreme.barrier >= raw.barrier - 1e-12
     assert extreme.flow >= raw.flow - 1e-12
     assert extreme.method == METHOD_EXTREME
@@ -137,12 +140,6 @@ def test_config_validation():
         LipschitzSpec(shape=0.0)
 
 
-ESTIMATOR_ORACLES = [
-    (estimate_pairwise, pairwise_whole_array),
-    (estimate_extreme_value, extreme_value_whole_array),
-]
-
-
 def _outcome(estimator, certificate, data, config):
     """Compared fields of an estimate, or the error type it raised."""
     try:
@@ -166,11 +163,19 @@ def _plane_data():
     return sample_iid(model, square, 500, seed=11)
 
 
+def _repeated(data, distinct=40, copies=4):
+    """The first ``distinct`` pairs of ``data``, each repeated ``copies`` times."""
+    return Dataset(np.repeat(data.states[:distinct], copies, axis=0),
+                   np.repeat(data.successors[:distinct], copies, axis=0),
+                   SCHEME_GRID, data.domain)
+
+
 def _duplicated_data():
-    line = _line_data()
-    states = np.repeat(line.states[:40], 4, axis=0)
-    successors = np.repeat(line.successors[:40], 4, axis=0)
-    return Dataset(states, successors, SCHEME_GRID, DOMAIN)
+    return _repeated(_line_data())
+
+
+def _duplicated_plane_data():
+    return _repeated(_plane_data())
 
 
 def _quadratic_certificate(dimension):
@@ -179,11 +184,20 @@ def _quadratic_certificate(dimension):
     return BarrierCertificate(template, coefficients, 0.83, 0.0, 1.0)
 
 
+# The random-pair path and its whole-array oracles: pairwise-max for n >= 2,
+# the extreme-value method in every dimension.
+RANDOM_PAIR_CASES = [
+    (estimate_pairwise, pairwise_whole_array, _plane_data),
+    (estimate_extreme_value, extreme_value_whole_array, _line_data),
+    (estimate_extreme_value, extreme_value_whole_array, _plane_data),
+]
+
+
 @pytest.mark.parametrize("budget", [1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 12_345])
-@pytest.mark.parametrize("estimator, oracle", ESTIMATOR_ORACLES)
-def test_streamed_slopes_match_whole_array_oracle(budget, estimator, oracle):
-    data = _line_data()
-    cert = _quadratic_certificate(1)
+@pytest.mark.parametrize("estimator, oracle, make_data", RANDOM_PAIR_CASES)
+def test_streamed_slopes_match_whole_array_oracle(budget, estimator, oracle, make_data):
+    data = make_data()
+    cert = _quadratic_certificate(data.dimension)
     for seed in (0, 1):
         config = LipschitzSpec(pair_budget=budget, seed=seed, batches=20)
         streamed = _outcome(estimator, cert, data, config)
@@ -192,9 +206,12 @@ def test_streamed_slopes_match_whole_array_oracle(budget, estimator, oracle):
         assert isinstance(streamed, tuple) != (budget == 1 and estimator is estimate_extreme_value)
 
 
-@pytest.mark.parametrize("make_data", [_plane_data, _duplicated_data])
-@pytest.mark.parametrize("estimator, oracle", ESTIMATOR_ORACLES)
-def test_streamed_slopes_match_oracle_in_2d_and_with_duplicates(make_data, estimator, oracle):
+@pytest.mark.parametrize("estimator, oracle, make_data", [
+    (estimate_pairwise, pairwise_whole_array, _duplicated_plane_data),
+    (estimate_extreme_value, extreme_value_whole_array, _duplicated_data),
+    (estimate_extreme_value, extreme_value_whole_array, _duplicated_plane_data),
+])
+def test_streamed_slopes_match_oracle_with_duplicates(estimator, oracle, make_data):
     data = make_data()
     cert = _quadratic_certificate(data.dimension)
     config = LipschitzSpec(pair_budget=_CHUNK + 777, seed=3)
@@ -204,9 +221,9 @@ def test_streamed_slopes_match_oracle_in_2d_and_with_duplicates(make_data, estim
 
 
 def test_duplicate_states_drop_zero_gap_pairs():
-    data = _duplicated_data()
+    data = _duplicated_plane_data()
     config = LipschitzSpec(pair_budget=10_000, seed=2)
-    estimate = estimate_pairwise(_quadratic_certificate(1), data, config)
+    estimate = estimate_pairwise(_quadratic_certificate(2), data, config)
     # 40 distinct states, each 4 times: about 1 in 40 pairs has a zero gap
     assert 9_600 < estimate.samples_used < 9_850
 
@@ -217,3 +234,31 @@ def test_all_coincident_pairs_raise(estimator):
     config = LipschitzSpec(pair_budget=_CHUNK + 5, seed=0, batches=2)
     with pytest.raises(DegenerateDataError, match="coincide"):
         estimator(linear_barrier(1.0), same, config)
+
+
+# two-decimal coordinates on a short interval, so that states coincide often
+_COORDINATE = st.integers(-40, 40).map(lambda k: k / 20)
+_LINE = RegionBox.interval(-2.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_COORDINATE, _COORDINATE), min_size=2, max_size=60),
+    ascending=st.booleans(),
+)
+def test_1d_pairwise_is_the_exact_all_pairs_maximum(pairs, ascending):
+    if ascending:
+        pairs = sorted(pairs)  # the order a grid sample comes in
+    states, successors = np.array(pairs).T
+    data = Dataset(states[:, None], successors[:, None], SCHEME_GRID, _LINE)
+    # strictly quadratic, so no three barrier values are collinear and the
+    # comparison with the brute-force maximum is free of one-ulp rounding ties
+    cert = _quadratic_certificate(1)
+    config = LipschitzSpec(multiplier=1.0)
+    if np.unique(states).size == 1:
+        with pytest.raises(DegenerateDataError, match="coincide"):
+            estimate_pairwise(cert, data, config)
+        return
+    estimate = estimate_pairwise(cert, data, config)
+    assert (estimate.barrier, estimate.flow) == pairwise_all_pairs(cert, data)
+    assert estimate.samples_used == np.unique(states).size - 1

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from oracles import (
-    extreme_value_whole_array,
     minimax_full_lp,
     pairwise_whole_array,
     safety_by_step_many,
@@ -130,12 +129,24 @@ def test_constraint_generation_matches_full_lp_on_reference_systems(key, monkeyp
 def test_streamed_kernels_match_oracles_on_reference_systems(key, monkeypatch):
     config = reference_config(key, 0.05)
     shipped = dict(run(config).report)
-    monkeypatch.setattr("physbc.pipeline.estimate_pairwise", pairwise_whole_array)
-    monkeypatch.setattr("physbc.pipeline.estimate_extreme_value", extreme_value_whole_array)
     monkeypatch.setattr("physbc.pipeline.check_safety_empirically", safety_by_step_many)
     reference = dict(run(config).report)
     shipped.pop("timing"), reference.pop("timing")
     assert report_json(shipped) == report_json(reference)
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE_RESULTS))
+def test_exact_lipschitz_bounds_random_pairs_on_reference_systems(key, monkeypatch):
+    config = reference_config(key, 0.05)
+    shipped = dict(run(config).report)
+    monkeypatch.setattr("physbc.pipeline.estimate_pairwise", pairwise_whole_array)
+    drawn = dict(run(config).report)
+    for term in ("barrier", "flow"):
+        assert shipped["lipschitz"][term] >= drawn["lipschitz"][term]
+    for report in (shipped, drawn):
+        for block in ("timing", "lipschitz", "certification"):
+            report.pop(block)
+    assert report_json(shipped) == report_json(drawn)
 
 
 def test_probabilistic_run(prob_run):
