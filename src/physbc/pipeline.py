@@ -178,6 +178,7 @@ def run(config: RunConfig) -> RunArtifacts:
     certificate = system.certificate_from_decision(result.decision)
     cross: Optional[dict] = None
     if config.solver.cross_check:
+        # the HiGHS exchange; its first call imports scipy.optimize
         direct = solve_minmax_direct(rows, offsets)
         cross = {
             "status": direct.status,

@@ -13,15 +13,19 @@ matrix-vector product, admit the worst row, and repeat until no row exceeds
 the restricted slack.  They differ only in the restricted solver, and the two
 share no arithmetic:
 
-* :func:`solve`, the production path, uses the HiGHS LP backend, which is
-  deterministic for identical input;
-* :func:`solve_minmax_direct`, the cross-check, uses a small dense two-phase
-  simplex under Bland's rule (lowest index enters and leaves, so it cannot
-  cycle).
+* :func:`solve`, the production path, runs a small dense simplex on the LP
+  dual of the restricted problem: ``width + 1`` equality rows however many
+  rows the working set holds, started from a feasible basis built from the
+  data and pivoted under Bland's rule (lowest index enters and leaves, so it
+  cannot cycle).  It needs numpy only;
+* :func:`solve_minmax_direct`, the cross-check, uses the HiGHS LP backend,
+  which is deterministic for identical input; ``scipy.optimize`` is imported
+  on its first call.
 
-Both restricted solvers box the decision at ``_ARTIFICIAL_BOX``, so both
-routes share one seed working set and one unbounded rule.  Both report which
-rows bind at the optimum.
+Both restricted solvers bound every decision coordinate by
+``_ARTIFICIAL_BOX``, so both routes solve the same restricted problems from
+one seed working set under one unbounded rule.  Both report which rows bind
+at the optimum.
 """
 
 from __future__ import annotations
@@ -43,6 +47,10 @@ OPTIMALITY_TOL = 1e-9
 # vertices of well-posed systems stay far below it; a converged solution
 # pressed against it means the underlying problem is unbounded.
 _ARTIFICIAL_BOX = 1e6
+
+# Safety net on simplex iterations per restricted solve; Bland's rule
+# terminates on its own long before this on problems of this size.
+_MAX_PIVOTS = 20000
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +137,107 @@ def _exchange(A: np.ndarray, b: np.ndarray, restricted, max_iterations: int) -> 
     )
 
 
+# --------------------------------------------------------------------------
+# Production restricted solver: dense simplex on the LP dual.
+# --------------------------------------------------------------------------
+
+
+def _pivot_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list) -> np.ndarray:
+    """Primal simplex for ``min c . z  s.t.  A z = b, z >= 0`` from a feasible
+    basis (mutated in place).
+
+    Bland's rule with tolerances scaled to the rounding noise of the dual
+    solve, so a column whose true reduced cost is zero is never mistaken for
+    an improving one.  Returns the simplex multipliers of the optimal basis;
+    an unbounded objective is an internal error, since the caller's problem
+    is bounded.
+    """
+    m, total = A.shape
+    in_basis = np.zeros(total, dtype=bool)
+    in_basis[basis] = True
+    eps = np.finfo(float).eps
+    for _ in range(_MAX_PIVOTS):
+        B = A[:, basis]
+        try:
+            values = np.linalg.solve(B, b)
+            dual = np.linalg.solve(B.T, c[basis])
+        except np.linalg.LinAlgError as exc:
+            raise SolverInternalError("singular basis in dense solver") from exc
+        reduced = c - dual @ A
+        noise = eps * (np.abs(dual) @ np.abs(A) + np.abs(c) + 1.0)
+        improving = np.flatnonzero(~in_basis & (reduced < -np.maximum(1e-9, 64.0 * noise)))
+        if improving.size == 0:
+            if float(values.min()) < -1e-6:
+                raise SolverInternalError("pivot loop terminated at an infeasible basis")
+            return dual
+        entering = int(improving[0])
+        direction = np.linalg.solve(B, A[:, entering])
+        positive = direction > 1e-10
+        if not positive.any():
+            raise SolverInternalError("bounded subproblem reported unbounded")
+        ratios = np.full(m, np.inf)
+        ratios[positive] = np.maximum(values[positive], 0.0) / direction[positive]
+        # admit only exact ties: a fuzzy window lets a non-blocking row leave
+        # and drives the true blocking row's basic value negative
+        leave = min(np.flatnonzero(ratios == ratios.min()), key=lambda i: basis[i])
+        in_basis[basis[leave]] = False
+        in_basis[entering] = True
+        basis[leave] = entering
+    raise SolverInternalError("dense solver exceeded its pivot budget")
+
+
+def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray):
+    """Exact minimax over the working-set rows, solved through the LP dual.
+
+    The restricted problem ``min s`` over ``A_w v + b_w <= s`` and
+    ``|v_j| <= _ARTIFICIAL_BOX`` has the dual, over ``y`` (one entry per row)
+    and ``u, l`` (one per box face)::
+
+        min  -b_w . y + box * (sum(u) + sum(l))
+        s.t. A_w^T y + u - l = 0,   sum(y) = 1,   y, u, l >= 0
+
+    That is ``width + 1`` equality rows however many rows the working set
+    holds, and the ``+-e_j`` box columns plus any row column span them, so no
+    row is ever redundant.  The row with the largest offset (``y = 1``), each
+    of its coordinates balanced by one box column, is a feasible basis, so no
+    phase one is needed.  At the optimal basis the simplex multipliers ``pi``
+    solve the primal: ``v = pi[:width]`` (and ``s = -pi[width]``).  The slack
+    is returned as the row maximum at ``v``.  Returns (decision, slack).
+    """
+    k, width = A_w.shape
+    eye = np.eye(width)
+    Aeq = np.vstack([
+        np.hstack([A_w.T, eye, -eye]),
+        np.concatenate([np.ones(k), np.zeros(2 * width)]),
+    ])
+    cost = np.concatenate([-b_w, np.full(2 * width, _ARTIFICIAL_BOX)])
+    rhs = np.zeros(width + 1)
+    rhs[-1] = 1.0
+    first = int(np.argmax(b_w))
+    basis = [first] + [
+        k + j if A_w[first, j] <= 0 else k + width + j for j in range(width)
+    ]
+    pi = _pivot_loop(Aeq, rhs, cost, basis)
+    decision = pi[:width]
+    return decision, float(np.max(A_w @ decision + b_w))
+
+
+def solve(rows: np.ndarray, offsets: np.ndarray) -> SolveResult:
+    """Minimise the row maximum by constraint generation over dense dual
+    simplex solves.
+
+    Every round admits a row not yet in the working set, so the exchange
+    converges within one round per row and never reports an iteration limit.
+    """
+    A, b = _validate(rows, offsets)
+    return _exchange(A, b, _restricted_minmax, max_iterations=A.shape[0])
+
+
+# --------------------------------------------------------------------------
+# Independent restricted solver: the HiGHS LP backend.
+# --------------------------------------------------------------------------
+
+
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first call.
 
@@ -166,164 +275,14 @@ def _restricted_highs(A_w: np.ndarray, b_w: np.ndarray):
     return result.x[:-1], float(result.x[-1])
 
 
-def solve(rows: np.ndarray, offsets: np.ndarray) -> SolveResult:
-    """Minimise the row maximum by constraint generation over HiGHS solves.
-
-    Every round admits a row not yet in the working set, so the exchange
-    converges within one round per row and never reports an iteration limit.
-    """
-    A, b = _validate(rows, offsets)
-    return _exchange(A, b, _restricted_highs, max_iterations=A.shape[0])
-
-
-# --------------------------------------------------------------------------
-# Independent restricted solver: dense two-phase simplex.
-# --------------------------------------------------------------------------
-
-
-def _pivot_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list, max_pivots: int):
-    """Primal simplex iterations over an explicit basis (mutated in place).
-
-    Bland's rule with tolerances scaled to the rounding noise of the dual
-    solve, so a column whose true reduced cost is zero is never mistaken for
-    an improving one.  Returns (basic values, "optimal" | "unbounded").
-    """
-    m, total = A.shape
-    in_basis = np.zeros(total, dtype=bool)
-    in_basis[basis] = True
-    eps = np.finfo(float).eps
-    for _ in range(max_pivots):
-        B = A[:, basis]
-        try:
-            values = np.linalg.solve(B, b)
-            dual = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError as exc:
-            raise SolverInternalError("singular basis in direct solver") from exc
-        reduced = c - dual @ A
-        noise = eps * (np.abs(dual) @ np.abs(A) + np.abs(c) + 1.0)
-        entering = -1
-        for j in range(total):
-            if not in_basis[j] and reduced[j] < -max(1e-9, 64.0 * noise[j]):
-                entering = j
-                break
-        if entering < 0:
-            if float(values.min()) < -1e-6:
-                raise SolverInternalError("pivot loop terminated at an infeasible basis")
-            return values, "optimal"
-        direction = np.linalg.solve(B, A[:, entering])
-        positive = direction > 1e-10
-        if not positive.any():
-            return values, "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[positive] = np.maximum(values[positive], 0.0) / direction[positive]
-        best = float(ratios.min())
-        # admit only exact ties: a fuzzy window lets a non-blocking row leave
-        # and drives the true blocking row's basic value negative
-        leave = min(
-            (i for i in range(m) if positive[i] and ratios[i] == best),
-            key=lambda i: basis[i],
-        )
-        in_basis[basis[leave]] = False
-        in_basis[entering] = True
-        basis[leave] = entering
-    raise SolverInternalError("direct solver exceeded its pivot budget")
-
-
-def _simplex_standard(cost: np.ndarray, Aeq: np.ndarray, beq: np.ndarray, max_pivots: int = 20000):
-    """Dense two-phase simplex: ``min cost . z  s.t.  Aeq z = beq, z >= 0``.
-
-    Phase one minimises artificial infeasibility, artificials are then driven
-    out of the basis (redundant rows are dropped), and phase two optimises
-    the real cost.  Returns the optimal ``z``, or None when the problem is
-    unbounded.  Problem sizes here are a few dozen rows, so the naive
-    refactor-every-pivot approach is fine.
-    """
-    m, n = Aeq.shape
-    A = Aeq.copy()
-    b = beq.copy()
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    full = np.hstack([A, np.eye(m)])
-    basis = list(range(n, n + m))
-
-    phase_one = np.concatenate([np.zeros(n), np.ones(m)])
-    values, status = _pivot_loop(full, b, phase_one, basis, max_pivots)
-    if status != "optimal":
-        raise SolverInternalError("phase-one subproblem cannot be unbounded")
-    infeasibility = sum(
-        float(values[i]) for i in range(m) if basis[i] >= n and values[i] > 0
-    )
-    if infeasibility > 1e-8 * max(1.0, float(np.abs(b).max())):
-        raise SolverInternalError("direct solver found the system infeasible")
-
-    # Drive leftover artificials out of the basis; rows that admit no real
-    # pivot column are redundant and get dropped.
-    redundant = []
-    for i in range(m):
-        if basis[i] < n:
-            continue
-        B = full[:, basis]
-        w = np.linalg.solve(B.T, np.eye(m)[i])
-        row = w @ full[:, :n]
-        in_basis = set(basis)
-        candidates = [
-            j for j in range(n) if j not in in_basis and abs(row[j]) > 1e-8
-        ]
-        if candidates:
-            basis[i] = candidates[0]
-        else:
-            redundant.append(i)
-    if redundant:
-        keep = [i for i in range(m) if i not in redundant]
-        full = full[keep]
-        b = b[keep]
-        basis = [basis[i] for i in keep]
-
-    values, status = _pivot_loop(full[:, :n], b, cost, basis, max_pivots)
-    if status != "optimal":
-        return None
-    z = np.zeros(n)
-    z[basis] = values
-    return z
-
-
-def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray):
-    """Exact minimax over the working-set rows.
-
-    The decision is split into positive parts and a symmetric box of width
-    ``_ARTIFICIAL_BOX`` keeps the subproblem bounded, so the simplex always
-    terminates at a vertex.  Returns (decision, slack).
-    """
-    k, width = A_w.shape
-    box = np.vstack([np.eye(width), -np.eye(width)])
-    A_all = np.vstack([A_w, box])
-    b_all = np.concatenate([b_w, np.full(2 * width, -_ARTIFICIAL_BOX)])
-    total = A_all.shape[0]
-
-    # variables z = [v+, v-, s+, s-, slacks]; rows: A v - s + t = -b
-    Aeq = np.hstack(
-        [A_all, -A_all, -np.ones((total, 1)), np.ones((total, 1)), np.eye(total)]
-    )
-    beq = -b_all
-    cost = np.zeros(Aeq.shape[1])
-    cost[2 * width] = 1.0
-    cost[2 * width + 1] = -1.0
-    z = _simplex_standard(cost, Aeq, beq)
-    if z is None:
-        raise SolverInternalError("boxed subproblem reported unbounded")
-    decision = z[:width] - z[width : 2 * width]
-    slack = float(np.max(A_all @ decision + b_all))
-    return decision, slack
-
-
 def solve_minmax_direct(
     rows: np.ndarray, offsets: np.ndarray, max_iterations: int = 500
 ) -> SolveResult:
-    """Minimise the row maximum by constraint generation over dense simplex solves.
+    """Minimise the row maximum by constraint generation over HiGHS solves.
 
-    Independent of the LP backend in its arithmetic; intended as a
-    cross-check of :func:`solve`.
+    The cross-check of :func:`solve`: the same exchange, with the restricted
+    problems handed to the HiGHS LP backend (``scipy.optimize``, imported on
+    the first call), so it shares no LP arithmetic with the production route.
     """
     A, b = _validate(rows, offsets)
-    return _exchange(A, b, _restricted_minmax, max_iterations)
+    return _exchange(A, b, _restricted_highs, max_iterations)

@@ -67,7 +67,8 @@ def minimax_full_lp(rows, offsets):
 
     Hands every row to the backend at once, with the decision unbounded, and
     reports the backend's own slack: a drop-in for :func:`physbc.solver.solve`
-    on bounded instances that shares only the backend with it.  Active rows
+    on bounded instances that shares no code with it (and only the backend
+    with the cross-check :func:`physbc.solver.solve_minmax_direct`).  Active rows
     follow the solver's rule: within 1e-6 (relative to the slack) of the optimum.
     """
     A = np.atleast_2d(np.asarray(rows, dtype=float))

@@ -151,12 +151,12 @@ def test_criterion_5_lp_route_equivalence():
         d = 1 + trial % 5
         extra = int(rng.integers(2, row_cap[d] - 2 * d + 1))
         rows, offsets = random_bounded_instance(rng, d, extra, bound=8.0)
-        backend = solve(rows, offsets)
+        dense = solve(rows, offsets)
         direct = solve_minmax_direct(rows, offsets)
         vertex = minimax_by_vertices(rows, offsets)
-        assert backend.optimal and direct.optimal and vertex is not None, trial
-        worst_vertex = max(worst_vertex, abs(backend.slack - vertex[0]))
-        worst_direct = max(worst_direct, abs(backend.slack - direct.slack))
+        assert dense.optimal and direct.optimal and vertex is not None, trial
+        worst_vertex = max(worst_vertex, abs(dense.slack - vertex[0]))
+        worst_direct = max(worst_direct, abs(dense.slack - direct.slack))
     ok = worst_vertex <= 1e-6 and worst_direct <= 1e-4
     note(
         "lp-route-equivalence",

@@ -47,11 +47,13 @@ def test_tracer_installs_and_uninstalls_cleanly():
 
 
 def test_traced_run_records_every_stage():
+    base = preset("supply-demand")
     config = replace(
-        preset("supply-demand"),
+        base,
         sampling=SamplingSpec(count=4000, seed=2024),
         lipschitz=LipschitzSpec(pair_budget=20_000, seed=7),
         validation=ValidationSpec(trajectories=20, horizon=50, seed=99),
+        solver=replace(base.solver, cross_check=True),
     )
     tracer = make_tracer()
     tracer.install_physbc()
@@ -62,7 +64,7 @@ def test_traced_run_records_every_stage():
     names = {span["name"] for span in tracer.spans}
     assert names >= {
         "pipeline.run", "pipeline.hash", "sampling.generate", "filtering.filter",
-        "barrier.assemble", "solver.solve", "solver.linprog", "barrier.audit",
+        "barrier.assemble", "solver.solve", "solver.direct", "solver.linprog", "barrier.audit",
         "lipschitz.estimate", "sampling.covering_radius", "certify.check",
         "models.validate",
     }

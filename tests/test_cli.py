@@ -313,3 +313,19 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_run_loads_no_scipy_optimize(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(small_config_dict()))
+    argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
+    code = ("import sys, physbc.cli\n"
+            "try:\n"
+            f"    physbc.cli.main({argv!r}, standalone_mode=False)\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']))")
+    src = os.path.dirname(os.path.dirname(physbc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert (tmp_path / "out" / "report.json").exists()
+    assert out.stdout.strip().splitlines()[-1] == "[]"

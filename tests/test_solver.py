@@ -45,8 +45,11 @@ def test_two_variable_known_optimum(solver):
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
-def test_unbounded_detection(solver):
-    result = solver(np.array([[1.0]]), np.array([0.0]))
+@pytest.mark.parametrize("slope", [1.0, 100.0, -3.0])
+def test_unbounded_detection(solver, slope):
+    # a steep row must reach the box too: a box written as the extra rows
+    # ``+-v - box <= s`` stops a slope-100 row at v = -box/101
+    result = solver(np.array([[slope]]), np.array([0.0]))
     assert result.status == STATUS_UNBOUNDED
     assert result.slack == float("-inf")
     assert np.isnan(result.decision).all()
@@ -118,14 +121,14 @@ def test_direct_matches_backend(seed):
     rng = np.random.default_rng(200 + seed)
     variables = int(rng.integers(1, 5))
     rows, offsets = random_bounded_instance(rng, variables, int(rng.integers(3, 30)))
-    backend = solve(rows, offsets)
+    dense = solve(rows, offsets)
     direct = solve_minmax_direct(rows, offsets)
     assert direct.optimal
-    assert direct.slack == pytest.approx(backend.slack, abs=1e-6)
+    assert direct.slack == pytest.approx(dense.slack, abs=1e-6)
     # the decisions may differ on degenerate faces, but both must be optimal:
     # every row value stays below the common slack
     values = rows @ direct.decision + offsets
-    assert values.max() <= backend.slack + 1e-6
+    assert values.max() <= dense.slack + 1e-6
 
 
 def test_active_rows_attain_the_optimum():
@@ -153,28 +156,28 @@ def test_barrier_shaped_instance_agrees_across_routes():
     rows = np.vstack([initial, unsafe, flow, gap, box])
     offsets = np.concatenate([np.zeros(11), np.full(10, -100.0)])
 
-    backend = solve(rows, offsets)
+    dense = solve(rows, offsets)
     direct = solve_minmax_direct(rows, offsets)
     oracle = minimax_by_vertices(rows, offsets)
-    assert backend.optimal and direct.optimal and oracle is not None
-    assert backend.slack == pytest.approx(oracle[0], abs=1e-6)
+    assert dense.optimal and direct.optimal and oracle is not None
+    assert dense.slack == pytest.approx(oracle[0], abs=1e-6)
     assert direct.slack == pytest.approx(oracle[0], abs=1e-5)
-    assert backend.slack < 0  # separable data yields a strict certificate
+    assert dense.slack < 0  # separable data yields a strict certificate
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=8),
     st.integers(min_value=2, max_value=8),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_routes_agree_on_random_small_instances(variables, extra, seed):
     rng = np.random.default_rng(seed)
     rows, offsets = random_bounded_instance(rng, variables, extra, bound=5.0)
-    backend = solve(rows, offsets)
+    dense = solve(rows, offsets)
     direct = solve_minmax_direct(rows, offsets)
-    assert backend.optimal and direct.optimal
-    assert direct.slack == pytest.approx(backend.slack, abs=1e-6, rel=1e-6)
+    assert dense.optimal and direct.optimal
+    assert direct.slack == pytest.approx(dense.slack, abs=1e-6, rel=1e-6)
 
 
 def test_direct_survives_near_collinear_leading_rows():
@@ -203,16 +206,16 @@ def test_direct_survives_near_collinear_leading_rows():
     ])
     offsets = np.concatenate([np.full(6, -level), np.zeros(44), np.full(8, -100.0), [level]])
 
-    backend = solve(rows, offsets)
+    dense = solve(rows, offsets)
     direct = solve_minmax_direct(rows, offsets)
-    assert backend.optimal and direct.optimal
-    assert direct.slack == pytest.approx(backend.slack, abs=1e-6)
+    assert dense.optimal and direct.optimal
+    assert direct.slack == pytest.approx(dense.slack, abs=1e-6)
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
 @settings(max_examples=30, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=8),
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
@@ -226,7 +229,31 @@ def test_reported_slack_bounds_every_row(solver, variables, extra, seed):
     assert values.max() <= result.slack + 1e-9 * max(1.0, abs(result.slack))
 
 
-def test_solve_calls_linprog_through_the_module_attribute(monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_solve_matches_full_lp_with_duplicated_and_near_collinear_rows(variables, extra, seed):
+    rng = np.random.default_rng(seed)
+    rows, offsets = random_bounded_instance(rng, variables, extra, bound=5.0)
+    twins = rng.integers(0, len(rows), size=int(rng.integers(1, 6)))
+    base = rng.normal(size=variables)
+    near = base + 1e-9 * rng.normal(size=(4, variables))
+    rows = np.vstack([rows, rows[twins], near])
+    offsets = np.concatenate([offsets, offsets[twins], 1e-9 * rng.normal(size=4)])
+    result = solve(rows, offsets)
+    full = minimax_full_lp(rows, offsets)
+    assert result.optimal
+    # the oracle's slack lifted to its decision's row maximum, as solve reports it
+    oracle = max(full.slack, float((rows @ full.decision + offsets).max()))
+    # the exchange stops once no row exceeds the restricted slack by more
+    # than 1e-9 * max(1, |slack|)
+    assert result.slack == pytest.approx(oracle, abs=1e-9, rel=1e-9)
+
+
+def test_cross_check_calls_linprog_through_the_module_attribute(monkeypatch):
     calls = []
     backend = physbc.solver.linprog
 
@@ -235,6 +262,16 @@ def test_solve_calls_linprog_through_the_module_attribute(monkeypatch):
         return backend(*args, **kwargs)
 
     monkeypatch.setattr(physbc.solver, "linprog", counting)
-    result = solve(np.array([[1.0], [-1.0]]), np.zeros(2))
+    result = solve_minmax_direct(np.array([[1.0], [-1.0]]), np.zeros(2))
     assert result.status == STATUS_OPTIMAL
     assert calls
+
+
+def test_solve_never_calls_linprog(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the production route called the LP backend")
+
+    monkeypatch.setattr(physbc.solver, "linprog", refuse)
+    rng = np.random.default_rng(4)
+    rows, offsets = random_bounded_instance(rng, 4, 30)
+    assert solve(rows, offsets).optimal
