@@ -1,8 +1,10 @@
 """Barrier function templates, fitted certificates, and scenario constraints.
 
-A certificate ``B(x)`` is a linear combination of monomials.  Safety is
-encoded by three families of affine constraints on the stacked decision
-vector ``[unsafe_level, coefficients...]``:
+A certificate ``B(x)`` is a linear combination of monomials.  The basis
+matrix builds every monomial column by repeated multiplication of per-axis
+integer powers (``x_i``, ``x_i*x_i``, ...), with no floating-point ``pow``.
+Safety is encoded by three families of affine constraints on the stacked
+decision vector ``[unsafe_level, coefficients...]``:
 
 * initial rows:  ``B(x) - initial_level          <= slack``  on the initial set,
 * unsafe rows:   ``unsafe_level - B(x)           <= slack``  on the unsafe set,
@@ -22,7 +24,13 @@ the shared slack variable; minimising the slack over all rows is the job of
 auxiliary rows: symmetric bound rows that keep the polytope bounded, and one
 level-gap row ``initial_level - unsafe_level <= slack`` so that a negative
 optimal slack certifies ``unsafe_level > initial_level`` instead of letting
-the optimiser collapse the separation.
+the optimiser collapse the separation.  :func:`assemble` writes every row
+into one preallocated stack; the sample and auxiliary parts are read-only
+views of it, and the solver receives the stack itself, uncopied.
+
+After the solve, :func:`sample_values` evaluates the certificate once on the
+recorded pairs; the residual audit (:func:`check_certificate`) and the
+Lipschitz estimators read those values instead of evaluating it again.
 """
 
 from __future__ import annotations
@@ -30,11 +38,11 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import RegionViolationError
+from .errors import ModelMismatchError, RegionViolationError
 from .models import RegionBox
 from .sampling import Dataset
 
@@ -43,6 +51,8 @@ TAG_UNSAFE = "unsafe"
 TAG_FLOW = "flow"
 TAG_BOUND = "bound"
 TAG_GAP = "gap"
+
+_TAG_DTYPE = np.array([TAG_INITIAL, TAG_UNSAFE, TAG_FLOW, TAG_BOUND, TAG_GAP]).dtype
 
 DEFAULT_COEFF_BOUND = 100.0
 DEFAULT_INITIAL_LEVEL = 1e-4
@@ -99,14 +109,38 @@ class BarrierTemplate:
         return len(self.exponents)
 
     def basis_matrix(self, states: np.ndarray) -> np.ndarray:
-        """Evaluate all monomials at a batch of states: ``(N, n) -> (N, z)``."""
+        """Evaluate all monomials at a batch of states: ``(N, n) -> (N, z)``.
+
+        Per axis, the integer powers ``x_i, x_i*x_i, ...`` are built by
+        repeated multiplication; a monomial multiplies its nonzero-exponent
+        powers left to right over the axes.  Exponent 0 contributes no factor,
+        so a constant monomial is exactly 1.0, as ``x**0`` is, also for inf
+        and nan states.
+        """
         x = np.atleast_2d(np.asarray(states, dtype=float))
         if x.shape[1] != self.dimension:
             raise ValueError(
                 f"template is {self.dimension}-dimensional, states are {x.shape[1]}-dimensional"
             )
-        powers = np.asarray(self.exponents, dtype=float)  # (z, n)
-        return np.prod(x[:, None, :] ** powers[None, :, :], axis=2)
+        powers = []  # powers[i][e - 1] is x_i ** e
+        for i, top in enumerate(np.max(self.exponents, axis=0)):
+            axis = [np.ascontiguousarray(x[:, i])] if top else []
+            for _ in range(1, top):
+                axis.append(axis[-1] * axis[0])
+            powers.append(axis)
+        out = np.empty((len(x), self.size))
+        for j, row in enumerate(self.exponents):
+            factors = [powers[i][e - 1] for i, e in enumerate(row) if e]
+            column = out[:, j]
+            if not factors:
+                column.fill(1.0)
+            elif len(factors) == 1:
+                column[...] = factors[0]
+            else:
+                np.multiply(factors[0], factors[1], out=column)
+                for factor in factors[2:]:
+                    np.multiply(column, factor, out=column)
+        return out
 
     def to_dict(self) -> dict:
         return {"exponents": [list(row) for row in self.exponents]}
@@ -182,26 +216,24 @@ class ConstraintSystem:
     """Affine rows ``matrix @ d + offsets <= slack`` over the decision vector.
 
     The pinned ``initial_level`` is folded into the offsets, so the decision
-    vector is ``[unsafe_level, coefficients...]``.  ``rows``/``offsets``/
-    ``tags`` hold exactly one row per constraint sample (initial, unsafe,
-    flow, in that order).  Auxiliary rows (bounds, level gap) are kept
-    separate so sample bookkeeping stays exact; solvers should consume
-    :meth:`full_rows`.
+    vector is ``[unsafe_level, coefficients...]``.  All rows live in one
+    read-only stack: one row per constraint sample (initial, unsafe, flow, in
+    that order, with ``family_sizes`` rows each), then the auxiliary rows
+    (bounds, level gap).  ``rows``/``offsets``/``tags`` and their ``aux_``
+    counterparts are views of the two parts, so sample bookkeeping stays
+    exact; solvers should consume :meth:`full_rows`, the whole stack.
     """
 
     template: BarrierTemplate
     decay: float
     initial_level: float
-    rows: np.ndarray
-    offsets: np.ndarray
-    tags: np.ndarray
-    aux_rows: np.ndarray
-    aux_offsets: np.ndarray
-    aux_tags: np.ndarray
+    all_rows: np.ndarray
+    all_offsets: np.ndarray
+    all_tags: np.ndarray
+    family_sizes: Tuple[int, int, int]
 
     def __post_init__(self):
-        for name in ("rows", "offsets", "tags", "aux_rows", "aux_offsets", "aux_tags"):
-            arr = getattr(self, name)
+        for arr in (self.all_rows, self.all_offsets, self.all_tags):
             arr.flags.writeable = False
 
     @property
@@ -210,25 +242,47 @@ class ConstraintSystem:
         return 1 + self.template.size
 
     @property
+    def sample_count(self) -> int:
+        return sum(self.family_sizes)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.all_rows[: self.sample_count]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.all_offsets[: self.sample_count]
+
+    @property
+    def tags(self) -> np.ndarray:
+        return self.all_tags[: self.sample_count]
+
+    @property
+    def aux_rows(self) -> np.ndarray:
+        return self.all_rows[self.sample_count :]
+
+    @property
+    def aux_offsets(self) -> np.ndarray:
+        return self.all_offsets[self.sample_count :]
+
+    @property
+    def aux_tags(self) -> np.ndarray:
+        return self.all_tags[self.sample_count :]
+
+    @property
     def counts(self) -> dict:
-        return {tag: int(np.sum(self.tags == tag)) for tag in (TAG_INITIAL, TAG_UNSAFE, TAG_FLOW)}
+        return dict(zip((TAG_INITIAL, TAG_UNSAFE, TAG_FLOW), self.family_sizes))
 
     def full_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.vstack([self.rows, self.aux_rows]),
-            np.concatenate([self.offsets, self.aux_offsets]),
-            np.concatenate([self.tags, self.aux_tags]),
-        )
+        return self.all_rows, self.all_offsets, self.all_tags
 
     def row_values(self, decision: np.ndarray, include_aux: bool = False) -> np.ndarray:
         d = np.asarray(decision, dtype=float)
         if d.shape != (self.decision_size,):
             raise ValueError(f"decision vector must have shape ({self.decision_size},)")
         if include_aux:
-            matrix, offsets, _ = self.full_rows()
-        else:
-            matrix, offsets = self.rows, self.offsets
-        return matrix @ d + offsets
+            return self.all_rows @ d + self.all_offsets
+        return self.rows @ d + self.offsets
 
     def certificate_from_decision(self, decision: np.ndarray) -> BarrierCertificate:
         d = np.asarray(decision, dtype=float)
@@ -299,64 +353,57 @@ def assemble(
     _require_inside(x0, initial_region, "initial")
     _require_inside(xu, unsafe_region, "unsafe")
 
-    z = template.size
-    width = 1 + z
+    if coeff_bound is not None and not coeff_bound > 0:
+        raise ValueError("coeff_bound must be positive")
 
-    def block(count: int) -> np.ndarray:
-        return np.zeros((count, width))
+    width = 1 + template.size
+    family_sizes = (len(x0), len(xu), data.count)
+    samples = sum(family_sizes)
+    bound_rows = 0 if coeff_bound is None else 2 * width
+    total = samples + bound_rows + int(level_gap_row)
+    rows = np.zeros((total, width))
+    offsets = np.zeros(total)
+    tags = np.empty(total, dtype=_TAG_DTYPE)
+    initial = slice(0, len(x0))
+    unsafe = slice(initial.stop, initial.stop + len(xu))
+    flow = slice(unsafe.stop, samples)
 
-    initial_block = block(len(x0))
     if len(x0):
-        initial_block[:, 1:] = template.basis_matrix(x0)
+        rows[initial, 1:] = template.basis_matrix(x0)
+    offsets[initial] = -initial_level
+    tags[initial] = TAG_INITIAL
 
-    unsafe_block = block(len(xu))
-    unsafe_block[:, 0] = 1.0
+    rows[unsafe, 0] = 1.0
     if len(xu):
-        unsafe_block[:, 1:] = -template.basis_matrix(xu)
+        np.negative(template.basis_matrix(xu), out=rows[unsafe, 1:])
+    tags[unsafe] = TAG_UNSAFE
 
-    flow_block = block(data.count)
     if data.count:
-        flow_block[:, 1:] = template.basis_matrix(data.successors) - decay * template.basis_matrix(
-            data.states
-        )
+        discounted = template.basis_matrix(data.states)
+        discounted *= decay
+        np.subtract(template.basis_matrix(data.successors), discounted, out=rows[flow, 1:])
+    tags[flow] = TAG_FLOW
 
-    rows = np.vstack([initial_block, unsafe_block, flow_block])
-    offsets = np.zeros(len(rows))
-    offsets[: len(x0)] = -initial_level
-    tags = np.concatenate(
-        [
-            np.full(len(x0), TAG_INITIAL),
-            np.full(len(xu), TAG_UNSAFE),
-            np.full(data.count, TAG_FLOW),
-        ]
-    )
-
-    aux_rows, aux_offsets, aux_tags = [], [], []
-    if coeff_bound is not None:
-        if not coeff_bound > 0:
-            raise ValueError("coeff_bound must be positive")
-        eye = np.eye(width)
-        for j in range(width):
-            aux_rows.extend([eye[j], -eye[j]])
-            aux_offsets.extend([-coeff_bound, -coeff_bound])
-            aux_tags.extend([TAG_BOUND, TAG_BOUND])
+    if bound_rows:
+        # each decision entry gets a +e_j and a -e_j row
+        bounds = rows[samples : samples + bound_rows]
+        bounds[0::2] = np.eye(width)
+        bounds[1::2] = -np.eye(width)
+        offsets[samples : samples + bound_rows] = -coeff_bound
+        tags[samples : samples + bound_rows] = TAG_BOUND
     if level_gap_row:
-        gap = np.zeros(width)
-        gap[0] = -1.0
-        aux_rows.append(gap)
-        aux_offsets.append(float(initial_level))
-        aux_tags.append(TAG_GAP)
+        rows[-1, 0] = -1.0
+        offsets[-1] = initial_level
+        tags[-1] = TAG_GAP
 
     return ConstraintSystem(
         template=template,
         decay=decay,
         initial_level=float(initial_level),
-        rows=rows,
-        offsets=offsets,
-        tags=tags,
-        aux_rows=np.asarray(aux_rows, dtype=float).reshape(-1, width),
-        aux_offsets=np.asarray(aux_offsets, dtype=float),
-        aux_tags=np.asarray(aux_tags, dtype=str),
+        all_rows=rows,
+        all_offsets=offsets,
+        all_tags=tags,
+        family_sizes=family_sizes,
     )
 
 
@@ -392,19 +439,46 @@ class ResidualReport:
         }
 
 
+class SampleValues(NamedTuple):
+    """A certificate on recorded pairs, one entry per pair.
+
+    ``barrier`` is ``B(x)`` and ``flow`` is ``B(successor) - decay * B(x)``.
+    """
+
+    barrier: np.ndarray
+    flow: np.ndarray
+
+
+def sample_values(certificate: BarrierCertificate, data: Dataset) -> SampleValues:
+    """Evaluate a certificate once on a dataset's states and successors.
+
+    The residual audit and the Lipschitz estimators both read the result, so
+    a run evaluates the barrier on its retained pairs exactly twice.
+    """
+    if certificate.template.dimension != data.dimension:
+        raise ModelMismatchError("certificate and dataset dimensions differ")
+    barrier = certificate.evaluate(data.states)
+    flow = certificate.evaluate(data.successors) - certificate.decay * barrier
+    return SampleValues(barrier, flow)
+
+
 def check_certificate(
     certificate: BarrierCertificate,
     tolerance: float,
-    data: Dataset,
+    values: SampleValues,
     initial_samples: np.ndarray,
     unsafe_samples: np.ndarray,
 ) -> ResidualReport:
-    """Evaluate all three residual families for a fitted certificate."""
+    """Evaluate all three residual families for a fitted certificate.
+
+    The flow family is read from ``values``, the certificate's
+    :func:`sample_values` on the recorded pairs.
+    """
     x0 = np.atleast_2d(np.asarray(initial_samples, dtype=float))
     xu = np.atleast_2d(np.asarray(unsafe_samples, dtype=float))
 
-    def group_max(values: np.ndarray) -> float:
-        return float(values.max()) if values.size else float("-inf")
+    def group_max(family: np.ndarray) -> float:
+        return float(family.max()) if family.size else float("-inf")
 
     initial_max = group_max(
         certificate.evaluate(x0) - certificate.initial_level if x0.size else np.empty(0)
@@ -412,16 +486,10 @@ def check_certificate(
     unsafe_max = group_max(
         certificate.unsafe_level - certificate.evaluate(xu) if xu.size else np.empty(0)
     )
-    if data.count:
-        flow = certificate.evaluate(data.successors) - certificate.decay * certificate.evaluate(
-            data.states
-        )
-    else:
-        flow = np.empty(0)
     return ResidualReport(
         initial_max=initial_max,
         unsafe_max=unsafe_max,
-        flow_max=group_max(flow),
+        flow_max=group_max(values.flow),
         definition_ok=certificate.definition_ok,
         tolerance=tolerance,
     )

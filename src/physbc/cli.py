@@ -345,6 +345,9 @@ def cmd_sweep(config_path, param, values, out_path, jobs):
               help="Resolution of the barrier curve.")
 def cmd_plotdata(report_path, out_dir, points):
     """Dump plot-ready CSV series from a saved run report (1-D systems)."""
+    if points < 1:
+        click.echo("error: --points must be at least 1", err=True)
+        sys.exit(1)
     try:
         with open(report_path, encoding="ascii") as fh:
             report = json.load(fh)

@@ -6,6 +6,11 @@ pairs.  Both estimators return the largest finite-difference slope of each
 family between sample states, which is what the certification conditions
 consume.
 
+The estimators do not evaluate the certificate themselves.  They take its
+per-sample values from :func:`physbc.barrier.sample_values`, which a run
+computes once on the retained states and successors and also hands to the
+residual audit, together with the dataset whose states give the gaps.
+
 In 1-D, :func:`estimate_pairwise` is exact: the steepest slope over all pairs
 is the steepest between neighbouring distinct coordinates (a secant over a
 wider span is a weighted mean of the secants it covers), so one sort gives the
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierCertificate
+from .barrier import SampleValues
 from .errors import DegenerateDataError, ModelMismatchError
 from .sampling import Dataset
 
@@ -76,18 +81,15 @@ class LipschitzEstimate:
         return max(self.barrier, self.flow)
 
 
-def _slope_values(certificate: BarrierCertificate, dataset: Dataset):
-    """Per-sample barrier and flow values, once the dataset can form a pair."""
-    if certificate.template.dimension != dataset.dimension:
-        raise ModelMismatchError("certificate and dataset dimensions differ")
+def _require_pairs(values: SampleValues, dataset: Dataset) -> None:
+    """Check that ``values`` belong to ``dataset`` and that it can form a pair."""
+    if values.barrier.shape != (dataset.count,) or values.flow.shape != (dataset.count,):
+        raise ModelMismatchError("sample values and dataset sizes differ")
     if dataset.count < 2:
         raise DegenerateDataError("need at least two states to form slope pairs")
-    barrier_vals = certificate.evaluate(dataset.states)
-    flow_vals = certificate.evaluate(dataset.successors) - certificate.decay * barrier_vals
-    return barrier_vals, flow_vals
 
 
-def _neighbour_maxima(certificate: BarrierCertificate, dataset: Dataset):
+def _neighbour_maxima(values: SampleValues, dataset: Dataset):
     """Exact largest barrier and flow slopes over all pairs of a 1-D dataset.
 
     Sorts the states once and groups equal coordinates; between adjacent
@@ -96,7 +98,7 @@ def _neighbour_maxima(certificate: BarrierCertificate, dataset: Dataset):
     above the neighbour slopes, which the multiplier's headroom dwarfs.
     Returns ``(barrier, flow, adjacent group pairs)``.
     """
-    barrier_vals, flow_vals = _slope_values(certificate, dataset)
+    _require_pairs(values, dataset)
     coords = dataset.states[:, 0]
     order = np.argsort(coords)
     coords = coords[order]
@@ -108,17 +110,17 @@ def _neighbour_maxima(certificate: BarrierCertificate, dataset: Dataset):
         raise DegenerateDataError("all sample states coincide")
     gaps = np.diff(coords[starts])
 
-    def steepest(values: np.ndarray) -> float:
-        values = values[order]
-        lo = np.minimum.reduceat(values, starts)
-        hi = np.maximum.reduceat(values, starts)
+    def steepest(family: np.ndarray) -> float:
+        family = family[order]
+        lo = np.minimum.reduceat(family, starts)
+        hi = np.maximum.reduceat(family, starts)
         rise = np.maximum(np.abs(hi[1:] - lo[:-1]), np.abs(lo[1:] - hi[:-1]))
         return float((rise / gaps).max())
 
-    return steepest(barrier_vals), steepest(flow_vals), starts.size - 1
+    return steepest(values.barrier), steepest(values.flow), starts.size - 1
 
 
-def _slope_chunks(certificate: BarrierCertificate, dataset: Dataset, config: LipschitzSpec):
+def _slope_chunks(values: SampleValues, dataset: Dataset, config: LipschitzSpec):
     """Finite-difference slopes over random sample pairs, streamed in draw order.
 
     The pairs are drawn up front as two index arrays; their slopes are then
@@ -127,7 +129,7 @@ def _slope_chunks(certificate: BarrierCertificate, dataset: Dataset, config: Lip
     ``keep`` is false come from coincident states (equal indices included)
     and hold no slope.  Raises after the last chunk if no pair was kept.
     """
-    barrier_vals, flow_vals = _slope_values(certificate, dataset)
+    _require_pairs(values, dataset)
 
     rng = np.random.default_rng(config.seed)
     left = rng.integers(0, dataset.count, size=config.pair_budget)
@@ -147,7 +149,8 @@ def _slope_chunks(certificate: BarrierCertificate, dataset: Dataset, config: Lip
             gaps = np.linalg.norm(states[i] - states[j], axis=1)
         keep = gaps > 0.0
         kept += np.count_nonzero(keep)
-        yield _slopes(barrier_vals, i, j, gaps, keep), _slopes(flow_vals, i, j, gaps, keep), keep
+        yield (_slopes(values.barrier, i, j, gaps, keep), _slopes(values.flow, i, j, gaps, keep),
+               keep)
     if kept == 0:
         raise DegenerateDataError("all drawn state pairs coincide")
 
@@ -163,19 +166,20 @@ def _slopes(values: np.ndarray, i: np.ndarray, j: np.ndarray, gaps: np.ndarray,
 
 
 def estimate_pairwise(
-    certificate: BarrierCertificate, dataset: Dataset, config: LipschitzSpec
+    values: SampleValues, dataset: Dataset, config: LipschitzSpec
 ) -> LipschitzEstimate:
     """Largest sample slope times a safety multiplier.
 
-    Exact over all sample pairs in 1-D; over ``config.pair_budget`` random
-    pairs for n >= 2.
+    ``values`` is the certificate's :func:`~physbc.barrier.sample_values` on
+    ``dataset``.  Exact over all sample pairs in 1-D; over
+    ``config.pair_budget`` random pairs for n >= 2.
     """
     if dataset.dimension == 1:
-        barrier, flow, used = _neighbour_maxima(certificate, dataset)
+        barrier, flow, used = _neighbour_maxima(values, dataset)
     else:
         barrier = flow = -np.inf
         used = 0
-        for barrier_slopes, flow_slopes, keep in _slope_chunks(certificate, dataset, config):
+        for barrier_slopes, flow_slopes, keep in _slope_chunks(values, dataset, config):
             used += np.count_nonzero(keep)
             barrier = np.maximum(barrier, barrier_slopes.max(where=keep, initial=-np.inf))
             flow = np.maximum(flow, flow_slopes.max(where=keep, initial=-np.inf))
@@ -205,14 +209,15 @@ def _reverse_weibull_location(maxima: np.ndarray, shape: float) -> float:
 
 
 def estimate_extreme_value(
-    certificate: BarrierCertificate, dataset: Dataset, config: LipschitzSpec
+    values: SampleValues, dataset: Dataset, config: LipschitzSpec
 ) -> LipschitzEstimate:
     """Extreme-value estimate: fit batch maxima, report the distribution's endpoint.
 
-    Slope observations are split into ``config.batches`` equal batches; the
-    fitted location can never fall below the raw observed maximum.
+    ``values`` is the certificate's :func:`~physbc.barrier.sample_values` on
+    ``dataset``.  Slope observations are split into ``config.batches`` equal
+    batches; the fitted location can never fall below the raw observed maximum.
     """
-    chunks = list(_slope_chunks(certificate, dataset, config))
+    chunks = list(_slope_chunks(values, dataset, config))
     barrier_slopes = np.concatenate([b[keep] for b, _, keep in chunks])
     flow_slopes = np.concatenate([f[keep] for _, f, keep in chunks])
     if barrier_slopes.size < 2 * config.batches:

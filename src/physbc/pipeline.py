@@ -26,6 +26,7 @@ from .barrier import (
     ResidualReport,
     assemble,
     check_certificate,
+    sample_values,
 )
 from .certify import (
     CertificationReport,
@@ -193,18 +194,20 @@ def run(config: RunConfig) -> RunArtifacts:
     }
 
     # ---- residual audit -------------------------------------------------------
+    # B on the retained pairs, evaluated once for the audit and the estimator
     t0 = clock()
+    values = sample_values(certificate, retained)
     residuals = check_certificate(
-        certificate, RESIDUAL_TOLERANCE, retained, initial_cover, unsafe_cover
+        certificate, RESIDUAL_TOLERANCE, values, initial_cover, unsafe_cover
     )
     timings["audit"] = clock() - t0
 
     # ---- Lipschitz estimation ---------------------------------------------------
     t0 = clock()
     if config.lipschitz.method == METHOD_PAIRWISE:
-        estimate = estimate_pairwise(certificate, retained, config.lipschitz)
+        estimate = estimate_pairwise(values, retained, config.lipschitz)
     elif config.lipschitz.method == METHOD_EXTREME:
-        estimate = estimate_extreme_value(certificate, retained, config.lipschitz)
+        estimate = estimate_extreme_value(values, retained, config.lipschitz)
     timings["lipschitz"] = clock() - t0
 
     # ---- certification ---------------------------------------------------------

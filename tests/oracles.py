@@ -1,4 +1,4 @@
-"""Brute-force oracles shared by the solver and acceptance tests."""
+"""Brute-force and former-kernel oracles shared by the tests."""
 
 import itertools
 import json
@@ -24,6 +24,94 @@ from physbc.lipschitz import (
 from physbc.models import RegionBox, SafetyCheck
 from physbc.sampling import Dataset
 from physbc.solver import FEASIBILITY_TOL, OPTIMALITY_TOL, STATUS_OPTIMAL, SolveResult
+
+
+def basis_matrix_pow(template, states):
+    """Every monomial through a float power and a product over the axes.
+
+    The former kernel of :meth:`physbc.barrier.BarrierTemplate.basis_matrix`:
+    one ``pow`` per element of an ``(N, z, n)`` temporary.
+    """
+    x = np.atleast_2d(np.asarray(states, dtype=float))
+    powers = np.asarray(template.exponents, dtype=float)  # (z, n)
+    return np.prod(x[:, None, :] ** powers[None, :, :], axis=2)
+
+
+def basis_matrix_repeated(template, states):
+    """Every monomial by plain left-to-right multiplication in Python floats.
+
+    Per state and monomial: each axis with a positive exponent ``e`` gives
+    ``x * x * ... * x`` (``e`` factors), and those powers are multiplied in
+    axis order; a monomial with no such axis is 1.0.
+    """
+    x = np.atleast_2d(np.asarray(states, dtype=float))
+    out = np.empty((len(x), template.size))
+    for r, state in enumerate(x.tolist()):
+        for c, exponents in enumerate(template.exponents):
+            value = None
+            for coord, e in zip(state, exponents):
+                if e == 0:
+                    continue
+                power = coord
+                for _ in range(e - 1):
+                    power = power * coord
+                value = power if value is None else value * power
+            out[r, c] = 1.0 if value is None else value
+    return out
+
+
+def assemble_vstack(template, decay, data, initial_samples, unsafe_samples,
+                    coeff_bound=100.0, level_gap_row=True, initial_level=1e-4):
+    """The constraint stack built family by family and joined with ``vstack``.
+
+    The former body of :func:`physbc.barrier.assemble`, without its input
+    checks.  Returns ``(rows, offsets, tags, aux_rows, aux_offsets,
+    aux_tags)``; the solver saw ``vstack``/``concatenate`` of the two parts.
+    """
+    x0 = np.asarray(initial_samples, dtype=float).reshape(-1, template.dimension)
+    xu = np.asarray(unsafe_samples, dtype=float).reshape(-1, template.dimension)
+    width = 1 + template.size
+
+    initial_block = np.zeros((len(x0), width))
+    if len(x0):
+        initial_block[:, 1:] = template.basis_matrix(x0)
+    unsafe_block = np.zeros((len(xu), width))
+    unsafe_block[:, 0] = 1.0
+    if len(xu):
+        unsafe_block[:, 1:] = -template.basis_matrix(xu)
+    flow_block = np.zeros((data.count, width))
+    if data.count:
+        flow_block[:, 1:] = template.basis_matrix(data.successors) - decay * template.basis_matrix(
+            data.states
+        )
+    rows = np.vstack([initial_block, unsafe_block, flow_block])
+    offsets = np.zeros(len(rows))
+    offsets[: len(x0)] = -initial_level
+    tags = np.concatenate([
+        np.full(len(x0), "initial"), np.full(len(xu), "unsafe"), np.full(data.count, "flow"),
+    ])
+
+    aux_rows, aux_offsets, aux_tags = [], [], []
+    if coeff_bound is not None:
+        eye = np.eye(width)
+        for j in range(width):
+            aux_rows.extend([eye[j], -eye[j]])
+            aux_offsets.extend([-coeff_bound, -coeff_bound])
+            aux_tags.extend(["bound", "bound"])
+    if level_gap_row:
+        gap = np.zeros(width)
+        gap[0] = -1.0
+        aux_rows.append(gap)
+        aux_offsets.append(float(initial_level))
+        aux_tags.append("gap")
+    return (
+        rows,
+        offsets,
+        tags,
+        np.asarray(aux_rows, dtype=float).reshape(-1, width),
+        np.asarray(aux_offsets, dtype=float),
+        np.asarray(aux_tags, dtype=str),
+    )
 
 
 def minimax_by_vertices(rows, offsets, feas_tol=1e-7):
@@ -120,19 +208,18 @@ def beta_inc_by_quadrature(nu, lam, gam):
     return value
 
 
-def pair_slopes_whole_array(certificate, dataset, config):
+def pair_slopes_whole_array(values, dataset, config):
     """Finite-difference slopes over random distinct sample pairs, all at once.
 
     Draws the pairs as :mod:`physbc.lipschitz` does, then compresses the index
     arrays twice and builds every slope: the straightforward form of the
     streamed kernel.
     """
-    if certificate.template.dimension != dataset.dimension:
-        raise ModelMismatchError("certificate and dataset dimensions differ")
+    if values.barrier.shape != (dataset.count,) or values.flow.shape != (dataset.count,):
+        raise ModelMismatchError("sample values and dataset sizes differ")
     if dataset.count < 2:
         raise DegenerateDataError("need at least two states to form slope pairs")
-    barrier_vals = certificate.evaluate(dataset.states)
-    flow_vals = certificate.evaluate(dataset.successors) - certificate.decay * barrier_vals
+    barrier_vals, flow_vals = values
 
     rng = np.random.default_rng(config.seed)
     left = rng.integers(0, dataset.count, size=config.pair_budget)
@@ -149,9 +236,9 @@ def pair_slopes_whole_array(certificate, dataset, config):
     return barrier_slopes, flow_slopes
 
 
-def pairwise_whole_array(certificate, dataset, config):
+def pairwise_whole_array(values, dataset, config):
     """Drop-in for :func:`physbc.lipschitz.estimate_pairwise` on whole slope arrays."""
-    barrier_slopes, flow_slopes = pair_slopes_whole_array(certificate, dataset, config)
+    barrier_slopes, flow_slopes = pair_slopes_whole_array(values, dataset, config)
     return LipschitzEstimate(
         barrier=config.multiplier * float(barrier_slopes.max()),
         flow=config.multiplier * float(flow_slopes.max()),
@@ -161,9 +248,9 @@ def pairwise_whole_array(certificate, dataset, config):
     )
 
 
-def extreme_value_whole_array(certificate, dataset, config):
+def extreme_value_whole_array(values, dataset, config):
     """Drop-in for :func:`physbc.lipschitz.estimate_extreme_value` on whole slope arrays."""
-    barrier_slopes, flow_slopes = pair_slopes_whole_array(certificate, dataset, config)
+    barrier_slopes, flow_slopes = pair_slopes_whole_array(values, dataset, config)
     if barrier_slopes.size < 2 * config.batches:
         raise DegenerateDataError("too few slope observations for the batches")
     batch_size = barrier_slopes.size // config.batches

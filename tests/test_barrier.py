@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import assemble_vstack, basis_matrix_pow, basis_matrix_repeated
 from physbc.barrier import (
     DEFAULT_INITIAL_LEVEL,
     TAG_BOUND,
@@ -12,6 +15,7 @@ from physbc.barrier import (
     BarrierTemplate,
     assemble,
     check_certificate,
+    sample_values,
 )
 from physbc.errors import RegionViolationError
 from physbc.models import RegionBox, supply_demand
@@ -71,6 +75,44 @@ def test_basis_matrix_values():
     assert basis == pytest.approx(np.array([[4.0, 2.0, 1.0], [0.25, 0.5, 1.0]]))
     with pytest.raises(ValueError):
         template.basis_matrix(np.zeros((2, 2)))
+
+
+# 0, -0, +-1 and values whose fourth power stays a normal float, so neither
+# kernel rounds into the subnormal range
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-1e3, max_value=1e3).filter(lambda v: abs(v) >= 1e-50),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree=st.integers(0, 4), dimension=st.integers(1, 3), draw=st.data())
+def test_basis_matrix_is_repeated_multiplication(degree, dimension, draw):
+    template = BarrierTemplate.from_degree(degree, dimension)
+    states = np.array(draw.draw(st.lists(
+        st.lists(_COORD, min_size=dimension, max_size=dimension), min_size=1, max_size=6)))
+    basis = template.basis_matrix(states)
+    assert basis.shape == (len(states), template.size)
+    assert basis.tobytes() == basis_matrix_repeated(template, states).tobytes()
+    # at most degree - 1 roundings here, about one per factor in the pow kernel
+    np.testing.assert_allclose(basis, basis_matrix_pow(template, states),
+                               rtol=4 * degree * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(degree=st.integers(0, 4), dimension=st.integers(1, 3), draw=st.data())
+def test_basis_matrix_constant_monomial_is_one_for_any_state(degree, dimension, draw):
+    template = BarrierTemplate.from_degree(degree, dimension)
+    special = st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -2.5])
+    states = np.array(draw.draw(st.lists(
+        st.lists(special, min_size=dimension, max_size=dimension), min_size=1, max_size=6)))
+    basis = template.basis_matrix(states)
+    constant = [j for j, row in enumerate(template.exponents) if not any(row)]
+    assert constant == [template.size - 1]
+    assert np.all(basis[:, constant] == 1.0)
+    assert np.all(basis_matrix_pow(template, states)[:, constant] == 1.0)
+    assert np.array_equal(basis, basis_matrix_repeated(template, states), equal_nan=True)
 
 
 def test_template_dict_round_trip():
@@ -189,6 +231,48 @@ def test_assemble_can_omit_auxiliary_rows():
     assert np.array_equal(offsets, system.offsets)
 
 
+STACK_CASES = {
+    "default": dict(),
+    "no-aux": dict(coeff_bound=None, level_gap_row=False),
+    "bounds-only": dict(coeff_bound=7.0, level_gap_row=False),
+    "gap-only": dict(coeff_bound=None, initial_level=3e-3),
+}
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_assemble_writes_one_stack_equal_to_vstack(case, dimension):
+    options = STACK_CASES[case]
+    rng = np.random.default_rng(dimension)
+    box = RegionBox(np.zeros(dimension), np.full(dimension, 3.0))
+    states = rng.uniform(0.0, 3.0, size=(50, dimension))
+    data = Dataset(states, 0.9 * states + 0.1, SCHEME_IID, box, seed=0)
+    template = BarrierTemplate.from_degree(3, dimension)
+    x0 = rng.uniform(0.0, 0.5, size=(4, dimension))
+    xu = rng.uniform(2.5, 3.0, size=(6, dimension))
+    system = assemble(template, 0.83, data, x0, xu, **options)
+    expected = assemble_vstack(template, 0.83, data, x0, xu, **options)
+
+    for got, want in zip((system.rows, system.offsets, system.tags,
+                          system.aux_rows, system.aux_offsets, system.aux_tags), expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    rows, offsets, tags = system.full_rows()
+    assert np.array_equal(rows, np.vstack([expected[0], expected[3]]))
+    assert np.array_equal(offsets, np.concatenate([expected[1], expected[4]]))
+    assert np.array_equal(tags, np.concatenate([expected[2], expected[5]]))
+    assert system.counts == {TAG_INITIAL: 4, TAG_UNSAFE: 6, TAG_FLOW: 50}
+
+    # the solver's stack is the storage the sample and auxiliary views read
+    for full, part in ((rows, system.rows), (rows, system.aux_rows),
+                       (offsets, system.offsets), (offsets, system.aux_offsets),
+                       (tags, system.tags), (tags, system.aux_tags)):
+        assert not full.flags.writeable and not part.flags.writeable
+        if part.size:
+            assert np.shares_memory(full, part)
+    assert system.full_rows()[0] is rows
+
+
 def test_row_values_match_manual_arithmetic():
     data = _toy_dataset(2)
     template = BarrierTemplate.quadratic(1)
@@ -259,7 +343,7 @@ def test_residuals_separate_the_three_families():
     xs = np.array([[1.0], [2.0]])
     data = Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
     report = check_certificate(
-        cert, 1e-9, data,
+        cert, 1e-9, sample_values(cert, data),
         initial_samples=np.array([[0.5], [0.6]]),
         unsafe_samples=np.array([[2.6], [2.7]]),
     )
@@ -278,7 +362,8 @@ def test_residuals_with_empty_families():
     model = supply_demand()
     xs = np.array([[1.0]])
     data = Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
-    report = check_certificate(cert, 1e-9, data, np.empty((0, 1)), np.empty((0, 1)))
+    report = check_certificate(cert, 1e-9, sample_values(cert, data), np.empty((0, 1)),
+                               np.empty((0, 1)))
     assert report.initial_max == float("-inf")
     assert report.unsafe_max == float("-inf")
     assert np.isfinite(report.flow_max)
@@ -289,7 +374,8 @@ def test_residual_report_serialises():
     model = supply_demand()
     xs = np.array([[1.0], [1.5]])
     data = Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
-    report = check_certificate(cert, 1e-6, data, np.array([[0.5]]), np.array([[2.7]]))
+    report = check_certificate(cert, 1e-6, sample_values(cert, data), np.array([[0.5]]),
+                               np.array([[2.7]]))
     d = report.to_dict()
     assert set(d) == {"initial_max", "unsafe_max", "flow_max", "definition_ok", "tolerance"}
     assert d["tolerance"] == 1e-6

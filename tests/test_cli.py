@@ -194,6 +194,20 @@ def test_plotdata_series_are_consistent(run_dir, tmp_path):
     assert retained == report["filter"]["retained_count"]
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_plotdata_rejects_points_below_one(points, tmp_path):
+    # an unreadable report: loading it first would print a load error instead
+    report = tmp_path / "report.json"
+    report.write_text("")
+    out = tmp_path / "plots"
+    result = CliRunner().invoke(main, [
+        "plotdata", "--report", str(report), "--out", str(out), "--points", points,
+    ])
+    assert result.exit_code == 1
+    assert "error: --points must be at least 1" in result.output
+    assert not out.exists()
+
+
 def samples_csv_oracle(run_dir):
     """samples.csv as ``csv.writer`` renders it from the run's saved arrays."""
     report = json.loads((run_dir / "report.json").read_text())

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import extreme_value_whole_array, pairwise_all_pairs, pairwise_whole_array
-from physbc.barrier import BarrierCertificate, BarrierTemplate
+from physbc.barrier import BarrierCertificate, BarrierTemplate, sample_values
 from physbc.errors import DegenerateDataError, ModelMismatchError
 from physbc.lipschitz import (
     _CHUNK,
@@ -34,7 +34,7 @@ def linear_barrier(slope, decay=0.83):
 def test_linear_barrier_slopes_are_exact():
     data = sample_grid(supply_demand(), DOMAIN, 200)
     config = LipschitzSpec(pair_budget=20_000, seed=1, multiplier=1.0)
-    estimate = estimate_pairwise(linear_barrier(3.0), data, config)
+    estimate = estimate_pairwise(sample_values(linear_barrier(3.0), data), data, config)
     # every finite difference of B(x) = 3x has slope exactly 3
     assert estimate.barrier == pytest.approx(3.0, rel=1e-12)
     # flow expression: 3(0.8x + 0.5) - 0.83 * 3x has slope |2.4 - 2.49|
@@ -47,8 +47,8 @@ def test_multiplier_scales_the_estimate():
     data = sample_grid(supply_demand(), DOMAIN, 150)
     base = LipschitzSpec(pair_budget=10_000, seed=2, multiplier=1.0)
     padded = LipschitzSpec(pair_budget=10_000, seed=2, multiplier=1.1)
-    lo = estimate_pairwise(linear_barrier(3.0), data, base)
-    hi = estimate_pairwise(linear_barrier(3.0), data, padded)
+    lo = estimate_pairwise(sample_values(linear_barrier(3.0), data), data, base)
+    hi = estimate_pairwise(sample_values(linear_barrier(3.0), data), data, padded)
     assert hi.barrier == pytest.approx(1.1 * lo.barrier)
     assert hi.safety_multiplier == 1.1
 
@@ -67,7 +67,7 @@ def test_quadratic_barrier_estimate_brackets_true_constant():
 
     data = sample_grid(Identity(), box, 600)
     config = LipschitzSpec(pair_budget=300_000, seed=3, multiplier=1.1)
-    estimate = estimate_pairwise(cert, data, config)
+    estimate = estimate_pairwise(sample_values(cert, data), data, config)
     # sup |B'| = 2 on [0, 1]; secant slopes approach but never exceed it
     assert 1.8 <= estimate.barrier / 1.1 <= 2.0
     assert estimate.barrier <= 2.0 * 1.1 + 1e-9
@@ -76,8 +76,9 @@ def test_quadratic_barrier_estimate_brackets_true_constant():
 def test_pairwise_is_deterministic_per_seed():
     data = _plane_data()
     cert = _quadratic_certificate(2)
-    a = estimate_pairwise(cert, data, LipschitzSpec(pair_budget=5_000, seed=9))
-    b = estimate_pairwise(cert, data, LipschitzSpec(pair_budget=5_000, seed=9))
+    config = LipschitzSpec(pair_budget=5_000, seed=9)
+    a = estimate_pairwise(sample_values(cert, data), data, config)
+    b = estimate_pairwise(sample_values(cert, data), data, config)
     assert (a.barrier, a.flow, a.samples_used) == (b.barrier, b.flow, b.samples_used)
 
 
@@ -86,10 +87,11 @@ def test_extreme_value_never_undercuts_observed_max():
     template = BarrierTemplate.quadratic(1)
     cert = BarrierCertificate(template, np.array([2.0, -1.0, 0.5]), 0.83, 0.0, 1.0)
     config = LipschitzSpec(pair_budget=50_000, seed=4, batches=40)
-    extreme = estimate_extreme_value(cert, data, config)
+    values = sample_values(cert, data)
+    extreme = estimate_extreme_value(values, data, config)
     # the maximum over the same random draw
-    raw = pairwise_whole_array(cert, data, LipschitzSpec(pair_budget=50_000, seed=4,
-                                                         multiplier=1.0))
+    raw = pairwise_whole_array(values, data, LipschitzSpec(pair_budget=50_000, seed=4,
+                                                           multiplier=1.0))
     assert extreme.barrier >= raw.barrier - 1e-12
     assert extreme.flow >= raw.flow - 1e-12
     assert extreme.method == METHOD_EXTREME
@@ -100,7 +102,7 @@ def test_extreme_value_collapses_to_mean_for_constant_slopes():
     # linear barrier: every batch maximum equals 3, spread is zero
     data = sample_grid(supply_demand(), DOMAIN, 300)
     config = LipschitzSpec(pair_budget=30_000, seed=5, batches=30)
-    estimate = estimate_extreme_value(linear_barrier(3.0), data, config)
+    estimate = estimate_extreme_value(sample_values(linear_barrier(3.0), data), data, config)
     assert estimate.barrier == pytest.approx(3.0, rel=1e-12)
 
 
@@ -108,17 +110,17 @@ def test_extreme_value_needs_enough_observations():
     data = sample_grid(supply_demand(), DOMAIN, 5)
     config = LipschitzSpec(pair_budget=20, seed=6, batches=50)
     with pytest.raises(DegenerateDataError):
-        estimate_extreme_value(linear_barrier(1.0), data, config)
+        estimate_extreme_value(sample_values(linear_barrier(1.0), data), data, config)
 
 
 def test_degenerate_datasets_are_rejected():
     cert = linear_barrier(1.0)
     one = Dataset(np.array([[1.0]]), np.array([[1.3]]), SCHEME_GRID, DOMAIN)
     with pytest.raises(DegenerateDataError):
-        estimate_pairwise(cert, one, LipschitzSpec(pair_budget=100, seed=0))
+        estimate_pairwise(sample_values(cert, one), one, LipschitzSpec(pair_budget=100, seed=0))
     same = Dataset(np.full((5, 1), 1.0), np.full((5, 1), 1.3), SCHEME_GRID, DOMAIN)
     with pytest.raises(DegenerateDataError):
-        estimate_pairwise(cert, same, LipschitzSpec(pair_budget=100, seed=0))
+        estimate_pairwise(sample_values(cert, same), same, LipschitzSpec(pair_budget=100, seed=0))
 
 
 def test_dimension_mismatch_is_rejected():
@@ -126,7 +128,11 @@ def test_dimension_mismatch_is_rejected():
     xs = np.array([[0.1, 0.2], [0.8, 0.9]])
     data = Dataset(xs, xs, SCHEME_GRID, square)
     with pytest.raises(ModelMismatchError):
-        estimate_pairwise(linear_barrier(1.0), data, LipschitzSpec(pair_budget=100, seed=0))
+        sample_values(linear_barrier(1.0), data)
+    values = sample_values(_quadratic_certificate(2), data)
+    longer = Dataset(np.vstack([xs, xs]), np.vstack([xs, xs]), SCHEME_GRID, square)
+    with pytest.raises(ModelMismatchError, match="sizes differ"):
+        estimate_pairwise(values, longer, LipschitzSpec(pair_budget=100, seed=0))
 
 
 def test_config_validation():
@@ -143,7 +149,7 @@ def test_config_validation():
 def _outcome(estimator, certificate, data, config):
     """Compared fields of an estimate, or the error type it raised."""
     try:
-        estimate = estimator(certificate, data, config)
+        estimate = estimator(sample_values(certificate, data), data, config)
     except DegenerateDataError as exc:
         return type(exc)
     return estimate.barrier, estimate.flow, estimate.samples_used
@@ -223,7 +229,7 @@ def test_streamed_slopes_match_oracle_with_duplicates(estimator, oracle, make_da
 def test_duplicate_states_drop_zero_gap_pairs():
     data = _duplicated_plane_data()
     config = LipschitzSpec(pair_budget=10_000, seed=2)
-    estimate = estimate_pairwise(_quadratic_certificate(2), data, config)
+    estimate = estimate_pairwise(sample_values(_quadratic_certificate(2), data), data, config)
     # 40 distinct states, each 4 times: about 1 in 40 pairs has a zero gap
     assert 9_600 < estimate.samples_used < 9_850
 
@@ -233,7 +239,7 @@ def test_all_coincident_pairs_raise(estimator):
     same = Dataset(np.full((5, 1), 1.0), np.full((5, 1), 1.3), SCHEME_GRID, DOMAIN)
     config = LipschitzSpec(pair_budget=_CHUNK + 5, seed=0, batches=2)
     with pytest.raises(DegenerateDataError, match="coincide"):
-        estimator(linear_barrier(1.0), same, config)
+        estimator(sample_values(linear_barrier(1.0), same), same, config)
 
 
 # two-decimal coordinates on a short interval, so that states coincide often
@@ -257,8 +263,8 @@ def test_1d_pairwise_is_the_exact_all_pairs_maximum(pairs, ascending):
     config = LipschitzSpec(multiplier=1.0)
     if np.unique(states).size == 1:
         with pytest.raises(DegenerateDataError, match="coincide"):
-            estimate_pairwise(cert, data, config)
+            estimate_pairwise(sample_values(cert, data), data, config)
         return
-    estimate = estimate_pairwise(cert, data, config)
+    estimate = estimate_pairwise(sample_values(cert, data), data, config)
     assert (estimate.barrier, estimate.flow) == pairwise_all_pairs(cert, data)
     assert estimate.samples_used == np.unique(states).size - 1

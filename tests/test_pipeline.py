@@ -8,6 +8,8 @@ from oracles import (
     pairwise_whole_array,
     safety_by_step_many,
 )
+import physbc.pipeline
+from physbc.barrier import BarrierTemplate
 from physbc.cli import REFERENCE_RESULTS, reference_config
 from physbc.config import (
     MODE_PROBABILISTIC,
@@ -162,6 +164,29 @@ def test_exact_lipschitz_bounds_random_pairs_on_reference_systems(key, monkeypat
         for block in ("timing", "lipschitz", "certification"):
             report.pop(block)
     assert report_json(shipped) == report_json(drawn)
+
+
+def test_run_evaluates_the_barrier_on_retained_pairs_twice_after_the_solve(monkeypatch):
+    config = quick(preset("supply-demand"))
+    solved = []
+    after_solve = []
+    shipped_solve = physbc.pipeline.solve
+    kernel = BarrierTemplate.basis_matrix
+
+    def solve(*args, **kwargs):
+        solved.append(True)
+        return shipped_solve(*args, **kwargs)
+
+    def basis_matrix(template, states):
+        if solved:
+            after_solve.append(len(states))
+        return kernel(template, states)
+
+    monkeypatch.setattr("physbc.pipeline.solve", solve)
+    monkeypatch.setattr(BarrierTemplate, "basis_matrix", basis_matrix)
+    artifacts = run(config)
+    # once on the states and once on the successors, shared by audit and Lipschitz
+    assert after_solve.count(artifacts.retained.count) == 2
 
 
 def test_probabilistic_run(prob_run):
