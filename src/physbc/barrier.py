@@ -25,8 +25,9 @@ auxiliary rows: symmetric bound rows that keep the polytope bounded, and one
 level-gap row ``initial_level - unsafe_level <= slack`` so that a negative
 optimal slack certifies ``unsafe_level > initial_level`` instead of letting
 the optimiser collapse the separation.  :func:`assemble` writes every row
-into one preallocated stack; the sample and auxiliary parts are read-only
-views of it, and the solver receives the stack itself, uncopied.
+into one preallocated, read-only stack that the solver receives uncopied.
+The rows come in the order of :data:`FAMILIES`, so a row's family follows
+from its position and the per-family row counts alone.
 
 After the solve, :func:`sample_values` evaluates the certificate once on the
 recorded pairs; the residual audit (:func:`check_certificate`) and the
@@ -46,13 +47,8 @@ from .errors import ModelMismatchError, RegionViolationError
 from .models import RegionBox
 from .sampling import Dataset
 
-TAG_INITIAL = "initial"
-TAG_UNSAFE = "unsafe"
-TAG_FLOW = "flow"
-TAG_BOUND = "bound"
-TAG_GAP = "gap"
-
-_TAG_DTYPE = np.array([TAG_INITIAL, TAG_UNSAFE, TAG_FLOW, TAG_BOUND, TAG_GAP]).dtype
+# row families, in stack order: the three sample families, then the auxiliary rows
+FAMILIES = ("initial", "unsafe", "flow", "bound", "gap")
 
 DEFAULT_COEFF_BOUND = 100.0
 DEFAULT_INITIAL_LEVEL = 1e-4
@@ -213,28 +209,25 @@ class BarrierCertificate:
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """Affine rows ``matrix @ d + offsets <= slack`` over the decision vector.
+    """Affine rows ``rows @ d + offsets <= slack`` over the decision vector.
 
     The pinned ``initial_level`` is folded into the offsets, so the decision
-    vector is ``[unsafe_level, coefficients...]``.  All rows live in one
-    read-only stack: one row per constraint sample (initial, unsafe, flow, in
-    that order, with ``family_sizes`` rows each), then the auxiliary rows
-    (bounds, level gap).  ``rows``/``offsets``/``tags`` and their ``aux_``
-    counterparts are views of the two parts, so sample bookkeeping stays
-    exact; solvers should consume :meth:`full_rows`, the whole stack.
+    vector is ``[unsafe_level, coefficients...]``.  ``rows`` and ``offsets``
+    are one read-only stack, the solver's input as is.  ``family_sizes``
+    holds the row count of each of :data:`FAMILIES`, whose rows lie in that
+    order, one block after another.
     """
 
     template: BarrierTemplate
     decay: float
     initial_level: float
-    all_rows: np.ndarray
-    all_offsets: np.ndarray
-    all_tags: np.ndarray
-    family_sizes: Tuple[int, int, int]
+    rows: np.ndarray
+    offsets: np.ndarray
+    family_sizes: Tuple[int, int, int, int, int]
 
     def __post_init__(self):
-        for arr in (self.all_rows, self.all_offsets, self.all_tags):
-            arr.flags.writeable = False
+        self.rows.flags.writeable = False
+        self.offsets.flags.writeable = False
 
     @property
     def decision_size(self) -> int:
@@ -242,47 +235,17 @@ class ConstraintSystem:
         return 1 + self.template.size
 
     @property
-    def sample_count(self) -> int:
-        return sum(self.family_sizes)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.all_rows[: self.sample_count]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return self.all_offsets[: self.sample_count]
-
-    @property
-    def tags(self) -> np.ndarray:
-        return self.all_tags[: self.sample_count]
-
-    @property
-    def aux_rows(self) -> np.ndarray:
-        return self.all_rows[self.sample_count :]
-
-    @property
-    def aux_offsets(self) -> np.ndarray:
-        return self.all_offsets[self.sample_count :]
-
-    @property
-    def aux_tags(self) -> np.ndarray:
-        return self.all_tags[self.sample_count :]
-
-    @property
     def counts(self) -> dict:
-        return dict(zip((TAG_INITIAL, TAG_UNSAFE, TAG_FLOW), self.family_sizes))
+        """Constraint samples per sample family (initial, unsafe, flow)."""
+        return dict(zip(FAMILIES[:3], self.family_sizes))
 
-    def full_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.all_rows, self.all_offsets, self.all_tags
-
-    def row_values(self, decision: np.ndarray, include_aux: bool = False) -> np.ndarray:
-        d = np.asarray(decision, dtype=float)
-        if d.shape != (self.decision_size,):
-            raise ValueError(f"decision vector must have shape ({self.decision_size},)")
-        if include_aux:
-            return self.all_rows @ d + self.all_offsets
-        return self.rows @ d + self.offsets
+    def family_counts(self, indices: np.ndarray) -> dict:
+        """Rows per family among ``indices``, positions in the stack; every family is a key."""
+        indices = np.asarray(indices)
+        if indices.size and (indices.min() < 0 or indices.max() >= len(self.offsets)):
+            raise IndexError("row index outside the constraint stack")
+        family = np.searchsorted(np.cumsum(self.family_sizes), indices, side="right")
+        return dict(zip(FAMILIES, np.bincount(family, minlength=len(FAMILIES)).tolist()))
 
     def certificate_from_decision(self, decision: np.ndarray) -> BarrierCertificate:
         d = np.asarray(decision, dtype=float)
@@ -357,13 +320,11 @@ def assemble(
         raise ValueError("coeff_bound must be positive")
 
     width = 1 + template.size
-    family_sizes = (len(x0), len(xu), data.count)
-    samples = sum(family_sizes)
     bound_rows = 0 if coeff_bound is None else 2 * width
-    total = samples + bound_rows + int(level_gap_row)
-    rows = np.zeros((total, width))
-    offsets = np.zeros(total)
-    tags = np.empty(total, dtype=_TAG_DTYPE)
+    family_sizes = (len(x0), len(xu), data.count, bound_rows, int(level_gap_row))
+    samples = sum(family_sizes[:3])
+    rows = np.zeros((sum(family_sizes), width))
+    offsets = np.zeros(len(rows))
     initial = slice(0, len(x0))
     unsafe = slice(initial.stop, initial.stop + len(xu))
     flow = slice(unsafe.stop, samples)
@@ -371,18 +332,15 @@ def assemble(
     if len(x0):
         rows[initial, 1:] = template.basis_matrix(x0)
     offsets[initial] = -initial_level
-    tags[initial] = TAG_INITIAL
 
     rows[unsafe, 0] = 1.0
     if len(xu):
         np.negative(template.basis_matrix(xu), out=rows[unsafe, 1:])
-    tags[unsafe] = TAG_UNSAFE
 
     if data.count:
         discounted = template.basis_matrix(data.states)
         discounted *= decay
         np.subtract(template.basis_matrix(data.successors), discounted, out=rows[flow, 1:])
-    tags[flow] = TAG_FLOW
 
     if bound_rows:
         # each decision entry gets a +e_j and a -e_j row
@@ -390,19 +348,16 @@ def assemble(
         bounds[0::2] = np.eye(width)
         bounds[1::2] = -np.eye(width)
         offsets[samples : samples + bound_rows] = -coeff_bound
-        tags[samples : samples + bound_rows] = TAG_BOUND
     if level_gap_row:
         rows[-1, 0] = -1.0
         offsets[-1] = initial_level
-        tags[-1] = TAG_GAP
 
     return ConstraintSystem(
         template=template,
         decay=decay,
         initial_level=float(initial_level),
-        all_rows=rows,
-        all_offsets=offsets,
-        all_tags=tags,
+        rows=rows,
+        offsets=offsets,
         family_sizes=family_sizes,
     )
 

@@ -136,15 +136,19 @@ def _reproduce_worker(args):
 
 def _sweep_worker(args):
     config_data, param, value = args
+    config = _sweep_config(RunConfig.from_dict(config_data), param, value)
     try:
-        config = _sweep_config(RunConfig.from_dict(config_data), param, value)
+        config.validate()
+    except ValueError as exc:  # this value makes the config invalid
+        return {"value": value, "error": str(exc)}
+    try:
         artifacts = run(config)
-        ours = _ours_row(artifacts.report)
-        ours["value"] = value
-        ours["error"] = ""
-        return ours
     except PhysbcError as exc:
         return {"value": value, "error": str(exc)}
+    ours = _ours_row(artifacts.report)
+    ours["value"] = value
+    ours["error"] = ""
+    return ours
 
 
 def _sweep_config(config: RunConfig, param: str, value: float) -> RunConfig:
@@ -197,7 +201,10 @@ def cmd_run(config_path, preset_name, mode, seed, no_filter, out_dir):
             config = _load_config(config_path)
         else:
             config = preset(preset_name, mode or MODE_DETERMINISTIC)
-        config = apply_overrides(config, seed=seed, mode=mode, no_filter=no_filter)
+        try:
+            config = apply_overrides(config, seed=seed, mode=mode, no_filter=no_filter)
+        except ValueError as exc:  # an override made the config invalid
+            raise PhysbcError(str(exc)) from exc
         artifacts = run(config)
         report = write_artifacts(artifacts, out_dir)
     except PhysbcError as exc:

@@ -28,7 +28,7 @@ estimator gathers the slopes in draw order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,6 +79,9 @@ class LipschitzEstimate:
     @property
     def overall(self) -> float:
         return max(self.barrier, self.flow)
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "overall": self.overall}
 
 
 def _require_pairs(values: SampleValues, dataset: Dataset) -> None:

@@ -64,6 +64,15 @@ class RegionBox:
         mask = np.all((pts >= self.lower - slack) & (pts <= self.upper + slack), axis=1)
         return mask[0] if np.asarray(points).ndim == 1 else mask
 
+    def grid(self, counts) -> np.ndarray:
+        """Lattice of ``counts[i]`` evenly spaced points on axis ``i``, faces included.
+
+        Returns ``(prod(counts), n)`` points, the first axis varying slowest.
+        """
+        axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(self.lower, self.upper, counts)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+
     def contains_box(self, other: "RegionBox") -> bool:
         return bool(np.all(other.lower >= self.lower) and np.all(other.upper <= self.upper))
 

@@ -85,15 +85,9 @@ def region_cover(region: RegionBox, per_axis_density: float) -> np.ndarray:
     """
     if per_axis_density <= 0:
         raise ValueError("density must be positive")
-    counts = [
-        max(2, int(math.ceil(length * per_axis_density)) + 1) for length in region.lengths
-    ]
-    axes = [
-        np.linspace(region.lower[i], region.upper[i], counts[i])
-        for i in range(region.dimension)
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return region.grid(
+        [max(2, int(math.ceil(length * per_axis_density)) + 1) for length in region.lengths]
+    )
 
 
 def dataset_hash(dataset: Dataset) -> str:
@@ -172,26 +166,20 @@ def run(config: RunConfig) -> RunArtifacts:
 
     # ---- minimax solve ---------------------------------------------------------
     t0 = clock()
-    rows, offsets, tags = system.full_rows()
-    result = solve(rows, offsets)
+    result = solve(system.rows, system.offsets)
     if result.status != STATUS_OPTIMAL:
         raise PhysbcError(f"scenario program did not solve to optimality: {result.status}")
     certificate = system.certificate_from_decision(result.decision)
     cross: Optional[dict] = None
     if config.solver.cross_check:
         # the HiGHS exchange; its first call imports scipy.optimize
-        direct = solve_minmax_direct(rows, offsets)
+        direct = solve_minmax_direct(system.rows, system.offsets)
         cross = {
             "status": direct.status,
             "slack": direct.slack,
             "difference": abs(direct.slack - result.slack),
         }
     timings["solve"] = clock() - t0
-
-    active_tags = {
-        tag: int(np.sum(tags[result.active_rows] == tag))
-        for tag in ("initial", "unsafe", "flow", "bound", "gap")
-    }
 
     # ---- residual audit -------------------------------------------------------
     # B on the retained pairs, evaluated once for the audit and the estimator
@@ -264,7 +252,7 @@ def run(config: RunConfig) -> RunArtifacts:
             "status": result.status,
             "slack": result.slack,
             "decision": result.decision.tolist(),
-            "active_rows": active_tags,
+            "active_rows": system.family_counts(result.active_rows),
             "cross_check": cross,
         },
         "certificate": certificate.to_dict(),
@@ -272,14 +260,7 @@ def run(config: RunConfig) -> RunArtifacts:
             **residuals.to_dict(),
             "passes_at_slack": residuals.passes_at(result.slack),
         },
-        "lipschitz": {
-            "barrier": estimate.barrier,
-            "flow": estimate.flow,
-            "overall": estimate.overall,
-            "method": estimate.method,
-            "samples_used": estimate.samples_used,
-            "safety_multiplier": estimate.safety_multiplier,
-        },
+        "lipschitz": estimate.to_dict(),
         "guarantee": guarantee_report,
         "certification": certification.to_dict(),
         "empirical": {

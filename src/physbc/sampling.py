@@ -115,15 +115,12 @@ def sample_grid(
     """
     if model.dimension != domain.dimension:
         raise ModelMismatchError("model and domain dimensions differ")
-    n = domain.dimension
-    counts = np.broadcast_to(np.asarray(counts_per_axis, dtype=int), (n,))
+    counts = np.broadcast_to(np.asarray(counts_per_axis, dtype=int), (domain.dimension,))
     if np.any(counts < 2):
         raise ValueError("need at least 2 grid points per axis")
     total = int(np.prod(counts.astype(object)))
     _check_capacity(total, max_count)
-    axes = [np.linspace(domain.lower[i], domain.upper[i], counts[i]) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    states = np.stack([m.ravel() for m in mesh], axis=1)
+    states = domain.grid(counts)
     return Dataset(states, model.step_many(states), SCHEME_GRID, domain)
 
 

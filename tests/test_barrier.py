@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 from oracles import assemble_vstack, basis_matrix_pow, basis_matrix_repeated
 from physbc.barrier import (
     DEFAULT_INITIAL_LEVEL,
-    TAG_BOUND,
-    TAG_FLOW,
-    TAG_GAP,
-    TAG_INITIAL,
-    TAG_UNSAFE,
+    FAMILIES,
     BarrierCertificate,
     BarrierTemplate,
     assemble,
@@ -182,8 +178,10 @@ def test_assemble_row_structure():
     system = assemble(template, 0.83, data, x0, xu,
                       domain=DOMAIN, initial_region=INITIAL, unsafe_region=UNSAFE)
 
-    assert system.counts == {TAG_INITIAL: 2, TAG_UNSAFE: 2, TAG_FLOW: 4}
-    assert system.rows.shape == (8, 4)
+    assert system.counts == {"initial": 2, "unsafe": 2, "flow": 4}
+    # then 2 bound rows per decision entry and the level-gap row
+    assert system.family_sizes == (2, 2, 4, 8, 1)
+    assert system.rows.shape == (17, 4)
     assert system.initial_level == DEFAULT_INITIAL_LEVEL
 
     # initial rows:  B(x) - initial_level <= slack, pin folded into the offset
@@ -195,7 +193,7 @@ def test_assemble_row_structure():
     x, y = data.states[0, 0], data.successors[0, 0]
     expected = [0.0, y * y - 0.83 * x * x, y - 0.83 * x, 1.0 - 0.83]
     assert system.rows[4] == pytest.approx(expected)
-    assert np.all(system.offsets[2:] == 0.0)
+    assert np.all(system.offsets[2:8] == 0.0)
 
 
 def test_assemble_auxiliary_rows():
@@ -205,18 +203,15 @@ def test_assemble_auxiliary_rows():
                       coeff_bound=50.0, initial_level=2e-3)
     width = system.decision_size
     assert width == 4
-    assert system.aux_rows.shape == (2 * width + 1, width)
-    bounds = system.aux_rows[:-1]
-    assert np.all(system.aux_offsets[:-1] == -50.0)
-    assert np.all(system.aux_tags[:-1] == TAG_BOUND)
+    assert system.family_sizes == (1, 1, 3, 2 * width, 1)
+    bounds = system.rows[5:-1]
+    assert np.all(system.offsets[5:-1] == -50.0)
     # each decision entry gets a +e_j and a -e_j row
     assert bounds[0::2] == pytest.approx(np.eye(width))
     assert bounds[1::2] == pytest.approx(-np.eye(width))
     # the gap row reads initial_level - unsafe_level <= slack
-    gap = system.aux_rows[-1]
-    assert system.aux_tags[-1] == TAG_GAP
-    assert gap == pytest.approx([-1.0, 0.0, 0.0, 0.0])
-    assert system.aux_offsets[-1] == pytest.approx(2e-3)
+    assert system.rows[-1] == pytest.approx([-1.0, 0.0, 0.0, 0.0])
+    assert system.offsets[-1] == pytest.approx(2e-3)
 
 
 def test_assemble_can_omit_auxiliary_rows():
@@ -224,11 +219,9 @@ def test_assemble_can_omit_auxiliary_rows():
     template = BarrierTemplate.quadratic(1)
     system = assemble(template, 0.83, data, np.array([[0.55]]), np.array([[2.65]]),
                       coeff_bound=None, level_gap_row=False)
-    assert system.aux_rows.shape == (0, system.decision_size)
-    rows, offsets, tags = system.full_rows()
-    assert rows.shape == system.rows.shape
-    assert len(tags) == len(system.tags)
-    assert np.array_equal(offsets, system.offsets)
+    assert system.family_sizes == (1, 1, 3, 0, 0)
+    assert system.rows.shape == (5, system.decision_size)
+    assert system.offsets.shape == (5,)
 
 
 STACK_CASES = {
@@ -239,9 +232,8 @@ STACK_CASES = {
 }
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
-@pytest.mark.parametrize("case", sorted(STACK_CASES))
-def test_assemble_writes_one_stack_equal_to_vstack(case, dimension):
+def _stack_case(case, dimension):
+    """One assembled system and its ``assemble_vstack`` oracle."""
     options = STACK_CASES[case]
     rng = np.random.default_rng(dimension)
     box = RegionBox(np.zeros(dimension), np.full(dimension, 3.0))
@@ -251,39 +243,38 @@ def test_assemble_writes_one_stack_equal_to_vstack(case, dimension):
     x0 = rng.uniform(0.0, 0.5, size=(4, dimension))
     xu = rng.uniform(2.5, 3.0, size=(6, dimension))
     system = assemble(template, 0.83, data, x0, xu, **options)
-    expected = assemble_vstack(template, 0.83, data, x0, xu, **options)
-
-    for got, want in zip((system.rows, system.offsets, system.tags,
-                          system.aux_rows, system.aux_offsets, system.aux_tags), expected):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-    rows, offsets, tags = system.full_rows()
-    assert np.array_equal(rows, np.vstack([expected[0], expected[3]]))
-    assert np.array_equal(offsets, np.concatenate([expected[1], expected[4]]))
-    assert np.array_equal(tags, np.concatenate([expected[2], expected[5]]))
-    assert system.counts == {TAG_INITIAL: 4, TAG_UNSAFE: 6, TAG_FLOW: 50}
-
-    # the solver's stack is the storage the sample and auxiliary views read
-    for full, part in ((rows, system.rows), (rows, system.aux_rows),
-                       (offsets, system.offsets), (offsets, system.aux_offsets),
-                       (tags, system.tags), (tags, system.aux_tags)):
-        assert not full.flags.writeable and not part.flags.writeable
-        if part.size:
-            assert np.shares_memory(full, part)
-    assert system.full_rows()[0] is rows
+    return system, assemble_vstack(template, 0.83, data, x0, xu, **options)
 
 
-def test_row_values_match_manual_arithmetic():
-    data = _toy_dataset(2)
-    template = BarrierTemplate.quadratic(1)
-    system = assemble(template, 0.9, data, np.array([[0.5]]), np.array([[2.7]]))
-    decision = np.array([2.0, 0.1, -0.2, 0.3])
-    values = system.row_values(decision)
-    assert values == pytest.approx(system.rows @ decision + system.offsets)
-    full = system.row_values(decision, include_aux=True)
-    assert full.size == len(system.rows) + len(system.aux_rows)
-    with pytest.raises(ValueError):
-        system.row_values(np.zeros(5))
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_assemble_writes_one_stack_equal_to_vstack(case, dimension):
+    system, expected = _stack_case(case, dimension)
+    rows, offsets, tags, extra_rows, extra_offsets, extra_tags = expected
+    assert np.array_equal(system.rows, np.vstack([rows, extra_rows]))
+    assert np.array_equal(system.offsets, np.concatenate([offsets, extra_offsets]))
+    # a row's family is its position: the per-row tags follow from the sizes
+    assert np.array_equal(np.repeat(FAMILIES, system.family_sizes),
+                          np.concatenate([tags, extra_tags]))
+    assert system.counts == {"initial": 4, "unsafe": 6, "flow": 50}
+    assert not system.rows.flags.writeable and not system.offsets.flags.writeable
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_family_counts_match_tag_tally(case, dimension):
+    system, expected = _stack_case(case, dimension)
+    tags = np.concatenate([expected[2], expected[5]])
+    rng = np.random.default_rng([dimension, len(tags)])
+    draws = [np.empty(0, dtype=int), np.arange(len(tags)), np.array([len(tags) - 1])]
+    draws += [rng.integers(0, len(tags), size=k) for k in (1, 5, 17, 200)]
+    draws += [np.sort(rng.choice(len(tags), size=k, replace=False)) for k in (3, 9)]
+    for indices in draws:
+        tally = {family: int(np.sum(tags[indices] == family)) for family in FAMILIES}
+        assert system.family_counts(indices) == tally
+    for outside in ([-1], [len(tags)]):
+        with pytest.raises(IndexError):
+            system.family_counts(np.array(outside))
 
 
 def test_certificate_from_decision():

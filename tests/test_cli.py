@@ -116,6 +116,19 @@ def test_run_preset_with_overrides(tmp_path):
     assert report["verdict"] == "pass"
 
 
+def test_run_reports_an_override_that_makes_the_config_invalid(tmp_path):
+    data = small_config_dict()
+    data["guarantee"]["risk"] = 2.0  # unread in deterministic mode, so the file loads
+    path = tmp_path / "risky.json"
+    path.write_text(json.dumps(data))
+    result = CliRunner().invoke(main, ["run", "--config", str(path), "--mode", "probabilistic",
+                                       "--out", str(tmp_path / "o")])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "error: risk must lie strictly between 0 and 1" in result.output
+    assert not (tmp_path / "o").exists()
+
+
 # ------------------------------------------------------------------ validate
 
 
@@ -264,6 +277,22 @@ def test_sweep_writes_one_row_per_value(config_path, tmp_path):
     assert all(r["error"] == "" for r in rows)
     # tighter thresholds keep fewer samples
     assert int(rows[0]["samples"]) < int(rows[1]["samples"])
+
+
+@pytest.mark.parametrize("param, values", [("samples", "4000,1"), ("threshold", "0.005,-1")])
+def test_sweep_records_an_invalid_value_as_its_error_row(param, values, config_path, tmp_path):
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, [
+        "sweep", "--config", config_path, "--param", param,
+        "--values", values, "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    with open(out, newline="") as fh:
+        good, bad = csv.DictReader(fh)
+    assert good["error"] == "" and good["verdict"] == "pass"
+    assert float(bad["value"]) == float(values.split(",")[1])
+    assert bad["error"] and bad["verdict"] == ""
+    assert f"ERROR: {bad['error']}" in result.output
 
 
 def test_sweep_rejects_bad_values(config_path, tmp_path):

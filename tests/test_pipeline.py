@@ -89,6 +89,8 @@ def test_report_has_expected_sections(det_run):
     assert report["residuals"]["passes_at_slack"]
     assert set(report["solver"]["active_rows"]) == {
         "initial", "unsafe", "flow", "bound", "gap"}
+    assert set(report["lipschitz"]) == {
+        "barrier", "flow", "overall", "method", "samples_used", "safety_multiplier"}
     assert set(report["timing"]) == {
         "sample", "filter", "assemble", "solve", "audit", "lipschitz", "certify", "validate"}
     # serialisable end to end
@@ -124,7 +126,7 @@ def _non_float_fields(tree):
 def test_constraint_generation_matches_full_lp_on_reference_systems(key, monkeypatch):
     config = reference_config(key, 0.05)
     shipped = run(config)
-    rows, offsets, _ = shipped.system.full_rows()
+    rows, offsets = shipped.system.rows, shipped.system.offsets
     oracle = minimax_full_lp(rows, offsets)
     assert shipped.solve_result.optimal
     assert shipped.solve_result.slack == pytest.approx(oracle.slack, abs=1e-9)
@@ -164,6 +166,41 @@ def test_exact_lipschitz_bounds_random_pairs_on_reference_systems(key, monkeypat
         for block in ("timing", "lipschitz", "certification"):
             report.pop(block)
     assert report_json(shipped) == report_json(drawn)
+
+
+# Stored outputs of the eight reference settings at scale 0.05: verdict,
+# Lipschitz samples, retained samples (None: filter off) and dataset hash.
+# Every setting binds one unsafe, one flow, two bound rows and the gap row.
+REFERENCE_EXPECTATIONS = {
+    "sd-det-trad": ("pass", 10999, None,
+                    "f9718e9683ea7de01203ab3366387f7f7b779c834a72661d8347fc7ed3d4dc6c"),
+    "sd-det-phys": ("pass", 5499, 5500,
+                    "f9718e9683ea7de01203ab3366387f7f7b779c834a72661d8347fc7ed3d4dc6c"),
+    "sd-prob-trad": ("fail", 14999, None,
+                     "f6cc5cb631bda113850f4b97868873d254ae46ecdd3cf7815aba05aec5e22c47"),
+    "sd-prob-phys": ("fail", 7507, 7508,
+                     "f6cc5cb631bda113850f4b97868873d254ae46ecdd3cf7815aba05aec5e22c47"),
+    "lg-det-trad": ("fail", 4499, None,
+                    "6e757d688ff42989b64952d681877137e54b5dfcb5ccda06b1c3a24dfc280199"),
+    "lg-det-phys": ("fail", 2249, 2250,
+                    "6e757d688ff42989b64952d681877137e54b5dfcb5ccda06b1c3a24dfc280199"),
+    "lg-prob-trad": ("fail", 12999, None,
+                     "bbfa5b71cf9f4dc36171534bcee1933375d1ce3b4e05150690dd691c5748a0cc"),
+    "lg-prob-phys": ("fail", 6500, 6501,
+                     "bbfa5b71cf9f4dc36171534bcee1933375d1ce3b4e05150690dd691c5748a0cc"),
+}
+REFERENCE_ACTIVE_ROWS = {"initial": 0, "unsafe": 1, "flow": 1, "bound": 2, "gap": 1}
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE_RESULTS))
+def test_reference_settings_match_stored_expectations(key):
+    verdict, samples_used, retained_count, data_hash = REFERENCE_EXPECTATIONS[key]
+    report = run(reference_config(key, 0.05)).report
+    assert report["verdict"] == verdict
+    assert report["solver"]["active_rows"] == REFERENCE_ACTIVE_ROWS
+    assert report["lipschitz"]["samples_used"] == samples_used
+    assert report["filter"].get("retained_count") == retained_count
+    assert report["dataset"]["hash"] == data_hash
 
 
 def test_run_evaluates_the_barrier_on_retained_pairs_twice_after_the_solve(monkeypatch):

@@ -182,7 +182,7 @@ def test_load_reports_line_numbers(tmp_path):
     path = str(tmp_path / "d.csv")
     save_dataset(data, path)
 
-    lines = open(path).read().splitlines()
+    lines = (tmp_path / "d.csv").read_text().splitlines()
     lines[3] = "0.6,not-a-number"
     (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetParseError) as err:
@@ -195,7 +195,7 @@ def test_load_rejects_bad_header_and_column_count(tmp_path):
     data = sample_grid(supply_demand(), DOMAIN, 4)
     path = str(tmp_path / "d.csv")
     save_dataset(data, path)
-    lines = open(path).read().splitlines()
+    lines = (tmp_path / "d.csv").read_text().splitlines()
 
     (tmp_path / "d.csv").write_text("\n".join(["a,b"] + lines[1:]) + "\n")
     with pytest.raises(DatasetParseError) as err:
@@ -212,7 +212,7 @@ def test_load_detects_row_count_drift(tmp_path):
     data = sample_grid(supply_demand(), DOMAIN, 6)
     path = str(tmp_path / "d.csv")
     save_dataset(data, path)
-    lines = open(path).read().splitlines()
+    lines = (tmp_path / "d.csv").read_text().splitlines()
     (tmp_path / "d.csv").write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(DatasetParseError):
         load_dataset(path)
