@@ -120,6 +120,12 @@ class RunConfig:
             raise ValueError("template degree must be non-negative")
         if not self.solver.initial_level > 0:
             raise ValueError("pinned initial level must be positive")
+        if self.solver.coeff_bound is not None and not self.solver.coeff_bound > 0:
+            raise ValueError("coeff_bound must be positive or null")
+        if self.validation.trajectories < 1:
+            raise ValueError("validation trajectories must be at least 1")
+        if self.validation.horizon < 1:
+            raise ValueError("validation horizon must be at least 1")
         self.physics_model()  # raises on malformed custom systems
 
     # ---- model construction -------------------------------------------------

@@ -97,8 +97,10 @@ def _neighbour_maxima(values: SampleValues, dataset: Dataset):
 
     Sorts the states once and groups equal coordinates; between adjacent
     groups the steepest slope pairs one group's highest value with the other's
-    lowest.  Where three values are collinear a wider secant can round one ulp
-    above the neighbour slopes, which the multiplier's headroom dwarfs.
+    lowest; when no two states coincide each group is one state and the
+    grouping reductions are skipped.  Where three values are collinear a wider
+    secant can round one ulp above the neighbour slopes, which the
+    multiplier's headroom dwarfs.
     Returns ``(barrier, flow, adjacent group pairs)``.
     """
     _require_pairs(values, dataset)
@@ -111,13 +113,17 @@ def _neighbour_maxima(values: SampleValues, dataset: Dataset):
     starts = np.flatnonzero(fresh)
     if starts.size < 2:
         raise DegenerateDataError("all sample states coincide")
-    gaps = np.diff(coords[starts])
+    distinct = starts.size == coords.size
+    gaps = np.diff(coords if distinct else coords[starts])
 
     def steepest(family: np.ndarray) -> float:
         family = family[order]
-        lo = np.minimum.reduceat(family, starts)
-        hi = np.maximum.reduceat(family, starts)
-        rise = np.maximum(np.abs(hi[1:] - lo[:-1]), np.abs(lo[1:] - hi[:-1]))
+        if distinct:  # one state per group: lo = hi = family
+            rise = np.abs(np.diff(family))
+        else:
+            lo = np.minimum.reduceat(family, starts)
+            hi = np.maximum.reduceat(family, starts)
+            rise = np.maximum(np.abs(hi[1:] - lo[:-1]), np.abs(lo[1:] - hi[:-1]))
         return float((rise / gaps).max())
 
     return steepest(values.barrier), steepest(values.flow), starts.size - 1

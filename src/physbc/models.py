@@ -4,6 +4,13 @@ A model is a map ``x(k+1) = f(x(k))`` over a box-shaped state space.  Two
 polynomial families cover the builtin case studies; a third kind wraps any
 base model with a sinusoidal perturbation and stands in for a ground-truth
 system whose dynamics deviate from the nominal physics by a bounded amount.
+
+Every evaluation of ``f`` goes through one kernel, ``SystemModel._advance``,
+which writes into caller-supplied buffers: :meth:`SystemModel.step_many`,
+:meth:`SystemModel.simulate` and :func:`check_safety_empirically` all call
+it, so a batch step and a simulated step are the same arithmetic.  The
+Monte-Carlo rollout writes its steps into one preallocated block of at most
+``_BLOCK_VALUES`` entries and tests unsafe membership once per block.
 """
 
 from __future__ import annotations
@@ -14,6 +21,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidStateError
+
+# Rollout block size: at most this many float64 state entries (512 KiB) per
+# block of steps, and always at least one step.
+_BLOCK_VALUES = 1 << 16
 
 KIND_AFFINE = "affine"
 KIND_QUADRATIC = "quadratic-polynomial"
@@ -104,9 +115,14 @@ class PerturbationField:
         if self.frequency <= 0:
             raise ValueError("frequency must be positive")
 
-    def __call__(self, states: np.ndarray) -> np.ndarray:
+    def __call__(self, states: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Deviation at ``states``, written into ``out`` when one is given."""
         x = np.asarray(states, dtype=float)
-        return self.amplitude * np.sin(2.0 * np.pi * self.frequency * x + self.phase)
+        out = np.multiply(x, 2.0 * np.pi * self.frequency, out=out)
+        out += self.phase
+        np.sin(out, out=out)
+        out *= self.amplitude
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,17 +185,40 @@ class SystemModel:
     def dimension(self) -> int:
         return self.offset.size
 
+    def _advance(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write ``f(x)`` for a batch ``x`` ``(N, n)`` into ``out``, using ``scratch``.
+
+        Both buffers are ``(N, n)`` and overlap neither ``x`` nor each other.
+        The terms are accumulated by per-axis broadcasting, in this order: the
+        linear columns in axis order, the offset, the quadratic terms
+        ``(x_i q_kij) x_j`` in ``(i, j)`` order, and the perturbation.  In 1-D
+        this is bit-identical to ``x @ linear.T + offset`` plus the
+        ``einsum`` quadratic form; for n >= 2 only the summation rounding differs.
+        """
+        linear, quadratic = self.linear, self.quadratic
+        n = self.dimension
+        np.multiply(x[:, 0:1], linear[:, 0], out=out)
+        for i in range(1, n):
+            np.multiply(x[:, i:i + 1], linear[:, i], out=scratch)
+            out += scratch
+        out += self.offset
+        if quadratic is not None:
+            for i in range(n):
+                for j in range(n):
+                    np.multiply(x[:, i:i + 1], quadratic[:, i, j], out=scratch)
+                    scratch *= x[:, j:j + 1]
+                    out += scratch
+        if self.perturbation is not None:
+            out += self.perturbation(x, out=scratch)
+
     def step_many(self, states: np.ndarray) -> np.ndarray:
         """Advance a batch of states ``(N, n)`` by one step."""
         x = np.asarray(states, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.dimension:
             raise InvalidStateError(f"expected (N, {self.dimension}) states, got {x.shape}")
-        y = x @ self.linear.T + self.offset
-        if self.quadratic is not None:
-            y = y + np.einsum("ni,kij,nj->nk", x, self.quadratic, x)
-        if self.perturbation is not None:
-            y = y + self.perturbation(x)
-        return y
+        out = np.empty(x.shape)
+        self._advance(x, out, np.empty(x.shape))
+        return out
 
     def step(self, state: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(state, dtype=float))
@@ -194,12 +233,15 @@ class SystemModel:
         if horizon < 0:
             raise ValueError("horizon must be non-negative")
         x = np.atleast_1d(np.asarray(state, dtype=float))
+        if x.shape != (self.dimension,):
+            raise InvalidStateError(f"expected state of dimension {self.dimension}, got {x.shape}")
         if not np.isfinite(x).all():
             raise InvalidStateError("state contains non-finite entries")
         out = np.empty((horizon + 1, self.dimension))
         out[0] = x
+        scratch = np.empty((1, self.dimension))
         for k in range(horizon):
-            out[k + 1] = self.step_many(out[k][None, :])[0]
+            self._advance(out[k:k + 1], out[k + 1:k + 2], scratch)
         return out
 
 
@@ -219,6 +261,11 @@ class SafetyCheck:
         return self.violation_count == 0
 
 
+def _block_steps(trajectories: int, dimension: int) -> int:
+    """Steps per rollout block: ``_BLOCK_VALUES`` entries, and at least one step."""
+    return max(1, _BLOCK_VALUES // max(1, trajectories * dimension))
+
+
 def check_safety_empirically(
     model: SystemModel,
     initial: RegionBox,
@@ -232,32 +279,46 @@ def check_safety_empirically(
     States are drawn uniformly from ``initial``; each trajectory is rolled
     forward ``horizon`` steps.  A trajectory counts as violating at the first
     step whose state lies in ``unsafe``; it is still advanced afterwards so
-    the check's cost is deterministic.
+    the check's cost is deterministic and independent of the hits.
+
+    The steps go through the model's one kernel, each written straight into
+    a preallocated ``(block, trajectories, n)`` array of at most
+    ``_BLOCK_VALUES`` entries, so memory stays flat in ``horizon``.  Unsafe
+    membership (``RegionBox.contains`` at ``rtol = 0``) is tested once per
+    block, and a trajectory's first hit in a block is the ``argmax`` over the
+    block's steps.
     """
     if initial.dimension != model.dimension or unsafe.dimension != model.dimension:
         raise InvalidStateError("region dimension does not match the model")
+    if horizon < 0:
+        raise ValueError("horizon must be non-negative")
+    n = model.dimension
     rng = np.random.default_rng(seed)
-    states = rng.uniform(initial.lower, initial.upper, size=(trajectories, model.dimension))
+    states = rng.uniform(initial.lower, initial.upper, size=(trajectories, n))
     first_hit = np.full(trajectories, -1, dtype=int)
-    hit_state = np.zeros((trajectories, model.dimension))
+    hit_state = np.zeros((trajectories, n))
 
-    # The loop repeats step_many's arithmetic in its order, and
-    # RegionBox.contains at rtol = 0, without their per-call checks.
+    steps = min(horizon + 1, _block_steps(trajectories, n))
+    block = np.empty((steps, trajectories, n))
+    scratch = np.empty((trajectories, n))
     lower, upper = unsafe.lower, unsafe.upper
-    linear_t, offset = model.linear.T, model.offset
-    quadratic, perturbation = model.quadratic, model.perturbation
-    for k in range(horizon + 1):
-        if k:
-            y = states @ linear_t + offset
-            if quadratic is not None:
-                y += np.einsum("ni,kij,nj->nk", states, quadratic, states)
-            if perturbation is not None:
-                y += perturbation(states)
-            states = y
-        fresh = ((states >= lower) & (states <= upper)).all(axis=1) & (first_hit < 0)
-        if fresh.any():
-            first_hit[fresh] = k
-            hit_state[fresh] = states[fresh]
+    for start in range(0, horizon + 1, steps):
+        if start:
+            # states carries the previous block's last step
+            model._advance(states, block[0], scratch)
+        else:
+            block[0] = states
+        count = min(steps, horizon + 1 - start)
+        for s in range(1, count):
+            model._advance(block[s - 1], block[s], scratch)
+        window = block[:count]
+        inside = ((window >= lower) & (window <= upper)).all(axis=2)
+        fresh = np.flatnonzero(inside.any(axis=0) & (first_hit < 0))
+        if fresh.size:
+            at = inside[:, fresh].argmax(axis=0)
+            first_hit[fresh] = start + at
+            hit_state[fresh] = window[at, fresh]
+        states[...] = window[-1]
 
     violating = np.nonzero(first_hit >= 0)[0]
     events = tuple(

@@ -289,6 +289,47 @@ def pairwise_all_pairs(certificate, dataset):
     return float(barrier.max()), float(flow.max())
 
 
+def step_many_matmul(model, states):
+    """The former body of :meth:`physbc.models.SystemModel.step_many`.
+
+    One ``matmul`` for the linear part, one ``einsum`` for the quadratic
+    form and the perturbation written out as ``A sin(2 pi nu x + phase)``.
+    """
+    x = np.asarray(states, dtype=float)
+    y = x @ model.linear.T + model.offset
+    if model.quadratic is not None:
+        y = y + np.einsum("ni,kij,nj->nk", x, model.quadratic, x)
+    field = model.perturbation
+    if field is not None:
+        y = y + field.amplitude * np.sin(2.0 * np.pi * field.frequency * x + field.phase)
+    return y
+
+
+def neighbour_maxima_grouped(values, dataset):
+    """The former body of :func:`physbc.lipschitz._neighbour_maxima`.
+
+    Always groups equal coordinates with ``reduceat``, also when every state
+    is distinct.  Returns ``(barrier, flow, adjacent group pairs)``.
+    """
+    coords = dataset.states[:, 0]
+    order = np.argsort(coords)
+    coords = coords[order]
+    fresh = np.empty(coords.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(coords[1:], coords[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    gaps = np.diff(coords[starts])
+
+    def steepest(family):
+        family = family[order]
+        lo = np.minimum.reduceat(family, starts)
+        hi = np.maximum.reduceat(family, starts)
+        rise = np.maximum(np.abs(hi[1:] - lo[:-1]), np.abs(lo[1:] - hi[:-1]))
+        return float((rise / gaps).max())
+
+    return steepest(values.barrier), steepest(values.flow), starts.size - 1
+
+
 def safety_by_step_many(model, initial, unsafe, trajectories=1000, horizon=500, seed=0):
     """Drop-in for :func:`physbc.models.check_safety_empirically` built from public calls.
 

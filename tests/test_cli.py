@@ -105,6 +105,31 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section, value, message", [
+    ("solver", {"coeff_bound": -1.0}, "coeff_bound must be positive"),
+    ("validation", {"trajectories": 0}, "validation trajectories must be at least 1"),
+    ("validation", {"horizon": 0}, "validation horizon must be at least 1"),
+], ids=["negative-coeff-bound", "zero-trajectories", "zero-horizon"])
+def test_run_rejects_bad_solver_or_validation_section_at_load(section, value, message,
+                                                               tmp_path, monkeypatch):
+    data = small_config_dict()
+    data[section].update(value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+
+    def no_work(config):
+        raise AssertionError("the pipeline ran on a config that should not load")
+
+    monkeypatch.setattr("physbc.cli.run", no_work)
+    result = CliRunner().invoke(main, ["run", "--config", str(bad),
+                                       "--out", str(tmp_path / "o")])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "error: could not load config" in result.output
+    assert message in result.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_preset_with_overrides(tmp_path):
     out = tmp_path / "preset-out"
     result = CliRunner().invoke(

@@ -13,6 +13,8 @@ from physbc.config import (
     PerturbationSpec,
     RunConfig,
     SamplingSpec,
+    SolverSpec,
+    ValidationSpec,
     apply_overrides,
     preset,
 )
@@ -119,6 +121,13 @@ def test_validate_rejects_bad_geometry_and_knobs():
         ).validate()
     with pytest.raises(ValueError, match="degree"):
         small_config(template_degree=-1).validate()
+    with pytest.raises(ValueError, match="coeff_bound"):
+        small_config(solver=SolverSpec(coeff_bound=0.0)).validate()
+    with pytest.raises(ValueError, match="trajectories"):
+        small_config(validation=ValidationSpec(trajectories=0)).validate()
+    with pytest.raises(ValueError, match="horizon"):
+        small_config(validation=ValidationSpec(horizon=-1)).validate()
+    small_config(solver=SolverSpec(coeff_bound=None)).validate()
 
 
 def test_risk_only_checked_in_probabilistic_mode():

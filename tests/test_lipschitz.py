@@ -3,12 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import extreme_value_whole_array, pairwise_all_pairs, pairwise_whole_array
+from oracles import (
+    extreme_value_whole_array,
+    neighbour_maxima_grouped,
+    pairwise_all_pairs,
+    pairwise_whole_array,
+)
 from physbc.barrier import BarrierCertificate, BarrierTemplate, sample_values
 from physbc.errors import DegenerateDataError, ModelMismatchError
 from physbc.lipschitz import (
     _CHUNK,
     METHOD_EXTREME,
+    _neighbour_maxima,
     METHOD_PAIRWISE,
     LipschitzSpec,
     estimate_extreme_value,
@@ -268,3 +274,14 @@ def test_1d_pairwise_is_the_exact_all_pairs_maximum(pairs, ascending):
     estimate = estimate_pairwise(sample_values(cert, data), data, config)
     assert (estimate.barrier, estimate.flow) == pairwise_all_pairs(cert, data)
     assert estimate.samples_used == np.unique(states).size - 1
+
+
+@pytest.mark.parametrize("make_data", [
+    lambda: sample_iid(supply_demand(), DOMAIN, 5000, seed=3),  # every state distinct
+    _line_data,
+    _duplicated_data,
+], ids=["iid", "grid", "duplicates"])
+def test_neighbour_maxima_equal_the_grouped_form(make_data):
+    data = make_data()
+    values = sample_values(_quadratic_certificate(1), data)
+    assert _neighbour_maxima(values, data) == neighbour_maxima_grouped(values, data)

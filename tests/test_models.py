@@ -1,9 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import safety_by_step_many
+from oracles import safety_by_step_many, step_many_matmul
+from physbc import models
 from physbc.errors import InvalidStateError
 from physbc.models import (
     PRESET_MODELS,
@@ -135,15 +139,18 @@ def test_step_shape_checks():
 
 
 def test_simulate_matches_repeated_steps():
-    model = logistic_growth()
-    traj = model.simulate(np.array([0.2]), horizon=5)
-    assert traj.shape == (6, 1)
-    x = np.array([0.2])
-    for k in range(5):
-        x = model.step(x)
-        assert traj[k + 1] == pytest.approx(x)
+    plane = SystemModel.perturbed(_plane_quadratic(), PerturbationField(0.003, 40.0, 0.3))
+    for model, start in ((logistic_growth(), [0.2]), (plane, [0.2, 0.1])):
+        traj = model.simulate(np.array(start), horizon=5)
+        assert traj.shape == (6, model.dimension)
+        x = np.array(start)
+        for k in range(5):
+            x = model.step(x)
+            assert traj[k + 1].tobytes() == x.tobytes()
     with pytest.raises(ValueError):
-        model.simulate(np.array([0.2]), horizon=-1)
+        logistic_growth().simulate(np.array([0.2]), horizon=-1)
+    with pytest.raises(InvalidStateError):
+        plane.simulate(np.array([0.2]), horizon=3)
 
 
 @settings(max_examples=50, deadline=None)
@@ -152,7 +159,7 @@ def test_simulate_matches_repeated_steps():
     st.integers(min_value=0, max_value=10_000),
 )
 def test_quadratic_step_matches_naive_form(point, seed):
-    """einsum evaluation agrees with the written-out polynomial."""
+    """The step kernel agrees with the written-out polynomial."""
     rng = np.random.default_rng(seed)
     quad = rng.normal(size=(2, 2, 2))
     lin = rng.normal(size=(2, 2))
@@ -191,6 +198,12 @@ def test_safety_check_region_dimension_mismatch():
     square = RegionBox(np.zeros(2), np.ones(2))
     with pytest.raises(InvalidStateError):
         check_safety_empirically(model, square, square, trajectories=5, horizon=2)
+
+
+def test_safety_check_rejects_negative_horizon():
+    line = RegionBox.interval(0.0, 1.0)
+    with pytest.raises(ValueError, match="horizon"):
+        check_safety_empirically(supply_demand(), line, line, trajectories=5, horizon=-1)
 
 
 def _plane_quadratic():
@@ -235,3 +248,157 @@ def test_safety_check_matches_step_many_oracle(name):
     for (i, step, state), (j, ref_step, ref_state) in zip(lean.violations, oracle.violations):
         assert (i, step) == (j, ref_step)
         assert np.array_equal(state, ref_state)
+
+
+# ------------------------------------------------------- step kernel, rollout
+
+
+def _contracting_model(draw, dimension, kind):
+    """A model pulling states from ``[0, 0.3]^n`` towards a point in ``[0.6, 0.9]^n``.
+
+    Diagonal contraction ``a`` in ``[0.5, 0.99]`` towards a drawn fixed
+    point, small cross-coupling, and for the quadratic and perturbed kinds a
+    quadratic part and a sinusoid of at most 0.01 each.
+    """
+    rate = draw(st.lists(st.floats(0.5, 0.99), min_size=dimension, max_size=dimension))
+    target = draw(st.lists(st.floats(0.6, 0.9), min_size=dimension, max_size=dimension))
+    coupling = draw(st.floats(-0.01, 0.01))
+    linear = np.diag(rate) + coupling * (1.0 - np.eye(dimension))
+    offset = (1.0 - np.array(rate)) * np.array(target)
+    if kind == "affine":
+        return SystemModel.affine(linear, offset)
+    seed = draw(st.integers(0, 2**16))
+    quad = np.random.default_rng(seed).uniform(-0.01, 0.01, size=(dimension,) * 3)
+    model = SystemModel.quadratic_polynomial(quad, linear, offset)
+    if kind == "quadratic":
+        return model
+    field = PerturbationField(draw(st.floats(0.0, 0.01)), draw(st.floats(0.5, 2000.0)),
+                              draw(st.floats(-np.pi, np.pi)))
+    return SystemModel.perturbed(model, field)
+
+
+_KINDS = st.sampled_from(["affine", "quadratic", "perturbed"])
+
+
+@st.composite
+def _model_and_states(draw, dimension):
+    model = _contracting_model(draw, dimension, draw(_KINDS))
+    count = draw(st.integers(0, 40))
+    seed = draw(st.integers(0, 2**16))
+    states = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(count, dimension))
+    return model, states
+
+
+@settings(max_examples=100, deadline=None)
+@given(_model_and_states(1))
+def test_step_kernel_is_byte_equal_to_matmul_in_1d(case):
+    model, states = case
+    assert model.step_many(states).tobytes() == step_many_matmul(model, states).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_model_and_states(2))
+def test_step_kernel_matches_matmul_in_2d(case):
+    model, states = case
+    np.testing.assert_allclose(model.step_many(states), step_many_matmul(model, states),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_perturbation_writes_into_a_given_buffer():
+    field = PerturbationField(0.02, 3.0, phase=0.5)
+    x = np.linspace(0.0, 1.0, 9)[:, None]
+    out = np.empty_like(x)
+    assert field(x, out=out) is out
+    assert out.tobytes() == field(x).tobytes()
+
+
+def _block_horizons(trajectories, dimension):
+    block = models._block_steps(trajectories, dimension)
+    return [0, 1, max(block - 1, 0), block, block + 1, 3 * block + 2]
+
+
+@st.composite
+def _rollout_case(draw):
+    dimension = draw(st.sampled_from([1, 2]))
+    model = _contracting_model(draw, dimension, draw(_KINDS))
+    lower = draw(st.lists(st.floats(0.3, 0.8), min_size=dimension, max_size=dimension))
+    width = draw(st.lists(st.floats(0.005, 0.2), min_size=dimension, max_size=dimension))
+    unsafe = RegionBox(np.array(lower), np.array(lower) + np.array(width))
+    trajectories = draw(st.integers(1, 300))
+    block_values = draw(st.integers(1, 1024))
+    horizon_at = draw(st.integers(0, 5))
+    seed = draw(st.integers(0, 2**16))
+    return model, unsafe, trajectories, block_values, horizon_at, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rollout_case())
+def test_rollout_equals_step_many_oracle_across_block_edges(case):
+    """Every hit, step and hit state, for horizons on and around block edges."""
+    model, unsafe, trajectories, block_values, horizon_at, seed = case
+    initial = RegionBox(np.zeros(model.dimension), np.full(model.dimension, 0.3))
+    with mock.patch.object(models, "_BLOCK_VALUES", block_values):
+        horizon = _block_horizons(trajectories, model.dimension)[horizon_at]
+        lean = check_safety_empirically(model, initial, unsafe, trajectories, horizon, seed)
+    oracle = safety_by_step_many(model, initial, unsafe, trajectories, horizon, seed)
+    assert (lean.trajectories, lean.horizon) == (trajectories, horizon)
+    assert lean.violation_count == oracle.violation_count
+    for (i, step, state), (j, ref_step, ref_state) in zip(lean.violations, oracle.violations):
+        assert (i, step) == (j, ref_step)
+        assert state.tobytes() == ref_state.tobytes()
+
+
+@pytest.mark.parametrize("horizon_at", range(6))
+def test_rollout_hits_span_blocks_at_the_real_block_size(horizon_at):
+    """A slow approach to a thin unsafe band: first hits land in several blocks."""
+    model = SystemModel.perturbed(SystemModel.affine(np.array([[0.995]]), np.array([0.005])),
+                                  PerturbationField(1e-4, 300.0))
+    initial, unsafe = RegionBox.interval(0.0, 0.95), RegionBox.interval(0.9, 0.92)
+    horizon = _block_horizons(300, 1)[horizon_at]
+    lean = check_safety_empirically(model, initial, unsafe, 300, horizon, 5)
+    oracle = safety_by_step_many(model, initial, unsafe, 300, horizon, 5)
+    assert lean.violation_count == oracle.violation_count
+    for (i, step, state), (j, ref_step, ref_state) in zip(lean.violations, oracle.violations):
+        assert (i, step) == (j, ref_step)
+        assert state.tobytes() == ref_state.tobytes()
+    if horizon_at == 5:
+        assert 0 < lean.violation_count < 300
+        block = models._block_steps(300, 1)
+        blocks = {step // block for _, step, _ in lean.violations}
+        assert len(blocks) >= 3
+
+
+def test_rollout_never_calls_einsum_or_matmul(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the step kernel called einsum or matmul")
+
+    model = SystemModel.perturbed(_plane_quadratic(), PerturbationField(0.003, 40.0))
+    box = RegionBox(np.zeros(2), np.full(2, 0.5))
+    monkeypatch.setattr(np, "einsum", refuse)
+    monkeypatch.setattr(np, "matmul", refuse)
+    check_safety_empirically(model, box, box, trajectories=20, horizon=30)
+    model.step_many(np.full((5, 2), 0.1))
+    model.simulate(np.array([0.1, 0.2]), horizon=4)
+
+
+def test_rollout_block_is_capped_at_512_kib_and_one_step():
+    assert models._BLOCK_VALUES * 8 == 512 * 1024
+    assert models._block_steps(1000, 1) == 65
+    assert models._block_steps(1000, 2) == 32
+    assert models._block_steps(1, 1) == models._BLOCK_VALUES
+    assert models._block_steps(10**6, 2) == 1
+
+
+def _rollout_peak(horizon):
+    model = SystemModel.perturbed(supply_demand(), PerturbationField(0.007, 1250 / 2.2))
+    initial, unsafe = RegionBox.interval(0.5, 0.6), RegionBox.interval(2.6, 2.7)
+    tracemalloc.start()
+    try:
+        check_safety_empirically(model, initial, unsafe, trajectories=1000, horizon=horizon)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rollout_memory_does_not_grow_with_horizon():
+    assert _rollout_peak(4000) <= 1.25 * _rollout_peak(100)
