@@ -173,6 +173,12 @@ class GeometryFactor:
 
     One- and two-dimensional closed forms are supported; the mass saturates
     at 1, so the inverse map is only defined for levels strictly below 1.
+
+    The 1-D constant ``sqrt(pi) / 1.77`` is the paper's: 1.77 is its rounding
+    of ``2 * Gamma(3/2) = sqrt(pi)``, so ``mass(r) ≈ r / L``, the mass of the
+    half-interval ``[0, r]`` at a domain endpoint. Because 1.77 < sqrt(pi),
+    :meth:`radius` returns 0.14% less than the exact ``level * L``, which
+    errs on the optimistic side.
     """
 
     extents: Tuple[float, ...]

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import click
@@ -125,47 +125,35 @@ def _drift(ours: float, ref: float) -> str:
     return f"{(ours - ref) / abs(ref) * 100.0:+.1f}%"
 
 
-def _reproduce_worker(args):
-    key, scale = args
+def _run_row(config: RunConfig):
+    """Run one config; return ``(_ours_row, None)``, or ``(None, message)`` on a PhysbcError."""
     try:
-        artifacts = run(reference_config(key, scale=scale))
-        return key, _ours_row(artifacts.report), None
+        return _ours_row(run(config).report), None
     except PhysbcError as exc:
-        return key, None, str(exc)
-
-
-def _sweep_worker(args):
-    config_data, param, value = args
-    config = _sweep_config(RunConfig.from_dict(config_data), param, value)
-    try:
-        config.validate()
-    except ValueError as exc:  # this value makes the config invalid
-        return {"value": value, "error": str(exc)}
-    try:
-        artifacts = run(config)
-    except PhysbcError as exc:
-        return {"value": value, "error": str(exc)}
-    ours = _ours_row(artifacts.report)
-    ours["value"] = value
-    ours["error"] = ""
-    return ours
+        return None, str(exc)
 
 
 def _sweep_config(config: RunConfig, param: str, value: float) -> RunConfig:
+    """``config`` with ``param`` set to ``value``; ValueError if that makes it invalid."""
     if param == "threshold":
         # Pin the surrogate perturbation first; it defaults to a multiple of
         # the threshold and the sweep must not move the ground truth.
         perturbation = replace(config.perturbation, amplitude=config.perturbation_amplitude())
-        return replace(
+        swept = replace(
             config,
             perturbation=perturbation,
             filter=replace(config.filter, enabled=True, threshold=value),
         )
-    if param == "samples":
-        return replace(config, sampling=replace(config.sampling, count=int(value)))
-    if param == "risk":
-        return replace(config, guarantee=replace(config.guarantee, risk=value))
-    raise ValueError(f"unknown sweep parameter {param!r}")
+    elif param == "samples":
+        if not value.is_integer():  # also rejects nan and inf
+            raise ValueError(f"sample count must be a whole number, got {value:g}")
+        swept = replace(config, sampling=replace(config.sampling, count=int(value)))
+    elif param == "risk":
+        swept = replace(config, guarantee=replace(config.guarantee, risk=value))
+    else:
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    swept.validate()
+    return swept
 
 
 def _load_config(path: str) -> RunConfig:
@@ -232,30 +220,17 @@ def cmd_run(config_path, preset_name, mode, seed, no_filter, out_dir):
 @main.command("reproduce")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default="reproduce-out",
               show_default=True, help="Directory for the summary CSV/JSON.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Parallel worker processes.")
 @click.option("--scale", type=float, default=1.0, show_default=True,
               help="Scale factor on sample counts (smoke testing aid).")
-def cmd_reproduce(out_dir, jobs, scale):
+def cmd_reproduce(out_dir, scale):
     """Rerun all baseline case-study settings and compare against references."""
-    keys = list(REFERENCE_RESULTS)
-    work = [(key, scale) for key in keys]
-    results = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, ours, error in pool.map(_reproduce_worker, work):
-                results[key] = (ours, error)
-    else:
-        for item in work:
-            key, ours, error = _reproduce_worker(item)
-            results[key] = (ours, error)
-
-    os.makedirs(out_dir, exist_ok=True)
+    if not (scale > 0 and math.isfinite(scale)):
+        click.echo("error: --scale must be positive and finite", err=True)
+        sys.exit(1)
     rows = []
     all_pass = True
-    for key in keys:
-        ref = REFERENCE_RESULTS[key]
-        ours, error = results[key]
+    for key, ref in REFERENCE_RESULTS.items():
+        ours, error = _run_row(reference_config(key, scale=scale))
         label = METRIC_LABEL[ref["mode"]]
         title = f"{ref['system']} {ref['mode']} {'physics' if ref['filtered'] else 'traditional'}"
         if error is not None:
@@ -282,6 +257,7 @@ def cmd_reproduce(out_dir, jobs, scale):
     fields = ["key", "system", "mode", "filtered", "verdict", "error"]
     for field in ("samples", "metric", "lipschitz", "slack", "condition"):
         fields += [f"ref_{field}", f"our_{field}"]
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "reproduce.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, restval="")
         writer.writeheader()
@@ -302,9 +278,7 @@ def cmd_reproduce(out_dir, jobs, scale):
               help="Comma-separated parameter values, e.g. 0.001,0.005,0.02.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default="sweep.csv",
               show_default=True, help="Output CSV path.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Parallel worker processes.")
-def cmd_sweep(config_path, param, values, out_path, jobs):
+def cmd_sweep(config_path, param, values, out_path):
     """Rerun one config while varying a single parameter."""
     try:
         config = _load_config(config_path)
@@ -318,12 +292,23 @@ def cmd_sweep(config_path, param, values, out_path, jobs):
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 
-    work = [(config.to_dict(), param, value) for value in parsed]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, work))
-    else:
-        rows = [_sweep_worker(item) for item in work]
+    rows = []
+    for value in parsed:
+        try:
+            swept = _sweep_config(config, param, value)
+        except ValueError as exc:  # this value makes the config invalid
+            ours, error = None, str(exc)
+        else:
+            ours, error = _run_row(swept)
+        if error is not None:
+            click.echo(f"{param}={value:g}  ERROR: {error}")
+            rows.append({"value": value, "error": error})
+            continue
+        click.echo(
+            f"{param}={value:g}  slack {ours['slack']:.6g}"
+            f"  condition {ours['condition']:.6g}  verdict {ours['verdict']}"
+        )
+        rows.append({**ours, "value": value, "error": ""})
 
     fields = ["value", "samples", "metric", "lipschitz", "slack", "condition",
               "verdict", "error"]
@@ -331,16 +316,8 @@ def cmd_sweep(config_path, param, values, out_path, jobs):
         writer = csv.DictWriter(fh, fieldnames=fields, restval="")
         writer.writeheader()
         writer.writerows(rows)
-    for row in rows:
-        if row.get("error"):
-            click.echo(f"{param}={row['value']:g}  ERROR: {row['error']}")
-        else:
-            click.echo(
-                f"{param}={row['value']:g}  slack {row['slack']:.6g}"
-                f"  condition {row['condition']:.6g}  verdict {row['verdict']}"
-            )
     click.echo(f"sweep written to {out_path}")
-    sys.exit(0 if any(not r.get("error") for r in rows) else 1)
+    sys.exit(0 if any(not r["error"] for r in rows) else 1)
 
 
 @main.command("plotdata")

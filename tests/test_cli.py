@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -304,7 +305,10 @@ def test_sweep_writes_one_row_per_value(config_path, tmp_path):
     assert int(rows[0]["samples"]) < int(rows[1]["samples"])
 
 
-@pytest.mark.parametrize("param, values", [("samples", "4000,1"), ("threshold", "0.005,-1")])
+@pytest.mark.parametrize("param, values", [
+    ("samples", "4000,1"), ("threshold", "0.005,-1"),
+    ("samples", "4000,nan"), ("samples", "4000,inf"), ("samples", "4000,2500.5"),
+])
 def test_sweep_records_an_invalid_value_as_its_error_row(param, values, config_path, tmp_path):
     out = tmp_path / "sweep.csv"
     result = CliRunner().invoke(main, [
@@ -315,7 +319,8 @@ def test_sweep_records_an_invalid_value_as_its_error_row(param, values, config_p
     with open(out, newline="") as fh:
         good, bad = csv.DictReader(fh)
     assert good["error"] == "" and good["verdict"] == "pass"
-    assert float(bad["value"]) == float(values.split(",")[1])
+    value, expected = float(bad["value"]), float(values.split(",")[1])
+    assert value == expected or (math.isnan(value) and math.isnan(expected))
     assert bad["error"] and bad["verdict"] == ""
     assert f"ERROR: {bad['error']}" in result.output
 
@@ -348,6 +353,29 @@ def test_reproduce_smoke_scale(tmp_path):
             assert float(row["our_lipschitz"]) > 0
 
 
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_reproduce_rejects_a_scale_that_is_not_positive_and_finite(scale, tmp_path,
+                                                                     monkeypatch):
+    def no_run(config):
+        raise AssertionError("ran a setting with a bad --scale")
+
+    monkeypatch.setattr("physbc.cli.run", no_run)
+    out = tmp_path / "repro"
+    result = CliRunner().invoke(main, ["reproduce", "--scale", scale, "--out", str(out)])
+    assert result.exit_code == 1
+    assert "error: --scale must be positive and finite" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["reproduce", "sweep"])
+def test_batch_verbs_have_no_jobs_option(verb, config_path):
+    args = {"reproduce": ["--scale", "0.01"],
+            "sweep": ["--config", config_path, "--param", "samples", "--values", "4000"]}
+    result = CliRunner().invoke(main, [verb, *args[verb], "--jobs", "2"])
+    assert result.exit_code == 2
+    assert "no such option" in result.output.lower() and "--jobs" in result.output
+
+
 # --------------------------------------------------------------------- units
 
 
@@ -377,6 +405,16 @@ def test_reference_config_shapes():
 def test_cli_import_loads_no_scipy():
     code = ("import sys, physbc.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(physbc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    code = ("import sys, physbc.cli; "
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     src = os.path.dirname(os.path.dirname(physbc.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
