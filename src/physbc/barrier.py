@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -385,13 +385,7 @@ class ResidualReport:
         return self.worst <= slack + self.tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "initial_max": self.initial_max,
-            "unsafe_max": self.unsafe_max,
-            "flow_max": self.flow_max,
-            "definition_ok": self.definition_ok,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 class SampleValues(NamedTuple):

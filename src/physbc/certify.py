@@ -18,7 +18,7 @@ independently testable against quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 from .errors import (
@@ -232,7 +232,6 @@ class CertificationReport:
     """
 
     mode: str  # "deterministic" | "probabilistic"
-    passed: bool
     condition: float
     slack: float
     lipschitz: float
@@ -243,22 +242,15 @@ class CertificationReport:
     decision_count: Optional[int] = None
 
     @property
+    def passed(self) -> bool:
+        return self.condition <= 0.0
+
+    @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "condition": self.condition,
-            "slack": self.slack,
-            "lipschitz": self.lipschitz,
-            "radius": self.radius,
-            "confidence": self.confidence,
-            "violation_level": self.violation_level,
-            "risk": self.risk,
-            "decision_count": self.decision_count,
-        }
+        return {**asdict(self), "verdict": self.verdict}
 
 
 def check_deterministic(slack: float, lipschitz: float, covering_radius: float) -> CertificationReport:
@@ -270,7 +262,6 @@ def check_deterministic(slack: float, lipschitz: float, covering_radius: float) 
     condition = lipschitz * covering_radius + slack
     return CertificationReport(
         mode="deterministic",
-        passed=condition <= 0.0,
         condition=condition,
         slack=slack,
         lipschitz=lipschitz,
@@ -300,7 +291,6 @@ def check_probabilistic(
     condition = slack + lipschitz * radius
     return CertificationReport(
         mode="probabilistic",
-        passed=condition <= 0.0,
         condition=condition,
         slack=slack,
         lipschitz=lipschitz,

@@ -144,15 +144,13 @@ def _sweep_config(config: RunConfig, param: str, value: float) -> RunConfig:
             perturbation=perturbation,
             filter=replace(config.filter, enabled=True, threshold=value),
         )
-    elif param == "samples":
-        if not value.is_integer():  # also rejects nan and inf
-            raise ValueError(f"sample count must be a whole number, got {value:g}")
-        swept = replace(config, sampling=replace(config.sampling, count=int(value)))
+    elif param == "samples":  # a fraction, nan or inf fails the config's integer check
+        count = int(value) if value.is_integer() else value
+        swept = replace(config, sampling=replace(config.sampling, count=count))
     elif param == "risk":
         swept = replace(config, guarantee=replace(config.guarantee, risk=value))
     else:
         raise ValueError(f"unknown sweep parameter {param!r}")
-    swept.validate()
     return swept
 
 

@@ -3,15 +3,19 @@
 A :class:`RunConfig` pins everything a pipeline run needs: the nominal
 physics, the ground-truth deviation used to synthesise data, regions,
 sampling, filtering, solver and estimator knobs, and the guarantee mode.
-Configs round-trip through JSON so a report can embed its exact inputs.
+Every field is checked when a config is built, by the constructor, by
+``dataclasses.replace`` or by :meth:`RunConfig.from_dict`, which also rejects
+any key, at any level, that names no field.  Configs round-trip through JSON
+so a report can embed its exact inputs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from math import sqrt
-from typing import Optional, Union
+from operator import attrgetter
+from typing import Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -81,13 +85,19 @@ class ValidationSpec:
     seed: int = 99
 
 
+def _unknown_keys(data: dict, cls, where: str) -> None:
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    name: str
     system: Union[str, dict]
     domain: RegionBox
     initial: RegionBox
     unsafe: RegionBox
+    name: str = "custom"
     template_degree: int = 2
     decay: float = 0.83
     sampling: SamplingSpec = field(default_factory=SamplingSpec)
@@ -99,7 +109,17 @@ class RunConfig:
     validation: ValidationSpec = field(default_factory=ValidationSpec)
     save_data: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # numpy integers count as integers; bool does not
+        for key in ("template_degree", "sampling.count", "sampling.seed", "validation.trajectories",
+                    "validation.horizon", "validation.seed", "guarantee.decision_count"):
+            value = attrgetter(key)(self)
+            if value is None and key == "guarantee.decision_count":
+                continue  # derived from the template size
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if key.endswith(".seed") and value < 0:
+                raise ValueError(f"{key} must be non-negative")
         if not self.domain.contains_box(self.initial):
             raise ValueError("initial region must be nested in the domain")
         if not self.domain.contains_box(self.unsafe):
@@ -126,7 +146,9 @@ class RunConfig:
             raise ValueError("validation trajectories must be at least 1")
         if self.validation.horizon < 1:
             raise ValueError("validation horizon must be at least 1")
-        self.physics_model()  # raises on malformed custom systems
+        if self.guarantee.decision_count is not None and self.guarantee.decision_count < 1:
+            raise ValueError("guarantee.decision_count must be at least 1")
+        self.true_model()  # raises on a malformed custom system or perturbation
 
     # ---- model construction -------------------------------------------------
 
@@ -178,33 +200,22 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        def sub(name, spec_cls):
-            return spec_cls(**data[name]) if name in data else spec_cls()
-
-        config = cls(
-            name=data.get("name", "custom"),
-            system=data["system"],
-            domain=RegionBox.from_dict(data["domain"]),
-            initial=RegionBox.from_dict(data["initial"]),
-            unsafe=RegionBox.from_dict(data["unsafe"]),
-            template_degree=data.get("template_degree", 2),
-            decay=data.get("decay", 0.83),
-            sampling=sub("sampling", SamplingSpec),
-            filter=sub("filter", FilterSpec),
-            perturbation=sub("perturbation", PerturbationSpec),
-            solver=sub("solver", SolverSpec),
-            lipschitz=sub("lipschitz", LipschitzSpec),
-            guarantee=sub("guarantee", GuaranteeSpec),
-            validation=sub("validation", ValidationSpec),
-            save_data=data.get("save_data", True),
-        )
-        config.validate()
-        return config
+        _unknown_keys(data, cls, "config")
+        values = dict(data)
+        for name, section_cls in _SECTIONS.items():
+            if name in data:
+                _unknown_keys(data[name], section_cls, name)
+                values[name] = section_cls(**data[name])
+        return cls(**values)
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+# Each nested record of a RunConfig by field name; from_dict builds it from its JSON object.
+_SECTIONS = {k: t for k, t in get_type_hints(RunConfig).items() if is_dataclass(t)}
 
 
 def preset(name: str, mode: str = MODE_DETERMINISTIC) -> RunConfig:
@@ -238,7 +249,7 @@ def preset(name: str, mode: str = MODE_DETERMINISTIC) -> RunConfig:
         count=det_count if deterministic else prob_count,
         seed=2024,
     )
-    config = RunConfig(
+    return RunConfig(
         name=name,
         system=name,
         domain=regions[0],
@@ -247,8 +258,6 @@ def preset(name: str, mode: str = MODE_DETERMINISTIC) -> RunConfig:
         sampling=sampling,
         guarantee=GuaranteeSpec(mode=mode),
     )
-    config.validate()
-    return config
 
 
 def apply_overrides(
@@ -264,5 +273,4 @@ def apply_overrides(
         config = replace(config, guarantee=replace(config.guarantee, mode=mode))
     if no_filter:
         config = replace(config, filter=replace(config.filter, enabled=False))
-    config.validate()
     return config

@@ -1,9 +1,9 @@
 """Discrete-time system models, state-space regions, and empirical safety checks.
 
 A model is a map ``x(k+1) = f(x(k))`` over a box-shaped state space.  Two
-polynomial families cover the builtin case studies; a third kind wraps any
-base model with a sinusoidal perturbation and stands in for a ground-truth
-system whose dynamics deviate from the nominal physics by a bounded amount.
+polynomial families cover the builtin case studies; either can carry a
+sinusoidal perturbation, which stands in for a ground-truth system whose
+dynamics deviate from the nominal physics by a bounded amount.
 
 Every evaluation of ``f`` goes through one kernel, ``SystemModel._advance``,
 which writes into caller-supplied buffers: :meth:`SystemModel.step_many`,
@@ -26,9 +26,9 @@ from .errors import InvalidStateError
 # block of steps, and always at least one step.
 _BLOCK_VALUES = 1 << 16
 
+# Tags of the two polynomial families in a custom-system JSON object.
 KIND_AFFINE = "affine"
 KIND_QUADRATIC = "quadratic-polynomial"
-KIND_PERTURBED = "perturbed"
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +134,6 @@ class SystemModel:
     componentwise.  Instances are immutable and evaluation is deterministic.
     """
 
-    kind: str
     linear: np.ndarray
     offset: np.ndarray
     quadratic: Optional[np.ndarray] = None
@@ -152,12 +151,6 @@ class SystemModel:
             if quad.shape != (n, n, n):
                 raise ValueError(f"quadratic part must be {n}x{n}x{n}, got {quad.shape}")
             quad.flags.writeable = False
-        if self.kind not in (KIND_AFFINE, KIND_QUADRATIC, KIND_PERTURBED):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == KIND_AFFINE and quad is not None:
-            raise ValueError("affine models cannot carry a quadratic part")
-        if self.kind != KIND_PERTURBED and self.perturbation is not None:
-            raise ValueError("only perturbed models carry a perturbation field")
         lin.flags.writeable = False
         off.flags.writeable = False
         object.__setattr__(self, "linear", lin)
@@ -166,20 +159,20 @@ class SystemModel:
 
     @classmethod
     def affine(cls, linear: np.ndarray, offset: np.ndarray) -> "SystemModel":
-        return cls(KIND_AFFINE, linear, offset)
+        return cls(linear, offset)
 
     @classmethod
     def quadratic_polynomial(
         cls, quadratic: np.ndarray, linear: np.ndarray, offset: np.ndarray
     ) -> "SystemModel":
-        return cls(KIND_QUADRATIC, linear, offset, quadratic=quadratic)
+        return cls(linear, offset, quadratic=quadratic)
 
     @classmethod
     def perturbed(cls, base: "SystemModel", perturbation: PerturbationField) -> "SystemModel":
         """Overlay a deviation field on an existing (unperturbed) model."""
-        if base.kind == KIND_PERTURBED:
+        if base.perturbation is not None:
             raise ValueError("base model is already perturbed")
-        return cls(KIND_PERTURBED, base.linear, base.offset, base.quadratic, perturbation)
+        return cls(base.linear, base.offset, base.quadratic, perturbation)
 
     @property
     def dimension(self) -> int:

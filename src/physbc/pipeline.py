@@ -104,7 +104,6 @@ def _grid_counts(total: int, dimension: int) -> int:
 
 
 def run(config: RunConfig) -> RunArtifacts:
-    config.validate()
     timings: dict = {}
     clock = time.perf_counter
 
@@ -206,7 +205,9 @@ def run(config: RunConfig) -> RunArtifacts:
         certification = check_deterministic(result.slack, estimate.overall, radius)
         guarantee_report = {"mode": MODE_DETERMINISTIC, "covering_radius": radius}
     else:
-        count_dec = config.guarantee.decision_count or (template.size + 2)
+        count_dec = config.guarantee.decision_count
+        if count_dec is None:
+            count_dec = template.size + 2
         level = min_violation_level(config.guarantee.risk, count_dec, retained.count)
         geometry = GeometryFactor.from_region(config.domain)
         certification = check_probabilistic(

@@ -106,15 +106,35 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("section, value, message", [
-    ("solver", {"coeff_bound": -1.0}, "coeff_bound must be positive"),
-    ("validation", {"trajectories": 0}, "validation trajectories must be at least 1"),
-    ("validation", {"horizon": 0}, "validation horizon must be at least 1"),
-], ids=["negative-coeff-bound", "zero-trajectories", "zero-horizon"])
-def test_run_rejects_bad_solver_or_validation_section_at_load(section, value, message,
-                                                               tmp_path, monkeypatch):
+@pytest.mark.parametrize("edits, message", [
+    ({"solver.coeff_bound": -1.0}, "coeff_bound must be positive"),
+    ({"validation.trajectories": 0}, "validation trajectories must be at least 1"),
+    ({"validation.horizon": 0}, "validation horizon must be at least 1"),
+    ({"perturbation.frequency": -1.0}, "frequency must be positive"),
+    ({"perturbation.amplitude": -0.1}, "amplitude must be non-negative"),
+    ({"guarantee.mode": "probabilistic", "guarantee.decision_count": 0},
+     "guarantee.decision_count must be at least 1"),
+    ({"sampling.count": 4000.5}, "sampling.count must be an integer, got 4000.5"),
+    ({"sampling.scheme": "iid-uniform", "sampling.count": 4000.5},
+     "sampling.count must be an integer, got 4000.5"),
+    ({"validation.trajectories": 20.5}, "validation.trajectories must be an integer"),
+    ({"validation.horizon": True}, "validation.horizon must be an integer, got True"),
+    ({"template_degree": 2.5}, "template_degree must be an integer"),
+    ({"sampling.seed": -1}, "sampling.seed must be non-negative"),
+    ({"validation.seed": -3}, "validation.seed must be non-negative"),
+    ({"decay_rate": 0.5}, "unknown config key(s): decay_rate"),
+    ({"sampling.cuont": 4000}, "unknown sampling key(s): cuont"),
+    ({"domain.middle": [1.0]}, "unknown domain key(s): middle"),
+], ids=["negative-coeff-bound", "zero-trajectories", "zero-horizon",
+        "negative-frequency", "negative-amplitude", "zero-decision-count", "fractional-grid-count",
+        "fractional-iid-count", "fractional-trajectories", "bool-horizon", "fractional-degree",
+        "negative-sampling-seed", "negative-validation-seed", "unknown-top-level-key",
+        "unknown-section-key", "unknown-region-key"])
+def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch):
     data = small_config_dict()
-    data[section].update(value)
+    for path, value in edits.items():
+        *section, key = path.split(".")
+        (data[section[0]] if section else data)[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
 
@@ -128,6 +148,20 @@ def test_run_rejects_bad_solver_or_validation_section_at_load(section, value, me
     assert result.exit_code == 1
     assert "error: could not load config" in result.output
     assert message in result.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_reports_a_negative_seed_override(tmp_path, monkeypatch):
+    def no_work(config):
+        raise AssertionError("the pipeline ran on an invalid config")
+
+    monkeypatch.setattr("physbc.cli.run", no_work)
+    result = CliRunner().invoke(main, ["run", "--preset", "logistic-growth", "--mode",
+                                       "probabilistic", "--seed", "-1",
+                                       "--out", str(tmp_path / "o")])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "error: sampling.seed must be non-negative" in result.output
     assert not (tmp_path / "o").exists()
 
 

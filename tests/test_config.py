@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from physbc.config import (
     apply_overrides,
     preset,
 )
-from physbc.models import KIND_AFFINE, KIND_PERTURBED, KIND_QUADRATIC, RegionBox
+from physbc.models import KIND_AFFINE, KIND_QUADRATIC, RegionBox
 from physbc.sampling import SCHEME_GRID, SCHEME_IID
 
 
@@ -98,50 +99,109 @@ def test_from_dict_fills_defaults():
     assert config.validation.trajectories == 1000
 
 
-def test_validate_rejects_bad_geometry_and_knobs():
+def test_construction_rejects_bad_geometry_and_knobs():
     with pytest.raises(ValueError, match="initial region"):
-        small_config(initial=RegionBox.interval(0.0, 0.6)).validate()
+        small_config(initial=RegionBox.interval(0.0, 0.6))
     with pytest.raises(ValueError, match="unsafe region"):
-        small_config(unsafe=RegionBox.interval(2.6, 3.0)).validate()
+        small_config(unsafe=RegionBox.interval(2.6, 3.0))
     with pytest.raises(ValueError, match="sampling scheme"):
-        small_config(sampling=SamplingSpec(scheme="sobol")).validate()
+        small_config(sampling=SamplingSpec(scheme="sobol"))
     with pytest.raises(ValueError, match="at least 2"):
-        small_config(sampling=SamplingSpec(count=1)).validate()
+        small_config(sampling=SamplingSpec(count=1))
     with pytest.raises(ValueError, match="decay"):
-        small_config(decay=0.0).validate()
+        small_config(decay=0.0)
     with pytest.raises(ValueError, match="decay"):
-        small_config(decay=1.2).validate()
+        small_config(decay=1.2)
     with pytest.raises(ValueError, match="threshold"):
-        small_config(filter=FilterSpec(threshold=0.0)).validate()
+        small_config(filter=FilterSpec(threshold=0.0))
     with pytest.raises(ValueError, match="guarantee mode"):
-        small_config(guarantee=GuaranteeSpec(mode="exact")).validate()
+        small_config(guarantee=GuaranteeSpec(mode="exact"))
     with pytest.raises(ValueError, match="risk"):
         small_config(
             guarantee=GuaranteeSpec(mode=MODE_PROBABILISTIC, risk=1.0)
-        ).validate()
+        )
     with pytest.raises(ValueError, match="degree"):
-        small_config(template_degree=-1).validate()
+        small_config(template_degree=-1)
     with pytest.raises(ValueError, match="coeff_bound"):
-        small_config(solver=SolverSpec(coeff_bound=0.0)).validate()
+        small_config(solver=SolverSpec(coeff_bound=0.0))
     with pytest.raises(ValueError, match="trajectories"):
-        small_config(validation=ValidationSpec(trajectories=0)).validate()
+        small_config(validation=ValidationSpec(trajectories=0))
     with pytest.raises(ValueError, match="horizon"):
-        small_config(validation=ValidationSpec(horizon=-1)).validate()
-    small_config(solver=SolverSpec(coeff_bound=None)).validate()
+        small_config(validation=ValidationSpec(horizon=-1))
+    with pytest.raises(ValueError, match=re.escape("template_degree must be an integer, got 2.0")):
+        small_config(template_degree=2.0)
+    with pytest.raises(ValueError, match="sampling.count must be an integer, got True"):
+        small_config(sampling=SamplingSpec(count=True))
+    with pytest.raises(ValueError, match="validation.horizon must be an integer"):
+        small_config(validation=ValidationSpec(horizon=50.0))
+    with pytest.raises(ValueError, match="guarantee.decision_count must be an integer"):
+        small_config(guarantee=GuaranteeSpec(decision_count=5.0))
+    with pytest.raises(ValueError, match="guarantee.decision_count must be at least 1"):
+        small_config(guarantee=GuaranteeSpec(decision_count=0))
+    with pytest.raises(ValueError, match="sampling.seed must be non-negative"):
+        small_config(sampling=SamplingSpec(seed=-1))
+    with pytest.raises(ValueError, match="validation.seed must be non-negative"):
+        small_config(validation=ValidationSpec(seed=-3))
+    with pytest.raises(ValueError, match="frequency must be positive"):
+        small_config(perturbation=PerturbationSpec(frequency=-1.0))
+    with pytest.raises(ValueError, match="amplitude must be non-negative"):
+        small_config(perturbation=PerturbationSpec(amplitude=-0.1))
+    small_config(solver=SolverSpec(coeff_bound=None))
+
+
+def test_construction_accepts_numpy_integers_and_a_derived_decision_count():
+    config = small_config(
+        template_degree=np.int64(2),
+        sampling=SamplingSpec(count=np.int32(500), seed=np.uint8(0)),
+        guarantee=GuaranteeSpec(decision_count=None),
+    )
+    assert config.sampling.count == 500
+    small_config(guarantee=GuaranteeSpec(mode=MODE_PROBABILISTIC, decision_count=1))
+
+
+def test_replace_checks_the_new_config():
+    with pytest.raises(ValueError, match="sampling.seed must be non-negative"):
+        replace(small_config(), sampling=SamplingSpec(count=500, seed=-1))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(decay_rate=0.5), r"unknown config key\(s\): decay_rate"),
+    (lambda d: d["solver"].update(cross_chek=True, level_gap=False),
+     r"unknown solver key\(s\): cross_chek, level_gap"),
+    (lambda d: d["unsafe"].update(upper_bound=[3.0]), r"unknown unsafe key\(s\): upper_bound"),
+], ids=["top-level", "section", "region"])
+def test_from_dict_rejects_unknown_keys_at_every_level(edit, message):
+    data = small_config().to_dict()
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict(data)
+
+
+def _reference_and_preset_configs():
+    from physbc.cli import REFERENCE_RESULTS, reference_config
+
+    configs = [reference_config(key) for key in REFERENCE_RESULTS]
+    return configs + [preset(name, mode) for name in ("supply-demand", "logistic-growth")
+                      for mode in (MODE_DETERMINISTIC, MODE_PROBABILISTIC)]
+
+
+@pytest.mark.parametrize("config", _reference_and_preset_configs(),
+                         ids=lambda c: f"{c.name}-{c.guarantee.mode}")
+def test_reference_and_preset_configs_round_trip_through_json(config):
+    data = config.to_dict()
+    assert RunConfig.from_dict(json.loads(json.dumps(data))).to_dict() == data
 
 
 def test_risk_only_checked_in_probabilistic_mode():
-    config = small_config(guarantee=GuaranteeSpec(mode=MODE_DETERMINISTIC, risk=7.0))
-    config.validate()
+    small_config(guarantee=GuaranteeSpec(mode=MODE_DETERMINISTIC, risk=7.0))
 
 
 def test_custom_affine_system():
     config = small_config(
         system={"kind": KIND_AFFINE, "linear": [[0.8]], "offset": [0.5]}
     )
-    config.validate()
     model = config.physics_model()
-    assert model.kind == KIND_AFFINE
+    assert model.quadratic is None and model.perturbation is None
     assert model.step(np.array([1.0]))[0] == pytest.approx(1.3)
 
 
@@ -158,15 +218,15 @@ def test_custom_quadratic_system():
         initial=RegionBox.interval(0.1, 0.3),
         unsafe=RegionBox.interval(0.7, 1.0),
     )
-    config.validate()
+    assert config.physics_model().quadratic is not None
     assert config.physics_model().step(np.array([1.0]))[0] == pytest.approx(0.8)
 
 
 def test_unknown_system_rejected():
     with pytest.raises(ValueError, match="unknown system preset"):
-        small_config(system="lorenz").validate()
+        small_config(system="lorenz")
     with pytest.raises(ValueError, match="unknown custom system kind"):
-        small_config(system={"kind": "neural"}).validate()
+        small_config(system={"kind": "neural"})
 
 
 def test_default_amplitude_tracks_threshold():
@@ -179,14 +239,14 @@ def test_default_amplitude_tracks_threshold():
 def test_true_model_wraps_physics():
     config = small_config()
     truth = config.true_model()
-    assert truth.kind == KIND_PERTURBED
+    assert truth.perturbation is not None
     x = np.array([1.234])
     deviation = truth.step(x) - config.physics_model().step(x)
     amplitude = config.perturbation_amplitude()
     assert abs(deviation[0]) <= amplitude + 1e-12
     # zero amplitude means the truth is the physics itself
     plain = small_config(perturbation=PerturbationSpec(amplitude=0.0))
-    assert plain.true_model().kind == KIND_AFFINE
+    assert plain.true_model().perturbation is None
 
 
 def test_apply_overrides():

@@ -106,11 +106,6 @@ def test_preset_registry():
         assert factory().dimension == 1
 
 
-def test_affine_rejects_quadratic_part():
-    with pytest.raises(ValueError):
-        SystemModel("affine", np.eye(1), np.zeros(1), quadratic=np.zeros((1, 1, 1)))
-
-
 def test_double_perturbation_rejected():
     base = supply_demand()
     field = PerturbationField(0.1, 1.0)
