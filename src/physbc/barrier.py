@@ -10,24 +10,25 @@ decision vector ``[unsafe_level, coefficients...]``:
 * unsafe rows:   ``unsafe_level - B(x)           <= slack``  on the unsafe set,
 * flow rows:     ``B(successor) - decay * B(x)   <= slack``  on recorded pairs.
 
-``initial_level`` is a fixed small positive constant rather than a decision
-entry.  Left free, it only ever adds a translation degree of freedom: the
-optimiser shifts the whole barrier downward, parking both levels far below
-zero where the decay chain makes the certificate vacuous (see
-:class:`BarrierCertificate`).  Pinning it removes that freedom and, together
-with the level-gap row, keeps every negative-slack solution valid by
-construction.
+``initial_level`` is the fixed small positive constant :data:`INITIAL_LEVEL`
+rather than a decision entry.  Left free, it only ever adds a translation
+degree of freedom: the optimiser shifts the whole barrier downward, parking
+both levels far below zero where the decay chain makes the certificate
+vacuous (see :class:`BarrierCertificate`).  Pinning it removes that freedom
+and, together with the level-gap row, keeps every negative-slack solution
+valid by construction.
 
 Every row is an affine function of the decision vector that must stay below
 the shared slack variable; minimising the slack over all rows is the job of
-:mod:`physbc.solver`.  Besides the sample rows, an assembled system carries
-auxiliary rows: symmetric bound rows that keep the polytope bounded, and one
-level-gap row ``initial_level - unsafe_level <= slack`` so that a negative
-optimal slack certifies ``unsafe_level > initial_level`` instead of letting
-the optimiser collapse the separation.  :func:`assemble` writes every row
-into one preallocated, read-only stack that the solver receives uncopied.
-The rows come in the order of :data:`FAMILIES`, so a row's family follows
-from its position and the per-family row counts alone.
+:mod:`physbc.solver`.  Besides the sample rows, every assembled system ends
+in the same auxiliary rows: ``2 * width`` symmetric bound rows that keep the
+polytope bounded, and one level-gap row ``initial_level - unsafe_level <=
+slack`` so that a negative optimal slack certifies ``unsafe_level >
+initial_level`` instead of letting the optimiser collapse the separation.
+:func:`assemble` writes every row into one preallocated, read-only stack that
+the solver receives uncopied.  The rows come in the order of
+:data:`FAMILIES`, so a row's family follows from its position and the
+per-family row counts alone.
 
 After the solve, :func:`sample_values` evaluates the certificate once on the
 recorded pairs; the residual audit (:func:`check_certificate`) and the
@@ -51,7 +52,7 @@ from .sampling import Dataset
 FAMILIES = ("initial", "unsafe", "flow", "bound", "gap")
 
 DEFAULT_COEFF_BOUND = 100.0
-DEFAULT_INITIAL_LEVEL = 1e-4
+INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,16 +212,15 @@ class BarrierCertificate:
 class ConstraintSystem:
     """Affine rows ``rows @ d + offsets <= slack`` over the decision vector.
 
-    The pinned ``initial_level`` is folded into the offsets, so the decision
-    vector is ``[unsafe_level, coefficients...]``.  ``rows`` and ``offsets``
-    are one read-only stack, the solver's input as is.  ``family_sizes``
-    holds the row count of each of :data:`FAMILIES`, whose rows lie in that
-    order, one block after another.
+    The pinned :data:`INITIAL_LEVEL` is folded into the offsets, so the
+    decision vector is ``[unsafe_level, coefficients...]``.  ``rows`` and
+    ``offsets`` are one read-only stack, the solver's input as is.
+    ``family_sizes`` holds the row count of each of :data:`FAMILIES`, whose
+    rows lie in that order, one block after another.
     """
 
     template: BarrierTemplate
     decay: float
-    initial_level: float
     rows: np.ndarray
     offsets: np.ndarray
     family_sizes: Tuple[int, int, int, int, int]
@@ -253,7 +253,7 @@ class ConstraintSystem:
             template=self.template,
             coefficients=d[1:],
             decay=self.decay,
-            initial_level=self.initial_level,
+            initial_level=INITIAL_LEVEL,
             unsafe_level=float(d[0]),
         )
 
@@ -280,25 +280,20 @@ def assemble(
     domain: Optional[RegionBox] = None,
     initial_region: Optional[RegionBox] = None,
     unsafe_region: Optional[RegionBox] = None,
-    coeff_bound: Optional[float] = DEFAULT_COEFF_BOUND,
-    level_gap_row: bool = True,
-    initial_level: float = DEFAULT_INITIAL_LEVEL,
+    coeff_bound: float = DEFAULT_COEFF_BOUND,
 ) -> ConstraintSystem:
     """Build the scenario constraint system for one dataset.
 
     ``initial_samples`` and ``unsafe_samples`` are deterministic covers of
     their regions; the recorded pairs in ``data`` feed the flow rows only.
     When regions are passed, every sample is validated against them.
-    ``coeff_bound`` adds symmetric bound rows on every decision entry
-    (pass ``None`` to omit them, leaving an unbounded program).
-    ``initial_level`` is the pinned barrier level on the initial set; it
-    must be positive so that ``definition_ok`` holds for any solution with
-    negative slack.
+    ``coeff_bound`` (> 0) bounds every decision entry in magnitude through
+    the symmetric bound rows.
     """
     if not (0.0 < decay <= 1.0):
         raise ValueError("decay must lie in (0, 1]")
-    if not initial_level > 0:
-        raise ValueError("initial_level must be positive")
+    if not coeff_bound > 0:
+        raise ValueError("coeff_bound must be positive")
     if template.dimension != data.dimension:
         raise ValueError("template and dataset dimensions differ")
 
@@ -316,12 +311,8 @@ def assemble(
     _require_inside(x0, initial_region, "initial")
     _require_inside(xu, unsafe_region, "unsafe")
 
-    if coeff_bound is not None and not coeff_bound > 0:
-        raise ValueError("coeff_bound must be positive")
-
     width = 1 + template.size
-    bound_rows = 0 if coeff_bound is None else 2 * width
-    family_sizes = (len(x0), len(xu), data.count, bound_rows, int(level_gap_row))
+    family_sizes = (len(x0), len(xu), data.count, 2 * width, 1)
     samples = sum(family_sizes[:3])
     rows = np.zeros((sum(family_sizes), width))
     offsets = np.zeros(len(rows))
@@ -331,7 +322,7 @@ def assemble(
 
     if len(x0):
         rows[initial, 1:] = template.basis_matrix(x0)
-    offsets[initial] = -initial_level
+    offsets[initial] = -INITIAL_LEVEL
 
     rows[unsafe, 0] = 1.0
     if len(xu):
@@ -342,20 +333,17 @@ def assemble(
         discounted *= decay
         np.subtract(template.basis_matrix(data.successors), discounted, out=rows[flow, 1:])
 
-    if bound_rows:
-        # each decision entry gets a +e_j and a -e_j row
-        bounds = rows[samples : samples + bound_rows]
-        bounds[0::2] = np.eye(width)
-        bounds[1::2] = -np.eye(width)
-        offsets[samples : samples + bound_rows] = -coeff_bound
-    if level_gap_row:
-        rows[-1, 0] = -1.0
-        offsets[-1] = initial_level
+    # each decision entry gets a +e_j and a -e_j row, then the gap row closes the stack
+    bounds = rows[samples:-1]
+    bounds[0::2] = np.eye(width)
+    bounds[1::2] = -np.eye(width)
+    offsets[samples:-1] = -coeff_bound
+    rows[-1, 0] = -1.0
+    offsets[-1] = INITIAL_LEVEL
 
     return ConstraintSystem(
         template=template,
         decay=decay,
-        initial_level=float(initial_level),
         rows=rows,
         offsets=offsets,
         family_sizes=family_sizes,

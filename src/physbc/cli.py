@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import click
 import numpy as np
@@ -28,13 +28,12 @@ from .barrier import BarrierCertificate
 from .config import (
     MODE_DETERMINISTIC,
     MODE_PROBABILISTIC,
-    FilterSpec,
     RunConfig,
     apply_overrides,
     preset,
 )
 from .errors import PhysbcError
-from .filtering import discrepancies
+from .filtering import apply_filter, discrepancies
 from .models import check_safety_empirically
 from .pipeline import run, write_artifacts
 from .sampling import load_dataset, write_rows
@@ -46,42 +45,42 @@ from .sampling import load_dataset, write_rows
 REFERENCE_RESULTS = {
     "sd-det-trad": {
         "system": "supply-demand", "mode": MODE_DETERMINISTIC, "filtered": False,
-        "input_count": 220_000, "samples": 220_000, "metric": 5.0e-6,
+        "samples": 220_000, "metric": 5.0e-6,
         "lipschitz": 67.90, "slack": -0.0235, "condition": -0.0231,
     },
     "sd-det-phys": {
         "system": "supply-demand", "mode": MODE_DETERMINISTIC, "filtered": True,
-        "input_count": 220_000, "samples": 110_228, "metric": 9.0e-5,
+        "samples": 110_228, "metric": 9.0e-5,
         "lipschitz": 103.72, "slack": -0.0527, "condition": -0.0434,
     },
     "sd-prob-trad": {
         "system": "supply-demand", "mode": MODE_PROBABILISTIC, "filtered": False,
-        "input_count": 300_000, "samples": 300_000, "metric": 3.1e-5,
+        "samples": 300_000, "metric": 3.1e-5,
         "lipschitz": 11.51, "slack": -0.2078, "condition": -0.2070,
     },
     "sd-prob-phys": {
         "system": "supply-demand", "mode": MODE_PROBABILISTIC, "filtered": True,
-        "input_count": 300_000, "samples": 150_260, "metric": 6.18e-5,
+        "samples": 150_260, "metric": 6.18e-5,
         "lipschitz": 11.51, "slack": -0.2094, "condition": -0.2078,
     },
     "lg-det-trad": {
         "system": "logistic-growth", "mode": MODE_DETERMINISTIC, "filtered": False,
-        "input_count": 90_000, "samples": 90_000, "metric": 5.0e-6,
+        "samples": 90_000, "metric": 5.0e-6,
         "lipschitz": 25.25, "slack": -0.0065, "condition": -0.0064,
     },
     "lg-det-phys": {
         "system": "logistic-growth", "mode": MODE_DETERMINISTIC, "filtered": True,
-        "input_count": 90_000, "samples": 45_175, "metric": 8.0e-5,
+        "samples": 45_175, "metric": 8.0e-5,
         "lipschitz": 222.87, "slack": -0.0694, "condition": -0.0515,
     },
     "lg-prob-trad": {
         "system": "logistic-growth", "mode": MODE_PROBABILISTIC, "filtered": False,
-        "input_count": 260_000, "samples": 260_000, "metric": 4.05e-5,
+        "samples": 260_000, "metric": 4.05e-5,
         "lipschitz": 2.9479, "slack": -6.4189e-4, "condition": -5.3444e-4,
     },
     "lg-prob-phys": {
         "system": "logistic-growth", "mode": MODE_PROBABILISTIC, "filtered": True,
-        "input_count": 260_000, "samples": 130_234, "metric": 8.08e-5,
+        "samples": 130_234, "metric": 8.08e-5,
         "lipschitz": 5.0397, "slack": -0.0021, "condition": -0.0017,
     },
 }
@@ -90,15 +89,15 @@ METRIC_LABEL = {MODE_DETERMINISTIC: "radius", MODE_PROBABILISTIC: "level"}
 
 
 def reference_config(key: str, scale: float = 1.0) -> RunConfig:
-    """Config for one baseline row, optionally scaling the sample count."""
+    """The preset for one baseline row, optionally scaling its sample count."""
     ref = REFERENCE_RESULTS[key]
     config = preset(ref["system"], ref["mode"])
-    count = max(2000, int(round(ref["input_count"] * scale)))
+    count = max(2000, int(round(config.sampling.count * scale)))
     return replace(
         config,
         name=key,
         sampling=replace(config.sampling, count=count),
-        filter=FilterSpec(enabled=ref["filtered"], threshold=0.005),
+        filter=replace(config.filter, enabled=ref["filtered"]),
     )
 
 
@@ -371,11 +370,12 @@ def cmd_plotdata(report_path, out_dir, points):
             click.echo(f"note: dataset not readable ({exc}); skipping samples.csv")
             dataset = None
         if dataset is not None:
-            disc = discrepancies(dataset, config.physics_model())
+            physics = config.physics_model()
             if config.filter.enabled:
-                kept = disc <= config.filter.threshold
+                outcome = apply_filter(dataset, physics, config.filter.threshold)
+                disc, kept = outcome.discrepancies, outcome.mask
             else:
-                kept = np.ones(dataset.count, dtype=bool)
+                disc, kept = discrepancies(dataset, physics), np.ones(dataset.count, dtype=bool)
             # Same bytes as csv.writer: repr floats, integer flags, CRLF endings.
             with open(os.path.join(out_dir, "samples.csv"), "w", newline="", encoding="ascii") as fh:
                 fh.write("x,y,discrepancy,retained\r\n")
@@ -409,21 +409,16 @@ def cmd_plotdata(report_path, out_dir, points):
 @click.option("--seed", type=int, default=None, help="Override simulation seed.")
 def cmd_validate(cert_path, config_path, trajectories, horizon, seed):
     """Check a saved certificate's levels and simulate the true system."""
-    for name, value in (("trajectories", trajectories), ("horizon", horizon)):
-        if value is not None and value < 1:
-            click.echo(f"error: --{name} must be at least 1", err=True)
-            sys.exit(1)
+    overrides = {"trajectories": trajectories, "horizon": horizon, "seed": seed}
     try:
         config = _load_config(config_path)
+        # the config's own check names the field an override makes invalid
+        config = replace(config, validation=replace(
+            config.validation, **{k: v for k, v in overrides.items() if v is not None}))
         with open(cert_path, encoding="ascii") as fh:
             certificate = BarrierCertificate.from_dict(json.load(fh))
         safety = check_safety_empirically(
-            config.true_model(),
-            config.initial,
-            config.unsafe,
-            trajectories=config.validation.trajectories if trajectories is None else trajectories,
-            horizon=config.validation.horizon if horizon is None else horizon,
-            seed=seed if seed is not None else config.validation.seed,
+            config.true_model(), config.initial, config.unsafe, **asdict(config.validation)
         )
     except (OSError, ValueError, KeyError, TypeError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -3,10 +3,14 @@
 A :class:`RunConfig` pins everything a pipeline run needs: the nominal
 physics, the ground-truth deviation used to synthesise data, regions,
 sampling, filtering, solver and estimator knobs, and the guarantee mode.
-Every field is checked when a config is built, by the constructor, by
-``dataclasses.replace`` or by :meth:`RunConfig.from_dict`, which also rejects
-any key, at any level, that names no field.  Configs round-trip through JSON
-so a report can embed its exact inputs.
+The scenario program itself has one shape (bounded coefficients, a pinned
+initial level and the level-gap row; see :mod:`physbc.barrier`), and its
+decision count, which sets the probabilistic violation level, follows from
+the template; neither is a setting.  Every field is checked when a config is
+built, by the constructor, by ``dataclasses.replace`` or by
+:meth:`RunConfig.from_dict`, which also rejects any key, at any level, that
+names no field.  Configs round-trip through JSON so a report can embed its
+exact inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Optional, Union, get_type_hints
 
 import numpy as np
 
-from .barrier import DEFAULT_COEFF_BOUND, DEFAULT_INITIAL_LEVEL
+from .barrier import DEFAULT_COEFF_BOUND
 from .lipschitz import LipschitzSpec
 from .models import (
     KIND_AFFINE,
@@ -65,9 +69,7 @@ class PerturbationSpec:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    coeff_bound: Optional[float] = DEFAULT_COEFF_BOUND
-    level_gap_row: bool = True
-    initial_level: float = DEFAULT_INITIAL_LEVEL
+    coeff_bound: float = DEFAULT_COEFF_BOUND
     cross_check: bool = False
 
 
@@ -75,7 +77,6 @@ class SolverSpec:
 class GuaranteeSpec:
     mode: str = MODE_DETERMINISTIC
     risk: float = 0.05  # probabilistic mode only
-    decision_count: Optional[int] = None  # None: unsafe level + coefficients + slack
 
 
 @dataclass(frozen=True)
@@ -107,15 +108,12 @@ class RunConfig:
     lipschitz: LipschitzSpec = field(default_factory=LipschitzSpec)
     guarantee: GuaranteeSpec = field(default_factory=GuaranteeSpec)
     validation: ValidationSpec = field(default_factory=ValidationSpec)
-    save_data: bool = True
 
     def __post_init__(self):
         # numpy integers count as integers; bool does not
         for key in ("template_degree", "sampling.count", "sampling.seed", "validation.trajectories",
-                    "validation.horizon", "validation.seed", "guarantee.decision_count"):
+                    "validation.horizon", "validation.seed"):
             value = attrgetter(key)(self)
-            if value is None and key == "guarantee.decision_count":
-                continue  # derived from the template size
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if key.endswith(".seed") and value < 0:
@@ -138,16 +136,12 @@ class RunConfig:
             raise ValueError("risk must lie strictly between 0 and 1")
         if self.template_degree < 0:
             raise ValueError("template degree must be non-negative")
-        if not self.solver.initial_level > 0:
-            raise ValueError("pinned initial level must be positive")
-        if self.solver.coeff_bound is not None and not self.solver.coeff_bound > 0:
-            raise ValueError("coeff_bound must be positive or null")
+        if self.solver.coeff_bound is None or not self.solver.coeff_bound > 0:
+            raise ValueError(f"solver.coeff_bound must be positive, got {self.solver.coeff_bound!r}")
         if self.validation.trajectories < 1:
             raise ValueError("validation trajectories must be at least 1")
         if self.validation.horizon < 1:
             raise ValueError("validation horizon must be at least 1")
-        if self.guarantee.decision_count is not None and self.guarantee.decision_count < 1:
-            raise ValueError("guarantee.decision_count must be at least 1")
         self.true_model()  # raises on a malformed custom system or perturbation
 
     # ---- model construction -------------------------------------------------

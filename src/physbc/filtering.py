@@ -2,7 +2,8 @@
 
 A pair (state, successor) is kept when the recorded successor lies within a
 Euclidean ball of radius ``threshold`` around the nominal physics prediction
-at that state.  Pairs exactly on the boundary are kept.  The filter never
+at that state.  Pairs exactly on the boundary are kept; every other pair,
+one with a NaN discrepancy included, is discarded.  The filter never
 re-simulates anything: it only compares recorded successors against the
 physics map, so applying it is pure and repeatable.
 """
@@ -22,20 +23,21 @@ from .sampling import Dataset
 @dataclass(frozen=True, eq=False)
 class FilterOutcome:
     retained: Dataset
-    retained_count: int
-    discarded_count: int
     discrepancies: np.ndarray  # per input pair, in input order
-    threshold: float
+    mask: np.ndarray  # True where the input pair was kept
 
     @property
-    def mask(self) -> np.ndarray:
-        """True where the input pair was kept."""
-        return self.discrepancies <= self.threshold
+    def retained_count(self) -> int:
+        return self.retained.count
+
+    @property
+    def discarded_count(self) -> int:
+        return self.mask.size - self.retained.count
 
     @property
     def max_jump(self) -> Optional[Tuple[int, int]]:
         """Longest contiguous run of discarded pairs, as in :class:`DiscrepancyProfile`."""
-        return _longest_run(self.discrepancies > self.threshold)
+        return _longest_run(~self.mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,34 +62,32 @@ def discrepancies(dataset: Dataset, physics: SystemModel) -> np.ndarray:
     return np.linalg.norm(predicted - dataset.successors, axis=1)
 
 
-def apply_filter(dataset: Dataset, physics: SystemModel, threshold: float) -> FilterOutcome:
-    """Keep pairs whose recorded successor is within ``threshold`` (> 0) of physics.
-
-    Order is preserved and the retained dataset is flagged ``filtered``.
-    An all-discarding threshold is legal and yields an empty retained set.
-    """
+def _keep(
+    dataset: Dataset, physics: SystemModel, threshold: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-pair discrepancies and the keep mask; every filter result derives from these."""
     if not (threshold > 0):
         raise ValueError("threshold must be strictly positive")
     disc = discrepancies(dataset, physics)
-    keep = disc <= threshold
-    retained = dataset.take(keep, filtered=True)
-    return FilterOutcome(
-        retained=retained,
-        retained_count=int(keep.sum()),
-        discarded_count=int((~keep).sum()),
-        discrepancies=disc,
-        threshold=threshold,
-    )
+    return disc, disc <= threshold
+
+
+def apply_filter(dataset: Dataset, physics: SystemModel, threshold: float) -> FilterOutcome:
+    """Keep pairs whose recorded successor is within ``threshold`` (> 0) of physics.
+
+    Order is preserved.  An all-discarding threshold is legal and yields an
+    empty retained set.
+    """
+    disc, keep = _keep(dataset, physics, threshold)
+    return FilterOutcome(retained=dataset.take(keep), discrepancies=disc, mask=keep)
 
 
 def discrepancy_profile(
     dataset: Dataset, physics: SystemModel, threshold: float
 ) -> DiscrepancyProfile:
     """Per-pair discrepancies plus the longest contiguous discarded run."""
-    if not (threshold > 0):
-        raise ValueError("threshold must be strictly positive")
-    disc = discrepancies(dataset, physics)
-    discarded = disc > threshold
+    disc, keep = _keep(dataset, physics, threshold)
+    discarded = ~keep
     return DiscrepancyProfile(
         states=dataset.states,
         discrepancies=disc,

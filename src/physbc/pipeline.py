@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -158,8 +159,6 @@ def run(config: RunConfig) -> RunArtifacts:
         initial_region=config.initial,
         unsafe_region=config.unsafe,
         coeff_bound=config.solver.coeff_bound,
-        level_gap_row=config.solver.level_gap_row,
-        initial_level=config.solver.initial_level,
     )
     timings["assemble"] = clock() - t0
 
@@ -205,9 +204,7 @@ def run(config: RunConfig) -> RunArtifacts:
         certification = check_deterministic(result.slack, estimate.overall, radius)
         guarantee_report = {"mode": MODE_DETERMINISTIC, "covering_radius": radius}
     else:
-        count_dec = config.guarantee.decision_count
-        if count_dec is None:
-            count_dec = template.size + 2
+        count_dec = system.decision_size + 1  # the unsafe level, the coefficients and the slack
         level = min_violation_level(config.guarantee.risk, count_dec, retained.count)
         geometry = GeometryFactor.from_region(config.domain)
         certification = check_probabilistic(
@@ -229,12 +226,7 @@ def run(config: RunConfig) -> RunArtifacts:
     # ---- empirical validation -----------------------------------------------
     t0 = clock()
     safety = check_safety_empirically(
-        truth,
-        config.initial,
-        config.unsafe,
-        trajectories=config.validation.trajectories,
-        horizon=config.validation.horizon,
-        seed=config.validation.seed,
+        truth, config.initial, config.unsafe, **asdict(config.validation)
     )
     timings["validate"] = clock() - t0
 
@@ -299,26 +291,33 @@ def _cover_density(config: RunConfig, dataset: Dataset) -> float:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Sorted, indented JSON; numpy integers (a config built in Python may hold
+    them) are written as ints, and any other value JSON cannot hold raises."""
+    return json.dumps(report, indent=2, sort_keys=True, default=operator.index) + "\n"
 
 
 def write_artifacts(artifacts: RunArtifacts, out_dir: str) -> dict:
-    """Write report, certificate, and (optionally) the dataset to a directory.
+    """Write the dataset, certificate and report to a directory.
 
-    Returns the final report dict (with the dataset path filled in, and the
-    write time as ``timing["save"]``, when the dataset was saved).  Paths
-    inside the report stay relative so identical runs in different
-    directories produce identical bytes.
+    Returns the final report dict, with the dataset path filled in and the
+    dataset write time as ``timing["save"]``.  Paths inside the report stay
+    relative so identical runs in different directories produce identical
+    bytes.  Both JSON texts are built before either file is opened, so a
+    report that cannot be serialised leaves no partial JSON behind.
     """
     os.makedirs(out_dir, exist_ok=True)
-    report = dict(artifacts.report)
-    if artifacts.config.save_data:
-        t0 = time.perf_counter()
-        save_dataset(artifacts.dataset, os.path.join(out_dir, "dataset.csv"))
-        report["timing"] = {**report["timing"], "save": round(time.perf_counter() - t0, 6)}
-        report["dataset"] = {**report["dataset"], "path": "dataset.csv"}
-    with open(os.path.join(out_dir, "certificate.json"), "w", encoding="ascii") as fh:
-        fh.write(json.dumps(artifacts.certificate.to_dict(), indent=2, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="ascii") as fh:
-        fh.write(report_json(report))
+    t0 = time.perf_counter()
+    save_dataset(artifacts.dataset, os.path.join(out_dir, "dataset.csv"))
+    report = {
+        **artifacts.report,
+        "timing": {**artifacts.report["timing"], "save": round(time.perf_counter() - t0, 6)},
+        "dataset": {**artifacts.report["dataset"], "path": "dataset.csv"},
+    }
+    texts = {
+        "certificate.json": report_json(artifacts.certificate.to_dict()),
+        "report.json": report_json(report),
+    }
+    for name, text in texts.items():
+        with open(os.path.join(out_dir, name), "w", encoding="ascii") as fh:
+            fh.write(text)
     return report

@@ -6,9 +6,11 @@ both are reproducible from their parameters (the i.i.d. scheme from its seed).
 
 Datasets persist as CSV written in blocks: :func:`write_rows` formats 65 536
 rows with one ``%`` operation, which gives the same text as formatting them
-row by row.  :func:`load_dataset` parses the body with ``np.loadtxt`` and
-hands any file it cannot take as is to a line loop, which either returns the
-same values or names the offending line.
+row by row.  A JSON sidecar holds the scheme, seed, domain, count and
+dimension; :func:`load_dataset` ignores any other sidecar key, such as the
+``filtered`` flag that older sidecars carry.  It parses the body with
+``np.loadtxt`` and hands any file it cannot take as is to a line loop, which
+either returns the same values or names the offending line.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ class Dataset:
     scheme: str
     domain: RegionBox
     seed: Optional[int] = None
-    filtered: bool = False
 
     def __post_init__(self):
         xs = np.asarray(self.states, dtype=float)
@@ -86,14 +87,9 @@ class Dataset:
     def dimension(self) -> int:
         return self.states.shape[1]
 
-    def take(self, mask: np.ndarray, filtered: Optional[bool] = None) -> "Dataset":
-        """Subset in original order; marks the result filtered unless told otherwise."""
-        return replace(
-            self,
-            states=self.states[mask],
-            successors=self.successors[mask],
-            filtered=self.filtered if filtered is None else filtered,
-        )
+    def take(self, mask: np.ndarray) -> "Dataset":
+        """Subset in original order."""
+        return replace(self, states=self.states[mask], successors=self.successors[mask])
 
 
 def _check_capacity(total: int, max_count: int):
@@ -230,7 +226,6 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         "domain": dataset.domain.to_dict(),
         "count": dataset.count,
         "dimension": n,
-        "filtered": dataset.filtered,
     }
     with open(_sidecar_path(path), "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -259,7 +254,6 @@ def load_dataset(path: str) -> Dataset:
         count = int(meta["count"])
         n = int(meta["dimension"])
         seed = meta.get("seed")
-        filtered = bool(meta.get("filtered", False))
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetParseError(f"sidecar is missing or corrupts a field: {exc}") from exc
 
@@ -279,7 +273,7 @@ def load_dataset(path: str) -> Dataset:
             fh.seek(0)
             fh.readline()
             _parse_rows(fh, values)
-    return Dataset(values[:, :n], values[:, n:], scheme, domain, seed=seed, filtered=filtered)
+    return Dataset(values[:, :n], values[:, n:], scheme, domain, seed=seed)
 
 
 def _loadtxt_rows(fh) -> Optional[np.ndarray]:

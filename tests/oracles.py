@@ -61,13 +61,15 @@ def basis_matrix_repeated(template, states):
 
 
 def assemble_vstack(template, decay, data, initial_samples, unsafe_samples,
-                    coeff_bound=100.0, level_gap_row=True, initial_level=1e-4):
+                    coeff_bound=100.0):
     """The constraint stack built family by family and joined with ``vstack``.
 
     The former body of :func:`physbc.barrier.assemble`, without its input
-    checks.  Returns ``(rows, offsets, tags, aux_rows, aux_offsets,
+    checks, with the bound rows and the level-gap row that every system
+    carries.  Returns ``(rows, offsets, tags, aux_rows, aux_offsets,
     aux_tags)``; the solver saw ``vstack``/``concatenate`` of the two parts.
     """
+    initial_level = 1e-4  # the pinned level, written out here rather than imported
     x0 = np.asarray(initial_samples, dtype=float).reshape(-1, template.dimension)
     xu = np.asarray(unsafe_samples, dtype=float).reshape(-1, template.dimension)
     width = 1 + template.size
@@ -92,18 +94,16 @@ def assemble_vstack(template, decay, data, initial_samples, unsafe_samples,
     ])
 
     aux_rows, aux_offsets, aux_tags = [], [], []
-    if coeff_bound is not None:
-        eye = np.eye(width)
-        for j in range(width):
-            aux_rows.extend([eye[j], -eye[j]])
-            aux_offsets.extend([-coeff_bound, -coeff_bound])
-            aux_tags.extend(["bound", "bound"])
-    if level_gap_row:
-        gap = np.zeros(width)
-        gap[0] = -1.0
-        aux_rows.append(gap)
-        aux_offsets.append(float(initial_level))
-        aux_tags.append("gap")
+    eye = np.eye(width)
+    for j in range(width):
+        aux_rows.extend([eye[j], -eye[j]])
+        aux_offsets.extend([-coeff_bound, -coeff_bound])
+        aux_tags.extend(["bound", "bound"])
+    gap = np.zeros(width)
+    gap[0] = -1.0
+    aux_rows.append(gap)
+    aux_offsets.append(float(initial_level))
+    aux_tags.append("gap")
     return (
         rows,
         offsets,
@@ -383,7 +383,6 @@ def save_dataset_rowwise(dataset, path):
         "domain": dataset.domain.to_dict(),
         "count": dataset.count,
         "dimension": n,
-        "filtered": dataset.filtered,
     }
     with open(_sidecar(path), "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -406,7 +405,6 @@ def load_dataset_rowwise(path):
         count = int(meta["count"])
         n = int(meta["dimension"])
         seed = meta.get("seed")
-        filtered = bool(meta.get("filtered", False))
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetParseError(f"sidecar is missing or corrupts a field: {exc}") from exc
 
@@ -435,4 +433,4 @@ def load_dataset_rowwise(path):
             row += 1
     if row != count:
         raise DatasetParseError(f"sidecar promises {count} rows, file has {row}")
-    return Dataset(values[:, :n], values[:, n:], scheme, domain, seed=seed, filtered=filtered)
+    return Dataset(values[:, :n], values[:, n:], scheme, domain, seed=seed)

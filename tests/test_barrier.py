@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import assemble_vstack, basis_matrix_pow, basis_matrix_repeated
 from physbc.barrier import (
-    DEFAULT_INITIAL_LEVEL,
     FAMILIES,
+    INITIAL_LEVEL,
     BarrierCertificate,
     BarrierTemplate,
     assemble,
@@ -182,11 +182,10 @@ def test_assemble_row_structure():
     # then 2 bound rows per decision entry and the level-gap row
     assert system.family_sizes == (2, 2, 4, 8, 1)
     assert system.rows.shape == (17, 4)
-    assert system.initial_level == DEFAULT_INITIAL_LEVEL
 
     # initial rows:  B(x) - initial_level <= slack, pin folded into the offset
     assert system.rows[0] == pytest.approx([0.0, 0.25, 0.5, 1.0])
-    assert system.offsets[:2] == pytest.approx([-DEFAULT_INITIAL_LEVEL] * 2)
+    assert system.offsets[:2] == pytest.approx([-INITIAL_LEVEL] * 2)
     # unsafe rows:   unsafe_level - B(x) <= slack
     assert system.rows[2] == pytest.approx([1.0, -(2.6 ** 2), -2.6, -1.0])
     # flow rows:     B(y) - decay B(x) <= slack
@@ -200,7 +199,7 @@ def test_assemble_auxiliary_rows():
     data = _toy_dataset(3)
     template = BarrierTemplate.quadratic(1)
     system = assemble(template, 0.83, data, np.array([[0.55]]), np.array([[2.65]]),
-                      coeff_bound=50.0, initial_level=2e-3)
+                      coeff_bound=50.0)
     width = system.decision_size
     assert width == 4
     assert system.family_sizes == (1, 1, 3, 2 * width, 1)
@@ -211,24 +210,14 @@ def test_assemble_auxiliary_rows():
     assert bounds[1::2] == pytest.approx(-np.eye(width))
     # the gap row reads initial_level - unsafe_level <= slack
     assert system.rows[-1] == pytest.approx([-1.0, 0.0, 0.0, 0.0])
-    assert system.offsets[-1] == pytest.approx(2e-3)
-
-
-def test_assemble_can_omit_auxiliary_rows():
-    data = _toy_dataset(3)
-    template = BarrierTemplate.quadratic(1)
-    system = assemble(template, 0.83, data, np.array([[0.55]]), np.array([[2.65]]),
-                      coeff_bound=None, level_gap_row=False)
-    assert system.family_sizes == (1, 1, 3, 0, 0)
-    assert system.rows.shape == (5, system.decision_size)
-    assert system.offsets.shape == (5,)
+    assert system.offsets[-1] == INITIAL_LEVEL
 
 
 STACK_CASES = {
     "default": dict(),
-    "no-aux": dict(coeff_bound=None, level_gap_row=False),
-    "bounds-only": dict(coeff_bound=7.0, level_gap_row=False),
-    "gap-only": dict(coeff_bound=None, initial_level=3e-3),
+    "bound-7": dict(coeff_bound=7.0),
+    "bound-half": dict(coeff_bound=0.5),
+    "bound-1e6": dict(coeff_bound=1e6),
 }
 
 
@@ -257,6 +246,8 @@ def test_assemble_writes_one_stack_equal_to_vstack(case, dimension):
     assert np.array_equal(np.repeat(FAMILIES, system.family_sizes),
                           np.concatenate([tags, extra_tags]))
     assert system.counts == {"initial": 4, "unsafe": 6, "flow": 50}
+    # every system ends in 2 * width bound rows and the one gap row
+    assert system.family_sizes[3:] == (2 * system.decision_size, 1)
     assert not system.rows.flags.writeable and not system.offsets.flags.writeable
 
 
@@ -280,10 +271,9 @@ def test_family_counts_match_tag_tally(case, dimension):
 def test_certificate_from_decision():
     data = _toy_dataset(2)
     template = BarrierTemplate.quadratic(1)
-    system = assemble(template, 0.83, data, np.array([[0.5]]), np.array([[2.7]]),
-                      initial_level=0.01)
+    system = assemble(template, 0.83, data, np.array([[0.5]]), np.array([[2.7]]))
     cert = system.certificate_from_decision(np.array([1.5, 0.2, 0.8, -1.0]))
-    assert cert.initial_level == 0.01
+    assert cert.initial_level == INITIAL_LEVEL
     assert cert.unsafe_level == 1.5
     assert cert.coefficients == pytest.approx([0.2, 0.8, -1.0])
     assert cert.decay == 0.83
@@ -315,12 +305,10 @@ def test_assemble_rejects_bad_decay_and_bound():
     for decay in (0.0, 1.5):
         with pytest.raises(ValueError):
             assemble(template, decay, data, np.array([[0.55]]), np.array([[2.65]]))
-    with pytest.raises(ValueError):
-        assemble(template, 0.83, data, np.array([[0.55]]), np.array([[2.65]]),
-                 coeff_bound=-1.0)
-    with pytest.raises(ValueError):
-        assemble(template, 0.83, data, np.array([[0.55]]), np.array([[2.65]]),
-                 initial_level=0.0)
+    for bound in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="coeff_bound must be positive"):
+            assemble(template, 0.83, data, np.array([[0.55]]), np.array([[2.65]]),
+                     coeff_bound=bound)
 
 
 # ------------------------------------------------------------------ residuals

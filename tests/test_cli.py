@@ -34,6 +34,13 @@ def small_config_dict():
     return config.to_dict()
 
 
+def _with_setting(data, path, value):
+    """Set ``section.key`` (or a top-level key) of a config dict."""
+    *section, key = path.split(".")
+    (data[section[0]] if section else data)[key] = value
+    return data
+
+
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("config") / "run.json"
@@ -112,8 +119,6 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
     ({"validation.horizon": 0}, "validation horizon must be at least 1"),
     ({"perturbation.frequency": -1.0}, "frequency must be positive"),
     ({"perturbation.amplitude": -0.1}, "amplitude must be non-negative"),
-    ({"guarantee.mode": "probabilistic", "guarantee.decision_count": 0},
-     "guarantee.decision_count must be at least 1"),
     ({"sampling.count": 4000.5}, "sampling.count must be an integer, got 4000.5"),
     ({"sampling.scheme": "iid-uniform", "sampling.count": 4000.5},
      "sampling.count must be an integer, got 4000.5"),
@@ -126,15 +131,14 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
     ({"sampling.cuont": 4000}, "unknown sampling key(s): cuont"),
     ({"domain.middle": [1.0]}, "unknown domain key(s): middle"),
 ], ids=["negative-coeff-bound", "zero-trajectories", "zero-horizon",
-        "negative-frequency", "negative-amplitude", "zero-decision-count", "fractional-grid-count",
+        "negative-frequency", "negative-amplitude", "fractional-grid-count",
         "fractional-iid-count", "fractional-trajectories", "bool-horizon", "fractional-degree",
         "negative-sampling-seed", "negative-validation-seed", "unknown-top-level-key",
         "unknown-section-key", "unknown-region-key"])
 def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch):
     data = small_config_dict()
     for path, value in edits.items():
-        *section, key = path.split(".")
-        (data[section[0]] if section else data)[key] = value
+        _with_setting(data, path, value)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
 
@@ -149,6 +153,41 @@ def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch)
     assert "error: could not load config" in result.output
     assert message in result.output
     assert not (tmp_path / "o").exists()
+
+
+# settings the scenario program no longer has, and the unbounded program's null bound
+RETIRED = {
+    "solver.level_gap_row": True,
+    "solver.initial_level": 1e-4,
+    "solver.coeff_bound": None,
+    "guarantee.decision_count": 5,
+    "save_data": True,
+}
+
+
+@pytest.mark.parametrize("path", sorted(RETIRED))
+def test_run_and_plotdata_refuse_a_retired_setting(path, run_dir, tmp_path, monkeypatch):
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps(_with_setting(small_config_dict(), path, RETIRED[path])))
+    report = json.loads((run_dir / "report.json").read_text())
+    _with_setting(report["config"], path, RETIRED[path])
+    (tmp_path / "report.json").write_text(json.dumps(report))
+
+    def no_work(config):
+        raise AssertionError("the pipeline ran on a config that should not load")
+
+    monkeypatch.setattr("physbc.cli.run", no_work)
+    ran = CliRunner().invoke(main, ["run", "--config", str(config),
+                                    "--out", str(tmp_path / "o")])
+    plotted = CliRunner().invoke(main, ["plotdata", "--report", str(tmp_path / "report.json"),
+                                        "--out", str(tmp_path / "plots")])
+    assert isinstance(ran.exception, SystemExit), ran.exception
+    assert ran.exit_code == 1
+    assert "error: could not load config" in ran.output
+    assert path.split(".")[-1] in ran.output
+    assert plotted.exit_code == 1
+    assert "error: could not load report" in plotted.output
+    assert not (tmp_path / "o").exists() and not (tmp_path / "plots").exists()
 
 
 def test_run_reports_a_negative_seed_override(tmp_path, monkeypatch):
@@ -229,7 +268,21 @@ def test_validate_rejects_counts_below_one(option, value, run_dir, config_path, 
         *[item for pair in counts.items() for item in pair],
     ])
     assert result.exit_code == 1
-    assert f"error: {option} must be at least 1" in result.output
+    assert f"error: validation {option[2:]} must be at least 1" in result.output
+
+
+def test_validate_reports_a_negative_seed_override(run_dir, config_path, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated with a negative seed")
+
+    monkeypatch.setattr("physbc.cli.check_safety_empirically", no_simulation)
+    result = CliRunner().invoke(main, [
+        "validate", "--certificate", str(run_dir / "certificate.json"), "--config", config_path,
+        "--trajectories", "10", "--horizon", "20", "--seed", "-1",
+    ])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "error: validation.seed must be non-negative" in result.output
 
 
 # ------------------------------------------------------------------ plotdata

@@ -94,7 +94,7 @@ def test_from_dict_fills_defaults():
     assert config.name == "custom"
     assert config.sampling == SamplingSpec()
     assert config.solver.coeff_bound == 100.0
-    assert config.solver.level_gap_row is True
+    assert config.solver.cross_check is False
     assert config.lipschitz.multiplier == 1.1
     assert config.validation.trajectories == 1000
 
@@ -134,10 +134,6 @@ def test_construction_rejects_bad_geometry_and_knobs():
         small_config(sampling=SamplingSpec(count=True))
     with pytest.raises(ValueError, match="validation.horizon must be an integer"):
         small_config(validation=ValidationSpec(horizon=50.0))
-    with pytest.raises(ValueError, match="guarantee.decision_count must be an integer"):
-        small_config(guarantee=GuaranteeSpec(decision_count=5.0))
-    with pytest.raises(ValueError, match="guarantee.decision_count must be at least 1"):
-        small_config(guarantee=GuaranteeSpec(decision_count=0))
     with pytest.raises(ValueError, match="sampling.seed must be non-negative"):
         small_config(sampling=SamplingSpec(seed=-1))
     with pytest.raises(ValueError, match="validation.seed must be non-negative"):
@@ -146,17 +142,21 @@ def test_construction_rejects_bad_geometry_and_knobs():
         small_config(perturbation=PerturbationSpec(frequency=-1.0))
     with pytest.raises(ValueError, match="amplitude must be non-negative"):
         small_config(perturbation=PerturbationSpec(amplitude=-0.1))
-    small_config(solver=SolverSpec(coeff_bound=None))
 
 
-def test_construction_accepts_numpy_integers_and_a_derived_decision_count():
+
+def test_construction_rejects_an_unbounded_program():
+    # the scenario program always bounds its coefficients: null is no longer a setting
+    with pytest.raises(ValueError, match="solver.coeff_bound must be positive, got None"):
+        small_config(solver=SolverSpec(coeff_bound=None))
+
+
+def test_construction_accepts_numpy_integers():
     config = small_config(
         template_degree=np.int64(2),
         sampling=SamplingSpec(count=np.int32(500), seed=np.uint8(0)),
-        guarantee=GuaranteeSpec(decision_count=None),
     )
     assert config.sampling.count == 500
-    small_config(guarantee=GuaranteeSpec(mode=MODE_PROBABILISTIC, decision_count=1))
 
 
 def test_replace_checks_the_new_config():

@@ -24,7 +24,7 @@ def test_filter_keeps_boundary_pairs():
     assert out.discarded_count == 2
     assert out.mask.tolist() == [True, True, True, False, False]
     assert out.discrepancies == pytest.approx([0.0, 0.005, 0.005, 0.0051, 0.02])
-    assert out.retained.filtered
+    assert out.max_jump == (3, 2)
 
 
 def test_filter_preserves_order():

@@ -89,14 +89,14 @@ def test_dataset_shape_and_domain_validation():
         Dataset(np.array([[0.4]]), np.array([[0.9]]), SCHEME_GRID, DOMAIN)
 
 
-def test_dataset_take_preserves_order_and_flags():
+def test_dataset_take_preserves_order_and_metadata():
     data = sample_grid(supply_demand(), DOMAIN, 10)
     mask = np.zeros(10, dtype=bool)
     mask[[1, 4, 7]] = True
-    sub = data.take(mask, filtered=True)
+    sub = data.take(mask)
     assert sub.count == 3
     assert np.array_equal(sub.states, data.states[[1, 4, 7]])
-    assert sub.filtered and not data.filtered
+    assert (sub.scheme, sub.domain, sub.seed) == (data.scheme, data.domain, data.seed)
     assert np.array_equal(sub.states[0], data.states[1])
     assert np.array_equal(sub.successors[0], data.successors[1])
 
@@ -160,8 +160,8 @@ def test_save_load_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(back.successors, data.successors)
     assert back.scheme == data.scheme
     assert back.seed == data.seed
-    assert back.filtered == data.filtered
-    assert (tmp_path / "pairs.meta.json").exists()
+    meta = json.loads((tmp_path / "pairs.meta.json").read_text())
+    assert set(meta) == {"scheme", "seed", "domain", "count", "dimension"}
 
 
 @settings(max_examples=25, deadline=None)
@@ -266,6 +266,17 @@ def test_save_matches_rowwise_oracle_on_edge_values(tmp_path):
     assert back.successors.tobytes() == data.successors.tobytes()
 
 
+def test_load_accepts_an_older_sidecar_with_a_filtered_flag(tmp_path):
+    data = sample_iid(supply_demand(), DOMAIN, 16, seed=3)
+    path = tmp_path / "pairs.csv"
+    save_dataset(data, str(path))
+    sidecar = tmp_path / "pairs.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "filtered": True}))
+    back = load_dataset(str(path))
+    assert back.states.tobytes() == data.states.tobytes()
+    assert (back.scheme, back.seed, back.count) == (data.scheme, data.seed, data.count)
+
+
 def _outcome(load, path):
     """What a loader makes of a file: its arrays and metadata, or its exception."""
     try:
@@ -273,7 +284,7 @@ def _outcome(load, path):
     except Exception as exc:  # the oracle and the loader must fail alike
         return type(exc), str(exc), getattr(exc, "line", None)
     return (data.states.tobytes(), data.successors.tobytes(), data.states.shape,
-            data.scheme, data.seed, data.filtered)
+            data.scheme, data.seed)
 
 
 def _edit_lines(lines, case):
