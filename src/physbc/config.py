@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from math import sqrt
+from numbers import Real
 from operator import attrgetter
 from typing import Optional, Union, get_type_hints
 
@@ -86,6 +87,10 @@ class ValidationSpec:
     seed: int = 99
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _unknown_keys(data: dict, cls, where: str) -> None:
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
@@ -118,6 +123,13 @@ class RunConfig:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if key.endswith(".seed") and value < 0:
                 raise ValueError(f"{key} must be non-negative")
+        # real numbers, numpy floats included; bool does not count, and a null
+        # amplitude means the derived one
+        for key in ("decay", "filter.threshold", "guarantee.risk", "perturbation.amplitude",
+                    "perturbation.frequency", "perturbation.phase"):
+            value = attrgetter(key)(self)
+            if not _is_number(value) and not (key == "perturbation.amplitude" and value is None):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         if not self.domain.contains_box(self.initial):
             raise ValueError("initial region must be nested in the domain")
         if not self.domain.contains_box(self.unsafe):
@@ -136,7 +148,7 @@ class RunConfig:
             raise ValueError("risk must lie strictly between 0 and 1")
         if self.template_degree < 0:
             raise ValueError("template degree must be non-negative")
-        if self.solver.coeff_bound is None or not self.solver.coeff_bound > 0:
+        if not _is_number(self.solver.coeff_bound) or not self.solver.coeff_bound > 0:
             raise ValueError(f"solver.coeff_bound must be positive, got {self.solver.coeff_bound!r}")
         if self.validation.trajectories < 1:
             raise ValueError("validation trajectories must be at least 1")

@@ -246,7 +246,7 @@ class SafetyCheck:
     horizon: int
     violation_count: int
     # (trajectory index, step, entry state) for each trajectory that hit the
-    # unsafe region, recorded at the first hit only.
+    # unsafe region, recorded at the first hit only; the states are read-only.
     violations: tuple = field(default_factory=tuple)
 
     @property
@@ -313,10 +313,10 @@ def check_safety_empirically(
             hit_state[fresh] = window[at, fresh]
         states[...] = window[-1]
 
+    # read-only, so a check shared between runs cannot be altered by one of them
+    hit_state.flags.writeable = False
     violating = np.nonzero(first_hit >= 0)[0]
-    events = tuple(
-        (int(i), int(first_hit[i]), hit_state[i].copy()) for i in violating
-    )
+    events = tuple((int(i), int(first_hit[i]), hit_state[i]) for i in violating)
     return SafetyCheck(
         trajectories=trajectories,
         horizon=horizon,

@@ -124,6 +124,10 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
      "sampling.count must be an integer, got 4000.5"),
     ({"validation.trajectories": 20.5}, "validation.trajectories must be an integer"),
     ({"validation.horizon": True}, "validation.horizon must be an integer, got True"),
+    ({"decay": "0.5"}, "decay must be a number, got '0.5'"),
+    ({"perturbation.frequency": "1250"}, "perturbation.frequency must be a number, got '1250'"),
+    ({"filter.threshold": True}, "filter.threshold must be a number, got True"),
+    ({"solver.coeff_bound": "100"}, "solver.coeff_bound must be positive, got '100'"),
     ({"template_degree": 2.5}, "template_degree must be an integer"),
     ({"sampling.seed": -1}, "sampling.seed must be non-negative"),
     ({"validation.seed": -3}, "validation.seed must be non-negative"),
@@ -132,7 +136,9 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
     ({"domain.middle": [1.0]}, "unknown domain key(s): middle"),
 ], ids=["negative-coeff-bound", "zero-trajectories", "zero-horizon",
         "negative-frequency", "negative-amplitude", "fractional-grid-count",
-        "fractional-iid-count", "fractional-trajectories", "bool-horizon", "fractional-degree",
+        "fractional-iid-count", "fractional-trajectories", "bool-horizon",
+        "quoted-decay", "quoted-frequency", "bool-threshold", "quoted-coeff-bound",
+        "fractional-degree",
         "negative-sampling-seed", "negative-validation-seed", "unknown-top-level-key",
         "unknown-section-key", "unknown-region-key"])
 def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch):
@@ -502,6 +508,19 @@ def test_cli_import_loads_no_process_pool():
     code = ("import sys, physbc.cli; "
             "print(sorted(m for m in sys.modules"
             " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = os.path.dirname(os.path.dirname(physbc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_third_party_package_beyond_numpy_and_click():
+    # import time is the benchmark's setup_s: a new top-level dependency shows up here first
+    code = ("import sys, numpy, click\n"
+            "before = set(sys.modules)\n"
+            "import physbc.cli\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names) - {'physbc'}))")
     src = os.path.dirname(os.path.dirname(physbc.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})

@@ -151,6 +151,39 @@ def test_construction_rejects_an_unbounded_program():
         small_config(solver=SolverSpec(coeff_bound=None))
 
 
+NUMBER_FIELDS = ("decay", "filter.threshold", "solver.coeff_bound", "guarantee.risk",
+                 "perturbation.amplitude", "perturbation.frequency", "perturbation.phase")
+NON_NUMBERS = {"string": "0.5", "null": None, "true": True}
+
+
+def _with_setting(data, path, value):
+    *section, key = path.split(".")
+    (data[section[0]] if section else data)[key] = value
+    return data
+
+
+@pytest.mark.parametrize("key, kind", [
+    (key, kind) for key in NUMBER_FIELDS for kind in NON_NUMBERS
+    if (key, kind) != ("perturbation.amplitude", "null")  # null derives the amplitude
+])
+def test_number_fields_reject_anything_but_a_number(key, kind):
+    value = NON_NUMBERS[kind]
+    data = _with_setting(small_config().to_dict(), key, value)
+    requirement = "positive" if key == "solver.coeff_bound" else "a number"
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be {requirement}, got {value!r}")):
+        RunConfig.from_dict(data)
+
+
+def test_number_fields_accept_numpy_floats_and_integers():
+    values = [np.float64(0.5), np.float32(0.01), np.int64(100), np.float64(0.1),
+              np.float64(0.003), np.int64(1000), np.float32(0.0)]
+    data = small_config().to_dict()
+    for key, value in zip(NUMBER_FIELDS, values):
+        _with_setting(data, key, value)
+    config = RunConfig.from_dict(data)
+    assert config.solver.coeff_bound == 100 and config.perturbation.frequency == 1000
+
+
 def test_construction_accepts_numpy_integers():
     config = small_config(
         template_degree=np.int64(2),

@@ -178,6 +178,18 @@ def test_safety_check_detects_unsafe_start():
     assert unsafe.contains(state)
 
 
+def test_safety_check_hit_states_are_read_only():
+    # a check may be shared between pipeline runs, so no run may alter it
+    check = check_safety_empirically(
+        supply_demand(), RegionBox.interval(2.6, 2.65), RegionBox.interval(2.55, 2.7),
+        trajectories=5, horizon=3,
+    )
+    state = check.violations[0][2]
+    with pytest.raises(ValueError, match="read-only"):
+        state[0] = 0.0
+    assert all(not hit.flags.writeable for _, _, hit in check.violations)
+
+
 def test_safety_check_clean_run_is_reproducible():
     model = supply_demand()
     initial = RegionBox.interval(0.5, 0.6)

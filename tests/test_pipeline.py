@@ -146,8 +146,17 @@ def test_constraint_generation_matches_full_lp_on_reference_systems(key, monkeyp
 def test_streamed_kernels_match_oracles_on_reference_systems(key, monkeypatch):
     config = reference_config(key, 0.05)
     shipped = dict(run(config).report)
-    monkeypatch.setattr("physbc.pipeline.check_safety_empirically", safety_by_step_many)
+    oracle_calls = []
+
+    def oracle(*args, **kwargs):
+        oracle_calls.append(args)
+        return safety_by_step_many(*args, **kwargs)
+
+    # forget the shipped check, or the second run would reuse it
+    physbc.pipeline._safety_memo.clear()
+    monkeypatch.setattr("physbc.pipeline.check_safety_empirically", oracle)
     reference = dict(run(config).report)
+    assert len(oracle_calls) == 1
     shipped.pop("timing"), reference.pop("timing")
     assert report_json(shipped) == report_json(reference)
 
@@ -343,3 +352,111 @@ def test_region_cover_two_dimensional():
 def test_region_cover_needs_positive_density():
     with pytest.raises(ValueError):
         region_cover(RegionBox.interval(0.0, 1.0), 0.0)
+
+
+# ------------------------------------------------ the empirical check, reused
+
+
+@pytest.fixture
+def rollouts(monkeypatch):
+    """The calls that get past ``run``'s memo to the rollout."""
+    calls = []
+    rollout = physbc.pipeline.check_safety_empirically
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr("physbc.pipeline.check_safety_empirically", counted)
+    return calls
+
+
+def tiny(config):
+    return replace(
+        config,
+        sampling=replace(config.sampling, count=1000),
+        lipschitz=LipschitzSpec(pair_budget=20_000, seed=7),
+        validation=ValidationSpec(trajectories=20, horizon=30, seed=99),
+    )
+
+
+def test_reference_settings_roll_out_each_truth_once(rollouts):
+    for key in REFERENCE_RESULTS:
+        run(reference_config(key, 0.05))
+    # one truth per case study: filtering, sampling and mode do not change it
+    assert len(rollouts) == 2
+
+
+def test_a_reused_check_reports_as_a_computed_one(rollouts):
+    config = tiny(preset("logistic-growth"))
+    computed = dict(run(config).report)
+    reused = dict(run(config).report)
+    assert len(rollouts) == 1
+    assert reused["timing"]["validate"] < computed["timing"]["validate"]
+    computed.pop("timing"), reused.pop("timing")
+    assert report_json(reused) == report_json(computed)
+
+
+def _validation(**changes):
+    return lambda c: replace(c, validation=replace(c.validation, **changes))
+
+
+def _perturbation(**changes):
+    return lambda c: replace(c, perturbation=replace(c.perturbation, **changes))
+
+
+SUPPLY_DEMAND = {"kind": "affine", "linear": [[0.8]], "offset": [0.5]}
+
+# One input of the rollout changed at a time: each must roll out again.
+ROLLOUT_CHANGES = {
+    "trajectories": _validation(trajectories=21),
+    "horizon": _validation(horizon=31),
+    "seed": _validation(seed=100),
+    "initial": lambda c: replace(c, initial=RegionBox.interval(0.5, 0.61)),
+    "unsafe": lambda c: replace(c, unsafe=RegionBox.interval(2.59, 2.7)),
+    "derived-amplitude": lambda c: replace(c, filter=replace(c.filter, threshold=0.006)),
+    "amplitude": _perturbation(amplitude=0.003),
+    "frequency": _perturbation(frequency=1000.0),
+    "phase": _perturbation(phase=0.5),
+    "system": lambda c: replace(c, system={**SUPPLY_DEMAND, "offset": [0.49]}),
+}
+
+# Changes the rollout does not read: each must reuse the first check.
+OTHER_CHANGES = {
+    "sample-count": lambda c: replace(c, sampling=replace(c.sampling, count=1200)),
+    "filter-off": lambda c: replace(c, filter=replace(c.filter, enabled=False)),
+    "mode": lambda c: replace(c, guarantee=replace(c.guarantee, mode=MODE_PROBABILISTIC)),
+    "pinned-amplitude-threshold": lambda c: replace(
+        c, filter=replace(c.filter, threshold=0.006),
+        perturbation=replace(c.perturbation, amplitude=c.perturbation_amplitude())),
+    "same-system-by-value": lambda c: replace(c, system=SUPPLY_DEMAND),
+}
+
+
+@pytest.mark.parametrize("change", sorted(ROLLOUT_CHANGES))
+def test_a_changed_rollout_input_rolls_out_again(change, rollouts):
+    config = tiny(preset("supply-demand"))
+    changed = ROLLOUT_CHANGES[change](config)
+    first, second = run(config), run(changed)
+    assert len(rollouts) == 2
+    assert second.safety is not first.safety
+
+
+@pytest.mark.parametrize("change", sorted(OTHER_CHANGES))
+def test_a_change_the_rollout_does_not_read_reuses_the_check(change, rollouts):
+    config = tiny(preset("supply-demand"))
+    first, second = run(config), run(OTHER_CHANGES[change](config))
+    assert len(rollouts) == 1
+    assert second.safety is first.safety
+
+
+def test_the_memo_keeps_the_latest_checks_only(rollouts):
+    config = tiny(preset("supply-demand"))
+    size = physbc.pipeline._SAFETY_MEMO_SIZE
+    for seed in range(size + 1):
+        run(_validation(seed=seed)(config))
+    assert len(physbc.pipeline._safety_memo) == size
+    run(_validation(seed=size)(config))  # the newest is kept
+    assert len(rollouts) == size + 1
+    run(_validation(seed=0)(config))  # the oldest was dropped
+    assert len(rollouts) == size + 2
