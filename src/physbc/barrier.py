@@ -6,9 +6,23 @@ integer powers (``x_i``, ``x_i*x_i``, ...), with no floating-point ``pow``.
 Safety is encoded by three families of affine constraints on the stacked
 decision vector ``[unsafe_level, coefficients...]``:
 
-* initial rows:  ``B(x) - initial_level          <= slack``  on the initial set,
-* unsafe rows:   ``unsafe_level - B(x)           <= slack``  on the unsafe set,
+* initial rows:  ``b_k - initial_level           <= slack``  per Bernstein coefficient on the initial box,
+* unsafe rows:   ``unsafe_level - b_k            <= slack``  per Bernstein coefficient on the unsafe box,
 * flow rows:     ``B(successor) - decay * B(x)   <= slack``  on recorded pairs.
+
+The two region families hold on the whole region, not only at sample points.
+On a box ``[a, a + h]`` write ``x_i = a_i + h_i t_i`` with ``t`` in the unit
+cube.  With ``d_i`` the template's largest exponent on axis ``i``, ``B`` is a
+combination ``sum_k b_k prod_i C(d_i, k_i) t_i^k_i (1 - t_i)^(d_i - k_i)`` of
+tensor Bernstein polynomials.  Those are non-negative and sum to one on the
+cube, so every value of ``B`` on the box is a convex combination of the
+``b_k``: ``min b_k <= B(x) <= max b_k`` (Farouki, "The Bernstein polynomial
+basis: a centennial retrospective", CAGD 2012).  Each ``b_k`` is linear in the
+template coefficients (:func:`bernstein_rows`), so ``max b_k <=
+initial_level`` is ``prod_i (d_i + 1)`` affine rows and implies ``B <=
+initial_level`` on the entire initial box, and likewise for the unsafe box.
+The corner coefficients are ``B`` at the box corners, so the enclosure is
+tight wherever ``B`` peaks at a corner.
 
 ``initial_level`` is the fixed small positive constant :data:`INITIAL_LEVEL`
 rather than a decision entry.  Left free, it only ever adds a translation
@@ -20,27 +34,28 @@ valid by construction.
 
 Every row is an affine function of the decision vector that must stay below
 the shared slack variable; minimising the slack over all rows is the job of
-:mod:`physbc.solver`.  Besides the sample rows, every assembled system ends
-in the same auxiliary rows: ``2 * width`` symmetric bound rows that keep the
-polytope bounded, and one level-gap row ``initial_level - unsafe_level <=
-slack`` so that a negative optimal slack certifies ``unsafe_level >
-initial_level`` instead of letting the optimiser collapse the separation.
-:func:`assemble` writes every row into one preallocated, read-only stack that
-the solver receives uncopied.  The rows come in the order of
-:data:`FAMILIES`, so a row's family follows from its position and the
-per-family row counts alone.
+:mod:`physbc.solver`.  Besides the region and sample rows, every assembled
+system ends in the same auxiliary rows: ``2 * width`` symmetric bound rows
+that keep the polytope bounded, and one level-gap row ``initial_level -
+unsafe_level <= slack`` so that a negative optimal slack certifies
+``unsafe_level > initial_level`` instead of letting the optimiser collapse
+the separation.  :func:`assemble` writes every row into one preallocated,
+read-only stack that the solver receives uncopied.  The rows come in the
+order of :data:`FAMILIES`, so a row's family follows from its position and
+the per-family row counts alone.
 
-After the solve, :func:`sample_values` evaluates the certificate once on the
-recorded pairs; the residual audit (:func:`check_certificate`) and the
+After the solve, :func:`sample_values` evaluates the flow expression once on
+the recorded pairs; the residual audit (:func:`check_certificate`) and the
 Lipschitz estimators read those values instead of evaluating it again.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
+import operator
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Tuple
+from math import comb
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +63,8 @@ from .errors import ModelMismatchError, RegionViolationError
 from .models import RegionBox
 from .sampling import Dataset
 
-# row families, in stack order: the three sample families, then the auxiliary rows
+# row families, in stack order: the two region families and the flow samples,
+# then the auxiliary rows
 FAMILIES = ("initial", "unsafe", "flow", "bound", "gap")
 
 DEFAULT_COEFF_BOUND = 100.0
@@ -236,7 +252,7 @@ class ConstraintSystem:
 
     @property
     def counts(self) -> dict:
-        """Constraint samples per sample family (initial, unsafe, flow)."""
+        """Rows per region or sample family (initial, unsafe, flow)."""
         return dict(zip(FAMILIES[:3], self.family_sizes))
 
     def family_counts(self, indices: np.ndarray) -> dict:
@@ -258,37 +274,55 @@ class ConstraintSystem:
         )
 
 
-def _require_inside(
-    samples: np.ndarray, region: Optional[RegionBox], label: str
-) -> None:
-    if region is None or samples.size == 0:
-        return
-    ok = region.contains(samples, rtol=1e-12)
-    if not np.all(ok):
-        first = int(np.nonzero(~ok)[0][0])
-        raise RegionViolationError(
-            f"{label} sample row {first} lies outside its declared region: {samples[first]}"
-        )
+def bernstein_rows(template: BarrierTemplate, region: RegionBox) -> np.ndarray:
+    """Rows ``R`` such that ``R @ q`` lists the Bernstein coefficients of ``B`` on ``region``.
+
+    Tensor-product form, one piece per region: axis ``i`` has degree ``d_i``,
+    the template's largest exponent on it, and ``R`` has ``prod_i (d_i + 1)``
+    rows, the first axis's index varying slowest.  On ``[lo, hi]`` the
+    coefficient ``k`` of ``x^e`` in degree ``d`` is the polar form of ``x^e``
+    at ``k`` copies of ``hi`` and ``d - k`` of ``lo``:
+    ``sum_j C(k, j) C(d - k, e - j) / C(d, e) * hi^j * lo^(e - j)``, the same
+    numbers as expanding ``(lo + (hi - lo) t)^e`` and converting powers of
+    ``t`` to the Bernstein basis.  This form needs no ``hi - lo`` and keeps
+    the corners exact: a corner row equals the basis matrix at that corner,
+    bit for bit.
+    """
+    if region.dimension != template.dimension:
+        raise ValueError("template and region dimensions differ")
+    exponents = np.array(template.exponents)
+    rows = np.ones((1, template.size))
+    for axis, degree in enumerate(exponents.max(axis=0).tolist()):
+        # lo[p] is lo ** p and hi[p] is hi ** p, by repeated multiplication
+        lo, hi = (list(itertools.accumulate([float(end)] * degree, operator.mul, initial=1.0))
+                  for end in (region.lower[axis], region.upper[axis]))
+        table = np.array([
+            [sum(comb(k, j) * comb(degree - k, e - j) / comb(degree, e) * hi[j] * lo[e - j]
+                  for j in range(max(0, e - degree + k), min(k, e) + 1))
+             for e in range(degree + 1)]
+            for k in range(degree + 1)
+        ])
+        rows = (rows[:, None, :] * table[None, :, exponents[:, axis]]).reshape(-1, template.size)
+    return rows
 
 
 def assemble(
     template: BarrierTemplate,
     decay: float,
     data: Dataset,
-    initial_samples: np.ndarray,
-    unsafe_samples: np.ndarray,
+    initial_region: RegionBox,
+    unsafe_region: RegionBox,
     domain: Optional[RegionBox] = None,
-    initial_region: Optional[RegionBox] = None,
-    unsafe_region: Optional[RegionBox] = None,
     coeff_bound: float = DEFAULT_COEFF_BOUND,
 ) -> ConstraintSystem:
     """Build the scenario constraint system for one dataset.
 
-    ``initial_samples`` and ``unsafe_samples`` are deterministic covers of
-    their regions; the recorded pairs in ``data`` feed the flow rows only.
-    When regions are passed, every sample is validated against them.
-    ``coeff_bound`` (> 0) bounds every decision entry in magnitude through
-    the symmetric bound rows.
+    The initial and unsafe rows are the :func:`bernstein_rows` of their
+    regions, so they impose both conditions on the whole region; the
+    recorded pairs in ``data`` feed the flow rows only.  When ``domain`` is
+    passed, every recorded state is validated against it.  ``coeff_bound``
+    (> 0) bounds every decision entry in magnitude through the symmetric
+    bound rows.
     """
     if not (0.0 < decay <= 1.0):
         raise ValueError("decay must lie in (0, 1]")
@@ -296,37 +330,30 @@ def assemble(
         raise ValueError("coeff_bound must be positive")
     if template.dimension != data.dimension:
         raise ValueError("template and dataset dimensions differ")
+    if domain is not None:
+        inside = domain.contains(data.states, rtol=1e-12)
+        if not np.all(inside):
+            first = int(np.nonzero(~inside)[0][0])
+            raise RegionViolationError(
+                f"flow sample row {first} lies outside its declared region: {data.states[first]}"
+            )
 
-    x0 = np.atleast_2d(np.asarray(initial_samples, dtype=float))
-    xu = np.atleast_2d(np.asarray(unsafe_samples, dtype=float))
-    if x0.size == 0:
-        x0 = x0.reshape(0, template.dimension)
-    if xu.size == 0:
-        xu = xu.reshape(0, template.dimension)
-        warnings.warn("assembling with zero unsafe samples", stacklevel=2)
-    if x0.size == 0:
-        warnings.warn("assembling with zero initial samples", stacklevel=2)
-
-    _require_inside(data.states, domain, "flow")
-    _require_inside(x0, initial_region, "initial")
-    _require_inside(xu, unsafe_region, "unsafe")
-
+    initial_rows = bernstein_rows(template, initial_region)
+    unsafe_rows = bernstein_rows(template, unsafe_region)
     width = 1 + template.size
-    family_sizes = (len(x0), len(xu), data.count, 2 * width, 1)
+    family_sizes = (len(initial_rows), len(unsafe_rows), data.count, 2 * width, 1)
     samples = sum(family_sizes[:3])
     rows = np.zeros((sum(family_sizes), width))
     offsets = np.zeros(len(rows))
-    initial = slice(0, len(x0))
-    unsafe = slice(initial.stop, initial.stop + len(xu))
+    initial = slice(0, len(initial_rows))
+    unsafe = slice(initial.stop, initial.stop + len(unsafe_rows))
     flow = slice(unsafe.stop, samples)
 
-    if len(x0):
-        rows[initial, 1:] = template.basis_matrix(x0)
+    rows[initial, 1:] = initial_rows
     offsets[initial] = -INITIAL_LEVEL
 
     rows[unsafe, 0] = 1.0
-    if len(xu):
-        np.negative(template.basis_matrix(xu), out=rows[unsafe, 1:])
+    np.negative(unsafe_rows, out=rows[unsafe, 1:])
 
     if data.count:
         discounted = template.basis_matrix(data.states)
@@ -352,10 +379,12 @@ def assemble(
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Worst-case constraint residuals of a certificate against data.
+    """Worst-case constraint residuals of a certificate against its regions and data.
 
-    Each entry is the maximum row value of its family (``-inf`` when the
-    family is empty); the certificate passes at slack level ``s`` when every
+    ``initial_max`` and ``unsafe_max`` come from the Bernstein coefficients
+    on the regions, so they bound the residual over the whole region;
+    ``flow_max`` is the maximum over the recorded pairs (``-inf`` when there
+    are none).  The certificate passes at slack level ``s`` when every
     residual is at most ``s`` within the stored tolerance.
     """
 
@@ -376,18 +405,8 @@ class ResidualReport:
         return asdict(self)
 
 
-class SampleValues(NamedTuple):
-    """A certificate on recorded pairs, one entry per pair.
-
-    ``barrier`` is ``B(x)`` and ``flow`` is ``B(successor) - decay * B(x)``.
-    """
-
-    barrier: np.ndarray
-    flow: np.ndarray
-
-
-def sample_values(certificate: BarrierCertificate, data: Dataset) -> SampleValues:
-    """Evaluate a certificate once on a dataset's states and successors.
+def sample_values(certificate: BarrierCertificate, data: Dataset) -> np.ndarray:
+    """The flow expression ``B(successor) - decay * B(x)``, once per recorded pair.
 
     The residual audit and the Lipschitz estimators both read the result, so
     a run evaluates the barrier on its retained pairs exactly twice.
@@ -395,38 +414,30 @@ def sample_values(certificate: BarrierCertificate, data: Dataset) -> SampleValue
     if certificate.template.dimension != data.dimension:
         raise ModelMismatchError("certificate and dataset dimensions differ")
     barrier = certificate.evaluate(data.states)
-    flow = certificate.evaluate(data.successors) - certificate.decay * barrier
-    return SampleValues(barrier, flow)
+    return certificate.evaluate(data.successors) - certificate.decay * barrier
 
 
 def check_certificate(
     certificate: BarrierCertificate,
     tolerance: float,
-    values: SampleValues,
-    initial_samples: np.ndarray,
-    unsafe_samples: np.ndarray,
+    flow: np.ndarray,
+    initial_region: RegionBox,
+    unsafe_region: RegionBox,
 ) -> ResidualReport:
     """Evaluate all three residual families for a fitted certificate.
 
-    The flow family is read from ``values``, the certificate's
-    :func:`sample_values` on the recorded pairs.
+    The region families read the certificate's Bernstein coefficients on
+    each region, the numbers the assembled rows bound; the flow family is
+    read from ``flow``, the certificate's :func:`sample_values` on the
+    recorded pairs.
     """
-    x0 = np.atleast_2d(np.asarray(initial_samples, dtype=float))
-    xu = np.atleast_2d(np.asarray(unsafe_samples, dtype=float))
-
-    def group_max(family: np.ndarray) -> float:
-        return float(family.max()) if family.size else float("-inf")
-
-    initial_max = group_max(
-        certificate.evaluate(x0) - certificate.initial_level if x0.size else np.empty(0)
-    )
-    unsafe_max = group_max(
-        certificate.unsafe_level - certificate.evaluate(xu) if xu.size else np.empty(0)
-    )
+    initial = bernstein_rows(certificate.template, initial_region)
+    unsafe = bernstein_rows(certificate.template, unsafe_region)
+    values = np.vstack([initial, unsafe]) @ certificate.coefficients
     return ResidualReport(
-        initial_max=initial_max,
-        unsafe_max=unsafe_max,
-        flow_max=group_max(values.flow),
+        initial_max=float((values[:len(initial)] - certificate.initial_level).max()),
+        unsafe_max=float((certificate.unsafe_level - values[len(initial):]).max()),
+        flow_max=float(flow.max()) if flow.size else float("-inf"),
         definition_ok=certificate.definition_ok,
         tolerance=tolerance,
     )

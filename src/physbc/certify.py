@@ -1,6 +1,10 @@
 """Certification conditions and the special functions behind them.
 
-The deterministic route needs only arithmetic: a certificate generalises
+The initial and unsafe conditions need no certification step: their rows
+bound the barrier's Bernstein coefficients, so they already hold on the
+whole region (see :mod:`physbc.barrier`).  Only the flow condition rests on
+samples, and ``lipschitz`` is the flow expression's constant.  The
+deterministic route needs only arithmetic: the flow condition generalises
 from samples to the whole domain when
 ``lipschitz * covering_radius + slack <= 0``.
 
@@ -174,11 +178,12 @@ class GeometryFactor:
     One- and two-dimensional closed forms are supported; the mass saturates
     at 1, so the inverse map is only defined for levels strictly below 1.
 
-    The 1-D constant ``sqrt(pi) / 1.77`` is the paper's: 1.77 is its rounding
-    of ``2 * Gamma(3/2) = sqrt(pi)``, so ``mass(r) ≈ r / L``, the mass of the
-    half-interval ``[0, r]`` at a domain endpoint. Because 1.77 < sqrt(pi),
-    :meth:`radius` returns 0.14% less than the exact ``level * L``, which
-    errs on the optimistic side.
+    In 1-D, ``mass(r) = r / L``: the mass of the half-interval ``[0, r]`` at
+    a domain endpoint, the least a radius-``r`` ball covers in an interval of
+    length ``L``.  The paper writes the constant as ``sqrt(pi) / (1.77 L)``,
+    with 1.77 its rounding of ``2 * Gamma(3/2) = sqrt(pi)``; that rounding
+    makes the radius 0.14% too small, on the optimistic side, so the exact
+    ``1 / L`` is used.
     """
 
     extents: Tuple[float, ...]
@@ -202,7 +207,7 @@ class GeometryFactor:
         if radius < 0:
             raise DomainError("radius must be non-negative")
         if self.dimension == 1:
-            raw = math.sqrt(math.pi) / (1.77 * self.extents[0]) * radius
+            raw = radius / self.extents[0]
         else:
             a, b = self.extents
             raw = math.pi * radius * radius / (4.0 * a * b)
@@ -217,7 +222,7 @@ class GeometryFactor:
                 f"violation level {level} saturates the geometry map"
             )
         if self.dimension == 1:
-            return level * 1.77 * self.extents[0] / math.sqrt(math.pi)
+            return level * self.extents[0]
         a, b = self.extents
         return math.sqrt(4.0 * a * b * level / math.pi)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from math import sqrt
+from math import isfinite, sqrt
 from numbers import Real
 from operator import attrgetter
 from typing import Optional, Union, get_type_hints
@@ -25,7 +25,7 @@ from typing import Optional, Union, get_type_hints
 import numpy as np
 
 from .barrier import DEFAULT_COEFF_BOUND
-from .lipschitz import LipschitzSpec
+from .lipschitz import METHOD_EXTREME, METHOD_PAIRWISE, LipschitzSpec
 from .models import (
     KIND_AFFINE,
     KIND_QUADRATIC,
@@ -87,8 +87,14 @@ class ValidationSpec:
     seed: int = 99
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    """A real number, bool excluded, that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _unknown_keys(data: dict, cls, where: str) -> None:
@@ -117,19 +123,23 @@ class RunConfig:
     def __post_init__(self):
         # numpy integers count as integers; bool does not
         for key in ("template_degree", "sampling.count", "sampling.seed", "validation.trajectories",
-                    "validation.horizon", "validation.seed"):
+                    "validation.horizon", "validation.seed", "lipschitz.pair_budget",
+                    "lipschitz.batches", "lipschitz.seed"):
             value = attrgetter(key)(self)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if key.endswith(".seed") and value < 0:
                 raise ValueError(f"{key} must be non-negative")
-        # real numbers, numpy floats included; bool does not count, and a null
-        # amplitude means the derived one
-        for key in ("decay", "filter.threshold", "guarantee.risk", "perturbation.amplitude",
-                    "perturbation.frequency", "perturbation.phase"):
+        # finite real numbers, numpy floats included; bool does not count, and
+        # a null amplitude means the derived one
+        for key in ("decay", "filter.threshold", "solver.coeff_bound", "guarantee.risk",
+                    "perturbation.amplitude", "perturbation.frequency", "perturbation.phase",
+                    "lipschitz.multiplier", "lipschitz.shape"):
             value = attrgetter(key)(self)
-            if not _is_number(value) and not (key == "perturbation.amplitude" and value is None):
-                raise ValueError(f"{key} must be a number, got {value!r}")
+            if key == "perturbation.amplitude" and value is None:
+                continue
+            if not _is_finite_number(value):
+                raise ValueError(f"{key} must be a finite number, got {value!r}")
         if not self.domain.contains_box(self.initial):
             raise ValueError("initial region must be nested in the domain")
         if not self.domain.contains_box(self.unsafe):
@@ -148,12 +158,22 @@ class RunConfig:
             raise ValueError("risk must lie strictly between 0 and 1")
         if self.template_degree < 0:
             raise ValueError("template degree must be non-negative")
-        if not _is_number(self.solver.coeff_bound) or not self.solver.coeff_bound > 0:
+        if not self.solver.coeff_bound > 0:
             raise ValueError(f"solver.coeff_bound must be positive, got {self.solver.coeff_bound!r}")
         if self.validation.trajectories < 1:
             raise ValueError("validation trajectories must be at least 1")
         if self.validation.horizon < 1:
             raise ValueError("validation horizon must be at least 1")
+        if self.lipschitz.method not in (METHOD_PAIRWISE, METHOD_EXTREME):
+            raise ValueError(f"unknown lipschitz method {self.lipschitz.method!r}")
+        if self.lipschitz.pair_budget < 1:
+            raise ValueError("lipschitz.pair_budget must be positive")
+        if self.lipschitz.multiplier < 1.0:
+            raise ValueError("lipschitz.multiplier must be at least 1")
+        if self.lipschitz.batches < 2:
+            raise ValueError("lipschitz.batches must be at least 2")
+        if not self.lipschitz.shape > 0:
+            raise ValueError("lipschitz.shape must be positive")
         self.true_model()  # raises on a malformed custom system or perturbation
 
     # ---- model construction -------------------------------------------------

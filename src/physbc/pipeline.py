@@ -6,6 +6,11 @@ empirical validation.  :func:`run` executes them for one :class:`RunConfig`
 and returns both the constituent objects and a JSON-ready report.  Reports
 are deterministic for identical configs except for the ``timing`` block.
 
+The initial and unsafe regions reach constraint assembly and the residual
+audit as boxes, whose rows are the barrier's Bernstein coefficients on each
+box.  The recorded pairs feed the flow rows, and the flow expression on them,
+evaluated once, feeds the audit and the Lipschitz estimate.
+
 The empirical validation simulates only the ground truth, so runs that differ
 in filtering, sampling or guarantee mode share it: it runs once per distinct
 truth, regions and validation settings in a process, and a run that reuses an
@@ -16,14 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import operator
 import os
 import time
 from dataclasses import asdict, astuple, dataclass
 from typing import Optional
-
-import numpy as np
 
 from .barrier import (
     BarrierCertificate,
@@ -52,7 +54,7 @@ from .lipschitz import (
     estimate_extreme_value,
     estimate_pairwise,
 )
-from .models import RegionBox, SafetyCheck, SystemModel, check_safety_empirically
+from .models import SafetyCheck, SystemModel, check_safety_empirically
 from .sampling import (
     SCHEME_GRID,
     Dataset,
@@ -86,19 +88,6 @@ class RunArtifacts:
     certification: CertificationReport
     safety: SafetyCheck
     report: dict
-
-
-def region_cover(region: RegionBox, per_axis_density: float) -> np.ndarray:
-    """Uniform grid over a region at (approximately) the given linear density.
-
-    Density is in points per unit length per axis; every axis keeps at least
-    its two endpoints, so covers never degenerate.
-    """
-    if per_axis_density <= 0:
-        raise ValueError("density must be positive")
-    return region.grid(
-        [max(2, int(math.ceil(length * per_axis_density)) + 1) for length in region.lengths]
-    )
 
 
 def dataset_hash(dataset: Dataset) -> str:
@@ -156,18 +145,13 @@ def run(config: RunConfig) -> RunArtifacts:
 
     # ---- constraint assembly -------------------------------------------------
     t0 = clock()
-    density = _cover_density(config, dataset)
-    initial_cover = region_cover(config.initial, density)
-    unsafe_cover = region_cover(config.unsafe, density)
     system = assemble(
         template,
         config.decay,
         retained,
-        initial_cover,
-        unsafe_cover,
+        config.initial,
+        config.unsafe,
         domain=config.domain,
-        initial_region=config.initial,
-        unsafe_region=config.unsafe,
         coeff_bound=config.solver.coeff_bound,
     )
     timings["assemble"] = clock() - t0
@@ -190,20 +174,20 @@ def run(config: RunConfig) -> RunArtifacts:
     timings["solve"] = clock() - t0
 
     # ---- residual audit -------------------------------------------------------
-    # B on the retained pairs, evaluated once for the audit and the estimator
+    # the flow expression on the retained pairs, evaluated once for the audit and the estimator
     t0 = clock()
-    values = sample_values(certificate, retained)
+    flow = sample_values(certificate, retained)
     residuals = check_certificate(
-        certificate, RESIDUAL_TOLERANCE, values, initial_cover, unsafe_cover
+        certificate, RESIDUAL_TOLERANCE, flow, config.initial, config.unsafe
     )
     timings["audit"] = clock() - t0
 
     # ---- Lipschitz estimation ---------------------------------------------------
     t0 = clock()
     if config.lipschitz.method == METHOD_PAIRWISE:
-        estimate = estimate_pairwise(values, retained, config.lipschitz)
+        estimate = estimate_pairwise(flow, retained, config.lipschitz)
     elif config.lipschitz.method == METHOD_EXTREME:
-        estimate = estimate_extreme_value(values, retained, config.lipschitz)
+        estimate = estimate_extreme_value(flow, retained, config.lipschitz)
     timings["lipschitz"] = clock() - t0
 
     # ---- certification ---------------------------------------------------------
@@ -312,16 +296,6 @@ def _empirical_safety(truth: SystemModel, config: RunConfig) -> SafetyCheck:
         if len(_safety_memo) > _SAFETY_MEMO_SIZE:
             del _safety_memo[next(iter(_safety_memo))]
     return safety
-
-
-def _cover_density(config: RunConfig, dataset: Dataset) -> float:
-    """Linear (per-axis) density of the sampled data, for region covers."""
-    n = dataset.dimension
-    if config.sampling.scheme == SCHEME_GRID:
-        per_axis = _grid_counts(config.sampling.count, n)
-        return per_axis / float(np.max(config.domain.lengths))
-    volume = float(np.prod(config.domain.lengths))
-    return (dataset.count / volume) ** (1.0 / n)
 
 
 def report_json(report: dict) -> str:

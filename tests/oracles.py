@@ -4,11 +4,13 @@ import itertools
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
 from scipy.optimize import linprog
 
+from physbc.barrier import bernstein_rows
 from physbc.errors import (
     DatasetParseError,
     DegenerateDataError,
@@ -60,27 +62,26 @@ def basis_matrix_repeated(template, states):
     return out
 
 
-def assemble_vstack(template, decay, data, initial_samples, unsafe_samples,
-                    coeff_bound=100.0):
+def assemble_vstack(template, decay, data, initial_region, unsafe_region, coeff_bound=100.0):
     """The constraint stack built family by family and joined with ``vstack``.
 
     The former body of :func:`physbc.barrier.assemble`, without its input
-    checks, with the bound rows and the level-gap row that every system
-    carries.  Returns ``(rows, offsets, tags, aux_rows, aux_offsets,
-    aux_tags)``; the solver saw ``vstack``/``concatenate`` of the two parts.
+    checks, with the region blocks built from
+    :func:`physbc.barrier.bernstein_rows`, and with the bound rows and the
+    level-gap row that every system carries.  Returns ``(rows, offsets, tags,
+    aux_rows, aux_offsets, aux_tags)``; the solver saw ``vstack``/``concatenate``
+    of the two parts.
     """
     initial_level = 1e-4  # the pinned level, written out here rather than imported
-    x0 = np.asarray(initial_samples, dtype=float).reshape(-1, template.dimension)
-    xu = np.asarray(unsafe_samples, dtype=float).reshape(-1, template.dimension)
+    x0 = bernstein_rows(template, initial_region)
+    xu = bernstein_rows(template, unsafe_region)
     width = 1 + template.size
 
     initial_block = np.zeros((len(x0), width))
-    if len(x0):
-        initial_block[:, 1:] = template.basis_matrix(x0)
+    initial_block[:, 1:] = x0
     unsafe_block = np.zeros((len(xu), width))
     unsafe_block[:, 0] = 1.0
-    if len(xu):
-        unsafe_block[:, 1:] = -template.basis_matrix(xu)
+    unsafe_block[:, 1:] = -xu
     flow_block = np.zeros((data.count, width))
     if data.count:
         flow_block[:, 1:] = template.basis_matrix(data.successors) - decay * template.basis_matrix(
@@ -112,6 +113,38 @@ def assemble_vstack(template, decay, data, initial_samples, unsafe_samples,
         np.asarray(aux_offsets, dtype=float),
         np.asarray(aux_tags, dtype=str),
     )
+
+
+def bernstein_rows_exact(template, region):
+    """Drop-in for :func:`physbc.barrier.bernstein_rows` in exact rational arithmetic.
+
+    Substitutes ``x_i = a_i + h_i t_i`` with ``a_i``, ``h_i`` the exact
+    values of the float bounds, expands ``(a + h t)^e`` by the binomial
+    theorem, and converts each ``t^m`` to the degree-``d`` Bernstein basis by
+    ``t^m = sum_{k >= m} C(k, m) / C(d, m) B_k``.  Everything is a
+    ``Fraction`` until the final rounding to float.
+    """
+    exponents = np.array(template.exponents)
+    degrees = exponents.max(axis=0).tolist()
+    tables = []  # tables[i][k][e]: coefficient k of x_i^e on the axis
+    for lower, upper, degree in zip(region.lower.tolist(), region.upper.tolist(), degrees):
+        a = Fraction(lower)
+        h = Fraction(upper) - a
+        table = [[Fraction(0)] * (degree + 1) for _ in range(degree + 1)]
+        for e in range(degree + 1):
+            for m in range(e + 1):
+                term = math.comb(e, m) * a ** (e - m) * h ** m
+                for k in range(m, degree + 1):
+                    table[k][e] += term * Fraction(math.comb(k, m), math.comb(degree, m))
+        tables.append(table)
+    rows = []
+    for index in itertools.product(*(range(d + 1) for d in degrees)):
+        rows.append([
+            float(math.prod((table[k][e] for table, k, e in zip(tables, index, row)),
+                            start=Fraction(1)))
+            for row in template.exponents
+        ])
+    return np.array(rows)
 
 
 def minimax_by_vertices(rows, offsets, feas_tol=1e-7):
@@ -208,18 +241,17 @@ def beta_inc_by_quadrature(nu, lam, gam):
     return value
 
 
-def pair_slopes_whole_array(values, dataset, config):
-    """Finite-difference slopes over random distinct sample pairs, all at once.
+def pair_slopes_whole_array(flow, dataset, config):
+    """Finite-difference flow slopes over random distinct sample pairs, all at once.
 
     Draws the pairs as :mod:`physbc.lipschitz` does, then compresses the index
     arrays twice and builds every slope: the straightforward form of the
     streamed kernel.
     """
-    if values.barrier.shape != (dataset.count,) or values.flow.shape != (dataset.count,):
+    if flow.shape != (dataset.count,):
         raise ModelMismatchError("sample values and dataset sizes differ")
     if dataset.count < 2:
         raise DegenerateDataError("need at least two states to form slope pairs")
-    barrier_vals, flow_vals = values
 
     rng = np.random.default_rng(config.seed)
     left = rng.integers(0, dataset.count, size=config.pair_budget)
@@ -231,38 +263,30 @@ def pair_slopes_whole_array(values, dataset, config):
     if not keep.any():
         raise DegenerateDataError("all drawn state pairs coincide")
     left, right, gaps = left[keep], right[keep], gaps[keep]
-    barrier_slopes = np.abs(barrier_vals[left] - barrier_vals[right]) / gaps
-    flow_slopes = np.abs(flow_vals[left] - flow_vals[right]) / gaps
-    return barrier_slopes, flow_slopes
+    return np.abs(flow[left] - flow[right]) / gaps
 
 
-def pairwise_whole_array(values, dataset, config):
-    """Drop-in for :func:`physbc.lipschitz.estimate_pairwise` on whole slope arrays."""
-    barrier_slopes, flow_slopes = pair_slopes_whole_array(values, dataset, config)
+def pairwise_whole_array(flow, dataset, config):
+    """Drop-in for :func:`physbc.lipschitz.estimate_pairwise` on a whole slope array."""
+    slopes = pair_slopes_whole_array(flow, dataset, config)
     return LipschitzEstimate(
-        barrier=config.multiplier * float(barrier_slopes.max()),
-        flow=config.multiplier * float(flow_slopes.max()),
+        flow=config.multiplier * float(slopes.max()),
         method=METHOD_PAIRWISE,
-        samples_used=barrier_slopes.size,
+        samples_used=slopes.size,
         safety_multiplier=config.multiplier,
     )
 
 
-def extreme_value_whole_array(values, dataset, config):
-    """Drop-in for :func:`physbc.lipschitz.estimate_extreme_value` on whole slope arrays."""
-    barrier_slopes, flow_slopes = pair_slopes_whole_array(values, dataset, config)
-    if barrier_slopes.size < 2 * config.batches:
+def extreme_value_whole_array(flow, dataset, config):
+    """Drop-in for :func:`physbc.lipschitz.estimate_extreme_value` on a whole slope array."""
+    slopes = pair_slopes_whole_array(flow, dataset, config)
+    if slopes.size < 2 * config.batches:
         raise DegenerateDataError("too few slope observations for the batches")
-    batch_size = barrier_slopes.size // config.batches
+    batch_size = slopes.size // config.batches
     used = config.batches * batch_size
-
-    def endpoint(slopes):
-        maxima = slopes[:used].reshape(config.batches, batch_size).max(axis=1)
-        return max(_reverse_weibull_location(maxima, config.shape), float(slopes.max()))
-
+    maxima = slopes[:used].reshape(config.batches, batch_size).max(axis=1)
     return LipschitzEstimate(
-        barrier=endpoint(barrier_slopes),
-        flow=endpoint(flow_slopes),
+        flow=max(_reverse_weibull_location(maxima, config.shape), float(slopes.max())),
         method=METHOD_EXTREME,
         samples_used=used,
         safety_multiplier=1.0,
@@ -270,7 +294,7 @@ def extreme_value_whole_array(values, dataset, config):
 
 
 def pairwise_all_pairs(certificate, dataset):
-    """Largest barrier and flow slopes over every pair of distinct sample states.
+    """Largest flow slope over every pair of distinct sample states.
 
     Builds all ``N (N - 1) / 2`` pairs, so only usable on small datasets: the
     exact sample maximum, before any multiplier, that
@@ -284,9 +308,7 @@ def pairwise_all_pairs(certificate, dataset):
     if not keep.any():
         raise DegenerateDataError("all sample states coincide")
     left, right, gaps = left[keep], right[keep], gaps[keep]
-    barrier = np.abs(barrier_vals[left] - barrier_vals[right]) / gaps
-    flow = np.abs(flow_vals[left] - flow_vals[right]) / gaps
-    return float(barrier.max()), float(flow.max())
+    return float((np.abs(flow_vals[left] - flow_vals[right]) / gaps).max())
 
 
 def step_many_matmul(model, states):
@@ -305,11 +327,11 @@ def step_many_matmul(model, states):
     return y
 
 
-def neighbour_maxima_grouped(values, dataset):
+def neighbour_maxima_grouped(flow, dataset):
     """The former body of :func:`physbc.lipschitz._neighbour_maxima`.
 
     Always groups equal coordinates with ``reduceat``, also when every state
-    is distinct.  Returns ``(barrier, flow, adjacent group pairs)``.
+    is distinct.  Returns ``(flow slope, adjacent group pairs)``.
     """
     coords = dataset.states[:, 0]
     order = np.argsort(coords)
@@ -319,15 +341,11 @@ def neighbour_maxima_grouped(values, dataset):
     np.not_equal(coords[1:], coords[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
     gaps = np.diff(coords[starts])
-
-    def steepest(family):
-        family = family[order]
-        lo = np.minimum.reduceat(family, starts)
-        hi = np.maximum.reduceat(family, starts)
-        rise = np.maximum(np.abs(hi[1:] - lo[:-1]), np.abs(lo[1:] - hi[:-1]))
-        return float((rise / gaps).max())
-
-    return steepest(values.barrier), steepest(values.flow), starts.size - 1
+    family = flow[order]
+    lo = np.minimum.reduceat(family, starts)
+    hi = np.maximum.reduceat(family, starts)
+    rise = np.maximum(np.abs(hi[1:] - lo[:-1]), np.abs(lo[1:] - hi[:-1]))
+    return float((rise / gaps).max()), starts.size - 1
 
 
 def safety_by_step_many(model, initial, unsafe, trajectories=1000, horizon=500, seed=0):

@@ -1,15 +1,23 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assemble_vstack, basis_matrix_pow, basis_matrix_repeated
+from oracles import (
+    assemble_vstack,
+    basis_matrix_pow,
+    basis_matrix_repeated,
+    bernstein_rows_exact,
+)
 from physbc.barrier import (
     FAMILIES,
     INITIAL_LEVEL,
     BarrierCertificate,
     BarrierTemplate,
     assemble,
+    bernstein_rows,
     check_certificate,
     sample_values,
 )
@@ -167,44 +175,136 @@ def test_certificate_dict_round_trip():
     assert back.unsafe_level == cert.unsafe_level
 
 
+# ---------------------------------------------------------- Bernstein rows
+
+
+def test_bernstein_rows_of_the_quadratic_on_an_interval():
+    rows = bernstein_rows(BarrierTemplate.quadratic(1), RegionBox.interval(0.5, 0.6))
+    # (x^2, x, 1) on [lo, hi]: the corners lo^2 and hi^2, and lo * hi between them
+    assert rows.shape == (3, 3)
+    assert rows == pytest.approx(np.array([
+        [0.25, 0.5, 1.0],
+        [0.3, 0.55, 1.0],
+        [0.36, 0.6, 1.0],
+    ]))
+
+
+def test_bernstein_rows_count_is_the_product_of_axis_degrees_plus_one():
+    # largest exponents 2 and 1 on the two axes: 3 * 2 rows
+    template = BarrierTemplate(((2, 0), (1, 1), (0, 0)))
+    box = RegionBox(np.array([0.0, -1.0]), np.array([1.0, 2.0]))
+    assert bernstein_rows(template, box).shape == (6, 3)
+    assert bernstein_rows(BarrierTemplate.from_degree(3, 2), box).shape == (16, 10)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        bernstein_rows(BarrierTemplate.quadratic(1), box)
+
+
+def _box(draw, dimension):
+    """A box with bounds in [-3, 3] and side lengths in [0.01, 3]."""
+    lower = np.array([draw.draw(st.floats(-3.0, 3.0)) for _ in range(dimension)])
+    lengths = np.array([draw.draw(st.floats(0.01, 3.0)) for _ in range(dimension)])
+    return RegionBox(lower, lower + lengths)
+
+
+def _coefficients(draw, template):
+    return np.array(draw.draw(st.lists(st.floats(-10.0, 10.0), min_size=template.size,
+                                       max_size=template.size)))
+
+
+def _scan(box, points):
+    """A dense lattice over the box, faces included."""
+    return box.grid([points] * box.dimension)
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree=st.integers(0, 4), dimension=st.integers(1, 2), draw=st.data())
+def test_bernstein_coefficients_enclose_the_barrier_on_the_box(degree, dimension, draw):
+    template = BarrierTemplate.from_degree(degree, dimension)
+    box = _box(draw, dimension)
+    q = _coefficients(draw, template)
+    rows = bernstein_rows(template, box)
+    coefficients = rows @ q
+    values = template.basis_matrix(_scan(box, 201 if dimension == 1 else 41)) @ q
+    # rounding in the rows and in both products, relative to the terms' magnitude
+    rounding = 1e-12 * (1.0 + float((np.abs(rows) @ np.abs(q)).max()))
+    assert values.min() >= coefficients.min() - rounding
+    assert values.max() <= coefficients.max() + rounding
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree=st.integers(0, 4), dimension=st.integers(1, 2), draw=st.data())
+def test_bernstein_corner_rows_are_the_basis_at_the_corners(degree, dimension, draw):
+    template = BarrierTemplate.from_degree(degree, dimension)
+    box = _box(draw, dimension)
+    rows = bernstein_rows(template, box)
+    # the multi-index (k_1, ..., k_n) with every k_i at 0 or d_i, first axis slowest
+    strides = [(degree + 1) ** (dimension - 1 - i) for i in range(dimension)]
+    for corner in itertools.product((0, 1), repeat=dimension):
+        index = sum(side * degree * stride for side, stride in zip(corner, strides))
+        point = np.where(corner, box.upper, box.lower)
+        assert np.array_equal(rows[index], template.basis_matrix(point[None, :])[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree=st.integers(0, 4), dimension=st.integers(1, 2), draw=st.data())
+def test_bernstein_rows_match_exact_rational_expansion(degree, dimension, draw):
+    template = BarrierTemplate.from_degree(degree, dimension)
+    box = _box(draw, dimension)
+    rows = bernstein_rows(template, box)
+    exact = bernstein_rows_exact(template, box)
+    scale = np.abs(exact).max()
+    np.testing.assert_allclose(rows, exact, rtol=1e-13, atol=1e-13 * scale)
+
+
+def test_bernstein_rows_of_a_sparse_template_match_exact_rational_expansion():
+    # an axis whose largest exponent is 0, and monomials below each axis degree
+    template = BarrierTemplate(((3, 0, 1), (1, 0, 0), (0, 0, 2), (0, 0, 0)))
+    box = RegionBox(np.array([-1.5, 0.2, 0.7]), np.array([0.25, 0.9, 2.0]))
+    rows = bernstein_rows(template, box)
+    assert rows.shape == (4 * 1 * 3, 4)
+    np.testing.assert_allclose(rows, bernstein_rows_exact(template, box), rtol=1e-13,
+                               atol=1e-13)
+
+
 # ------------------------------------------------------------------ assembly
+
 
 
 def test_assemble_row_structure():
     data = _toy_dataset(4)
     template = BarrierTemplate.quadratic(1)
-    x0 = np.array([[0.5], [0.6]])
-    xu = np.array([[2.6], [2.7]])
-    system = assemble(template, 0.83, data, x0, xu,
-                      domain=DOMAIN, initial_region=INITIAL, unsafe_region=UNSAFE)
+    system = assemble(template, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
 
-    assert system.counts == {"initial": 2, "unsafe": 2, "flow": 4}
+    # (d + 1)^n = 3 Bernstein rows per region
+    assert system.counts == {"initial": 3, "unsafe": 3, "flow": 4}
     # then 2 bound rows per decision entry and the level-gap row
-    assert system.family_sizes == (2, 2, 4, 8, 1)
-    assert system.rows.shape == (17, 4)
+    assert system.family_sizes == (3, 3, 4, 8, 1)
+    assert system.rows.shape == (19, 4)
 
-    # initial rows:  B(x) - initial_level <= slack, pin folded into the offset
+    # initial rows:  b_k - initial_level <= slack, pin folded into the offset
+    assert np.array_equal(system.rows[:3, 1:], bernstein_rows(template, INITIAL))
+    assert np.all(system.rows[:3, 0] == 0.0)
     assert system.rows[0] == pytest.approx([0.0, 0.25, 0.5, 1.0])
-    assert system.offsets[:2] == pytest.approx([-INITIAL_LEVEL] * 2)
-    # unsafe rows:   unsafe_level - B(x) <= slack
-    assert system.rows[2] == pytest.approx([1.0, -(2.6 ** 2), -2.6, -1.0])
+    assert system.offsets[:3] == pytest.approx([-INITIAL_LEVEL] * 3)
+    # unsafe rows:   unsafe_level - b_k <= slack
+    assert np.array_equal(system.rows[3:6, 1:], -bernstein_rows(template, UNSAFE))
+    assert system.rows[3] == pytest.approx([1.0, -(2.6 ** 2), -2.6, -1.0])
     # flow rows:     B(y) - decay B(x) <= slack
     x, y = data.states[0, 0], data.successors[0, 0]
     expected = [0.0, y * y - 0.83 * x * x, y - 0.83 * x, 1.0 - 0.83]
-    assert system.rows[4] == pytest.approx(expected)
-    assert np.all(system.offsets[2:8] == 0.0)
+    assert system.rows[6] == pytest.approx(expected)
+    assert np.all(system.offsets[3:10] == 0.0)
 
 
 def test_assemble_auxiliary_rows():
     data = _toy_dataset(3)
     template = BarrierTemplate.quadratic(1)
-    system = assemble(template, 0.83, data, np.array([[0.55]]), np.array([[2.65]]),
-                      coeff_bound=50.0)
+    system = assemble(template, 0.83, data, INITIAL, UNSAFE, coeff_bound=50.0)
     width = system.decision_size
     assert width == 4
-    assert system.family_sizes == (1, 1, 3, 2 * width, 1)
-    bounds = system.rows[5:-1]
-    assert np.all(system.offsets[5:-1] == -50.0)
+    assert system.family_sizes == (3, 3, 3, 2 * width, 1)
+    bounds = system.rows[9:-1]
+    assert np.all(system.offsets[9:-1] == -50.0)
     # each decision entry gets a +e_j and a -e_j row
     assert bounds[0::2] == pytest.approx(np.eye(width))
     assert bounds[1::2] == pytest.approx(-np.eye(width))
@@ -229,10 +329,10 @@ def _stack_case(case, dimension):
     states = rng.uniform(0.0, 3.0, size=(50, dimension))
     data = Dataset(states, 0.9 * states + 0.1, SCHEME_IID, box, seed=0)
     template = BarrierTemplate.from_degree(3, dimension)
-    x0 = rng.uniform(0.0, 0.5, size=(4, dimension))
-    xu = rng.uniform(2.5, 3.0, size=(6, dimension))
-    system = assemble(template, 0.83, data, x0, xu, **options)
-    return system, assemble_vstack(template, 0.83, data, x0, xu, **options)
+    initial = RegionBox(np.zeros(dimension), np.full(dimension, 0.5))
+    unsafe = RegionBox(np.full(dimension, 2.5), np.full(dimension, 3.0))
+    system = assemble(template, 0.83, data, initial, unsafe, **options)
+    return system, assemble_vstack(template, 0.83, data, initial, unsafe, **options)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -245,7 +345,8 @@ def test_assemble_writes_one_stack_equal_to_vstack(case, dimension):
     # a row's family is its position: the per-row tags follow from the sizes
     assert np.array_equal(np.repeat(FAMILIES, system.family_sizes),
                           np.concatenate([tags, extra_tags]))
-    assert system.counts == {"initial": 4, "unsafe": 6, "flow": 50}
+    # degree 3 on every axis: 4^n Bernstein rows per region
+    assert system.counts == {"initial": 4 ** dimension, "unsafe": 4 ** dimension, "flow": 50}
     # every system ends in 2 * width bound rows and the one gap row
     assert system.family_sizes[3:] == (2 * system.decision_size, 1)
     assert not system.rows.flags.writeable and not system.offsets.flags.writeable
@@ -271,7 +372,7 @@ def test_family_counts_match_tag_tally(case, dimension):
 def test_certificate_from_decision():
     data = _toy_dataset(2)
     template = BarrierTemplate.quadratic(1)
-    system = assemble(template, 0.83, data, np.array([[0.5]]), np.array([[2.7]]))
+    system = assemble(template, 0.83, data, INITIAL, UNSAFE)
     cert = system.certificate_from_decision(np.array([1.5, 0.2, 0.8, -1.0]))
     assert cert.initial_level == INITIAL_LEVEL
     assert cert.unsafe_level == 1.5
@@ -279,24 +380,12 @@ def test_certificate_from_decision():
     assert cert.decay == 0.83
 
 
-def test_assemble_validates_region_membership():
-    data = _toy_dataset(2)
+def test_assemble_validates_flow_states_against_the_domain():
+    data = _toy_dataset(3)
     template = BarrierTemplate.quadratic(1)
-    with pytest.raises(RegionViolationError, match="initial sample row 1"):
-        assemble(template, 0.83, data, np.array([[0.55], [0.9]]), np.array([[2.65]]),
-                 initial_region=INITIAL, unsafe_region=UNSAFE)
-    with pytest.raises(RegionViolationError, match="unsafe"):
-        assemble(template, 0.83, data, np.array([[0.55]]), np.array([[2.0]]),
-                 initial_region=INITIAL, unsafe_region=UNSAFE)
-
-
-def test_assemble_warns_on_empty_sample_families():
-    data = _toy_dataset(2)
-    template = BarrierTemplate.quadratic(1)
-    with pytest.warns(UserWarning, match="zero unsafe"):
-        assemble(template, 0.83, data, np.array([[0.55]]), np.empty((0, 1)))
-    with pytest.warns(UserWarning, match="zero initial"):
-        assemble(template, 0.83, data, np.empty((0, 1)), np.array([[2.65]]))
+    with pytest.raises(RegionViolationError, match="flow sample row 0"):
+        assemble(template, 0.83, data, INITIAL, UNSAFE, domain=RegionBox.interval(1.0, 2.7))
+    assemble(template, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
 
 
 def test_assemble_rejects_bad_decay_and_bound():
@@ -304,11 +393,10 @@ def test_assemble_rejects_bad_decay_and_bound():
     template = BarrierTemplate.quadratic(1)
     for decay in (0.0, 1.5):
         with pytest.raises(ValueError):
-            assemble(template, decay, data, np.array([[0.55]]), np.array([[2.65]]))
+            assemble(template, decay, data, INITIAL, UNSAFE)
     for bound in (-1.0, 0.0):
         with pytest.raises(ValueError, match="coeff_bound must be positive"):
-            assemble(template, 0.83, data, np.array([[0.55]]), np.array([[2.65]]),
-                     coeff_bound=bound)
+            assemble(template, 0.83, data, INITIAL, UNSAFE, coeff_bound=bound)
 
 
 # ------------------------------------------------------------------ residuals
@@ -321,11 +409,8 @@ def test_residuals_separate_the_three_families():
     model = supply_demand()
     xs = np.array([[1.0], [2.0]])
     data = Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
-    report = check_certificate(
-        cert, 1e-9, sample_values(cert, data),
-        initial_samples=np.array([[0.5], [0.6]]),
-        unsafe_samples=np.array([[2.6], [2.7]]),
-    )
+    report = check_certificate(cert, 1e-9, sample_values(cert, data), INITIAL, UNSAFE)
+    # B is monotone, so its extreme Bernstein coefficients are its corner values
     assert report.initial_max == pytest.approx(0.6 - 0.55)
     assert report.unsafe_max == pytest.approx(2.66 - 2.6)
     # flow rows: (0.8 x + 0.5) - x peaks at the smaller state
@@ -336,16 +421,20 @@ def test_residuals_separate_the_three_families():
     assert report.definition_ok
 
 
-def test_residuals_with_empty_families():
-    cert = quadratic_certificate(0.0, 1.0, 0.0)
-    model = supply_demand()
-    xs = np.array([[1.0]])
-    data = Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
-    report = check_certificate(cert, 1e-9, sample_values(cert, data), np.empty((0, 1)),
-                               np.empty((0, 1)))
-    assert report.initial_max == float("-inf")
-    assert report.unsafe_max == float("-inf")
-    assert np.isfinite(report.flow_max)
+def test_region_residuals_hold_between_the_corners():
+    # B(x) = -(x - 0.55)^2 peaks inside the initial region, where a check at
+    # the corners alone would miss it
+    cert = quadratic_certificate(-1.0, 1.1, -0.3025, initial_level=-0.001, unsafe_level=0.0)
+    data = _toy_dataset(3)
+    report = check_certificate(cert, 1e-9, sample_values(cert, data), INITIAL, UNSAFE)
+    scan = np.linspace(0.5, 0.6, 1001)[:, None]
+    true_max = float((cert.evaluate(scan) - cert.initial_level).max())
+    corner_max = float((cert.evaluate(np.array([[0.5], [0.6]])) - cert.initial_level).max())
+    assert corner_max < true_max <= report.initial_max
+    # the enclosure overshoots the true peak by at most h^2 / 4 for this parabola
+    assert report.initial_max <= true_max + 0.1 ** 2 / 4 + 1e-12
+    scan = np.linspace(2.6, 2.7, 1001)[:, None]
+    assert report.unsafe_max >= float((cert.unsafe_level - cert.evaluate(scan)).max())
 
 
 def test_residual_report_serialises():
@@ -353,8 +442,7 @@ def test_residual_report_serialises():
     model = supply_demand()
     xs = np.array([[1.0], [1.5]])
     data = Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
-    report = check_certificate(cert, 1e-6, sample_values(cert, data), np.array([[0.5]]),
-                               np.array([[2.7]]))
+    report = check_certificate(cert, 1e-6, sample_values(cert, data), INITIAL, UNSAFE)
     d = report.to_dict()
     assert set(d) == {"initial_max", "unsafe_max", "flow_max", "definition_ok", "tolerance"}
     assert d["tolerance"] == 1e-6

@@ -68,3 +68,9 @@ def test_traced_run_records_every_stage():
         "lipschitz.estimate", "sampling.covering_radius", "certify.check",
         "models.validate",
     }
+    # the assemble span reads ConstraintSystem.counts: 2 * (d + 1)^n = 6 Bernstein
+    # rows for the quadratic on the two supply-demand regions, plus the flow rows
+    assembled = [span["counts"] for span in tracer.spans if span["name"] == "barrier.assemble"]
+    retained = [span["counts"]["retained"] for span in tracer.spans
+                if span["name"] == "filtering.filter"]
+    assert assembled == [{"rows_cover": 6, "rows_flow": retained[0]}]

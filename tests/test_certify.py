@@ -107,12 +107,12 @@ def test_min_violation_level_needs_more_samples_than_decisions():
 
 
 def test_geometry_mass_interval_coefficient():
-    # fraction of an interval of half-width a covered by a radius-r ball,
-    # in the regularized form mass(r) = sqrt(pi) / (1.77 a) * r
-    for a, coeff in ((2.2, 0.455176), (0.9, 1.112652)):
+    # fraction of an interval of length a covered by a radius-r ball at an
+    # endpoint: mass(r) = r / a exactly
+    for a, coeff in ((2.2, 1 / 2.2), (0.9, 1 / 0.9)):
         factor = GeometryFactor((a,))
         r = 1e-3
-        assert factor.mass(r) / r == pytest.approx(coeff, abs=5e-6)
+        assert factor.mass(r) / r == pytest.approx(coeff, rel=1e-12)
 
 
 def test_geometry_mass_rectangle():

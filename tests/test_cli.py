@@ -124,10 +124,19 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
      "sampling.count must be an integer, got 4000.5"),
     ({"validation.trajectories": 20.5}, "validation.trajectories must be an integer"),
     ({"validation.horizon": True}, "validation.horizon must be an integer, got True"),
-    ({"decay": "0.5"}, "decay must be a number, got '0.5'"),
-    ({"perturbation.frequency": "1250"}, "perturbation.frequency must be a number, got '1250'"),
-    ({"filter.threshold": True}, "filter.threshold must be a number, got True"),
-    ({"solver.coeff_bound": "100"}, "solver.coeff_bound must be positive, got '100'"),
+    ({"decay": "0.5"}, "decay must be a finite number, got '0.5'"),
+    ({"perturbation.frequency": "1250"},
+     "perturbation.frequency must be a finite number, got '1250'"),
+    ({"filter.threshold": True}, "filter.threshold must be a finite number, got True"),
+    ({"solver.coeff_bound": "100"}, "solver.coeff_bound must be a finite number, got '100'"),
+    ({"solver.coeff_bound": math.inf}, "solver.coeff_bound must be a finite number, got inf"),
+    ({"filter.threshold": math.inf}, "filter.threshold must be a finite number, got inf"),
+    ({"perturbation.frequency": math.nan},
+     "perturbation.frequency must be a finite number, got nan"),
+    ({"lipschitz.multiplier": math.nan}, "lipschitz.multiplier must be a finite number, got nan"),
+    ({"lipschitz.pair_budget": 2.5}, "lipschitz.pair_budget must be an integer, got 2.5"),
+    ({"lipschitz.batches": "50"}, "lipschitz.batches must be an integer, got '50'"),
+    ({"lipschitz.seed": -1}, "lipschitz.seed must be non-negative"),
     ({"template_degree": 2.5}, "template_degree must be an integer"),
     ({"sampling.seed": -1}, "sampling.seed must be non-negative"),
     ({"validation.seed": -3}, "validation.seed must be non-negative"),
@@ -138,6 +147,8 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
         "negative-frequency", "negative-amplitude", "fractional-grid-count",
         "fractional-iid-count", "fractional-trajectories", "bool-horizon",
         "quoted-decay", "quoted-frequency", "bool-threshold", "quoted-coeff-bound",
+        "infinite-coeff-bound", "infinite-threshold", "nan-frequency", "nan-multiplier",
+        "fractional-pair-budget", "quoted-batches", "negative-lipschitz-seed",
         "fractional-degree",
         "negative-sampling-seed", "negative-validation-seed", "unknown-top-level-key",
         "unknown-section-key", "unknown-region-key"])

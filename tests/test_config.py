@@ -147,13 +147,15 @@ def test_construction_rejects_bad_geometry_and_knobs():
 
 def test_construction_rejects_an_unbounded_program():
     # the scenario program always bounds its coefficients: null is no longer a setting
-    with pytest.raises(ValueError, match="solver.coeff_bound must be positive, got None"):
+    with pytest.raises(ValueError, match="solver.coeff_bound must be a finite number, got None"):
         small_config(solver=SolverSpec(coeff_bound=None))
 
 
 NUMBER_FIELDS = ("decay", "filter.threshold", "solver.coeff_bound", "guarantee.risk",
-                 "perturbation.amplitude", "perturbation.frequency", "perturbation.phase")
-NON_NUMBERS = {"string": "0.5", "null": None, "true": True}
+                 "perturbation.amplitude", "perturbation.frequency", "perturbation.phase",
+                 "lipschitz.multiplier", "lipschitz.shape")
+NON_NUMBERS = {"string": "0.5", "null": None, "true": True, "inf": math.inf, "-inf": -math.inf,
+               "nan": math.nan, "huge-int": 10 ** 400}
 
 
 def _with_setting(data, path, value):
@@ -169,19 +171,40 @@ def _with_setting(data, path, value):
 def test_number_fields_reject_anything_but_a_number(key, kind):
     value = NON_NUMBERS[kind]
     data = _with_setting(small_config().to_dict(), key, value)
-    requirement = "positive" if key == "solver.coeff_bound" else "a number"
-    with pytest.raises(ValueError, match=re.escape(f"{key} must be {requirement}, got {value!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be a finite number, got {value!r}")):
         RunConfig.from_dict(data)
 
 
 def test_number_fields_accept_numpy_floats_and_integers():
     values = [np.float64(0.5), np.float32(0.01), np.int64(100), np.float64(0.1),
-              np.float64(0.003), np.int64(1000), np.float32(0.0)]
+              np.float64(0.003), np.int64(1000), np.float32(0.0), np.float32(1.5), np.int64(2)]
     data = small_config().to_dict()
     for key, value in zip(NUMBER_FIELDS, values):
         _with_setting(data, key, value)
     config = RunConfig.from_dict(data)
     assert config.solver.coeff_bound == 100 and config.perturbation.frequency == 1000
+
+
+@pytest.mark.parametrize("key", ["lipschitz.pair_budget", "lipschitz.batches", "lipschitz.seed"])
+@pytest.mark.parametrize("value", [2.5, "50", True, None])
+def test_lipschitz_counts_must_be_integers(key, value):
+    data = _with_setting(small_config().to_dict(), key, value)
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {value!r}")):
+        RunConfig.from_dict(data)
+
+
+def test_lipschitz_seed_must_be_non_negative():
+    data = _with_setting(small_config().to_dict(), "lipschitz.seed", -1)
+    with pytest.raises(ValueError, match="lipschitz.seed must be non-negative"):
+        RunConfig.from_dict(data)
+
+
+def test_non_finite_json_values_are_named():
+    # JSON's Infinity and NaN literals reach the config as floats
+    text = json.dumps(small_config().to_dict()).replace('"coeff_bound": 100.0',
+                                                         '"coeff_bound": Infinity')
+    with pytest.raises(ValueError, match="solver.coeff_bound must be a finite number, got inf"):
+        RunConfig.from_dict(json.loads(text))
 
 
 def test_construction_accepts_numpy_integers():

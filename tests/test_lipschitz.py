@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from oracles import (
     pairwise_whole_array,
 )
 from physbc.barrier import BarrierCertificate, BarrierTemplate, sample_values
+from physbc.config import preset
 from physbc.errors import DegenerateDataError, ModelMismatchError
 from physbc.lipschitz import (
     _CHUNK,
@@ -37,15 +40,14 @@ def linear_barrier(slope, decay=0.83):
     )
 
 
-def test_linear_barrier_slopes_are_exact():
+def test_linear_barrier_flow_slopes_are_exact():
     data = sample_grid(supply_demand(), DOMAIN, 200)
     config = LipschitzSpec(pair_budget=20_000, seed=1, multiplier=1.0)
     estimate = estimate_pairwise(sample_values(linear_barrier(3.0), data), data, config)
-    # every finite difference of B(x) = 3x has slope exactly 3
-    assert estimate.barrier == pytest.approx(3.0, rel=1e-12)
     # flow expression: 3(0.8x + 0.5) - 0.83 * 3x has slope |2.4 - 2.49|
     assert estimate.flow == pytest.approx(0.09, rel=1e-9)
-    assert estimate.overall == pytest.approx(3.0)
+    # the flow term alone is the constant the certification uses
+    assert estimate.overall == estimate.flow
     assert estimate.method == METHOD_PAIRWISE
 
 
@@ -55,11 +57,11 @@ def test_multiplier_scales_the_estimate():
     padded = LipschitzSpec(pair_budget=10_000, seed=2, multiplier=1.1)
     lo = estimate_pairwise(sample_values(linear_barrier(3.0), data), data, base)
     hi = estimate_pairwise(sample_values(linear_barrier(3.0), data), data, padded)
-    assert hi.barrier == pytest.approx(1.1 * lo.barrier)
+    assert hi.flow == pytest.approx(1.1 * lo.flow)
     assert hi.safety_multiplier == 1.1
 
 
-def test_quadratic_barrier_estimate_brackets_true_constant():
+def test_quadratic_flow_estimate_brackets_true_constant():
     template = BarrierTemplate.quadratic(1)
     cert = BarrierCertificate(template, np.array([1.0, 0.0, 0.0]), 0.83, 0.0, 1.0)
     box = RegionBox.interval(0.0, 1.0)
@@ -74,9 +76,9 @@ def test_quadratic_barrier_estimate_brackets_true_constant():
     data = sample_grid(Identity(), box, 600)
     config = LipschitzSpec(pair_budget=300_000, seed=3, multiplier=1.1)
     estimate = estimate_pairwise(sample_values(cert, data), data, config)
-    # sup |B'| = 2 on [0, 1]; secant slopes approach but never exceed it
-    assert 1.8 <= estimate.barrier / 1.1 <= 2.0
-    assert estimate.barrier <= 2.0 * 1.1 + 1e-9
+    # the flow expression is (1 - 0.83) x^2, whose sup |slope| on [0, 1] is
+    # 0.34; secant slopes approach but never exceed it
+    assert 0.33 <= estimate.flow / 1.1 <= 0.34 + 1e-12
 
 
 def test_pairwise_is_deterministic_per_seed():
@@ -85,7 +87,7 @@ def test_pairwise_is_deterministic_per_seed():
     config = LipschitzSpec(pair_budget=5_000, seed=9)
     a = estimate_pairwise(sample_values(cert, data), data, config)
     b = estimate_pairwise(sample_values(cert, data), data, config)
-    assert (a.barrier, a.flow, a.samples_used) == (b.barrier, b.flow, b.samples_used)
+    assert (a.flow, a.samples_used) == (b.flow, b.samples_used)
 
 
 def test_extreme_value_never_undercuts_observed_max():
@@ -93,23 +95,23 @@ def test_extreme_value_never_undercuts_observed_max():
     template = BarrierTemplate.quadratic(1)
     cert = BarrierCertificate(template, np.array([2.0, -1.0, 0.5]), 0.83, 0.0, 1.0)
     config = LipschitzSpec(pair_budget=50_000, seed=4, batches=40)
-    values = sample_values(cert, data)
-    extreme = estimate_extreme_value(values, data, config)
+    flow = sample_values(cert, data)
+    extreme = estimate_extreme_value(flow, data, config)
     # the maximum over the same random draw
-    raw = pairwise_whole_array(values, data, LipschitzSpec(pair_budget=50_000, seed=4,
+    raw = pairwise_whole_array(flow, data, LipschitzSpec(pair_budget=50_000, seed=4,
                                                            multiplier=1.0))
-    assert extreme.barrier >= raw.barrier - 1e-12
     assert extreme.flow >= raw.flow - 1e-12
     assert extreme.method == METHOD_EXTREME
     assert extreme.safety_multiplier == 1.0
 
 
 def test_extreme_value_collapses_to_mean_for_constant_slopes():
-    # linear barrier: every batch maximum equals 3, spread is zero
+    # linear barrier: every flow slope is 0.09 up to rounding, so the spread
+    # of the batch maxima is (almost) zero
     data = sample_grid(supply_demand(), DOMAIN, 300)
     config = LipschitzSpec(pair_budget=30_000, seed=5, batches=30)
     estimate = estimate_extreme_value(sample_values(linear_barrier(3.0), data), data, config)
-    assert estimate.barrier == pytest.approx(3.0, rel=1e-12)
+    assert estimate.flow == pytest.approx(0.09, rel=1e-9)
 
 
 def test_extreme_value_needs_enough_observations():
@@ -135,21 +137,21 @@ def test_dimension_mismatch_is_rejected():
     data = Dataset(xs, xs, SCHEME_GRID, square)
     with pytest.raises(ModelMismatchError):
         sample_values(linear_barrier(1.0), data)
-    values = sample_values(_quadratic_certificate(2), data)
+    flow = sample_values(_quadratic_certificate(2), data)
     longer = Dataset(np.vstack([xs, xs]), np.vstack([xs, xs]), SCHEME_GRID, square)
     with pytest.raises(ModelMismatchError, match="sizes differ"):
-        estimate_pairwise(values, longer, LipschitzSpec(pair_budget=100, seed=0))
+        estimate_pairwise(flow, longer, LipschitzSpec(pair_budget=100, seed=0))
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LipschitzSpec(pair_budget=0)
-    with pytest.raises(ValueError):
-        LipschitzSpec(multiplier=0.9)
-    with pytest.raises(ValueError):
-        LipschitzSpec(batches=1)
-    with pytest.raises(ValueError):
-        LipschitzSpec(shape=0.0)
+    # the run config checks its lipschitz section
+    base = preset("supply-demand")
+    for spec, message in ((LipschitzSpec(pair_budget=0), "pair_budget must be positive"),
+                          (LipschitzSpec(multiplier=0.9), "multiplier must be at least 1"),
+                          (LipschitzSpec(batches=1), "batches must be at least 2"),
+                          (LipschitzSpec(shape=0.0), "shape must be positive")):
+        with pytest.raises(ValueError, match=message):
+            replace(base, lipschitz=spec)
 
 
 def _outcome(estimator, certificate, data, config):
@@ -158,7 +160,7 @@ def _outcome(estimator, certificate, data, config):
         estimate = estimator(sample_values(certificate, data), data, config)
     except DegenerateDataError as exc:
         return type(exc)
-    return estimate.barrier, estimate.flow, estimate.samples_used
+    return estimate.flow, estimate.samples_used
 
 
 def _line_data():
@@ -272,7 +274,7 @@ def test_1d_pairwise_is_the_exact_all_pairs_maximum(pairs, ascending):
             estimate_pairwise(sample_values(cert, data), data, config)
         return
     estimate = estimate_pairwise(sample_values(cert, data), data, config)
-    assert (estimate.barrier, estimate.flow) == pairwise_all_pairs(cert, data)
+    assert estimate.flow == pairwise_all_pairs(cert, data)
     assert estimate.samples_used == np.unique(states).size - 1
 
 
@@ -283,5 +285,5 @@ def test_1d_pairwise_is_the_exact_all_pairs_maximum(pairs, ascending):
 ], ids=["iid", "grid", "duplicates"])
 def test_neighbour_maxima_equal_the_grouped_form(make_data):
     data = make_data()
-    values = sample_values(_quadratic_certificate(1), data)
-    assert _neighbour_maxima(values, data) == neighbour_maxima_grouped(values, data)
+    flow = sample_values(_quadratic_certificate(1), data)
+    assert _neighbour_maxima(flow, data) == neighbour_maxima_grouped(flow, data)

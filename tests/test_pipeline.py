@@ -24,7 +24,6 @@ from physbc.config import (
 from physbc.models import RegionBox
 from physbc.pipeline import (
     dataset_hash,
-    region_cover,
     report_json,
     run,
     write_artifacts,
@@ -88,7 +87,7 @@ def test_report_has_expected_sections(det_run):
     assert set(report["solver"]["active_rows"]) == {
         "initial", "unsafe", "flow", "bound", "gap"}
     assert set(report["lipschitz"]) == {
-        "barrier", "flow", "overall", "method", "samples_used", "safety_multiplier"}
+        "flow", "overall", "method", "samples_used", "safety_multiplier"}
     assert set(report["timing"]) == {
         "sample", "filter", "assemble", "solve", "audit", "lipschitz", "certify", "validate"}
     # serialisable end to end
@@ -167,8 +166,7 @@ def test_exact_lipschitz_bounds_random_pairs_on_reference_systems(key, monkeypat
     shipped = dict(run(config).report)
     monkeypatch.setattr("physbc.pipeline.estimate_pairwise", pairwise_whole_array)
     drawn = dict(run(config).report)
-    for term in ("barrier", "flow"):
-        assert shipped["lipschitz"][term] >= drawn["lipschitz"][term]
+    assert shipped["lipschitz"]["flow"] >= drawn["lipschitz"]["flow"]
     for report in (shipped, drawn):
         for block in ("timing", "lipschitz", "certification"):
             report.pop(block)
@@ -326,32 +324,7 @@ def test_cross_check_agrees():
 
 def test_unknown_lipschitz_method_rejected():
     with pytest.raises(ValueError, match="lipschitz method"):
-        LipschitzSpec(method="spectral")
-
-
-def test_region_cover_density_and_endpoints():
-    region = RegionBox.interval(0.5, 0.6)
-    cover = region_cover(region, 100.0)
-    assert cover.shape[1] == 1
-    xs = cover[:, 0]
-    assert xs[0] == pytest.approx(0.5) and xs[-1] == pytest.approx(0.6)
-    # ceil(0.1 * 100) + 1 = 11 points
-    assert len(xs) == 11
-    assert np.all(np.diff(xs) > 0)
-
-
-def test_region_cover_two_dimensional():
-    region = RegionBox(np.array([0.0, 0.0]), np.array([1.0, 0.5]))
-    cover = region_cover(region, 4.0)
-    # 5 points along the unit axis, 3 along the half-length axis
-    assert cover.shape == (15, 2)
-    corners = {(0.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 0.5)}
-    assert corners <= set(map(tuple, cover))
-
-
-def test_region_cover_needs_positive_density():
-    with pytest.raises(ValueError):
-        region_cover(RegionBox.interval(0.0, 1.0), 0.0)
+        replace(preset("supply-demand"), lipschitz=LipschitzSpec(method="spectral"))
 
 
 # ------------------------------------------------ the empirical check, reused
