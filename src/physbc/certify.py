@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import (
     DomainError,
@@ -173,45 +173,34 @@ def min_violation_level(risk: float, decision_count: int, retained_count: int) -
 
 @dataclass(frozen=True)
 class GeometryFactor:
-    """Map between a radius and the uniform measure of a ball, per dimension.
+    """Map between a radius and the uniform measure of a ball in an interval.
 
-    One- and two-dimensional closed forms are supported; the mass saturates
-    at 1, so the inverse map is only defined for levels strictly below 1.
-
-    In 1-D, ``mass(r) = r / L``: the mass of the half-interval ``[0, r]`` at
-    a domain endpoint, the least a radius-``r`` ball covers in an interval of
-    length ``L``.  The paper writes the constant as ``sqrt(pi) / (1.77 L)``,
-    with 1.77 its rounding of ``2 * Gamma(3/2) = sqrt(pi)``; that rounding
-    makes the radius 0.14% too small, on the optimistic side, so the exact
-    ``1 / L`` is used.
+    ``mass(r) = r / L``: the mass of the half-interval ``[0, r]`` at a domain
+    endpoint, the least a radius-``r`` ball covers in an interval of length
+    ``L``.  The paper writes the constant as ``sqrt(pi) / (1.77 L)``, with
+    1.77 its rounding of ``2 * Gamma(3/2) = sqrt(pi)``; that rounding makes
+    the radius 0.14% too small, on the optimistic side, so the exact ``1 / L``
+    is used.  The map is one-dimensional, the dimension the package
+    certifies.  The mass saturates at 1, so the inverse map is only defined
+    for levels strictly below 1.
     """
 
-    extents: Tuple[float, ...]
+    length: float
 
     def __post_init__(self):
-        if len(self.extents) not in (1, 2):
-            raise ValueError("geometry factors are defined for dimensions 1 and 2 only")
-        if any(e <= 0 for e in self.extents):
-            raise ValueError("extents must be positive")
+        if not self.length > 0:
+            raise ValueError("length must be positive")
 
     @classmethod
     def from_region(cls, region) -> "GeometryFactor":
-        return cls(tuple(float(v) for v in region.lengths))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.extents)
+        (length,) = region.lengths
+        return cls(float(length))
 
     def mass(self, radius: float) -> float:
-        """Fraction of the region covered by a ball of the given radius."""
+        """Fraction of the interval covered by a ball of the given radius."""
         if radius < 0:
             raise DomainError("radius must be non-negative")
-        if self.dimension == 1:
-            raw = radius / self.extents[0]
-        else:
-            a, b = self.extents
-            raw = math.pi * radius * radius / (4.0 * a * b)
-        return min(raw, 1.0)
+        return min(radius / self.length, 1.0)
 
     def radius(self, level: float) -> float:
         """Inverse of :meth:`mass` below saturation."""
@@ -221,10 +210,7 @@ class GeometryFactor:
             raise GeometrySaturationError(
                 f"violation level {level} saturates the geometry map"
             )
-        if self.dimension == 1:
-            return level * self.extents[0]
-        a, b = self.extents
-        return math.sqrt(4.0 * a * b * level / math.pi)
+        return level * self.length
 
 
 @dataclass(frozen=True)

@@ -334,8 +334,6 @@ def cmd_plotdata(report_path, out_dir, points):
             report = json.load(fh)
         config = RunConfig.from_dict(report["config"])
         certificate = BarrierCertificate.from_dict(report["certificate"])
-        if config.domain.dimension != 1:
-            raise PhysbcError("plotdata supports one-dimensional systems only")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         click.echo(f"error: could not load report: {exc}", err=True)
         sys.exit(1)
@@ -366,6 +364,9 @@ def cmd_plotdata(report_path, out_dir, points):
         data_path = os.path.join(os.path.dirname(os.path.abspath(report_path)), data_rel)
         try:
             dataset = load_dataset(data_path)
+            if dataset.dimension != config.domain.dimension:
+                raise PhysbcError(f"it has {dataset.dimension} state columns, the domain has "
+                                  f"{config.domain.dimension}")
         except (OSError, PhysbcError) as exc:
             click.echo(f"note: dataset not readable ({exc}); skipping samples.csv")
             dataset = None

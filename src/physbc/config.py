@@ -9,8 +9,10 @@ decision count, which sets the probabilistic violation level, follows from
 the template; neither is a setting.  Every field is checked when a config is
 built, by the constructor, by ``dataclasses.replace`` or by
 :meth:`RunConfig.from_dict`, which also rejects any key, at any level, that
-names no field.  Configs round-trip through JSON so a report can embed its
-exact inputs.
+names no field.  The domain, both regions and the system must be
+one-dimensional, the dimension in which the covering radius and the flow
+Lipschitz constant are exact.  Configs round-trip through JSON so a report
+can embed its exact inputs.
 """
 
 from __future__ import annotations
@@ -140,6 +142,11 @@ class RunConfig:
                 continue
             if not _is_finite_number(value):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
+        # checked before nesting, which a box of another dimension always fails
+        for key in ("domain", "initial", "unsafe"):
+            axes = getattr(self, key).dimension
+            if axes != 1:
+                raise ValueError(f"{key} must be one-dimensional, got {axes} axes")
         if not self.domain.contains_box(self.initial):
             raise ValueError("initial region must be nested in the domain")
         if not self.domain.contains_box(self.unsafe):
@@ -174,7 +181,9 @@ class RunConfig:
             raise ValueError("lipschitz.batches must be at least 2")
         if not self.lipschitz.shape > 0:
             raise ValueError("lipschitz.shape must be positive")
-        self.true_model()  # raises on a malformed custom system or perturbation
+        axes = self.true_model().dimension  # raises on a malformed custom system or perturbation
+        if axes != 1:
+            raise ValueError(f"system must be one-dimensional, got {axes} axes")
 
     # ---- model construction -------------------------------------------------
 

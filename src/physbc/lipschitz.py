@@ -13,18 +13,19 @@ flow expression per sample from :func:`physbc.barrier.sample_values`, which a
 run computes once on the retained states and successors and also hands to the
 residual audit, together with the dataset whose states give the gaps.
 
-In 1-D, :func:`estimate_pairwise` is exact: the steepest slope over all pairs
-is the steepest between neighbouring distinct coordinates (a secant over a
-wider span is a weighted mean of the secants it covers), so one sort gives the
-maximum over every sample pair.  States that coincide are grouped, and each
-group contributes its extreme values.
+Both estimators take one-dimensional data, the dimension the package
+certifies.  :func:`estimate_pairwise` is exact there: the steepest slope over
+all pairs is the steepest between neighbouring distinct coordinates (a secant
+over a wider span is a weighted mean of the secants it covers), so one sort
+gives the maximum over every sample pair.  States that coincide are grouped,
+and each group contributes its extreme values.  In two or more dimensions no
+such reduction holds, and a maximum over sampled pairs would only bound the
+constant from below.
 
-For n >= 2, and for the extreme-value method in any dimension, the slopes come
-from ``pair_budget`` random pairs.  Their indices are drawn in one go from the
-configured seed; the slopes are then computed in fixed chunks of pairs,
-skipping pairs whose states coincide.  The pairwise estimator keeps a running
-maximum, so its memory does not grow with the pair budget; the extreme-value
-estimator gathers the slopes in draw order.
+The extreme-value method draws ``pair_budget`` random pairs.  Their indices
+are drawn in one go from the configured seed; the slopes are then computed in
+fixed chunks of pairs, skipping pairs whose states coincide, and gathered in
+draw order.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class LipschitzSpec:
     """Estimator knobs; the ``lipschitz`` section of a run config, which checks them."""
 
     method: str = METHOD_PAIRWISE
-    # pair_budget and seed drive the random-pair draw only: pairwise-max for
-    # n >= 2 and the extreme-value method; 1-D pairwise-max needs no draw
+    # pair_budget and seed drive the extreme-value method's random-pair draw;
+    # pairwise-max is exact and draws nothing
     pair_budget: int = 1_000_000
     multiplier: float = 1.1  # headroom on top of the pairwise maximum
     seed: int = 7
@@ -74,7 +75,9 @@ class LipschitzEstimate:
 
 
 def _require_pairs(flow: np.ndarray, dataset: Dataset) -> None:
-    """Check that ``flow`` belongs to ``dataset`` and that it can form a pair."""
+    """Check that ``flow`` belongs to ``dataset``, a 1-D one that can form a pair."""
+    if dataset.dimension != 1:
+        raise ModelMismatchError("Lipschitz estimates take one-dimensional data only")
     if flow.shape != (dataset.count,):
         raise ModelMismatchError("sample values and dataset sizes differ")
     if dataset.count < 2:
@@ -128,19 +131,15 @@ def _slope_chunks(flow: np.ndarray, dataset: Dataset, config: LipschitzSpec):
     rng = np.random.default_rng(config.seed)
     left = rng.integers(0, dataset.count, size=config.pair_budget)
     right = rng.integers(0, dataset.count, size=config.pair_budget)
-    states = dataset.states
-    coords = states[:, 0] if dataset.dimension == 1 else None
+    coords = dataset.states[:, 0]
     kept = 0
     for start in range(0, config.pair_budget, _CHUNK):
         i, j = left[start:start + _CHUNK], right[start:start + _CHUNK]
-        if coords is not None:
-            # sqrt(d * d) is what norm(axis=1) computes for a single column
-            gaps = coords.take(i)
-            gaps -= coords.take(j)
-            gaps *= gaps
-            np.sqrt(gaps, out=gaps)
-        else:
-            gaps = np.linalg.norm(states[i] - states[j], axis=1)
+        # sqrt(d * d) is what norm(axis=1) computes for a single column
+        gaps = coords.take(i)
+        gaps -= coords.take(j)
+        gaps *= gaps
+        np.sqrt(gaps, out=gaps)
         keep = gaps > 0.0
         kept += np.count_nonzero(keep)
         # |flow[i] - flow[j]| / gaps where keep; other entries are junk
@@ -159,21 +158,13 @@ def estimate_pairwise(
     """Largest sample slope of the flow expression times a safety multiplier.
 
     ``flow`` is the certificate's :func:`~physbc.barrier.sample_values` on
-    ``dataset``.  Exact over all sample pairs in 1-D; over
-    ``config.pair_budget`` random pairs for n >= 2.
+    ``dataset``.  The slope is exact over all sample pairs.
     """
-    if dataset.dimension == 1:
-        steepest, used = _neighbour_maxima(flow, dataset)
-    else:
-        steepest = -np.inf
-        used = 0
-        for slopes, keep in _slope_chunks(flow, dataset, config):
-            used += np.count_nonzero(keep)
-            steepest = np.maximum(steepest, slopes.max(where=keep, initial=-np.inf))
+    steepest, used = _neighbour_maxima(flow, dataset)
     return LipschitzEstimate(
-        flow=config.multiplier * float(steepest),
+        flow=config.multiplier * steepest,
         method=METHOD_PAIRWISE,
-        samples_used=int(used),
+        samples_used=used,
         safety_multiplier=config.multiplier,
     )
 

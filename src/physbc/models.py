@@ -85,6 +85,9 @@ class RegionBox:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def contains_box(self, other: "RegionBox") -> bool:
+        """Whether ``other`` lies inside this box; a box of another dimension never does."""
+        if other.dimension != self.dimension:
+            return False
         return bool(np.all(other.lower >= self.lower) and np.all(other.upper <= self.upper))
 
     def to_dict(self) -> dict:

@@ -97,12 +97,6 @@ def dataset_hash(dataset: Dataset) -> str:
     return digest.hexdigest()
 
 
-def _grid_counts(total: int, dimension: int) -> int:
-    if dimension == 1:
-        return total
-    return max(2, round(total ** (1.0 / dimension)))
-
-
 def run(config: RunConfig) -> RunArtifacts:
     timings: dict = {}
     clock = time.perf_counter
@@ -114,7 +108,7 @@ def run(config: RunConfig) -> RunArtifacts:
     # ---- sample the ground truth -------------------------------------------
     t0 = clock()
     if config.sampling.scheme == SCHEME_GRID:
-        dataset = sample_grid(truth, config.domain, _grid_counts(config.sampling.count, physics.dimension))
+        dataset = sample_grid(truth, config.domain, config.sampling.count)
     else:
         dataset = sample_iid(truth, config.domain, config.sampling.count, config.sampling.seed)
     timings["sample"] = clock() - t0

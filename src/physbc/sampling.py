@@ -3,25 +3,29 @@
 A dataset is an ordered collection of (state, successor) pairs recorded from
 one model over one domain box.  Grid and i.i.d.-uniform schemes are provided;
 both are reproducible from their parameters (the i.i.d. scheme from its seed).
+The grid scheme and the covering radius are one-dimensional, the dimension
+the package certifies: on an interval the covering radius is exact, while a
+box in two or more dimensions would need an exact Voronoi computation to
+bound it from above.  A dataset and its CSV file keep one column per axis.
 
 Datasets persist as CSV written in blocks: :func:`write_rows` formats 65 536
 rows with one ``%`` operation, which gives the same text as formatting them
 row by row.  A JSON sidecar holds the scheme, seed, domain, count and
-dimension; :func:`load_dataset` ignores any other sidecar key, such as the
-``filtered`` flag that older sidecars carry.  It parses the body with
-``np.loadtxt`` and hands any file it cannot take as is to a line loop, which
-either returns the same values or names the offending line.
+dimension; :func:`load_dataset` checks them before it reads the body and
+ignores any other sidecar key, such as the ``filtered`` flag that older
+sidecars carry.  It parses the body with ``np.loadtxt`` and hands any file it
+cannot take as is to a line loop, which either returns the same values or
+names the offending line.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -40,10 +44,6 @@ SCHEME_IID = "iid-uniform"
 # Hard ceiling on generated points; generation requests beyond it fail fast
 # instead of exhausting memory.
 DEFAULT_MAX_SAMPLES = 20_000_000
-
-# Ceiling on the dense reference lattice used for covering radii in
-# dimension >= 2.
-MAX_LATTICE_POINTS = 50_000_000
 
 # Rows formatted per ``%`` operation when writing CSV.
 _ROW_CHUNK = 65_536
@@ -100,23 +100,21 @@ def _check_capacity(total: int, max_count: int):
 def sample_grid(
     model: SystemModel,
     domain: RegionBox,
-    counts_per_axis: Union[int, Sequence[int]],
+    count: int,
     max_count: int = DEFAULT_MAX_SAMPLES,
 ) -> Dataset:
-    """Record successors on a rectangular lattice that includes the box faces.
+    """Record successors at ``count`` evenly spaced states of an interval, ends included.
 
-    ``counts_per_axis`` is one integer per axis (or a single integer applied
-    to every axis), each at least 2.  Points are ordered with the first axis
-    varying slowest; in one dimension that is ascending order.
+    ``count`` is at least 2; the states are in ascending order.
     """
     if model.dimension != domain.dimension:
         raise ModelMismatchError("model and domain dimensions differ")
-    counts = np.broadcast_to(np.asarray(counts_per_axis, dtype=int), (domain.dimension,))
-    if np.any(counts < 2):
-        raise ValueError("need at least 2 grid points per axis")
-    total = int(np.prod(counts.astype(object)))
-    _check_capacity(total, max_count)
-    states = domain.grid(counts)
+    if domain.dimension != 1:
+        raise ValueError("grid sampling takes a one-dimensional domain")
+    if count < 2:
+        raise ValueError("need at least 2 grid points")
+    _check_capacity(count, max_count)
+    states = domain.grid((count,))
     return Dataset(states, model.step_many(states), SCHEME_GRID, domain)
 
 
@@ -138,20 +136,14 @@ def sample_iid(
     return Dataset(states, model.step_many(states), SCHEME_IID, domain, seed=seed)
 
 
-def covering_radius(
-    states: np.ndarray,
-    domain: RegionBox,
-    reference_resolution: Optional[int] = None,
-) -> float:
-    """Largest distance from any domain point to its nearest listed state.
+def covering_radius(states: np.ndarray, domain: RegionBox) -> float:
+    """Largest distance from any point of an interval to its nearest listed state.
 
-    In one dimension the value is exact: with the states sorted, it is the
-    larger of the two boundary gaps and half the widest interior gap.  In
-    higher dimensions it is measured against a dense reference lattice with
-    ``reference_resolution`` points per axis (default: ten times the per-axis
-    density of the state set), which bounds the truth from below within one
-    lattice diagonal.
+    The value is exact: with the states sorted, it is the larger of the two
+    boundary gaps and half the widest interior gap.
     """
+    if domain.dimension != 1:
+        raise ValueError("covering radii are defined for one-dimensional domains only")
     pts = np.asarray(states, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -162,37 +154,11 @@ def covering_radius(
     if not np.all(domain.contains(pts, rtol=1e-12)):
         raise RegionViolationError("states must lie inside the domain box")
 
-    if domain.dimension == 1:
-        s = np.sort(pts[:, 0])
-        radius = max(s[0] - domain.lower[0], domain.upper[0] - s[-1])
-        if s.size > 1:
-            radius = max(radius, 0.5 * float(np.max(np.diff(s))))
-        return float(max(radius, 0.0))
-
-    n = domain.dimension
-    if reference_resolution is None:
-        per_axis = int(math.ceil(pts.shape[0] ** (1.0 / n)))
-        reference_resolution = max(2, 10 * per_axis)
-    if reference_resolution < 2:
-        raise ValueError("reference_resolution must be at least 2")
-    if reference_resolution**n > MAX_LATTICE_POINTS:
-        raise CapacityError(
-            f"reference lattice of {reference_resolution}^{n} points exceeds "
-            f"the {MAX_LATTICE_POINTS} limit"
-        )
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    axes = [np.linspace(domain.lower[i], domain.upper[i], reference_resolution) for i in range(n)]
-    worst = 0.0
-    # Query the lattice one outer slice at a time to bound peak memory.
-    tail = np.meshgrid(*axes[1:], indexing="ij") if n > 1 else []
-    tail_pts = np.stack([m.ravel() for m in tail], axis=1)
-    for x0 in axes[0]:
-        block = np.column_stack([np.full(tail_pts.shape[0], x0), tail_pts])
-        dist, _ = tree.query(block)
-        worst = max(worst, float(dist.max()))
-    return worst
+    s = np.sort(pts[:, 0])
+    radius = max(s[0] - domain.lower[0], domain.upper[0] - s[-1])
+    if s.size > 1:
+        radius = max(radius, 0.5 * float(np.max(np.diff(s))))
+    return float(max(radius, 0.0))
 
 
 def write_rows(fh, line_format: str, rows: np.ndarray) -> None:
@@ -235,28 +201,14 @@ def save_dataset(dataset: Dataset, path: str) -> None:
 def load_dataset(path: str) -> Dataset:
     """Inverse of :func:`save_dataset`; parse failures carry a line number.
 
+    A sidecar it cannot use, a count above ``DEFAULT_MAX_SAMPLES`` included,
+    raises :class:`DatasetParseError` before the body is read or allocated.
     The body is parsed by ``np.loadtxt``, which reads ``%.17g`` text bit for
     bit.  A body it rejects, or whose shape disagrees with the sidecar, is
     read again by the line loop, which accepts what ``float`` accepts (blank
     lines included) and names the first bad line.
     """
-    sidecar = _sidecar_path(path)
-    if not os.path.exists(sidecar):
-        raise DatasetParseError(f"missing metadata sidecar {sidecar}")
-    with open(sidecar, "r", encoding="ascii") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetParseError(f"invalid sidecar JSON: {exc}") from exc
-    try:
-        domain = RegionBox.from_dict(meta["domain"])
-        scheme = meta["scheme"]
-        count = int(meta["count"])
-        n = int(meta["dimension"])
-        seed = meta.get("seed")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetParseError(f"sidecar is missing or corrupts a field: {exc}") from exc
-
+    domain, scheme, count, n, seed = _read_sidecar(path)
     values = np.empty((count, 2 * n))
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
@@ -274,6 +226,36 @@ def load_dataset(path: str) -> Dataset:
             fh.readline()
             _parse_rows(fh, values)
     return Dataset(values[:, :n], values[:, n:], scheme, domain, seed=seed)
+
+
+def _read_sidecar(path: str):
+    """``(domain, scheme, count, dimension, seed)`` from the sidecar of ``path``, checked."""
+    sidecar = _sidecar_path(path)
+    if not os.path.exists(sidecar):
+        raise DatasetParseError(f"missing metadata sidecar {sidecar}")
+    with open(sidecar, "r", encoding="ascii") as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+            raise DatasetParseError(f"invalid sidecar JSON: {exc}") from exc
+    try:
+        domain = RegionBox.from_dict(meta["domain"])
+        scheme = meta["scheme"]
+        count = int(meta["count"])
+        n = int(meta["dimension"])
+        seed = meta.get("seed")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetParseError(f"sidecar is missing or corrupts a field: {exc}") from exc
+    if scheme not in (SCHEME_GRID, SCHEME_IID):
+        raise DatasetParseError(f"sidecar names an unknown sampling scheme {scheme!r}")
+    if n < 1 or n != domain.dimension:
+        raise DatasetParseError(
+            f"sidecar dimension {n} must be positive and match its domain's {domain.dimension}"
+        )
+    # the same ceiling as generation, so a corrupt count fails before the body is allocated
+    if not 0 <= count <= DEFAULT_MAX_SAMPLES:
+        raise DatasetParseError(f"sidecar count {count} is outside [0, {DEFAULT_MAX_SAMPLES}]")
+    return domain, scheme, count, n, seed
 
 
 def _loadtxt_rows(fh) -> Optional[np.ndarray]:

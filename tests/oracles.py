@@ -23,8 +23,8 @@ from physbc.lipschitz import (
     LipschitzEstimate,
     _reverse_weibull_location,
 )
-from physbc.models import RegionBox, SafetyCheck
-from physbc.sampling import Dataset
+from physbc.models import SafetyCheck
+from physbc.sampling import Dataset, _read_sidecar
 from physbc.solver import FEASIBILITY_TOL, OPTIMALITY_TOL, STATUS_OPTIMAL, SolveResult
 
 
@@ -267,7 +267,11 @@ def pair_slopes_whole_array(flow, dataset, config):
 
 
 def pairwise_whole_array(flow, dataset, config):
-    """Drop-in for :func:`physbc.lipschitz.estimate_pairwise` on a whole slope array."""
+    """The largest flow slope over random pairs, as a :class:`LipschitzEstimate`.
+
+    A lower bound on the exact all-pairs maximum of
+    :func:`physbc.lipschitz.estimate_pairwise`, which draws no pairs.
+    """
     slopes = pair_slopes_whole_array(flow, dataset, config)
     return LipschitzEstimate(
         flow=config.multiplier * float(slopes.max()),
@@ -408,24 +412,12 @@ def save_dataset_rowwise(dataset, path):
 
 
 def load_dataset_rowwise(path):
-    """Drop-in for :func:`physbc.sampling.load_dataset` that parses one line at a time."""
-    sidecar = _sidecar(path)
-    if not os.path.exists(sidecar):
-        raise DatasetParseError(f"missing metadata sidecar {sidecar}")
-    with open(sidecar, "r", encoding="ascii") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetParseError(f"invalid sidecar JSON: {exc}") from exc
-    try:
-        domain = RegionBox.from_dict(meta["domain"])
-        scheme = meta["scheme"]
-        count = int(meta["count"])
-        n = int(meta["dimension"])
-        seed = meta.get("seed")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetParseError(f"sidecar is missing or corrupts a field: {exc}") from exc
+    """Drop-in for :func:`physbc.sampling.load_dataset` that parses one line at a time.
 
+    The sidecar goes through the loader's own checks; the body is what this
+    oracle reads independently.
+    """
+    domain, scheme, count, n, seed = _read_sidecar(path)
     values = np.empty((count, 2 * n))
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")

@@ -110,34 +110,25 @@ def test_geometry_mass_interval_coefficient():
     # fraction of an interval of length a covered by a radius-r ball at an
     # endpoint: mass(r) = r / a exactly
     for a, coeff in ((2.2, 1 / 2.2), (0.9, 1 / 0.9)):
-        factor = GeometryFactor((a,))
+        factor = GeometryFactor(a)
         r = 1e-3
         assert factor.mass(r) / r == pytest.approx(coeff, rel=1e-12)
 
 
-def test_geometry_mass_rectangle():
-    factor = GeometryFactor((2.0, 0.5))
-    r = 0.01
-    assert factor.mass(r) == pytest.approx(math.pi * r * r / (4 * 2.0 * 0.5))
-
-
 def test_geometry_mass_clamps_at_one():
-    factor = GeometryFactor((0.9,))
+    factor = GeometryFactor(0.9)
     assert factor.mass(10.0) == 1.0
     assert factor.mass(0.0) == 0.0
 
 
 def test_geometry_radius_inverts_mass():
-    factor = GeometryFactor((2.2,))
+    factor = GeometryFactor(2.2)
     for phi in (1e-5, 1e-3, 0.1, 0.9):
         assert factor.mass(factor.radius(phi)) == pytest.approx(phi, rel=1e-12)
-    square = GeometryFactor((1.0, 1.0))
-    for phi in (1e-4, 0.05):
-        assert square.mass(square.radius(phi)) == pytest.approx(phi, rel=1e-12)
 
 
 def test_geometry_radius_error_paths():
-    factor = GeometryFactor((2.2,))
+    factor = GeometryFactor(2.2)
     with pytest.raises(DomainError):
         factor.radius(-1e-9)
     with pytest.raises(GeometrySaturationError):
@@ -147,16 +138,18 @@ def test_geometry_radius_error_paths():
 
 
 def test_geometry_rejects_unsupported_dimension():
+    from physbc.models import RegionBox
     with pytest.raises(ValueError):
-        GeometryFactor((1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        GeometryFactor((-1.0,))
+        GeometryFactor.from_region(RegionBox(np.zeros(2), np.ones(2)))
+    for length in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="length must be positive"):
+            GeometryFactor(length)
 
 
 def test_geometry_from_region():
     from physbc.models import RegionBox
     factor = GeometryFactor.from_region(RegionBox.interval(0.5, 2.7))
-    assert factor.extents == (2.2,)
+    assert factor.length == 2.2
 
 
 def test_deterministic_check_arithmetic():
@@ -178,7 +171,7 @@ def test_deterministic_check_requires_positive_radius():
 
 
 def test_probabilistic_check_arithmetic():
-    geometry = GeometryFactor((2.2,))
+    geometry = GeometryFactor(2.2)
     level = min_violation_level(0.05, 6, 150_260)
     report = check_probabilistic(slack=-0.2094, lipschitz=11.51,
                                  violation_level=level, geometry=geometry,
@@ -195,7 +188,7 @@ def test_probabilistic_check_arithmetic():
 
 
 def test_probabilistic_check_fails_when_slack_too_small():
-    geometry = GeometryFactor((2.2,))
+    geometry = GeometryFactor(2.2)
     report = check_probabilistic(slack=-1e-6, lipschitz=50.0,
                                  violation_level=1e-4, geometry=geometry,
                                  risk=0.05)

@@ -22,6 +22,8 @@ from physbc.config import (
     ValidationSpec,
     preset,
 )
+from physbc.models import RegionBox
+from physbc.sampling import SCHEME_IID, Dataset, save_dataset
 
 
 def small_config_dict():
@@ -143,6 +145,14 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
     ({"decay_rate": 0.5}, "unknown config key(s): decay_rate"),
     ({"sampling.cuont": 4000}, "unknown sampling key(s): cuont"),
     ({"domain.middle": [1.0]}, "unknown domain key(s): middle"),
+    ({"domain": {"lower": [0.5, 0.5], "upper": [2.7, 2.7]}},
+     "domain must be one-dimensional, got 2 axes"),
+    ({"initial": {"lower": [0.5, 0.5], "upper": [0.6, 0.6]}},
+     "initial must be one-dimensional, got 2 axes"),
+    ({"unsafe": {"lower": [2.6, 2.6, 2.6], "upper": [2.7, 2.7, 2.7]}},
+     "unsafe must be one-dimensional, got 3 axes"),
+    ({"system": {"kind": "affine", "linear": [[0.8, 0.0], [0.0, 0.8]], "offset": [0.5, 0.5]}},
+     "system must be one-dimensional, got 2 axes"),
 ], ids=["negative-coeff-bound", "zero-trajectories", "zero-horizon",
         "negative-frequency", "negative-amplitude", "fractional-grid-count",
         "fractional-iid-count", "fractional-trajectories", "bool-horizon",
@@ -151,7 +161,8 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
         "fractional-pair-budget", "quoted-batches", "negative-lipschitz-seed",
         "fractional-degree",
         "negative-sampling-seed", "negative-validation-seed", "unknown-top-level-key",
-        "unknown-section-key", "unknown-region-key"])
+        "unknown-section-key", "unknown-region-key", "two-dimensional-domain",
+        "two-dimensional-initial", "three-dimensional-unsafe", "two-dimensional-system"])
 def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch):
     data = small_config_dict()
     for path, value in edits.items():
@@ -385,6 +396,25 @@ def test_plotdata_samples_match_csv_writer_bytes(run_dir, config_path, tmp_path,
     assert (out / "jump.csv").exists() == filtered
 
 
+@pytest.mark.parametrize("case", ["huge-count", "two-dimensional"])
+def test_plotdata_skips_a_dataset_it_cannot_use(case, run_dir, tmp_path):
+    (tmp_path / "report.json").write_bytes((run_dir / "report.json").read_bytes())
+    if case == "huge-count":
+        (tmp_path / "dataset.csv").write_bytes((run_dir / "dataset.csv").read_bytes())
+        meta = json.loads((run_dir / "dataset.meta.json").read_text())
+        (tmp_path / "dataset.meta.json").write_text(json.dumps({**meta, "count": 10**12}))
+    else:
+        square = RegionBox(np.zeros(2), np.ones(2))
+        xs = np.array([[0.1, 0.2], [0.8, 0.9]])
+        save_dataset(Dataset(xs, xs, SCHEME_IID, square, seed=0), str(tmp_path / "dataset.csv"))
+    out = tmp_path / "plots"
+    result = CliRunner().invoke(main, [
+        "plotdata", "--report", str(tmp_path / "report.json"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "note: dataset not readable" in result.output
+    assert (out / "barrier_curve.csv").exists() and not (out / "samples.csv").exists()
+
+
 def test_plotdata_rejects_missing_report(tmp_path):
     result = CliRunner().invoke(main, [
         "plotdata", "--report", str(tmp_path / "nope.json")])
@@ -538,7 +568,8 @@ def test_cli_import_loads_no_third_party_package_beyond_numpy_and_click():
     assert out.stdout.strip() == "[]"
 
 
-def test_cli_run_loads_no_scipy_optimize(tmp_path):
+def test_cli_run_loads_no_scipy(tmp_path):
+    # only the HiGHS cross-check imports scipy
     config = tmp_path / "run.json"
     config.write_text(json.dumps(small_config_dict()))
     argv = ["run", "--config", str(config), "--out", str(tmp_path / "out")]
@@ -546,7 +577,7 @@ def test_cli_run_loads_no_scipy_optimize(tmp_path):
             "try:\n"
             f"    physbc.cli.main({argv!r}, standalone_mode=False)\n"
             "finally:\n"
-            "    print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'optimize']))")
+            "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(physbc.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})

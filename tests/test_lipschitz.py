@@ -23,7 +23,7 @@ from physbc.lipschitz import (
     estimate_extreme_value,
     estimate_pairwise,
 )
-from physbc.models import RegionBox, SystemModel, supply_demand
+from physbc.models import RegionBox, supply_demand
 from physbc.sampling import SCHEME_GRID, Dataset, sample_grid, sample_iid
 
 DOMAIN = RegionBox.interval(0.5, 2.7)
@@ -82,12 +82,15 @@ def test_quadratic_flow_estimate_brackets_true_constant():
 
 
 def test_pairwise_is_deterministic_per_seed():
-    data = _plane_data()
-    cert = _quadratic_certificate(2)
+    data = sample_iid(supply_demand(), DOMAIN, 500, seed=11)
+    flow = sample_values(_quadratic_certificate(1), data)
     config = LipschitzSpec(pair_budget=5_000, seed=9)
-    a = estimate_pairwise(sample_values(cert, data), data, config)
-    b = estimate_pairwise(sample_values(cert, data), data, config)
+    a = estimate_pairwise(flow, data, config)
+    b = estimate_pairwise(flow, data, config)
     assert (a.flow, a.samples_used) == (b.flow, b.samples_used)
+    # the exact estimate draws no pairs, so the seed does not move it
+    c = estimate_pairwise(flow, data, replace(config, seed=10))
+    assert (c.flow, c.samples_used) == (a.flow, a.samples_used)
 
 
 def test_extreme_value_never_undercuts_observed_max():
@@ -137,10 +140,16 @@ def test_dimension_mismatch_is_rejected():
     data = Dataset(xs, xs, SCHEME_GRID, square)
     with pytest.raises(ModelMismatchError):
         sample_values(linear_barrier(1.0), data)
+    # a slope over sampled pairs only bounds an n-D constant from below
     flow = sample_values(_quadratic_certificate(2), data)
-    longer = Dataset(np.vstack([xs, xs]), np.vstack([xs, xs]), SCHEME_GRID, square)
+    for estimator in (estimate_pairwise, estimate_extreme_value):
+        with pytest.raises(ModelMismatchError, match="one-dimensional"):
+            estimator(flow, data, LipschitzSpec(pair_budget=100, seed=0, batches=2))
+    line = sample_grid(supply_demand(), DOMAIN, 4)
+    longer = Dataset(np.vstack([line.states] * 2), np.vstack([line.successors] * 2),
+                     SCHEME_GRID, DOMAIN)
     with pytest.raises(ModelMismatchError, match="sizes differ"):
-        estimate_pairwise(flow, longer, LipschitzSpec(pair_budget=100, seed=0))
+        estimate_pairwise(sample_values(linear_barrier(1.0), line), longer, LipschitzSpec())
 
 
 def test_config_validation():
@@ -167,16 +176,6 @@ def _line_data():
     return sample_grid(supply_demand(), DOMAIN, 300)
 
 
-def _plane_data():
-    square = RegionBox(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
-    quad = np.zeros((2, 2, 2))
-    quad[0, 0, 1] = 0.3
-    quad[1, 0, 0] = -0.2
-    model = SystemModel.quadratic_polynomial(quad, np.array([[0.9, 0.1], [0.0, 0.7]]),
-                                             np.array([0.05, 0.0]))
-    return sample_iid(model, square, 500, seed=11)
-
-
 def _repeated(data, distinct=40, copies=4):
     """The first ``distinct`` pairs of ``data``, each repeated ``copies`` times."""
     return Dataset(np.repeat(data.states[:distinct], copies, axis=0),
@@ -188,22 +187,16 @@ def _duplicated_data():
     return _repeated(_line_data())
 
 
-def _duplicated_plane_data():
-    return _repeated(_plane_data())
-
-
 def _quadratic_certificate(dimension):
     template = BarrierTemplate.quadratic(dimension)
     coefficients = np.linspace(-1.5, 2.0, template.size)
     return BarrierCertificate(template, coefficients, 0.83, 0.0, 1.0)
 
 
-# The random-pair path and its whole-array oracles: pairwise-max for n >= 2,
-# the extreme-value method in every dimension.
+# The random-pair draw, which only the extreme-value method makes, and its
+# whole-array oracle.
 RANDOM_PAIR_CASES = [
-    (estimate_pairwise, pairwise_whole_array, _plane_data),
     (estimate_extreme_value, extreme_value_whole_array, _line_data),
-    (estimate_extreme_value, extreme_value_whole_array, _plane_data),
 ]
 
 
@@ -221,9 +214,7 @@ def test_streamed_slopes_match_whole_array_oracle(budget, estimator, oracle, mak
 
 
 @pytest.mark.parametrize("estimator, oracle, make_data", [
-    (estimate_pairwise, pairwise_whole_array, _duplicated_plane_data),
     (estimate_extreme_value, extreme_value_whole_array, _duplicated_data),
-    (estimate_extreme_value, extreme_value_whole_array, _duplicated_plane_data),
 ])
 def test_streamed_slopes_match_oracle_with_duplicates(estimator, oracle, make_data):
     data = make_data()
@@ -235,10 +226,11 @@ def test_streamed_slopes_match_oracle_with_duplicates(estimator, oracle, make_da
 
 
 def test_duplicate_states_drop_zero_gap_pairs():
-    data = _duplicated_plane_data()
-    config = LipschitzSpec(pair_budget=10_000, seed=2)
-    estimate = estimate_pairwise(sample_values(_quadratic_certificate(2), data), data, config)
-    # 40 distinct states, each 4 times: about 1 in 40 pairs has a zero gap
+    data = _duplicated_data()
+    config = LipschitzSpec(pair_budget=10_000, seed=2, batches=2)
+    estimate = estimate_extreme_value(sample_values(_quadratic_certificate(1), data), data, config)
+    # 40 distinct states, each 4 times: about 1 in 40 pairs has a zero gap;
+    # two batches use every kept pair but at most one
     assert 9_600 < estimate.samples_used < 9_850
 
 

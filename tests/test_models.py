@@ -48,6 +48,14 @@ def test_region_nesting():
     assert not outer.contains_box(RegionBox.interval(0.2, 1.2))
 
 
+def test_region_of_another_dimension_is_never_nested():
+    # bounds that broadcast against the outer box's must not count as nesting
+    line = RegionBox.interval(0.5, 2.7)
+    square = RegionBox(np.full(2, 0.5), np.full(2, 0.6))
+    assert not line.contains_box(square)
+    assert not square.contains_box(line)
+
+
 def test_region_rejects_bad_bounds():
     with pytest.raises(ValueError):
         RegionBox.interval(1.0, 1.0)

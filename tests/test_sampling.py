@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from physbc.errors import (
     RegionViolationError,
 )
 from oracles import load_dataset_rowwise, save_dataset_rowwise
-from physbc.models import RegionBox, supply_demand
+from physbc.models import RegionBox, SystemModel, supply_demand
 from physbc.sampling import (
     SCHEME_GRID,
     SCHEME_IID,
@@ -37,27 +38,12 @@ def test_grid_is_sorted_and_hits_faces():
     assert data.successors == pytest.approx(0.8 * data.states + 0.5)
 
 
-def test_grid_two_dimensional_counts():
-    model = supply_demand()
-    square = RegionBox(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-
-    class Planar:
-        dimension = 2
-
-        @staticmethod
-        def step_many(x):
-            return x * 0.5
-
-    data = sample_grid(Planar(), square, (3, 4))
-    assert data.count == 12
-    # all four corners present
-    for corner in ([0, 0], [0, 2], [1, 0], [1, 2]):
-        assert np.any(np.all(data.states == corner, axis=1))
-
-
 def test_grid_rejects_degenerate_axes_and_overflow():
     with pytest.raises(ValueError):
         sample_grid(supply_demand(), DOMAIN, 1)
+    planar = SystemModel.affine(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        sample_grid(planar, RegionBox(np.zeros(2), np.ones(2)), 4)
     with pytest.raises(CapacityError):
         sample_grid(supply_demand(), DOMAIN, 100, max_count=99)
 
@@ -131,15 +117,6 @@ def test_covering_radius_exact_against_dense_scan():
     assert exact >= scan - 1e-12  # the scan can only undershoot
 
 
-def test_covering_radius_two_dimensional_lattice_reference():
-    box = RegionBox(np.zeros(2), np.ones(2))
-    corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-    radius = covering_radius(corners, box, reference_resolution=101)
-    # centre of the square is the farthest point
-    assert radius == pytest.approx(np.sqrt(0.5), abs=2e-2)
-    assert radius <= np.sqrt(0.5) + 1e-12
-
-
 def test_covering_radius_error_paths():
     box = RegionBox.interval(0.0, 1.0)
     with pytest.raises(NoCoverError):
@@ -147,8 +124,8 @@ def test_covering_radius_error_paths():
     with pytest.raises(RegionViolationError):
         covering_radius(np.array([1.5]), box)
     square = RegionBox(np.zeros(2), np.ones(2))
-    with pytest.raises(CapacityError):
-        covering_radius(np.array([[0.5, 0.5]]), square, reference_resolution=100_000)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        covering_radius(np.array([[0.5, 0.5]]), square)
 
 
 def test_save_load_round_trip_is_bitwise(tmp_path):
@@ -358,6 +335,40 @@ def test_load_matches_rowwise_oracle_on_raw_bodies(tmp_path, body):
     save_dataset(data, str(path))
     path.write_bytes(b"x_1,y_1\n" + body)
     assert _outcome(load_dataset, str(path)) == _outcome(load_dataset_rowwise, str(path))
+
+
+@pytest.mark.parametrize("edit", [
+    {"count": -1},
+    {"count": 10**12},  # 14.6 TiB of rows
+    {"count": math.inf},
+    {"dimension": -1},
+    {"dimension": 0, "domain": {"lower": [], "upper": []}},
+    {"scheme": "bogus"},
+    {"domain": {"lower": [0.5, 0.5], "upper": [2.7, 2.7]}},
+], ids=["negative-count", "huge-count", "infinite-count", "negative-dimension",
+        "zero-dimension", "unknown-scheme", "two-dimensional-domain"])
+def test_load_rejects_a_bad_sidecar_before_allocating(tmp_path, monkeypatch, edit):
+    data = sample_iid(supply_demand(), DOMAIN, 2, seed=1)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    sidecar = tmp_path / "d.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **edit}))
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the body was allocated for a sidecar that should not load")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
+    with pytest.raises(DatasetParseError, match="sidecar"):
+        load_dataset(str(path))
+
+
+def test_load_rejects_a_sidecar_that_is_not_ascii(tmp_path):
+    data = sample_iid(supply_demand(), DOMAIN, 2, seed=1)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    (tmp_path / "d.meta.json").write_bytes(b'{"scheme": "\xff"}')
+    with pytest.raises(DatasetParseError, match="invalid sidecar JSON"):
+        load_dataset(str(path))
 
 
 @pytest.mark.parametrize("count", [-1, 0])
