@@ -158,8 +158,13 @@ def run(config: RunConfig) -> RunArtifacts:
     certificate = system.certificate_from_decision(result.decision)
     cross: Optional[dict] = None
     if config.solver.cross_check:
-        # the HiGHS exchange; its first call imports scipy.optimize
-        direct = solve_minmax_direct(system.rows, system.offsets)
+        # the HiGHS exchange, started from the seed rows plus the rows that bind
+        # at the production optimum: only those indices cross over, never the
+        # decision or the slack, and HiGHS alone proves its optimum over every
+        # row.  Its first call imports scipy.optimize.
+        direct = solve_minmax_direct(
+            system.rows, system.offsets, start_rows=result.active_rows
+        )
         cross = {
             "status": direct.status,
             "slack": direct.slack,

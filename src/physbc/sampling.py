@@ -241,11 +241,15 @@ def _read_sidecar(path: str):
     try:
         domain = RegionBox.from_dict(meta["domain"])
         scheme = meta["scheme"]
-        count = int(meta["count"])
-        n = int(meta["dimension"])
+        count = meta["count"]
+        n = meta["dimension"]
         seed = meta.get("seed")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetParseError(f"sidecar is missing or corrupts a field: {exc}") from exc
+    for field, value in (("count", count), ("dimension", n)):
+        # a JSON integer: 2.9, 1.0, true and "1" are refused, not truncated or cast
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DatasetParseError(f"sidecar {field} must be an integer, got {value!r}")
     if scheme not in (SCHEME_GRID, SCHEME_IID):
         raise DatasetParseError(f"sidecar names an unknown sampling scheme {scheme!r}")
     if n < 1 or n != domain.dimension:

@@ -23,9 +23,19 @@ share no arithmetic:
   on its first call.
 
 Both restricted solvers bound every decision coordinate by
-``_ARTIFICIAL_BOX``, so both routes solve the same restricted problems from
-one seed working set under one unbounded rule.  Both report which rows bind
-at the optimum.
+``_ARTIFICIAL_BOX`` and stop under one unbounded rule.  Both start from the
+seed working set; the cross-check also accepts extra start rows (the
+pipeline hands it the rows that bind at the production optimum), so the two
+routes need not solve the same restricted problems.
+
+Where the exchange starts does not decide what it returns.  A restricted
+problem has a subset of the rows, so its minimum is never above the full
+one.  The exchange stops only when one matrix-vector product shows that no
+row at the restricted decision exceeds the restricted slack, and that row
+maximum is at least the full minimum.  So at the stop the decision is optimal
+to the stopping tolerance, whichever rows started the exchange: start rows
+change how many rounds it takes, never what proves the optimum.  Both routes
+report which rows bind at the optimum.
 """
 
 from __future__ import annotations
@@ -79,7 +89,7 @@ def _validate(rows: np.ndarray, offsets: np.ndarray):
     return A, b
 
 
-def _seed_rows(A: np.ndarray, b: np.ndarray) -> list:
+def _seed_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Initial working set: each column's largest and smallest row, plus the
     row with the largest offset.
 
@@ -87,14 +97,29 @@ def _seed_rows(A: np.ndarray, b: np.ndarray) -> list:
     depend on how a caller stacks its rows: a block of near-collinear leading
     rows would start the exchange from a singular restricted problem.
     """
-    picks = np.concatenate([A.argmax(axis=0), A.argmin(axis=0), [b.argmax()]])
-    return np.unique(picks).tolist()
+    return np.concatenate([A.argmax(axis=0), A.argmin(axis=0), [b.argmax()]])
 
 
-def _exchange(A: np.ndarray, b: np.ndarray, restricted, max_iterations: int) -> SolveResult:
+def _start_rows(start_rows, count: int) -> np.ndarray:
+    """``start_rows`` as a 1-D array of row indices, each checked to be an
+    integer in ``[0, count)``; a negative index is refused, never wrapped."""
+    picks = np.asarray(start_rows)
+    if picks.size == 0:
+        return np.empty(0, dtype=int)
+    if picks.ndim != 1 or not np.issubdtype(picks.dtype, np.integer):
+        raise ValueError("start rows must be a sequence of integer row indices")
+    if picks.min() < 0 or picks.max() >= count:
+        raise ValueError(f"start rows must lie in [0, {count})")
+    return picks
+
+
+def _exchange(
+    A: np.ndarray, b: np.ndarray, restricted, max_iterations: int, start_rows=()
+) -> SolveResult:
     """Constraint generation over the rows of ``A v + b``.
 
-    Each round solves the working-set rows exactly with ``restricted``
+    The working set starts as the seed rows merged with ``start_rows``.  Each
+    round solves the working-set rows exactly with ``restricted``
     (``(A_w, b_w) -> (decision, slack)``, boxed at ``_ARTIFICIAL_BOX``),
     evaluates every row with one matrix-vector product and admits the
     globally worst row (lowest index on ties), until no row exceeds the
@@ -103,7 +128,7 @@ def _exchange(A: np.ndarray, b: np.ndarray, restricted, max_iterations: int) -> 
     over all rows, so it never understates the decision's true objective.
     """
     width = A.shape[1]
-    working = _seed_rows(A, b)
+    working = np.union1d(_seed_rows(A, b), _start_rows(start_rows, A.shape[0])).tolist()
     decision = np.full(width, np.nan)
     slack = float("nan")
     for _ in range(max_iterations):
@@ -276,13 +301,21 @@ def _restricted_highs(A_w: np.ndarray, b_w: np.ndarray):
 
 
 def solve_minmax_direct(
-    rows: np.ndarray, offsets: np.ndarray, max_iterations: int = 500
+    rows: np.ndarray, offsets: np.ndarray, max_iterations: int = 500, start_rows=()
 ) -> SolveResult:
     """Minimise the row maximum by constraint generation over HiGHS solves.
 
     The cross-check of :func:`solve`: the same exchange, with the restricted
     problems handed to the HiGHS LP backend (``scipy.optimize``, imported on
     the first call), so it shares no LP arithmetic with the production route.
+
+    ``start_rows`` (integer indices in ``[0, len(rows))``, else ``ValueError``)
+    join the seed working set.  They choose only where the exchange starts:
+    every restricted minimum is at most the full one, and the exchange stops
+    only once every row at the HiGHS decision is within tolerance of the
+    restricted slack, so the optimum is proved by HiGHS arithmetic alone
+    whatever rows are given.  Starting from the rows that bind at another
+    route's optimum usually makes it one HiGHS solve.
     """
     A, b = _validate(rows, offsets)
-    return _exchange(A, b, _restricted_highs, max_iterations)
+    return _exchange(A, b, _restricted_highs, max_iterations, start_rows)

@@ -9,6 +9,7 @@ from oracles import (
     safety_by_step_many,
 )
 import physbc.pipeline
+import physbc.solver
 from physbc.barrier import BarrierTemplate
 from physbc.cli import REFERENCE_RESULTS, reference_config
 from physbc.config import (
@@ -320,6 +321,28 @@ def test_cross_check_agrees():
     assert cross is not None
     assert cross["status"] == "optimal"
     assert cross["difference"] < 1e-4
+
+
+@pytest.mark.parametrize("key", ["lg-det-trad", "sd-prob-phys"])  # grid, iid
+def test_cross_check_is_one_highs_solve_started_from_the_binding_rows(key, monkeypatch):
+    calls = []
+    backend = physbc.solver.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["A_ub"].shape[0])
+        return backend(*args, **kwargs)
+
+    monkeypatch.setattr(physbc.solver, "linprog", counting)
+    base = reference_config(key, 0.05)
+    artifacts = run(replace(base, solver=replace(base.solver, cross_check=True)))
+    assert len(calls) == 1
+    # the start rows choose where the HiGHS exchange starts, not what it reports
+    unseeded = solve_minmax_direct(artifacts.system.rows, artifacts.system.offsets)
+    assert artifacts.report["solver"]["cross_check"] == {
+        "status": unseeded.status,
+        "slack": unseeded.slack,
+        "difference": abs(unseeded.slack - artifacts.solve_result.slack),
+    }
 
 
 def test_unknown_lipschitz_method_rejected():

@@ -345,8 +345,18 @@ def test_load_matches_rowwise_oracle_on_raw_bodies(tmp_path, body):
     {"dimension": 0, "domain": {"lower": [], "upper": []}},
     {"scheme": "bogus"},
     {"domain": {"lower": [0.5, 0.5], "upper": [2.7, 2.7]}},
+    {"count": 2.9},
+    {"count": 1.0},
+    {"count": True},
+    {"count": "1"},
+    {"dimension": 2.9},
+    {"dimension": 1.0},
+    {"dimension": True},
+    {"dimension": "1"},
 ], ids=["negative-count", "huge-count", "infinite-count", "negative-dimension",
-        "zero-dimension", "unknown-scheme", "two-dimensional-domain"])
+        "zero-dimension", "unknown-scheme", "two-dimensional-domain",
+        "fractional-count", "float-count", "boolean-count", "string-count",
+        "fractional-dimension", "float-dimension", "boolean-dimension", "string-dimension"])
 def test_load_rejects_a_bad_sidecar_before_allocating(tmp_path, monkeypatch, edit):
     data = sample_iid(supply_demand(), DOMAIN, 2, seed=1)
     path = tmp_path / "d.csv"
@@ -358,7 +368,8 @@ def test_load_rejects_a_bad_sidecar_before_allocating(tmp_path, monkeypatch, edi
         raise AssertionError("the body was allocated for a sidecar that should not load")
 
     monkeypatch.setattr(np, "empty", no_allocation)
-    with pytest.raises(DatasetParseError, match="sidecar"):
+    # the message names the field the edit corrupts
+    with pytest.raises(DatasetParseError, match=f"sidecar.*{next(iter(edit))}"):
         load_dataset(str(path))
 
 

@@ -253,6 +253,55 @@ def test_solve_matches_full_lp_with_duplicated_and_near_collinear_rows(variables
     assert result.slack == pytest.approx(oracle, abs=1e-9, rel=1e-9)
 
 
+def _start_row_choices(count, seed_rows):
+    """Start-row lists for an instance of ``count`` rows: empty, an arbitrary
+    subset (binding or not), the seed rows again, duplicates, or every row;
+    as a list or as an index array."""
+    index = st.integers(min_value=0, max_value=count - 1)
+    picks = st.one_of(
+        st.just([]),
+        st.lists(index, unique=True),
+        st.just(list(seed_rows)),
+        st.lists(index, min_size=1).map(lambda rows: rows + rows[::-1]),
+        st.just(list(range(count))),
+    )
+    return st.one_of(picks, picks.map(lambda rows: np.array(rows, dtype=np.int64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.data(),
+)
+def test_start_rows_do_not_move_the_direct_optimum(variables, extra, seed, data):
+    rng = np.random.default_rng(seed)
+    rows, offsets = random_bounded_instance(rng, variables, extra)
+    starts = data.draw(_start_row_choices(len(rows), physbc.solver._seed_rows(rows, offsets)))
+    plain = solve_minmax_direct(rows, offsets)
+    started = solve_minmax_direct(rows, offsets, start_rows=starts)
+    assert plain.optimal and started.optimal
+    # both stop within the exchange's tolerance above the restricted minimum,
+    # which is never above the full one, wherever they started
+    assert abs(started.slack - plain.slack) <= 1e-9 * max(1.0, abs(plain.slack))
+    oracle = minimax_by_vertices(rows, offsets)
+    assert oracle is not None
+    assert started.slack == pytest.approx(oracle[0], abs=1e-6)
+
+
+@pytest.mark.parametrize("starts", [
+    [-1], [0, -3], [14], [2, 99], [0.0], [1.5], np.array([1.0]), [True], np.array([False]),
+    ["1"], [None], [[0, 1]], 3,
+], ids=["minus-one", "negative", "row-count", "out-of-range", "float-zero", "fraction",
+        "float-array", "bool", "bool-array", "string", "none", "nested", "scalar"])
+def test_direct_refuses_bad_start_rows(starts):
+    rng = np.random.default_rng(5)
+    rows, offsets = random_bounded_instance(rng, 2, 10)  # 14 rows
+    with pytest.raises(ValueError, match="start rows"):
+        solve_minmax_direct(rows, offsets, start_rows=starts)
+
+
 def test_cross_check_calls_linprog_through_the_module_attribute(monkeypatch):
     calls = []
     backend = physbc.solver.linprog
