@@ -9,7 +9,9 @@ Verbs:
 * ``validate``   empirical trajectory check of a saved certificate
 
 Exit codes: 0 when the requested check passes, 2 when a certificate or
-validation fails, 1 on configuration or runtime errors.
+validation fails, 1 on configuration or runtime errors.  An ``OSError`` that
+no verb handles, such as an output path that cannot be written, prints
+``error: ...`` and exits 1.
 """
 
 from __future__ import annotations
@@ -160,7 +162,20 @@ def _load_config(path: str) -> RunConfig:
         raise PhysbcError(f"could not load config {path}: {exc}") from exc
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports an ``OSError`` that escapes a verb as ``error: ...`` with exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click's own handler quiets a closed stdout
+        except OSError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Group)
 def main():
     """Data-driven barrier certificates with a physics-consistency filter."""
 
@@ -224,6 +239,7 @@ def cmd_reproduce(out_dir, scale):
     if not (scale > 0 and math.isfinite(scale)):
         click.echo("error: --scale must be positive and finite", err=True)
         sys.exit(1)
+    os.makedirs(out_dir, exist_ok=True)
     rows = []
     all_pass = True
     for key, ref in REFERENCE_RESULTS.items():
@@ -254,7 +270,6 @@ def cmd_reproduce(out_dir, scale):
     fields = ["key", "system", "mode", "filtered", "verdict", "error"]
     for field in ("samples", "metric", "lipschitz", "slack", "condition"):
         fields += [f"ref_{field}", f"our_{field}"]
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "reproduce.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, restval="")
         writer.writeheader()
@@ -282,6 +297,8 @@ def cmd_sweep(config_path, param, values, out_path):
         parsed = [float(v) for v in values.split(",") if v.strip()]
         if not parsed:
             raise PhysbcError("no sweep values given")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
+            raise PhysbcError(f"no directory to write --out {out_path} in")
     except ValueError as exc:
         click.echo(f"error: bad --values: {exc}", err=True)
         sys.exit(1)
@@ -421,10 +438,7 @@ def cmd_validate(cert_path, config_path, trajectories, horizon, seed):
         safety = check_safety_empirically(
             config.true_model(), config.initial, config.unsafe, **asdict(config.validation)
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except PhysbcError as exc:
+    except (OSError, ValueError, KeyError, TypeError, PhysbcError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

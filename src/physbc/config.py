@@ -36,7 +36,6 @@ from .models import (
     RegionBox,
     SystemModel,
 )
-from .sampling import SCHEME_GRID, SCHEME_IID
 
 MODE_DETERMINISTIC = "deterministic"
 MODE_PROBABILISTIC = "probabilistic"
@@ -44,7 +43,6 @@ MODE_PROBABILISTIC = "probabilistic"
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    scheme: str = SCHEME_GRID
     count: int = 10_000
     seed: int = 0
 
@@ -62,12 +60,12 @@ class PerturbationSpec:
     ``amplitude = None`` derives sqrt(2) times the filter threshold, which
     makes the sub-threshold fraction of a uniform sample exactly one half
     whenever the sinusoid completes an integer number of cycles over the
-    domain.  ``frequency`` is in cycles per unit of state.
+    domain.  The deviation is ``amplitude * sin(2 pi frequency x)``, with
+    ``frequency`` in cycles per unit of state.
     """
 
     amplitude: Optional[float] = None
     frequency: float = 1250.0
-    phase: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -107,6 +105,14 @@ def _unknown_keys(data: dict, cls, where: str) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One pipeline run's inputs.
+
+    ``guarantee.mode`` is the one switch for both the sampling law and the
+    certification route: a deterministic run samples ``sampling.count`` evenly
+    spaced states, a probabilistic one draws them i.i.d. uniform from
+    ``sampling.seed``, because the scenario bound holds only for i.i.d. samples.
+    """
+
     system: Union[str, dict]
     domain: RegionBox
     initial: RegionBox
@@ -135,8 +141,8 @@ class RunConfig:
         # finite real numbers, numpy floats included; bool does not count, and
         # a null amplitude means the derived one
         for key in ("decay", "filter.threshold", "solver.coeff_bound", "guarantee.risk",
-                    "perturbation.amplitude", "perturbation.frequency", "perturbation.phase",
-                    "lipschitz.multiplier", "lipschitz.shape"):
+                    "perturbation.amplitude", "perturbation.frequency", "lipschitz.multiplier",
+                    "lipschitz.shape"):
             value = attrgetter(key)(self)
             if key == "perturbation.amplitude" and value is None:
                 continue
@@ -151,8 +157,6 @@ class RunConfig:
             raise ValueError("initial region must be nested in the domain")
         if not self.domain.contains_box(self.unsafe):
             raise ValueError("unsafe region must be nested in the domain")
-        if self.sampling.scheme not in (SCHEME_GRID, SCHEME_IID):
-            raise ValueError(f"unknown sampling scheme {self.sampling.scheme!r}")
         if self.sampling.count < 2:
             raise ValueError("sample count must be at least 2")
         if not (0.0 < self.decay <= 1.0):
@@ -221,7 +225,7 @@ class RunConfig:
             return self.physics_model()
         return SystemModel.perturbed(
             self.physics_model(),
-            PerturbationField(amplitude, self.perturbation.frequency, self.perturbation.phase),
+            PerturbationField(amplitude, self.perturbation.frequency),
         )
 
     # ---- serialisation ------------------------------------------------------
@@ -256,8 +260,7 @@ _SECTIONS = {k: t for k, t in get_type_hints(RunConfig).items() if is_dataclass(
 def preset(name: str, mode: str = MODE_DETERMINISTIC) -> RunConfig:
     """Full config for a builtin case study in the requested guarantee mode.
 
-    Deterministic presets sample on a grid; probabilistic ones i.i.d., with
-    the sample counts the reference experiments used.
+    Each mode takes the sample count the reference experiments used for it.
     """
     if mode not in (MODE_DETERMINISTIC, MODE_PROBABILISTIC):
         raise ValueError(f"unknown guarantee mode {mode!r}")
@@ -278,19 +281,14 @@ def preset(name: str, mode: str = MODE_DETERMINISTIC) -> RunConfig:
     else:
         raise ValueError(f"unknown preset {name!r}; available: supply-demand, logistic-growth")
 
-    deterministic = mode == MODE_DETERMINISTIC
-    sampling = SamplingSpec(
-        scheme=SCHEME_GRID if deterministic else SCHEME_IID,
-        count=det_count if deterministic else prob_count,
-        seed=2024,
-    )
+    count = det_count if mode == MODE_DETERMINISTIC else prob_count
     return RunConfig(
         name=name,
         system=name,
         domain=regions[0],
         initial=regions[1],
         unsafe=regions[2],
-        sampling=sampling,
+        sampling=SamplingSpec(count=count, seed=2024),
         guarantee=GuaranteeSpec(mode=mode),
     )
 

@@ -100,7 +100,7 @@ class RegionBox:
 
 @dataclass(frozen=True, eq=False)
 class PerturbationField:
-    """Componentwise sinusoidal deviation ``w_i(x) = A sin(2 pi nu x_i + phase)``.
+    """Componentwise sinusoidal deviation ``w_i(x) = A sin(2 pi nu x_i)``.
 
     ``frequency`` is in cycles per unit of state, so a field with
     ``frequency = N / length`` completes exactly ``N`` cycles across an
@@ -110,7 +110,6 @@ class PerturbationField:
 
     amplitude: float
     frequency: float
-    phase: float = 0.0
 
     def __post_init__(self):
         if self.amplitude < 0:
@@ -122,7 +121,6 @@ class PerturbationField:
         """Deviation at ``states``, written into ``out`` when one is given."""
         x = np.asarray(states, dtype=float)
         out = np.multiply(x, 2.0 * np.pi * self.frequency, out=out)
-        out += self.phase
         np.sin(out, out=out)
         out *= self.amplitude
         return out

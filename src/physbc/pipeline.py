@@ -56,7 +56,6 @@ from .lipschitz import (
 )
 from .models import SafetyCheck, SystemModel, check_safety_empirically
 from .sampling import (
-    SCHEME_GRID,
     Dataset,
     covering_radius,
     sample_grid,
@@ -105,9 +104,9 @@ def run(config: RunConfig) -> RunArtifacts:
     truth = config.true_model()
     template = BarrierTemplate.from_degree(config.template_degree, physics.dimension)
 
-    # ---- sample the ground truth -------------------------------------------
+    # ---- sample the ground truth: the mode picks the law ---------------------
     t0 = clock()
-    if config.sampling.scheme == SCHEME_GRID:
+    if config.guarantee.mode == MODE_DETERMINISTIC:
         dataset = sample_grid(truth, config.domain, config.sampling.count)
     else:
         dataset = sample_iid(truth, config.domain, config.sampling.count, config.sampling.seed)
@@ -279,7 +278,7 @@ def _empirical_safety(truth: SystemModel, config: RunConfig) -> SafetyCheck:
         truth.offset.tobytes(),
         None if truth.quadratic is None else truth.quadratic.tobytes(),
         # repr tells -0.0 from 0.0 and a numpy scalar from a float; the kernel can too
-        None if wave is None else repr((wave.amplitude, wave.frequency, wave.phase)),
+        None if wave is None else repr((wave.amplitude, wave.frequency)),
         config.initial.lower.tobytes(),
         config.initial.upper.tobytes(),
         config.unsafe.lower.tobytes(),

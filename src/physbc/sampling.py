@@ -3,6 +3,8 @@
 A dataset is an ordered collection of (state, successor) pairs recorded from
 one model over one domain box.  Grid and i.i.d.-uniform schemes are provided;
 both are reproducible from their parameters (the i.i.d. scheme from its seed).
+A pipeline run takes the grid for a deterministic guarantee and i.i.d. draws
+for a probabilistic one.
 The grid scheme and the covering radius are one-dimensional, the dimension
 the package certifies: on an interval the covering radius is exact, while a
 box in two or more dimensions would need an exact Voronoi computation to
@@ -92,20 +94,16 @@ class Dataset:
         return replace(self, states=self.states[mask], successors=self.successors[mask])
 
 
-def _check_capacity(total: int, max_count: int):
-    if total > max_count:
-        raise CapacityError(f"requested {total} samples, limit is {max_count}")
+def _check_capacity(total: int):
+    if total > DEFAULT_MAX_SAMPLES:
+        raise CapacityError(f"requested {total} samples, limit is {DEFAULT_MAX_SAMPLES}")
 
 
-def sample_grid(
-    model: SystemModel,
-    domain: RegionBox,
-    count: int,
-    max_count: int = DEFAULT_MAX_SAMPLES,
-) -> Dataset:
+def sample_grid(model: SystemModel, domain: RegionBox, count: int) -> Dataset:
     """Record successors at ``count`` evenly spaced states of an interval, ends included.
 
-    ``count`` is at least 2; the states are in ascending order.
+    ``count`` is at least 2 and at most ``DEFAULT_MAX_SAMPLES``; the states
+    are in ascending order.
     """
     if model.dimension != domain.dimension:
         raise ModelMismatchError("model and domain dimensions differ")
@@ -113,24 +111,21 @@ def sample_grid(
         raise ValueError("grid sampling takes a one-dimensional domain")
     if count < 2:
         raise ValueError("need at least 2 grid points")
-    _check_capacity(count, max_count)
+    _check_capacity(count)
     states = domain.grid((count,))
     return Dataset(states, model.step_many(states), SCHEME_GRID, domain)
 
 
-def sample_iid(
-    model: SystemModel,
-    domain: RegionBox,
-    count: int,
-    seed: int,
-    max_count: int = DEFAULT_MAX_SAMPLES,
-) -> Dataset:
-    """Record successors at ``count`` i.i.d. uniform draws from the domain."""
+def sample_iid(model: SystemModel, domain: RegionBox, count: int, seed: int) -> Dataset:
+    """Record successors at ``count`` i.i.d. uniform draws from the domain.
+
+    ``count`` is at least 1 and at most ``DEFAULT_MAX_SAMPLES``.
+    """
     if model.dimension != domain.dimension:
         raise ModelMismatchError("model and domain dimensions differ")
     if count < 1:
         raise ValueError("count must be positive")
-    _check_capacity(count, max_count)
+    _check_capacity(count)
     rng = np.random.default_rng(seed)
     states = rng.uniform(domain.lower, domain.upper, size=(count, domain.dimension))
     return Dataset(states, model.step_many(states), SCHEME_IID, domain, seed=seed)

@@ -34,8 +34,9 @@ one.  The exchange stops only when one matrix-vector product shows that no
 row at the restricted decision exceeds the restricted slack, and that row
 maximum is at least the full minimum.  So at the stop the decision is optimal
 to the stopping tolerance, whichever rows started the exchange: start rows
-change how many rounds it takes, never what proves the optimum.  Both routes
-report which rows bind at the optimum.
+change how many rounds it takes, never what proves the optimum.  Neither
+route caps its rounds, since the exchange ends on its own (see
+:func:`_exchange`); both report which rows bind at the optimum.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .errors import SolverInternalError
 
 STATUS_OPTIMAL = "optimal"
 STATUS_UNBOUNDED = "unbounded"
-STATUS_ITERATION_LIMIT = "iteration-limit"
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
@@ -113,9 +113,7 @@ def _start_rows(start_rows, count: int) -> np.ndarray:
     return picks
 
 
-def _exchange(
-    A: np.ndarray, b: np.ndarray, restricted, max_iterations: int, start_rows=()
-) -> SolveResult:
+def _exchange(A: np.ndarray, b: np.ndarray, restricted, start_rows=()) -> SolveResult:
     """Constraint generation over the rows of ``A v + b``.
 
     The working set starts as the seed rows merged with ``start_rows``.  Each
@@ -126,12 +124,14 @@ def _exchange(
     restricted slack.  A converged decision pressed against the box means the
     full problem is unbounded.  The reported slack is clamped to the maximum
     over all rows, so it never understates the decision's true objective.
+
+    It needs no round cap: a round that does not stop either admits a row
+    outside the working set or raises "stalled", so with N rows and W in the
+    starting working set it ends within N - W + 1 rounds.
     """
     width = A.shape[1]
     working = np.union1d(_seed_rows(A, b), _start_rows(start_rows, A.shape[0])).tolist()
-    decision = np.full(width, np.nan)
-    slack = float("nan")
-    for _ in range(max_iterations):
+    while True:
         decision, slack = restricted(A[working], b[working])
         values = A @ decision + b
         worst = int(np.argmax(values))
@@ -154,12 +154,6 @@ def _exchange(
         if worst in working:
             raise SolverInternalError("exchange stalled on an already-admitted row")
         working.append(worst)
-    return SolveResult(
-        slack=slack,
-        decision=decision,
-        status=STATUS_ITERATION_LIMIT,
-        active_rows=np.empty(0, dtype=int),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -225,9 +219,10 @@ def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray):
     holds, and the ``+-e_j`` box columns plus any row column span them, so no
     row is ever redundant.  The row with the largest offset (``y = 1``), each
     of its coordinates balanced by one box column, is a feasible basis, so no
-    phase one is needed.  At the optimal basis the simplex multipliers ``pi``
-    solve the primal: ``v = pi[:width]`` (and ``s = -pi[width]``).  The slack
-    is returned as the row maximum at ``v``.  Returns (decision, slack).
+    feasibility search is needed.  At the optimal basis the simplex
+    multipliers ``pi`` solve the primal: ``v = pi[:width]`` (and
+    ``s = -pi[width]``).  The slack is returned as the row maximum at ``v``.
+    Returns (decision, slack).
     """
     k, width = A_w.shape
     eye = np.eye(width)
@@ -251,11 +246,11 @@ def solve(rows: np.ndarray, offsets: np.ndarray) -> SolveResult:
     """Minimise the row maximum by constraint generation over dense dual
     simplex solves.
 
-    Every round admits a row not yet in the working set, so the exchange
-    converges within one round per row and never reports an iteration limit.
+    The exchange ends within one round per row outside the seed working set,
+    plus one (see :func:`_exchange`).
     """
     A, b = _validate(rows, offsets)
-    return _exchange(A, b, _restricted_minmax, max_iterations=A.shape[0])
+    return _exchange(A, b, _restricted_minmax)
 
 
 # --------------------------------------------------------------------------
@@ -300,9 +295,7 @@ def _restricted_highs(A_w: np.ndarray, b_w: np.ndarray):
     return result.x[:-1], float(result.x[-1])
 
 
-def solve_minmax_direct(
-    rows: np.ndarray, offsets: np.ndarray, max_iterations: int = 500, start_rows=()
-) -> SolveResult:
+def solve_minmax_direct(rows: np.ndarray, offsets: np.ndarray, start_rows=()) -> SolveResult:
     """Minimise the row maximum by constraint generation over HiGHS solves.
 
     The cross-check of :func:`solve`: the same exchange, with the restricted
@@ -315,7 +308,8 @@ def solve_minmax_direct(
     only once every row at the HiGHS decision is within tolerance of the
     restricted slack, so the optimum is proved by HiGHS arithmetic alone
     whatever rows are given.  Starting from the rows that bind at another
-    route's optimum usually makes it one HiGHS solve.
+    route's optimum usually makes it one HiGHS solve.  Like :func:`solve`, it
+    ends within one round per row outside the starting working set, plus one.
     """
     A, b = _validate(rows, offsets)
-    return _exchange(A, b, _restricted_highs, max_iterations, start_rows)
+    return _exchange(A, b, _restricted_highs, start_rows)

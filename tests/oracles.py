@@ -319,7 +319,7 @@ def step_many_matmul(model, states):
     """The former body of :meth:`physbc.models.SystemModel.step_many`.
 
     One ``matmul`` for the linear part, one ``einsum`` for the quadratic
-    form and the perturbation written out as ``A sin(2 pi nu x + phase)``.
+    form and the perturbation written out as ``A sin(2 pi nu x)``.
     """
     x = np.asarray(states, dtype=float)
     y = x @ model.linear.T + model.offset
@@ -327,7 +327,7 @@ def step_many_matmul(model, states):
         y = y + np.einsum("ni,kij,nj->nk", x, model.quadratic, x)
     field = model.perturbation
     if field is not None:
-        y = y + field.amplitude * np.sin(2.0 * np.pi * field.frequency * x + field.phase)
+        y = y + field.amplitude * np.sin(2.0 * np.pi * field.frequency * x)
     return y
 
 

@@ -122,7 +122,7 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
     ({"perturbation.frequency": -1.0}, "frequency must be positive"),
     ({"perturbation.amplitude": -0.1}, "amplitude must be non-negative"),
     ({"sampling.count": 4000.5}, "sampling.count must be an integer, got 4000.5"),
-    ({"sampling.scheme": "iid-uniform", "sampling.count": 4000.5},
+    ({"guarantee.mode": "probabilistic", "sampling.count": 4000.5},
      "sampling.count must be an integer, got 4000.5"),
     ({"validation.trajectories": 20.5}, "validation.trajectories must be an integer"),
     ({"validation.horizon": True}, "validation.horizon must be an integer, got True"),
@@ -145,6 +145,8 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
     ({"decay_rate": 0.5}, "unknown config key(s): decay_rate"),
     ({"sampling.cuont": 4000}, "unknown sampling key(s): cuont"),
     ({"domain.middle": [1.0]}, "unknown domain key(s): middle"),
+    ({"sampling.scheme": "uniform-grid"}, "unknown sampling key(s): scheme"),
+    ({"perturbation.phase": 0.0}, "unknown perturbation key(s): phase"),
     ({"domain": {"lower": [0.5, 0.5], "upper": [2.7, 2.7]}},
      "domain must be one-dimensional, got 2 axes"),
     ({"initial": {"lower": [0.5, 0.5], "upper": [0.6, 0.6]}},
@@ -161,7 +163,8 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
         "fractional-pair-budget", "quoted-batches", "negative-lipschitz-seed",
         "fractional-degree",
         "negative-sampling-seed", "negative-validation-seed", "unknown-top-level-key",
-        "unknown-section-key", "unknown-region-key", "two-dimensional-domain",
+        "unknown-section-key", "unknown-region-key", "retired-sampling-scheme",
+        "retired-perturbation-phase", "two-dimensional-domain",
         "two-dimensional-initial", "three-dimensional-unsafe", "two-dimensional-system"])
 def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch):
     data = small_config_dict()
@@ -183,8 +186,10 @@ def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch)
     assert not (tmp_path / "o").exists()
 
 
-# settings the scenario program no longer has, and the unbounded program's null bound
+# retired settings, and the unbounded program's null bound
 RETIRED = {
+    "sampling.scheme": "iid-uniform",  # the guarantee mode picks the sampler
+    "perturbation.phase": 0.0,
     "solver.level_gap_row": True,
     "solver.initial_level": 1e-4,
     "solver.coeff_bound": None,
@@ -241,6 +246,41 @@ def test_run_preset_with_overrides(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["sampling"]["seed"] == 11
     assert report["verdict"] == "pass"
+
+
+def test_run_mode_override_switches_the_sampler(config_path, tmp_path):
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["run", "--config", config_path, "--mode", "probabilistic",
+                                       "--no-filter", "--out", str(out)])
+    assert result.exit_code in (0, 2), result.output
+    report = json.loads((out / "report.json").read_text())
+    assert report["guarantee"]["mode"] == "probabilistic"
+    assert report["dataset"]["scheme"] == SCHEME_IID
+    assert report["dataset"]["seed"] == report["config"]["sampling"]["seed"]
+
+
+@pytest.mark.parametrize("verb", ["run", "plotdata", "reproduce", "sweep"])
+def test_an_output_path_that_cannot_be_written_is_an_error(verb, run_dir, config_path, tmp_path,
+                                                           monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = {
+        "run": ["run", "--config", config_path, "--out", str(blocker / "sub")],
+        "plotdata": ["plotdata", "--report", str(run_dir / "report.json"),
+                     "--out", str(blocker / "p")],
+        "reproduce": ["reproduce", "--scale", "0.01", "--out", str(blocker / "r")],
+        "sweep": ["sweep", "--config", config_path, "--param", "risk", "--values", "0.1",
+                  "--out", str(tmp_path / "missing" / "s.csv")],
+    }[verb]
+    if verb in ("reproduce", "sweep"):
+        def no_work(config):
+            raise AssertionError("a setting ran although its output cannot be written")
+
+        monkeypatch.setattr("physbc.cli.run", no_work)
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "error: " in result.output and "Traceback" not in result.output
 
 
 def test_run_reports_an_override_that_makes_the_config_invalid(tmp_path):

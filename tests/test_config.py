@@ -20,7 +20,6 @@ from physbc.config import (
     preset,
 )
 from physbc.models import KIND_AFFINE, KIND_QUADRATIC, RegionBox
-from physbc.sampling import SCHEME_GRID, SCHEME_IID
 
 
 def small_config(**kwargs):
@@ -45,7 +44,6 @@ def test_preset_supply_demand_deterministic():
     assert bounds(config.domain) == (0.5, 2.7)
     assert bounds(config.initial) == (0.5, 0.6)
     assert bounds(config.unsafe) == (2.6, 2.7)
-    assert config.sampling.scheme == SCHEME_GRID
     assert config.sampling.count == 220_000
     assert config.sampling.seed == 2024
     assert config.guarantee.mode == MODE_DETERMINISTIC
@@ -56,7 +54,6 @@ def test_preset_supply_demand_deterministic():
 
 def test_preset_modes_and_counts():
     sd_prob = preset("supply-demand", MODE_PROBABILISTIC)
-    assert sd_prob.sampling.scheme == SCHEME_IID
     assert sd_prob.sampling.count == 300_000
     lg_det = preset("logistic-growth")
     assert bounds(lg_det.domain) == (0.1, 1.0)
@@ -104,8 +101,6 @@ def test_construction_rejects_bad_geometry_and_knobs():
         small_config(initial=RegionBox.interval(0.0, 0.6))
     with pytest.raises(ValueError, match="unsafe region"):
         small_config(unsafe=RegionBox.interval(2.6, 3.0))
-    with pytest.raises(ValueError, match="sampling scheme"):
-        small_config(sampling=SamplingSpec(scheme="sobol"))
     with pytest.raises(ValueError, match="at least 2"):
         small_config(sampling=SamplingSpec(count=1))
     with pytest.raises(ValueError, match="decay"):
@@ -152,8 +147,8 @@ def test_construction_rejects_an_unbounded_program():
 
 
 NUMBER_FIELDS = ("decay", "filter.threshold", "solver.coeff_bound", "guarantee.risk",
-                 "perturbation.amplitude", "perturbation.frequency", "perturbation.phase",
-                 "lipschitz.multiplier", "lipschitz.shape")
+                 "perturbation.amplitude", "perturbation.frequency", "lipschitz.multiplier",
+                 "lipschitz.shape")
 NON_NUMBERS = {"string": "0.5", "null": None, "true": True, "inf": math.inf, "-inf": -math.inf,
                "nan": math.nan, "huge-int": 10 ** 400}
 
@@ -177,7 +172,7 @@ def test_number_fields_reject_anything_but_a_number(key, kind):
 
 def test_number_fields_accept_numpy_floats_and_integers():
     values = [np.float64(0.5), np.float32(0.01), np.int64(100), np.float64(0.1),
-              np.float64(0.003), np.int64(1000), np.float32(0.0), np.float32(1.5), np.int64(2)]
+              np.float64(0.003), np.int64(1000), np.float32(1.5), np.int64(2)]
     data = small_config().to_dict()
     for key, value in zip(NUMBER_FIELDS, values):
         _with_setting(data, key, value)
@@ -225,7 +220,10 @@ def test_replace_checks_the_new_config():
     (lambda d: d["solver"].update(cross_chek=True, level_gap=False),
      r"unknown solver key\(s\): cross_chek, level_gap"),
     (lambda d: d["unsafe"].update(upper_bound=[3.0]), r"unknown unsafe key\(s\): upper_bound"),
-], ids=["top-level", "section", "region"])
+    # retired: the guarantee mode picks the sampler, and the sinusoid has no offset
+    (lambda d: d["sampling"].update(scheme="iid-uniform"), r"unknown sampling key\(s\): scheme"),
+    (lambda d: d["perturbation"].update(phase=0.0), r"unknown perturbation key\(s\): phase"),
+], ids=["top-level", "section", "region", "sampling-scheme", "perturbation-phase"])
 def test_from_dict_rejects_unknown_keys_at_every_level(edit, message):
     data = small_config().to_dict()
     edit(data)
@@ -324,3 +322,29 @@ def test_configs_are_immutable():
         config.decay = 0.5
     replaced = replace(config, decay=0.9)
     assert replaced.decay == 0.9 and config.decay == 0.83
+
+
+# Every value a config sets, sections flattened and each region box one value.
+# A setting added or retired edits this list.
+SETTABLE_VALUES = sorted([
+    "system", "domain", "initial", "unsafe", "name", "template_degree", "decay",
+    "sampling.count", "sampling.seed",
+    "filter.enabled", "filter.threshold",
+    "perturbation.amplitude", "perturbation.frequency",
+    "solver.coeff_bound", "solver.cross_check",
+    "lipschitz.method", "lipschitz.pair_budget", "lipschitz.multiplier", "lipschitz.seed",
+    "lipschitz.batches", "lipschitz.shape",
+    "guarantee.mode", "guarantee.risk",
+    "validation.trajectories", "validation.horizon", "validation.seed",
+])
+
+
+def test_settable_values_inventory():
+    keys = []
+    for name, value in small_config().to_dict().items():
+        if isinstance(value, dict) and name not in ("domain", "initial", "unsafe"):
+            keys += [f"{name}.{key}" for key in value]
+        else:
+            keys.append(name)
+    assert sorted(keys) == SETTABLE_VALUES
+    assert len(SETTABLE_VALUES) == 26

@@ -79,7 +79,7 @@ def test_region_bounds_are_immutable():
 
 
 def test_perturbation_values():
-    field = PerturbationField(amplitude=0.25, frequency=2.0, phase=0.0)
+    field = PerturbationField(amplitude=0.25, frequency=2.0)
     x = np.array([[0.125]])
     # one eighth of a half-unit period: sin(pi/2) = 1
     assert float(field(x)[0, 0]) == pytest.approx(0.25)
@@ -124,10 +124,10 @@ def test_double_perturbation_rejected():
 
 def test_perturbed_step_adds_field():
     base = supply_demand()
-    field = PerturbationField(0.02, 3.0, phase=0.5)
+    field = PerturbationField(0.02, 3.0)
     model = SystemModel.perturbed(base, field)
     x = np.array([[0.7], [1.1]])
-    expected = base.step_many(x) + 0.02 * np.sin(2 * np.pi * 3.0 * x + 0.5)
+    expected = base.step_many(x) + 0.02 * np.sin(2 * np.pi * 3.0 * x)
     assert model.step_many(x) == pytest.approx(expected)
 
 
@@ -142,7 +142,7 @@ def test_step_shape_checks():
 
 
 def test_simulate_matches_repeated_steps():
-    plane = SystemModel.perturbed(_plane_quadratic(), PerturbationField(0.003, 40.0, 0.3))
+    plane = SystemModel.perturbed(_plane_quadratic(), PerturbationField(0.003, 40.0))
     for model, start in ((logistic_growth(), [0.2]), (plane, [0.2, 0.1])):
         traj = model.simulate(np.array(start), horizon=5)
         assert traj.shape == (6, model.dimension)
@@ -287,8 +287,7 @@ def _contracting_model(draw, dimension, kind):
     model = SystemModel.quadratic_polynomial(quad, linear, offset)
     if kind == "quadratic":
         return model
-    field = PerturbationField(draw(st.floats(0.0, 0.01)), draw(st.floats(0.5, 2000.0)),
-                              draw(st.floats(-np.pi, np.pi)))
+    field = PerturbationField(draw(st.floats(0.0, 0.01)), draw(st.floats(0.5, 2000.0)))
     return SystemModel.perturbed(model, field)
 
 
@@ -320,7 +319,7 @@ def test_step_kernel_matches_matmul_in_2d(case):
 
 
 def test_perturbation_writes_into_a_given_buffer():
-    field = PerturbationField(0.02, 3.0, phase=0.5)
+    field = PerturbationField(0.02, 3.0)
     x = np.linspace(0.0, 1.0, 9)[:, None]
     out = np.empty_like(x)
     assert field(x, out=out) is out

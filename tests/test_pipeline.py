@@ -13,8 +13,10 @@ import physbc.solver
 from physbc.barrier import BarrierTemplate
 from physbc.cli import REFERENCE_RESULTS, reference_config
 from physbc.config import (
+    MODE_DETERMINISTIC,
     MODE_PROBABILISTIC,
     FilterSpec,
+    GuaranteeSpec,
     LipschitzSpec,
     RunConfig,
     SamplingSpec,
@@ -29,7 +31,7 @@ from physbc.pipeline import (
     run,
     write_artifacts,
 )
-from physbc.sampling import load_dataset
+from physbc.sampling import SCHEME_GRID, SCHEME_IID, load_dataset
 from physbc.solver import solve_minmax_direct
 
 from dataclasses import replace
@@ -242,6 +244,25 @@ def test_probabilistic_run(prob_run):
     assert report["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("mode, scheme", [(MODE_DETERMINISTIC, SCHEME_GRID),
+                                          (MODE_PROBABILISTIC, SCHEME_IID)])
+def test_the_guarantee_mode_picks_the_sampler(mode, scheme):
+    # the default sampling section in both modes: the scenario bound needs i.i.d. draws
+    config = RunConfig(
+        system="supply-demand",
+        domain=RegionBox.interval(0.5, 2.7),
+        initial=RegionBox.interval(0.5, 0.6),
+        unsafe=RegionBox.interval(2.6, 2.7),
+        guarantee=GuaranteeSpec(mode=mode),
+        lipschitz=LipschitzSpec(pair_budget=20_000, seed=7),
+        validation=ValidationSpec(trajectories=20, horizon=30, seed=99),
+    )
+    dataset = run(config).report["dataset"]
+    assert config.sampling == SamplingSpec()
+    assert dataset["scheme"] == scheme
+    assert dataset["seed"] == (config.sampling.seed if scheme == SCHEME_IID else None)
+
+
 def test_no_filter_passthrough():
     config = replace(quick(preset("supply-demand")), filter=FilterSpec(enabled=False))
     artifacts = run(config)
@@ -413,7 +434,6 @@ ROLLOUT_CHANGES = {
     "derived-amplitude": lambda c: replace(c, filter=replace(c.filter, threshold=0.006)),
     "amplitude": _perturbation(amplitude=0.003),
     "frequency": _perturbation(frequency=1000.0),
-    "phase": _perturbation(phase=0.5),
     "system": lambda c: replace(c, system={**SUPPLY_DEMAND, "offset": [0.49]}),
 }
 

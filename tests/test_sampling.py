@@ -15,6 +15,7 @@ from physbc.errors import (
 from oracles import load_dataset_rowwise, save_dataset_rowwise
 from physbc.models import RegionBox, SystemModel, supply_demand
 from physbc.sampling import (
+    DEFAULT_MAX_SAMPLES,
     SCHEME_GRID,
     SCHEME_IID,
     Dataset,
@@ -45,7 +46,8 @@ def test_grid_rejects_degenerate_axes_and_overflow():
     with pytest.raises(ValueError, match="one-dimensional"):
         sample_grid(planar, RegionBox(np.zeros(2), np.ones(2)), 4)
     with pytest.raises(CapacityError):
-        sample_grid(supply_demand(), DOMAIN, 100, max_count=99)
+        # refused before the states are allocated
+        sample_grid(supply_demand(), DOMAIN, DEFAULT_MAX_SAMPLES + 1)
 
 
 def test_iid_reproducible_by_seed():
@@ -62,7 +64,7 @@ def test_iid_count_validation():
     with pytest.raises(ValueError):
         sample_iid(supply_demand(), DOMAIN, 0, seed=0)
     with pytest.raises(CapacityError):
-        sample_iid(supply_demand(), DOMAIN, 100, seed=0, max_count=10)
+        sample_iid(supply_demand(), DOMAIN, DEFAULT_MAX_SAMPLES + 1, seed=0)
 
 
 def test_dataset_shape_and_domain_validation():

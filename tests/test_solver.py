@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import physbc.solver
 from oracles import minimax_by_vertices, minimax_full_lp, random_bounded_instance
 from physbc.solver import (
-    STATUS_ITERATION_LIMIT,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     solve,
@@ -53,13 +52,6 @@ def test_unbounded_detection(solver, slope):
     assert result.status == STATUS_UNBOUNDED
     assert result.slack == float("-inf")
     assert np.isnan(result.decision).all()
-
-
-def test_direct_iteration_limit_is_reported():
-    rng = np.random.default_rng(0)
-    rows, offsets = random_bounded_instance(rng, 3, 40)
-    result = solve_minmax_direct(rows, offsets, max_iterations=1)
-    assert result.status == STATUS_ITERATION_LIMIT
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
@@ -288,6 +280,44 @@ def test_start_rows_do_not_move_the_direct_optimum(variables, extra, seed, data)
     oracle = minimax_by_vertices(rows, offsets)
     assert oracle is not None
     assert started.slack == pytest.approx(oracle[0], abs=1e-6)
+
+
+def _counted(name):
+    """A wrapper of ``physbc.solver.<name>`` and the list its calls append to."""
+    calls, inner = [], getattr(physbc.solver, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    return counting, calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.data(),
+)
+def test_the_uncapped_exchange_ends_within_one_round_per_row(variables, extra, seed, data):
+    # every round that does not stop admits a row outside the working set
+    rng = np.random.default_rng(seed)
+    rows, offsets = random_bounded_instance(rng, variables, extra)
+    seeds = physbc.solver._seed_rows(rows, offsets)
+    starts = data.draw(_start_row_choices(len(rows), seeds))
+    routes = (
+        ("_restricted_minmax", lambda: solve(rows, offsets), []),
+        ("linprog", lambda: solve_minmax_direct(rows, offsets, start_rows=starts), starts),
+    )
+    for route, call, start in routes:
+        counting, calls = _counted(route)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(physbc.solver, route, counting)
+            result = call()
+        assert result.status == STATUS_OPTIMAL
+        working = np.union1d(seeds, np.asarray(start, dtype=int))
+        assert 1 <= len(calls) <= len(rows) - len(working) + 1
 
 
 @pytest.mark.parametrize("starts", [
