@@ -1,4 +1,4 @@
-"""Certification conditions and the special functions behind them.
+"""Certification conditions and the scenario level behind the probabilistic one.
 
 The initial and unsafe conditions need no certification step: their rows
 bound the barrier's Bernstein coefficients, so they already hold on the
@@ -8,15 +8,21 @@ deterministic route needs only arithmetic: the flow condition generalises
 from samples to the whole domain when
 ``lipschitz * covering_radius + slack <= 0``.
 
-The probabilistic route bounds the measure of the violating set.  The
-smallest defensible violation level comes from the regularised incomplete
-beta function: with ``P`` retained samples and ``c`` scenario decision
-variables, the level is the ``1 - risk`` quantile of a Beta(c, P - c + 1)
-law.  A geometry factor then converts that measure into a radius, and the
-check mirrors the deterministic one with the radius in place of the covering
-radius.  The beta machinery is implemented here directly (continued fraction
-plus a safeguarded Newton inverse) so its accuracy is under our control and
-independently testable against quadrature.
+The probabilistic route bounds the measure of the violating set.  With ``P``
+retained i.i.d. samples and ``c`` scenario decision variables, the violation
+level at confidence ``1 - risk`` is the root of the binomial tail (Campi &
+Garatti, "The exact feasibility of randomized solutions of uncertain convex
+programs", SIAM J. Optim. 2008)::
+
+    sum_{i < c} C(P, i) eps^i (1 - eps)^(P - i) = risk
+
+The tail falls as ``eps`` grows, so any level at or above the root is sound.
+:func:`min_violation_level` bisects on the log of the tail and keeps a bracket
+end only where the computed log tail lies below ``log(risk)`` by more than a
+bound on its rounding error; the exact tail at the returned level is
+therefore at most ``risk``.  A geometry factor then converts that measure
+into a radius, and the check mirrors the deterministic one with the radius in
+place of the covering radius.
 """
 
 from __future__ import annotations
@@ -25,142 +31,35 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .errors import (
-    DomainError,
-    GeometrySaturationError,
-    InsufficientSamplesError,
-    PhysbcError,
-)
+from .errors import DomainError, GeometrySaturationError, InsufficientSamplesError
 
-_FPMIN = 1e-300
-_CF_EPS = 1e-16
-_CF_MAX_ITER = 1000
-
-
-def beta_inc(nu: float, lam: float, gam: float) -> float:
-    """Regularised incomplete beta function ``I_nu(lam, gam)``.
-
-    Continued-fraction evaluation with the usual symmetry switch at
-    ``nu > (lam + 1) / (lam + gam + 2)``; absolute error is well below 1e-12
-    across the parameter ranges used here (shape parameters up to ~1e6).
-    """
-    if not (lam > 0 and gam > 0):
-        raise DomainError("shape parameters must be positive")
-    if math.isnan(nu) or nu < 0.0 or nu > 1.0:
-        raise DomainError(f"nu must lie in [0, 1], got {nu}")
-    if nu == 0.0 or nu == 1.0:
-        return float(nu)
-    # closed forms avoid lgamma cancellation at large shape values
-    if lam == 1.0:
-        return -math.expm1(gam * math.log1p(-nu))
-    if gam == 1.0:
-        return math.exp(lam * math.log(nu))
-    ln_front = (
-        math.lgamma(lam + gam)
-        - math.lgamma(lam)
-        - math.lgamma(gam)
-        + lam * math.log(nu)
-        + gam * math.log1p(-nu)
-    )
-    front = math.exp(ln_front)
-    if nu < (lam + 1.0) / (lam + gam + 2.0):
-        return front * _beta_contfrac(nu, lam, gam) / lam
-    return 1.0 - front * _beta_contfrac(1.0 - nu, gam, lam) / gam
-
-
-def _beta_contfrac(x: float, a: float, b: float) -> float:
-    """Modified Lentz evaluation of the incomplete-beta continued fraction."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + coeff / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + coeff / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise PhysbcError("incomplete-beta continued fraction did not converge")
-
-
-def beta_inc_inv(p: float, lam: float, gam: float) -> float:
-    """Inverse of :func:`beta_inc` in its first argument.
-
-    Bisection shrinks the bracket to width 1e-3, then safeguarded Newton
-    finishes; the result round-trips through :func:`beta_inc` to better
-    than 1e-10.
-    """
-    if not (lam > 0 and gam > 0):
-        raise DomainError("shape parameters must be positive")
-    if math.isnan(p) or p < 0.0 or p > 1.0:
-        raise DomainError(f"p must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if beta_inc(mid, lam, gam) < p:
-            lo = mid
-        else:
-            hi = mid
-
-    ln_beta = math.lgamma(lam) + math.lgamma(gam) - math.lgamma(lam + gam)
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = beta_inc(x, lam, gam) - p
-        if abs(f) <= 1e-13:
-            return x
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
-        if x <= 0.0 or x >= 1.0:
-            density = 0.0
-        else:
-            density = math.exp(
-                (lam - 1.0) * math.log(x) + (gam - 1.0) * math.log1p(-x) - ln_beta
-            )
-        nxt = x - f / density if density > 0.0 else 0.5 * (lo + hi)
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if nxt == x:
-            break
-        x = nxt
-    return x
+_ROUNDOFF = 2.0 ** -53
 
 
 def min_violation_level(risk: float, decision_count: int, retained_count: int) -> float:
     """Smallest violation level defensible at confidence ``1 - risk``.
 
-    ``decision_count`` is the scenario program's decision-variable count and
-    ``retained_count`` the number of samples that survived filtering.  Grows
-    with the decision count, shrinks as samples accumulate.
+    ``decision_count`` (``c``) is the scenario program's decision-variable
+    count and ``retained_count`` (``P``) the number of samples that survived
+    filtering.  The level grows with the decision count and shrinks as
+    samples accumulate.
+
+    Bisection on ``[0, 1]`` runs until the bracket ends are adjacent floats
+    and returns the upper end.  At each midpoint the log tail is the
+    log-sum-exp of the ``c`` terms ``log C(P, i) + i log eps + (P - i)
+    log(1 - eps)``, so no term underflows; ``C(P, i)`` is an exact integer.
+    With ``M`` the largest term magnitude, each term is off by at most about
+    ``4 u M`` in unit roundoff ``u``, and the log-sum-exp and ``log(risk)``
+    add at most ``2 u M + 2 (c - 1) u``.  A midpoint counts as above the root
+    only when its log tail is below ``log(risk) - 8 u (M + c - 1)``, which
+    covers both; the level then exceeds the exact root by that margin over
+    the tail's log-log slope, near 1e-12 relative.
     """
     if not (0.0 < risk < 1.0):
         raise DomainError("risk must lie strictly between 0 and 1")
+    for name, value in (("decision_count", decision_count), ("retained_count", retained_count)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if decision_count < 1:
         raise DomainError("decision_count must be positive")
     if retained_count <= decision_count:
@@ -168,7 +67,27 @@ def min_violation_level(risk: float, decision_count: int, retained_count: int) -
             f"{retained_count} retained samples cannot support "
             f"{decision_count} decision variables"
         )
-    return beta_inc_inv(1.0 - risk, decision_count, retained_count - decision_count + 1)
+    c, count = decision_count, retained_count
+    log_binom, binom = [], 1
+    for i in range(c):
+        log_binom.append(math.log(binom))
+        binom = binom * (count - i) // (i + 1)
+    largest_binom = max(log_binom)
+    log_risk = math.log(risk)
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        log_eps, log_rest = math.log(mid), math.log1p(-mid)
+        terms = [lb + i * log_eps + (count - i) * log_rest for i, lb in enumerate(log_binom)]
+        top = max(terms)
+        log_tail = top + math.log(sum([math.exp(t - top) for t in terms]))
+        magnitude = largest_binom - (c - 1) * log_eps - count * log_rest
+        if log_tail > log_risk - 8.0 * _ROUNDOFF * (magnitude + c - 1):
+            lo = mid
+        else:
+            hi = mid
 
 
 @dataclass(frozen=True)

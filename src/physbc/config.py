@@ -148,6 +148,13 @@ class RunConfig:
                 continue
             if not _is_finite_number(value):
                 raise ValueError(f"{key} must be a finite number, got {value!r}")
+        # flags are booleans, numpy's included: "false" or 0 would read as set or unset
+        for key in ("filter.enabled", "solver.cross_check"):
+            value = attrgetter(key)(self)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{key} must be a boolean, got {value!r}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         # checked before nesting, which a box of another dimension always fails
         for key in ("domain", "initial", "unsafe"):
             axes = getattr(self, key).dimension

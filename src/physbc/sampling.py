@@ -245,6 +245,8 @@ def _read_sidecar(path: str):
         # a JSON integer: 2.9, 1.0, true and "1" are refused, not truncated or cast
         if isinstance(value, bool) or not isinstance(value, int):
             raise DatasetParseError(f"sidecar {field} must be an integer, got {value!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        raise DatasetParseError(f"sidecar seed must be null or an integer >= 0, got {seed!r}")
     if scheme not in (SCHEME_GRID, SCHEME_IID):
         raise DatasetParseError(f"sidecar names an unknown sampling scheme {scheme!r}")
     if n < 1 or n != domain.dimension:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -224,6 +225,23 @@ def random_bounded_instance(rng, variables, extra_rows, bound=10.0):
     A = rng.normal(size=(extra_rows, variables))
     b = rng.normal(size=extra_rows)
     return np.vstack([A, box]), np.concatenate([b, box_offsets])
+
+
+def binomial_tail(level, decision_count, retained_count):
+    """Scenario tail ``sum_{i < c} C(P, i) level^i (1 - level)^(P - i)`` in 60 digits.
+
+    ``Decimal(level)`` is the float's exact value and ``math.comb`` an exact
+    integer, so the 60-digit arithmetic is the only rounding.  Returns a
+    ``Decimal``; compare it with ``Decimal(risk)``.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        eps = Decimal(level)
+        rest = 1 - eps
+        return sum(
+            math.comb(retained_count, i) * eps**i * rest ** (retained_count - i)
+            for i in range(decision_count)
+        )
 
 
 def beta_inc_by_quadrature(nu, lam, gam):

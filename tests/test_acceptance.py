@@ -8,15 +8,19 @@ sample counts.
 
 import math
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from oracles import beta_inc_by_quadrature, minimax_by_vertices, random_bounded_instance
+from oracles import (
+    beta_inc_by_quadrature,
+    binomial_tail,
+    minimax_by_vertices,
+    random_bounded_instance,
+)
 from physbc.certify import (
     GeometryFactor,
-    beta_inc,
-    beta_inc_inv,
     check_deterministic,
     check_probabilistic,
     min_violation_level,
@@ -118,27 +122,34 @@ def test_criterion_3_logistic_probabilistic_end_to_end(lg_prob_run):
     )
 
 
-def test_criterion_4_incomplete_beta_suite():
-    lams = (1.0, 2.0, 6.0, 10.0)
-    gams = (1.0, 1e2, 1e4, 1.5e5)
-    ps = (0.05, 0.5, 0.95)
-    worst_round, worst_closed, worst_quad = 0.0, 0.0, 0.0
-    for lam in lams:
-        for gam in gams:
-            for p in ps:
-                x = beta_inc_inv(p, lam, gam)
-                worst_round = max(worst_round, abs(beta_inc(x, lam, gam) - p))
+def test_criterion_4_violation_level_suite():
+    # c decision variables and P retained samples; the level is the root of
+    # the binomial tail, i.e. the 1 - risk quantile of Beta(c, P - c + 1)
+    decisions = (1, 2, 6, 10)
+    retained_extra = (99, 9_999, 149_999)  # P - c
+    risks = (0.95, 0.5, 0.05)
+    worst_tail, worst_closed, worst_quad, safe = 0.0, 0.0, 0.0, True
+    for c in decisions:
+        for extra in retained_extra:
+            count = c + extra
+            for risk in risks:
+                level = min_violation_level(risk, c, count)
+                tail = binomial_tail(level, c, count)
+                safe = safe and tail <= Decimal(risk)
+                below = binomial_tail(level * (1.0 - 1e-11), c, count)
+                safe = safe and below > Decimal(risk)
+                worst_tail = max(worst_tail, float(abs(tail - Decimal(risk)) / Decimal(risk)))
                 worst_quad = max(
-                    worst_quad, abs(beta_inc(x, lam, gam) - beta_inc_by_quadrature(x, lam, gam))
+                    worst_quad, abs(beta_inc_by_quadrature(level, c, extra + 1) - (1.0 - risk))
                 )
-                if lam == 1.0:
-                    exact = -math.expm1(gam * math.log1p(-x))
-                    worst_closed = max(worst_closed, abs(beta_inc(x, 1.0, gam) - exact))
-    ok = worst_round <= 1e-10 and worst_closed <= 1e-12 and worst_quad <= 1e-9
+                if c == 1:
+                    exact = -math.expm1(math.log(risk) / count)
+                    worst_closed = max(worst_closed, abs(level - exact) / exact)
+    ok = safe and worst_tail <= 1e-10 and worst_closed <= 1e-12 and worst_quad <= 1e-9
     note(
-        "incomplete-beta-suite",
+        "violation-level-suite",
         ok,
-        f"round-trip {worst_round:.1e}, closed-form {worst_closed:.1e}, "
+        f"safe side {safe}, tail {worst_tail:.1e}, closed-form {worst_closed:.1e}, "
         f"quadrature {worst_quad:.1e}",
     )
 

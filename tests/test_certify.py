@@ -1,13 +1,14 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import beta_inc_by_quadrature
+from oracles import beta_inc_by_quadrature, binomial_tail
 from physbc.certify import (
     GeometryFactor,
-    beta_inc,
-    beta_inc_inv,
     check_deterministic,
     check_probabilistic,
     min_violation_level,
@@ -19,65 +20,108 @@ from physbc.errors import (
 )
 
 
+def _counts(lam, gam):
+    """Scenario counts ``(c, P)`` whose level is the Beta(lam, gam) ``1 - risk`` quantile."""
+    return int(lam), int(lam + gam) - 1
+
+
+def assert_level_is_the_tail_root(risk, c, count):
+    """The exact tail is at most ``risk`` at the level and above it 1e-11 lower."""
+    level = min_violation_level(risk, c, count)
+    assert binomial_tail(level, c, count) <= Decimal(risk)
+    assert binomial_tail(level * (1.0 - 1e-11), c, count) > Decimal(risk)
+    return level
+
+
+@settings(max_examples=200, deadline=None)
+@given(risk=st.floats(1e-10, 0.99), c=st.integers(1, 30), draw=st.data())
+def test_level_is_the_safe_side_root_of_the_binomial_tail(risk, c, draw):
+    count = draw.draw(st.integers(c + 1, 10**6), label="retained_count")
+    assert_level_is_the_tail_root(risk, c, count)
+
+
+@pytest.mark.parametrize("risk,c,count", [
+    (1e-9, 5, 2000),  # off by 5.1e-7 relative before the tail was solved directly
+    (0.05, 5, 130_203),  # lg-prob-phys at scale 1.0
+    (0.05, 5, 260_000),  # lg-prob-trad
+    (0.05, 5, 150_402),  # sd-prob-phys
+    (0.05, 5, 300_000),  # sd-prob-trad
+])
+def test_level_pinned_cases(risk, c, count):
+    assert_level_is_the_tail_root(risk, c, count)
+
+
 @pytest.mark.parametrize("lam,gam,nu", [
     (1.0, 1.0, 0.37),
     (2.0, 3.0, 0.5),
     (6.0, 100.0, 0.05),
     (6.0, 10_000.0, 5e-4),
     (10.0, 150_000.0, 1e-4),
-    (0.5, 0.5, 0.2),
 ])
 def test_beta_inc_matches_quadrature(lam, gam, nu):
-    ours = beta_inc(nu, lam, gam)
-    reference = beta_inc_by_quadrature(nu, lam, gam)
-    assert ours == pytest.approx(reference, abs=1e-9)
+    # the level is the 1 - risk quantile of Beta(c, P - c + 1); gam = 1 is P = c
+    c, count = _counts(lam, gam)
+    risk = 1.0 - beta_inc_by_quadrature(nu, lam, gam)
+    if count == c:
+        with pytest.raises(InsufficientSamplesError):
+            min_violation_level(risk, c, count)
+        return
+    level = min_violation_level(risk, c, count)
+    assert beta_inc_by_quadrature(level, lam, gam) == pytest.approx(1.0 - risk, abs=1e-9)
+    assert level == pytest.approx(nu, rel=1e-6)
 
 
 @pytest.mark.parametrize("gam", [1.0, 100.0, 10_000.0, 150_000.0])
-@pytest.mark.parametrize("nu", [1e-6, 1e-4, 0.01, 0.5])
-def test_beta_inc_shape_one_closed_form(gam, nu):
-    # lam = 1 reduces to 1 - (1 - nu)^gam
-    expected = -math.expm1(gam * math.log1p(-nu))
-    assert beta_inc(nu, 1.0, gam) == pytest.approx(expected, abs=1e-12)
+@pytest.mark.parametrize("risk", [1e-6, 1e-4, 0.01, 0.5])
+def test_beta_inc_shape_one_closed_form(gam, risk):
+    # one decision variable: the tail is (1 - level)^P, so level = 1 - risk^(1/P)
+    c, count = _counts(1.0, gam)
+    if count == c:
+        with pytest.raises(InsufficientSamplesError):
+            min_violation_level(risk, c, count)
+        return
+    expected = -math.expm1(math.log(risk) / count)
+    assert min_violation_level(risk, c, count) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.0, 6.0, 10.0])
 @pytest.mark.parametrize("gam", [1.0, 100.0, 10_000.0, 150_000.0])
 @pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
 def test_inverse_round_trip(lam, gam, p):
-    nu = beta_inc_inv(p, lam, gam)
-    assert 0.0 < nu < 1.0
-    assert beta_inc(nu, lam, gam) == pytest.approx(p, abs=1e-10)
+    c, count = _counts(lam, gam)
+    if count == c:
+        with pytest.raises(InsufficientSamplesError):
+            min_violation_level(1.0 - p, c, count)
+        return
+    level = assert_level_is_the_tail_root(1.0 - p, c, count)
+    assert 0.0 < level < 1.0
 
 
 def test_inverse_frozen_values():
-    # lam = 1 inverse has a closed form: 1 - (1 - p)^(1/gam)
-    assert beta_inc_inv(0.95, 1.0, 10.0) == pytest.approx(
-        1.0 - 0.05 ** 0.1, abs=1e-13)
+    # one decision variable has a closed form: 1 - risk^(1/P)
+    assert min_violation_level(0.05, 1, 10) == pytest.approx(1.0 - 0.05 ** 0.1, rel=1e-12)
     # large-sample regime typical of certification runs
-    assert beta_inc_inv(0.95, 6.0, 130_229.0) == pytest.approx(
-        8.072249e-05, abs=1e-10)
-    assert beta_inc_inv(0.95, 6.0, 259_995.0) == pytest.approx(
-        4.043432e-05, abs=1e-10)
+    assert min_violation_level(0.05, 6, 130_234) == pytest.approx(8.072249e-05, abs=1e-10)
+    assert min_violation_level(0.05, 6, 260_000) == pytest.approx(4.043432e-05, abs=1e-10)
 
 
-def test_beta_inc_edges_and_domain():
-    assert beta_inc(0.0, 2.0, 3.0) == 0.0
-    assert beta_inc(1.0, 2.0, 3.0) == 1.0
-    for bad in (-0.1, 1.1):
-        with pytest.raises(DomainError):
-            beta_inc(bad, 2.0, 3.0)
-    with pytest.raises(DomainError):
-        beta_inc(0.5, 0.0, 3.0)
-    with pytest.raises(DomainError):
-        beta_inc(0.5, 2.0, -1.0)
-    # inverse endpoints are exact, out-of-range probabilities are rejected
-    assert beta_inc_inv(0.0, 2.0, 3.0) == 0.0
-    assert beta_inc_inv(1.0, 2.0, 3.0) == 1.0
-    with pytest.raises(DomainError):
-        beta_inc_inv(-0.2, 2.0, 3.0)
-    with pytest.raises(DomainError):
-        beta_inc_inv(1.2, 2.0, 3.0)
+def test_min_violation_level_edges_and_domain():
+    # the level tends to 0 as the risk tends to 1, and to 1 as it tends to 0
+    assert 0.0 < min_violation_level(math.nextafter(1.0, 0.0), 1, 2) < 1e-16
+    assert min_violation_level(1e-20, 1, 2) == pytest.approx(1.0 - 1e-10, abs=1e-15)
+    assert min_violation_level(1e-300, 1, 2) == 1.0  # the root, 1 - 1e-150, rounds up to 1
+    for bad in (0.0, 1.0, -0.2, 1.2, math.nan):
+        with pytest.raises(DomainError, match="risk"):
+            min_violation_level(bad, 2, 10)
+    # counts are integers, bool excluded
+    for bad in (5.5, 5.0, True, "5", None):
+        with pytest.raises(DomainError, match="decision_count must be an integer"):
+            min_violation_level(0.05, bad, 100)
+        with pytest.raises(DomainError, match="retained_count must be an integer"):
+            min_violation_level(0.05, 1, bad)
+    for bad in (0, -3):
+        with pytest.raises(DomainError, match="decision_count must be positive"):
+            min_violation_level(0.05, bad, 100)
 
 
 def test_min_violation_level_reference_points():

@@ -141,6 +141,7 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
     ({"lipschitz.seed": -1}, "lipschitz.seed must be non-negative"),
     ({"template_degree": 2.5}, "template_degree must be an integer"),
     ({"sampling.seed": -1}, "sampling.seed must be non-negative"),
+    ({"filter.enabled": "false"}, "filter.enabled must be a boolean, got 'false'"),
     ({"validation.seed": -3}, "validation.seed must be non-negative"),
     ({"decay_rate": 0.5}, "unknown config key(s): decay_rate"),
     ({"sampling.cuont": 4000}, "unknown sampling key(s): cuont"),
@@ -161,9 +162,8 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
         "quoted-decay", "quoted-frequency", "bool-threshold", "quoted-coeff-bound",
         "infinite-coeff-bound", "infinite-threshold", "nan-frequency", "nan-multiplier",
         "fractional-pair-budget", "quoted-batches", "negative-lipschitz-seed",
-        "fractional-degree",
-        "negative-sampling-seed", "negative-validation-seed", "unknown-top-level-key",
-        "unknown-section-key", "unknown-region-key", "retired-sampling-scheme",
+        "fractional-degree", "negative-sampling-seed", "quoted-filter-flag",
+        "negative-validation-seed", "unknown-top-level-key", "unknown-section-key", "unknown-region-key", "retired-sampling-scheme",
         "retired-perturbation-phase", "two-dimensional-domain",
         "two-dimensional-initial", "three-dimensional-unsafe", "two-dimensional-system"])
 def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch):

@@ -188,6 +188,29 @@ def test_lipschitz_counts_must_be_integers(key, value):
         RunConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("filter.enabled", "false", "a boolean"),
+    ("filter.enabled", 0, "a boolean"),
+    ("filter.enabled", None, "a boolean"),
+    ("solver.cross_check", "no", "a boolean"),
+    ("solver.cross_check", 1, "a boolean"),
+    ("solver.cross_check", [True], "a boolean"),
+    ("name", 3, "a string"),
+    ("name", None, "a string"),
+    ("name", ["lg"], "a string"),
+])
+def test_flags_and_name_reject_other_types(key, value, kind):
+    data = _with_setting(small_config().to_dict(), key, value)
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be {kind}, got {value!r}")):
+        RunConfig.from_dict(data)
+
+
+def test_flags_accept_numpy_booleans():
+    config = small_config(filter=FilterSpec(enabled=np.bool_(False)),
+                          solver=SolverSpec(cross_check=np.bool_(True)))
+    assert not config.filter.enabled and config.solver.cross_check
+
+
 def test_lipschitz_seed_must_be_non_negative():
     data = _with_setting(small_config().to_dict(), "lipschitz.seed", -1)
     with pytest.raises(ValueError, match="lipschitz.seed must be non-negative"):

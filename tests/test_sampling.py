@@ -355,10 +355,16 @@ def test_load_matches_rowwise_oracle_on_raw_bodies(tmp_path, body):
     {"dimension": 1.0},
     {"dimension": True},
     {"dimension": "1"},
+    {"seed": "x"},
+    {"seed": 2.5},
+    {"seed": True},
+    {"seed": -4},
+    {"seed": [1]},
 ], ids=["negative-count", "huge-count", "infinite-count", "negative-dimension",
         "zero-dimension", "unknown-scheme", "two-dimensional-domain",
         "fractional-count", "float-count", "boolean-count", "string-count",
-        "fractional-dimension", "float-dimension", "boolean-dimension", "string-dimension"])
+        "fractional-dimension", "float-dimension", "boolean-dimension", "string-dimension",
+        "string-seed", "fractional-seed", "boolean-seed", "negative-seed", "list-seed"])
 def test_load_rejects_a_bad_sidecar_before_allocating(tmp_path, monkeypatch, edit):
     data = sample_iid(supply_demand(), DOMAIN, 2, seed=1)
     path = tmp_path / "d.csv"
