@@ -1,28 +1,28 @@
 """Barrier function templates, fitted certificates, and scenario constraints.
 
-A certificate ``B(x)`` is a linear combination of monomials.  The basis
-matrix builds every monomial column by repeated multiplication of per-axis
-integer powers (``x_i``, ``x_i*x_i``, ...), with no floating-point ``pow``.
+A certificate ``B(x)`` is a linear combination of the monomials ``x^e`` of a
+scalar state.  The basis matrix builds every power by repeated
+multiplication (``x``, ``x*x``, ...), with no floating-point ``pow``.
 Safety is encoded by three families of affine constraints on the stacked
 decision vector ``[unsafe_level, coefficients...]``:
 
-* initial rows:  ``b_k - initial_level           <= slack``  per Bernstein coefficient on the initial box,
-* unsafe rows:   ``unsafe_level - b_k            <= slack``  per Bernstein coefficient on the unsafe box,
+* initial rows:  ``b_k - initial_level           <= slack``  per Bernstein coefficient on the initial interval,
+* unsafe rows:   ``unsafe_level - b_k            <= slack``  per Bernstein coefficient on the unsafe interval,
 * flow rows:     ``B(successor) - decay * B(x)   <= slack``  on recorded pairs.
 
 The two region families hold on the whole region, not only at sample points.
-On a box ``[a, a + h]`` write ``x_i = a_i + h_i t_i`` with ``t`` in the unit
-cube.  With ``d_i`` the template's largest exponent on axis ``i``, ``B`` is a
-combination ``sum_k b_k prod_i C(d_i, k_i) t_i^k_i (1 - t_i)^(d_i - k_i)`` of
-tensor Bernstein polynomials.  Those are non-negative and sum to one on the
-cube, so every value of ``B`` on the box is a convex combination of the
-``b_k``: ``min b_k <= B(x) <= max b_k`` (Farouki, "The Bernstein polynomial
-basis: a centennial retrospective", CAGD 2012).  Each ``b_k`` is linear in the
-template coefficients (:func:`bernstein_rows`), so ``max b_k <=
-initial_level`` is ``prod_i (d_i + 1)`` affine rows and implies ``B <=
-initial_level`` on the entire initial box, and likewise for the unsafe box.
-The corner coefficients are ``B`` at the box corners, so the enclosure is
-tight wherever ``B`` peaks at a corner.
+On an interval ``[a, a + h]`` write ``x = a + h t`` with ``t`` in ``[0, 1]``.
+With ``d`` the template's largest exponent, ``B`` is a combination ``sum_k
+b_k C(d, k) t^k (1 - t)^(d - k)`` of Bernstein polynomials.  Those are
+non-negative and sum to one on ``[0, 1]``, so every value of ``B`` on the
+interval is a convex combination of the ``b_k``: ``min b_k <= B(x) <= max
+b_k`` (Farouki, "The Bernstein polynomial basis: a centennial
+retrospective", CAGD 2012).  Each ``b_k`` is linear in the template
+coefficients (:func:`bernstein_rows`), so ``max b_k <= initial_level`` is
+``d + 1`` affine rows and implies ``B <= initial_level`` on the entire
+initial interval, and likewise for the unsafe interval.  The end
+coefficients are ``B`` at the interval's ends, so the enclosure is tight
+wherever ``B`` peaks at an end.
 
 ``initial_level`` is the fixed small positive constant :data:`INITIAL_LEVEL`
 rather than a decision entry.  Left free, it only ever adds a translation
@@ -59,7 +59,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ModelMismatchError, RegionViolationError
+from .errors import RegionViolationError
 from .models import RegionBox
 from .sampling import Dataset
 
@@ -73,94 +73,61 @@ INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
 
 @dataclass(frozen=True, eq=False)
 class BarrierTemplate:
-    """Monomial basis given as one exponent tuple per basis function."""
+    """Monomial basis ``x^e``, given as one integer power ``e`` per basis function."""
 
-    exponents: Tuple[Tuple[int, ...], ...]
+    exponents: Tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(tuple(int(e) for e in row) for row in self.exponents)
+        exps = tuple(int(e) for e in self.exponents)
         if not exps:
             raise ValueError("template needs at least one monomial")
-        width = len(exps[0])
-        if width == 0 or any(len(row) != width for row in exps):
-            raise ValueError("every exponent tuple must have the same positive length")
-        if any(e < 0 for row in exps for e in row):
+        if any(e < 0 for e in exps):
             raise ValueError("exponents must be non-negative")
         if len(set(exps)) != len(exps):
             raise ValueError("duplicate monomials in template")
         object.__setattr__(self, "exponents", exps)
 
     @classmethod
-    def from_degree(cls, degree: int, dimension: int = 1) -> "BarrierTemplate":
-        """All monomials of total degree <= ``degree``, highest degree first.
-
-        In one dimension with ``degree=2`` this is the quadratic basis
-        (x^2, x, 1).
-        """
-        if degree < 0 or dimension < 1:
-            raise ValueError("degree must be >= 0 and dimension >= 1")
-        rows = []
-        for total in range(degree, -1, -1):
-            level = [
-                exp
-                for exp in itertools.product(range(total, -1, -1), repeat=dimension)
-                if sum(exp) == total
-            ]
-            rows.extend(level)
-        return cls(tuple(rows))
-
-    @classmethod
-    def quadratic(cls, dimension: int = 1) -> "BarrierTemplate":
-        return cls.from_degree(2, dimension)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.exponents[0])
+    def from_degree(cls, degree: int) -> "BarrierTemplate":
+        """All powers up to ``degree``, highest first: ``degree=2`` is (x^2, x, 1)."""
+        if degree < 0:
+            raise ValueError("degree must be >= 0")
+        return cls(tuple(range(degree, -1, -1)))
 
     @property
     def size(self) -> int:
         return len(self.exponents)
 
     def basis_matrix(self, states: np.ndarray) -> np.ndarray:
-        """Evaluate all monomials at a batch of states: ``(N, n) -> (N, z)``.
+        """Evaluate all monomials at a batch of states: ``(N,) -> (N, z)``.
 
-        Per axis, the integer powers ``x_i, x_i*x_i, ...`` are built by
-        repeated multiplication; a monomial multiplies its nonzero-exponent
-        powers left to right over the axes.  Exponent 0 contributes no factor,
-        so a constant monomial is exactly 1.0, as ``x**0`` is, also for inf
-        and nan states.
+        The powers ``x, x*x, ...`` are built by repeated multiplication.
+        Exponent 0 is exactly 1.0, as ``x**0`` is, also for inf and nan states.
         """
-        x = np.atleast_2d(np.asarray(states, dtype=float))
-        if x.shape[1] != self.dimension:
-            raise ValueError(
-                f"template is {self.dimension}-dimensional, states are {x.shape[1]}-dimensional"
-            )
-        powers = []  # powers[i][e - 1] is x_i ** e
-        for i, top in enumerate(np.max(self.exponents, axis=0)):
-            axis = [np.ascontiguousarray(x[:, i])] if top else []
-            for _ in range(1, top):
-                axis.append(axis[-1] * axis[0])
-            powers.append(axis)
-        out = np.empty((len(x), self.size))
-        for j, row in enumerate(self.exponents):
-            factors = [powers[i][e - 1] for i, e in enumerate(row) if e]
-            column = out[:, j]
-            if not factors:
-                column.fill(1.0)
-            elif len(factors) == 1:
-                column[...] = factors[0]
-            else:
-                np.multiply(factors[0], factors[1], out=column)
-                for factor in factors[2:]:
-                    np.multiply(column, factor, out=column)
+        x = np.asarray(states, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"expected (N,) states, got {x.shape}")
+        x = np.ascontiguousarray(x)
+        powers = [x]  # powers[e - 1] is x ** e
+        for _ in range(1, max(self.exponents)):
+            powers.append(powers[-1] * x)
+        out = np.empty((x.size, self.size))
+        for j, e in enumerate(self.exponents):
+            out[:, j] = powers[e - 1] if e else 1.0
         return out
 
     def to_dict(self) -> dict:
-        return {"exponents": [list(row) for row in self.exponents]}
+        """The JSON form, which keeps one exponent list per monomial: ``[[2], [1], [0]]``."""
+        return {"exponents": [[e] for e in self.exponents]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "BarrierTemplate":
-        return cls(tuple(tuple(row) for row in data["exponents"]))
+        """Inverse of :meth:`to_dict`; a monomial over any number of axes but one is refused."""
+        rows = data["exponents"]
+        for row in rows:
+            if len(row) != 1:
+                raise ValueError(f"template must be one-dimensional, got {len(row)} axes")
+        return cls(tuple(row[0] for row in rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +165,10 @@ class BarrierCertificate:
         separated = self.unsafe_level > self.initial_level
         return separated and (self.decay == 1.0 or self.unsafe_level >= 0.0)
 
-    def evaluate(self, states: np.ndarray) -> np.ndarray:
-        """Barrier values; a single state yields a scalar."""
-        single = np.asarray(states).ndim <= 1
-        values = self.template.basis_matrix(states) @ self.coefficients
-        return float(values[0]) if single else values
+    def evaluate(self, states):
+        """Barrier values at a batch ``(N,)``; a single state yields a float."""
+        values = self.template.basis_matrix(np.atleast_1d(states)) @ self.coefficients
+        return float(values[0]) if np.ndim(states) == 0 else values
 
     def to_dict(self) -> dict:
         return {
@@ -277,33 +243,26 @@ class ConstraintSystem:
 def bernstein_rows(template: BarrierTemplate, region: RegionBox) -> np.ndarray:
     """Rows ``R`` such that ``R @ q`` lists the Bernstein coefficients of ``B`` on ``region``.
 
-    Tensor-product form, one piece per region: axis ``i`` has degree ``d_i``,
-    the template's largest exponent on it, and ``R`` has ``prod_i (d_i + 1)``
-    rows, the first axis's index varying slowest.  On ``[lo, hi]`` the
-    coefficient ``k`` of ``x^e`` in degree ``d`` is the polar form of ``x^e``
-    at ``k`` copies of ``hi`` and ``d - k`` of ``lo``:
+    ``R`` has ``d + 1`` rows, ``d`` the template's largest exponent.  On
+    ``[lo, hi]`` the coefficient ``k`` of ``x^e`` in degree ``d`` is the
+    polar form of ``x^e`` at ``k`` copies of ``hi`` and ``d - k`` of ``lo``:
     ``sum_j C(k, j) C(d - k, e - j) / C(d, e) * hi^j * lo^(e - j)``, the same
     numbers as expanding ``(lo + (hi - lo) t)^e`` and converting powers of
     ``t`` to the Bernstein basis.  This form needs no ``hi - lo`` and keeps
-    the corners exact: a corner row equals the basis matrix at that corner,
-    bit for bit.
+    the ends exact: the first and last rows equal the basis matrix at ``lo``
+    and ``hi``, bit for bit.
     """
-    if region.dimension != template.dimension:
-        raise ValueError("template and region dimensions differ")
-    exponents = np.array(template.exponents)
-    rows = np.ones((1, template.size))
-    for axis, degree in enumerate(exponents.max(axis=0).tolist()):
-        # lo[p] is lo ** p and hi[p] is hi ** p, by repeated multiplication
-        lo, hi = (list(itertools.accumulate([float(end)] * degree, operator.mul, initial=1.0))
-                  for end in (region.lower[axis], region.upper[axis]))
-        table = np.array([
-            [sum(comb(k, j) * comb(degree - k, e - j) / comb(degree, e) * hi[j] * lo[e - j]
-                  for j in range(max(0, e - degree + k), min(k, e) + 1))
-             for e in range(degree + 1)]
-            for k in range(degree + 1)
-        ])
-        rows = (rows[:, None, :] * table[None, :, exponents[:, axis]]).reshape(-1, template.size)
-    return rows
+    degree = max(template.exponents)
+    # lo[p] is lo ** p and hi[p] is hi ** p, by repeated multiplication
+    lo, hi = (list(itertools.accumulate([end] * degree, operator.mul, initial=1.0))
+              for end in (region.lower, region.upper))
+    table = np.array([
+        [sum(comb(k, j) * comb(degree - k, e - j) / comb(degree, e) * hi[j] * lo[e - j]
+             for j in range(max(0, e - degree + k), min(k, e) + 1))
+         for e in range(degree + 1)]
+        for k in range(degree + 1)
+    ])
+    return table[:, list(template.exponents)]
 
 
 def assemble(
@@ -328,8 +287,6 @@ def assemble(
         raise ValueError("decay must lie in (0, 1]")
     if not coeff_bound > 0:
         raise ValueError("coeff_bound must be positive")
-    if template.dimension != data.dimension:
-        raise ValueError("template and dataset dimensions differ")
     if domain is not None:
         inside = domain.contains(data.states, rtol=1e-12)
         if not np.all(inside):
@@ -411,8 +368,6 @@ def sample_values(certificate: BarrierCertificate, data: Dataset) -> np.ndarray:
     The residual audit and the Lipschitz estimators both read the result, so
     a run evaluates the barrier on its retained pairs exactly twice.
     """
-    if certificate.template.dimension != data.dimension:
-        raise ModelMismatchError("certificate and dataset dimensions differ")
     barrier = certificate.evaluate(data.states)
     return certificate.evaluate(data.successors) - certificate.decay * barrier
 

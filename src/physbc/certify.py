@@ -99,8 +99,7 @@ class GeometryFactor:
     ``L``.  The paper writes the constant as ``sqrt(pi) / (1.77 L)``, with
     1.77 its rounding of ``2 * Gamma(3/2) = sqrt(pi)``; that rounding makes
     the radius 0.14% too small, on the optimistic side, so the exact ``1 / L``
-    is used.  The map is one-dimensional, the dimension the package
-    certifies.  The mass saturates at 1, so the inverse map is only defined
+    is used.  The mass saturates at 1, so the inverse map is only defined
     for levels strictly below 1.
     """
 
@@ -112,8 +111,7 @@ class GeometryFactor:
 
     @classmethod
     def from_region(cls, region) -> "GeometryFactor":
-        (length,) = region.lengths
-        return cls(float(length))
+        return cls(region.length)
 
     def mass(self, radius: float) -> float:
         """Fraction of the interval covered by a ball of the given radius."""

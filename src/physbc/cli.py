@@ -342,7 +342,7 @@ def cmd_sweep(config_path, param, values, out_path):
 @click.option("--points", type=int, default=512, show_default=True,
               help="Resolution of the barrier curve.")
 def cmd_plotdata(report_path, out_dir, points):
-    """Dump plot-ready CSV series from a saved run report (1-D systems)."""
+    """Dump plot-ready CSV series from a saved run report."""
     if points < 1:
         click.echo("error: --points must be at least 1", err=True)
         sys.exit(1)
@@ -359,13 +359,12 @@ def cmd_plotdata(report_path, out_dir, points):
         sys.exit(1)
 
     os.makedirs(out_dir, exist_ok=True)
-    lo, hi = float(config.domain.lower[0]), float(config.domain.upper[0])
-    grid = np.linspace(lo, hi, points)
-    curve = certificate.evaluate(grid[:, None])
+    grid = np.linspace(config.domain.lower, config.domain.upper, points)
+    curve = certificate.evaluate(grid)
     with open(os.path.join(out_dir, "barrier_curve.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "value"])
-        writer.writerows(zip(grid.tolist(), np.asarray(curve).tolist()))
+        writer.writerows(zip(grid.tolist(), curve.tolist()))
 
     with open(os.path.join(out_dir, "levels.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -381,9 +380,6 @@ def cmd_plotdata(report_path, out_dir, points):
         data_path = os.path.join(os.path.dirname(os.path.abspath(report_path)), data_rel)
         try:
             dataset = load_dataset(data_path)
-            if dataset.dimension != config.domain.dimension:
-                raise PhysbcError(f"it has {dataset.dimension} state columns, the domain has "
-                                  f"{config.domain.dimension}")
         except (OSError, PhysbcError) as exc:
             click.echo(f"note: dataset not readable ({exc}); skipping samples.csv")
             dataset = None
@@ -398,7 +394,7 @@ def cmd_plotdata(report_path, out_dir, points):
             with open(os.path.join(out_dir, "samples.csv"), "w", newline="", encoding="ascii") as fh:
                 fh.write("x,y,discrepancy,retained\r\n")
                 write_rows(fh, "%r,%r,%r,%d\r\n", np.column_stack(
-                    [dataset.states[:, 0], dataset.successors[:, 0], disc, kept]))
+                    [dataset.states, dataset.successors, disc, kept]))
             written.append("samples.csv")
             jump = report.get("filter", {}).get("max_jump")
             if config.filter.enabled and jump:
@@ -408,7 +404,7 @@ def cmd_plotdata(report_path, out_dir, points):
                     writer = csv.writer(fh)
                     writer.writerow(["start_index", "length", "start_x", "end_x"])
                     writer.writerow([start, length,
-                                     dataset.states[start, 0], dataset.states[end, 0]])
+                                     dataset.states[start], dataset.states[end]])
                 written.append("jump.csv")
     else:
         click.echo("note: report has no saved dataset; skipping samples.csv")

@@ -9,10 +9,12 @@ decision count, which sets the probabilistic violation level, follows from
 the template; neither is a setting.  Every field is checked when a config is
 built, by the constructor, by ``dataclasses.replace`` or by
 :meth:`RunConfig.from_dict`, which also rejects any key, at any level, that
-names no field.  The domain, both regions and the system must be
-one-dimensional, the dimension in which the covering radius and the flow
-Lipschitz constant are exact.  Configs round-trip through JSON so a report
-can embed its exact inputs.
+names no field.  The domain, both regions and the system are scalar, the one
+dimension in which the covering radius and the flow Lipschitz constant are
+exact; their JSON form keeps one list entry per axis (``[0.5]``, ``[[0.8]]``,
+``[[[-0.5]]]``), and :meth:`RunConfig.from_dict` refuses any other number of
+axes, naming the field.  Configs round-trip through JSON so a report can
+embed its exact inputs.
 """
 
 from __future__ import annotations
@@ -155,11 +157,6 @@ class RunConfig:
                 raise ValueError(f"{key} must be a boolean, got {value!r}")
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        # checked before nesting, which a box of another dimension always fails
-        for key in ("domain", "initial", "unsafe"):
-            axes = getattr(self, key).dimension
-            if axes != 1:
-                raise ValueError(f"{key} must be one-dimensional, got {axes} axes")
         if not self.domain.contains_box(self.initial):
             raise ValueError("initial region must be nested in the domain")
         if not self.domain.contains_box(self.unsafe):
@@ -192,9 +189,7 @@ class RunConfig:
             raise ValueError("lipschitz.batches must be at least 2")
         if not self.lipschitz.shape > 0:
             raise ValueError("lipschitz.shape must be positive")
-        axes = self.true_model().dimension  # raises on a malformed custom system or perturbation
-        if axes != 1:
-            raise ValueError(f"system must be one-dimensional, got {axes} axes")
+        self.true_model()  # raises on a malformed custom system or perturbation
 
     # ---- model construction -------------------------------------------------
 
@@ -209,16 +204,25 @@ class RunConfig:
                     f"available: {sorted(PRESET_MODELS)}"
                 ) from None
         spec = self.system
+        if not isinstance(spec, dict):
+            raise ValueError(f"system must be a preset name or a mapping, got {spec!r}")
         kind = spec.get("kind")
-        if kind == KIND_AFFINE:
-            return SystemModel.affine(np.asarray(spec["linear"]), np.asarray(spec["offset"]))
-        if kind == KIND_QUADRATIC:
-            return SystemModel.quadratic_polynomial(
-                np.asarray(spec["quadratic"]),
-                np.asarray(spec["linear"]),
-                np.asarray(spec["offset"]),
-            )
-        raise ValueError(f"unknown custom system kind {kind!r}")
+        if kind not in (KIND_AFFINE, KIND_QUADRATIC):
+            raise ValueError(f"unknown custom system kind {kind!r}")
+        # the JSON form of x+ = linear x + offset + quadratic x^2 keeps one list
+        # level per index: offset [c], linear [[a]], quadratic [[[q]]]
+        axes = np.size(spec["offset"])
+        if axes != 1:
+            raise ValueError(f"system must be one-dimensional, got {axes} axes")
+        terms = {}
+        for key, shape in (("offset", (1,)), ("linear", (1, 1)), ("quadratic", (1, 1, 1))):
+            if key == "quadratic" and kind == KIND_AFFINE:
+                continue
+            value = np.asarray(spec[key], dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"system {key} must have shape {shape}, got {value.shape}")
+            terms[key] = value.item()
+        return SystemModel(**terms)
 
     def perturbation_amplitude(self) -> float:
         if self.perturbation.amplitude is not None:
@@ -251,7 +255,10 @@ class RunConfig:
         for name, section_cls in _SECTIONS.items():
             if name in data:
                 _unknown_keys(data[name], section_cls, name)
-                values[name] = section_cls(**data[name])
+                if section_cls is RegionBox:
+                    values[name] = RegionBox.from_dict(data[name], name)
+                else:
+                    values[name] = section_cls(**data[name])
         return cls(**values)
 
     @classmethod
@@ -273,16 +280,16 @@ def preset(name: str, mode: str = MODE_DETERMINISTIC) -> RunConfig:
         raise ValueError(f"unknown guarantee mode {mode!r}")
     if name == "supply-demand":
         regions = (
-            RegionBox.interval(0.5, 2.7),
-            RegionBox.interval(0.5, 0.6),
-            RegionBox.interval(2.6, 2.7),
+            RegionBox(0.5, 2.7),
+            RegionBox(0.5, 0.6),
+            RegionBox(2.6, 2.7),
         )
         det_count, prob_count = 220_000, 300_000
     elif name == "logistic-growth":
         regions = (
-            RegionBox.interval(0.1, 1.0),
-            RegionBox.interval(0.1, 0.3),
-            RegionBox.interval(0.7, 1.0),
+            RegionBox(0.1, 1.0),
+            RegionBox(0.1, 0.3),
+            RegionBox(0.7, 1.0),
         )
         det_count, prob_count = 90_000, 260_000
     else:

@@ -10,7 +10,7 @@ class PhysbcError(Exception):
 
 
 class InvalidStateError(PhysbcError):
-    """A state vector is non-finite or has the wrong dimension."""
+    """A batch of states is not an ``(N,)`` array."""
 
 
 class CapacityError(PhysbcError):
@@ -32,7 +32,7 @@ class DatasetParseError(PhysbcError):
 
 
 class ModelMismatchError(PhysbcError):
-    """A model and a dataset disagree on the state dimension."""
+    """Per-sample values and their dataset disagree in size."""
 
 
 class RegionViolationError(PhysbcError):

@@ -1,9 +1,9 @@
 """Physics-consistency filtering of recorded sample pairs.
 
-A pair (state, successor) is kept when the recorded successor lies within a
-Euclidean ball of radius ``threshold`` around the nominal physics prediction
-at that state.  Pairs exactly on the boundary are kept; every other pair,
-one with a NaN discrepancy included, is discarded.  The filter never
+A pair (state, successor) is kept when the recorded successor lies within
+``threshold`` of the nominal physics prediction at that state.  Pairs
+exactly on the boundary are kept; every other pair, one with a NaN
+discrepancy included, is discarded.  The filter never
 re-simulates anything: it only compares recorded successors against the
 physics map, so applying it is pure and repeatable.
 """
@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ModelMismatchError
 from .models import SystemModel
 from .sampling import Dataset
 
@@ -46,20 +45,14 @@ class DiscrepancyProfile:
     discrepancies: np.ndarray
     discarded_mask: np.ndarray
     # Longest contiguous run of discarded pairs, as (start index, length);
-    # None when nothing was discarded.  For ordered 1-D grids this run is the
+    # None when nothing was discarded.  For ordered grids this run is the
     # widest data gap the filter opens up.
     max_jump: Optional[Tuple[int, int]]
 
 
 def discrepancies(dataset: Dataset, physics: SystemModel) -> np.ndarray:
-    """Euclidean distance of each recorded successor from the physics prediction."""
-    if physics.dimension != dataset.dimension:
-        raise ModelMismatchError(
-            f"physics model is {physics.dimension}-dimensional, "
-            f"dataset is {dataset.dimension}-dimensional"
-        )
-    predicted = physics.step_many(dataset.states)
-    return np.linalg.norm(predicted - dataset.successors, axis=1)
+    """Distance of each recorded successor from the physics prediction."""
+    return np.abs(physics.step_many(dataset.states) - dataset.successors)
 
 
 def _keep(

@@ -13,14 +13,11 @@ flow expression per sample from :func:`physbc.barrier.sample_values`, which a
 run computes once on the retained states and successors and also hands to the
 residual audit, together with the dataset whose states give the gaps.
 
-Both estimators take one-dimensional data, the dimension the package
-certifies.  :func:`estimate_pairwise` is exact there: the steepest slope over
-all pairs is the steepest between neighbouring distinct coordinates (a secant
-over a wider span is a weighted mean of the secants it covers), so one sort
-gives the maximum over every sample pair.  States that coincide are grouped,
-and each group contributes its extreme values.  In two or more dimensions no
-such reduction holds, and a maximum over sampled pairs would only bound the
-constant from below.
+:func:`estimate_pairwise` is exact over the sample pairs: on the state line
+the steepest slope over all pairs is the steepest between neighbouring
+distinct states (a secant over a wider span is a weighted mean of the secants
+it covers), so one sort gives the maximum over every sample pair.  States
+that coincide are grouped, and each group contributes its extreme values.
 
 The extreme-value method draws ``pair_budget`` random pairs.  Their indices
 are drawn in one go from the configured seed; the slopes are then computed in
@@ -75,9 +72,7 @@ class LipschitzEstimate:
 
 
 def _require_pairs(flow: np.ndarray, dataset: Dataset) -> None:
-    """Check that ``flow`` belongs to ``dataset``, a 1-D one that can form a pair."""
-    if dataset.dimension != 1:
-        raise ModelMismatchError("Lipschitz estimates take one-dimensional data only")
+    """Check that ``flow`` belongs to ``dataset``, and that the dataset can form a pair."""
     if flow.shape != (dataset.count,):
         raise ModelMismatchError("sample values and dataset sizes differ")
     if dataset.count < 2:
@@ -85,7 +80,7 @@ def _require_pairs(flow: np.ndarray, dataset: Dataset) -> None:
 
 
 def _neighbour_maxima(flow: np.ndarray, dataset: Dataset):
-    """Exact largest flow slope over all pairs of a 1-D dataset.
+    """Exact largest flow slope over all pairs of a dataset.
 
     Sorts the states once and groups equal coordinates; between adjacent
     groups the steepest slope pairs one group's highest value with the other's
@@ -96,7 +91,7 @@ def _neighbour_maxima(flow: np.ndarray, dataset: Dataset):
     Returns ``(flow slope, adjacent group pairs)``.
     """
     _require_pairs(flow, dataset)
-    coords = dataset.states[:, 0]
+    coords = dataset.states
     order = np.argsort(coords)
     coords = coords[order]
     fresh = np.empty(coords.size, dtype=bool)
@@ -131,7 +126,7 @@ def _slope_chunks(flow: np.ndarray, dataset: Dataset, config: LipschitzSpec):
     rng = np.random.default_rng(config.seed)
     left = rng.integers(0, dataset.count, size=config.pair_budget)
     right = rng.integers(0, dataset.count, size=config.pair_budget)
-    coords = dataset.states[:, 0]
+    coords = dataset.states
     kept = 0
     for start in range(0, config.pair_budget, _CHUNK):
         i, j = left[start:start + _CHUNK], right[start:start + _CHUNK]

@@ -7,9 +7,10 @@ and returns both the constituent objects and a JSON-ready report.  Reports
 are deterministic for identical configs except for the ``timing`` block.
 
 The initial and unsafe regions reach constraint assembly and the residual
-audit as boxes, whose rows are the barrier's Bernstein coefficients on each
-box.  The recorded pairs feed the flow rows, and the flow expression on them,
-evaluated once, feeds the audit and the Lipschitz estimate.
+audit as intervals, whose rows are the barrier's Bernstein coefficients on
+each interval.  The recorded pairs feed the flow rows, and the flow
+expression on them, evaluated once, feeds the audit and the Lipschitz
+estimate.
 
 The empirical validation simulates only the ground truth, so runs that differ
 in filtering, sampling or guarantee mode share it: it runs once per distinct
@@ -102,7 +103,7 @@ def run(config: RunConfig) -> RunArtifacts:
 
     physics = config.physics_model()
     truth = config.true_model()
-    template = BarrierTemplate.from_degree(config.template_degree, physics.dimension)
+    template = BarrierTemplate.from_degree(config.template_degree)
 
     # ---- sample the ground truth: the mode picks the law ---------------------
     t0 = clock()
@@ -274,15 +275,10 @@ def _empirical_safety(truth: SystemModel, config: RunConfig) -> SafetyCheck:
     """The empirical check of ``truth`` under ``config``, computed once per distinct input."""
     wave = truth.perturbation
     key = (
-        truth.linear.tobytes(),
-        truth.offset.tobytes(),
-        None if truth.quadratic is None else truth.quadratic.tobytes(),
         # repr tells -0.0 from 0.0 and a numpy scalar from a float; the kernel can too
-        None if wave is None else repr((wave.amplitude, wave.frequency)),
-        config.initial.lower.tobytes(),
-        config.initial.upper.tobytes(),
-        config.unsafe.lower.tobytes(),
-        config.unsafe.upper.tobytes(),
+        repr((truth.linear, truth.offset, truth.quadratic,
+              None if wave is None else (wave.amplitude, wave.frequency),
+              config.initial, config.unsafe)),
         *astuple(config.validation),
     )
     safety = _safety_memo.get(key)

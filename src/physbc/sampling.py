@@ -1,23 +1,21 @@
 """Sample generation, covering radii, and dataset persistence.
 
-A dataset is an ordered collection of (state, successor) pairs recorded from
-one model over one domain box.  Grid and i.i.d.-uniform schemes are provided;
-both are reproducible from their parameters (the i.i.d. scheme from its seed).
-A pipeline run takes the grid for a deterministic guarantee and i.i.d. draws
-for a probabilistic one.
-The grid scheme and the covering radius are one-dimensional, the dimension
-the package certifies: on an interval the covering radius is exact, while a
-box in two or more dimensions would need an exact Voronoi computation to
-bound it from above.  A dataset and its CSV file keep one column per axis.
+A dataset is an ordered collection of scalar (state, successor) pairs
+recorded from one model over one domain interval.  Grid and i.i.d.-uniform
+schemes are provided; both are reproducible from their parameters (the
+i.i.d. scheme from its seed).  A pipeline run takes the grid for a
+deterministic guarantee and i.i.d. draws for a probabilistic one.  On an
+interval the covering radius is exact.
 
 Datasets persist as CSV written in blocks: :func:`write_rows` formats 65 536
 rows with one ``%`` operation, which gives the same text as formatting them
-row by row.  A JSON sidecar holds the scheme, seed, domain, count and
-dimension; :func:`load_dataset` checks them before it reads the body and
-ignores any other sidecar key, such as the ``filtered`` flag that older
-sidecars carry.  It parses the body with ``np.loadtxt`` and hands any file it
-cannot take as is to a line loop, which either returns the same values or
-names the offending line.
+row by row.  The file has the columns ``x_1,y_1``, and a JSON sidecar holds
+the scheme, seed, domain, count and ``dimension``, which is always 1.
+:func:`load_dataset` checks every one of them, refusing any other dimension,
+before it reads the body, and ignores any other sidecar key, such as the
+``filtered`` flag that older sidecars carry.  It parses the body with
+``np.loadtxt`` and hands any file it cannot take as is to a line loop, which
+either returns the same values or names the offending line.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import numpy as np
 from .errors import (
     CapacityError,
     DatasetParseError,
-    ModelMismatchError,
     NoCoverError,
     RegionViolationError,
 )
@@ -47,6 +44,9 @@ SCHEME_IID = "iid-uniform"
 # instead of exhausting memory.
 DEFAULT_MAX_SAMPLES = 20_000_000
 
+# Column names of a dataset CSV file.
+_HEADER = "x_1,y_1"
+
 # Rows formatted per ``%`` operation when writing CSV.
 _ROW_CHUNK = 65_536
 
@@ -57,7 +57,7 @@ _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered (state, successor) pairs plus the metadata needed to rebuild them."""
+    """Ordered (state, successor) pairs, two ``(N,)`` arrays, plus the metadata to rebuild them."""
 
     states: np.ndarray
     successors: np.ndarray
@@ -68,14 +68,12 @@ class Dataset:
     def __post_init__(self):
         xs = np.asarray(self.states, dtype=float)
         ys = np.asarray(self.successors, dtype=float)
-        if xs.ndim != 2 or ys.shape != xs.shape:
-            raise ValueError("states and successors must both be (N, n) arrays of equal shape")
+        if xs.ndim != 1 or ys.shape != xs.shape:
+            raise ValueError("states and successors must both be (N,) arrays of equal shape")
         if self.scheme not in (SCHEME_GRID, SCHEME_IID):
             raise ValueError(f"unknown sampling scheme {self.scheme!r}")
-        if xs.shape[1] != self.domain.dimension:
-            raise ValueError("state dimension does not match the domain box")
         if xs.size and not np.all(self.domain.contains(xs, rtol=1e-12)):
-            raise RegionViolationError("dataset contains states outside the domain box")
+            raise RegionViolationError("dataset contains states outside the domain")
         xs.flags.writeable = False
         ys.flags.writeable = False
         object.__setattr__(self, "states", xs)
@@ -83,11 +81,7 @@ class Dataset:
 
     @property
     def count(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
+        return self.states.size
 
     def take(self, mask: np.ndarray) -> "Dataset":
         """Subset in original order."""
@@ -105,14 +99,10 @@ def sample_grid(model: SystemModel, domain: RegionBox, count: int) -> Dataset:
     ``count`` is at least 2 and at most ``DEFAULT_MAX_SAMPLES``; the states
     are in ascending order.
     """
-    if model.dimension != domain.dimension:
-        raise ModelMismatchError("model and domain dimensions differ")
-    if domain.dimension != 1:
-        raise ValueError("grid sampling takes a one-dimensional domain")
     if count < 2:
         raise ValueError("need at least 2 grid points")
     _check_capacity(count)
-    states = domain.grid((count,))
+    states = np.linspace(domain.lower, domain.upper, count)
     return Dataset(states, model.step_many(states), SCHEME_GRID, domain)
 
 
@@ -121,13 +111,11 @@ def sample_iid(model: SystemModel, domain: RegionBox, count: int, seed: int) -> 
 
     ``count`` is at least 1 and at most ``DEFAULT_MAX_SAMPLES``.
     """
-    if model.dimension != domain.dimension:
-        raise ModelMismatchError("model and domain dimensions differ")
     if count < 1:
         raise ValueError("count must be positive")
     _check_capacity(count)
     rng = np.random.default_rng(seed)
-    states = rng.uniform(domain.lower, domain.upper, size=(count, domain.dimension))
+    states = rng.uniform(domain.lower, domain.upper, size=count)
     return Dataset(states, model.step_many(states), SCHEME_IID, domain, seed=seed)
 
 
@@ -137,20 +125,16 @@ def covering_radius(states: np.ndarray, domain: RegionBox) -> float:
     The value is exact: with the states sorted, it is the larger of the two
     boundary gaps and half the widest interior gap.
     """
-    if domain.dimension != 1:
-        raise ValueError("covering radii are defined for one-dimensional domains only")
     pts = np.asarray(states, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    if pts.ndim != 1:
+        raise ValueError(f"expected (N,) states, got {pts.shape}")
     if pts.size == 0:
         raise NoCoverError("cannot cover a domain with zero states")
-    if pts.shape[1] != domain.dimension:
-        raise ValueError("state dimension does not match the domain box")
     if not np.all(domain.contains(pts, rtol=1e-12)):
-        raise RegionViolationError("states must lie inside the domain box")
+        raise RegionViolationError("states must lie inside the domain")
 
-    s = np.sort(pts[:, 0])
-    radius = max(s[0] - domain.lower[0], domain.upper[0] - s[-1])
+    s = np.sort(pts)
+    radius = max(s[0] - domain.lower, domain.upper - s[-1])
     if s.size > 1:
         radius = max(radius, 0.5 * float(np.max(np.diff(s))))
     return float(max(radius, 0.0))
@@ -176,17 +160,16 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     blocks by :func:`write_rows`) so a round trip through :func:`load_dataset`
     reproduces them bit for bit.
     """
-    n = dataset.dimension
-    rows = np.hstack([dataset.states, dataset.successors])
+    rows = np.column_stack([dataset.states, dataset.successors])
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(_header(n) + "\n")
-        write_rows(fh, ",".join(["%.17g"] * (2 * n)) + "\n", rows)
+        fh.write(_HEADER + "\n")
+        write_rows(fh, "%.17g,%.17g\n", rows)
     meta = {
         "scheme": dataset.scheme,
         "seed": dataset.seed,
         "domain": dataset.domain.to_dict(),
         "count": dataset.count,
-        "dimension": n,
+        "dimension": 1,
     }
     with open(_sidecar_path(path), "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -203,13 +186,12 @@ def load_dataset(path: str) -> Dataset:
     read again by the line loop, which accepts what ``float`` accepts (blank
     lines included) and names the first bad line.
     """
-    domain, scheme, count, n, seed = _read_sidecar(path)
-    values = np.empty((count, 2 * n))
+    domain, scheme, count, seed = _read_sidecar(path)
+    values = np.empty((count, 2))
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
-        expected = _header(n)
-        if header != expected:
-            raise DatasetParseError(f"expected header {expected!r}, got {header!r}", line=1)
+        if header != _HEADER:
+            raise DatasetParseError(f"expected header {_HEADER!r}, got {header!r}", line=1)
         parsed = _loadtxt_rows(fh)
         if parsed is not None and parsed.shape == values.shape:
             values = parsed
@@ -220,11 +202,11 @@ def load_dataset(path: str) -> Dataset:
             fh.seek(0)
             fh.readline()
             _parse_rows(fh, values)
-    return Dataset(values[:, :n], values[:, n:], scheme, domain, seed=seed)
+    return Dataset(values[:, 0], values[:, 1], scheme, domain, seed=seed)
 
 
 def _read_sidecar(path: str):
-    """``(domain, scheme, count, dimension, seed)`` from the sidecar of ``path``, checked."""
+    """``(domain, scheme, count, seed)`` from the sidecar of ``path``, checked."""
     sidecar = _sidecar_path(path)
     if not os.path.exists(sidecar):
         raise DatasetParseError(f"missing metadata sidecar {sidecar}")
@@ -234,29 +216,31 @@ def _read_sidecar(path: str):
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             raise DatasetParseError(f"invalid sidecar JSON: {exc}") from exc
     try:
-        domain = RegionBox.from_dict(meta["domain"])
         scheme = meta["scheme"]
         count = meta["count"]
         n = meta["dimension"]
         seed = meta.get("seed")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        domain = meta["domain"]
+    except (KeyError, TypeError) as exc:
         raise DatasetParseError(f"sidecar is missing or corrupts a field: {exc}") from exc
     for field, value in (("count", count), ("dimension", n)):
         # a JSON integer: 2.9, 1.0, true and "1" are refused, not truncated or cast
         if isinstance(value, bool) or not isinstance(value, int):
             raise DatasetParseError(f"sidecar {field} must be an integer, got {value!r}")
+    if n != 1:
+        raise DatasetParseError(f"sidecar dimension must be 1, got {n}")
+    try:
+        domain = RegionBox.from_dict(domain, "domain")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DatasetParseError(f"sidecar domain is unusable: {exc}") from exc
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
         raise DatasetParseError(f"sidecar seed must be null or an integer >= 0, got {seed!r}")
     if scheme not in (SCHEME_GRID, SCHEME_IID):
         raise DatasetParseError(f"sidecar names an unknown sampling scheme {scheme!r}")
-    if n < 1 or n != domain.dimension:
-        raise DatasetParseError(
-            f"sidecar dimension {n} must be positive and match its domain's {domain.dimension}"
-        )
     # the same ceiling as generation, so a corrupt count fails before the body is allocated
     if not 0 <= count <= DEFAULT_MAX_SAMPLES:
         raise DatasetParseError(f"sidecar count {count} is outside [0, {DEFAULT_MAX_SAMPLES}]")
-    return domain, scheme, count, n, seed
+    return domain, scheme, count, seed
 
 
 def _loadtxt_rows(fh) -> Optional[np.ndarray]:
@@ -292,10 +276,6 @@ def _parse_rows(fh, values: np.ndarray) -> None:
         row += 1
     if row != count:
         raise DatasetParseError(f"sidecar promises {count} rows, file has {row}")
-
-
-def _header(n: int) -> str:
-    return ",".join([f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)])
 
 
 def _sidecar_path(path: str) -> str:

@@ -12,12 +12,7 @@ from scipy import integrate
 from scipy.optimize import linprog
 
 from physbc.barrier import bernstein_rows
-from physbc.errors import (
-    DatasetParseError,
-    DegenerateDataError,
-    InvalidStateError,
-    ModelMismatchError,
-)
+from physbc.errors import DatasetParseError, DegenerateDataError, ModelMismatchError
 from physbc.lipschitz import (
     METHOD_EXTREME,
     METHOD_PAIRWISE,
@@ -30,36 +25,30 @@ from physbc.solver import FEASIBILITY_TOL, OPTIMALITY_TOL, STATUS_OPTIMAL, Solve
 
 
 def basis_matrix_pow(template, states):
-    """Every monomial through a float power and a product over the axes.
+    """Every monomial through a float power.
 
     The former kernel of :meth:`physbc.barrier.BarrierTemplate.basis_matrix`:
-    one ``pow`` per element of an ``(N, z, n)`` temporary.
+    one ``pow`` per element of an ``(N, z)`` temporary.
     """
-    x = np.atleast_2d(np.asarray(states, dtype=float))
-    powers = np.asarray(template.exponents, dtype=float)  # (z, n)
-    return np.prod(x[:, None, :] ** powers[None, :, :], axis=2)
+    x = np.asarray(states, dtype=float)
+    return x[:, None] ** np.asarray(template.exponents, dtype=float)[None, :]
 
 
 def basis_matrix_repeated(template, states):
     """Every monomial by plain left-to-right multiplication in Python floats.
 
-    Per state and monomial: each axis with a positive exponent ``e`` gives
-    ``x * x * ... * x`` (``e`` factors), and those powers are multiplied in
-    axis order; a monomial with no such axis is 1.0.
+    Per state and exponent ``e > 0``: ``x * x * ... * x`` (``e`` factors);
+    exponent 0 is 1.0.
     """
-    x = np.atleast_2d(np.asarray(states, dtype=float))
-    out = np.empty((len(x), template.size))
-    for r, state in enumerate(x.tolist()):
-        for c, exponents in enumerate(template.exponents):
-            value = None
-            for coord, e in zip(state, exponents):
-                if e == 0:
-                    continue
-                power = coord
+    out = np.empty((len(states), template.size))
+    for r, x in enumerate(np.asarray(states, dtype=float).tolist()):
+        for c, e in enumerate(template.exponents):
+            value = 1.0
+            if e:
+                value = x
                 for _ in range(e - 1):
-                    power = power * coord
-                value = power if value is None else value * power
-            out[r, c] = 1.0 if value is None else value
+                    value = value * x
+            out[r, c] = value
     return out
 
 
@@ -119,33 +108,23 @@ def assemble_vstack(template, decay, data, initial_region, unsafe_region, coeff_
 def bernstein_rows_exact(template, region):
     """Drop-in for :func:`physbc.barrier.bernstein_rows` in exact rational arithmetic.
 
-    Substitutes ``x_i = a_i + h_i t_i`` with ``a_i``, ``h_i`` the exact
-    values of the float bounds, expands ``(a + h t)^e`` by the binomial
-    theorem, and converts each ``t^m`` to the degree-``d`` Bernstein basis by
-    ``t^m = sum_{k >= m} C(k, m) / C(d, m) B_k``.  Everything is a
-    ``Fraction`` until the final rounding to float.
+    Substitutes ``x = a + h t`` with ``a``, ``h`` the exact values of the
+    float bounds, expands ``(a + h t)^e`` by the binomial theorem, and
+    converts each ``t^m`` to the degree-``d`` Bernstein basis by ``t^m =
+    sum_{k >= m} C(k, m) / C(d, m) B_k``.  Everything is a ``Fraction`` until
+    the final rounding to float.
     """
-    exponents = np.array(template.exponents)
-    degrees = exponents.max(axis=0).tolist()
-    tables = []  # tables[i][k][e]: coefficient k of x_i^e on the axis
-    for lower, upper, degree in zip(region.lower.tolist(), region.upper.tolist(), degrees):
-        a = Fraction(lower)
-        h = Fraction(upper) - a
-        table = [[Fraction(0)] * (degree + 1) for _ in range(degree + 1)]
-        for e in range(degree + 1):
-            for m in range(e + 1):
-                term = math.comb(e, m) * a ** (e - m) * h ** m
-                for k in range(m, degree + 1):
-                    table[k][e] += term * Fraction(math.comb(k, m), math.comb(degree, m))
-        tables.append(table)
-    rows = []
-    for index in itertools.product(*(range(d + 1) for d in degrees)):
-        rows.append([
-            float(math.prod((table[k][e] for table, k, e in zip(tables, index, row)),
-                            start=Fraction(1)))
-            for row in template.exponents
-        ])
-    return np.array(rows)
+    degree = max(template.exponents)
+    a = Fraction(region.lower)
+    h = Fraction(region.upper) - a
+    table = [[Fraction(0)] * (degree + 1) for _ in range(degree + 1)]  # [k][e]
+    for e in range(degree + 1):
+        for m in range(e + 1):
+            term = math.comb(e, m) * a ** (e - m) * h ** m
+            for k in range(m, degree + 1):
+                table[k][e] += term * Fraction(math.comb(k, m), math.comb(degree, m))
+    return np.array([[float(table[k][e]) for e in template.exponents]
+                     for k in range(degree + 1)])
 
 
 def minimax_by_vertices(rows, offsets, feas_tol=1e-7):
@@ -276,7 +255,8 @@ def pair_slopes_whole_array(flow, dataset, config):
     right = rng.integers(0, dataset.count, size=config.pair_budget)
     keep = left != right
     left, right = left[keep], right[keep]
-    gaps = np.linalg.norm(dataset.states[left] - dataset.states[right], axis=1)
+    # the Euclidean distance of one-column states, as the estimators once took it
+    gaps = np.linalg.norm((dataset.states[left] - dataset.states[right])[:, None], axis=1)
     keep = gaps > 0.0
     if not keep.any():
         raise DegenerateDataError("all drawn state pairs coincide")
@@ -320,12 +300,12 @@ def pairwise_all_pairs(certificate, dataset):
 
     Builds all ``N (N - 1) / 2`` pairs, so only usable on small datasets: the
     exact sample maximum, before any multiplier, that
-    :func:`physbc.lipschitz.estimate_pairwise` claims in 1-D.
+    :func:`physbc.lipschitz.estimate_pairwise` claims.
     """
     barrier_vals = certificate.evaluate(dataset.states)
     flow_vals = certificate.evaluate(dataset.successors) - certificate.decay * barrier_vals
     left, right = np.triu_indices(dataset.count, k=1)
-    gaps = np.linalg.norm(dataset.states[left] - dataset.states[right], axis=1)
+    gaps = np.abs(dataset.states[left] - dataset.states[right])
     keep = gaps > 0.0
     if not keep.any():
         raise DegenerateDataError("all sample states coincide")
@@ -336,17 +316,18 @@ def pairwise_all_pairs(certificate, dataset):
 def step_many_matmul(model, states):
     """The former body of :meth:`physbc.models.SystemModel.step_many`.
 
-    One ``matmul`` for the linear part, one ``einsum`` for the quadratic
-    form and the perturbation written out as ``A sin(2 pi nu x)``.
+    The scalar terms as the ``1x1`` and ``1x1x1`` arrays of a one-axis model:
+    one ``matmul`` for the linear part, one ``einsum`` for the quadratic form
+    and the perturbation written out as ``A sin(2 pi nu x)``.
     """
-    x = np.asarray(states, dtype=float)
-    y = x @ model.linear.T + model.offset
+    x = np.asarray(states, dtype=float)[:, None]
+    y = x @ np.array([[model.linear]]).T + np.array([model.offset])
     if model.quadratic is not None:
-        y = y + np.einsum("ni,kij,nj->nk", x, model.quadratic, x)
+        y = y + np.einsum("ni,kij,nj->nk", x, np.array([[[model.quadratic]]]), x)
     field = model.perturbation
     if field is not None:
         y = y + field.amplitude * np.sin(2.0 * np.pi * field.frequency * x)
-    return y
+    return y[:, 0]
 
 
 def neighbour_maxima_grouped(flow, dataset):
@@ -355,7 +336,7 @@ def neighbour_maxima_grouped(flow, dataset):
     Always groups equal coordinates with ``reduceat``, also when every state
     is distinct.  Returns ``(flow slope, adjacent group pairs)``.
     """
-    coords = dataset.states[:, 0]
+    coords = dataset.states
     order = np.argsort(coords)
     coords = coords[order]
     fresh = np.empty(coords.size, dtype=bool)
@@ -376,12 +357,10 @@ def safety_by_step_many(model, initial, unsafe, trajectories=1000, horizon=500, 
     Advances the batch with ``model.step_many`` and tests membership with
     ``unsafe.contains`` at every step.
     """
-    if initial.dimension != model.dimension or unsafe.dimension != model.dimension:
-        raise InvalidStateError("region dimension does not match the model")
     rng = np.random.default_rng(seed)
-    states = rng.uniform(initial.lower, initial.upper, size=(trajectories, model.dimension))
+    states = rng.uniform(initial.lower, initial.upper, size=trajectories)
     first_hit = np.full(trajectories, -1, dtype=int)
-    hit_state = np.zeros((trajectories, model.dimension))
+    hit_state = np.zeros(trajectories)
 
     def record(step, batch):
         inside = unsafe.contains(batch)
@@ -410,19 +389,16 @@ def _sidecar(path):
 
 def save_dataset_rowwise(dataset, path):
     """Drop-in for :func:`physbc.sampling.save_dataset` that formats one value at a time."""
-    n = dataset.dimension
-    header = ",".join([f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)])
-    rows = np.hstack([dataset.states, dataset.successors])
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write("x_1,y_1\n")
+        for x, y in zip(dataset.states.tolist(), dataset.successors.tolist()):
+            fh.write(f"{x:.17g},{y:.17g}\n")
     meta = {
         "scheme": dataset.scheme,
         "seed": dataset.seed,
-        "domain": dataset.domain.to_dict(),
+        "domain": {"lower": [dataset.domain.lower], "upper": [dataset.domain.upper]},
         "count": dataset.count,
-        "dimension": n,
+        "dimension": 1,
     }
     with open(_sidecar(path), "w", encoding="ascii") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -435,11 +411,11 @@ def load_dataset_rowwise(path):
     The sidecar goes through the loader's own checks; the body is what this
     oracle reads independently.
     """
-    domain, scheme, count, n, seed = _read_sidecar(path)
-    values = np.empty((count, 2 * n))
+    domain, scheme, count, seed = _read_sidecar(path)
+    values = np.empty((count, 2))
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
-        expected = ",".join([f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)])
+        expected = "x_1,y_1"
         if header != expected:
             raise DatasetParseError(f"expected header {expected!r}, got {header!r}", line=1)
         row = 0
@@ -450,10 +426,8 @@ def load_dataset_rowwise(path):
             if row >= count:
                 raise DatasetParseError("more data rows than the sidecar count", line=lineno)
             parts = line.split(",")
-            if len(parts) != 2 * n:
-                raise DatasetParseError(
-                    f"expected {2 * n} columns, got {len(parts)}", line=lineno
-                )
+            if len(parts) != 2:
+                raise DatasetParseError(f"expected 2 columns, got {len(parts)}", line=lineno)
             try:
                 values[row] = [float(p) for p in parts]
             except ValueError as exc:
@@ -461,4 +435,4 @@ def load_dataset_rowwise(path):
             row += 1
     if row != count:
         raise DatasetParseError(f"sidecar promises {count} rows, file has {row}")
-    return Dataset(values[:, :n], values[:, n:], scheme, domain, seed=seed)
+    return Dataset(values[:, 0], values[:, 1], scheme, domain, seed=seed)

@@ -238,7 +238,7 @@ def test_criterion_7_empirical_safety_of_passing_runs(sd_det_run, lg_prob_run):
 
 
 def test_criterion_8_covering_radius_exactness():
-    hand = covering_radius(np.array([[0.0], [0.5], [1.0]]), RegionBox.interval(0.0, 1.0))
+    hand = covering_radius(np.array([0.0, 0.5, 1.0]), RegionBox(0.0, 1.0))
     hand_ok = hand == pytest.approx(0.25, abs=1e-15)
 
     rng = np.random.default_rng(7)
@@ -249,7 +249,7 @@ def test_criterion_8_covering_radius_exactness():
         if hi - lo < 1e-3:
             continue
         points = np.sort(rng.uniform(lo, hi, size=int(rng.integers(2, 40))))
-        exact = covering_radius(points[:, None], RegionBox.interval(lo, hi))
+        exact = covering_radius(points, RegionBox(lo, hi))
         grid = np.linspace(lo, hi, 200_001)
         scanned = float(np.abs(grid[:, None] - points[None, :]).min(axis=1).max())
         spacing = (hi - lo) / 200_000
@@ -263,8 +263,8 @@ def test_criterion_8_covering_radius_exactness():
 
 
 def test_criterion_9_geometry_mass_coefficients():
-    wide = GeometryFactor.from_region(RegionBox.interval(0.5, 2.7))
-    narrow = GeometryFactor.from_region(RegionBox.interval(0.1, 1.0))
+    wide = GeometryFactor.from_region(RegionBox(0.5, 2.7))
+    narrow = GeometryFactor.from_region(RegionBox(0.1, 1.0))
     coeff_wide = wide.mass(1e-3) / 1e-3
     coeff_narrow = narrow.mass(1e-3) / 1e-3
     ok = abs(coeff_wide - 0.455) <= 0.005 and abs(coeff_narrow - 1.113) <= 0.005

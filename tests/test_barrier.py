@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,20 +23,20 @@ from physbc.errors import RegionViolationError
 from physbc.models import RegionBox, supply_demand
 from physbc.sampling import SCHEME_IID, Dataset
 
-DOMAIN = RegionBox.interval(0.5, 2.7)
-INITIAL = RegionBox.interval(0.5, 0.6)
-UNSAFE = RegionBox.interval(2.6, 2.7)
+DOMAIN = RegionBox(0.5, 2.7)
+INITIAL = RegionBox(0.5, 0.6)
+UNSAFE = RegionBox(2.6, 2.7)
 
 
 def _toy_dataset(count=6):
     model = supply_demand()
-    xs = np.linspace(0.6, 2.4, count)[:, None]
+    xs = np.linspace(0.6, 2.4, count)
     return Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
 
 
 def quadratic_certificate(q2, q1, q0, initial_level=0.0, unsafe_level=1.0, decay=0.83):
     return BarrierCertificate(
-        template=BarrierTemplate.quadratic(1),
+        template=BarrierTemplate.from_degree(2),
         coefficients=np.array([q2, q1, q0]),
         decay=decay,
         initial_level=initial_level,
@@ -50,35 +48,32 @@ def quadratic_certificate(q2, q1, q0, initial_level=0.0, unsafe_level=1.0, decay
 
 
 def test_degree_two_template_is_quadratic_basis():
-    template = BarrierTemplate.from_degree(2, 1)
-    assert template.exponents == ((2,), (1,), (0,))
-    assert template.size == 3 and template.dimension == 1
-
-
-def test_two_dimensional_template_ordering():
-    template = BarrierTemplate.from_degree(2, 2)
-    assert template.exponents == ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0))
+    template = BarrierTemplate.from_degree(2)
+    assert template.exponents == (2, 1, 0)
+    assert template.size == 3
+    assert BarrierTemplate.from_degree(0).exponents == (0,)
 
 
 def test_template_validation():
     with pytest.raises(ValueError):
         BarrierTemplate(())
     with pytest.raises(ValueError):
-        BarrierTemplate(((1,), (1, 0)))
+        BarrierTemplate((1, 1))
     with pytest.raises(ValueError):
-        BarrierTemplate(((1,), (1,)))
+        BarrierTemplate((-1,))
     with pytest.raises(ValueError):
-        BarrierTemplate(((-1,),))
-    with pytest.raises(ValueError):
-        BarrierTemplate.from_degree(-1, 1)
+        BarrierTemplate.from_degree(-1)
+    with pytest.raises(TypeError):
+        BarrierTemplate(((1, 0), (0, 1)))
 
 
 def test_basis_matrix_values():
-    template = BarrierTemplate.quadratic(1)
-    basis = template.basis_matrix(np.array([[2.0], [0.5]]))
+    template = BarrierTemplate.from_degree(2)
+    basis = template.basis_matrix(np.array([2.0, 0.5]))
     assert basis == pytest.approx(np.array([[4.0, 2.0, 1.0], [0.25, 0.5, 1.0]]))
-    with pytest.raises(ValueError):
-        template.basis_matrix(np.zeros((2, 2)))
+    for states in (np.zeros((2, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"expected \(N,\) states"):
+            template.basis_matrix(states)
 
 
 # 0, -0, +-1 and values whose fourth power stays a normal float, so neither
@@ -89,12 +84,18 @@ _COORD = st.one_of(
 )
 
 
+# every power up to 4, and templates that skip powers
+_TEMPLATE = st.one_of(
+    st.integers(0, 4).map(BarrierTemplate.from_degree),
+    st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True).map(BarrierTemplate),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(degree=st.integers(0, 4), dimension=st.integers(1, 3), draw=st.data())
-def test_basis_matrix_is_repeated_multiplication(degree, dimension, draw):
-    template = BarrierTemplate.from_degree(degree, dimension)
-    states = np.array(draw.draw(st.lists(
-        st.lists(_COORD, min_size=dimension, max_size=dimension), min_size=1, max_size=6)))
+@given(template=_TEMPLATE, draw=st.data())
+def test_basis_matrix_is_repeated_multiplication(template, draw):
+    degree = max(template.exponents)
+    states = np.array(draw.draw(st.lists(_COORD, min_size=1, max_size=6)))
     basis = template.basis_matrix(states)
     assert basis.shape == (len(states), template.size)
     assert basis.tobytes() == basis_matrix_repeated(template, states).tobytes()
@@ -105,14 +106,13 @@ def test_basis_matrix_is_repeated_multiplication(degree, dimension, draw):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=100, deadline=None)
-@given(degree=st.integers(0, 4), dimension=st.integers(1, 3), draw=st.data())
-def test_basis_matrix_constant_monomial_is_one_for_any_state(degree, dimension, draw):
-    template = BarrierTemplate.from_degree(degree, dimension)
+@given(degree=st.integers(0, 4), draw=st.data())
+def test_basis_matrix_constant_monomial_is_one_for_any_state(degree, draw):
+    template = BarrierTemplate.from_degree(degree)
     special = st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -2.5])
-    states = np.array(draw.draw(st.lists(
-        st.lists(special, min_size=dimension, max_size=dimension), min_size=1, max_size=6)))
+    states = np.array(draw.draw(st.lists(special, min_size=1, max_size=6)))
     basis = template.basis_matrix(states)
-    constant = [j for j, row in enumerate(template.exponents) if not any(row)]
+    constant = [j for j, e in enumerate(template.exponents) if not e]
     assert constant == [template.size - 1]
     assert np.all(basis[:, constant] == 1.0)
     assert np.all(basis_matrix_pow(template, states)[:, constant] == 1.0)
@@ -120,8 +120,13 @@ def test_basis_matrix_constant_monomial_is_one_for_any_state(degree, dimension, 
 
 
 def test_template_dict_round_trip():
-    template = BarrierTemplate.from_degree(3, 2)
+    template = BarrierTemplate.from_degree(3)
+    # the JSON form keeps one exponent list per monomial
+    assert template.to_dict() == {"exponents": [[3], [2], [1], [0]]}
     assert BarrierTemplate.from_dict(template.to_dict()).exponents == template.exponents
+    for exponents, axes in (([[1, 0], [0, 1], [0, 0]], 2), ([[2], [1, 0]], 2), ([[1], []], 0)):
+        with pytest.raises(ValueError, match=f"template must be one-dimensional, got {axes} axes"):
+            BarrierTemplate.from_dict({"exponents": exponents})
 
 
 # ------------------------------------------------------------- certificates
@@ -129,14 +134,15 @@ def test_template_dict_round_trip():
 
 def test_certificate_evaluation():
     cert = quadratic_certificate(0.2, 0.8097, -15.5199)
-    assert cert.evaluate(np.array([0.5])) == pytest.approx(-15.06505)
-    batch = cert.evaluate(np.array([[0.5], [1.0]]))
+    assert cert.evaluate(0.5) == pytest.approx(-15.06505)
+    batch = cert.evaluate(np.array([0.5, 1.0]))
     assert batch == pytest.approx([-15.06505, -14.5102])
-    assert isinstance(cert.evaluate(np.array([0.5])), float)
+    assert isinstance(cert.evaluate(np.float64(0.5)), float)
+    assert cert.evaluate(np.array([0.5])).shape == (1,)
 
 
 def test_certificate_validation():
-    template = BarrierTemplate.quadratic(1)
+    template = BarrierTemplate.from_degree(2)
     with pytest.raises(ValueError):
         BarrierCertificate(template, np.array([1.0, 2.0]), 0.83, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -179,8 +185,8 @@ def test_certificate_dict_round_trip():
 
 
 def test_bernstein_rows_of_the_quadratic_on_an_interval():
-    rows = bernstein_rows(BarrierTemplate.quadratic(1), RegionBox.interval(0.5, 0.6))
-    # (x^2, x, 1) on [lo, hi]: the corners lo^2 and hi^2, and lo * hi between them
+    rows = bernstein_rows(BarrierTemplate.from_degree(2), RegionBox(0.5, 0.6))
+    # (x^2, x, 1) on [lo, hi]: the ends lo^2 and hi^2, and lo * hi between them
     assert rows.shape == (3, 3)
     assert rows == pytest.approx(np.array([
         [0.25, 0.5, 1.0],
@@ -190,20 +196,18 @@ def test_bernstein_rows_of_the_quadratic_on_an_interval():
 
 
 def test_bernstein_rows_count_is_the_product_of_axis_degrees_plus_one():
-    # largest exponents 2 and 1 on the two axes: 3 * 2 rows
-    template = BarrierTemplate(((2, 0), (1, 1), (0, 0)))
-    box = RegionBox(np.array([0.0, -1.0]), np.array([1.0, 2.0]))
-    assert bernstein_rows(template, box).shape == (6, 3)
-    assert bernstein_rows(BarrierTemplate.from_degree(3, 2), box).shape == (16, 10)
-    with pytest.raises(ValueError, match="dimensions differ"):
-        bernstein_rows(BarrierTemplate.quadratic(1), box)
+    # the largest exponent d gives d + 1 rows, one column per monomial
+    box = RegionBox(-1.0, 2.0)
+    assert bernstein_rows(BarrierTemplate((2, 0)), box).shape == (3, 2)
+    assert bernstein_rows(BarrierTemplate((1, 3)), box).shape == (4, 2)
+    assert bernstein_rows(BarrierTemplate.from_degree(3), box).shape == (4, 4)
+    assert bernstein_rows(BarrierTemplate((0,)), box).tolist() == [[1.0]]
 
 
-def _box(draw, dimension):
-    """A box with bounds in [-3, 3] and side lengths in [0.01, 3]."""
-    lower = np.array([draw.draw(st.floats(-3.0, 3.0)) for _ in range(dimension)])
-    lengths = np.array([draw.draw(st.floats(0.01, 3.0)) for _ in range(dimension)])
-    return RegionBox(lower, lower + lengths)
+def _box(draw):
+    """An interval with bounds in [-3, 3] and a length in [0.01, 3]."""
+    lower = draw.draw(st.floats(-3.0, 3.0))
+    return RegionBox(lower, lower + draw.draw(st.floats(0.01, 3.0)))
 
 
 def _coefficients(draw, template):
@@ -211,20 +215,14 @@ def _coefficients(draw, template):
                                        max_size=template.size)))
 
 
-def _scan(box, points):
-    """A dense lattice over the box, faces included."""
-    return box.grid([points] * box.dimension)
-
-
 @settings(max_examples=200, deadline=None)
-@given(degree=st.integers(0, 4), dimension=st.integers(1, 2), draw=st.data())
-def test_bernstein_coefficients_enclose_the_barrier_on_the_box(degree, dimension, draw):
-    template = BarrierTemplate.from_degree(degree, dimension)
-    box = _box(draw, dimension)
+@given(template=_TEMPLATE, draw=st.data())
+def test_bernstein_coefficients_enclose_the_barrier_on_the_box(template, draw):
+    box = _box(draw)
     q = _coefficients(draw, template)
     rows = bernstein_rows(template, box)
     coefficients = rows @ q
-    values = template.basis_matrix(_scan(box, 201 if dimension == 1 else 41)) @ q
+    values = template.basis_matrix(np.linspace(box.lower, box.upper, 201)) @ q
     # rounding in the rows and in both products, relative to the terms' magnitude
     rounding = 1e-12 * (1.0 + float((np.abs(rows) @ np.abs(q)).max()))
     assert values.min() >= coefficients.min() - rounding
@@ -232,24 +230,18 @@ def test_bernstein_coefficients_enclose_the_barrier_on_the_box(degree, dimension
 
 
 @settings(max_examples=200, deadline=None)
-@given(degree=st.integers(0, 4), dimension=st.integers(1, 2), draw=st.data())
-def test_bernstein_corner_rows_are_the_basis_at_the_corners(degree, dimension, draw):
-    template = BarrierTemplate.from_degree(degree, dimension)
-    box = _box(draw, dimension)
+@given(template=_TEMPLATE, draw=st.data())
+def test_bernstein_corner_rows_are_the_basis_at_the_corners(template, draw):
+    box = _box(draw)
     rows = bernstein_rows(template, box)
-    # the multi-index (k_1, ..., k_n) with every k_i at 0 or d_i, first axis slowest
-    strides = [(degree + 1) ** (dimension - 1 - i) for i in range(dimension)]
-    for corner in itertools.product((0, 1), repeat=dimension):
-        index = sum(side * degree * stride for side, stride in zip(corner, strides))
-        point = np.where(corner, box.upper, box.lower)
-        assert np.array_equal(rows[index], template.basis_matrix(point[None, :])[0])
+    # the first and last rows, k = 0 and k = d, are the basis at the two ends
+    assert np.array_equal(rows[[0, -1]], template.basis_matrix(np.array([box.lower, box.upper])))
 
 
 @settings(max_examples=200, deadline=None)
-@given(degree=st.integers(0, 4), dimension=st.integers(1, 2), draw=st.data())
-def test_bernstein_rows_match_exact_rational_expansion(degree, dimension, draw):
-    template = BarrierTemplate.from_degree(degree, dimension)
-    box = _box(draw, dimension)
+@given(template=_TEMPLATE, draw=st.data())
+def test_bernstein_rows_match_exact_rational_expansion(template, draw):
+    box = _box(draw)
     rows = bernstein_rows(template, box)
     exact = bernstein_rows_exact(template, box)
     scale = np.abs(exact).max()
@@ -257,11 +249,11 @@ def test_bernstein_rows_match_exact_rational_expansion(degree, dimension, draw):
 
 
 def test_bernstein_rows_of_a_sparse_template_match_exact_rational_expansion():
-    # an axis whose largest exponent is 0, and monomials below each axis degree
-    template = BarrierTemplate(((3, 0, 1), (1, 0, 0), (0, 0, 2), (0, 0, 0)))
-    box = RegionBox(np.array([-1.5, 0.2, 0.7]), np.array([0.25, 0.9, 2.0]))
+    # powers out of order, with the second power missing below the degree
+    template = BarrierTemplate((3, 1, 0, 4))
+    box = RegionBox(-1.5, 0.25)
     rows = bernstein_rows(template, box)
-    assert rows.shape == (4 * 1 * 3, 4)
+    assert rows.shape == (5, 4)
     np.testing.assert_allclose(rows, bernstein_rows_exact(template, box), rtol=1e-13,
                                atol=1e-13)
 
@@ -272,10 +264,10 @@ def test_bernstein_rows_of_a_sparse_template_match_exact_rational_expansion():
 
 def test_assemble_row_structure():
     data = _toy_dataset(4)
-    template = BarrierTemplate.quadratic(1)
+    template = BarrierTemplate.from_degree(2)
     system = assemble(template, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
 
-    # (d + 1)^n = 3 Bernstein rows per region
+    # d + 1 = 3 Bernstein rows per region
     assert system.counts == {"initial": 3, "unsafe": 3, "flow": 4}
     # then 2 bound rows per decision entry and the level-gap row
     assert system.family_sizes == (3, 3, 4, 8, 1)
@@ -290,7 +282,7 @@ def test_assemble_row_structure():
     assert np.array_equal(system.rows[3:6, 1:], -bernstein_rows(template, UNSAFE))
     assert system.rows[3] == pytest.approx([1.0, -(2.6 ** 2), -2.6, -1.0])
     # flow rows:     B(y) - decay B(x) <= slack
-    x, y = data.states[0, 0], data.successors[0, 0]
+    x, y = data.states[0], data.successors[0]
     expected = [0.0, y * y - 0.83 * x * x, y - 0.83 * x, 1.0 - 0.83]
     assert system.rows[6] == pytest.approx(expected)
     assert np.all(system.offsets[3:10] == 0.0)
@@ -298,7 +290,7 @@ def test_assemble_row_structure():
 
 def test_assemble_auxiliary_rows():
     data = _toy_dataset(3)
-    template = BarrierTemplate.quadratic(1)
+    template = BarrierTemplate.from_degree(2)
     system = assemble(template, 0.83, data, INITIAL, UNSAFE, coeff_bound=50.0)
     width = system.decision_size
     assert width == 4
@@ -321,43 +313,42 @@ STACK_CASES = {
 }
 
 
-def _stack_case(case, dimension):
+def _stack_case(case, degree):
     """One assembled system and its ``assemble_vstack`` oracle."""
     options = STACK_CASES[case]
-    rng = np.random.default_rng(dimension)
-    box = RegionBox(np.zeros(dimension), np.full(dimension, 3.0))
-    states = rng.uniform(0.0, 3.0, size=(50, dimension))
+    rng = np.random.default_rng(degree)
+    box = RegionBox(0.0, 3.0)
+    states = rng.uniform(0.0, 3.0, size=50)
     data = Dataset(states, 0.9 * states + 0.1, SCHEME_IID, box, seed=0)
-    template = BarrierTemplate.from_degree(3, dimension)
-    initial = RegionBox(np.zeros(dimension), np.full(dimension, 0.5))
-    unsafe = RegionBox(np.full(dimension, 2.5), np.full(dimension, 3.0))
+    template = BarrierTemplate.from_degree(degree)
+    initial, unsafe = RegionBox(0.0, 0.5), RegionBox(2.5, 3.0)
     system = assemble(template, 0.83, data, initial, unsafe, **options)
     return system, assemble_vstack(template, 0.83, data, initial, unsafe, **options)
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
-def test_assemble_writes_one_stack_equal_to_vstack(case, dimension):
-    system, expected = _stack_case(case, dimension)
+def test_assemble_writes_one_stack_equal_to_vstack(case, degree):
+    system, expected = _stack_case(case, degree)
     rows, offsets, tags, extra_rows, extra_offsets, extra_tags = expected
     assert np.array_equal(system.rows, np.vstack([rows, extra_rows]))
     assert np.array_equal(system.offsets, np.concatenate([offsets, extra_offsets]))
     # a row's family is its position: the per-row tags follow from the sizes
     assert np.array_equal(np.repeat(FAMILIES, system.family_sizes),
                           np.concatenate([tags, extra_tags]))
-    # degree 3 on every axis: 4^n Bernstein rows per region
-    assert system.counts == {"initial": 4 ** dimension, "unsafe": 4 ** dimension, "flow": 50}
+    # degree d: d + 1 Bernstein rows per region
+    assert system.counts == {"initial": degree + 1, "unsafe": degree + 1, "flow": 50}
     # every system ends in 2 * width bound rows and the one gap row
     assert system.family_sizes[3:] == (2 * system.decision_size, 1)
     assert not system.rows.flags.writeable and not system.offsets.flags.writeable
 
 
-@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
-def test_family_counts_match_tag_tally(case, dimension):
-    system, expected = _stack_case(case, dimension)
+def test_family_counts_match_tag_tally(case, degree):
+    system, expected = _stack_case(case, degree)
     tags = np.concatenate([expected[2], expected[5]])
-    rng = np.random.default_rng([dimension, len(tags)])
+    rng = np.random.default_rng([degree, len(tags)])
     draws = [np.empty(0, dtype=int), np.arange(len(tags)), np.array([len(tags) - 1])]
     draws += [rng.integers(0, len(tags), size=k) for k in (1, 5, 17, 200)]
     draws += [np.sort(rng.choice(len(tags), size=k, replace=False)) for k in (3, 9)]
@@ -371,7 +362,7 @@ def test_family_counts_match_tag_tally(case, dimension):
 
 def test_certificate_from_decision():
     data = _toy_dataset(2)
-    template = BarrierTemplate.quadratic(1)
+    template = BarrierTemplate.from_degree(2)
     system = assemble(template, 0.83, data, INITIAL, UNSAFE)
     cert = system.certificate_from_decision(np.array([1.5, 0.2, 0.8, -1.0]))
     assert cert.initial_level == INITIAL_LEVEL
@@ -382,15 +373,15 @@ def test_certificate_from_decision():
 
 def test_assemble_validates_flow_states_against_the_domain():
     data = _toy_dataset(3)
-    template = BarrierTemplate.quadratic(1)
+    template = BarrierTemplate.from_degree(2)
     with pytest.raises(RegionViolationError, match="flow sample row 0"):
-        assemble(template, 0.83, data, INITIAL, UNSAFE, domain=RegionBox.interval(1.0, 2.7))
+        assemble(template, 0.83, data, INITIAL, UNSAFE, domain=RegionBox(1.0, 2.7))
     assemble(template, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
 
 
 def test_assemble_rejects_bad_decay_and_bound():
     data = _toy_dataset(2)
-    template = BarrierTemplate.quadratic(1)
+    template = BarrierTemplate.from_degree(2)
     for decay in (0.0, 1.5):
         with pytest.raises(ValueError):
             assemble(template, decay, data, INITIAL, UNSAFE)
@@ -407,7 +398,7 @@ def test_residuals_separate_the_three_families():
     cert = quadratic_certificate(0.0, 1.0, 0.0, initial_level=0.55, unsafe_level=2.66,
                                  decay=1.0)
     model = supply_demand()
-    xs = np.array([[1.0], [2.0]])
+    xs = np.array([1.0, 2.0])
     data = Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
     report = check_certificate(cert, 1e-9, sample_values(cert, data), INITIAL, UNSAFE)
     # B is monotone, so its extreme Bernstein coefficients are its corner values
@@ -423,24 +414,24 @@ def test_residuals_separate_the_three_families():
 
 def test_region_residuals_hold_between_the_corners():
     # B(x) = -(x - 0.55)^2 peaks inside the initial region, where a check at
-    # the corners alone would miss it
+    # the ends alone would miss it
     cert = quadratic_certificate(-1.0, 1.1, -0.3025, initial_level=-0.001, unsafe_level=0.0)
     data = _toy_dataset(3)
     report = check_certificate(cert, 1e-9, sample_values(cert, data), INITIAL, UNSAFE)
-    scan = np.linspace(0.5, 0.6, 1001)[:, None]
+    scan = np.linspace(0.5, 0.6, 1001)
     true_max = float((cert.evaluate(scan) - cert.initial_level).max())
-    corner_max = float((cert.evaluate(np.array([[0.5], [0.6]])) - cert.initial_level).max())
+    corner_max = float((cert.evaluate(np.array([0.5, 0.6])) - cert.initial_level).max())
     assert corner_max < true_max <= report.initial_max
     # the enclosure overshoots the true peak by at most h^2 / 4 for this parabola
     assert report.initial_max <= true_max + 0.1 ** 2 / 4 + 1e-12
-    scan = np.linspace(2.6, 2.7, 1001)[:, None]
+    scan = np.linspace(2.6, 2.7, 1001)
     assert report.unsafe_max >= float((cert.unsafe_level - cert.evaluate(scan)).max())
 
 
 def test_residual_report_serialises():
     cert = quadratic_certificate(0.0, 1.0, 0.0)
     model = supply_demand()
-    xs = np.array([[1.0], [1.5]])
+    xs = np.array([1.0, 1.5])
     data = Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
     report = check_certificate(cert, 1e-6, sample_values(cert, data), INITIAL, UNSAFE)
     d = report.to_dict()

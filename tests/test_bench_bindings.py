@@ -13,6 +13,7 @@ import physbc.cli
 import physbc.pipeline
 import physbc.solver
 from physbc.config import LipschitzSpec, SamplingSpec, ValidationSpec, preset
+from physbc.sampling import SCHEME_GRID, SCHEME_IID
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 MODULES = (physbc.pipeline, physbc.cli, physbc.solver)
@@ -47,30 +48,38 @@ def test_tracer_installs_and_uninstalls_cleanly():
 
 
 def test_traced_run_records_every_stage():
-    base = preset("supply-demand")
-    config = replace(
-        base,
-        sampling=SamplingSpec(count=4000, seed=2024),
-        lipschitz=LipschitzSpec(pair_budget=20_000, seed=7),
-        validation=ValidationSpec(trajectories=20, horizon=50, seed=99),
-        solver=replace(base.solver, cross_check=True),
-    )
-    tracer = make_tracer()
-    tracer.install_physbc()
-    try:
-        physbc.pipeline.run(config)
-    finally:
-        tracer.uninstall()
-    names = {span["name"] for span in tracer.spans}
-    assert names >= {
-        "pipeline.run", "pipeline.hash", "sampling.generate", "filtering.filter",
-        "barrier.assemble", "solver.solve", "solver.direct", "solver.linprog", "barrier.audit",
-        "lipschitz.estimate", "sampling.covering_radius", "certify.check",
-        "models.validate",
-    }
-    # the assemble span reads ConstraintSystem.counts: 2 * (d + 1)^n = 6 Bernstein
-    # rows for the quadratic on the two supply-demand regions, plus the flow rows
-    assembled = [span["counts"] for span in tracer.spans if span["name"] == "barrier.assemble"]
-    retained = [span["counts"]["retained"] for span in tracer.spans
-                if span["name"] == "filtering.filter"]
-    assert assembled == [{"rows_cover": 6, "rows_flow": retained[0]}]
+    # one run per guarantee mode, so both sampler names the tracer wraps, sample_grid
+    # and sample_iid, are called
+    for mode, scheme in (("deterministic", SCHEME_GRID), ("probabilistic", SCHEME_IID)):
+        base = preset("supply-demand", mode)
+        config = replace(
+            base,
+            sampling=SamplingSpec(count=4000, seed=2024),
+            lipschitz=LipschitzSpec(pair_budget=20_000, seed=7),
+            validation=ValidationSpec(trajectories=20, horizon=50, seed=99),
+            solver=replace(base.solver, cross_check=True),
+        )
+        physbc.pipeline._safety_memo.clear()  # so each run makes its own rollout
+        tracer = make_tracer()
+        tracer.install_physbc()
+        try:
+            dataset = physbc.pipeline.run(config).dataset
+        finally:
+            tracer.uninstall()
+        assert dataset.scheme == scheme
+        names = {span["name"] for span in tracer.spans}
+        assert names >= {
+            "pipeline.run", "pipeline.hash", "sampling.generate", "filtering.filter",
+            "barrier.assemble", "solver.solve", "solver.direct", "solver.linprog",
+            "barrier.audit", "lipschitz.estimate", "certify.check", "models.validate",
+        }
+        # the deterministic certificate reads the covering radius; the
+        # probabilistic one the violation level
+        assert ("sampling.covering_radius" in names) == (mode == "deterministic")
+        # the assemble span reads ConstraintSystem.counts: 2 * (d + 1) = 6 Bernstein
+        # rows for the quadratic on the two supply-demand regions, plus the flow rows
+        assembled = [span["counts"] for span in tracer.spans
+                     if span["name"] == "barrier.assemble"]
+        retained = [span["counts"]["retained"] for span in tracer.spans
+                    if span["name"] == "filtering.filter"]
+        assert assembled == [{"rows_cover": 6, "rows_flow": retained[0]}]

@@ -183,7 +183,8 @@ def test_geometry_radius_error_paths():
 
 def test_geometry_rejects_unsupported_dimension():
     from physbc.models import RegionBox
-    with pytest.raises(ValueError):
+    # a region is an interval: bounds with two axes never make one
+    with pytest.raises(ValueError, match="bound must be a real number"):
         GeometryFactor.from_region(RegionBox(np.zeros(2), np.ones(2)))
     for length in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError, match="length must be positive"):
@@ -192,7 +193,7 @@ def test_geometry_rejects_unsupported_dimension():
 
 def test_geometry_from_region():
     from physbc.models import RegionBox
-    factor = GeometryFactor.from_region(RegionBox.interval(0.5, 2.7))
+    factor = GeometryFactor.from_region(RegionBox(0.5, 2.7))
     assert factor.length == 2.2
 
 

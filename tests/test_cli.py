@@ -22,8 +22,7 @@ from physbc.config import (
     ValidationSpec,
     preset,
 )
-from physbc.models import RegionBox
-from physbc.sampling import SCHEME_IID, Dataset, save_dataset
+from physbc.sampling import SCHEME_IID
 
 
 def small_config_dict():
@@ -156,6 +155,9 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
      "unsafe must be one-dimensional, got 3 axes"),
     ({"system": {"kind": "affine", "linear": [[0.8, 0.0], [0.0, 0.8]], "offset": [0.5, 0.5]}},
      "system must be one-dimensional, got 2 axes"),
+    ({"system": 5}, "system must be a preset name or a mapping, got 5"),
+    ({"system": None}, "system must be a preset name or a mapping, got None"),
+    ({"system": [1]}, "system must be a preset name or a mapping, got [1]"),
 ], ids=["negative-coeff-bound", "zero-trajectories", "zero-horizon",
         "negative-frequency", "negative-amplitude", "fractional-grid-count",
         "fractional-iid-count", "fractional-trajectories", "bool-horizon",
@@ -165,7 +167,8 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
         "fractional-degree", "negative-sampling-seed", "quoted-filter-flag",
         "negative-validation-seed", "unknown-top-level-key", "unknown-section-key", "unknown-region-key", "retired-sampling-scheme",
         "retired-perturbation-phase", "two-dimensional-domain",
-        "two-dimensional-initial", "three-dimensional-unsafe", "two-dimensional-system"])
+        "two-dimensional-initial", "three-dimensional-unsafe", "two-dimensional-system",
+        "number-system", "null-system", "list-system"])
 def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch):
     data = small_config_dict()
     for path, value in edits.items():
@@ -353,6 +356,28 @@ def test_validate_reports_a_negative_seed_override(run_dir, config_path, monkeyp
     assert "error: validation.seed must be non-negative" in result.output
 
 
+@pytest.mark.parametrize("verb", ["validate", "plotdata"])
+def test_a_certificate_whose_template_is_not_one_dimensional_is_refused(verb, run_dir,
+                                                                        config_path, tmp_path):
+    report = json.loads((run_dir / "report.json").read_text())
+    # three monomials over two axes, (x_1, x_2, 1), for the three coefficients
+    report["certificate"]["template"] = {"exponents": [[1, 0], [0, 1], [0, 0]]}
+    (tmp_path / "certificate.json").write_text(json.dumps(report["certificate"]))
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    args = {
+        "validate": ["validate", "--certificate", str(tmp_path / "certificate.json"),
+                     "--config", config_path, "--trajectories", "10", "--horizon", "20"],
+        "plotdata": ["plotdata", "--report", str(tmp_path / "report.json"),
+                     "--out", str(tmp_path / "plots")],
+    }[verb]
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "error: " in result.output
+    assert "template must be one-dimensional, got 2 axes" in result.output
+    assert "verdict" not in result.output and not (tmp_path / "plots").exists()
+
+
 # ------------------------------------------------------------------ plotdata
 
 
@@ -373,7 +398,7 @@ def test_plotdata_series_are_consistent(run_dir, tmp_path):
     assert len(curve) == 64
     xs = np.array([float(r["x"]) for r in curve])
     values = np.array([float(r["value"]) for r in curve])
-    assert values == pytest.approx(certificate.evaluate(xs[:, None]))
+    assert values == pytest.approx(certificate.evaluate(xs))
 
     with open(out / "levels.csv", newline="") as fh:
         levels = {r["name"]: float(r["value"]) for r in csv.DictReader(fh)}
@@ -407,8 +432,9 @@ def samples_csv_oracle(run_dir):
     report = json.loads((run_dir / "report.json").read_text())
     config = RunConfig.from_dict(report["config"])
     dataset = load_dataset_rowwise(str(run_dir / "dataset.csv"))
+    # the Euclidean norm of the one-column difference
     disc = np.linalg.norm(
-        config.physics_model().step_many(dataset.states) - dataset.successors, axis=1)
+        (config.physics_model().step_many(dataset.states) - dataset.successors)[:, None], axis=1)
     if config.filter.enabled:
         kept = disc <= config.filter.threshold
     else:
@@ -416,7 +442,7 @@ def samples_csv_oracle(run_dir):
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow(["x", "y", "discrepancy", "retained"])
-    writer.writerows(zip(dataset.states[:, 0].tolist(), dataset.successors[:, 0].tolist(),
+    writer.writerows(zip(dataset.states.tolist(), dataset.successors.tolist(),
                          disc.tolist(), kept.astype(int).tolist()))
     return out.getvalue().encode("ascii")
 
@@ -444,9 +470,11 @@ def test_plotdata_skips_a_dataset_it_cannot_use(case, run_dir, tmp_path):
         meta = json.loads((run_dir / "dataset.meta.json").read_text())
         (tmp_path / "dataset.meta.json").write_text(json.dumps({**meta, "count": 10**12}))
     else:
-        square = RegionBox(np.zeros(2), np.ones(2))
-        xs = np.array([[0.1, 0.2], [0.8, 0.9]])
-        save_dataset(Dataset(xs, xs, SCHEME_IID, square, seed=0), str(tmp_path / "dataset.csv"))
+        # a two-column dataset as the CSV format can write it: x_1,x_2,y_1,y_2
+        (tmp_path / "dataset.csv").write_text("x_1,x_2,y_1,y_2\n0.1,0.2,0.1,0.2\n0.8,0.9,0.8,0.9\n")
+        (tmp_path / "dataset.meta.json").write_text(json.dumps({
+            "scheme": SCHEME_IID, "seed": 0, "count": 2, "dimension": 2,
+            "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}}))
     out = tmp_path / "plots"
     result = CliRunner().invoke(main, [
         "plotdata", "--report", str(tmp_path / "report.json"), "--out", str(out)])

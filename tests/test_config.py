@@ -26,9 +26,9 @@ def small_config(**kwargs):
     base = dict(
         name="unit",
         system="supply-demand",
-        domain=RegionBox.interval(0.5, 2.7),
-        initial=RegionBox.interval(0.5, 0.6),
-        unsafe=RegionBox.interval(2.6, 2.7),
+        domain=RegionBox(0.5, 2.7),
+        initial=RegionBox(0.5, 0.6),
+        unsafe=RegionBox(2.6, 2.7),
         sampling=SamplingSpec(count=500),
     )
     base.update(kwargs)
@@ -36,7 +36,7 @@ def small_config(**kwargs):
 
 
 def bounds(region):
-    return (region.lower[0], region.upper[0])
+    return (region.lower, region.upper)
 
 
 def test_preset_supply_demand_deterministic():
@@ -98,9 +98,9 @@ def test_from_dict_fills_defaults():
 
 def test_construction_rejects_bad_geometry_and_knobs():
     with pytest.raises(ValueError, match="initial region"):
-        small_config(initial=RegionBox.interval(0.0, 0.6))
+        small_config(initial=RegionBox(0.0, 0.6))
     with pytest.raises(ValueError, match="unsafe region"):
-        small_config(unsafe=RegionBox.interval(2.6, 3.0))
+        small_config(unsafe=RegionBox(2.6, 3.0))
     with pytest.raises(ValueError, match="at least 2"):
         small_config(sampling=SamplingSpec(count=1))
     with pytest.raises(ValueError, match="decay"):
@@ -279,7 +279,8 @@ def test_custom_affine_system():
     )
     model = config.physics_model()
     assert model.quadratic is None and model.perturbation is None
-    assert model.step(np.array([1.0]))[0] == pytest.approx(1.3)
+    assert (model.linear, model.offset) == (0.8, 0.5)
+    assert model.step_many(np.array([1.0]))[0] == pytest.approx(1.3)
 
 
 def test_custom_quadratic_system():
@@ -291,12 +292,25 @@ def test_custom_quadratic_system():
             "linear": [[1.3]],
             "offset": [0.0],
         },
-        domain=RegionBox.interval(0.1, 1.0),
-        initial=RegionBox.interval(0.1, 0.3),
-        unsafe=RegionBox.interval(0.7, 1.0),
+        domain=RegionBox(0.1, 1.0),
+        initial=RegionBox(0.1, 0.3),
+        unsafe=RegionBox(0.7, 1.0),
     )
-    assert config.physics_model().quadratic is not None
-    assert config.physics_model().step(np.array([1.0]))[0] == pytest.approx(0.8)
+    assert config.physics_model().quadratic == -0.5
+    assert config.physics_model().step_many(np.array([1.0]))[0] == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ({"offset": [0.5, 0.5]}, "system must be one-dimensional, got 2 axes"),
+    ({"offset": 0.5}, r"system offset must have shape \(1,\), got \(\)"),
+    ({"linear": [[1.3], [0.1]]}, r"system linear must have shape \(1, 1\), got \(2, 1\)"),
+    ({"quadratic": [[-0.5]]}, r"system quadratic must have shape \(1, 1, 1\), got \(1, 1\)"),
+], ids=["two-offsets", "bare-offset", "tall-linear", "flat-quadratic"])
+def test_custom_system_terms_keep_one_axis_per_index(terms, message):
+    system = {"kind": KIND_QUADRATIC, "quadratic": [[[-0.5]]], "linear": [[1.3]],
+              "offset": [0.0], **terms}
+    with pytest.raises(ValueError, match=message):
+        small_config(system=system)
 
 
 def test_unknown_system_rejected():
@@ -318,7 +332,7 @@ def test_true_model_wraps_physics():
     truth = config.true_model()
     assert truth.perturbation is not None
     x = np.array([1.234])
-    deviation = truth.step(x) - config.physics_model().step(x)
+    deviation = truth.step_many(x) - config.physics_model().step_many(x)
     amplitude = config.perturbation_amplitude()
     assert abs(deviation[0]) <= amplitude + 1e-12
     # zero amplitude means the truth is the physics itself

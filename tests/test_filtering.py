@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from physbc.errors import ModelMismatchError
-from physbc.filtering import apply_filter, discrepancy_profile
+from physbc.filtering import apply_filter, discrepancies, discrepancy_profile
 from physbc.models import RegionBox, supply_demand
 from physbc.sampling import SCHEME_IID, Dataset
 
-DOMAIN = RegionBox.interval(0.5, 2.7)
+DOMAIN = RegionBox(0.5, 2.7)
 
 
 def _dataset_with_deviations(deviations):
     """Pairs whose recorded successors deviate from physics by given amounts."""
     model = supply_demand()
-    xs = np.linspace(0.6, 2.6, len(deviations))[:, None]
-    ys = model.step_many(xs) + np.asarray(deviations)[:, None]
+    xs = np.linspace(0.6, 2.6, len(deviations))
+    ys = model.step_many(xs) + np.asarray(deviations)
     return Dataset(xs, ys, SCHEME_IID, DOMAIN, seed=0)
 
 
@@ -68,14 +67,6 @@ def test_filter_threshold_must_be_positive():
         apply_filter(data, supply_demand(), -0.1)
 
 
-def test_filter_dimension_mismatch():
-    square = RegionBox(np.zeros(2), np.ones(2))
-    xs = np.array([[0.1, 0.1]])
-    data = Dataset(xs, xs, SCHEME_IID, square, seed=0)
-    with pytest.raises(ModelMismatchError):
-        apply_filter(data, supply_demand(), 0.005)
-
-
 def test_profile_locates_longest_discarded_run():
     data = _dataset_with_deviations([0.0, 0.02, 0.02, 0.0, 0.02, 0.0])
     profile = discrepancy_profile(data, supply_demand(), 0.005)
@@ -111,8 +102,18 @@ def test_sinusoidal_deviation_splits_in_half():
     """Amplitude sqrt(2) x threshold keeps half of an integer-cycle sweep."""
     threshold = 0.005
     model = supply_demand()
-    xs = np.linspace(0.5, 2.7, 40_001)[:, None]
+    xs = np.linspace(0.5, 2.7, 40_001)
     dev = threshold * np.sqrt(2.0) * np.sin(2 * np.pi * 1250.0 * xs)
     data = Dataset(xs, model.step_many(xs) + dev, SCHEME_IID, DOMAIN, seed=0)
     out = apply_filter(data, model, threshold)
     assert out.retained_count / data.count == pytest.approx(0.5, abs=0.01)
+
+
+def test_discrepancy_is_the_one_column_euclidean_norm():
+    # |d| is the Euclidean norm of the one-column difference, bit for bit
+    model = supply_demand()
+    xs = np.linspace(0.5, 2.7, 20_001)
+    dev = np.sin(2 * np.pi * 1250.0 * xs) * np.logspace(-150, 4, xs.size)
+    data = Dataset(xs, model.step_many(xs) + dev, SCHEME_IID, DOMAIN, seed=0)
+    norm = np.linalg.norm((model.step_many(xs) - data.successors)[:, None], axis=1)
+    assert discrepancies(data, model).tobytes() == norm.tobytes()

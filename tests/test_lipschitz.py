@@ -26,13 +26,13 @@ from physbc.lipschitz import (
 from physbc.models import RegionBox, supply_demand
 from physbc.sampling import SCHEME_GRID, Dataset, sample_grid, sample_iid
 
-DOMAIN = RegionBox.interval(0.5, 2.7)
+DOMAIN = RegionBox(0.5, 2.7)
 
 
 def linear_barrier(slope, decay=0.83):
     """B(x) = slope * x over the affine template (x, 1)."""
     return BarrierCertificate(
-        template=BarrierTemplate.from_degree(1, 1),
+        template=BarrierTemplate.from_degree(1),
         coefficients=np.array([slope, 0.0]),
         decay=decay,
         initial_level=0.0,
@@ -62,13 +62,11 @@ def test_multiplier_scales_the_estimate():
 
 
 def test_quadratic_flow_estimate_brackets_true_constant():
-    template = BarrierTemplate.quadratic(1)
+    template = BarrierTemplate.from_degree(2)
     cert = BarrierCertificate(template, np.array([1.0, 0.0, 0.0]), 0.83, 0.0, 1.0)
-    box = RegionBox.interval(0.0, 1.0)
+    box = RegionBox(0.0, 1.0)
 
     class Identity:
-        dimension = 1
-
         @staticmethod
         def step_many(x):
             return x.copy()
@@ -83,7 +81,7 @@ def test_quadratic_flow_estimate_brackets_true_constant():
 
 def test_pairwise_is_deterministic_per_seed():
     data = sample_iid(supply_demand(), DOMAIN, 500, seed=11)
-    flow = sample_values(_quadratic_certificate(1), data)
+    flow = sample_values(_quadratic_certificate(), data)
     config = LipschitzSpec(pair_budget=5_000, seed=9)
     a = estimate_pairwise(flow, data, config)
     b = estimate_pairwise(flow, data, config)
@@ -95,7 +93,7 @@ def test_pairwise_is_deterministic_per_seed():
 
 def test_extreme_value_never_undercuts_observed_max():
     data = sample_grid(supply_demand(), DOMAIN, 400)
-    template = BarrierTemplate.quadratic(1)
+    template = BarrierTemplate.from_degree(2)
     cert = BarrierCertificate(template, np.array([2.0, -1.0, 0.5]), 0.83, 0.0, 1.0)
     config = LipschitzSpec(pair_budget=50_000, seed=4, batches=40)
     flow = sample_values(cert, data)
@@ -126,30 +124,28 @@ def test_extreme_value_needs_enough_observations():
 
 def test_degenerate_datasets_are_rejected():
     cert = linear_barrier(1.0)
-    one = Dataset(np.array([[1.0]]), np.array([[1.3]]), SCHEME_GRID, DOMAIN)
+    one = Dataset(np.array([1.0]), np.array([1.3]), SCHEME_GRID, DOMAIN)
     with pytest.raises(DegenerateDataError):
         estimate_pairwise(sample_values(cert, one), one, LipschitzSpec(pair_budget=100, seed=0))
-    same = Dataset(np.full((5, 1), 1.0), np.full((5, 1), 1.3), SCHEME_GRID, DOMAIN)
+    same = Dataset(np.full(5, 1.0), np.full(5, 1.3), SCHEME_GRID, DOMAIN)
     with pytest.raises(DegenerateDataError):
         estimate_pairwise(sample_values(cert, same), same, LipschitzSpec(pair_budget=100, seed=0))
 
 
 def test_dimension_mismatch_is_rejected():
-    square = RegionBox(np.zeros(2), np.ones(2))
-    xs = np.array([[0.1, 0.2], [0.8, 0.9]])
-    data = Dataset(xs, xs, SCHEME_GRID, square)
-    with pytest.raises(ModelMismatchError):
-        sample_values(linear_barrier(1.0), data)
-    # a slope over sampled pairs only bounds an n-D constant from below
-    flow = sample_values(_quadratic_certificate(2), data)
-    for estimator in (estimate_pairwise, estimate_extreme_value):
-        with pytest.raises(ModelMismatchError, match="one-dimensional"):
-            estimator(flow, data, LipschitzSpec(pair_budget=100, seed=0, batches=2))
+    # a slope over sampled pairs would only bound an n-D constant from below, so
+    # no dataset holds more than one state column
+    xs = np.array([[0.6, 0.7], [0.8, 0.9]])
+    with pytest.raises(ValueError, match=r"\(N,\) arrays"):
+        Dataset(xs, xs, SCHEME_GRID, DOMAIN)
+    # flow values of another dataset
     line = sample_grid(supply_demand(), DOMAIN, 4)
-    longer = Dataset(np.vstack([line.states] * 2), np.vstack([line.successors] * 2),
+    longer = Dataset(np.concatenate([line.states] * 2), np.concatenate([line.successors] * 2),
                      SCHEME_GRID, DOMAIN)
-    with pytest.raises(ModelMismatchError, match="sizes differ"):
-        estimate_pairwise(sample_values(linear_barrier(1.0), line), longer, LipschitzSpec())
+    flow = sample_values(linear_barrier(1.0), line)
+    for estimator in (estimate_pairwise, estimate_extreme_value):
+        with pytest.raises(ModelMismatchError, match="sizes differ"):
+            estimator(flow, longer, LipschitzSpec(pair_budget=100, seed=0, batches=2))
 
 
 def test_config_validation():
@@ -187,8 +183,8 @@ def _duplicated_data():
     return _repeated(_line_data())
 
 
-def _quadratic_certificate(dimension):
-    template = BarrierTemplate.quadratic(dimension)
+def _quadratic_certificate():
+    template = BarrierTemplate.from_degree(2)
     coefficients = np.linspace(-1.5, 2.0, template.size)
     return BarrierCertificate(template, coefficients, 0.83, 0.0, 1.0)
 
@@ -204,7 +200,7 @@ RANDOM_PAIR_CASES = [
 @pytest.mark.parametrize("estimator, oracle, make_data", RANDOM_PAIR_CASES)
 def test_streamed_slopes_match_whole_array_oracle(budget, estimator, oracle, make_data):
     data = make_data()
-    cert = _quadratic_certificate(data.dimension)
+    cert = _quadratic_certificate()
     for seed in (0, 1):
         config = LipschitzSpec(pair_budget=budget, seed=seed, batches=20)
         streamed = _outcome(estimator, cert, data, config)
@@ -218,7 +214,7 @@ def test_streamed_slopes_match_whole_array_oracle(budget, estimator, oracle, mak
 ])
 def test_streamed_slopes_match_oracle_with_duplicates(estimator, oracle, make_data):
     data = make_data()
-    cert = _quadratic_certificate(data.dimension)
+    cert = _quadratic_certificate()
     config = LipschitzSpec(pair_budget=_CHUNK + 777, seed=3)
     streamed = _outcome(estimator, cert, data, config)
     assert isinstance(streamed, tuple)
@@ -228,7 +224,7 @@ def test_streamed_slopes_match_oracle_with_duplicates(estimator, oracle, make_da
 def test_duplicate_states_drop_zero_gap_pairs():
     data = _duplicated_data()
     config = LipschitzSpec(pair_budget=10_000, seed=2, batches=2)
-    estimate = estimate_extreme_value(sample_values(_quadratic_certificate(1), data), data, config)
+    estimate = estimate_extreme_value(sample_values(_quadratic_certificate(), data), data, config)
     # 40 distinct states, each 4 times: about 1 in 40 pairs has a zero gap;
     # two batches use every kept pair but at most one
     assert 9_600 < estimate.samples_used < 9_850
@@ -236,7 +232,7 @@ def test_duplicate_states_drop_zero_gap_pairs():
 
 @pytest.mark.parametrize("estimator", [estimate_pairwise, estimate_extreme_value])
 def test_all_coincident_pairs_raise(estimator):
-    same = Dataset(np.full((5, 1), 1.0), np.full((5, 1), 1.3), SCHEME_GRID, DOMAIN)
+    same = Dataset(np.full(5, 1.0), np.full(5, 1.3), SCHEME_GRID, DOMAIN)
     config = LipschitzSpec(pair_budget=_CHUNK + 5, seed=0, batches=2)
     with pytest.raises(DegenerateDataError, match="coincide"):
         estimator(sample_values(linear_barrier(1.0), same), same, config)
@@ -244,7 +240,7 @@ def test_all_coincident_pairs_raise(estimator):
 
 # two-decimal coordinates on a short interval, so that states coincide often
 _COORDINATE = st.integers(-40, 40).map(lambda k: k / 20)
-_LINE = RegionBox.interval(-2.0, 2.0)
+_LINE = RegionBox(-2.0, 2.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -256,10 +252,10 @@ def test_1d_pairwise_is_the_exact_all_pairs_maximum(pairs, ascending):
     if ascending:
         pairs = sorted(pairs)  # the order a grid sample comes in
     states, successors = np.array(pairs).T
-    data = Dataset(states[:, None], successors[:, None], SCHEME_GRID, _LINE)
+    data = Dataset(states, successors, SCHEME_GRID, _LINE)
     # strictly quadratic, so no three barrier values are collinear and the
     # comparison with the brute-force maximum is free of one-ulp rounding ties
-    cert = _quadratic_certificate(1)
+    cert = _quadratic_certificate()
     config = LipschitzSpec(multiplier=1.0)
     if np.unique(states).size == 1:
         with pytest.raises(DegenerateDataError, match="coincide"):
@@ -277,5 +273,5 @@ def test_1d_pairwise_is_the_exact_all_pairs_maximum(pairs, ascending):
 ], ids=["iid", "grid", "duplicates"])
 def test_neighbour_maxima_equal_the_grouped_form(make_data):
     data = make_data()
-    flow = sample_values(_quadratic_certificate(1), data)
+    flow = sample_values(_quadratic_certificate(), data)
     assert _neighbour_maxima(flow, data) == neighbour_maxima_grouped(flow, data)

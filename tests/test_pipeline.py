@@ -250,9 +250,9 @@ def test_the_guarantee_mode_picks_the_sampler(mode, scheme):
     # the default sampling section in both modes: the scenario bound needs i.i.d. draws
     config = RunConfig(
         system="supply-demand",
-        domain=RegionBox.interval(0.5, 2.7),
-        initial=RegionBox.interval(0.5, 0.6),
-        unsafe=RegionBox.interval(2.6, 2.7),
+        domain=RegionBox(0.5, 2.7),
+        initial=RegionBox(0.5, 0.6),
+        unsafe=RegionBox(2.6, 2.7),
         guarantee=GuaranteeSpec(mode=mode),
         lipschitz=LipschitzSpec(pair_budget=20_000, seed=7),
         validation=ValidationSpec(trajectories=20, horizon=30, seed=99),
@@ -319,9 +319,9 @@ def test_unsafe_system_yields_fail_verdict():
     config = RunConfig(
         name="doomed",
         system="logistic-growth",
-        domain=RegionBox.interval(0.1, 1.0),
-        initial=RegionBox.interval(0.1, 0.3),
-        unsafe=RegionBox.interval(0.35, 0.65),
+        domain=RegionBox(0.1, 1.0),
+        initial=RegionBox(0.1, 0.3),
+        unsafe=RegionBox(0.35, 0.65),
         sampling=SamplingSpec(count=3000),
         validation=ValidationSpec(trajectories=50, horizon=100, seed=5),
         lipschitz=LipschitzSpec(pair_budget=50_000),
@@ -429,8 +429,8 @@ ROLLOUT_CHANGES = {
     "trajectories": _validation(trajectories=21),
     "horizon": _validation(horizon=31),
     "seed": _validation(seed=100),
-    "initial": lambda c: replace(c, initial=RegionBox.interval(0.5, 0.61)),
-    "unsafe": lambda c: replace(c, unsafe=RegionBox.interval(2.59, 2.7)),
+    "initial": lambda c: replace(c, initial=RegionBox(0.5, 0.61)),
+    "unsafe": lambda c: replace(c, unsafe=RegionBox(2.59, 2.7)),
     "derived-amplitude": lambda c: replace(c, filter=replace(c.filter, threshold=0.006)),
     "amplitude": _perturbation(amplitude=0.003),
     "frequency": _perturbation(frequency=1000.0),

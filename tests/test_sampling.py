@@ -13,7 +13,7 @@ from physbc.errors import (
     RegionViolationError,
 )
 from oracles import load_dataset_rowwise, save_dataset_rowwise
-from physbc.models import RegionBox, SystemModel, supply_demand
+from physbc.models import RegionBox, supply_demand
 from physbc.sampling import (
     DEFAULT_MAX_SAMPLES,
     SCHEME_GRID,
@@ -26,14 +26,15 @@ from physbc.sampling import (
     save_dataset,
 )
 
-DOMAIN = RegionBox.interval(0.5, 2.7)
+DOMAIN = RegionBox(0.5, 2.7)
 
 
 def test_grid_is_sorted_and_hits_faces():
     data = sample_grid(supply_demand(), DOMAIN, 11)
     assert data.count == 11
     assert data.scheme == SCHEME_GRID
-    xs = data.states[:, 0]
+    xs = data.states
+    assert xs.shape == data.successors.shape == (11,)
     assert xs[0] == 0.5 and xs[-1] == 2.7
     assert np.all(np.diff(xs) > 0)
     assert data.successors == pytest.approx(0.8 * data.states + 0.5)
@@ -42,9 +43,6 @@ def test_grid_is_sorted_and_hits_faces():
 def test_grid_rejects_degenerate_axes_and_overflow():
     with pytest.raises(ValueError):
         sample_grid(supply_demand(), DOMAIN, 1)
-    planar = SystemModel.affine(np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError, match="one-dimensional"):
-        sample_grid(planar, RegionBox(np.zeros(2), np.ones(2)), 4)
     with pytest.raises(CapacityError):
         # refused before the states are allocated
         sample_grid(supply_demand(), DOMAIN, DEFAULT_MAX_SAMPLES + 1)
@@ -57,7 +55,11 @@ def test_iid_reproducible_by_seed():
     assert np.array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
     assert a.scheme == SCHEME_IID and a.seed == 3
+    assert a.states.shape == (500,)
     assert np.all(DOMAIN.contains(a.states))
+    # the draw is numpy's uniform stream over the interval, one value per state
+    expected = np.random.default_rng(3).uniform(0.5, 2.7, size=500)
+    assert a.states.tobytes() == expected.tobytes()
 
 
 def test_iid_count_validation():
@@ -68,13 +70,15 @@ def test_iid_count_validation():
 
 
 def test_dataset_shape_and_domain_validation():
-    xs = np.array([[0.6], [0.7]])
+    xs = np.array([0.6, 0.7])
     with pytest.raises(ValueError):
-        Dataset(xs, np.zeros((3, 1)), SCHEME_GRID, DOMAIN)
+        Dataset(xs, np.zeros(3), SCHEME_GRID, DOMAIN)
+    with pytest.raises(ValueError, match=r"\(N,\) arrays"):
+        Dataset(xs[:, None], xs[:, None], SCHEME_GRID, DOMAIN)
     with pytest.raises(ValueError):
         Dataset(xs, xs, "mystery", DOMAIN)
     with pytest.raises(RegionViolationError):
-        Dataset(np.array([[0.4]]), np.array([[0.9]]), SCHEME_GRID, DOMAIN)
+        Dataset(np.array([0.4]), np.array([0.9]), SCHEME_GRID, DOMAIN)
 
 
 def test_dataset_take_preserves_order_and_metadata():
@@ -85,32 +89,32 @@ def test_dataset_take_preserves_order_and_metadata():
     assert sub.count == 3
     assert np.array_equal(sub.states, data.states[[1, 4, 7]])
     assert (sub.scheme, sub.domain, sub.seed) == (data.scheme, data.domain, data.seed)
-    assert np.array_equal(sub.states[0], data.states[1])
-    assert np.array_equal(sub.successors[0], data.successors[1])
+    assert sub.states[0] == data.states[1]
+    assert sub.successors[0] == data.successors[1]
 
 
 def test_covering_radius_three_point_example():
-    box = RegionBox.interval(0.0, 1.0)
+    box = RegionBox(0.0, 1.0)
     assert covering_radius(np.array([0.0, 0.5, 1.0]), box) == pytest.approx(0.25)
 
 
 def test_covering_radius_boundary_gaps_dominate():
-    box = RegionBox.interval(0.0, 1.0)
+    box = RegionBox(0.0, 1.0)
     # lone interior point: the far boundary is the worst spot
-    assert covering_radius(np.array([[0.3]]), box) == pytest.approx(0.7)
+    assert covering_radius(np.array([0.3]), box) == pytest.approx(0.7)
     # half the widest interior gap can also dominate
     assert covering_radius(np.array([0.0, 0.1, 0.9, 1.0]), box) == pytest.approx(0.4)
 
 
 def test_covering_radius_accepts_unsorted_input():
-    box = RegionBox.interval(0.0, 1.0)
+    box = RegionBox(0.0, 1.0)
     states = np.array([0.9, 0.1, 0.5])
     assert covering_radius(states, box) == covering_radius(np.sort(states), box)
 
 
 def test_covering_radius_exact_against_dense_scan():
     rng = np.random.default_rng(11)
-    box = RegionBox.interval(0.5, 2.7)
+    box = RegionBox(0.5, 2.7)
     states = rng.uniform(0.5, 2.7, size=40)
     exact = covering_radius(states, box)
     probes = np.linspace(0.5, 2.7, 200_001)
@@ -120,14 +124,14 @@ def test_covering_radius_exact_against_dense_scan():
 
 
 def test_covering_radius_error_paths():
-    box = RegionBox.interval(0.0, 1.0)
+    box = RegionBox(0.0, 1.0)
     with pytest.raises(NoCoverError):
-        covering_radius(np.empty((0, 1)), box)
+        covering_radius(np.empty(0), box)
     with pytest.raises(RegionViolationError):
         covering_radius(np.array([1.5]), box)
-    square = RegionBox(np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError, match="one-dimensional"):
-        covering_radius(np.array([[0.5, 0.5]]), square)
+    for states in (np.array([[0.5, 0.5]]), np.array([[0.5]])):
+        with pytest.raises(ValueError, match=r"expected \(N,\) states"):
+            covering_radius(states, box)
 
 
 def test_save_load_round_trip_is_bitwise(tmp_path):
@@ -141,13 +145,15 @@ def test_save_load_round_trip_is_bitwise(tmp_path):
     assert back.seed == data.seed
     meta = json.loads((tmp_path / "pairs.meta.json").read_text())
     assert set(meta) == {"scheme", "seed", "domain", "count", "dimension"}
+    assert meta["dimension"] == 1 and meta["domain"] == {"lower": [0.5], "upper": [2.7]}
+    assert (tmp_path / "pairs.csv").read_text().startswith("x_1,y_1\n")
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(0.5, 2.7), min_size=1, max_size=8))
 def test_save_load_survives_arbitrary_floats(tmp_path_factory, values):
     tmp = tmp_path_factory.mktemp("roundtrip")
-    xs = np.array(values)[:, None]
+    xs = np.array(values)
     data = Dataset(xs, np.sin(xs) * 1e-7 + xs, SCHEME_IID, DOMAIN, seed=0)
     path = str(tmp / "d.csv")
     save_dataset(data, path)
@@ -225,20 +231,13 @@ def test_save_matches_rowwise_oracle_around_chunk_edge(tmp_path, count):
     _same_save_bytes(sample_iid(supply_demand(), DOMAIN, count, seed=count), tmp_path)
 
 
-def test_save_matches_rowwise_oracle_in_2d(tmp_path):
-    square = RegionBox(np.array([-1.0, 0.0]), np.array([1.0, 3.0]))
-    rng = np.random.default_rng(5)
-    xs = rng.uniform(square.lower, square.upper, size=(1000, 2))
-    _same_save_bytes(Dataset(xs, np.sin(xs) * 1e-3 + xs, SCHEME_IID, square, seed=5), tmp_path)
-
-
 def test_save_matches_rowwise_oracle_on_edge_values(tmp_path):
-    box = RegionBox.interval(-1.0, 1.0)
+    box = RegionBox(-1.0, 1.0)
     states = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
               0.1 + 0.2, np.nextafter(1.0, 0.0), -1.0, 1.0, 2 / 3]
     successors = [1e308, -1e308, 5e-324, -0.0, 1.7976931348623157e308, 1e16, 123456789012345678.0,
                   9007199254740993.0, 1e-5, np.inf, -np.inf, np.nan]
-    data = Dataset(np.array(states)[:, None], np.array(successors)[:, None], SCHEME_GRID, box)
+    data = Dataset(np.array(states), np.array(successors), SCHEME_GRID, box)
     _same_save_bytes(data, tmp_path)
     back = load_dataset(str(tmp_path / "fast.csv"))
     assert back.states.tobytes() == data.states.tobytes()
@@ -317,7 +316,7 @@ def test_load_matches_rowwise_oracle(tmp_path, case, crlf):
     if case in ("clean", "blank-lines"):
         assert fast[0] == data.states.tobytes()
     if case in ("whitespace-only-line", "underscores") or case.startswith("separator-at-line-end"):
-        assert fast[2] == (8, 1)  # only the line loop accepts these
+        assert fast[2] == (8,)  # only the line loop accepts these
     if case in ("trailing-comma", "extra-row", "missing-row", "three-columns",
                 "not-a-number") or case.startswith("separator-beside-comma"):
         assert fast[0] is DatasetParseError
@@ -360,11 +359,13 @@ def test_load_matches_rowwise_oracle_on_raw_bodies(tmp_path, body):
     {"seed": True},
     {"seed": -4},
     {"seed": [1]},
+    {"dimension": 2, "domain": {"lower": [0.5, 0.5], "upper": [2.7, 2.7]}},
 ], ids=["negative-count", "huge-count", "infinite-count", "negative-dimension",
         "zero-dimension", "unknown-scheme", "two-dimensional-domain",
         "fractional-count", "float-count", "boolean-count", "string-count",
         "fractional-dimension", "float-dimension", "boolean-dimension", "string-dimension",
-        "string-seed", "fractional-seed", "boolean-seed", "negative-seed", "list-seed"])
+        "string-seed", "fractional-seed", "boolean-seed", "negative-seed", "list-seed",
+        "two-dimensional"])
 def test_load_rejects_a_bad_sidecar_before_allocating(tmp_path, monkeypatch, edit):
     data = sample_iid(supply_demand(), DOMAIN, 2, seed=1)
     path = tmp_path / "d.csv"
