@@ -55,12 +55,13 @@ import itertools
 import operator
 from dataclasses import asdict, dataclass
 from math import comb
+from numbers import Integral, Real
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import RegionViolationError
-from .models import RegionBox
+from .models import RegionBox, real_array
 from .sampling import Dataset
 
 # row families, in stack order: the two region families and the flow samples,
@@ -71,6 +72,26 @@ DEFAULT_COEFF_BOUND = 100.0
 INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
 
 
+def _powers(x: np.ndarray, top: int, out: Optional[dict] = None):
+    """Yield ``(e, x ** e)`` for ``e = 1 .. top``, each power the previous one times ``x``.
+
+    ``x ** e`` for ``e >= 2`` is written into ``out[e]`` when ``out`` has that
+    key, otherwise into one buffer that the next power overwrites; ``x ** 1``
+    is ``x`` itself.
+    """
+    out = out or {}
+    power, spare = x, None
+    for e in range(1, top + 1):
+        if e > 1:
+            target = out.get(e)
+            if target is None:
+                if spare is None:
+                    spare = np.empty(x.shape)
+                target = spare
+            power = np.multiply(power, x, out=target)
+        yield e, power
+
+
 @dataclass(frozen=True, eq=False)
 class BarrierTemplate:
     """Monomial basis ``x^e``, given as one integer power ``e`` per basis function."""
@@ -78,7 +99,12 @@ class BarrierTemplate:
     exponents: Tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(self.exponents)
+        for e in exps:
+            # numpy's integers count; 2.7, 2.0, "2" and true are refused, not truncated or cast
+            if isinstance(e, bool) or not isinstance(e, Integral):
+                raise TypeError(f"template exponents must be integers, got {e!r}")
+        exps = tuple(int(e) for e in exps)
         if not exps:
             raise ValueError("template needs at least one monomial")
         if any(e < 0 for e in exps):
@@ -101,19 +127,21 @@ class BarrierTemplate:
     def basis_matrix(self, states: np.ndarray) -> np.ndarray:
         """Evaluate all monomials at a batch of states: ``(N,) -> (N, z)``.
 
-        The powers ``x, x*x, ...`` are built by repeated multiplication.
-        Exponent 0 is exactly 1.0, as ``x**0`` is, also for inf and nan states.
+        The powers ``x, x*x, ...`` are built by repeated multiplication, each
+        written straight into its column; a power the template skips goes to
+        one scratch array.  Exponent 0 is exactly 1.0, as ``x**0`` is, also for
+        inf and nan states.
         """
         x = np.asarray(states, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"expected (N,) states, got {x.shape}")
-        x = np.ascontiguousarray(x)
-        powers = [x]  # powers[e - 1] is x ** e
-        for _ in range(1, max(self.exponents)):
-            powers.append(powers[-1] * x)
         out = np.empty((x.size, self.size))
-        for j, e in enumerate(self.exponents):
-            out[:, j] = powers[e - 1] if e else 1.0
+        column = {e: out[:, j] for j, e in enumerate(self.exponents)}
+        if 0 in column:
+            column[0][...] = 1.0
+        for e, power in _powers(x, max(self.exponents), column):
+            if e == 1 and 1 in column:
+                column[1][...] = power
         return out
 
     def to_dict(self) -> dict:
@@ -181,12 +209,18 @@ class BarrierCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BarrierCertificate":
+        """Inverse of :meth:`to_dict`; every number must be a JSON number, not a
+        string or a boolean, and the exponents JSON integers."""
+        levels = {}
+        for key in ("decay", "initial_level", "unsafe_level"):
+            value = data[key]
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"certificate {key} must be a real number, got {value!r}")
+            levels[key] = float(value)
         return cls(
             template=BarrierTemplate.from_dict(data["template"]),
-            coefficients=np.asarray(data["coefficients"], dtype=float),
-            decay=float(data["decay"]),
-            initial_level=float(data["initial_level"]),
-            unsafe_level=float(data["unsafe_level"]),
+            coefficients=real_array(data["coefficients"], "certificate coefficients"),
+            **levels,
         )
 
 
@@ -313,9 +347,17 @@ def assemble(
     np.negative(unsafe_rows, out=rows[unsafe, 1:])
 
     if data.count:
-        discounted = template.basis_matrix(data.states)
-        discounted *= decay
-        np.subtract(template.basis_matrix(data.successors), discounted, out=rows[flow, 1:])
+        # column 1 + j is y^e - decay * x^e for e = exponents[j], the basis
+        # matrices' arithmetic written straight into the stack
+        column = {e: rows[flow, 1 + j] for j, e in enumerate(template.exponents)}
+        if 0 in column:
+            column[0][...] = 1.0 - 1.0 * decay
+        scratch = np.empty(data.count)
+        top = max(template.exponents)
+        for (e, px), (_, py) in zip(_powers(data.states, top), _powers(data.successors, top)):
+            if e in column:
+                np.multiply(px, decay, out=scratch)
+                np.subtract(py, scratch, out=column[e])
 
     # each decision entry gets a +e_j and a -e_j row, then the gap row closes the stack
     bounds = rows[samples:-1]

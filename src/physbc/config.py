@@ -37,6 +37,7 @@ from .models import (
     PerturbationField,
     RegionBox,
     SystemModel,
+    real_array,
 )
 
 MODE_DETERMINISTIC = "deterministic"
@@ -218,7 +219,7 @@ class RunConfig:
         for key, shape in (("offset", (1,)), ("linear", (1, 1)), ("quadratic", (1, 1, 1))):
             if key == "quadratic" and kind == KIND_AFFINE:
                 continue
-            value = np.asarray(spec[key], dtype=float)
+            value = real_array(spec[key], f"system {key}")
             if value.shape != shape:
                 raise ValueError(f"system {key} must have shape {shape}, got {value.shape}")
             terms[key] = value.item()

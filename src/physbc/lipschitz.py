@@ -82,34 +82,38 @@ def _require_pairs(flow: np.ndarray, dataset: Dataset) -> None:
 def _neighbour_maxima(flow: np.ndarray, dataset: Dataset):
     """Exact largest flow slope over all pairs of a dataset.
 
-    Sorts the states once and groups equal coordinates; between adjacent
-    groups the steepest slope pairs one group's highest value with the other's
-    lowest; when no two states coincide each group is one state and the
-    grouping reductions are skipped.  Where three values are collinear a wider
-    secant can round one ulp above the neighbour slopes, which the
-    multiplier's headroom dwarfs.
+    Sorts the states once, unless one comparison shows they are already in
+    order (grid samples and their filtered subsets are), and groups equal
+    coordinates; between adjacent groups the steepest slope pairs one group's
+    highest value with the other's lowest; when no two states coincide each
+    group is one state and the grouping reductions are skipped.  Where three
+    values are collinear a wider secant can round one ulp above the neighbour
+    slopes, which the multiplier's headroom dwarfs.
     Returns ``(flow slope, adjacent group pairs)``.
     """
     _require_pairs(flow, dataset)
-    coords = dataset.states
-    order = np.argsort(coords)
-    coords = coords[order]
+    coords, family = dataset.states, flow
+    if not np.all(coords[1:] >= coords[:-1]):
+        # equal states may come out in any order: only their group's extremes are read
+        order = np.argsort(coords)
+        coords, family = coords[order], flow[order]
     fresh = np.empty(coords.size, dtype=bool)
     fresh[0] = True
     np.not_equal(coords[1:], coords[:-1], out=fresh[1:])
-    starts = np.flatnonzero(fresh)
-    if starts.size < 2:
+    groups = int(np.count_nonzero(fresh))
+    if groups < 2:
         raise DegenerateDataError("all sample states coincide")
-    family = flow[order]
-    if starts.size == coords.size:  # one state per group: lo = hi = family
-        rise = np.abs(np.diff(family))
-        gaps = np.diff(coords)
-    else:
-        lo = np.minimum.reduceat(family, starts)
-        hi = np.maximum.reduceat(family, starts)
-        rise = np.maximum(np.abs(hi[1:] - lo[:-1]), np.abs(lo[1:] - hi[:-1]))
-        gaps = np.diff(coords[starts])
-    return float((rise / gaps).max()), starts.size - 1
+    if groups == coords.size:  # one state per group: lo = hi = family
+        # |diff(family)| / diff(coords), computed in one array
+        rise = np.subtract(family[1:], family[:-1])
+        np.abs(rise, out=rise)
+        rise /= np.diff(coords)
+        return float(rise.max()), groups - 1
+    starts = np.flatnonzero(fresh)
+    lo = np.minimum.reduceat(family, starts)
+    hi = np.maximum.reduceat(family, starts)
+    rise = np.maximum(np.abs(hi[1:] - lo[:-1]), np.abs(lo[1:] - hi[:-1]))
+    return float((rise / np.diff(coords[starts])).max()), groups - 1
 
 
 def _slope_chunks(flow: np.ndarray, dataset: Dataset, config: LipschitzSpec):

@@ -34,6 +34,25 @@ KIND_AFFINE = "affine"
 KIND_QUADRATIC = "quadratic-polynomial"
 
 
+def real_array(value, field: str) -> np.ndarray:
+    """``value``, a number or nested lists of numbers, as a float array.
+
+    Every entry must be a real number: a quoted number, a boolean or ``None``
+    is refused with a ``ValueError`` that names ``field``, where a float
+    conversion would read ``"0.5"`` as 0.5 and ``true`` as 1.0.
+    """
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, np.ndarray):
+            item = item.tolist()
+        if isinstance(item, (list, tuple)):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, Real):
+            raise ValueError(f"{field} entries must be real numbers, got {item!r}")
+    return np.asarray(value, dtype=float)
+
+
 @dataclass(frozen=True)
 class RegionBox:
     """Closed interval ``[lower, upper]`` of the state line."""
@@ -76,8 +95,9 @@ class RegionBox:
 
     @classmethod
     def from_dict(cls, data: dict, name: str = "region") -> "RegionBox":
-        """Inverse of :meth:`to_dict`; bounds with any number of axes but one are refused."""
-        lower, upper = (np.atleast_1d(np.asarray(data[key], dtype=float))
+        """Inverse of :meth:`to_dict`; bounds with any number of axes but one, or
+        an entry that is not a real number, are refused."""
+        lower, upper = (np.atleast_1d(real_array(data[key], f"{name} {key}"))
                         for key in ("lower", "upper"))
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValueError(f"{name} bounds must be lists of equal length")

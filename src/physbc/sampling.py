@@ -123,7 +123,9 @@ def covering_radius(states: np.ndarray, domain: RegionBox) -> float:
     """Largest distance from any point of an interval to its nearest listed state.
 
     The value is exact: with the states sorted, it is the larger of the two
-    boundary gaps and half the widest interior gap.
+    boundary gaps and half the widest interior gap.  States already in
+    nondecreasing order, as grid samples and their filtered subsets are, are
+    read as given, with no sort.
     """
     pts = np.asarray(states, dtype=float)
     if pts.ndim != 1:
@@ -133,7 +135,7 @@ def covering_radius(states: np.ndarray, domain: RegionBox) -> float:
     if not np.all(domain.contains(pts, rtol=1e-12)):
         raise RegionViolationError("states must lie inside the domain")
 
-    s = np.sort(pts)
+    s = pts if np.all(pts[1:] >= pts[:-1]) else np.sort(pts)
     radius = max(s[0] - domain.lower, domain.upper - s[-1])
     if s.size > 1:
         radius = max(radius, 0.5 * float(np.max(np.diff(s))))

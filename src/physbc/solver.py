@@ -96,8 +96,13 @@ def _seed_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     Chosen from the data rather than from the row order, so the seed does not
     depend on how a caller stacks its rows: a block of near-collinear leading
     rows would start the exchange from a singular restricted problem.
+
+    The columns are copied once into contiguous rows and reduced along them;
+    a reduction over axis 0 of the tall stack copies it internally, once per
+    call.  On finite input both give each column's first extreme row.
     """
-    return np.concatenate([A.argmax(axis=0), A.argmin(axis=0), [b.argmax()]])
+    columns = np.ascontiguousarray(A.T)
+    return np.concatenate([columns.argmax(axis=1), columns.argmin(axis=1), [b.argmax()]])
 
 
 def _start_rows(start_rows, count: int) -> np.ndarray:
@@ -131,9 +136,11 @@ def _exchange(A: np.ndarray, b: np.ndarray, restricted, start_rows=()) -> SolveR
     """
     width = A.shape[1]
     working = np.union1d(_seed_rows(A, b), _start_rows(start_rows, A.shape[0])).tolist()
+    values = np.empty(A.shape[0])  # every round's row values, in one array
     while True:
         decision, slack = restricted(A[working], b[working])
-        values = A @ decision + b
+        np.matmul(A, decision, out=values)
+        values += b
         worst = int(np.argmax(values))
         if values[worst] <= slack + 1e-9 * max(1.0, abs(slack)):
             if np.max(np.abs(decision)) >= 0.5 * _ARTIFICIAL_BOX:

@@ -4,8 +4,11 @@ import physbc.pipeline
 
 
 @pytest.fixture(autouse=True)
-def fresh_safety_memo():
-    """Each test starts and ends with no empirical check remembered by ``pipeline.run``."""
-    physbc.pipeline._safety_memo.clear()
+def fresh_pipeline_memos():
+    """Each test starts and ends with no empirical check and no dataset
+    remembered by ``pipeline.run``."""
+    for memo in (physbc.pipeline._safety_memo, physbc.pipeline._dataset_memo):
+        memo.clear()
     yield
-    physbc.pipeline._safety_memo.clear()
+    for memo in (physbc.pipeline._safety_memo, physbc.pipeline._dataset_memo):
+        memo.clear()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -437,3 +439,104 @@ def test_residual_report_serialises():
     d = report.to_dict()
     assert set(d) == {"initial_max", "unsafe_max", "flow_max", "definition_ok", "tolerance"}
     assert d["tolerance"] == 1e-6
+
+
+# templates that skip powers, the constant alone, and the full quadratic
+GAPPED_TEMPLATES = [(3, 0), (4, 2, 1), (0,), (1,), (2, 1, 0), (0, 3), (1, 4)]
+
+
+def _strided_dataset(count, seed):
+    """A dataset whose arrays are strided column views, as ``load_dataset`` returns them."""
+    rng = np.random.default_rng(seed)
+    values = np.empty((count, 2))
+    values[:, 0] = rng.uniform(0.0, 3.0, size=count)
+    values[:, 1] = 0.9 * values[:, 0] + 0.1
+    return Dataset(values[:, 0], values[:, 1], SCHEME_IID, RegionBox(0.0, 3.0), seed=0)
+
+
+@pytest.mark.parametrize("decay", [0.83, 1.0, 0.1])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("exponents", GAPPED_TEMPLATES, ids=str)
+def test_assemble_equals_vstack_on_templates_with_gaps(exponents, strided, decay):
+    template = BarrierTemplate(exponents)
+    data = _strided_dataset(37, len(exponents))
+    if not strided:
+        data = Dataset(np.array(data.states), np.array(data.successors), SCHEME_IID,
+                       data.domain, seed=0)
+    assert data.states.flags.c_contiguous != strided
+    initial, unsafe = RegionBox(0.0, 0.5), RegionBox(2.5, 3.0)
+    system = assemble(template, decay, data, initial, unsafe)
+    rows, offsets, _, extra_rows, extra_offsets, _ = assemble_vstack(
+        template, decay, data, initial, unsafe)
+    assert system.rows.tobytes() == np.vstack([rows, extra_rows]).tobytes()
+    assert system.offsets.tobytes() == np.concatenate([offsets, extra_offsets]).tobytes()
+
+
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("exponents", GAPPED_TEMPLATES, ids=str)
+def test_basis_matrix_equals_repeated_multiplication_on_templates_with_gaps(exponents, strided):
+    template = BarrierTemplate(exponents)
+    data = _strided_dataset(23, 5)
+    states = data.states if strided else np.array(data.states)
+    basis = template.basis_matrix(states)
+    assert basis.tobytes() == basis_matrix_repeated(template, states).tobytes()
+    # the input is read, never written
+    assert np.array_equal(states, data.states)
+
+
+@pytest.mark.parametrize("exponent", [2.7, 2.0, "2", True, None, np.float64(2.0), np.bool_(True)],
+                         ids=["fraction", "float", "string", "bool", "null", "numpy-float",
+                              "numpy-bool"])
+def test_template_exponents_must_be_integers(exponent):
+    message = re.escape(f"template exponents must be integers, got {exponent!r}")
+    with pytest.raises(TypeError, match=message):
+        BarrierTemplate((exponent, 1, 0))
+    with pytest.raises(TypeError, match="template exponents must be integers"):
+        BarrierTemplate.from_dict({"exponents": [[exponent], [1], [0]]})
+
+
+def test_template_accepts_numpy_integers():
+    template = BarrierTemplate((np.int64(2), np.int32(1), 0))
+    assert template.exponents == (2, 1, 0)
+    assert all(type(e) is int for e in template.exponents)
+
+
+# One field of a saved certificate given as something other than a JSON number of its kind.
+CERTIFICATE_EDITS = {
+    "fractional-exponent": ("template", {"exponents": [[2.7], [1], [0]]},
+                            "template exponents must be integers, got 2.7"),
+    "quoted-exponent": ("template", {"exponents": [["2"], [1], [0]]},
+                        "template exponents must be integers, got '2'"),
+    "boolean-exponent": ("template", {"exponents": [[True], [1], [0]]},
+                         "template exponents must be integers, got True"),
+    "quoted-coefficient": ("coefficients", ["1.0", -1.0, 2.5],
+                           "certificate coefficients entries must be real numbers, got '1.0'"),
+    "boolean-coefficient": ("coefficients", [0.3, False, 2.5],
+                            "certificate coefficients entries must be real numbers, got False"),
+    "quoted-decay": ("decay", "0.99", "certificate decay must be a real number, got '0.99'"),
+    "boolean-decay": ("decay", True, "certificate decay must be a real number, got True"),
+    "quoted-initial-level": ("initial_level", "-3",
+                             "certificate initial_level must be a real number, got '-3'"),
+    "null-unsafe-level": ("unsafe_level", None,
+                          "certificate unsafe_level must be a real number, got None"),
+    "boolean-unsafe-level": ("unsafe_level", False,
+                             "certificate unsafe_level must be a real number, got False"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CERTIFICATE_EDITS))
+def test_certificate_from_dict_refuses_what_is_not_a_number_of_its_kind(edit):
+    key, value, message = CERTIFICATE_EDITS[edit]
+    data = quadratic_certificate(0.3, -1.0, 2.5, initial_level=-3.0, unsafe_level=0.5).to_dict()
+    data[key] = value
+    with pytest.raises((TypeError, ValueError), match=re.escape(message)):
+        BarrierCertificate.from_dict(data)
+
+
+def test_certificate_from_dict_accepts_integer_numbers():
+    data = {"template": {"exponents": [[1], [0]]}, "coefficients": [1, -2],
+            "decay": 1, "initial_level": 0, "unsafe_level": 3}
+    cert = BarrierCertificate.from_dict(data)
+    assert cert.coefficients.tolist() == [1.0, -2.0]
+    assert (cert.decay, cert.initial_level, cert.unsafe_level) == (1.0, 0.0, 3.0)
+    assert all(type(v) is float for v in (cert.decay, cert.initial_level, cert.unsafe_level))

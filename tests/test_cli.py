@@ -158,6 +158,12 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
     ({"system": 5}, "system must be a preset name or a mapping, got 5"),
     ({"system": None}, "system must be a preset name or a mapping, got None"),
     ({"system": [1]}, "system must be a preset name or a mapping, got [1]"),
+    ({"domain": {"lower": ["0.5"], "upper": [2.7]}},
+     "domain lower entries must be real numbers, got '0.5'"),
+    ({"unsafe": {"lower": [2.6], "upper": [True]}},
+     "unsafe upper entries must be real numbers, got True"),
+    ({"system": {"kind": "affine", "linear": [["0.8"]], "offset": [0.5]}},
+     "system linear entries must be real numbers, got '0.8'"),
 ], ids=["negative-coeff-bound", "zero-trajectories", "zero-horizon",
         "negative-frequency", "negative-amplitude", "fractional-grid-count",
         "fractional-iid-count", "fractional-trajectories", "bool-horizon",
@@ -168,7 +174,8 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
         "negative-validation-seed", "unknown-top-level-key", "unknown-section-key", "unknown-region-key", "retired-sampling-scheme",
         "retired-perturbation-phase", "two-dimensional-domain",
         "two-dimensional-initial", "three-dimensional-unsafe", "two-dimensional-system",
-        "number-system", "null-system", "list-system"])
+        "number-system", "null-system", "list-system", "quoted-domain-bound",
+        "boolean-unsafe-bound", "quoted-system-term"])
 def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch):
     data = small_config_dict()
     for path, value in edits.items():
@@ -375,6 +382,44 @@ def test_a_certificate_whose_template_is_not_one_dimensional_is_refused(verb, ru
     assert result.exit_code == 1
     assert "error: " in result.output
     assert "template must be one-dimensional, got 2 axes" in result.output
+    assert "verdict" not in result.output and not (tmp_path / "plots").exists()
+
+
+# One field of a saved certificate that is not a JSON number of its kind.
+CERTIFICATE_EDITS = {
+    "fractional-exponent": ("template", {"exponents": [[2.7], [1], [0]]},
+                            "template exponents must be integers, got 2.7"),
+    "boolean-exponent": ("template", {"exponents": [[2], [True], [0]]},
+                         "template exponents must be integers, got True"),
+    "quoted-coefficient": ("coefficients", ["1.0", 0.0, 0.0],
+                           "certificate coefficients entries must be real numbers, got '1.0'"),
+    "quoted-decay": ("decay", "0.99", "certificate decay must be a real number, got '0.99'"),
+    "boolean-decay": ("decay", True, "certificate decay must be a real number, got True"),
+    "quoted-unsafe-level": ("unsafe_level", "2",
+                            "certificate unsafe_level must be a real number, got '2'"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CERTIFICATE_EDITS))
+@pytest.mark.parametrize("verb", ["validate", "plotdata"])
+def test_a_certificate_field_that_is_not_a_number_of_its_kind_is_refused(verb, edit, run_dir,
+                                                                         config_path, tmp_path):
+    key, value, message = CERTIFICATE_EDITS[edit]
+    report = json.loads((run_dir / "report.json").read_text())
+    report["certificate"][key] = value
+    (tmp_path / "certificate.json").write_text(json.dumps(report["certificate"]))
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    args = {
+        "validate": ["validate", "--certificate", str(tmp_path / "certificate.json"),
+                     "--config", config_path, "--trajectories", "10", "--horizon", "20"],
+        "plotdata": ["plotdata", "--report", str(tmp_path / "report.json"),
+                     "--out", str(tmp_path / "plots")],
+    }[verb]
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert "error: " in result.output
+    assert message in result.output
     assert "verdict" not in result.output and not (tmp_path / "plots").exists()
 
 

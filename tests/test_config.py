@@ -385,3 +385,38 @@ def test_settable_values_inventory():
             keys.append(name)
     assert sorted(keys) == SETTABLE_VALUES
     assert len(SETTABLE_VALUES) == 26
+
+
+@pytest.mark.parametrize("terms, field, entry", [
+    ({"linear": [["0.8"]]}, "system linear", "'0.8'"),
+    ({"offset": ["0.0"]}, "system offset", "'0.0'"),
+    ({"quadratic": [[[True]]]}, "system quadratic", "True"),
+    ({"linear": [[None]]}, "system linear", "None"),
+    ({"offset": "0.0"}, "system offset", "'0.0'"),
+], ids=["quoted-linear", "quoted-offset", "boolean-quadratic", "null-linear", "quoted-bare-offset"])
+def test_custom_system_terms_must_be_real_numbers(terms, field, entry):
+    system = {"kind": KIND_QUADRATIC, "quadratic": [[[-0.5]]], "linear": [[1.3]],
+              "offset": [0.0], **terms}
+    message = re.escape(f"{field} entries must be real numbers, got {entry}")
+    with pytest.raises(ValueError, match=message):
+        small_config(system=system)
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict({**small_config().to_dict(), "system": system})
+
+
+def test_custom_system_terms_accept_integers_and_numpy_numbers():
+    system = {"kind": KIND_QUADRATIC, "quadratic": np.array([[[-0.5]]]),
+              "linear": [[np.float32(1.25)]], "offset": [0]}
+    model = small_config(system=system).physics_model()
+    assert (model.quadratic, model.linear, model.offset) == (-0.5, 1.25, 0.0)
+
+
+@pytest.mark.parametrize("section", ["domain", "initial", "unsafe"])
+@pytest.mark.parametrize("key", ["lower", "upper"])
+@pytest.mark.parametrize("value", ["0.6", True, None], ids=["quoted", "boolean", "null"])
+def test_region_bounds_must_be_real_numbers(section, key, value):
+    data = small_config().to_dict()
+    data[section] = {**data[section], key: [value]}
+    message = re.escape(f"{section} {key} entries must be real numbers, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        RunConfig.from_dict(data)

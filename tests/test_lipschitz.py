@@ -275,3 +275,39 @@ def test_neighbour_maxima_equal_the_grouped_form(make_data):
     data = make_data()
     flow = sample_values(_quadratic_certificate(), data)
     assert _neighbour_maxima(flow, data) == neighbour_maxima_grouped(flow, data)
+
+
+# coordinates with both zeros, so that sorted states hold -0.0 next to 0.0
+_SORTED_COORDINATE = st.one_of(_COORDINATE, st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_SORTED_COORDINATE, _COORDINATE), min_size=2, max_size=60),
+       seed=st.integers(0, 2**32 - 1))
+def test_neighbour_maxima_on_sorted_states_equal_the_sorted_form(pairs, seed):
+    pairs = sorted(pairs, key=lambda pair: pair[0])  # duplicates keep their draw order
+    states, successors = np.array(pairs).T
+    if np.unique(states).size == 1:
+        return
+    data = Dataset(states, successors, SCHEME_GRID, _LINE)
+    flow = sample_values(_quadratic_certificate(), data)
+    # the same pairs shuffled, which the estimator must sort
+    shuffle = np.random.default_rng(seed).permutation(data.count)
+    shuffled = Dataset(states[shuffle], successors[shuffle], SCHEME_GRID, _LINE)
+    expected = neighbour_maxima_grouped(flow, data)
+    assert _neighbour_maxima(flow, data) == expected
+    assert _neighbour_maxima(flow[shuffle], shuffled) == expected
+
+
+def test_neighbour_maxima_do_not_sort_sorted_states(monkeypatch):
+    cases = []
+    for data in (_line_data(), _duplicated_data()):
+        flow = sample_values(_quadratic_certificate(), data)
+        cases.append((flow, data, neighbour_maxima_grouped(flow, data)))
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted states were sorted again")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    for flow, data, expected in cases:
+        assert _neighbour_maxima(flow, data) == expected

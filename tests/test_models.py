@@ -75,6 +75,24 @@ def test_region_dict_round_trip():
         RegionBox.from_dict({"lower": [0.1], "upper": [1.0, 2.0]}, "initial")
 
 
+@pytest.mark.parametrize("lower, upper, bad", [
+    (["0.5"], [2.7], "domain lower entries must be real numbers, got '0.5'"),
+    ([0.5], [True], "domain upper entries must be real numbers, got True"),
+    ("0.5", [2.7], "domain lower entries must be real numbers, got '0.5'"),
+    ([[0.5, "x"]], [[2.7, 2.8]], "domain lower entries must be real numbers, got 'x'"),
+    ([np.bool_(False)], [2.7],
+     f"domain lower entries must be real numbers, got {np.bool_(False)!r}"),
+], ids=["quoted-lower", "boolean-upper", "bare-quoted-lower", "nested-string", "numpy-bool"])
+def test_region_from_dict_refuses_entries_that_are_not_real_numbers(lower, upper, bad):
+    with pytest.raises(ValueError, match=bad):
+        RegionBox.from_dict({"lower": lower, "upper": upper}, "domain")
+
+
+def test_region_from_dict_accepts_integers_and_numpy_numbers():
+    box = RegionBox.from_dict({"lower": [0], "upper": np.array([np.float32(2.5)])})
+    assert (box.lower, box.upper) == (0.0, 2.5)
+
+
 def test_region_bounds_are_immutable():
     box = RegionBox(0.0, 1.0)
     with pytest.raises(AttributeError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -476,3 +477,130 @@ def test_the_memo_keeps_the_latest_checks_only(rollouts):
     assert len(rollouts) == size + 1
     run(_validation(seed=0)(config))  # the oldest was dropped
     assert len(rollouts) == size + 2
+
+
+# ------------------------------------------------ the sampled dataset, reused
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The names of the sampler and hash calls that get past ``run``'s dataset memo."""
+    calls = []
+    for name in ("sample_grid", "sample_iid", "dataset_hash"):
+        original = getattr(physbc.pipeline, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(f"physbc.pipeline.{name}", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode, sampler", [(MODE_DETERMINISTIC, "sample_grid"),
+                                           (MODE_PROBABILISTIC, "sample_iid")])
+def test_runs_with_the_same_sampling_inputs_sample_and_hash_once(mode, sampler, draws):
+    config = tiny(preset("supply-demand", mode))
+    first = run(replace(config, filter=replace(config.filter, enabled=False)))
+    second = run(config)
+    assert draws == [sampler, "dataset_hash"]
+    assert second.dataset is first.dataset
+    assert second.report["dataset"] == first.report["dataset"]
+
+
+def _sampling(**changes):
+    return lambda c: replace(c, sampling=replace(c.sampling, **changes))
+
+
+# One input of the sampler changed at a time, from a probabilistic run: each must sample again.
+SAMPLING_CHANGES = {
+    "system": lambda c: replace(c, system={**SUPPLY_DEMAND, "offset": [0.49]}),
+    "linear": lambda c: replace(c, system={**SUPPLY_DEMAND, "linear": [[0.79]]}),
+    "amplitude": _perturbation(amplitude=0.003),
+    "frequency": _perturbation(frequency=1000.0),
+    "derived-amplitude": lambda c: replace(c, filter=replace(c.filter, threshold=0.006)),
+    "domain-lower": lambda c: replace(c, domain=RegionBox(0.45, 2.7)),
+    "domain-upper": lambda c: replace(c, domain=RegionBox(0.5, 2.75)),
+    "count": _sampling(count=1001),
+    "iid-seed": _sampling(seed=2025),
+    "mode": lambda c: replace(c, guarantee=replace(c.guarantee, mode=MODE_DETERMINISTIC)),
+}
+
+# Changes the sampler does not read: each must reuse the first dataset.
+READS_NOTHING = {
+    "filter-off": lambda c: replace(c, filter=replace(c.filter, enabled=False)),
+    "risk": lambda c: replace(c, guarantee=replace(c.guarantee, risk=0.01)),
+    "pinned-amplitude-threshold": lambda c: replace(
+        c, filter=replace(c.filter, threshold=0.006),
+        perturbation=replace(c.perturbation, amplitude=c.perturbation_amplitude())),
+    "validation": _validation(seed=100),
+    "lipschitz": lambda c: replace(c, lipschitz=replace(c.lipschitz, seed=8)),
+    "same-system-by-value": lambda c: replace(c, system=SUPPLY_DEMAND),
+}
+
+
+@pytest.mark.parametrize("change", sorted(SAMPLING_CHANGES))
+def test_a_changed_sampling_input_samples_again(change, draws):
+    config = tiny(preset("supply-demand", MODE_PROBABILISTIC))
+    first, second = run(config), run(SAMPLING_CHANGES[change](config))
+    assert draws.count("dataset_hash") == 2
+    assert second.dataset is not first.dataset
+    assert len(physbc.pipeline._dataset_memo) == 1
+
+
+@pytest.mark.parametrize("change", sorted(READS_NOTHING))
+def test_a_change_the_sampler_does_not_read_reuses_the_dataset(change, draws):
+    config = tiny(preset("supply-demand", MODE_PROBABILISTIC))
+    first, second = run(config), run(READS_NOTHING[change](config))
+    assert draws == ["sample_iid", "dataset_hash"]
+    assert second.dataset is first.dataset
+
+
+def test_a_grid_run_does_not_read_the_seed(draws):
+    config = tiny(preset("supply-demand"))
+    first, second = run(config), run(_sampling(seed=2025)(config))
+    assert draws == ["sample_grid", "dataset_hash"]
+    assert second.dataset is first.dataset and second.report["dataset"]["seed"] is None
+
+
+def test_the_dataset_memo_holds_one_entry(draws):
+    config = tiny(preset("supply-demand", MODE_PROBABILISTIC))
+    for seed in (1, 2, 1):
+        run(_sampling(seed=seed)(config))
+        assert len(physbc.pipeline._dataset_memo) == 1
+    # seed 2's draw replaced seed 1's, so the third run draws again
+    assert draws.count("sample_iid") == 3
+
+
+@pytest.mark.parametrize("pair", [("sd-det-trad", "sd-det-phys"),
+                                  ("lg-prob-trad", "lg-prob-phys")], ids=["grid", "iid"])
+def test_a_reused_dataset_reports_as_a_sampled_one(pair, draws):
+    trad, phys = (reference_config(key, 0.05) for key in pair)
+    run(trad)
+    reused = dict(run(phys).report)
+    assert draws.count("dataset_hash") == 1
+    physbc.pipeline._dataset_memo.clear()
+    physbc.pipeline._safety_memo.clear()
+    cold = dict(run(phys).report)
+    assert draws.count("dataset_hash") == 2
+    reused.pop("timing"), cold.pop("timing")
+    assert report_json(reused) == report_json(cold)
+
+
+def test_the_hash_of_a_loaded_dataset_equals_that_of_contiguous_copies(det_run, tmp_path):
+    write_artifacts(det_run, str(tmp_path))
+    loaded = load_dataset(str(tmp_path / "dataset.csv"))
+    # the loader hands back column views of one (N, 2) block
+    assert not loaded.states.flags.c_contiguous
+    copies = replace(loaded, states=np.array(loaded.states), successors=np.array(loaded.successors))
+    assert copies.states.flags.c_contiguous
+    digest = hashlib.sha256(loaded.states.tobytes() + loaded.successors.tobytes()).hexdigest()
+    assert dataset_hash(loaded) == dataset_hash(copies) == digest
+    assert digest == det_run.report["dataset"]["hash"]
+
+
+def test_reports_hold_plain_json_values(det_run, prob_run):
+    # no numpy scalar leaks into a report built from a plain config: json needs no default
+    for artifacts in (det_run, prob_run):
+        json.dumps(artifacts.report)
+        assert type(artifacts.report["lipschitz"]["samples_used"]) is int

@@ -360,12 +360,14 @@ def test_load_matches_rowwise_oracle_on_raw_bodies(tmp_path, body):
     {"seed": -4},
     {"seed": [1]},
     {"dimension": 2, "domain": {"lower": [0.5, 0.5], "upper": [2.7, 2.7]}},
+    {"domain": {"lower": ["0.5"], "upper": [2.7]}},
+    {"domain": {"lower": [0.5], "upper": [True]}},
 ], ids=["negative-count", "huge-count", "infinite-count", "negative-dimension",
         "zero-dimension", "unknown-scheme", "two-dimensional-domain",
         "fractional-count", "float-count", "boolean-count", "string-count",
         "fractional-dimension", "float-dimension", "boolean-dimension", "string-dimension",
         "string-seed", "fractional-seed", "boolean-seed", "negative-seed", "list-seed",
-        "two-dimensional"])
+        "two-dimensional", "quoted-domain-bound", "boolean-domain-bound"])
 def test_load_rejects_a_bad_sidecar_before_allocating(tmp_path, monkeypatch, edit):
     data = sample_iid(supply_demand(), DOMAIN, 2, seed=1)
     path = tmp_path / "d.csv"
@@ -401,3 +403,32 @@ def test_load_matches_rowwise_oracle_on_sidecar_counts(tmp_path, count):
     sidecar.write_text(json.dumps({**meta, "count": count}))
     path.write_text("x_1,y_1\n" if count == 0 else "bad header\n")
     assert _outcome(load_dataset, str(path)) == _outcome(load_dataset_rowwise, str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ticks=st.lists(st.integers(0, 40), min_size=1, max_size=50),
+       seed=st.integers(0, 2**32 - 1))
+def test_covering_radius_of_sorted_states_equals_the_sorted_form(ticks, seed):
+    box = RegionBox(0.0, 2.0)
+    states = np.sort(np.array(ticks) / 20)  # on a coarse lattice, so states repeat
+    shuffled = states[np.random.default_rng(seed).permutation(states.size)]
+    s = np.sort(shuffled)
+    expected = max(s[0] - box.lower, box.upper - s[-1])
+    if s.size > 1:
+        expected = max(expected, 0.5 * float(np.max(np.diff(s))))
+    assert covering_radius(states, box) == float(max(expected, 0.0))
+    assert covering_radius(shuffled, box) == covering_radius(states, box)
+
+
+def test_covering_radius_does_not_sort_sorted_states(monkeypatch):
+    box = RegionBox(0.5, 2.7)
+    grid = sample_grid(supply_demand(), box, 1001).states
+    states = np.repeat(grid, 3)
+    expected = covering_radius(np.random.default_rng(2).permutation(states), box)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("sorted states were sorted again")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    assert covering_radius(states, box) == expected
+    assert covering_radius(grid, box) == expected

@@ -354,3 +354,23 @@ def test_solve_never_calls_linprog(monkeypatch):
     rng = np.random.default_rng(4)
     rows, offsets = random_bounded_instance(rng, 4, 30)
     assert solve(rows, offsets).optimal
+
+
+# small integer entries, so that columns tie often, in row-major and strided stacks
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 6)),
+    high=st.integers(0, 3),
+    fortran=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_seed_rows_equal_the_axis_0_reductions(shape, high, fortran, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-high, high + 1, size=shape).astype(float)
+    if fortran:
+        rows = np.asfortranarray(rows)
+    offsets = rng.integers(-high, high + 1, size=shape[0]).astype(float)
+    expected = np.concatenate([rows.argmax(0), rows.argmin(0), [offsets.argmax()]])
+    seeds = physbc.solver._seed_rows(rows, offsets)
+    assert seeds.tolist() == expected.tolist()
+    assert seeds.dtype == expected.dtype
