@@ -9,9 +9,10 @@ Verbs:
 * ``validate``   empirical trajectory check of a saved certificate
 
 Exit codes: 0 when the requested check passes, 2 when a certificate or
-validation fails, 1 on configuration or runtime errors.  An ``OSError`` that
-no verb handles, such as an output path that cannot be written, prints
-``error: ...`` and exits 1.
+validation fails, 1 on configuration or runtime errors.  Verbs raise
+:class:`PhysbcError` for bad input; the group prints it, or an ``OSError``
+such as an output path that cannot be written, as one ``error: ...`` line on
+stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ REFERENCE_RESULTS = {
 
 METRIC_LABEL = {MODE_DETERMINISTIC: "radius", MODE_PROBABILISTIC: "level"}
 
+# The columns ``reproduce`` and ``sweep`` compare, ours against the reference.
+COMPARED = ("samples", "metric", "lipschitz", "slack", "condition")
+
 
 def reference_config(key: str, scale: float = 1.0) -> RunConfig:
     """The preset for one baseline row, optionally scaling its sample count."""
@@ -140,37 +144,65 @@ def _sweep_config(config: RunConfig, param: str, value: float) -> RunConfig:
         # Pin the surrogate perturbation first; it defaults to a multiple of
         # the threshold and the sweep must not move the ground truth.
         perturbation = replace(config.perturbation, amplitude=config.perturbation_amplitude())
-        swept = replace(
+        return replace(
             config,
             perturbation=perturbation,
             filter=replace(config.filter, enabled=True, threshold=value),
         )
-    elif param == "samples":  # a fraction, nan or inf fails the config's integer check
+    if param == "samples":  # a fraction, nan or inf fails the config's integer check
         count = int(value) if value.is_integer() else value
-        swept = replace(config, sampling=replace(config.sampling, count=count))
-    elif param == "risk":
-        swept = replace(config, guarantee=replace(config.guarantee, risk=value))
-    else:
-        raise ValueError(f"unknown sweep parameter {param!r}")
-    return swept
+        return replace(config, sampling=replace(config.sampling, count=count))
+    # "risk", the one name left among --param's choices
+    return replace(config, guarantee=replace(config.guarantee, risk=value))
 
 
-def _load_config(path: str) -> RunConfig:
+def _load(what: str, path: str, parse):
+    """``parse`` of the JSON in ``path`` (utf-8 for a config, else ascii, as each is
+    written); a failure to read or parse it is a PhysbcError naming the file."""
     try:
-        return RunConfig.from_json(path)
+        with open(path, encoding="utf-8" if what == "config" else "ascii") as fh:
+            return parse(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise PhysbcError(f"could not load config {path}: {exc}") from exc
+        raise PhysbcError(f"could not load {what} {path}: {exc}") from exc
+
+
+def _report_parts(report: dict):
+    """What ``plotdata`` reads of a report: config, certificate, slack, dataset path, jump."""
+    config = RunConfig.from_dict(report["config"])
+    certificate = BarrierCertificate.from_dict(report["certificate"])
+    slack = report["solver"]["slack"]
+    data_rel = report["dataset"]["path"]
+    if data_rel is not None and not isinstance(data_rel, str):
+        raise TypeError(f"dataset.path must be a string or null, got {data_rel!r}")
+    filt = report.get("filter", {})  # a report may leave the filter block out
+    if not isinstance(filt, dict):
+        raise TypeError(f"filter must be a mapping, got {filt!r}")
+    jump = filt.get("max_jump")
+    if jump is not None:
+        start, length = jump["start_index"], jump["length"]
+        if type(start) is not int or type(length) is not int or start < 0 or length < 1:
+            raise ValueError("filter.max_jump must hold integers start_index >= 0 and"
+                             f" length >= 1, got {jump!r}")
+        jump = start, length
+    return config, certificate, slack, data_rel, jump
+
+
+def _write_table(path: str, header, rows) -> None:
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 class _Group(click.Group):
-    """Reports an ``OSError`` that escapes a verb as ``error: ...`` with exit 1."""
+    """Reports a PhysbcError or OSError that escapes a verb as ``error: ...`` with exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except BrokenPipeError:
             raise  # click's own handler quiets a closed stdout
-        except OSError as exc:
+        except (PhysbcError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
@@ -194,22 +226,18 @@ def main():
               show_default=True, help="Directory for report and artifacts.")
 def cmd_run(config_path, preset_name, mode, seed, no_filter, out_dir):
     """Run one certification pipeline and write its artifacts."""
+    if (config_path is None) == (preset_name is None):
+        raise PhysbcError("provide exactly one of --config or --preset")
+    if config_path is not None:
+        config = _load("config", config_path, RunConfig.from_dict)
+    else:
+        config = preset(preset_name, mode or MODE_DETERMINISTIC)
     try:
-        if (config_path is None) == (preset_name is None):
-            raise PhysbcError("provide exactly one of --config or --preset")
-        if config_path is not None:
-            config = _load_config(config_path)
-        else:
-            config = preset(preset_name, mode or MODE_DETERMINISTIC)
-        try:
-            config = apply_overrides(config, seed=seed, mode=mode, no_filter=no_filter)
-        except ValueError as exc:  # an override made the config invalid
-            raise PhysbcError(str(exc)) from exc
-        artifacts = run(config)
-        report = write_artifacts(artifacts, out_dir)
-    except PhysbcError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        config = apply_overrides(config, seed=seed, mode=mode, no_filter=no_filter)
+    except ValueError as exc:  # an override made the config invalid
+        raise PhysbcError(str(exc)) from exc
+    artifacts = run(config)
+    report = write_artifacts(artifacts, out_dir)
 
     filt = report["filter"]
     if filt["enabled"]:
@@ -237,8 +265,7 @@ def cmd_run(config_path, preset_name, mode, seed, no_filter, out_dir):
 def cmd_reproduce(out_dir, scale):
     """Rerun all baseline case-study settings and compare against references."""
     if not (scale > 0 and math.isfinite(scale)):
-        click.echo("error: --scale must be positive and finite", err=True)
-        sys.exit(1)
+        raise PhysbcError("--scale must be positive and finite")
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     all_pass = True
@@ -254,26 +281,23 @@ def cmd_reproduce(out_dir, scale):
         verdict = ours["verdict"]
         all_pass = all_pass and verdict == "pass"
         click.echo(f"{title:<55s} verdict: {verdict}")
-        for field in ("samples", "metric", "lipschitz", "slack", "condition"):
+        row = {"key": key, "system": ref["system"], "mode": ref["mode"],
+               "filtered": ref["filtered"], "verdict": verdict, "error": ""}
+        for field in COMPARED:
             name = label if field == "metric" else field
             click.echo(
                 f"  {name:<10s} ref {ref[field]:<12.6g} ours {ours[field]:<12.6g}"
                 f" ({_drift(ours[field], ref[field])})"
             )
-        row = {"key": key, "system": ref["system"], "mode": ref["mode"],
-               "filtered": ref["filtered"], "verdict": verdict, "error": ""}
-        for field in ("samples", "metric", "lipschitz", "slack", "condition"):
             row[f"ref_{field}"] = ref[field]
             row[f"our_{field}"] = ours[field]
         rows.append(row)
 
     fields = ["key", "system", "mode", "filtered", "verdict", "error"]
-    for field in ("samples", "metric", "lipschitz", "slack", "condition"):
+    for field in COMPARED:
         fields += [f"ref_{field}", f"our_{field}"]
-    with open(os.path.join(out_dir, "reproduce.csv"), "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_table(os.path.join(out_dir, "reproduce.csv"), fields,
+                 ([row.get(f, "") for f in fields] for row in rows))
     with open(os.path.join(out_dir, "reproduce.json"), "w", encoding="ascii") as fh:
         json.dump(rows, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -292,19 +316,15 @@ def cmd_reproduce(out_dir, scale):
               show_default=True, help="Output CSV path.")
 def cmd_sweep(config_path, param, values, out_path):
     """Rerun one config while varying a single parameter."""
+    config = _load("config", config_path, RunConfig.from_dict)
     try:
-        config = _load_config(config_path)
         parsed = [float(v) for v in values.split(",") if v.strip()]
-        if not parsed:
-            raise PhysbcError("no sweep values given")
-        if not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
-            raise PhysbcError(f"no directory to write --out {out_path} in")
     except ValueError as exc:
-        click.echo(f"error: bad --values: {exc}", err=True)
-        sys.exit(1)
-    except PhysbcError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        raise PhysbcError(f"bad --values: {exc}") from exc
+    if not parsed:
+        raise PhysbcError("no sweep values given")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
+        raise PhysbcError(f"no directory to write --out {out_path} in")
 
     rows = []
     for value in parsed:
@@ -324,12 +344,8 @@ def cmd_sweep(config_path, param, values, out_path):
         )
         rows.append({**ours, "value": value, "error": ""})
 
-    fields = ["value", "samples", "metric", "lipschitz", "slack", "condition",
-              "verdict", "error"]
-    with open(out_path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    fields = ["value", *COMPARED, "verdict", "error"]
+    _write_table(out_path, fields, ([row.get(f, "") for f in fields] for row in rows))
     click.echo(f"sweep written to {out_path}")
     sys.exit(0 if any(not r["error"] for r in rows) else 1)
 
@@ -344,70 +360,54 @@ def cmd_sweep(config_path, param, values, out_path):
 def cmd_plotdata(report_path, out_dir, points):
     """Dump plot-ready CSV series from a saved run report."""
     if points < 1:
-        click.echo("error: --points must be at least 1", err=True)
-        sys.exit(1)
-    try:
-        with open(report_path, encoding="ascii") as fh:
-            report = json.load(fh)
-        config = RunConfig.from_dict(report["config"])
-        certificate = BarrierCertificate.from_dict(report["certificate"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        click.echo(f"error: could not load report: {exc}", err=True)
-        sys.exit(1)
-    except PhysbcError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        raise PhysbcError("--points must be at least 1")
+    config, certificate, slack, data_rel, jump = _load("report", report_path, _report_parts)
 
     os.makedirs(out_dir, exist_ok=True)
     grid = np.linspace(config.domain.lower, config.domain.upper, points)
-    curve = certificate.evaluate(grid)
-    with open(os.path.join(out_dir, "barrier_curve.csv"), "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "value"])
-        writer.writerows(zip(grid.tolist(), curve.tolist()))
-
-    with open(os.path.join(out_dir, "levels.csv"), "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "value"])
-        writer.writerow(["initial_level", certificate.initial_level])
-        writer.writerow(["unsafe_level", certificate.unsafe_level])
-        writer.writerow(["decay", certificate.decay])
-        writer.writerow(["slack", report["solver"]["slack"]])
-
+    _write_table(os.path.join(out_dir, "barrier_curve.csv"), ["x", "value"],
+                 zip(grid.tolist(), certificate.evaluate(grid).tolist()))
+    _write_table(os.path.join(out_dir, "levels.csv"), ["name", "value"], [
+        ["initial_level", certificate.initial_level],
+        ["unsafe_level", certificate.unsafe_level],
+        ["decay", certificate.decay],
+        ["slack", slack],
+    ])
     written = ["barrier_curve.csv", "levels.csv"]
-    data_rel = report["dataset"].get("path")
-    if data_rel:
+
+    dataset = None
+    if not data_rel:
+        click.echo("note: report has no saved dataset; skipping samples.csv")
+    else:
         data_path = os.path.join(os.path.dirname(os.path.abspath(report_path)), data_rel)
         try:
             dataset = load_dataset(data_path)
         except (OSError, PhysbcError) as exc:
             click.echo(f"note: dataset not readable ({exc}); skipping samples.csv")
-            dataset = None
-        if dataset is not None:
-            physics = config.physics_model()
-            if config.filter.enabled:
-                outcome = apply_filter(dataset, physics, config.filter.threshold)
-                disc, kept = outcome.discrepancies, outcome.mask
+    if dataset is not None:
+        physics = config.physics_model()
+        if config.filter.enabled:
+            outcome = apply_filter(dataset, physics, config.filter.threshold)
+            disc, kept = outcome.discrepancies, outcome.mask
+        else:
+            disc, kept = discrepancies(dataset, physics), np.ones(dataset.count, dtype=bool)
+        # Same bytes as csv.writer: repr floats, integer flags, CRLF endings.
+        with open(os.path.join(out_dir, "samples.csv"), "w", newline="", encoding="ascii") as fh:
+            fh.write("x,y,discrepancy,retained\r\n")
+            write_rows(fh, "%r,%r,%r,%d\r\n", np.column_stack(
+                [dataset.states, dataset.successors, disc, kept]))
+        written.append("samples.csv")
+        if config.filter.enabled and jump is not None:
+            start, length = jump
+            if start + length > dataset.count:
+                click.echo(f"note: max_jump {start}+{length} does not fit the"
+                           f" {dataset.count}-sample dataset; skipping jump.csv")
             else:
-                disc, kept = discrepancies(dataset, physics), np.ones(dataset.count, dtype=bool)
-            # Same bytes as csv.writer: repr floats, integer flags, CRLF endings.
-            with open(os.path.join(out_dir, "samples.csv"), "w", newline="", encoding="ascii") as fh:
-                fh.write("x,y,discrepancy,retained\r\n")
-                write_rows(fh, "%r,%r,%r,%d\r\n", np.column_stack(
-                    [dataset.states, dataset.successors, disc, kept]))
-            written.append("samples.csv")
-            jump = report.get("filter", {}).get("max_jump")
-            if config.filter.enabled and jump:
-                start, length = jump["start_index"], jump["length"]
-                end = min(start + length - 1, dataset.count - 1)
-                with open(os.path.join(out_dir, "jump.csv"), "w", newline="", encoding="ascii") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["start_index", "length", "start_x", "end_x"])
-                    writer.writerow([start, length,
-                                     dataset.states[start], dataset.states[end]])
+                _write_table(os.path.join(out_dir, "jump.csv"),
+                             ["start_index", "length", "start_x", "end_x"],
+                             [[start, length, dataset.states[start],
+                               dataset.states[start + length - 1]]])
                 written.append("jump.csv")
-    else:
-        click.echo("note: report has no saved dataset; skipping samples.csv")
 
     click.echo(f"wrote {', '.join(written)} to {out_dir}")
     sys.exit(0)
@@ -423,20 +423,17 @@ def cmd_plotdata(report_path, out_dir, points):
 @click.option("--seed", type=int, default=None, help="Override simulation seed.")
 def cmd_validate(cert_path, config_path, trajectories, horizon, seed):
     """Check a saved certificate's levels and simulate the true system."""
+    config = _load("config", config_path, RunConfig.from_dict)
     overrides = {"trajectories": trajectories, "horizon": horizon, "seed": seed}
-    try:
-        config = _load_config(config_path)
-        # the config's own check names the field an override makes invalid
+    try:  # the config's own check names the field an override makes invalid
         config = replace(config, validation=replace(
             config.validation, **{k: v for k, v in overrides.items() if v is not None}))
-        with open(cert_path, encoding="ascii") as fh:
-            certificate = BarrierCertificate.from_dict(json.load(fh))
-        safety = check_safety_empirically(
-            config.true_model(), config.initial, config.unsafe, **asdict(config.validation)
-        )
-    except (OSError, ValueError, KeyError, TypeError, PhysbcError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    except ValueError as exc:
+        raise PhysbcError(str(exc)) from exc
+    certificate = _load("certificate", cert_path, BarrierCertificate.from_dict)
+    safety = check_safety_empirically(
+        config.true_model(), config.initial, config.unsafe, **asdict(config.validation)
+    )
 
     ok = certificate.definition_ok
     click.echo(f"levels: initial {certificate.initial_level:.6g} <"

@@ -19,7 +19,6 @@ embed its exact inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from math import isfinite, sqrt
 from numbers import Real
@@ -261,11 +260,6 @@ class RunConfig:
                 else:
                     values[name] = section_cls(**data[name])
         return cls(**values)
-
-    @classmethod
-    def from_json(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 # Each nested record of a RunConfig by field name; from_dict builds it from its JSON object.

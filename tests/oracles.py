@@ -11,7 +11,7 @@ import numpy as np
 from scipy import integrate
 from scipy.optimize import linprog
 
-from physbc.barrier import bernstein_rows
+from physbc.barrier import BarrierTemplate, bernstein_rows
 from physbc.errors import DatasetParseError, DegenerateDataError, ModelMismatchError
 from physbc.lipschitz import (
     METHOD_EXTREME,
@@ -19,7 +19,7 @@ from physbc.lipschitz import (
     LipschitzEstimate,
     _reverse_weibull_location,
 )
-from physbc.models import SafetyCheck
+from physbc.models import RegionBox, SafetyCheck
 from physbc.sampling import Dataset, _read_sidecar
 from physbc.solver import FEASIBILITY_TOL, OPTIMALITY_TOL, STATUS_OPTIMAL, SolveResult
 
@@ -436,3 +436,42 @@ def load_dataset_rowwise(path):
     if row != count:
         raise DatasetParseError(f"sidecar promises {count} rows, file has {row}")
     return Dataset(values[:, 0], values[:, 1], scheme, domain, seed=seed)
+
+
+def _derivative_sup(certificate, lower, upper):
+    """An upper bound on sup |B'| over ``[lower, upper]``: B''s largest Bernstein coefficient."""
+    powers = [(e - 1, e * c) for e, c in zip(certificate.template.exponents,
+                                             certificate.coefficients.tolist()) if e > 0]
+    if not powers:
+        return 0.0
+    exponents, coefficients = zip(*powers)
+    rows = bernstein_rows(BarrierTemplate(exponents), RegionBox(lower, upper))
+    return float(np.max(np.abs(rows @ np.array(coefficients))))
+
+
+def truth_flow_bound(config, certificate, points=400_001):
+    """A sound upper bound on sup over the domain of g(x) = B(f(x)) - decay B(x).
+
+    ``f`` is ``config.true_model()``.  The bound is the maximum of g on an even
+    grid of spacing h plus h/2 times a bound on |g'|, since every point of the
+    domain lies within h/2 of a grid point.  |g'| <= sup|B'| on f(D) * L_f +
+    decay * sup|B'| on D, each sup|B'| from B''s Bernstein coefficients.  f(D)
+    is enclosed by the grid's range of f widened by L_f h on both sides, and
+    L_f = |linear| + 2 |quadratic| max|x| + 2 pi nu A bounds |f'| on D.
+    """
+    truth, domain = config.true_model(), config.domain
+    grid = np.linspace(domain.lower, domain.upper, points)
+    h = (domain.upper - domain.lower) / (points - 1)
+    successors = truth.step_many(grid)
+    flow = certificate.evaluate(successors) - certificate.decay * certificate.evaluate(grid)
+    lipschitz_f = abs(truth.linear)
+    if truth.quadratic is not None:
+        lipschitz_f += 2.0 * abs(truth.quadratic) * max(abs(domain.lower), abs(domain.upper))
+    if truth.perturbation is not None:
+        wave = truth.perturbation
+        lipschitz_f += 2.0 * math.pi * wave.frequency * wave.amplitude
+    widen = lipschitz_f * h
+    slope = (_derivative_sup(certificate, successors.min() - widen, successors.max() + widen)
+             * lipschitz_f
+             + certificate.decay * _derivative_sup(certificate, domain.lower, domain.upper))
+    return float(flow.max()) + h / 2.0 * slope

@@ -18,6 +18,7 @@ from oracles import (
     binomial_tail,
     minimax_by_vertices,
     random_bounded_instance,
+    truth_flow_bound,
 )
 from physbc.certify import (
     GeometryFactor,
@@ -25,8 +26,9 @@ from physbc.certify import (
     check_probabilistic,
     min_violation_level,
 )
-from physbc.cli import REFERENCE_RESULTS
-from physbc.config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, preset
+from physbc.barrier import BarrierCertificate, BarrierTemplate
+from physbc.cli import REFERENCE_RESULTS, reference_config
+from physbc.config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, RunConfig, preset
 from physbc.filtering import apply_filter
 from physbc.models import RegionBox
 from physbc.pipeline import run
@@ -273,3 +275,43 @@ def test_criterion_9_geometry_mass_coefficients():
         ok,
         f"extent 2.2 -> {coeff_wide:.4f}, extent 0.9 -> {coeff_narrow:.4f}",
     )
+
+
+def test_truth_flow_bound_on_a_hand_computed_affine_truth():
+    # f(x) = 0.5 x + 0.2 on [0, 1] with no wave, so L_f = 0.5, f(D) = [0.2, 0.7],
+    # and the 101-point grid has h = 0.01
+    config = RunConfig.from_dict({
+        "system": {"kind": "affine", "linear": [[0.5]], "offset": [0.2]},
+        "domain": {"lower": [0.0], "upper": [1.0]},
+        "initial": {"lower": [0.0], "upper": [0.1]},
+        "unsafe": {"lower": [0.9], "upper": [1.0]},
+        "perturbation": {"amplitude": 0.0},
+    })
+    template = BarrierTemplate((2, 1, 0))
+
+    def bound(coefficients):
+        certificate = BarrierCertificate(template, np.array(coefficients), 0.83, 1e-4, 1.0)
+        return truth_flow_bound(config, certificate, points=101)
+
+    # B = x: g = -0.33 x + 0.2, largest at x = 0; |g'| <= 1 * 0.5 + 0.83 * 1
+    assert bound([0.0, 1.0, 0.0]) == pytest.approx(0.2 + 0.005 * 1.33, abs=1e-12)
+    # B = x^2: g = -0.58 x^2 + 0.2 x + 0.04, largest on the grid at x = 0.17 and
+    # on [0, 1] at x = 0.2 / 1.16; |B'| = |2x| is at most 1.41 on f(D) widened by
+    # L_f h = 0.005, and 2 on D, so |g'| <= 1.41 * 0.5 + 0.83 * 2
+    grid_max = -0.58 * 0.17**2 + 0.2 * 0.17 + 0.04
+    assert bound([1.0, 0.0, 0.0]) == pytest.approx(grid_max + 0.005 * 2.365, abs=1e-12)
+    assert bound([1.0, 0.0, 0.0]) >= 0.04 + 0.04 / 2.32
+
+
+def test_criterion_10_truth_flow_bound():
+    # the ground truth is known, so a passing certificate's flow condition can be
+    # checked on the whole domain, not only at the samples
+    bounds, ok = [], True
+    for key in REFERENCE_RESULTS:
+        config = reference_config(key)
+        artifacts = run(config)
+        bound = truth_flow_bound(config, artifacts.certificate)
+        verdict = artifacts.report["verdict"]
+        ok = ok and (verdict != "pass" or bound <= 0.0)
+        bounds.append(f"{key} {verdict} {bound:.3f}")
+    note("truth-flow-bound", ok, ", ".join(bounds))

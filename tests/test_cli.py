@@ -87,14 +87,6 @@ def test_run_needs_exactly_one_source(config_path, tmp_path):
     assert neither.exit_code == 1
 
 
-def test_run_rejects_malformed_config(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    result = CliRunner().invoke(main, ["run", "--config", str(bad),
-                                       "--out", str(tmp_path / "o")])
-    assert result.exit_code == 1
-
-
 @pytest.mark.parametrize("section", [{"method": "spectral"}, {"pair_budget": 0}],
                          ids=["unknown-method", "zero-pair-budget"])
 def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatch):
@@ -304,6 +296,45 @@ def test_run_reports_an_override_that_makes_the_config_invalid(tmp_path):
     assert result.exit_code == 1
     assert "error: risk must lie strictly between 0 and 1" in result.output
     assert not (tmp_path / "o").exists()
+
+
+# ------------------------------------------------------------ error contract
+
+
+@pytest.mark.parametrize("case", [
+    "run-config", "sweep-config", "plotdata-report", "validate-certificate", "validate-config",
+    "reproduce-scale", "plotdata-points",
+])
+def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_path, tmp_path,
+                                                          monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    certificate = str(run_dir / "certificate.json")
+    args = {
+        "run-config": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
+        "sweep-config": ["sweep", "--config", str(bad), "--param", "risk", "--values", "0.1",
+                         "--out", str(tmp_path / "s.csv")],
+        "plotdata-report": ["plotdata", "--report", str(bad), "--out", str(tmp_path / "o")],
+        "validate-certificate": ["validate", "--certificate", str(bad), "--config", config_path],
+        "validate-config": ["validate", "--certificate", certificate, "--config", str(bad)],
+        "reproduce-scale": ["reproduce", "--scale", "0", "--out", str(tmp_path / "o")],
+        "plotdata-points": ["plotdata", "--report", str(run_dir / "report.json"),
+                            "--points", "0", "--out", str(tmp_path / "o")],
+    }[case]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a bad input")
+
+    monkeypatch.setattr("physbc.cli.run", no_work)
+    monkeypatch.setattr("physbc.cli.check_safety_empirically", no_work)
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    if not case.endswith(("scale", "points")):
+        assert str(bad) in lines[0]
+    assert "Traceback" not in result.output and not (tmp_path / "o").exists()
 
 
 # ------------------------------------------------------------------ validate
@@ -526,6 +557,72 @@ def test_plotdata_skips_a_dataset_it_cannot_use(case, run_dir, tmp_path):
     assert result.exit_code == 0, result.output
     assert "note: dataset not readable" in result.output
     assert (out / "barrier_curve.csv").exists() and not (out / "samples.csv").exists()
+
+
+# One edit to a saved report that leaves it unusable.
+REPORT_EDITS = {
+    "no-solver": lambda r: r.pop("solver"),
+    "no-dataset": lambda r: r.pop("dataset"),
+    "numeric-dataset-path": lambda r: r["dataset"].update(path=5),
+    "list-filter": lambda r: r.update(filter=[1]),
+    "quoted-jump-start": lambda r: r["filter"]["max_jump"].update(start_index="10"),
+    "boolean-jump-length": lambda r: r["filter"]["max_jump"].update(length=True),
+    "negative-jump-start": lambda r: r["filter"]["max_jump"].update(start_index=-1),
+    "empty-jump": lambda r: r["filter"]["max_jump"].update(length=0),
+}
+
+
+def plot_edited_report(edit, run_dir, tmp_path):
+    """``plotdata`` on the run's report after ``edit``, next to a copy of its dataset."""
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["filter"]["max_jump"] is not None
+    edit(report)
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    for name in ("dataset.csv", "dataset.meta.json"):
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+    return CliRunner().invoke(main, ["plotdata", "--report", str(tmp_path / "report.json"),
+                                     "--out", str(tmp_path / "plots")])
+
+
+@pytest.mark.parametrize("edit", sorted(REPORT_EDITS))
+def test_plotdata_refuses_a_malformed_report_before_writing(edit, run_dir, tmp_path):
+    result = plot_edited_report(REPORT_EDITS[edit], run_dir, tmp_path)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: could not load report {tmp_path / 'report.json'}: ")
+    assert not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("jump", [{"start_index": 10**9, "length": 1},
+                                  {"start_index": 0, "length": 10**9}, None],
+                         ids=["start-past-the-end", "run-past-the-end", "no-filter-block"])
+def test_plotdata_skips_a_jump_that_does_not_fit_the_dataset(jump, run_dir, tmp_path):
+    def edit(report):
+        if jump is None:
+            del report["filter"]
+        else:
+            report["filter"]["max_jump"] = jump
+
+    result = plot_edited_report(edit, run_dir, tmp_path)
+    out = tmp_path / "plots"
+    assert result.exit_code == 0, result.output
+    assert ("note: max_jump" in result.output) == (jump is not None)
+    assert (out / "samples.csv").exists() and not (out / "jump.csv").exists()
+
+
+def test_plotdata_jump_spans_the_longest_discarded_run(run_dir, tmp_path):
+    report = json.loads((run_dir / "report.json").read_text())
+    start, length = (report["filter"]["max_jump"][k] for k in ("start_index", "length"))
+    dataset = load_dataset_rowwise(str(run_dir / "dataset.csv"))
+    out = tmp_path / "plots"
+    result = CliRunner().invoke(main, [
+        "plotdata", "--report", str(run_dir / "report.json"), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    with open(out / "jump.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (int(row["start_index"]), int(row["length"])) == (start, length)
+    assert float(row["start_x"]) == dataset.states[start]
+    assert float(row["end_x"]) == dataset.states[start + length - 1]
 
 
 def test_plotdata_rejects_missing_report(tmp_path):

@@ -77,7 +77,8 @@ def test_round_trip_through_dict_and_json(tmp_path):
 
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config.to_dict()))
-    assert RunConfig.from_json(str(path)).to_dict() == config.to_dict()
+    with open(path, encoding="utf-8") as fh:
+        assert RunConfig.from_dict(json.load(fh)).to_dict() == config.to_dict()
 
 
 def test_from_dict_fills_defaults():
