@@ -1,8 +1,9 @@
 """Barrier function templates, fitted certificates, and scenario constraints.
 
-A certificate ``B(x)`` is a linear combination of the monomials ``x^e`` of a
-scalar state.  The basis matrix builds every power by repeated
-multiplication (``x``, ``x*x``, ...), with no floating-point ``pow``.
+A certificate ``B(x)`` of degree ``d`` is a linear combination of the
+monomials ``x^d, ..., x, 1`` of a scalar state, highest power first.  The
+basis matrix builds every power by repeated multiplication (``x``, ``x*x``,
+...), with no floating-point ``pow``.
 Safety is encoded by three families of affine constraints on the stacked
 decision vector ``[unsafe_level, coefficients...]``:
 
@@ -12,8 +13,8 @@ decision vector ``[unsafe_level, coefficients...]``:
 
 The two region families hold on the whole region, not only at sample points.
 On an interval ``[a, a + h]`` write ``x = a + h t`` with ``t`` in ``[0, 1]``.
-With ``d`` the template's largest exponent, ``B`` is a combination ``sum_k
-b_k C(d, k) t^k (1 - t)^(d - k)`` of Bernstein polynomials.  Those are
+``B`` is then a combination ``sum_k b_k C(d, k) t^k (1 - t)^(d - k)`` of
+Bernstein polynomials.  Those are
 non-negative and sum to one on ``[0, 1]``, so every value of ``B`` on the
 interval is a convex combination of the ``b_k``: ``min b_k <= B(x) <= max
 b_k`` (Farouki, "The Bernstein polynomial basis: a centennial
@@ -72,90 +73,74 @@ DEFAULT_COEFF_BOUND = 100.0
 INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
 
 
-def _powers(x: np.ndarray, top: int, out: Optional[dict] = None):
+def _powers(x: np.ndarray, top: int):
     """Yield ``(e, x ** e)`` for ``e = 1 .. top``, each power the previous one times ``x``.
 
-    ``x ** e`` for ``e >= 2`` is written into ``out[e]`` when ``out`` has that
-    key, otherwise into one buffer that the next power overwrites; ``x ** 1``
-    is ``x`` itself.
+    ``x ** 1`` is ``x`` itself; every later power overwrites one buffer.
     """
-    out = out or {}
-    power, spare = x, None
+    power = x
     for e in range(1, top + 1):
         if e > 1:
-            target = out.get(e)
-            if target is None:
-                if spare is None:
-                    spare = np.empty(x.shape)
-                target = spare
-            power = np.multiply(power, x, out=target)
+            power = np.multiply(power, x, out=None if e == 2 else power)
         yield e, power
 
 
 @dataclass(frozen=True, eq=False)
 class BarrierTemplate:
-    """Monomial basis ``x^e``, given as one integer power ``e`` per basis function."""
+    """Every monomial up to ``degree``, highest first: column ``j`` holds ``x^(degree - j)``."""
 
-    exponents: Tuple[int, ...]
+    degree: int
 
     def __post_init__(self):
-        exps = tuple(self.exponents)
-        for e in exps:
-            # numpy's integers count; 2.7, 2.0, "2" and true are refused, not truncated or cast
-            if isinstance(e, bool) or not isinstance(e, Integral):
-                raise TypeError(f"template exponents must be integers, got {e!r}")
-        exps = tuple(int(e) for e in exps)
-        if not exps:
-            raise ValueError("template needs at least one monomial")
-        if any(e < 0 for e in exps):
-            raise ValueError("exponents must be non-negative")
-        if len(set(exps)) != len(exps):
-            raise ValueError("duplicate monomials in template")
-        object.__setattr__(self, "exponents", exps)
-
-    @classmethod
-    def from_degree(cls, degree: int) -> "BarrierTemplate":
-        """All powers up to ``degree``, highest first: ``degree=2`` is (x^2, x, 1)."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        return cls(tuple(range(degree, -1, -1)))
+        # numpy's integers count; 2.7, 2.0, "2" and true are refused, not truncated or cast
+        d = self.degree
+        if isinstance(d, bool) or not isinstance(d, Integral) or d < 0:
+            raise ValueError(f"template degree must be a non-negative integer, got {d!r}")
+        object.__setattr__(self, "degree", int(d))
 
     @property
     def size(self) -> int:
-        return len(self.exponents)
+        return self.degree + 1
 
     def basis_matrix(self, states: np.ndarray) -> np.ndarray:
-        """Evaluate all monomials at a batch of states: ``(N,) -> (N, z)``.
+        """Evaluate all monomials at a batch of states: ``(N,) -> (N, degree + 1)``.
 
-        The powers ``x, x*x, ...`` are built by repeated multiplication, each
-        written straight into its column; a power the template skips goes to
-        one scratch array.  Exponent 0 is exactly 1.0, as ``x**0`` is, also for
-        inf and nan states.
+        Each power ``x^e`` is ``x^(e - 1) * x``, written straight into its
+        column.  The last column, ``x^0``, is exactly 1.0, as ``x**0`` is, also
+        for inf and nan states.
         """
         x = np.asarray(states, dtype=float)
         if x.ndim != 1:
             raise ValueError(f"expected (N,) states, got {x.shape}")
-        out = np.empty((x.size, self.size))
-        column = {e: out[:, j] for j, e in enumerate(self.exponents)}
-        if 0 in column:
-            column[0][...] = 1.0
-        for e, power in _powers(x, max(self.exponents), column):
-            if e == 1 and 1 in column:
-                column[1][...] = power
+        d = self.degree
+        out = np.empty((x.size, d + 1))
+        out[:, d] = 1.0
+        if d:
+            out[:, d - 1] = x
+        for j in range(d - 2, -1, -1):
+            np.multiply(out[:, j + 1], x, out=out[:, j])
         return out
 
     def to_dict(self) -> dict:
         """The JSON form, which keeps one exponent list per monomial: ``[[2], [1], [0]]``."""
-        return {"exponents": [[e] for e in self.exponents]}
+        return {"exponents": [[e] for e in range(self.degree, -1, -1)]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "BarrierTemplate":
-        """Inverse of :meth:`to_dict`; a monomial over any number of axes but one is refused."""
+        """Inverse of :meth:`to_dict`; a monomial over any number of axes but one, an
+        exponent that is not a JSON integer, and any list but ``[[d], ..., [0]]`` are refused."""
         rows = data["exponents"]
         for row in rows:
             if len(row) != 1:
                 raise ValueError(f"template must be one-dimensional, got {len(row)} axes")
-        return cls(tuple(row[0] for row in rows))
+        exponents = [row[0] for row in rows]
+        for e in exponents:
+            if isinstance(e, bool) or not isinstance(e, Integral):
+                raise TypeError(f"template exponents must be integers, got {e!r}")
+        if not exponents or exponents != list(range(len(exponents) - 1, -1, -1)):
+            raise ValueError("template exponents must be every power from the degree down"
+                             f" to 0, [[d], ..., [1], [0]], got {rows}")
+        return cls(len(exponents) - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,8 +262,8 @@ class ConstraintSystem:
 def bernstein_rows(template: BarrierTemplate, region: RegionBox) -> np.ndarray:
     """Rows ``R`` such that ``R @ q`` lists the Bernstein coefficients of ``B`` on ``region``.
 
-    ``R`` has ``d + 1`` rows, ``d`` the template's largest exponent.  On
-    ``[lo, hi]`` the coefficient ``k`` of ``x^e`` in degree ``d`` is the
+    ``R`` has ``d + 1`` rows, ``d`` the template's degree, and its columns
+    are the template's.  On ``[lo, hi]`` the coefficient ``k`` of ``x^e`` is the
     polar form of ``x^e`` at ``k`` copies of ``hi`` and ``d - k`` of ``lo``:
     ``sum_j C(k, j) C(d - k, e - j) / C(d, e) * hi^j * lo^(e - j)``, the same
     numbers as expanding ``(lo + (hi - lo) t)^e`` and converting powers of
@@ -286,7 +271,7 @@ def bernstein_rows(template: BarrierTemplate, region: RegionBox) -> np.ndarray:
     the ends exact: the first and last rows equal the basis matrix at ``lo``
     and ``hi``, bit for bit.
     """
-    degree = max(template.exponents)
+    degree = template.degree
     # lo[p] is lo ** p and hi[p] is hi ** p, by repeated multiplication
     lo, hi = (list(itertools.accumulate([end] * degree, operator.mul, initial=1.0))
               for end in (region.lower, region.upper))
@@ -296,7 +281,7 @@ def bernstein_rows(template: BarrierTemplate, region: RegionBox) -> np.ndarray:
          for e in range(degree + 1)]
         for k in range(degree + 1)
     ])
-    return table[:, list(template.exponents)]
+    return table[:, ::-1]  # column e is x^e; the template's column j is x^(d - j)
 
 
 def assemble(
@@ -347,17 +332,14 @@ def assemble(
     np.negative(unsafe_rows, out=rows[unsafe, 1:])
 
     if data.count:
-        # column 1 + j is y^e - decay * x^e for e = exponents[j], the basis
-        # matrices' arithmetic written straight into the stack
-        column = {e: rows[flow, 1 + j] for j, e in enumerate(template.exponents)}
-        if 0 in column:
-            column[0][...] = 1.0 - 1.0 * decay
+        # column 1 + d - e is y^e - decay * x^e, the basis matrices' arithmetic
+        # written straight into the stack
+        d = template.degree
+        rows[flow, 1 + d] = 1.0 - 1.0 * decay
         scratch = np.empty(data.count)
-        top = max(template.exponents)
-        for (e, px), (_, py) in zip(_powers(data.states, top), _powers(data.successors, top)):
-            if e in column:
-                np.multiply(px, decay, out=scratch)
-                np.subtract(py, scratch, out=column[e])
+        for (e, px), (_, py) in zip(_powers(data.states, d), _powers(data.successors, d)):
+            np.multiply(px, decay, out=scratch)
+            np.subtract(py, scratch, out=rows[flow, 1 + d - e])
 
     # each decision entry gets a +e_j and a -e_j row, then the gap row closes the stack
     bounds = rows[samples:-1]

@@ -20,9 +20,9 @@ The tail falls as ``eps`` grows, so any level at or above the root is sound.
 :func:`min_violation_level` bisects on the log of the tail and keeps a bracket
 end only where the computed log tail lies below ``log(risk)`` by more than a
 bound on its rounding error; the exact tail at the returned level is
-therefore at most ``risk``.  A geometry factor then converts that measure
-into a radius, and the check mirrors the deterministic one with the radius in
-place of the covering radius.
+therefore at most ``risk``.  :func:`check_probabilistic` then turns that
+measure into a radius on the domain interval, and the check mirrors the
+deterministic one with the radius in place of the covering radius.
 """
 
 from __future__ import annotations
@@ -91,52 +91,12 @@ def min_violation_level(risk: float, decision_count: int, retained_count: int) -
 
 
 @dataclass(frozen=True)
-class GeometryFactor:
-    """Map between a radius and the uniform measure of a ball in an interval.
-
-    ``mass(r) = r / L``: the mass of the half-interval ``[0, r]`` at a domain
-    endpoint, the least a radius-``r`` ball covers in an interval of length
-    ``L``.  The paper writes the constant as ``sqrt(pi) / (1.77 L)``, with
-    1.77 its rounding of ``2 * Gamma(3/2) = sqrt(pi)``; that rounding makes
-    the radius 0.14% too small, on the optimistic side, so the exact ``1 / L``
-    is used.  The mass saturates at 1, so the inverse map is only defined
-    for levels strictly below 1.
-    """
-
-    length: float
-
-    def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError("length must be positive")
-
-    @classmethod
-    def from_region(cls, region) -> "GeometryFactor":
-        return cls(region.length)
-
-    def mass(self, radius: float) -> float:
-        """Fraction of the interval covered by a ball of the given radius."""
-        if radius < 0:
-            raise DomainError("radius must be non-negative")
-        return min(radius / self.length, 1.0)
-
-    def radius(self, level: float) -> float:
-        """Inverse of :meth:`mass` below saturation."""
-        if level < 0:
-            raise DomainError("level must be non-negative")
-        if level >= 1.0:
-            raise GeometrySaturationError(
-                f"violation level {level} saturates the geometry map"
-            )
-        return level * self.length
-
-
-@dataclass(frozen=True)
 class CertificationReport:
     """Certification outcome with every input echoed.
 
     ``condition`` must be non-positive for a pass.  ``radius`` is the
-    covering radius on the deterministic route and the geometry-converted
-    violation radius on the probabilistic one.
+    covering radius on the deterministic route and the violation radius,
+    ``violation_level * domain_length``, on the probabilistic one.
     """
 
     mode: str  # "deterministic" | "probabilistic"
@@ -182,20 +142,34 @@ def check_probabilistic(
     slack: float,
     lipschitz: float,
     violation_level: float,
-    geometry: GeometryFactor,
+    domain_length: float,
     risk: float,
     decision_count: Optional[int] = None,
 ) -> CertificationReport:
-    """Pass when ``slack + lipschitz * radius(violation_level) <= 0``.
+    """Pass when ``slack + lipschitz * violation_level * domain_length <= 0``.
 
-    The verdict holds with confidence ``1 - risk``; saturation of the
-    geometry map (level >= 1) is an error rather than a silent fail.
+    A ball of radius ``r`` centred in an interval of length ``L`` covers at
+    least the half-interval ``[0, r]`` at an end, a uniform mass of ``r / L``.
+    With ``r = violation_level * L`` every such ball holds at least the mass
+    the violating set may hold, and with it a non-violating point.  The
+    paper writes that mass as
+    ``sqrt(pi) r / (1.77 L)``, with 1.77 its rounding of ``2 * Gamma(3/2) =
+    sqrt(pi)``; the rounding makes the radius 0.14% too small, on the
+    optimistic side, so the exact ``1 / L`` is used.  The mass saturates at
+    1, so a level of 1 or more gives no radius: that is an error rather than
+    a silent fail.  The verdict holds with confidence ``1 - risk``.
     """
     if lipschitz < 0:
         raise DomainError("lipschitz constant must be non-negative")
     if not (0.0 < risk < 1.0):
         raise DomainError("risk must lie strictly between 0 and 1")
-    radius = geometry.radius(violation_level)
+    if not domain_length > 0:
+        raise DomainError("domain length must be positive")
+    if violation_level < 0:
+        raise DomainError("level must be non-negative")
+    if violation_level >= 1.0:
+        raise GeometrySaturationError(f"violation level {violation_level} saturates the domain")
+    radius = violation_level * domain_length
     condition = slack + lipschitz * radius
     return CertificationReport(
         mode="probabilistic",

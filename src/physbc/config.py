@@ -222,6 +222,8 @@ class RunConfig:
             if value.shape != shape:
                 raise ValueError(f"system {key} must have shape {shape}, got {value.shape}")
             terms[key] = value.item()
+            if not isfinite(terms[key]):
+                raise ValueError(f"system {key} must be a finite number, got {terms[key]!r}")
         return SystemModel(**terms)
 
     def perturbation_amplitude(self) -> float:

@@ -10,7 +10,7 @@ class PhysbcError(Exception):
 
 
 class InvalidStateError(PhysbcError):
-    """A batch of states is not an ``(N,)`` array."""
+    """A batch of states is not an ``(N,)`` array, or a system maps a state to a non-finite one."""
 
 
 class CapacityError(PhysbcError):
@@ -52,7 +52,7 @@ class InsufficientSamplesError(PhysbcError):
 
 
 class GeometrySaturationError(PhysbcError):
-    """A violation level saturated the geometry map; no radius exists."""
+    """A violation level of 1 or more covers the whole domain; no radius exists."""
 
 
 class SolverInternalError(PhysbcError):

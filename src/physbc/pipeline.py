@@ -41,18 +41,11 @@ from .barrier import (
     BarrierCertificate,
     BarrierTemplate,
     ConstraintSystem,
-    ResidualReport,
     assemble,
     check_certificate,
     sample_values,
 )
-from .certify import (
-    CertificationReport,
-    GeometryFactor,
-    check_deterministic,
-    check_probabilistic,
-    min_violation_level,
-)
+from .certify import check_deterministic, check_probabilistic, min_violation_level
 from .config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, RunConfig
 from .errors import PhysbcError
 from .filtering import apply_filter
@@ -96,9 +89,7 @@ class RunArtifacts:
     system: ConstraintSystem
     solve_result: SolveResult
     certificate: BarrierCertificate
-    residuals: ResidualReport
     lipschitz: LipschitzEstimate
-    certification: CertificationReport
     safety: SafetyCheck
     report: dict
 
@@ -118,7 +109,7 @@ def run(config: RunConfig) -> RunArtifacts:
 
     physics = config.physics_model()
     truth = config.true_model()
-    template = BarrierTemplate.from_degree(config.template_degree)
+    template = BarrierTemplate(config.template_degree)
 
     # ---- sample the ground truth: the mode picks the law ---------------------
     t0 = clock()
@@ -211,12 +202,11 @@ def run(config: RunConfig) -> RunArtifacts:
     else:
         count_dec = system.decision_size + 1  # the unsafe level, the coefficients and the slack
         level = min_violation_level(config.guarantee.risk, count_dec, retained.count)
-        geometry = GeometryFactor.from_region(config.domain)
         certification = check_probabilistic(
             result.slack,
             estimate.overall,
             level,
-            geometry,
+            config.domain.length,
             config.guarantee.risk,
             decision_count=count_dec,
         )
@@ -275,9 +265,7 @@ def run(config: RunConfig) -> RunArtifacts:
         system=system,
         solve_result=result,
         certificate=certificate,
-        residuals=residuals,
         lipschitz=estimate,
-        certification=certification,
         safety=safety,
         report=report,
     )

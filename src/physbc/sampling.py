@@ -4,8 +4,9 @@ A dataset is an ordered collection of scalar (state, successor) pairs
 recorded from one model over one domain interval.  Grid and i.i.d.-uniform
 schemes are provided; both are reproducible from their parameters (the
 i.i.d. scheme from its seed).  A pipeline run takes the grid for a
-deterministic guarantee and i.i.d. draws for a probabilistic one.  On an
-interval the covering radius is exact.
+deterministic guarantee and i.i.d. draws for a probabilistic one.  Both
+refuse a successor that is not finite, naming the first state whose step
+overflows.  On an interval the covering radius is exact.
 
 Datasets persist as CSV written in blocks: :func:`write_rows` formats 65 536
 rows with one ``%`` operation, which gives the same text as formatting them
@@ -32,6 +33,7 @@ import numpy as np
 from .errors import (
     CapacityError,
     DatasetParseError,
+    InvalidStateError,
     NoCoverError,
     RegionViolationError,
 )
@@ -103,7 +105,7 @@ def sample_grid(model: SystemModel, domain: RegionBox, count: int) -> Dataset:
         raise ValueError("need at least 2 grid points")
     _check_capacity(count)
     states = np.linspace(domain.lower, domain.upper, count)
-    return Dataset(states, model.step_many(states), SCHEME_GRID, domain)
+    return Dataset(states, _successors(model, states), SCHEME_GRID, domain)
 
 
 def sample_iid(model: SystemModel, domain: RegionBox, count: int, seed: int) -> Dataset:
@@ -116,7 +118,21 @@ def sample_iid(model: SystemModel, domain: RegionBox, count: int, seed: int) -> 
     _check_capacity(count)
     rng = np.random.default_rng(seed)
     states = rng.uniform(domain.lower, domain.upper, size=count)
-    return Dataset(states, model.step_many(states), SCHEME_IID, domain, seed=seed)
+    return Dataset(states, _successors(model, states), SCHEME_IID, domain, seed=seed)
+
+
+def _successors(model: SystemModel, states: np.ndarray) -> np.ndarray:
+    """``model.step_many(states)``, or an InvalidStateError naming the first state
+    whose successor is not finite; numpy's overflow warnings stay silent, since
+    the error says it all."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        successors = model.step_many(states)
+    finite = np.isfinite(successors)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise InvalidStateError(f"the system maps state {float(states[first])!r} to"
+                                f" {float(successors[first])!r}, which is not finite")
+    return successors
 
 
 def covering_radius(states: np.ndarray, domain: RegionBox) -> float:

@@ -31,18 +31,18 @@ def basis_matrix_pow(template, states):
     one ``pow`` per element of an ``(N, z)`` temporary.
     """
     x = np.asarray(states, dtype=float)
-    return x[:, None] ** np.asarray(template.exponents, dtype=float)[None, :]
+    return x[:, None] ** np.arange(template.degree, -1, -1, dtype=float)[None, :]
 
 
 def basis_matrix_repeated(template, states):
     """Every monomial by plain left-to-right multiplication in Python floats.
 
     Per state and exponent ``e > 0``: ``x * x * ... * x`` (``e`` factors);
-    exponent 0 is 1.0.
+    exponent 0 is 1.0.  Column ``c`` holds ``x^(degree - c)``.
     """
     out = np.empty((len(states), template.size))
     for r, x in enumerate(np.asarray(states, dtype=float).tolist()):
-        for c, e in enumerate(template.exponents):
+        for c, e in enumerate(range(template.degree, -1, -1)):
             value = 1.0
             if e:
                 value = x
@@ -114,7 +114,7 @@ def bernstein_rows_exact(template, region):
     sum_{k >= m} C(k, m) / C(d, m) B_k``.  Everything is a ``Fraction`` until
     the final rounding to float.
     """
-    degree = max(template.exponents)
+    degree = template.degree
     a = Fraction(region.lower)
     h = Fraction(region.upper) - a
     table = [[Fraction(0)] * (degree + 1) for _ in range(degree + 1)]  # [k][e]
@@ -123,7 +123,7 @@ def bernstein_rows_exact(template, region):
             term = math.comb(e, m) * a ** (e - m) * h ** m
             for k in range(m, degree + 1):
                 table[k][e] += term * Fraction(math.comb(k, m), math.comb(degree, m))
-    return np.array([[float(table[k][e]) for e in template.exponents]
+    return np.array([[float(table[k][e]) for e in range(degree, -1, -1)]
                      for k in range(degree + 1)])
 
 
@@ -438,15 +438,36 @@ def load_dataset_rowwise(path):
     return Dataset(values[:, 0], values[:, 1], scheme, domain, seed=seed)
 
 
+def _derivative(certificate):
+    """``(template, coefficients)`` of B', one degree below B, or None for a constant B."""
+    degree = certificate.template.degree
+    if not degree:
+        return None
+    # column j of B's template is x^(degree - j), whose derivative has coefficient degree - j
+    scale = np.arange(degree, 0, -1, dtype=float)
+    return BarrierTemplate(degree - 1), scale * certificate.coefficients[:-1]
+
+
 def _derivative_sup(certificate, lower, upper):
     """An upper bound on sup |B'| over ``[lower, upper]``: B''s largest Bernstein coefficient."""
-    powers = [(e - 1, e * c) for e, c in zip(certificate.template.exponents,
-                                             certificate.coefficients.tolist()) if e > 0]
-    if not powers:
+    derivative = _derivative(certificate)
+    if derivative is None:
         return 0.0
-    exponents, coefficients = zip(*powers)
-    rows = bernstein_rows(BarrierTemplate(exponents), RegionBox(lower, upper))
-    return float(np.max(np.abs(rows @ np.array(coefficients))))
+    template, coefficients = derivative
+    rows = bernstein_rows(template, RegionBox(lower, upper))
+    return float(np.max(np.abs(rows @ coefficients)))
+
+
+def _truth_slope(truth, x):
+    """f'(x) of the truth ``linear x + offset + quadratic x^2 + A sin(2 pi nu x)``."""
+    slope = np.full(x.shape, truth.linear)
+    if truth.quadratic is not None:
+        slope += 2.0 * truth.quadratic * x
+    if truth.perturbation is not None:
+        wave = truth.perturbation
+        slope += 2.0 * math.pi * wave.frequency * wave.amplitude * np.cos(
+            2.0 * math.pi * wave.frequency * x)
+    return slope
 
 
 def truth_flow_bound(config, certificate, points=400_001):
@@ -475,3 +496,26 @@ def truth_flow_bound(config, certificate, points=400_001):
              * lipschitz_f
              + certificate.decay * _derivative_sup(certificate, domain.lower, domain.upper))
     return float(flow.max()) + h / 2.0 * slope
+
+
+def truth_flow_slope(config, certificate, points=400_001):
+    """The grid maximum of |g'| for g(x) = B(f(x)) - decay B(x), f = ``config.true_model()``.
+
+    g' = B'(f(x)) f'(x) - decay B'(x) in closed form.  In one dimension g is
+    C^1, so its Lipschitz constant on the domain is sup |g'|, and this grid
+    maximum is a lower bound on it: a reported flow constant below it is
+    unsound on any grid.
+    """
+    derivative = _derivative(certificate)
+    if derivative is None:
+        return 0.0
+    template, coefficients = derivative
+    truth, domain = config.true_model(), config.domain
+    grid = np.linspace(domain.lower, domain.upper, points)
+
+    def b_prime(x):
+        return template.basis_matrix(x) @ coefficients
+
+    slope = b_prime(truth.step_many(grid)) * _truth_slope(truth, grid)
+    slope -= certificate.decay * b_prime(grid)
+    return float(np.abs(slope).max())

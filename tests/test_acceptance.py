@@ -19,13 +19,9 @@ from oracles import (
     minimax_by_vertices,
     random_bounded_instance,
     truth_flow_bound,
+    truth_flow_slope,
 )
-from physbc.certify import (
-    GeometryFactor,
-    check_deterministic,
-    check_probabilistic,
-    min_violation_level,
-)
+from physbc.certify import check_deterministic, check_probabilistic, min_violation_level
 from physbc.barrier import BarrierCertificate, BarrierTemplate
 from physbc.cli import REFERENCE_RESULTS, reference_config
 from physbc.config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, RunConfig, preset
@@ -72,8 +68,7 @@ def test_criterion_1_reference_condition_arithmetic():
         else:
             domain = preset(ref["system"], ref["mode"]).domain
             report = check_probabilistic(
-                ref["slack"], ref["lipschitz"], ref["metric"],
-                GeometryFactor.from_region(domain), risk=0.05,
+                ref["slack"], ref["lipschitz"], ref["metric"], domain.length, risk=0.05,
             )
         worst = max(worst, abs(report.condition - ref["condition"]))
     elapsed = time.perf_counter() - start
@@ -265,10 +260,12 @@ def test_criterion_8_covering_radius_exactness():
 
 
 def test_criterion_9_geometry_mass_coefficients():
-    wide = GeometryFactor.from_region(RegionBox(0.5, 2.7))
-    narrow = GeometryFactor.from_region(RegionBox(0.1, 1.0))
-    coeff_wide = wide.mass(1e-3) / 1e-3
-    coeff_narrow = narrow.mass(1e-3) / 1e-3
+    # the mass a radius covers per unit radius: the level over its radius
+    def coefficient(region, level=1e-3):
+        return level / check_probabilistic(0.0, 1.0, level, region.length, risk=0.05).radius
+
+    coeff_wide = coefficient(RegionBox(0.5, 2.7))
+    coeff_narrow = coefficient(RegionBox(0.1, 1.0))
     ok = abs(coeff_wide - 0.455) <= 0.005 and abs(coeff_narrow - 1.113) <= 0.005
     note(
         "geometry-mass-coefficients",
@@ -287,7 +284,7 @@ def test_truth_flow_bound_on_a_hand_computed_affine_truth():
         "unsafe": {"lower": [0.9], "upper": [1.0]},
         "perturbation": {"amplitude": 0.0},
     })
-    template = BarrierTemplate((2, 1, 0))
+    template = BarrierTemplate(2)
 
     def bound(coefficients):
         certificate = BarrierCertificate(template, np.array(coefficients), 0.83, 1e-4, 1.0)
@@ -301,17 +298,57 @@ def test_truth_flow_bound_on_a_hand_computed_affine_truth():
     grid_max = -0.58 * 0.17**2 + 0.2 * 0.17 + 0.04
     assert bound([1.0, 0.0, 0.0]) == pytest.approx(grid_max + 0.005 * 2.365, abs=1e-12)
     assert bound([1.0, 0.0, 0.0]) >= 0.04 + 0.04 / 2.32
+    # the slope oracle for B = x^2: g'(x) = 2 (0.5 x + 0.2) 0.5 - 0.83 * 2 x =
+    # 0.2 - 1.16 x, largest in size at x = 1; a constant B has g' = 0
+    square = BarrierCertificate(template, np.array([1.0, 0.0, 0.0]), 0.83, 1e-4, 1.0)
+    assert truth_flow_slope(config, square, points=101) == pytest.approx(0.96, abs=1e-12)
+    constant = BarrierCertificate(BarrierTemplate(0), np.array([3.0]), 0.83, 1e-4, 1.0)
+    assert truth_flow_slope(config, constant, points=101) == 0.0
 
 
-def test_criterion_10_truth_flow_bound():
-    # the ground truth is known, so a passing certificate's flow condition can be
-    # checked on the whole domain, not only at the samples
-    bounds, ok = [], True
+@pytest.fixture(scope="session")
+def reference_runs():
+    """``(config, certificate, report)`` of the eight reference settings at scale 1.0."""
+    runs = {}
     for key in REFERENCE_RESULTS:
         config = reference_config(key)
         artifacts = run(config)
-        bound = truth_flow_bound(config, artifacts.certificate)
-        verdict = artifacts.report["verdict"]
+        runs[key] = config, artifacts.certificate, artifacts.report
+    return runs
+
+
+def test_criterion_10_truth_flow_bound(reference_runs):
+    # the ground truth is known, so a passing certificate's flow condition can be
+    # checked on the whole domain, not only at the samples
+    bounds, ok = [], True
+    for key, (config, certificate, report) in reference_runs.items():
+        bound = truth_flow_bound(config, certificate)
+        verdict = report["verdict"]
         ok = ok and (verdict != "pass" or bound <= 0.0)
         bounds.append(f"{key} {verdict} {bound:.3f}")
     note("truth-flow-bound", ok, ", ".join(bounds))
+
+
+# Deterministic runs at scale 0.05 sample a grid with exactly 4 points per period
+# of the truth's wave, always at the same phases, so the largest sample slope
+# misses the true constant by up to 4x.
+ALIASED = pytest.mark.xfail(strict=True, reason=(
+    "known fault, ROADMAP item 3: on an aliasing grid the sample-slope flow constant"
+    " is below the true constant of g"))
+
+
+@pytest.mark.parametrize("key, scale", [
+    *((key, 1.0) for key in REFERENCE_RESULTS),
+    *(pytest.param(key, 0.05, marks=ALIASED if ref["mode"] == MODE_DETERMINISTIC else ())
+      for key, ref in REFERENCE_RESULTS.items()),
+])
+def test_reported_lipschitz_is_at_least_the_true_flow_slope(key, scale, reference_runs):
+    # g is C^1 in one dimension, so the grid maximum of |g'| is a lower bound on
+    # its Lipschitz constant, and a reported constant below it is unsound
+    if scale == 1.0:
+        config, certificate, report = reference_runs[key]
+    else:
+        config = reference_config(key, scale=scale)
+        artifacts = run(config)
+        certificate, report = artifacts.certificate, artifacts.report
+    assert report["lipschitz"]["overall"] >= truth_flow_slope(config, certificate)

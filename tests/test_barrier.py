@@ -38,7 +38,7 @@ def _toy_dataset(count=6):
 
 def quadratic_certificate(q2, q1, q0, initial_level=0.0, unsafe_level=1.0, decay=0.83):
     return BarrierCertificate(
-        template=BarrierTemplate.from_degree(2),
+        template=BarrierTemplate(2),
         coefficients=np.array([q2, q1, q0]),
         decay=decay,
         initial_level=initial_level,
@@ -50,27 +50,21 @@ def quadratic_certificate(q2, q1, q0, initial_level=0.0, unsafe_level=1.0, decay
 
 
 def test_degree_two_template_is_quadratic_basis():
-    template = BarrierTemplate.from_degree(2)
-    assert template.exponents == (2, 1, 0)
+    template = BarrierTemplate(2)
+    assert template.degree == 2
     assert template.size == 3
-    assert BarrierTemplate.from_degree(0).exponents == (0,)
+    assert template.to_dict() == {"exponents": [[2], [1], [0]]}
+    assert BarrierTemplate(0).size == 1
 
 
 def test_template_validation():
-    with pytest.raises(ValueError):
-        BarrierTemplate(())
-    with pytest.raises(ValueError):
-        BarrierTemplate((1, 1))
-    with pytest.raises(ValueError):
-        BarrierTemplate((-1,))
-    with pytest.raises(ValueError):
-        BarrierTemplate.from_degree(-1)
-    with pytest.raises(TypeError):
-        BarrierTemplate(((1, 0), (0, 1)))
+    for degree in (-1, (2, 1, 0), ((1, 0), (0, 1))):
+        with pytest.raises(ValueError, match="template degree must be a non-negative integer"):
+            BarrierTemplate(degree)
 
 
 def test_basis_matrix_values():
-    template = BarrierTemplate.from_degree(2)
+    template = BarrierTemplate(2)
     basis = template.basis_matrix(np.array([2.0, 0.5]))
     assert basis == pytest.approx(np.array([[4.0, 2.0, 1.0], [0.25, 0.5, 1.0]]))
     for states in (np.zeros((2, 1)), np.float64(1.0)):
@@ -86,17 +80,14 @@ _COORD = st.one_of(
 )
 
 
-# every power up to 4, and templates that skip powers
-_TEMPLATE = st.one_of(
-    st.integers(0, 4).map(BarrierTemplate.from_degree),
-    st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True).map(BarrierTemplate),
-)
+# every degree up to 4
+_TEMPLATE = st.integers(0, 4).map(BarrierTemplate)
 
 
 @settings(max_examples=300, deadline=None)
 @given(template=_TEMPLATE, draw=st.data())
 def test_basis_matrix_is_repeated_multiplication(template, draw):
-    degree = max(template.exponents)
+    degree = template.degree
     states = np.array(draw.draw(st.lists(_COORD, min_size=1, max_size=6)))
     basis = template.basis_matrix(states)
     assert basis.shape == (len(states), template.size)
@@ -110,11 +101,11 @@ def test_basis_matrix_is_repeated_multiplication(template, draw):
 @settings(max_examples=100, deadline=None)
 @given(degree=st.integers(0, 4), draw=st.data())
 def test_basis_matrix_constant_monomial_is_one_for_any_state(degree, draw):
-    template = BarrierTemplate.from_degree(degree)
+    template = BarrierTemplate(degree)
     special = st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -2.5])
     states = np.array(draw.draw(st.lists(special, min_size=1, max_size=6)))
     basis = template.basis_matrix(states)
-    constant = [j for j, e in enumerate(template.exponents) if not e]
+    constant = [j for j, (e,) in enumerate(template.to_dict()["exponents"]) if not e]
     assert constant == [template.size - 1]
     assert np.all(basis[:, constant] == 1.0)
     assert np.all(basis_matrix_pow(template, states)[:, constant] == 1.0)
@@ -122,12 +113,19 @@ def test_basis_matrix_constant_monomial_is_one_for_any_state(degree, draw):
 
 
 def test_template_dict_round_trip():
-    template = BarrierTemplate.from_degree(3)
+    template = BarrierTemplate(3)
     # the JSON form keeps one exponent list per monomial
     assert template.to_dict() == {"exponents": [[3], [2], [1], [0]]}
-    assert BarrierTemplate.from_dict(template.to_dict()).exponents == template.exponents
+    assert BarrierTemplate.from_dict(template.to_dict()).degree == 3
     for exponents, axes in (([[1, 0], [0, 1], [0, 0]], 2), ([[2], [1, 0]], 2), ([[1], []], 0)):
         with pytest.raises(ValueError, match=f"template must be one-dimensional, got {axes} axes"):
+            BarrierTemplate.from_dict({"exponents": exponents})
+    # any list but [[d], ..., [1], [0]]: sparse, reordered, short, repeated, empty
+    for exponents in ([[3], [1], [0]], [[0], [1], [2]], [[2], [1]], [[1], [1], [0]], [],
+                      [[2], [2], [1], [0]]):
+        message = re.escape("template exponents must be every power from the degree down"
+                            f" to 0, [[d], ..., [1], [0]], got {exponents}")
+        with pytest.raises(ValueError, match=message):
             BarrierTemplate.from_dict({"exponents": exponents})
 
 
@@ -144,7 +142,7 @@ def test_certificate_evaluation():
 
 
 def test_certificate_validation():
-    template = BarrierTemplate.from_degree(2)
+    template = BarrierTemplate(2)
     with pytest.raises(ValueError):
         BarrierCertificate(template, np.array([1.0, 2.0]), 0.83, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -176,7 +174,7 @@ def test_negative_unsafe_level_only_valid_without_decay():
 def test_certificate_dict_round_trip():
     cert = quadratic_certificate(0.3, -1.0, 2.5, initial_level=-3.0, unsafe_level=0.5)
     back = BarrierCertificate.from_dict(cert.to_dict())
-    assert back.template.exponents == cert.template.exponents
+    assert back.template.degree == cert.template.degree
     assert np.array_equal(back.coefficients, cert.coefficients)
     assert back.decay == cert.decay
     assert back.initial_level == cert.initial_level
@@ -187,7 +185,7 @@ def test_certificate_dict_round_trip():
 
 
 def test_bernstein_rows_of_the_quadratic_on_an_interval():
-    rows = bernstein_rows(BarrierTemplate.from_degree(2), RegionBox(0.5, 0.6))
+    rows = bernstein_rows(BarrierTemplate(2), RegionBox(0.5, 0.6))
     # (x^2, x, 1) on [lo, hi]: the ends lo^2 and hi^2, and lo * hi between them
     assert rows.shape == (3, 3)
     assert rows == pytest.approx(np.array([
@@ -198,12 +196,11 @@ def test_bernstein_rows_of_the_quadratic_on_an_interval():
 
 
 def test_bernstein_rows_count_is_the_product_of_axis_degrees_plus_one():
-    # the largest exponent d gives d + 1 rows, one column per monomial
+    # degree d gives d + 1 rows, one column per monomial
     box = RegionBox(-1.0, 2.0)
-    assert bernstein_rows(BarrierTemplate((2, 0)), box).shape == (3, 2)
-    assert bernstein_rows(BarrierTemplate((1, 3)), box).shape == (4, 2)
-    assert bernstein_rows(BarrierTemplate.from_degree(3), box).shape == (4, 4)
-    assert bernstein_rows(BarrierTemplate((0,)), box).tolist() == [[1.0]]
+    for degree in range(5):
+        assert bernstein_rows(BarrierTemplate(degree), box).shape == (degree + 1, degree + 1)
+    assert bernstein_rows(BarrierTemplate(0), box).tolist() == [[1.0]]
 
 
 def _box(draw):
@@ -251,13 +248,19 @@ def test_bernstein_rows_match_exact_rational_expansion(template, draw):
 
 
 def test_bernstein_rows_of_a_sparse_template_match_exact_rational_expansion():
-    # powers out of order, with the second power missing below the degree
-    template = BarrierTemplate((3, 1, 0, 4))
+    # a polynomial that skips powers, 2 x^4 - x^3 + 3 x + 0.5, is the degree-4
+    # template with the x^2 coefficient at zero
+    template = BarrierTemplate(4)
+    q = np.array([2.0, -1.0, 0.0, 3.0, 0.5])
     box = RegionBox(-1.5, 0.25)
     rows = bernstein_rows(template, box)
-    assert rows.shape == (5, 4)
-    np.testing.assert_allclose(rows, bernstein_rows_exact(template, box), rtol=1e-13,
-                               atol=1e-13)
+    assert rows.shape == (5, 5)
+    exact = bernstein_rows_exact(template, box)
+    np.testing.assert_allclose(rows, exact, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(rows @ q, exact @ q, rtol=1e-13, atol=1e-12)
+    # the end coefficients are the polynomial at the interval's ends
+    ends = np.array([box.lower, box.upper])
+    assert rows[[0, -1]] @ q == pytest.approx(2 * ends**4 - ends**3 + 3 * ends + 0.5, rel=1e-13)
 
 
 # ------------------------------------------------------------------ assembly
@@ -266,7 +269,7 @@ def test_bernstein_rows_of_a_sparse_template_match_exact_rational_expansion():
 
 def test_assemble_row_structure():
     data = _toy_dataset(4)
-    template = BarrierTemplate.from_degree(2)
+    template = BarrierTemplate(2)
     system = assemble(template, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
 
     # d + 1 = 3 Bernstein rows per region
@@ -292,7 +295,7 @@ def test_assemble_row_structure():
 
 def test_assemble_auxiliary_rows():
     data = _toy_dataset(3)
-    template = BarrierTemplate.from_degree(2)
+    template = BarrierTemplate(2)
     system = assemble(template, 0.83, data, INITIAL, UNSAFE, coeff_bound=50.0)
     width = system.decision_size
     assert width == 4
@@ -322,7 +325,7 @@ def _stack_case(case, degree):
     box = RegionBox(0.0, 3.0)
     states = rng.uniform(0.0, 3.0, size=50)
     data = Dataset(states, 0.9 * states + 0.1, SCHEME_IID, box, seed=0)
-    template = BarrierTemplate.from_degree(degree)
+    template = BarrierTemplate(degree)
     initial, unsafe = RegionBox(0.0, 0.5), RegionBox(2.5, 3.0)
     system = assemble(template, 0.83, data, initial, unsafe, **options)
     return system, assemble_vstack(template, 0.83, data, initial, unsafe, **options)
@@ -364,7 +367,7 @@ def test_family_counts_match_tag_tally(case, degree):
 
 def test_certificate_from_decision():
     data = _toy_dataset(2)
-    template = BarrierTemplate.from_degree(2)
+    template = BarrierTemplate(2)
     system = assemble(template, 0.83, data, INITIAL, UNSAFE)
     cert = system.certificate_from_decision(np.array([1.5, 0.2, 0.8, -1.0]))
     assert cert.initial_level == INITIAL_LEVEL
@@ -375,7 +378,7 @@ def test_certificate_from_decision():
 
 def test_assemble_validates_flow_states_against_the_domain():
     data = _toy_dataset(3)
-    template = BarrierTemplate.from_degree(2)
+    template = BarrierTemplate(2)
     with pytest.raises(RegionViolationError, match="flow sample row 0"):
         assemble(template, 0.83, data, INITIAL, UNSAFE, domain=RegionBox(1.0, 2.7))
     assemble(template, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
@@ -383,7 +386,7 @@ def test_assemble_validates_flow_states_against_the_domain():
 
 def test_assemble_rejects_bad_decay_and_bound():
     data = _toy_dataset(2)
-    template = BarrierTemplate.from_degree(2)
+    template = BarrierTemplate(2)
     for decay in (0.0, 1.5):
         with pytest.raises(ValueError):
             assemble(template, decay, data, INITIAL, UNSAFE)
@@ -441,8 +444,18 @@ def test_residual_report_serialises():
     assert d["tolerance"] == 1e-6
 
 
-# templates that skip powers, the constant alone, and the full quadratic
+# the powers of polynomials that skip some, the constant alone, and the full quadratic;
+# each is the template of its largest power with the skipped coefficients at zero
 GAPPED_TEMPLATES = [(3, 0), (4, 2, 1), (0,), (1,), (2, 1, 0), (0, 3), (1, 4)]
+
+
+def _gapped_certificate(exponents, decay):
+    """The polynomial ``sum_i (i + 1) x^exponents[i]`` on the template of its largest power."""
+    template = BarrierTemplate(max(exponents))
+    q = np.zeros(template.size)
+    for i, e in enumerate(exponents):
+        q[template.degree - e] = i + 1.0
+    return BarrierCertificate(template, q, decay, INITIAL_LEVEL, 1.0)
 
 
 def _strided_dataset(count, seed):
@@ -458,7 +471,8 @@ def _strided_dataset(count, seed):
 @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
 @pytest.mark.parametrize("exponents", GAPPED_TEMPLATES, ids=str)
 def test_assemble_equals_vstack_on_templates_with_gaps(exponents, strided, decay):
-    template = BarrierTemplate(exponents)
+    certificate = _gapped_certificate(exponents, decay)
+    template = certificate.template
     data = _strided_dataset(37, len(exponents))
     if not strided:
         data = Dataset(np.array(data.states), np.array(data.successors), SCHEME_IID,
@@ -470,16 +484,24 @@ def test_assemble_equals_vstack_on_templates_with_gaps(exponents, strided, decay
         template, decay, data, initial, unsafe)
     assert system.rows.tobytes() == np.vstack([rows, extra_rows]).tobytes()
     assert system.offsets.tobytes() == np.concatenate([offsets, extra_offsets]).tobytes()
+    # the flow rows times the polynomial's coefficients are its flow expression
+    flow = slice(*np.cumsum(system.family_sizes)[1:3])
+    np.testing.assert_allclose(system.rows[flow, 1:] @ certificate.coefficients,
+                               sample_values(certificate, data), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
 @pytest.mark.parametrize("exponents", GAPPED_TEMPLATES, ids=str)
 def test_basis_matrix_equals_repeated_multiplication_on_templates_with_gaps(exponents, strided):
-    template = BarrierTemplate(exponents)
+    certificate = _gapped_certificate(exponents, 0.83)
+    template = certificate.template
     data = _strided_dataset(23, 5)
     states = data.states if strided else np.array(data.states)
     basis = template.basis_matrix(states)
     assert basis.tobytes() == basis_matrix_repeated(template, states).tobytes()
+    # the polynomial evaluates as the sum over the powers it keeps
+    kept = sum((i + 1.0) * states**e for i, e in enumerate(exponents))
+    np.testing.assert_allclose(certificate.evaluate(states), kept, rtol=1e-13)
     # the input is read, never written
     assert np.array_equal(states, data.states)
 
@@ -488,17 +510,18 @@ def test_basis_matrix_equals_repeated_multiplication_on_templates_with_gaps(expo
                          ids=["fraction", "float", "string", "bool", "null", "numpy-float",
                               "numpy-bool"])
 def test_template_exponents_must_be_integers(exponent):
+    message = re.escape(f"template degree must be a non-negative integer, got {exponent!r}")
+    with pytest.raises(ValueError, match=message):
+        BarrierTemplate(exponent)
     message = re.escape(f"template exponents must be integers, got {exponent!r}")
     with pytest.raises(TypeError, match=message):
-        BarrierTemplate((exponent, 1, 0))
-    with pytest.raises(TypeError, match="template exponents must be integers"):
         BarrierTemplate.from_dict({"exponents": [[exponent], [1], [0]]})
 
 
 def test_template_accepts_numpy_integers():
-    template = BarrierTemplate((np.int64(2), np.int32(1), 0))
-    assert template.exponents == (2, 1, 0)
-    assert all(type(e) is int for e in template.exponents)
+    template = BarrierTemplate(np.int64(2))
+    assert template.degree == 2 and type(template.degree) is int
+    assert BarrierTemplate(np.int32(0)).size == 1
 
 
 # One field of a saved certificate given as something other than a JSON number of its kind.

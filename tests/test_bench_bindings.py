@@ -1,11 +1,16 @@
-"""The benchmark's tracer (bench/tracing.py) wraps physbc functions by name.
+"""The benchmark (bench/) binds physbc names and report keys.
 
-It replaces attributes of ``physbc.pipeline``, ``physbc.cli`` and
-``physbc.solver``, so a rename or deletion of one of those names, or a call
-site that stops looking its name up on the module, breaks a traced run.
+Its tracer (bench/tracing.py) replaces attributes of ``physbc.pipeline``,
+``physbc.cli`` and ``physbc.solver``, so a rename or deletion of one of those
+names, or a call site that stops looking its name up on the module, breaks a
+traced run.  Its driver (bench/run.py) builds configs through
+``cli.reference_config`` and checks each report against stored seed values,
+so a change that makes an operation raise or read wrong fails here too.
 """
 
 import importlib.util
+import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +20,8 @@ import physbc.solver
 from physbc.config import LipschitzSpec, SamplingSpec, ValidationSpec, preset
 from physbc.sampling import SCHEME_GRID, SCHEME_IID
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 MODULES = (physbc.pipeline, physbc.cli, physbc.solver)
 
 
@@ -83,3 +89,24 @@ def test_traced_run_records_every_stage():
         retained = [span["counts"]["retained"] for span in tracer.spans
                     if span["name"] == "filtering.filter"]
         assert assembled == [{"rows_cover": 6, "rows_flow": retained[0]}]
+
+
+def test_every_workload_builds_and_a_smoke_pass_checks_clean():
+    # bench/run.py puts bench/ and src/ on sys.path and imports its siblings
+    # tracing and expected by those names; all of that is undone afterwards
+    path, modules = list(sys.path), set(sys.modules)
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+        workloads = {name: bench.build_workload(name, 0) for name in names}
+        ops = workloads["smoke-crosscheck"].run_pass(None, lambda line: None)
+    finally:
+        sys.path[:] = path
+        for name in ("tracing", "expected"):
+            if name not in modules:
+                sys.modules.pop(name, None)
+    assert sorted(names) == ["cli-artifacts", "reproduce-full", "smoke-crosscheck"]
+    assert len(ops) == 8
+    assert {op.label: op.problems for op in ops} == {op.label: [] for op in ops}

@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import beta_inc_by_quadrature, binomial_tail
-from physbc.certify import (
-    GeometryFactor,
-    check_deterministic,
-    check_probabilistic,
-    min_violation_level,
-)
+from physbc.certify import check_deterministic, check_probabilistic, min_violation_level
 from physbc.errors import (
     DomainError,
     GeometrySaturationError,
@@ -150,51 +145,37 @@ def test_min_violation_level_needs_more_samples_than_decisions():
         min_violation_level(0.05, 0, 100)
 
 
+def _radius(level, length):
+    return check_probabilistic(slack=0.0, lipschitz=1.0, violation_level=level,
+                               domain_length=length, risk=0.05).radius
+
+
 def test_geometry_mass_interval_coefficient():
-    # fraction of an interval of length a covered by a radius-r ball at an
-    # endpoint: mass(r) = r / a exactly
+    # a radius-r ball at an endpoint of an interval of length a covers the mass
+    # r / a, so the level's radius is level * a exactly
     for a, coeff in ((2.2, 1 / 2.2), (0.9, 1 / 0.9)):
-        factor = GeometryFactor(a)
-        r = 1e-3
-        assert factor.mass(r) / r == pytest.approx(coeff, rel=1e-12)
-
-
-def test_geometry_mass_clamps_at_one():
-    factor = GeometryFactor(0.9)
-    assert factor.mass(10.0) == 1.0
-    assert factor.mass(0.0) == 0.0
-
-
-def test_geometry_radius_inverts_mass():
-    factor = GeometryFactor(2.2)
-    for phi in (1e-5, 1e-3, 0.1, 0.9):
-        assert factor.mass(factor.radius(phi)) == pytest.approx(phi, rel=1e-12)
+        assert 1e-3 / _radius(1e-3, a) == pytest.approx(coeff, rel=1e-12)
+        for level in (0.0, 1e-5, 0.1, 0.9):
+            assert _radius(level, a) == level * a
 
 
 def test_geometry_radius_error_paths():
-    factor = GeometryFactor(2.2)
     with pytest.raises(DomainError):
-        factor.radius(-1e-9)
+        _radius(-1e-9, 2.2)
     with pytest.raises(GeometrySaturationError):
-        factor.radius(1.0)
+        _radius(1.0, 2.2)
     with pytest.raises(GeometrySaturationError):
-        factor.radius(1.5)
+        _radius(1.5, 2.2)
 
 
 def test_geometry_rejects_unsupported_dimension():
     from physbc.models import RegionBox
     # a region is an interval: bounds with two axes never make one
     with pytest.raises(ValueError, match="bound must be a real number"):
-        GeometryFactor.from_region(RegionBox(np.zeros(2), np.ones(2)))
+        RegionBox(np.zeros(2), np.ones(2))
     for length in (-1.0, 0.0, math.nan):
-        with pytest.raises(ValueError, match="length must be positive"):
-            GeometryFactor(length)
-
-
-def test_geometry_from_region():
-    from physbc.models import RegionBox
-    factor = GeometryFactor.from_region(RegionBox(0.5, 2.7))
-    assert factor.length == 2.2
+        with pytest.raises(DomainError, match="domain length must be positive"):
+            _radius(1e-3, length)
 
 
 def test_deterministic_check_arithmetic():
@@ -216,12 +197,11 @@ def test_deterministic_check_requires_positive_radius():
 
 
 def test_probabilistic_check_arithmetic():
-    geometry = GeometryFactor(2.2)
     level = min_violation_level(0.05, 6, 150_260)
     report = check_probabilistic(slack=-0.2094, lipschitz=11.51,
-                                 violation_level=level, geometry=geometry,
+                                 violation_level=level, domain_length=2.2,
                                  risk=0.05, decision_count=6)
-    expected = -0.2094 + 11.51 * geometry.radius(level)
+    expected = -0.2094 + 11.51 * level * 2.2
     assert report.condition == pytest.approx(expected, rel=1e-12)
     assert report.passed
     assert report.confidence == pytest.approx(0.95)
@@ -233,8 +213,7 @@ def test_probabilistic_check_arithmetic():
 
 
 def test_probabilistic_check_fails_when_slack_too_small():
-    geometry = GeometryFactor(2.2)
     report = check_probabilistic(slack=-1e-6, lipschitz=50.0,
-                                 violation_level=1e-4, geometry=geometry,
+                                 violation_level=1e-4, domain_length=2.2,
                                  risk=0.05)
     assert not report.passed

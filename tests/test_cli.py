@@ -156,6 +156,14 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
      "unsafe upper entries must be real numbers, got True"),
     ({"system": {"kind": "affine", "linear": [["0.8"]], "offset": [0.5]}},
      "system linear entries must be real numbers, got '0.8'"),
+    ({"system": {"kind": "affine", "linear": [[math.nan]], "offset": [0.5]}},
+     "system linear must be a finite number, got nan"),
+    ({"system": {"kind": "quadratic-polynomial", "linear": [[0.8]], "offset": [-math.inf],
+                 "quadratic": [[[-0.5]]]}},
+     "system offset must be a finite number, got -inf"),
+    ({"system": {"kind": "quadratic-polynomial", "linear": [[0.8]], "offset": [0.5],
+                 "quadratic": [[[math.inf]]]}},
+     "system quadratic must be a finite number, got inf"),
 ], ids=["negative-coeff-bound", "zero-trajectories", "zero-horizon",
         "negative-frequency", "negative-amplitude", "fractional-grid-count",
         "fractional-iid-count", "fractional-trajectories", "bool-horizon",
@@ -167,7 +175,8 @@ def test_run_rejects_bad_lipschitz_section_at_load(section, tmp_path, monkeypatc
         "retired-perturbation-phase", "two-dimensional-domain",
         "two-dimensional-initial", "three-dimensional-unsafe", "two-dimensional-system",
         "number-system", "null-system", "list-system", "quoted-domain-bound",
-        "boolean-unsafe-bound", "quoted-system-term"])
+        "boolean-unsafe-bound", "quoted-system-term", "nan-system-term",
+        "infinite-system-offset", "infinite-system-quadratic"])
 def test_run_rejects_a_bad_config_at_load(edits, message, tmp_path, monkeypatch):
     data = small_config_dict()
     for path, value in edits.items():
@@ -301,14 +310,26 @@ def test_run_reports_an_override_that_makes_the_config_invalid(tmp_path):
 # ------------------------------------------------------------ error contract
 
 
+# A system that loads, since its terms are finite, but whose step overflows on part
+# of the domain: 1e308 x is inf above x = 1.797.
+OVERFLOWING_SYSTEM = {"kind": "affine", "linear": [[1e308]], "offset": [0.5]}
+
+
 @pytest.mark.parametrize("case", [
     "run-config", "sweep-config", "plotdata-report", "validate-certificate", "validate-config",
-    "reproduce-scale", "plotdata-points",
+    "reproduce-scale", "plotdata-points", "run-nan-system", "run-overflowing-system",
+    "run-overflowing-system-unfiltered",
 ])
 def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_path, tmp_path,
                                                           monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    if case == "run-nan-system":
+        system = {"kind": "affine", "linear": [[math.nan]], "offset": [0.5]}
+        bad.write_text(json.dumps(_with_setting(small_config_dict(), "system", system)))
+    elif case.startswith("run-overflowing"):
+        bad.write_text(json.dumps(_with_setting(small_config_dict(), "system",
+                                                OVERFLOWING_SYSTEM)))
     certificate = str(run_dir / "certificate.json")
     args = {
         "run-config": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
@@ -320,19 +341,28 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
         "reproduce-scale": ["reproduce", "--scale", "0", "--out", str(tmp_path / "o")],
         "plotdata-points": ["plotdata", "--report", str(run_dir / "report.json"),
                             "--points", "0", "--out", str(tmp_path / "o")],
+        "run-nan-system": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
+        "run-overflowing-system": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
+        "run-overflowing-system-unfiltered": ["run", "--config", str(bad), "--no-filter",
+                                              "--out", str(tmp_path / "o")],
     }[case]
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started on a bad input")
 
-    monkeypatch.setattr("physbc.cli.run", no_work)
+    # an overflowing system is found only once the sampler steps it
+    if not case.startswith("run-overflowing"):
+        monkeypatch.setattr("physbc.cli.run", no_work)
     monkeypatch.setattr("physbc.cli.check_safety_empirically", no_work)
     result = CliRunner().invoke(main, args)
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
-    if not case.endswith(("scale", "points")):
+    if case.startswith("run-overflowing"):
+        assert lines[0] == ("error: the system maps state 1.7977744436109029 to inf,"
+                            " which is not finite")
+    elif not case.endswith(("scale", "points")):
         assert str(bad) in lines[0]
     assert "Traceback" not in result.output and not (tmp_path / "o").exists()
 
@@ -414,6 +444,32 @@ def test_a_certificate_whose_template_is_not_one_dimensional_is_refused(verb, ru
     assert "error: " in result.output
     assert "template must be one-dimensional, got 2 axes" in result.output
     assert "verdict" not in result.output and not (tmp_path / "plots").exists()
+
+
+@pytest.mark.parametrize("exponents", [[[3], [1], [0]], [[0], [1], [2]]],
+                         ids=["sparse", "reversed"])
+@pytest.mark.parametrize("verb", ["validate", "plotdata"])
+def test_a_certificate_whose_template_is_not_the_full_basis_is_refused(verb, exponents, run_dir,
+                                                                       config_path, tmp_path):
+    report = json.loads((run_dir / "report.json").read_text())
+    # three coefficients, but not over x^2, x, 1 in that order
+    report["certificate"]["template"] = {"exponents": exponents}
+    (tmp_path / "certificate.json").write_text(json.dumps(report["certificate"]))
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    args = {
+        "validate": ["validate", "--certificate", str(tmp_path / "certificate.json"),
+                     "--config", config_path, "--trajectories", "10", "--horizon", "20"],
+        "plotdata": ["plotdata", "--report", str(tmp_path / "report.json"),
+                     "--out", str(tmp_path / "plots")],
+    }[verb]
+    result = CliRunner().invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: could not load"), result.stderr
+    assert "template exponents must be every power from the degree down to 0" in lines[0]
+    assert str(exponents) in lines[0]
+    assert result.stdout == "" and not (tmp_path / "plots").exists()
 
 
 # One field of a saved certificate that is not a JSON number of its kind.
@@ -667,6 +723,24 @@ def test_sweep_records_an_invalid_value_as_its_error_row(param, values, config_p
     assert value == expected or (math.isnan(value) and math.isnan(expected))
     assert bad["error"] and bad["verdict"] == ""
     assert f"ERROR: {bad['error']}" in result.output
+
+
+def test_sweep_records_a_system_that_overflows_as_error_rows(tmp_path):
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(_with_setting(small_config_dict(), "system",
+                                               OVERFLOWING_SYSTEM)))
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, [
+        "sweep", "--config", str(config), "--param", "risk", "--values", "0.1,0.2",
+        "--out", str(out),
+    ])
+    # every value failed, so the sweep exits 1, but it still writes its rows
+    assert result.exit_code == 1, result.output
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["error"] for r in rows] == [
+        "the system maps state 1.7977744436109029 to inf, which is not finite"] * 2
+    assert "Traceback" not in result.output
 
 
 def test_sweep_rejects_bad_values(config_path, tmp_path):
