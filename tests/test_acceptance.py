@@ -23,7 +23,7 @@ from oracles import (
 )
 from physbc.certify import check_deterministic, check_probabilistic, min_violation_level
 from physbc.barrier import BarrierCertificate, BarrierTemplate
-from physbc.cli import REFERENCE_RESULTS, reference_config
+from physbc.cli import REFERENCE_RESULTS
 from physbc.config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, RunConfig, preset
 from physbc.filtering import apply_filter
 from physbc.models import RegionBox
@@ -306,17 +306,6 @@ def test_truth_flow_bound_on_a_hand_computed_affine_truth():
     assert truth_flow_slope(config, constant, points=101) == 0.0
 
 
-@pytest.fixture(scope="session")
-def reference_runs():
-    """``(config, certificate, report)`` of the eight reference settings at scale 1.0."""
-    runs = {}
-    for key in REFERENCE_RESULTS:
-        config = reference_config(key)
-        artifacts = run(config)
-        runs[key] = config, artifacts.certificate, artifacts.report
-    return runs
-
-
 def test_criterion_10_truth_flow_bound(reference_runs):
     # the ground truth is known, so a passing certificate's flow condition can be
     # checked on the whole domain, not only at the samples
@@ -342,13 +331,9 @@ ALIASED = pytest.mark.xfail(strict=True, reason=(
     *(pytest.param(key, 0.05, marks=ALIASED if ref["mode"] == MODE_DETERMINISTIC else ())
       for key, ref in REFERENCE_RESULTS.items()),
 ])
-def test_reported_lipschitz_is_at_least_the_true_flow_slope(key, scale, reference_runs):
+def test_reported_lipschitz_is_at_least_the_true_flow_slope(key, scale, reference_runs,
+                                                            smoke_runs):
     # g is C^1 in one dimension, so the grid maximum of |g'| is a lower bound on
     # its Lipschitz constant, and a reported constant below it is unsound
-    if scale == 1.0:
-        config, certificate, report = reference_runs[key]
-    else:
-        config = reference_config(key, scale=scale)
-        artifacts = run(config)
-        certificate, report = artifacts.certificate, artifacts.report
+    config, certificate, report = (reference_runs if scale == 1.0 else smoke_runs)[key]
     assert report["lipschitz"]["overall"] >= truth_flow_slope(config, certificate)
