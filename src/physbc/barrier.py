@@ -1,9 +1,10 @@
-"""Barrier function templates, fitted certificates, and scenario constraints.
+"""Barrier certificates, their monomial basis, and scenario constraints.
 
 A certificate ``B(x)`` of degree ``d`` is a linear combination of the
-monomials ``x^d, ..., x, 1`` of a scalar state, highest power first.  The
-basis matrix builds every power by repeated multiplication (``x``, ``x*x``,
-...), with no floating-point ``pow``.
+monomials ``x^d, ..., x, 1`` of a scalar state, highest power first, so its
+coefficient count fixes ``d``; the functions here take the degree as a plain
+integer.  :func:`basis_matrix` builds every power by repeated multiplication
+(``x``, ``x*x``, ...), with no floating-point ``pow``.
 Safety is encoded by three families of affine constraints on the stacked
 decision vector ``[unsafe_level, coefficients...]``:
 
@@ -18,7 +19,7 @@ Bernstein polynomials.  Those are
 non-negative and sum to one on ``[0, 1]``, so every value of ``B`` on the
 interval is a convex combination of the ``b_k``: ``min b_k <= B(x) <= max
 b_k`` (Farouki, "The Bernstein polynomial basis: a centennial
-retrospective", CAGD 2012).  Each ``b_k`` is linear in the template
+retrospective", CAGD 2012).  Each ``b_k`` is linear in the barrier's
 coefficients (:func:`bernstein_rows`), so ``max b_k <= initial_level`` is
 ``d + 1`` affine rows and implies ``B <= initial_level`` on the entire
 initial interval, and likewise for the unsafe interval.  The end
@@ -85,51 +86,101 @@ def _powers(x: np.ndarray, top: int):
         yield e, power
 
 
-@dataclass(frozen=True, eq=False)
-class BarrierTemplate:
-    """Every monomial up to ``degree``, highest first: column ``j`` holds ``x^(degree - j)``."""
+def _degree(degree) -> int:
+    """``degree`` as an int; numpy's integers count, while 2.7, 2.0, "2" and true
+    are refused, not truncated or cast."""
+    if isinstance(degree, bool) or not isinstance(degree, Integral) or degree < 0:
+        raise ValueError(f"template degree must be a non-negative integer, got {degree!r}")
+    return int(degree)
 
-    degree: int
+
+def basis_matrix(states: np.ndarray, degree: int) -> np.ndarray:
+    """Every monomial up to ``degree`` at a batch of states: ``(N,) -> (N, degree + 1)``.
+
+    Column ``j`` holds ``x^(degree - j)``.  Each power ``x^e`` is ``x^(e - 1) *
+    x``, written straight into its column.  The last column, ``x^0``, is
+    exactly 1.0, as ``x**0`` is, also for inf and nan states.
+    """
+    d = _degree(degree)
+    x = np.asarray(states, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected (N,) states, got {x.shape}")
+    out = np.empty((x.size, d + 1))
+    out[:, d] = 1.0
+    if d:
+        out[:, d - 1] = x
+    for j in range(d - 2, -1, -1):
+        np.multiply(out[:, j + 1], x, out=out[:, j])
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class BarrierCertificate:
+    """A fitted barrier: its coefficients, highest power first, plus its level structure.
+
+    The coefficients are those of ``x^d, ..., x, 1``, so their count fixes
+    the degree ``d``.  ``decay`` is the multiplicative decrease factor
+    required along the flow, in (0, 1].  A certificate is only meaningful
+    when ``unsafe_level`` strictly exceeds ``initial_level`` and, for ``decay
+    < 1``, is itself non-negative: starting below a negative
+    ``initial_level``, the chain ``B(x_k) <= decay^k * B(x_0)`` climbs towards
+    zero and would cross any negative ``unsafe_level``.  Validity is not
+    enforced at construction because solver output is recorded verbatim;
+    check ``definition_ok``.
+    """
+
+    coefficients: np.ndarray
+    decay: float
+    initial_level: float
+    unsafe_level: float
 
     def __post_init__(self):
-        # numpy's integers count; 2.7, 2.0, "2" and true are refused, not truncated or cast
-        d = self.degree
-        if isinstance(d, bool) or not isinstance(d, Integral) or d < 0:
-            raise ValueError(f"template degree must be a non-negative integer, got {d!r}")
-        object.__setattr__(self, "degree", int(d))
+        q = np.asarray(self.coefficients, dtype=float)
+        if q.ndim != 1 or not q.size:
+            raise ValueError(f"expected a non-empty (N,) array of coefficients, got shape"
+                             f" {q.shape}")
+        if not (0.0 < self.decay <= 1.0):
+            raise ValueError("decay must lie in (0, 1]")
+        q.flags.writeable = False
+        object.__setattr__(self, "coefficients", q)
 
     @property
-    def size(self) -> int:
-        return self.degree + 1
+    def degree(self) -> int:
+        return self.coefficients.size - 1
 
-    def basis_matrix(self, states: np.ndarray) -> np.ndarray:
-        """Evaluate all monomials at a batch of states: ``(N,) -> (N, degree + 1)``.
+    @property
+    def definition_ok(self) -> bool:
+        separated = self.unsafe_level > self.initial_level
+        return separated and (self.decay == 1.0 or self.unsafe_level >= 0.0)
 
-        Each power ``x^e`` is ``x^(e - 1) * x``, written straight into its
-        column.  The last column, ``x^0``, is exactly 1.0, as ``x**0`` is, also
-        for inf and nan states.
-        """
-        x = np.asarray(states, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"expected (N,) states, got {x.shape}")
-        d = self.degree
-        out = np.empty((x.size, d + 1))
-        out[:, d] = 1.0
-        if d:
-            out[:, d - 1] = x
-        for j in range(d - 2, -1, -1):
-            np.multiply(out[:, j + 1], x, out=out[:, j])
-        return out
+    def evaluate(self, states):
+        """Barrier values at a batch ``(N,)``; a single state yields a float."""
+        values = basis_matrix(np.atleast_1d(states), self.degree) @ self.coefficients
+        return float(values[0]) if np.ndim(states) == 0 else values
 
     def to_dict(self) -> dict:
-        """The JSON form, which keeps one exponent list per monomial: ``[[2], [1], [0]]``."""
-        return {"exponents": [[e] for e in range(self.degree, -1, -1)]}
+        return {
+            # the JSON form keeps one exponent list per monomial: [[2], [1], [0]]
+            "template": {"exponents": [[e] for e in range(self.degree, -1, -1)]},
+            "coefficients": self.coefficients.tolist(),
+            "decay": self.decay,
+            "initial_level": self.initial_level,
+            "unsafe_level": self.unsafe_level,
+        }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "BarrierTemplate":
-        """Inverse of :meth:`to_dict`; a monomial over any number of axes but one, an
-        exponent that is not a JSON integer, and any list but ``[[d], ..., [0]]`` are refused."""
-        rows = data["exponents"]
+    def from_dict(cls, data: dict) -> "BarrierCertificate":
+        """Inverse of :meth:`to_dict`; every number must be a JSON number, not a
+        string or a boolean.  A monomial over any number of axes but one, an
+        exponent that is not a JSON integer, any exponent list but ``[[d], ...,
+        [0]]`` and a coefficient count other than the exponents' are refused."""
+        levels = {}
+        for key in ("decay", "initial_level", "unsafe_level"):
+            value = data[key]
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"certificate {key} must be a real number, got {value!r}")
+            levels[key] = float(value)
+        rows = data["template"]["exponents"]
         for row in rows:
             if len(row) != 1:
                 raise ValueError(f"template must be one-dimensional, got {len(row)} axes")
@@ -140,73 +191,11 @@ class BarrierTemplate:
         if not exponents or exponents != list(range(len(exponents) - 1, -1, -1)):
             raise ValueError("template exponents must be every power from the degree down"
                              f" to 0, [[d], ..., [1], [0]], got {rows}")
-        return cls(len(exponents) - 1)
-
-
-@dataclass(frozen=True, eq=False)
-class BarrierCertificate:
-    """A fitted barrier: coefficients over a template plus its level structure.
-
-    ``decay`` is the multiplicative decrease factor required along the flow,
-    in (0, 1].  A certificate is only meaningful when ``unsafe_level``
-    strictly exceeds ``initial_level`` and, for ``decay < 1``, is itself
-    non-negative: starting below a negative ``initial_level``, the chain
-    ``B(x_k) <= decay^k * B(x_0)`` climbs towards zero and would cross any
-    negative ``unsafe_level``.  Validity is not enforced at construction
-    because solver output is recorded verbatim; check ``definition_ok``.
-    """
-
-    template: BarrierTemplate
-    coefficients: np.ndarray
-    decay: float
-    initial_level: float
-    unsafe_level: float
-
-    def __post_init__(self):
-        q = np.asarray(self.coefficients, dtype=float)
-        if q.shape != (self.template.size,):
-            raise ValueError(
-                f"expected {self.template.size} coefficients, got shape {q.shape}"
-            )
-        if not (0.0 < self.decay <= 1.0):
-            raise ValueError("decay must lie in (0, 1]")
-        q.flags.writeable = False
-        object.__setattr__(self, "coefficients", q)
-
-    @property
-    def definition_ok(self) -> bool:
-        separated = self.unsafe_level > self.initial_level
-        return separated and (self.decay == 1.0 or self.unsafe_level >= 0.0)
-
-    def evaluate(self, states):
-        """Barrier values at a batch ``(N,)``; a single state yields a float."""
-        values = self.template.basis_matrix(np.atleast_1d(states)) @ self.coefficients
-        return float(values[0]) if np.ndim(states) == 0 else values
-
-    def to_dict(self) -> dict:
-        return {
-            "template": self.template.to_dict(),
-            "coefficients": self.coefficients.tolist(),
-            "decay": self.decay,
-            "initial_level": self.initial_level,
-            "unsafe_level": self.unsafe_level,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BarrierCertificate":
-        """Inverse of :meth:`to_dict`; every number must be a JSON number, not a
-        string or a boolean, and the exponents JSON integers."""
-        levels = {}
-        for key in ("decay", "initial_level", "unsafe_level"):
-            value = data[key]
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"certificate {key} must be a real number, got {value!r}")
-            levels[key] = float(value)
-        return cls(
-            template=BarrierTemplate.from_dict(data["template"]),
-            coefficients=real_array(data["coefficients"], "certificate coefficients"),
-            **levels,
-        )
+        coefficients = real_array(data["coefficients"], "certificate coefficients")
+        if coefficients.shape != (len(exponents),):
+            raise ValueError(f"expected {len(exponents)} coefficients, got shape"
+                             f" {coefficients.shape}")
+        return cls(coefficients, **levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +209,6 @@ class ConstraintSystem:
     rows lie in that order, one block after another.
     """
 
-    template: BarrierTemplate
     decay: float
     rows: np.ndarray
     offsets: np.ndarray
@@ -233,7 +221,7 @@ class ConstraintSystem:
     @property
     def decision_size(self) -> int:
         """Width of the decision vector: the unsafe level plus the coefficients."""
-        return 1 + self.template.size
+        return self.rows.shape[1]
 
     @property
     def counts(self) -> dict:
@@ -251,7 +239,6 @@ class ConstraintSystem:
     def certificate_from_decision(self, decision: np.ndarray) -> BarrierCertificate:
         d = np.asarray(decision, dtype=float)
         return BarrierCertificate(
-            template=self.template,
             coefficients=d[1:],
             decay=self.decay,
             initial_level=INITIAL_LEVEL,
@@ -259,19 +246,20 @@ class ConstraintSystem:
         )
 
 
-def bernstein_rows(template: BarrierTemplate, region: RegionBox) -> np.ndarray:
+def bernstein_rows(degree: int, region: RegionBox) -> np.ndarray:
     """Rows ``R`` such that ``R @ q`` lists the Bernstein coefficients of ``B`` on ``region``.
 
-    ``R`` has ``d + 1`` rows, ``d`` the template's degree, and its columns
-    are the template's.  On ``[lo, hi]`` the coefficient ``k`` of ``x^e`` is the
-    polar form of ``x^e`` at ``k`` copies of ``hi`` and ``d - k`` of ``lo``:
+    ``R`` has ``d + 1`` rows, ``d`` the degree, and its column ``j`` belongs
+    to ``x^(d - j)``, as in :func:`basis_matrix`.  On ``[lo, hi]`` the
+    coefficient ``k`` of ``x^e`` is the polar form of ``x^e`` at ``k`` copies
+    of ``hi`` and ``d - k`` of ``lo``:
     ``sum_j C(k, j) C(d - k, e - j) / C(d, e) * hi^j * lo^(e - j)``, the same
     numbers as expanding ``(lo + (hi - lo) t)^e`` and converting powers of
     ``t`` to the Bernstein basis.  This form needs no ``hi - lo`` and keeps
     the ends exact: the first and last rows equal the basis matrix at ``lo``
     and ``hi``, bit for bit.
     """
-    degree = template.degree
+    degree = _degree(degree)
     # lo[p] is lo ** p and hi[p] is hi ** p, by repeated multiplication
     lo, hi = (list(itertools.accumulate([end] * degree, operator.mul, initial=1.0))
               for end in (region.lower, region.upper))
@@ -281,11 +269,11 @@ def bernstein_rows(template: BarrierTemplate, region: RegionBox) -> np.ndarray:
          for e in range(degree + 1)]
         for k in range(degree + 1)
     ])
-    return table[:, ::-1]  # column e is x^e; the template's column j is x^(d - j)
+    return table[:, ::-1]  # column e is x^e; the basis's column j is x^(d - j)
 
 
 def assemble(
-    template: BarrierTemplate,
+    degree: int,
     decay: float,
     data: Dataset,
     initial_region: RegionBox,
@@ -293,7 +281,7 @@ def assemble(
     domain: Optional[RegionBox] = None,
     coeff_bound: float = DEFAULT_COEFF_BOUND,
 ) -> ConstraintSystem:
-    """Build the scenario constraint system for one dataset.
+    """Build the scenario constraint system for one dataset and barrier degree.
 
     The initial and unsafe rows are the :func:`bernstein_rows` of their
     regions, so they impose both conditions on the whole region; the
@@ -314,9 +302,10 @@ def assemble(
                 f"flow sample row {first} lies outside its declared region: {data.states[first]}"
             )
 
-    initial_rows = bernstein_rows(template, initial_region)
-    unsafe_rows = bernstein_rows(template, unsafe_region)
-    width = 1 + template.size
+    d = _degree(degree)
+    initial_rows = bernstein_rows(d, initial_region)
+    unsafe_rows = bernstein_rows(d, unsafe_region)
+    width = 2 + d  # the unsafe level and the d + 1 coefficients
     family_sizes = (len(initial_rows), len(unsafe_rows), data.count, 2 * width, 1)
     samples = sum(family_sizes[:3])
     rows = np.zeros((sum(family_sizes), width))
@@ -334,7 +323,6 @@ def assemble(
     if data.count:
         # column 1 + d - e is y^e - decay * x^e, the basis matrices' arithmetic
         # written straight into the stack
-        d = template.degree
         rows[flow, 1 + d] = 1.0 - 1.0 * decay
         scratch = np.empty(data.count)
         for (e, px), (_, py) in zip(_powers(data.states, d), _powers(data.successors, d)):
@@ -350,7 +338,6 @@ def assemble(
     offsets[-1] = INITIAL_LEVEL
 
     return ConstraintSystem(
-        template=template,
         decay=decay,
         rows=rows,
         offsets=offsets,
@@ -410,8 +397,8 @@ def check_certificate(
     read from ``flow``, the certificate's :func:`sample_values` on the
     recorded pairs.
     """
-    initial = bernstein_rows(certificate.template, initial_region)
-    unsafe = bernstein_rows(certificate.template, unsafe_region)
+    initial = bernstein_rows(certificate.degree, initial_region)
+    unsafe = bernstein_rows(certificate.degree, unsafe_region)
     values = np.vstack([initial, unsafe]) @ certificate.coefficients
     return ResidualReport(
         initial_max=float((values[:len(initial)] - certificate.initial_level).max()),

@@ -33,7 +33,6 @@ from .models import (
     KIND_AFFINE,
     KIND_QUADRATIC,
     PRESET_MODELS,
-    PerturbationField,
     RegionBox,
     SystemModel,
     real_array,
@@ -232,14 +231,9 @@ class RunConfig:
         return sqrt(2.0) * self.filter.threshold
 
     def true_model(self) -> SystemModel:
-        """Ground truth: the physics plus the configured deviation field."""
-        amplitude = self.perturbation_amplitude()
-        if amplitude == 0.0:
-            return self.physics_model()
-        return SystemModel.perturbed(
-            self.physics_model(),
-            PerturbationField(amplitude, self.perturbation.frequency),
-        )
+        """Ground truth: the physics plus the configured sinusoid."""
+        return replace(self.physics_model(), amplitude=self.perturbation_amplitude(),
+                       frequency=self.perturbation.frequency)
 
     # ---- serialisation ------------------------------------------------------
 

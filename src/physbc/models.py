@@ -3,15 +3,17 @@
 A model is a scalar map ``x(k+1) = f(x(k))`` over an interval of the state
 line, the one dimension the package certifies; both case studies are scalar.
 Two polynomial families cover them, affine and quadratic; either can carry a
-sinusoidal perturbation, which stands in for a ground-truth system whose
-dynamics deviate from the nominal physics by a bounded amount.
+sinusoidal term ``A sin(2 pi nu x)``, which stands in for a ground-truth
+system whose dynamics deviate from the nominal physics by a bounded amount.
+A :class:`SystemModel` is these terms and nothing else: the ground truth is
+the physics with a nonzero amplitude.
 
 Every evaluation of ``f`` goes through one kernel, ``SystemModel._advance``,
 which writes into caller-supplied buffers: :meth:`SystemModel.step_many` and
 :func:`check_safety_empirically` both call it, so a batch step and a rollout
 step are the same arithmetic.  The Monte-Carlo rollout writes its steps into
 one preallocated block of at most ``_BLOCK_VALUES`` entries and tests unsafe
-membership once per block.
+membership, and that every state is finite, once per block.
 """
 
 from __future__ import annotations
@@ -107,67 +109,41 @@ class RegionBox:
 
 
 @dataclass(frozen=True, eq=False)
-class PerturbationField:
-    """Sinusoidal deviation ``w(x) = A sin(2 pi nu x)``.
-
-    ``frequency`` is in cycles per unit of state, so a field with
-    ``frequency = N / length`` completes exactly ``N`` cycles across an
-    interval of that length.  Integer cycle counts keep the deviation's
-    sub-threshold fraction independent of where the interval sits.
-    """
-
-    amplitude: float
-    frequency: float
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
-        if self.frequency <= 0:
-            raise ValueError("frequency must be positive")
-
-    def __call__(self, states: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Deviation at ``states``, written into ``out`` when one is given."""
-        x = np.asarray(states, dtype=float)
-        out = np.multiply(x, 2.0 * np.pi * self.frequency, out=out)
-        np.sin(out, out=out)
-        out *= self.amplitude
-        return out
-
-
-@dataclass(frozen=True, eq=False)
 class SystemModel:
     """Scalar polynomial dynamics, optionally perturbed.
 
-    The update rule is ``f(x) = linear x + offset + quadratic x^2`` plus, for
-    perturbed models, a :class:`PerturbationField`.  A model without a
-    quadratic term is affine.  Instances are immutable and evaluation is
-    deterministic.
+    The update rule is ``f(x) = linear x + offset + quadratic x^2 + amplitude
+    sin(2 pi frequency x)``.  A model without a quadratic term is affine, and
+    one of amplitude 0 is unperturbed.  ``frequency`` is in cycles per unit of
+    state, so a sinusoid with ``frequency = N / length`` completes exactly
+    ``N`` cycles across an interval of that length; integer cycle counts keep
+    the deviation's sub-threshold fraction independent of where the interval
+    sits.  Instances are immutable and evaluation is deterministic.
     """
 
     linear: float
     offset: float
     quadratic: Optional[float] = None
-    perturbation: Optional[PerturbationField] = None
+    amplitude: float = 0.0
+    frequency: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", float(self.linear))
-        object.__setattr__(self, "offset", float(self.offset))
+        for name in ("linear", "offset", "amplitude", "frequency"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.quadratic is not None:
             object.__setattr__(self, "quadratic", float(self.quadratic))
-
-    @classmethod
-    def perturbed(cls, base: "SystemModel", perturbation: PerturbationField) -> "SystemModel":
-        """Overlay a deviation field on an existing (unperturbed) model."""
-        if base.perturbation is not None:
-            raise ValueError("base model is already perturbed")
-        return cls(base.linear, base.offset, base.quadratic, perturbation)
+        if self.amplitude < 0:
+            raise ValueError("amplitude must be non-negative")
+        if self.amplitude > 0 and self.frequency <= 0:
+            raise ValueError("frequency must be positive")
 
     def _advance(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
         """Write ``f(x)`` for a batch ``x`` into ``out``, using ``scratch``.
 
         Both buffers have the shape of ``x`` and overlap neither ``x`` nor
         each other.  The terms are accumulated in this order: ``x * linear``,
-        the offset, ``(x * quadratic) * x`` and the perturbation.
+        the offset, ``(x * quadratic) * x`` and, for a nonzero amplitude,
+        ``sin(x * (2 pi frequency)) * amplitude``.
         """
         np.multiply(x, self.linear, out=out)
         out += self.offset
@@ -175,8 +151,11 @@ class SystemModel:
             np.multiply(x, self.quadratic, out=scratch)
             scratch *= x
             out += scratch
-        if self.perturbation is not None:
-            out += self.perturbation(x, out=scratch)
+        if self.amplitude:
+            np.multiply(x, 2.0 * np.pi * self.frequency, out=scratch)
+            np.sin(scratch, out=scratch)
+            scratch *= self.amplitude
+            out += scratch
 
     def step_many(self, states: np.ndarray) -> np.ndarray:
         """Advance a batch of states ``(N,)`` by one step."""
@@ -230,11 +209,18 @@ def check_safety_empirically(
     membership (``RegionBox.contains`` at ``rtol = 0``) is tested once per
     block, and a trajectory's first hit in a block is the ``argmax`` over the
     block's steps.
+
+    A trajectory that overflows to inf or nan would never lie in ``unsafe``
+    and so would read as safe: the first block holding a state that is not
+    finite raises an :class:`InvalidStateError` instead, naming the start
+    state of the first trajectory that holds one and the step at which it
+    stopped being finite.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     rng = np.random.default_rng(seed)
-    states = rng.uniform(initial.lower, initial.upper, size=trajectories)
+    starts = rng.uniform(initial.lower, initial.upper, size=trajectories)
+    states = starts.copy()
     first_hit = np.full(trajectories, -1, dtype=int)
     hit_state = np.zeros(trajectories)
 
@@ -242,15 +228,24 @@ def check_safety_empirically(
     block = np.empty((steps, trajectories))
     scratch = np.empty(trajectories)
     for start in range(0, horizon + 1, steps):
-        if start:
-            # states carries the previous block's last step
-            model._advance(states, block[0], scratch)
-        else:
-            block[0] = states
-        count = min(steps, horizon + 1 - start)
-        for s in range(1, count):
-            model._advance(block[s - 1], block[s], scratch)
+        # numpy's overflow warnings stay silent, since the error says it all
+        with np.errstate(over="ignore", invalid="ignore"):
+            if start:
+                # states carries the previous block's last step
+                model._advance(states, block[0], scratch)
+            else:
+                block[0] = states
+            count = min(steps, horizon + 1 - start)
+            for s in range(1, count):
+                model._advance(block[s - 1], block[s], scratch)
         window = block[:count]
+        finite = np.isfinite(window)
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=0)))
+            at = int(np.argmin(finite[:, i]))
+            raise InvalidStateError(
+                f"the trajectory from state {float(starts[i])!r} reaches"
+                f" {float(window[at, i])!r} at step {start + at}, which is not finite")
         inside = unsafe.contains(window)
         fresh = np.flatnonzero(inside.any(axis=0) & (first_hit < 0))
         if fresh.size:

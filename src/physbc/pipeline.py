@@ -39,7 +39,6 @@ import numpy as np
 
 from .barrier import (
     BarrierCertificate,
-    BarrierTemplate,
     ConstraintSystem,
     assemble,
     check_certificate,
@@ -53,7 +52,6 @@ from .filtering import discrepancy_profile  # noqa: F401  (bench/tracing.py wrap
 from .lipschitz import (
     METHOD_EXTREME,
     METHOD_PAIRWISE,
-    LipschitzEstimate,
     estimate_extreme_value,
     estimate_pairwise,
 )
@@ -83,13 +81,11 @@ _dataset_memo: dict = {}
 class RunArtifacts:
     """Everything a run produced, plus the serialisable report."""
 
-    config: RunConfig
     dataset: Dataset
     retained: Dataset
     system: ConstraintSystem
     solve_result: SolveResult
     certificate: BarrierCertificate
-    lipschitz: LipschitzEstimate
     safety: SafetyCheck
     report: dict
 
@@ -109,7 +105,6 @@ def run(config: RunConfig) -> RunArtifacts:
 
     physics = config.physics_model()
     truth = config.true_model()
-    template = BarrierTemplate(config.template_degree)
 
     # ---- sample the ground truth: the mode picks the law ---------------------
     t0 = clock()
@@ -143,7 +138,7 @@ def run(config: RunConfig) -> RunArtifacts:
     # ---- constraint assembly -------------------------------------------------
     t0 = clock()
     system = assemble(
-        template,
+        config.template_degree,
         config.decay,
         retained,
         config.initial,
@@ -259,13 +254,11 @@ def run(config: RunConfig) -> RunArtifacts:
         "timing": {k: round(v, 6) for k, v in timings.items()},
     }
     return RunArtifacts(
-        config=config,
         dataset=dataset,
         retained=retained,
         system=system,
         solve_result=result,
         certificate=certificate,
-        lipschitz=estimate,
         safety=safety,
         report=report,
     )
@@ -277,13 +270,9 @@ def _sampled(truth: SystemModel, config: RunConfig):
     The key holds everything the sampler reads: the truth, the domain, the
     mode, the count and, for i.i.d. draws only, the seed.
     """
-    wave = truth.perturbation
     mode = config.guarantee.mode
     key = (
-        # repr tells -0.0 from 0.0 and a numpy scalar from a float, as in _empirical_safety
-        repr((truth.linear, truth.offset, truth.quadratic,
-              None if wave is None else (wave.amplitude, wave.frequency),
-              config.domain)),
+        repr((truth, config.domain)),  # repr tells -0.0 from 0.0, as in _empirical_safety
         mode,
         config.sampling.count,
         config.sampling.seed if mode == MODE_PROBABILISTIC else None,
@@ -301,12 +290,9 @@ def _sampled(truth: SystemModel, config: RunConfig):
 
 def _empirical_safety(truth: SystemModel, config: RunConfig) -> SafetyCheck:
     """The empirical check of ``truth`` under ``config``, computed once per distinct input."""
-    wave = truth.perturbation
     key = (
-        # repr tells -0.0 from 0.0 and a numpy scalar from a float; the kernel can too
-        repr((truth.linear, truth.offset, truth.quadratic,
-              None if wave is None else (wave.amplitude, wave.frequency),
-              config.initial, config.unsafe)),
+        # a model's repr lists every term, and tells -0.0 from 0.0 as the kernel can
+        repr((truth, config.initial, config.unsafe)),
         *astuple(config.validation),
     )
     safety = _safety_memo.get(key)

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import integrate
 from scipy.optimize import linprog
 
-from physbc.barrier import BarrierTemplate, bernstein_rows
+from physbc.barrier import basis_matrix, bernstein_rows
 from physbc.errors import DatasetParseError, DegenerateDataError, ModelMismatchError
 from physbc.lipschitz import (
     METHOD_EXTREME,
@@ -24,25 +24,25 @@ from physbc.sampling import Dataset, _read_sidecar
 from physbc.solver import FEASIBILITY_TOL, OPTIMALITY_TOL, STATUS_OPTIMAL, SolveResult
 
 
-def basis_matrix_pow(template, states):
+def basis_matrix_pow(states, degree):
     """Every monomial through a float power.
 
-    The former kernel of :meth:`physbc.barrier.BarrierTemplate.basis_matrix`:
-    one ``pow`` per element of an ``(N, z)`` temporary.
+    The former kernel of :func:`physbc.barrier.basis_matrix`: one ``pow`` per
+    element of an ``(N, degree + 1)`` temporary.
     """
     x = np.asarray(states, dtype=float)
-    return x[:, None] ** np.arange(template.degree, -1, -1, dtype=float)[None, :]
+    return x[:, None] ** np.arange(degree, -1, -1, dtype=float)[None, :]
 
 
-def basis_matrix_repeated(template, states):
+def basis_matrix_repeated(states, degree):
     """Every monomial by plain left-to-right multiplication in Python floats.
 
     Per state and exponent ``e > 0``: ``x * x * ... * x`` (``e`` factors);
     exponent 0 is 1.0.  Column ``c`` holds ``x^(degree - c)``.
     """
-    out = np.empty((len(states), template.size))
+    out = np.empty((len(states), degree + 1))
     for r, x in enumerate(np.asarray(states, dtype=float).tolist()):
-        for c, e in enumerate(range(template.degree, -1, -1)):
+        for c, e in enumerate(range(degree, -1, -1)):
             value = 1.0
             if e:
                 value = x
@@ -52,7 +52,7 @@ def basis_matrix_repeated(template, states):
     return out
 
 
-def assemble_vstack(template, decay, data, initial_region, unsafe_region, coeff_bound=100.0):
+def assemble_vstack(degree, decay, data, initial_region, unsafe_region, coeff_bound=100.0):
     """The constraint stack built family by family and joined with ``vstack``.
 
     The former body of :func:`physbc.barrier.assemble`, without its input
@@ -63,9 +63,9 @@ def assemble_vstack(template, decay, data, initial_region, unsafe_region, coeff_
     of the two parts.
     """
     initial_level = 1e-4  # the pinned level, written out here rather than imported
-    x0 = bernstein_rows(template, initial_region)
-    xu = bernstein_rows(template, unsafe_region)
-    width = 1 + template.size
+    x0 = bernstein_rows(degree, initial_region)
+    xu = bernstein_rows(degree, unsafe_region)
+    width = 2 + degree
 
     initial_block = np.zeros((len(x0), width))
     initial_block[:, 1:] = x0
@@ -74,9 +74,8 @@ def assemble_vstack(template, decay, data, initial_region, unsafe_region, coeff_
     unsafe_block[:, 1:] = -xu
     flow_block = np.zeros((data.count, width))
     if data.count:
-        flow_block[:, 1:] = template.basis_matrix(data.successors) - decay * template.basis_matrix(
-            data.states
-        )
+        flow_block[:, 1:] = (basis_matrix(data.successors, degree)
+                             - decay * basis_matrix(data.states, degree))
     rows = np.vstack([initial_block, unsafe_block, flow_block])
     offsets = np.zeros(len(rows))
     offsets[: len(x0)] = -initial_level
@@ -105,7 +104,7 @@ def assemble_vstack(template, decay, data, initial_region, unsafe_region, coeff_
     )
 
 
-def bernstein_rows_exact(template, region):
+def bernstein_rows_exact(degree, region):
     """Drop-in for :func:`physbc.barrier.bernstein_rows` in exact rational arithmetic.
 
     Substitutes ``x = a + h t`` with ``a``, ``h`` the exact values of the
@@ -114,7 +113,6 @@ def bernstein_rows_exact(template, region):
     sum_{k >= m} C(k, m) / C(d, m) B_k``.  Everything is a ``Fraction`` until
     the final rounding to float.
     """
-    degree = template.degree
     a = Fraction(region.lower)
     h = Fraction(region.upper) - a
     table = [[Fraction(0)] * (degree + 1) for _ in range(degree + 1)]  # [k][e]
@@ -324,9 +322,8 @@ def step_many_matmul(model, states):
     y = x @ np.array([[model.linear]]).T + np.array([model.offset])
     if model.quadratic is not None:
         y = y + np.einsum("ni,kij,nj->nk", x, np.array([[[model.quadratic]]]), x)
-    field = model.perturbation
-    if field is not None:
-        y = y + field.amplitude * np.sin(2.0 * np.pi * field.frequency * x)
+    if model.amplitude:
+        y = y + model.amplitude * np.sin(2.0 * np.pi * model.frequency * x)
     return y[:, 0]
 
 
@@ -439,13 +436,13 @@ def load_dataset_rowwise(path):
 
 
 def _derivative(certificate):
-    """``(template, coefficients)`` of B', one degree below B, or None for a constant B."""
-    degree = certificate.template.degree
+    """``(degree, coefficients)`` of B', one degree below B, or None for a constant B."""
+    degree = certificate.degree
     if not degree:
         return None
-    # column j of B's template is x^(degree - j), whose derivative has coefficient degree - j
+    # column j of B's basis is x^(degree - j), whose derivative has coefficient degree - j
     scale = np.arange(degree, 0, -1, dtype=float)
-    return BarrierTemplate(degree - 1), scale * certificate.coefficients[:-1]
+    return degree - 1, scale * certificate.coefficients[:-1]
 
 
 def _derivative_sup(certificate, lower, upper):
@@ -453,8 +450,8 @@ def _derivative_sup(certificate, lower, upper):
     derivative = _derivative(certificate)
     if derivative is None:
         return 0.0
-    template, coefficients = derivative
-    rows = bernstein_rows(template, RegionBox(lower, upper))
+    degree, coefficients = derivative
+    rows = bernstein_rows(degree, RegionBox(lower, upper))
     return float(np.max(np.abs(rows @ coefficients)))
 
 
@@ -463,10 +460,8 @@ def _truth_slope(truth, x):
     slope = np.full(x.shape, truth.linear)
     if truth.quadratic is not None:
         slope += 2.0 * truth.quadratic * x
-    if truth.perturbation is not None:
-        wave = truth.perturbation
-        slope += 2.0 * math.pi * wave.frequency * wave.amplitude * np.cos(
-            2.0 * math.pi * wave.frequency * x)
+    slope += 2.0 * math.pi * truth.frequency * truth.amplitude * np.cos(
+        2.0 * math.pi * truth.frequency * x)
     return slope
 
 
@@ -488,9 +483,7 @@ def truth_flow_bound(config, certificate, points=400_001):
     lipschitz_f = abs(truth.linear)
     if truth.quadratic is not None:
         lipschitz_f += 2.0 * abs(truth.quadratic) * max(abs(domain.lower), abs(domain.upper))
-    if truth.perturbation is not None:
-        wave = truth.perturbation
-        lipschitz_f += 2.0 * math.pi * wave.frequency * wave.amplitude
+    lipschitz_f += 2.0 * math.pi * truth.frequency * truth.amplitude
     widen = lipschitz_f * h
     slope = (_derivative_sup(certificate, successors.min() - widen, successors.max() + widen)
              * lipschitz_f
@@ -509,12 +502,12 @@ def truth_flow_slope(config, certificate, points=400_001):
     derivative = _derivative(certificate)
     if derivative is None:
         return 0.0
-    template, coefficients = derivative
+    degree, coefficients = derivative
     truth, domain = config.true_model(), config.domain
     grid = np.linspace(domain.lower, domain.upper, points)
 
     def b_prime(x):
-        return template.basis_matrix(x) @ coefficients
+        return basis_matrix(x, degree) @ coefficients
 
     slope = b_prime(truth.step_many(grid)) * _truth_slope(truth, grid)
     slope -= certificate.decay * b_prime(grid)

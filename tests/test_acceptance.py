@@ -22,7 +22,7 @@ from oracles import (
     truth_flow_slope,
 )
 from physbc.certify import check_deterministic, check_probabilistic, min_violation_level
-from physbc.barrier import BarrierCertificate, BarrierTemplate
+from physbc.barrier import BarrierCertificate
 from physbc.cli import REFERENCE_RESULTS
 from physbc.config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, RunConfig, preset
 from physbc.filtering import apply_filter
@@ -284,10 +284,9 @@ def test_truth_flow_bound_on_a_hand_computed_affine_truth():
         "unsafe": {"lower": [0.9], "upper": [1.0]},
         "perturbation": {"amplitude": 0.0},
     })
-    template = BarrierTemplate(2)
 
     def bound(coefficients):
-        certificate = BarrierCertificate(template, np.array(coefficients), 0.83, 1e-4, 1.0)
+        certificate = BarrierCertificate(np.array(coefficients), 0.83, 1e-4, 1.0)
         return truth_flow_bound(config, certificate, points=101)
 
     # B = x: g = -0.33 x + 0.2, largest at x = 0; |g'| <= 1 * 0.5 + 0.83 * 1
@@ -300,9 +299,9 @@ def test_truth_flow_bound_on_a_hand_computed_affine_truth():
     assert bound([1.0, 0.0, 0.0]) >= 0.04 + 0.04 / 2.32
     # the slope oracle for B = x^2: g'(x) = 2 (0.5 x + 0.2) 0.5 - 0.83 * 2 x =
     # 0.2 - 1.16 x, largest in size at x = 1; a constant B has g' = 0
-    square = BarrierCertificate(template, np.array([1.0, 0.0, 0.0]), 0.83, 1e-4, 1.0)
+    square = BarrierCertificate(np.array([1.0, 0.0, 0.0]), 0.83, 1e-4, 1.0)
     assert truth_flow_slope(config, square, points=101) == pytest.approx(0.96, abs=1e-12)
-    constant = BarrierCertificate(BarrierTemplate(0), np.array([3.0]), 0.83, 1e-4, 1.0)
+    constant = BarrierCertificate(np.array([3.0]), 0.83, 1e-4, 1.0)
     assert truth_flow_slope(config, constant, points=101) == 0.0
 
 

@@ -15,8 +15,8 @@ from physbc.barrier import (
     FAMILIES,
     INITIAL_LEVEL,
     BarrierCertificate,
-    BarrierTemplate,
     assemble,
+    basis_matrix,
     bernstein_rows,
     check_certificate,
     sample_values,
@@ -38,7 +38,6 @@ def _toy_dataset(count=6):
 
 def quadratic_certificate(q2, q1, q0, initial_level=0.0, unsafe_level=1.0, decay=0.83):
     return BarrierCertificate(
-        template=BarrierTemplate(2),
         coefficients=np.array([q2, q1, q0]),
         decay=decay,
         initial_level=initial_level,
@@ -46,30 +45,37 @@ def quadratic_certificate(q2, q1, q0, initial_level=0.0, unsafe_level=1.0, decay
     )
 
 
-# ---------------------------------------------------------------- templates
+# -------------------------------------------------------------- the basis
 
 
 def test_degree_two_template_is_quadratic_basis():
-    template = BarrierTemplate(2)
-    assert template.degree == 2
-    assert template.size == 3
-    assert template.to_dict() == {"exponents": [[2], [1], [0]]}
-    assert BarrierTemplate(0).size == 1
+    # three coefficients are the degree-2 basis x^2, x, 1
+    cert = quadratic_certificate(0.0, 0.0, 0.0)
+    assert cert.degree == 2
+    assert cert.to_dict()["template"] == {"exponents": [[2], [1], [0]]}
+    assert basis_matrix(np.array([3.0]), 2).tolist() == [[9.0, 3.0, 1.0]]
+    assert BarrierCertificate(np.array([5.0]), 0.83, 0.0, 1.0).degree == 0
+    assert basis_matrix(np.array([3.0]), 0).tolist() == [[1.0]]
 
 
 def test_template_validation():
+    data = _toy_dataset(2)
     for degree in (-1, (2, 1, 0), ((1, 0), (0, 1))):
-        with pytest.raises(ValueError, match="template degree must be a non-negative integer"):
-            BarrierTemplate(degree)
+        message = re.escape(f"template degree must be a non-negative integer, got {degree!r}")
+        with pytest.raises(ValueError, match=message):
+            basis_matrix(np.array([1.0]), degree)
+        with pytest.raises(ValueError, match=message):
+            bernstein_rows(degree, INITIAL)
+        with pytest.raises(ValueError, match=message):
+            assemble(degree, 0.83, data, INITIAL, UNSAFE)
 
 
 def test_basis_matrix_values():
-    template = BarrierTemplate(2)
-    basis = template.basis_matrix(np.array([2.0, 0.5]))
+    basis = basis_matrix(np.array([2.0, 0.5]), 2)
     assert basis == pytest.approx(np.array([[4.0, 2.0, 1.0], [0.25, 0.5, 1.0]]))
     for states in (np.zeros((2, 1)), np.float64(1.0)):
         with pytest.raises(ValueError, match=r"expected \(N,\) states"):
-            template.basis_matrix(states)
+            basis_matrix(states, 2)
 
 
 # 0, -0, +-1 and values whose fourth power stays a normal float, so neither
@@ -81,19 +87,18 @@ _COORD = st.one_of(
 
 
 # every degree up to 4
-_TEMPLATE = st.integers(0, 4).map(BarrierTemplate)
+_DEGREE = st.integers(0, 4)
 
 
 @settings(max_examples=300, deadline=None)
-@given(template=_TEMPLATE, draw=st.data())
-def test_basis_matrix_is_repeated_multiplication(template, draw):
-    degree = template.degree
+@given(degree=_DEGREE, draw=st.data())
+def test_basis_matrix_is_repeated_multiplication(degree, draw):
     states = np.array(draw.draw(st.lists(_COORD, min_size=1, max_size=6)))
-    basis = template.basis_matrix(states)
-    assert basis.shape == (len(states), template.size)
-    assert basis.tobytes() == basis_matrix_repeated(template, states).tobytes()
+    basis = basis_matrix(states, degree)
+    assert basis.shape == (len(states), degree + 1)
+    assert basis.tobytes() == basis_matrix_repeated(states, degree).tobytes()
     # at most degree - 1 roundings here, about one per factor in the pow kernel
-    np.testing.assert_allclose(basis, basis_matrix_pow(template, states),
+    np.testing.assert_allclose(basis, basis_matrix_pow(states, degree),
                                rtol=4 * degree * np.finfo(float).eps, atol=0.0)
 
 
@@ -101,32 +106,43 @@ def test_basis_matrix_is_repeated_multiplication(template, draw):
 @settings(max_examples=100, deadline=None)
 @given(degree=st.integers(0, 4), draw=st.data())
 def test_basis_matrix_constant_monomial_is_one_for_any_state(degree, draw):
-    template = BarrierTemplate(degree)
     special = st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -2.5])
     states = np.array(draw.draw(st.lists(special, min_size=1, max_size=6)))
-    basis = template.basis_matrix(states)
-    constant = [j for j, (e,) in enumerate(template.to_dict()["exponents"]) if not e]
-    assert constant == [template.size - 1]
+    basis = basis_matrix(states, degree)
+    exponents = BarrierCertificate(np.zeros(degree + 1), 0.83, 0.0, 1.0).to_dict()["template"]
+    constant = [j for j, (e,) in enumerate(exponents["exponents"]) if not e]
+    assert constant == [degree]
     assert np.all(basis[:, constant] == 1.0)
-    assert np.all(basis_matrix_pow(template, states)[:, constant] == 1.0)
-    assert np.array_equal(basis, basis_matrix_repeated(template, states), equal_nan=True)
+    assert np.all(basis_matrix_pow(states, degree)[:, constant] == 1.0)
+    assert np.array_equal(basis, basis_matrix_repeated(states, degree), equal_nan=True)
+
+
+def _cubic_dict(exponents):
+    """A saved cubic certificate whose template lists ``exponents``."""
+    data = BarrierCertificate(np.array([1.0, 0.0, -2.0, 0.5]), 0.83, 0.0, 1.0).to_dict()
+    return {**data, "template": {"exponents": exponents}}
 
 
 def test_template_dict_round_trip():
-    template = BarrierTemplate(3)
+    cert = BarrierCertificate(np.array([1.0, 0.0, -2.0, 0.5]), 0.83, 0.0, 1.0)
     # the JSON form keeps one exponent list per monomial
-    assert template.to_dict() == {"exponents": [[3], [2], [1], [0]]}
-    assert BarrierTemplate.from_dict(template.to_dict()).degree == 3
+    assert cert.to_dict()["template"] == {"exponents": [[3], [2], [1], [0]]}
+    assert BarrierCertificate.from_dict(cert.to_dict()).degree == 3
     for exponents, axes in (([[1, 0], [0, 1], [0, 0]], 2), ([[2], [1, 0]], 2), ([[1], []], 0)):
         with pytest.raises(ValueError, match=f"template must be one-dimensional, got {axes} axes"):
-            BarrierTemplate.from_dict({"exponents": exponents})
+            BarrierCertificate.from_dict(_cubic_dict(exponents))
     # any list but [[d], ..., [1], [0]]: sparse, reordered, short, repeated, empty
     for exponents in ([[3], [1], [0]], [[0], [1], [2]], [[2], [1]], [[1], [1], [0]], [],
                       [[2], [2], [1], [0]]):
         message = re.escape("template exponents must be every power from the degree down"
                             f" to 0, [[d], ..., [1], [0]], got {exponents}")
         with pytest.raises(ValueError, match=message):
-            BarrierTemplate.from_dict({"exponents": exponents})
+            BarrierCertificate.from_dict(_cubic_dict(exponents))
+    # a full basis of another size than the coefficients'
+    for exponents in ([[2], [1], [0]], [[4], [3], [2], [1], [0]]):
+        message = re.escape(f"expected {len(exponents)} coefficients, got shape (4,)")
+        with pytest.raises(ValueError, match=message):
+            BarrierCertificate.from_dict(_cubic_dict(exponents))
 
 
 # ------------------------------------------------------------- certificates
@@ -142,13 +158,13 @@ def test_certificate_evaluation():
 
 
 def test_certificate_validation():
-    template = BarrierTemplate(2)
+    for coefficients in (np.zeros(0), np.zeros((3, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"expected a non-empty \(N,\) array of coefficients"):
+            BarrierCertificate(coefficients, 0.83, 0.0, 1.0)
     with pytest.raises(ValueError):
-        BarrierCertificate(template, np.array([1.0, 2.0]), 0.83, 0.0, 1.0)
+        BarrierCertificate(np.zeros(3), 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
-        BarrierCertificate(template, np.zeros(3), 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        BarrierCertificate(template, np.zeros(3), 1.2, 0.0, 1.0)
+        BarrierCertificate(np.zeros(3), 1.2, 0.0, 1.0)
 
 
 def test_certificate_definition_flag_not_enforced():
@@ -174,7 +190,7 @@ def test_negative_unsafe_level_only_valid_without_decay():
 def test_certificate_dict_round_trip():
     cert = quadratic_certificate(0.3, -1.0, 2.5, initial_level=-3.0, unsafe_level=0.5)
     back = BarrierCertificate.from_dict(cert.to_dict())
-    assert back.template.degree == cert.template.degree
+    assert back.degree == cert.degree == 2
     assert np.array_equal(back.coefficients, cert.coefficients)
     assert back.decay == cert.decay
     assert back.initial_level == cert.initial_level
@@ -185,7 +201,7 @@ def test_certificate_dict_round_trip():
 
 
 def test_bernstein_rows_of_the_quadratic_on_an_interval():
-    rows = bernstein_rows(BarrierTemplate(2), RegionBox(0.5, 0.6))
+    rows = bernstein_rows(2, RegionBox(0.5, 0.6))
     # (x^2, x, 1) on [lo, hi]: the ends lo^2 and hi^2, and lo * hi between them
     assert rows.shape == (3, 3)
     assert rows == pytest.approx(np.array([
@@ -199,8 +215,8 @@ def test_bernstein_rows_count_is_the_product_of_axis_degrees_plus_one():
     # degree d gives d + 1 rows, one column per monomial
     box = RegionBox(-1.0, 2.0)
     for degree in range(5):
-        assert bernstein_rows(BarrierTemplate(degree), box).shape == (degree + 1, degree + 1)
-    assert bernstein_rows(BarrierTemplate(0), box).tolist() == [[1.0]]
+        assert bernstein_rows(degree, box).shape == (degree + 1, degree + 1)
+    assert bernstein_rows(0, box).tolist() == [[1.0]]
 
 
 def _box(draw):
@@ -209,19 +225,19 @@ def _box(draw):
     return RegionBox(lower, lower + draw.draw(st.floats(0.01, 3.0)))
 
 
-def _coefficients(draw, template):
-    return np.array(draw.draw(st.lists(st.floats(-10.0, 10.0), min_size=template.size,
-                                       max_size=template.size)))
+def _coefficients(draw, degree):
+    return np.array(draw.draw(st.lists(st.floats(-10.0, 10.0), min_size=degree + 1,
+                                       max_size=degree + 1)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(template=_TEMPLATE, draw=st.data())
-def test_bernstein_coefficients_enclose_the_barrier_on_the_box(template, draw):
+@given(degree=_DEGREE, draw=st.data())
+def test_bernstein_coefficients_enclose_the_barrier_on_the_box(degree, draw):
     box = _box(draw)
-    q = _coefficients(draw, template)
-    rows = bernstein_rows(template, box)
+    q = _coefficients(draw, degree)
+    rows = bernstein_rows(degree, box)
     coefficients = rows @ q
-    values = template.basis_matrix(np.linspace(box.lower, box.upper, 201)) @ q
+    values = basis_matrix(np.linspace(box.lower, box.upper, 201), degree) @ q
     # rounding in the rows and in both products, relative to the terms' magnitude
     rounding = 1e-12 * (1.0 + float((np.abs(rows) @ np.abs(q)).max()))
     assert values.min() >= coefficients.min() - rounding
@@ -229,33 +245,32 @@ def test_bernstein_coefficients_enclose_the_barrier_on_the_box(template, draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(template=_TEMPLATE, draw=st.data())
-def test_bernstein_corner_rows_are_the_basis_at_the_corners(template, draw):
+@given(degree=_DEGREE, draw=st.data())
+def test_bernstein_corner_rows_are_the_basis_at_the_corners(degree, draw):
     box = _box(draw)
-    rows = bernstein_rows(template, box)
+    rows = bernstein_rows(degree, box)
     # the first and last rows, k = 0 and k = d, are the basis at the two ends
-    assert np.array_equal(rows[[0, -1]], template.basis_matrix(np.array([box.lower, box.upper])))
+    assert np.array_equal(rows[[0, -1]], basis_matrix(np.array([box.lower, box.upper]), degree))
 
 
 @settings(max_examples=200, deadline=None)
-@given(template=_TEMPLATE, draw=st.data())
-def test_bernstein_rows_match_exact_rational_expansion(template, draw):
+@given(degree=_DEGREE, draw=st.data())
+def test_bernstein_rows_match_exact_rational_expansion(degree, draw):
     box = _box(draw)
-    rows = bernstein_rows(template, box)
-    exact = bernstein_rows_exact(template, box)
+    rows = bernstein_rows(degree, box)
+    exact = bernstein_rows_exact(degree, box)
     scale = np.abs(exact).max()
     np.testing.assert_allclose(rows, exact, rtol=1e-13, atol=1e-13 * scale)
 
 
 def test_bernstein_rows_of_a_sparse_template_match_exact_rational_expansion():
     # a polynomial that skips powers, 2 x^4 - x^3 + 3 x + 0.5, is the degree-4
-    # template with the x^2 coefficient at zero
-    template = BarrierTemplate(4)
+    # basis with the x^2 coefficient at zero
     q = np.array([2.0, -1.0, 0.0, 3.0, 0.5])
     box = RegionBox(-1.5, 0.25)
-    rows = bernstein_rows(template, box)
+    rows = bernstein_rows(4, box)
     assert rows.shape == (5, 5)
-    exact = bernstein_rows_exact(template, box)
+    exact = bernstein_rows_exact(4, box)
     np.testing.assert_allclose(rows, exact, rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(rows @ q, exact @ q, rtol=1e-13, atol=1e-12)
     # the end coefficients are the polynomial at the interval's ends
@@ -269,8 +284,7 @@ def test_bernstein_rows_of_a_sparse_template_match_exact_rational_expansion():
 
 def test_assemble_row_structure():
     data = _toy_dataset(4)
-    template = BarrierTemplate(2)
-    system = assemble(template, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
+    system = assemble(2, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
 
     # d + 1 = 3 Bernstein rows per region
     assert system.counts == {"initial": 3, "unsafe": 3, "flow": 4}
@@ -279,12 +293,12 @@ def test_assemble_row_structure():
     assert system.rows.shape == (19, 4)
 
     # initial rows:  b_k - initial_level <= slack, pin folded into the offset
-    assert np.array_equal(system.rows[:3, 1:], bernstein_rows(template, INITIAL))
+    assert np.array_equal(system.rows[:3, 1:], bernstein_rows(2, INITIAL))
     assert np.all(system.rows[:3, 0] == 0.0)
     assert system.rows[0] == pytest.approx([0.0, 0.25, 0.5, 1.0])
     assert system.offsets[:3] == pytest.approx([-INITIAL_LEVEL] * 3)
     # unsafe rows:   unsafe_level - b_k <= slack
-    assert np.array_equal(system.rows[3:6, 1:], -bernstein_rows(template, UNSAFE))
+    assert np.array_equal(system.rows[3:6, 1:], -bernstein_rows(2, UNSAFE))
     assert system.rows[3] == pytest.approx([1.0, -(2.6 ** 2), -2.6, -1.0])
     # flow rows:     B(y) - decay B(x) <= slack
     x, y = data.states[0], data.successors[0]
@@ -295,8 +309,7 @@ def test_assemble_row_structure():
 
 def test_assemble_auxiliary_rows():
     data = _toy_dataset(3)
-    template = BarrierTemplate(2)
-    system = assemble(template, 0.83, data, INITIAL, UNSAFE, coeff_bound=50.0)
+    system = assemble(2, 0.83, data, INITIAL, UNSAFE, coeff_bound=50.0)
     width = system.decision_size
     assert width == 4
     assert system.family_sizes == (3, 3, 3, 2 * width, 1)
@@ -325,10 +338,9 @@ def _stack_case(case, degree):
     box = RegionBox(0.0, 3.0)
     states = rng.uniform(0.0, 3.0, size=50)
     data = Dataset(states, 0.9 * states + 0.1, SCHEME_IID, box, seed=0)
-    template = BarrierTemplate(degree)
     initial, unsafe = RegionBox(0.0, 0.5), RegionBox(2.5, 3.0)
-    system = assemble(template, 0.83, data, initial, unsafe, **options)
-    return system, assemble_vstack(template, 0.83, data, initial, unsafe, **options)
+    system = assemble(degree, 0.83, data, initial, unsafe, **options)
+    return system, assemble_vstack(degree, 0.83, data, initial, unsafe, **options)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -367,32 +379,31 @@ def test_family_counts_match_tag_tally(case, degree):
 
 def test_certificate_from_decision():
     data = _toy_dataset(2)
-    template = BarrierTemplate(2)
-    system = assemble(template, 0.83, data, INITIAL, UNSAFE)
+    system = assemble(2, 0.83, data, INITIAL, UNSAFE)
+    assert system.decision_size == 4
     cert = system.certificate_from_decision(np.array([1.5, 0.2, 0.8, -1.0]))
     assert cert.initial_level == INITIAL_LEVEL
     assert cert.unsafe_level == 1.5
     assert cert.coefficients == pytest.approx([0.2, 0.8, -1.0])
+    assert cert.degree == 2
     assert cert.decay == 0.83
 
 
 def test_assemble_validates_flow_states_against_the_domain():
     data = _toy_dataset(3)
-    template = BarrierTemplate(2)
     with pytest.raises(RegionViolationError, match="flow sample row 0"):
-        assemble(template, 0.83, data, INITIAL, UNSAFE, domain=RegionBox(1.0, 2.7))
-    assemble(template, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
+        assemble(2, 0.83, data, INITIAL, UNSAFE, domain=RegionBox(1.0, 2.7))
+    assemble(2, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
 
 
 def test_assemble_rejects_bad_decay_and_bound():
     data = _toy_dataset(2)
-    template = BarrierTemplate(2)
     for decay in (0.0, 1.5):
         with pytest.raises(ValueError):
-            assemble(template, decay, data, INITIAL, UNSAFE)
+            assemble(2, decay, data, INITIAL, UNSAFE)
     for bound in (-1.0, 0.0):
         with pytest.raises(ValueError, match="coeff_bound must be positive"):
-            assemble(template, 0.83, data, INITIAL, UNSAFE, coeff_bound=bound)
+            assemble(2, 0.83, data, INITIAL, UNSAFE, coeff_bound=bound)
 
 
 # ------------------------------------------------------------------ residuals
@@ -445,17 +456,17 @@ def test_residual_report_serialises():
 
 
 # the powers of polynomials that skip some, the constant alone, and the full quadratic;
-# each is the template of its largest power with the skipped coefficients at zero
+# each is the basis of its largest power with the skipped coefficients at zero
 GAPPED_TEMPLATES = [(3, 0), (4, 2, 1), (0,), (1,), (2, 1, 0), (0, 3), (1, 4)]
 
 
 def _gapped_certificate(exponents, decay):
-    """The polynomial ``sum_i (i + 1) x^exponents[i]`` on the template of its largest power."""
-    template = BarrierTemplate(max(exponents))
-    q = np.zeros(template.size)
+    """The polynomial ``sum_i (i + 1) x^exponents[i]`` on the basis of its largest power."""
+    degree = max(exponents)
+    q = np.zeros(degree + 1)
     for i, e in enumerate(exponents):
-        q[template.degree - e] = i + 1.0
-    return BarrierCertificate(template, q, decay, INITIAL_LEVEL, 1.0)
+        q[degree - e] = i + 1.0
+    return BarrierCertificate(q, decay, INITIAL_LEVEL, 1.0)
 
 
 def _strided_dataset(count, seed):
@@ -472,16 +483,16 @@ def _strided_dataset(count, seed):
 @pytest.mark.parametrize("exponents", GAPPED_TEMPLATES, ids=str)
 def test_assemble_equals_vstack_on_templates_with_gaps(exponents, strided, decay):
     certificate = _gapped_certificate(exponents, decay)
-    template = certificate.template
+    degree = certificate.degree
     data = _strided_dataset(37, len(exponents))
     if not strided:
         data = Dataset(np.array(data.states), np.array(data.successors), SCHEME_IID,
                        data.domain, seed=0)
     assert data.states.flags.c_contiguous != strided
     initial, unsafe = RegionBox(0.0, 0.5), RegionBox(2.5, 3.0)
-    system = assemble(template, decay, data, initial, unsafe)
+    system = assemble(degree, decay, data, initial, unsafe)
     rows, offsets, _, extra_rows, extra_offsets, _ = assemble_vstack(
-        template, decay, data, initial, unsafe)
+        degree, decay, data, initial, unsafe)
     assert system.rows.tobytes() == np.vstack([rows, extra_rows]).tobytes()
     assert system.offsets.tobytes() == np.concatenate([offsets, extra_offsets]).tobytes()
     # the flow rows times the polynomial's coefficients are its flow expression
@@ -494,11 +505,10 @@ def test_assemble_equals_vstack_on_templates_with_gaps(exponents, strided, decay
 @pytest.mark.parametrize("exponents", GAPPED_TEMPLATES, ids=str)
 def test_basis_matrix_equals_repeated_multiplication_on_templates_with_gaps(exponents, strided):
     certificate = _gapped_certificate(exponents, 0.83)
-    template = certificate.template
     data = _strided_dataset(23, 5)
     states = data.states if strided else np.array(data.states)
-    basis = template.basis_matrix(states)
-    assert basis.tobytes() == basis_matrix_repeated(template, states).tobytes()
+    basis = basis_matrix(states, certificate.degree)
+    assert basis.tobytes() == basis_matrix_repeated(states, certificate.degree).tobytes()
     # the polynomial evaluates as the sum over the powers it keeps
     kept = sum((i + 1.0) * states**e for i, e in enumerate(exponents))
     np.testing.assert_allclose(certificate.evaluate(states), kept, rtol=1e-13)
@@ -512,16 +522,20 @@ def test_basis_matrix_equals_repeated_multiplication_on_templates_with_gaps(expo
 def test_template_exponents_must_be_integers(exponent):
     message = re.escape(f"template degree must be a non-negative integer, got {exponent!r}")
     with pytest.raises(ValueError, match=message):
-        BarrierTemplate(exponent)
+        basis_matrix(np.array([1.0]), exponent)
+    with pytest.raises(ValueError, match=message):
+        bernstein_rows(exponent, INITIAL)
     message = re.escape(f"template exponents must be integers, got {exponent!r}")
     with pytest.raises(TypeError, match=message):
-        BarrierTemplate.from_dict({"exponents": [[exponent], [1], [0]]})
+        BarrierCertificate.from_dict({**quadratic_certificate(0.3, -1.0, 2.5).to_dict(),
+                                      "template": {"exponents": [[exponent], [1], [0]]}})
 
 
 def test_template_accepts_numpy_integers():
-    template = BarrierTemplate(np.int64(2))
-    assert template.degree == 2 and type(template.degree) is int
-    assert BarrierTemplate(np.int32(0)).size == 1
+    assert basis_matrix(np.array([2.0]), np.int64(2)).tolist() == [[4.0, 2.0, 1.0]]
+    assert bernstein_rows(np.int32(0), INITIAL).tolist() == [[1.0]]
+    system = assemble(np.int64(2), 0.83, _toy_dataset(2), INITIAL, UNSAFE)
+    assert system.decision_size == 4 and system.rows.shape == (3 + 3 + 2 + 8 + 1, 4)
 
 
 # One field of a saved certificate given as something other than a JSON number of its kind.

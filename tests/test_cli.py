@@ -313,12 +313,14 @@ def test_run_reports_an_override_that_makes_the_config_invalid(tmp_path):
 # A system that loads, since its terms are finite, but whose step overflows on part
 # of the domain: 1e308 x is inf above x = 1.797.
 OVERFLOWING_SYSTEM = {"kind": "affine", "linear": [[1e308]], "offset": [0.5]}
+# One whose step is finite on the domain but whose rollout reaches inf at step 4.
+DIVERGING_SYSTEM = {"kind": "affine", "linear": [[1e100]], "offset": [0.5]}
 
 
 @pytest.mark.parametrize("case", [
     "run-config", "sweep-config", "plotdata-report", "validate-certificate", "validate-config",
     "reproduce-scale", "plotdata-points", "run-nan-system", "run-overflowing-system",
-    "run-overflowing-system-unfiltered",
+    "run-overflowing-system-unfiltered", "validate-overflowing-system", "run-diverging-system",
 ])
 def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_path, tmp_path,
                                                           monkeypatch):
@@ -327,9 +329,9 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
     if case == "run-nan-system":
         system = {"kind": "affine", "linear": [[math.nan]], "offset": [0.5]}
         bad.write_text(json.dumps(_with_setting(small_config_dict(), "system", system)))
-    elif case.startswith("run-overflowing"):
-        bad.write_text(json.dumps(_with_setting(small_config_dict(), "system",
-                                                OVERFLOWING_SYSTEM)))
+    elif "overflowing" in case or "diverging" in case:
+        system = OVERFLOWING_SYSTEM if "overflowing" in case else DIVERGING_SYSTEM
+        bad.write_text(json.dumps(_with_setting(small_config_dict(), "system", system)))
     certificate = str(run_dir / "certificate.json")
     args = {
         "run-config": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
@@ -345,15 +347,20 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
         "run-overflowing-system": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
         "run-overflowing-system-unfiltered": ["run", "--config", str(bad), "--no-filter",
                                               "--out", str(tmp_path / "o")],
+        "validate-overflowing-system": ["validate", "--certificate", certificate,
+                                        "--config", str(bad)],
+        "run-diverging-system": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
     }[case]
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started on a bad input")
 
     # an overflowing system is found only once the sampler steps it
-    if not case.startswith("run-overflowing"):
+    if not case.startswith(("run-overflowing", "run-diverging")):
         monkeypatch.setattr("physbc.cli.run", no_work)
-    monkeypatch.setattr("physbc.cli.check_safety_empirically", no_work)
+    # and a rollout that overflows only once validate rolls it out
+    if case != "validate-overflowing-system":
+        monkeypatch.setattr("physbc.cli.check_safety_empirically", no_work)
     result = CliRunner().invoke(main, args)
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.exit_code == 1
@@ -362,6 +369,13 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
     if case.startswith("run-overflowing"):
         assert lines[0] == ("error: the system maps state 1.7977744436109029 to inf,"
                             " which is not finite")
+    elif case in ("validate-overflowing-system", "run-diverging-system"):
+        # the first start of the validation draw; the sinusoid of 1e308 x is nan at
+        # step 2, and 1e100 x is inf at step 4
+        start = float(np.random.default_rng(99).uniform(0.5, 0.6, size=50)[0])
+        value, step = ("nan", 2) if case.startswith("validate") else ("inf", 4)
+        assert lines[0] == (f"error: the trajectory from state {start!r} reaches {value} at"
+                            f" step {step}, which is not finite")
     elif not case.endswith(("scale", "points")):
         assert str(bad) in lines[0]
     assert "Traceback" not in result.output and not (tmp_path / "o").exists()

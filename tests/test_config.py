@@ -279,7 +279,7 @@ def test_custom_affine_system():
         system={"kind": KIND_AFFINE, "linear": [[0.8]], "offset": [0.5]}
     )
     model = config.physics_model()
-    assert model.quadratic is None and model.perturbation is None
+    assert model.quadratic is None and model.amplitude == 0.0
     assert (model.linear, model.offset) == (0.8, 0.5)
     assert model.step_many(np.array([1.0]))[0] == pytest.approx(1.3)
 
@@ -331,14 +331,19 @@ def test_default_amplitude_tracks_threshold():
 def test_true_model_wraps_physics():
     config = small_config()
     truth = config.true_model()
-    assert truth.perturbation is not None
+    assert truth.amplitude == config.perturbation_amplitude() > 0
+    assert truth.frequency == config.perturbation.frequency
+    assert (truth.linear, truth.offset, truth.quadratic) == (0.8, 0.5, None)
     x = np.array([1.234])
     deviation = truth.step_many(x) - config.physics_model().step_many(x)
     amplitude = config.perturbation_amplitude()
     assert abs(deviation[0]) <= amplitude + 1e-12
-    # zero amplitude means the truth is the physics itself
+    # zero amplitude means the truth steps as the physics itself
     plain = small_config(perturbation=PerturbationSpec(amplitude=0.0))
-    assert plain.true_model().perturbation is None
+    assert plain.true_model().amplitude == 0.0
+    x = np.linspace(0.5, 2.7, 9)
+    assert plain.true_model().step_many(x).tobytes() == plain.physics_model().step_many(
+        x).tobytes()
 
 
 def test_apply_overrides():

@@ -11,7 +11,7 @@ from oracles import (
     pairwise_all_pairs,
     pairwise_whole_array,
 )
-from physbc.barrier import BarrierCertificate, BarrierTemplate, sample_values
+from physbc.barrier import BarrierCertificate, sample_values
 from physbc.config import preset
 from physbc.errors import DegenerateDataError, ModelMismatchError
 from physbc.lipschitz import (
@@ -30,9 +30,8 @@ DOMAIN = RegionBox(0.5, 2.7)
 
 
 def linear_barrier(slope, decay=0.83):
-    """B(x) = slope * x over the affine template (x, 1)."""
+    """B(x) = slope * x over the affine basis (x, 1)."""
     return BarrierCertificate(
-        template=BarrierTemplate(1),
         coefficients=np.array([slope, 0.0]),
         decay=decay,
         initial_level=0.0,
@@ -62,8 +61,7 @@ def test_multiplier_scales_the_estimate():
 
 
 def test_quadratic_flow_estimate_brackets_true_constant():
-    template = BarrierTemplate(2)
-    cert = BarrierCertificate(template, np.array([1.0, 0.0, 0.0]), 0.83, 0.0, 1.0)
+    cert = BarrierCertificate(np.array([1.0, 0.0, 0.0]), 0.83, 0.0, 1.0)
     box = RegionBox(0.0, 1.0)
 
     class Identity:
@@ -93,8 +91,7 @@ def test_pairwise_is_deterministic_per_seed():
 
 def test_extreme_value_never_undercuts_observed_max():
     data = sample_grid(supply_demand(), DOMAIN, 400)
-    template = BarrierTemplate(2)
-    cert = BarrierCertificate(template, np.array([2.0, -1.0, 0.5]), 0.83, 0.0, 1.0)
+    cert = BarrierCertificate(np.array([2.0, -1.0, 0.5]), 0.83, 0.0, 1.0)
     config = LipschitzSpec(pair_budget=50_000, seed=4, batches=40)
     flow = sample_values(cert, data)
     extreme = estimate_extreme_value(flow, data, config)
@@ -184,9 +181,7 @@ def _duplicated_data():
 
 
 def _quadratic_certificate():
-    template = BarrierTemplate(2)
-    coefficients = np.linspace(-1.5, 2.0, template.size)
-    return BarrierCertificate(template, coefficients, 0.83, 0.0, 1.0)
+    return BarrierCertificate(np.linspace(-1.5, 2.0, 3), 0.83, 0.0, 1.0)
 
 
 # The random-pair draw, which only the extreme-value method makes, and its

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +13,6 @@ from physbc import models
 from physbc.errors import InvalidStateError
 from physbc.models import (
     PRESET_MODELS,
-    PerturbationField,
     RegionBox,
     SystemModel,
     check_safety_empirically,
@@ -100,19 +101,26 @@ def test_region_bounds_are_immutable():
 
 
 def test_perturbation_values():
-    field = PerturbationField(amplitude=0.25, frequency=2.0)
+    wave = SystemModel(0.0, 0.0, amplitude=0.25, frequency=2.0)
     x = np.array([0.125])
     # one eighth of a half-unit period: sin(pi/2) = 1
-    assert float(field(x)[0]) == pytest.approx(0.25)
-    zero = PerturbationField(amplitude=0.0, frequency=1.0)
-    assert np.all(zero(np.linspace(0, 1, 7)) == 0.0)
+    assert float(wave.step_many(x)[0]) == pytest.approx(0.25)
+    # amplitude 0, the default, adds nothing, whatever the frequency
+    x = np.linspace(0, 1, 7)
+    for zero in (SystemModel(0.0, 0.0, amplitude=0.0, frequency=1.0), SystemModel(0.0, 0.0)):
+        assert zero.amplitude == 0.0
+        assert np.all(zero.step_many(x) == 0.0)
 
 
 def test_perturbation_validation():
-    with pytest.raises(ValueError):
-        PerturbationField(amplitude=-0.1, frequency=1.0)
-    with pytest.raises(ValueError):
-        PerturbationField(amplitude=0.1, frequency=0.0)
+    with pytest.raises(ValueError, match="amplitude must be non-negative"):
+        SystemModel(0.8, 0.5, amplitude=-0.1, frequency=1.0)
+    for frequency in (0.0, -1.0):
+        with pytest.raises(ValueError, match="frequency must be positive"):
+            SystemModel(0.8, 0.5, amplitude=0.1, frequency=frequency)
+        # the frequency of an unperturbed model is never read
+        SystemModel(0.8, 0.5, amplitude=0.0, frequency=frequency)
+    SystemModel(0.8, 0.5, amplitude=-0.0, frequency=0.0)
 
 
 def test_supply_demand_step():
@@ -132,18 +140,9 @@ def test_preset_registry():
     assert terms == {"supply-demand": (0.8, 0.5, None), "logistic-growth": (1.3, 0.0, -0.5)}
 
 
-def test_double_perturbation_rejected():
-    base = supply_demand()
-    field = PerturbationField(0.1, 1.0)
-    once = SystemModel.perturbed(base, field)
-    with pytest.raises(ValueError):
-        SystemModel.perturbed(once, field)
-
-
 def test_perturbed_step_adds_field():
     base = supply_demand()
-    field = PerturbationField(0.02, 3.0)
-    model = SystemModel.perturbed(base, field)
+    model = replace(base, amplitude=0.02, frequency=3.0)
     x = np.array([0.7, 1.1])
     expected = base.step_many(x) + 0.02 * np.sin(2 * np.pi * 3.0 * x)
     assert model.step_many(x) == pytest.approx(expected)
@@ -158,9 +157,11 @@ def test_step_shape_checks():
 
 
 def test_model_terms_are_floats():
-    model = SystemModel(np.float64(0.8), 1, quadratic=np.float32(0.5))
-    assert (model.linear, model.offset, model.quadratic) == (0.8, 1.0, 0.5)
-    assert all(type(t) is float for t in (model.linear, model.offset, model.quadratic))
+    model = SystemModel(np.float64(0.8), 1, quadratic=np.float32(0.5), amplitude=np.int64(0),
+                        frequency=np.float32(2.0))
+    terms = (model.linear, model.offset, model.quadratic, model.amplitude, model.frequency)
+    assert terms == (0.8, 1.0, 0.5, 0.0, 2.0)
+    assert all(type(t) is float for t in terms)
     assert SystemModel(0.8, 0.5).quadratic is None
 
 
@@ -221,12 +222,12 @@ def test_safety_check_rejects_negative_horizon():
 SAFETY_CASES = {
     "affine": (supply_demand, (0.5, 2.2), (2.1, 2.15)),
     "perturbed": (
-        lambda: SystemModel.perturbed(supply_demand(), PerturbationField(0.01, 1250 / 2.2)),
+        lambda: replace(supply_demand(), amplitude=0.01, frequency=1250 / 2.2),
         (0.5, 2.2), (2.1, 2.15),
     ),
     "quadratic": (logistic_growth, (0.05, 0.5), (0.45, 0.47)),
     "perturbed-quadratic": (
-        lambda: SystemModel.perturbed(logistic_growth(), PerturbationField(0.002, 1250.0)),
+        lambda: replace(logistic_growth(), amplitude=0.002, frequency=1250.0),
         (0.05, 0.5), (0.45, 0.47),
     ),
 }
@@ -269,8 +270,8 @@ def _contracting_model(draw, kind):
     model = SystemModel(rate, offset, quadratic=quad)
     if kind == "quadratic":
         return model
-    field = PerturbationField(draw(st.floats(0.0, 0.01)), draw(st.floats(0.5, 2000.0)))
-    return SystemModel.perturbed(model, field)
+    return replace(model, amplitude=draw(st.floats(0.0, 0.01)),
+                   frequency=draw(st.floats(0.5, 2000.0)))
 
 
 _KINDS = st.sampled_from(["affine", "quadratic", "perturbed"])
@@ -293,11 +294,15 @@ def test_step_kernel_is_byte_equal_to_matmul_in_1d(case):
 
 
 def test_perturbation_writes_into_a_given_buffer():
-    field = PerturbationField(0.02, 3.0)
+    model = SystemModel(0.8, 0.5, quadratic=0.1, amplitude=0.02, frequency=3.0)
     x = np.linspace(0.0, 1.0, 9)
-    out = np.empty_like(x)
-    assert field(x, out=out) is out
-    assert out.tobytes() == field(x).tobytes()
+    before = x.copy()
+    out, scratch = np.empty_like(x), np.empty_like(x)
+    model._advance(x, out, scratch)
+    assert out.tobytes() == model.step_many(x).tobytes()
+    # scratch holds the last term added, the sinusoid; the input is read, never written
+    assert scratch.tobytes() == (np.sin(x * (2.0 * np.pi * 3.0)) * 0.02).tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
 def _block_horizons(trajectories):
@@ -337,7 +342,7 @@ def test_rollout_equals_step_many_oracle_across_block_edges(case):
 @pytest.mark.parametrize("horizon_at", range(6))
 def test_rollout_hits_span_blocks_at_the_real_block_size(horizon_at):
     """A slow approach to a thin unsafe band: first hits land in several blocks."""
-    model = SystemModel.perturbed(SystemModel(0.995, 0.005), PerturbationField(1e-4, 300.0))
+    model = SystemModel(0.995, 0.005, amplitude=1e-4, frequency=300.0)
     initial, unsafe = RegionBox(0.0, 0.95), RegionBox(0.9, 0.92)
     horizon = _block_horizons(300)[horizon_at]
     lean = check_safety_empirically(model, initial, unsafe, 300, horizon, 5)
@@ -357,7 +362,7 @@ def test_rollout_never_calls_einsum_or_matmul(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the step kernel called einsum or matmul")
 
-    model = SystemModel.perturbed(logistic_growth(), PerturbationField(0.003, 40.0))
+    model = replace(logistic_growth(), amplitude=0.003, frequency=40.0)
     box = RegionBox(0.0, 0.5)
     monkeypatch.setattr(np, "einsum", refuse)
     monkeypatch.setattr(np, "matmul", refuse)
@@ -373,7 +378,7 @@ def test_rollout_block_is_capped_at_512_kib_and_one_step():
 
 
 def _rollout_peak(horizon):
-    model = SystemModel.perturbed(supply_demand(), PerturbationField(0.007, 1250 / 2.2))
+    model = replace(supply_demand(), amplitude=0.007, frequency=1250 / 2.2)
     initial, unsafe = RegionBox(0.5, 0.6), RegionBox(2.6, 2.7)
     tracemalloc.start()
     try:
@@ -385,3 +390,31 @@ def _rollout_peak(horizon):
 
 def test_rollout_memory_does_not_grow_with_horizon():
     assert _rollout_peak(4000) <= 1.25 * _rollout_peak(100)
+
+
+# (model, step, value): every start in [0.5, 0.6] leaves the floats at that step
+OVERFLOWS = {
+    # 1e308 x is about 5.5e307 after one step and inf after two
+    "inf": (SystemModel(1e308, 0.5), 2, "inf"),
+    # after two steps 1e200 x is inf and -x^2 is -inf: their sum is nan
+    "nan": (SystemModel(1e200, 0.0, quadratic=-1.0), 2, "nan"),
+    # 10^k x first exceeds the largest float at k = 309, in the fourth block of 100 steps
+    "late": (SystemModel(10.0, 0.0), 309, "inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_a_rollout_that_stops_being_finite_is_an_error(case):
+    model, step, value = OVERFLOWS[case]
+    initial, unsafe = RegionBox(0.5, 0.6), RegionBox(2.6, 2.7)
+    start = float(np.random.default_rng(0).uniform(0.5, 0.6, size=4)[0])
+    message = (f"the trajectory from state {start!r} reaches {value} at step {step},"
+               " which is not finite")
+    # numpy's overflow warnings would fail this test: the rollout silences them
+    with mock.patch.object(models, "_BLOCK_VALUES", 400):
+        with pytest.raises(InvalidStateError, match=re.escape(message)):
+            check_safety_empirically(model, initial, unsafe, trajectories=4, horizon=400)
+        # a horizon short of the overflow reads as it did
+        short = check_safety_empirically(model, initial, unsafe, trajectories=4,
+                                         horizon=step - 1)
+    assert short.safe and short.horizon == step - 1

@@ -9,9 +9,9 @@ from oracles import (
     pairwise_whole_array,
     safety_by_step_many,
 )
+import physbc.barrier
 import physbc.pipeline
 import physbc.solver
-from physbc.barrier import BarrierTemplate
 from physbc.cli import REFERENCE_RESULTS, reference_config
 from physbc.config import (
     MODE_DETERMINISTIC,
@@ -19,13 +19,14 @@ from physbc.config import (
     FilterSpec,
     GuaranteeSpec,
     LipschitzSpec,
+    PerturbationSpec,
     RunConfig,
     SamplingSpec,
     SolverSpec,
     ValidationSpec,
     preset,
 )
-from physbc.models import RegionBox
+from physbc.models import RegionBox, SystemModel
 from physbc.pipeline import (
     dataset_hash,
     report_json,
@@ -35,7 +36,7 @@ from physbc.pipeline import (
 from physbc.sampling import SCHEME_GRID, SCHEME_IID, load_dataset
 from physbc.solver import solve_minmax_direct
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 
 def quick(config):
@@ -217,19 +218,19 @@ def test_run_evaluates_the_barrier_on_retained_pairs_twice_after_the_solve(monke
     solved = []
     after_solve = []
     shipped_solve = physbc.pipeline.solve
-    kernel = BarrierTemplate.basis_matrix
+    kernel = physbc.barrier.basis_matrix
 
     def solve(*args, **kwargs):
         solved.append(True)
         return shipped_solve(*args, **kwargs)
 
-    def basis_matrix(template, states):
+    def basis_matrix(states, degree):
         if solved:
             after_solve.append(len(states))
-        return kernel(template, states)
+        return kernel(states, degree)
 
     monkeypatch.setattr("physbc.pipeline.solve", solve)
-    monkeypatch.setattr(BarrierTemplate, "basis_matrix", basis_matrix)
+    monkeypatch.setattr("physbc.barrier.basis_matrix", basis_matrix)
     artifacts = run(config)
     # once on the states and once on the successors, shared by audit and Lipschitz
     assert after_solve.count(artifacts.retained.count) == 2
@@ -546,6 +547,32 @@ def test_a_changed_sampling_input_samples_again(change, draws):
     assert draws.count("dataset_hash") == 2
     assert second.dataset is not first.dataset
     assert len(physbc.pipeline._dataset_memo) == 1
+
+
+# A truth whose every term is 0.0, and one term of it at -0.0 at a time: the terms
+# are SystemModel's fields, so a field this table misses fails the test below.
+ZERO_SYSTEM = {"kind": "quadratic-polynomial", "linear": [[0.0]], "offset": [0.0],
+               "quadratic": [[[0.0]]]}
+MINUS_ZERO_TERMS = {
+    "linear": lambda c: replace(c, system={**ZERO_SYSTEM, "linear": [[-0.0]]}),
+    "offset": lambda c: replace(c, system={**ZERO_SYSTEM, "offset": [-0.0]}),
+    "quadratic": lambda c: replace(c, system={**ZERO_SYSTEM, "quadratic": [[[-0.0]]]}),
+    "amplitude": _perturbation(amplitude=-0.0),
+    "frequency": _perturbation(frequency=-0.0),
+}
+
+
+@pytest.mark.parametrize("term", [f.name for f in fields(SystemModel)])
+def test_every_term_of_the_truth_reaches_both_memo_keys(term, rollouts, draws):
+    # repr tells -0.0 from 0.0, and the kernel can: x * -0.0 is -0.0 for x > 0
+    config = replace(tiny(preset("supply-demand", MODE_PROBABILISTIC)), system=ZERO_SYSTEM,
+                     perturbation=PerturbationSpec(amplitude=0.0, frequency=0.0))
+    changed = MINUS_ZERO_TERMS[term](config)
+    assert repr(getattr(changed.true_model(), term)) == "-0.0"
+    assert repr(getattr(config.true_model(), term)) == "0.0"
+    run(config), run(changed)
+    assert len(rollouts) == 2
+    assert draws.count("dataset_hash") == 2
 
 
 @pytest.mark.parametrize("change", sorted(READS_NOTHING))
