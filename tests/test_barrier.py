@@ -124,10 +124,10 @@ def _cubic_dict(exponents):
 
 
 def test_template_dict_round_trip():
-    cert = BarrierCertificate(np.array([1.0, 0.0, -2.0, 0.5]), 0.83, 0.0, 1.0)
     # the JSON form keeps one exponent list per monomial
-    assert cert.to_dict()["template"] == {"exponents": [[3], [2], [1], [0]]}
-    assert BarrierCertificate.from_dict(cert.to_dict()).degree == 3
+    data = _cubic_dict([[3], [2], [1], [0]])
+    cert = BarrierCertificate.from_dict(data)
+    assert cert.degree == 3 and cert.to_dict() == data
     for exponents, axes in (([[1, 0], [0, 1], [0, 0]], 2), ([[2], [1, 0]], 2), ([[1], []], 0)):
         with pytest.raises(ValueError, match=f"template must be one-dimensional, got {axes} axes"):
             BarrierCertificate.from_dict(_cubic_dict(exponents))
