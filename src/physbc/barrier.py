@@ -62,7 +62,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import RegionViolationError
+from .errors import InvalidStateError, RegionViolationError
 from .models import RegionBox, real_array
 from .sampling import Dataset
 
@@ -288,7 +288,9 @@ def assemble(
     recorded pairs in ``data`` feed the flow rows only.  When ``domain`` is
     passed, every recorded state is validated against it.  ``coeff_bound``
     (> 0) bounds every decision entry in magnitude through the symmetric
-    bound rows.
+    bound rows.  A flow row that is not finite, as when a successor's
+    powers overflow, raises :class:`InvalidStateError` naming the first such
+    state and its successor.
     """
     if not (0.0 < decay <= 1.0):
         raise ValueError("decay must lie in (0, 1]")
@@ -325,9 +327,16 @@ def assemble(
         # written straight into the stack
         rows[flow, 1 + d] = 1.0 - 1.0 * decay
         scratch = np.empty(data.count)
-        for (e, px), (_, py) in zip(_powers(data.states, d), _powers(data.successors, d)):
-            np.multiply(px, decay, out=scratch)
-            np.subtract(py, scratch, out=rows[flow, 1 + d - e])
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below says it all
+            for (e, px), (_, py) in zip(_powers(data.states, d), _powers(data.successors, d)):
+                np.multiply(px, decay, out=scratch)
+                np.subtract(py, scratch, out=rows[flow, 1 + d - e])
+        finite = np.isfinite(rows[flow])
+        if not finite.all():
+            first = int(np.argmin(finite.all(axis=1)))
+            raise InvalidStateError(
+                f"the flow row of state {float(data.states[first])!r} and successor"
+                f" {float(data.successors[first])!r} is not finite at degree {d}")
 
     # each decision entry gets a +e_j and a -e_j row, then the gap row closes the stack
     bounds = rows[samples:-1]

@@ -17,6 +17,18 @@ before it reads the body, and ignores any other sidecar key, such as the
 ``filtered`` flag that older sidecars carry.  It parses the body with
 ``np.loadtxt`` and hands any file it cannot take as is to a line loop, which
 either returns the same values or names the offending line.
+
+The CSV text work is split between this process and one forked child when
+``os.fork`` exists, at least two CPUs are usable and each half holds at least
+one block of rows (see :func:`_split_at`): the child formats, or parses, the
+back half of the rows and sends its bytes back through a pipe.  Each row's
+text depends on that row alone, so the bytes written and the values read are
+those of the one-process path.  The output file is flushed before the fork;
+the child runs its work inside ``try``/``finally`` and ends in ``os._exit``,
+so it never returns into the caller nor flushes an inherited buffer; this
+process always reaps it, also when its own half raises, and does the back
+half itself if the child exits non-zero.  Nothing is imported or started
+before a large write or read asks for it.
 """
 
 from __future__ import annotations
@@ -55,6 +67,9 @@ _ROW_CHUNK = 65_536
 # ASCII separators that ``np.loadtxt`` strips around a number as whitespace
 # but ``float`` rejects; a body holding one goes to the line loop.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+# What os.fork warns, from Python 3.12, in a process that has threads.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,18 +180,107 @@ def write_rows(fh, line_format: str, rows: np.ndarray) -> None:
     terminator.  Rows go out in chunks of ``_ROW_CHUNK``, each formatted by a
     single ``%`` over the chunk's values, so the text is what formatting the
     rows one at a time would give.
+
+    When :func:`_split_at` allows it, ``fh`` is flushed and a forked child
+    formats the back half of the rows while this process formats and writes
+    the front half; the child's text is then written after it, so the bytes
+    are those of the one-process path.  If the child exits non-zero, the back
+    half is formatted here.
     """
+    def write(part):
+        for text in _formatted(line_format, part):
+            fh.write(text)
+
+    split = _split_at(rows.shape[0])
+    if not split:
+        write(rows)
+        return
+    fh.flush()
+    _, back = _beside(lambda: write(rows[:split]),
+                      lambda: "".join(_formatted(line_format, rows[split:])).encode())
+    fh.write(back.decode())
+
+
+def _formatted(line_format: str, rows: np.ndarray):
+    """Yield the text of ``rows``, one ``%`` operation per ``_ROW_CHUNK`` rows."""
     for start in range(0, rows.shape[0], _ROW_CHUNK):
         chunk = rows[start:start + _ROW_CHUNK]
-        fh.write((line_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+        yield (line_format * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+
+
+def _split_at(rows: int) -> int:
+    """The row at which a forked child takes over the CSV text work, or 0 for none.
+
+    A child is used only where ``os.fork`` exists, at least two CPUs are
+    usable, and each half holds at least ``_ROW_CHUNK`` rows; it then takes
+    the back half.
+    """
+    if not hasattr(os, "fork") or rows < 2 * _ROW_CHUNK:
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return rows // 2 if cpus >= 2 else 0
+
+
+def _beside(own_work, child_work):
+    """``(own_work(), child_work())``, with ``child_work`` run in a forked child.
+
+    ``child_work`` returns bytes, which come back through a pipe while this
+    process runs ``own_work``.  The child runs inside ``try``/``finally`` and
+    ends in ``os._exit``, so it never returns into the caller nor flushes a
+    buffer it inherited.  The child is reaped even when ``own_work`` raises;
+    if it exits non-zero, or cannot be started, ``child_work`` runs here.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # From Python 3.12 os.fork warns in a process with threads, as numpy's
+            # BLAS pool makes this one.  The child only formats or parses text,
+            # touches no BLAS routine and leaves through os._exit, so it never
+            # needs a lock another thread held at the fork.
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+            if pid == 0:
+                _child(child_work, read_end, write_end)
+    except OSError:  # no process to spare
+        os.close(read_end)
+        os.close(write_end)
+        return own_work(), child_work()
+    os.close(write_end)
+    try:
+        # leaving this block closes the read end, so a child still writing
+        # fails at once rather than waiting for a reader
+        with open(read_end, "rb") as pipe:
+            own = own_work()
+            theirs = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        theirs = child_work()
+    return own, theirs
+
+
+def _child(work, read_end: int, write_end: int):
+    """The forked child's whole life: send ``work()`` through the pipe, then exit."""
+    status = 1
+    try:
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            pipe.write(work())
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write pairs as CSV plus a JSON metadata sidecar.
 
     Floats are rendered with 17 significant digits (``%.17g``, formatted in
-    blocks by :func:`write_rows`) so a round trip through :func:`load_dataset`
-    reproduces them bit for bit.
+    blocks by :func:`write_rows`, half of them in a forked child when the
+    dataset is large) so a round trip through :func:`load_dataset` reproduces
+    them bit for bit.
     """
     rows = np.column_stack([dataset.states, dataset.successors])
     with open(path, "w", encoding="ascii") as fh:
@@ -203,6 +307,13 @@ def load_dataset(path: str) -> Dataset:
     bit.  A body it rejects, or whose shape disagrees with the sidecar, is
     read again by the line loop, which accepts what ``float`` accepts (blank
     lines included) and names the first bad line.
+
+    When :func:`_split_at` allows it for the sidecar count, a forked child
+    runs the same ``np.loadtxt`` on the back half of the body, cut at a line
+    end, and returns its float64 bytes, which follow this process's half.  If
+    either half is rejected or is not an array of pairs, the line loop runs as
+    above, so the values and the error messages are those of the one-process
+    path.
     """
     domain, scheme, count, seed = _read_sidecar(path)
     values = np.empty((count, 2))
@@ -210,7 +321,7 @@ def load_dataset(path: str) -> Dataset:
         header = fh.readline().rstrip("\n")
         if header != _HEADER:
             raise DatasetParseError(f"expected header {_HEADER!r}, got {header!r}", line=1)
-        parsed = _loadtxt_rows(fh)
+        parsed = _loadtxt_rows(fh, count)
         if parsed is not None and parsed.shape == values.shape:
             values = parsed
         else:
@@ -261,17 +372,48 @@ def _read_sidecar(path: str):
     return domain, scheme, count, seed
 
 
-def _loadtxt_rows(fh) -> Optional[np.ndarray]:
-    """The rest of ``fh`` as parsed by ``np.loadtxt``; None if it rejects the text."""
+def _loadtxt_rows(fh, count: int) -> Optional[np.ndarray]:
+    """The rest of ``fh`` as parsed by ``np.loadtxt``; None if it rejects the text.
+
+    When :func:`_split_at` allows it for ``count`` rows, the text is cut at the
+    line end nearest past its middle and a forked child parses the back part;
+    both parts must come out as ``(k, 2)`` arrays, and the result is None
+    otherwise.  Each line is parsed on its own, so the values are those of one
+    ``np.loadtxt`` over the whole text.
+    """
     try:
         text = fh.read()
-        if any(c in text for c in _LOADTXT_ONLY_SPACE):
-            return None
+    except ValueError:  # UnicodeDecodeError
+        return None
+    if any(c in text for c in _LOADTXT_ONLY_SPACE):
+        return None
+    cut = text.find("\n", len(text) // 2) + 1 if _split_at(count) else 0
+    if not cut:
+        return _loadtxt(text)
+
+    def back_bytes():
+        back = _loadtxt(text[cut:])
+        return back.tobytes() if _pairs(back) else b""
+
+    front, back = _beside(lambda: _loadtxt(text[:cut]), back_bytes)
+    if not (_pairs(front) and back):
+        return None
+    return np.concatenate([front, np.frombuffer(back).reshape(-1, 2)])
+
+
+def _loadtxt(text: str) -> Optional[np.ndarray]:
+    """``text`` parsed by ``np.loadtxt`` as float rows; None if it rejects it."""
+    try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a body without rows warns
             return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # UnicodeDecodeError included
+    except ValueError:
         return None
+
+
+def _pairs(parsed: Optional[np.ndarray]) -> bool:
+    """Whether a parse came out as one or more rows of two values."""
+    return parsed is not None and parsed.shape[0] > 0 and parsed.shape[1:] == (2,)
 
 
 def _parse_rows(fh, values: np.ndarray) -> None:

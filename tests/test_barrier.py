@@ -21,7 +21,7 @@ from physbc.barrier import (
     check_certificate,
     sample_values,
 )
-from physbc.errors import RegionViolationError
+from physbc.errors import InvalidStateError, RegionViolationError
 from physbc.models import RegionBox, supply_demand
 from physbc.sampling import SCHEME_IID, Dataset
 
@@ -394,6 +394,21 @@ def test_assemble_validates_flow_states_against_the_domain():
     with pytest.raises(RegionViolationError, match="flow sample row 0"):
         assemble(2, 0.83, data, INITIAL, UNSAFE, domain=RegionBox(1.0, 2.7))
     assemble(2, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
+
+
+@pytest.mark.parametrize("successor", [1e200, -1e200, np.nan])
+def test_assemble_names_the_first_pair_whose_flow_row_is_not_finite(successor):
+    data = _toy_dataset(4)
+    ys = data.successors.copy()
+    ys[2:] = successor  # 1e200 is finite, its square is not
+    data = Dataset(data.states, ys, SCHEME_IID, DOMAIN, seed=0)
+    message = (f"the flow row of state {float(data.states[2])!r} and successor"
+               f" {successor!r} is not finite at degree 2")
+    with np.errstate(all="raise"):  # and no numpy warning on the way
+        with pytest.raises(InvalidStateError, match=re.escape(message)):
+            assemble(2, 0.83, data, INITIAL, UNSAFE)
+        if not np.isnan(successor):
+            assert np.isfinite(assemble(1, 0.83, data, INITIAL, UNSAFE).rows).all()
 
 
 def test_assemble_rejects_bad_decay_and_bound():

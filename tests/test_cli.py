@@ -12,7 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 import physbc
-from oracles import load_dataset_rowwise
+from oracles import load_dataset_rowwise, save_dataset_rowwise
+from physbc import sampling
 from physbc.barrier import BarrierCertificate
 from physbc.cli import REFERENCE_RESULTS, _drift, main, reference_config
 from physbc.config import (
@@ -315,12 +316,15 @@ def test_run_reports_an_override_that_makes_the_config_invalid(tmp_path):
 OVERFLOWING_SYSTEM = {"kind": "affine", "linear": [[1e308]], "offset": [0.5]}
 # One whose step is finite on the domain but whose rollout reaches inf at step 4.
 DIVERGING_SYSTEM = {"kind": "affine", "linear": [[1e100]], "offset": [0.5]}
+# One whose successors are finite but whose squares, in the barrier's flow rows, are not.
+BASIS_OVERFLOWING_SYSTEM = {"kind": "affine", "linear": [[1e200]], "offset": [0.5]}
 
 
 @pytest.mark.parametrize("case", [
     "run-config", "sweep-config", "plotdata-report", "validate-certificate", "validate-config",
     "reproduce-scale", "plotdata-points", "run-nan-system", "run-overflowing-system",
     "run-overflowing-system-unfiltered", "validate-overflowing-system", "run-diverging-system",
+    "run-overflowing-barrier",
 ])
 def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_path, tmp_path,
                                                           monkeypatch):
@@ -329,6 +333,9 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
     if case == "run-nan-system":
         system = {"kind": "affine", "linear": [[math.nan]], "offset": [0.5]}
         bad.write_text(json.dumps(_with_setting(small_config_dict(), "system", system)))
+    elif case == "run-overflowing-barrier":
+        config = _with_setting(small_config_dict(), "system", BASIS_OVERFLOWING_SYSTEM)
+        bad.write_text(json.dumps(_with_setting(config, "sampling.count", 2000)))
     elif "overflowing" in case or "diverging" in case:
         system = OVERFLOWING_SYSTEM if "overflowing" in case else DIVERGING_SYSTEM
         bad.write_text(json.dumps(_with_setting(small_config_dict(), "system", system)))
@@ -350,6 +357,7 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
         "validate-overflowing-system": ["validate", "--certificate", certificate,
                                         "--config", str(bad)],
         "run-diverging-system": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
+        "run-overflowing-barrier": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
     }[case]
 
     def no_work(*args, **kwargs):
@@ -366,7 +374,11 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
     assert result.exit_code == 1
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
-    if case.startswith("run-overflowing"):
+    if case == "run-overflowing-barrier":
+        # the grid's first state; 5e199 is finite and its square is not
+        assert lines[0] == ("error: the flow row of state 0.5 and successor 5e+199 is not"
+                            " finite at degree 2")
+    elif case.startswith("run-overflowing"):
         assert lines[0] == ("error: the system maps state 1.7977744436109029 to inf,"
                             " which is not finite")
     elif case in ("validate-overflowing-system", "run-diverging-system"):
@@ -757,6 +769,23 @@ def test_sweep_records_a_system_that_overflows_as_error_rows(tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_sweep_records_a_system_whose_barrier_rows_overflow_as_error_rows(tmp_path):
+    config = tmp_path / "overflow.json"
+    data = _with_setting(small_config_dict(), "system", BASIS_OVERFLOWING_SYSTEM)
+    config.write_text(json.dumps(_with_setting(data, "sampling.count", 2000)))
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, [
+        "sweep", "--config", str(config), "--param", "risk", "--values", "0.1,0.2",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 1, result.output
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["error"] for r in rows] == [
+        "the flow row of state 0.5 and successor 5e+199 is not finite at degree 2"] * 2
+    assert "Traceback" not in result.output and "Warning" not in result.output
+
+
 def test_sweep_rejects_bad_values(config_path, tmp_path):
     result = CliRunner().invoke(main, [
         "sweep", "--config", config_path, "--param", "samples",
@@ -881,3 +910,60 @@ def test_cli_run_loads_no_scipy(tmp_path):
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert (tmp_path / "out" / "report.json").exists()
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+# Runs one physbc command, then prints how many children it forked and whether
+# one is left unreaped.
+_FORK_COUNTING_MAIN = """
+import os, sys
+import physbc.cli
+forks = []
+fork = os.fork
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted_fork
+try:
+    physbc.cli.main(sys.argv[1:])
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = "a child left"
+    except ChildProcessError:
+        left = "no child left"
+    print(f"{len(forks)} forks, {left}")
+"""
+
+
+def test_run_and_plotdata_split_a_dataset_above_the_threshold_silently(tmp_path):
+    count = 2 * sampling._ROW_CHUNK + 2  # the smallest dataset whose halves get a chunk each
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(_with_setting(small_config_dict(), "sampling.count", count)))
+    src = os.path.dirname(os.path.dirname(physbc.__file__))
+
+    def physbc_command(*argv):
+        return subprocess.run([sys.executable, "-W", "error", "-c", _FORK_COUNTING_MAIN, *argv],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+
+    run = physbc_command("run", "--config", str(config), "--out", str(tmp_path / "run"))
+    # this count's verdict is fail; one fork writes dataset.csv
+    assert (run.returncode, run.stderr) == (2, ""), run.stderr
+    forks = 1 if sampling._split_at(count) else 0
+    assert run.stdout.splitlines()[-1] == f"{forks} forks, no child left"
+    plot = physbc_command("plotdata", "--report", str(tmp_path / "run" / "report.json"),
+                          "--out", str(tmp_path / "plot"))
+    # one fork reads dataset.csv, one writes samples.csv
+    assert (plot.returncode, plot.stderr) == (0, ""), plot.stderr
+    assert plot.stdout.splitlines()[-1] == f"{2 * forks} forks, no child left"
+
+    # the bytes one value at a time would give
+    dataset = load_dataset_rowwise(str(tmp_path / "run" / "dataset.csv"))
+    assert dataset.count == count
+    save_dataset_rowwise(dataset, str(tmp_path / "rowwise.csv"))
+    assert (tmp_path / "rowwise.csv").read_bytes() == (tmp_path / "run" / "dataset.csv").read_bytes()
+    samples = (tmp_path / "plot" / "samples.csv").read_bytes().decode("ascii").split("\r\n")
+    assert [line.split(",")[:2] for line in samples[1:-1]] == [
+        [repr(x), repr(y)] for x, y in zip(dataset.states.tolist(), dataset.successors.tolist())]

@@ -11,16 +11,20 @@ settings, and the reason, in CHANGES.md.
 ``data/lg-prob-phys-0.05`` holds the ``certificate.json`` and ``report.json``
 that ``physbc run`` wrote at commit d2ac76e, when a certificate still carried
 a template object; ``plotdata`` and ``validate`` must read them as that release
-did.
+did.  The ``dataset.csv`` of that run and the files ``plotdata`` writes are
+pinned by their bytes, both as written by one process and with the CSV text
+work split with a forked child.
 """
 
 import hashlib
 import json
+import os
 import shutil
 from pathlib import Path
 
 from click.testing import CliRunner
 
+from physbc import sampling
 from physbc.cli import main
 from physbc.pipeline import report_json
 
@@ -92,18 +96,20 @@ EARLIER_VALIDATE = ("levels: initial 0.0001 < unsafe 0.968033: ok\n"
                     "verdict: pass\n")
 
 
-def test_artifacts_an_earlier_release_wrote_read_as_they_did(tmp_path):
-    earlier = json.loads((EARLIER_RUN / "report.json").read_text())
+# What run wrote as dataset.csv for the earlier release's config, at that release
+# and since; the one-process and the forked-child CSV paths both write it.
+EARLIER_DATASET = "8f9f42eaf8a228f15534e0662e8c7d8d5e9e70e8b54319c15f28974e314af89f"
+
+
+def _run_and_plot(tmp_path, earlier):
+    """``run`` the earlier release's config, then ``plotdata`` its report beside
+    the fresh dataset; returns the fresh run directory and the plot directory."""
+    tmp_path.mkdir()
     config = tmp_path / "config.json"
     config.write_text(json.dumps(earlier["config"]))
     fresh = tmp_path / "fresh"
     result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(fresh)])
     assert result.exit_code == 2, result.output  # this setting's verdict is fail
-    # the same config writes the same certificate and report today
-    assert (fresh / "certificate.json").read_bytes() == (
-        EARLIER_RUN / "certificate.json").read_bytes()
-    report = json.loads((fresh / "report.json").read_text())
-    assert {**report, "timing": None} == {**earlier, "timing": None}
 
     # the earlier files beside the dataset of today's run, which has the same hash
     old = tmp_path / "earlier"
@@ -115,8 +121,44 @@ def test_artifacts_an_earlier_release_wrote_read_as_they_did(tmp_path):
                                        "--out", str(plot)])
     assert result.exit_code == 0, result.output
     assert result.output == f"wrote barrier_curve.csv, levels.csv, samples.csv, jump.csv to {plot}\n"
-    assert {p.name: _sha256(p.read_bytes()) for p in plot.iterdir()} == EARLIER_PLOTDATA
+    return fresh, plot
+
+
+def _digests(plot):
+    return {p.name: _sha256(p.read_bytes()) for p in plot.iterdir()}
+
+
+def test_artifacts_an_earlier_release_wrote_read_as_they_did(tmp_path, monkeypatch):
+    earlier = json.loads((EARLIER_RUN / "report.json").read_text())
+    fresh, plot = _run_and_plot(tmp_path / "one", earlier)
+    # the same config writes the same certificate, report and dataset today
+    assert (fresh / "certificate.json").read_bytes() == (
+        EARLIER_RUN / "certificate.json").read_bytes()
+    report = json.loads((fresh / "report.json").read_text())
+    assert {**report, "timing": None} == {**earlier, "timing": None}
+    assert _sha256((fresh / "dataset.csv").read_bytes()) == EARLIER_DATASET
+    assert _digests(plot) == EARLIER_PLOTDATA
 
     result = CliRunner().invoke(main, ["validate", "--certificate",
-                                       str(old / "certificate.json"), "--config", str(config)])
+                                       str(EARLIER_RUN / "certificate.json"),
+                                       "--config", str(tmp_path / "one" / "config.json")])
     assert (result.exit_code, result.output) == (0, EARLIER_VALIDATE)
+
+    # again with the dataset's 13 000 rows split between this process and a
+    # forked child: the write in run, and the read and the samples.csv write
+    # in plotdata
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(sampling, "_ROW_CHUNK", 1000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    fresh, plot = _run_and_plot(tmp_path / "split", earlier)
+    assert len(forks) == 3
+    assert _sha256((fresh / "dataset.csv").read_bytes()) == EARLIER_DATASET
+    assert _digests(plot) == EARLIER_PLOTDATA

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from physbc.errors import (
     RegionViolationError,
 )
 from oracles import load_dataset_rowwise, save_dataset_rowwise
+from physbc import sampling
 from physbc.models import RegionBox, supply_demand
 from physbc.sampling import (
     DEFAULT_MAX_SAMPLES,
@@ -24,6 +28,7 @@ from physbc.sampling import (
     sample_grid,
     sample_iid,
     save_dataset,
+    write_rows,
 )
 
 DOMAIN = RegionBox(0.5, 2.7)
@@ -432,3 +437,206 @@ def test_covering_radius_does_not_sort_sorted_states(monkeypatch):
     monkeypatch.setattr(np, "sort", no_sort)
     assert covering_radius(states, box) == expected
     assert covering_radius(grid, box) == expected
+
+
+# ------------------------------------- the CSV text work split with a forked child
+
+
+@contextlib.contextmanager
+def _split_forced(forks=None):
+    """Split every CSV of four rows or more: a ``_ROW_CHUNK`` of two rows and
+    two usable CPUs.  Each fork appends its pid to ``forks`` when given."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_ROW_CHUNK", 2)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if forks is not None:
+            fork = os.fork
+
+            def counted_fork():
+                pid = fork()
+                if pid:
+                    forks.append(pid)
+                return pid
+
+            mp.setattr(os, "fork", counted_fork)
+        yield
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _written(path, line_format, rows):
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        fh.write("head\n")
+        write_rows(fh, line_format, rows)
+    return path.read_bytes()
+
+
+# what the two formats of the package write: dataset.csv and samples.csv
+LINE_FORMATS = {2: "%.17g,%.17g\n", 4: "%r,%r,%r,%d\r\n"}
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                1e-310, 1.7976931348623157e308, -1.7976931348623157e308,
+                                0.1, 1 / 3, np.inf, -np.inf, np.nan])
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False))  # NaN payloads do not round-trip
+_FLAGS = st.one_of(st.sampled_from([0.0, 1.0, -0.0, 1.7976931348623157e308, 5e-324]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(width=st.sampled_from([2, 4]), draw=st.data())
+def test_split_write_gives_the_one_process_bytes(tmp_path_factory, width, draw):
+    count = draw.draw(st.integers(4, 40))
+    columns = [draw.draw(st.lists(_FLOATS, min_size=count, max_size=count))
+               for _ in range(width - 1)]
+    columns.append(draw.draw(st.lists(_FLAGS if width == 4 else _FLOATS,
+                                      min_size=count, max_size=count)))
+    rows = np.column_stack(columns)
+    tmp = tmp_path_factory.mktemp("split-write")
+    one = _written(tmp / "one.csv", LINE_FORMATS[width], rows)
+    forks = []
+    with _split_forced(forks):
+        two = _written(tmp / "two.csv", LINE_FORMATS[width], rows)
+    assert len(forks) == 1
+    _no_child_left()
+    assert two == one
+
+
+def _forced_load(path):
+    forks = []
+    with _split_forced(forks):
+        outcome = _outcome(load_dataset, str(path))
+    _no_child_left()
+    return outcome, forks
+
+
+@settings(max_examples=40, deadline=None)
+@given(states=st.lists(st.one_of(st.sampled_from([0.5, 2.7, np.nextafter(0.5, 1.0)]),
+                                 st.floats(0.5, 2.7)), min_size=4, max_size=40),
+       draw=st.data())
+def test_split_load_gives_the_one_process_values(tmp_path_factory, states, draw):
+    successors = draw.draw(st.lists(_FLOATS, min_size=len(states), max_size=len(states)))
+    data = Dataset(np.array(states), np.array(successors), SCHEME_IID, DOMAIN, seed=5)
+    path = tmp_path_factory.mktemp("split-load") / "d.csv"
+    save_dataset(data, str(path))
+    outcome, forks = _forced_load(path)
+    assert len(forks) == 1
+    assert outcome == _outcome(load_dataset, str(path))
+    assert outcome[:2] == (data.states.tobytes(), data.successors.tobytes())
+
+
+BAD_LINES = ["0.6,abc", "0.6,0.9,1.0", "0.6", "0.6,", "  \t ", "", "1_0,2", "0.6,0.9\x1c",
+             "\xff"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(4, 40), draw=st.data())
+def test_split_load_fails_as_the_one_process_load_on_a_bad_line(tmp_path_factory, count, draw):
+    data = sample_iid(supply_demand(), DOMAIN, count, seed=count)
+    path = tmp_path_factory.mktemp("split-bad") / "d.csv"
+    save_dataset(data, str(path))
+    lines = path.read_bytes().split(b"\n")[:-1]
+    at = draw.draw(st.integers(1, count))  # any data line, in either half
+    lines[at] = draw.draw(st.sampled_from(BAD_LINES)).encode("latin-1")
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    outcome, forks = _forced_load(path)
+    assert outcome == _outcome(load_dataset, str(path))
+    assert outcome == _outcome(load_dataset_rowwise, str(path))
+    assert len(forks) <= 1  # an undecodable or \x1c body is refused before a fork
+
+
+def test_split_load_names_a_bad_line_in_the_childs_half(tmp_path):
+    data = sample_iid(supply_demand(), DOMAIN, 40, seed=2)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    lines = path.read_text().splitlines()
+    lines[37] = "0.6,abc"
+    path.write_text("\n".join(lines) + "\n")
+    outcome, forks = _forced_load(path)
+    assert len(forks) == 1
+    assert outcome[0] is DatasetParseError and outcome[2] == 38
+    assert outcome == _outcome(load_dataset, str(path))
+
+
+@pytest.mark.parametrize("name", ["_formatted", "_loadtxt"])
+def test_a_child_that_fails_leaves_the_work_to_this_process(tmp_path, monkeypatch, name):
+    data = sample_iid(supply_demand(), DOMAIN, 40, seed=4)
+    rows = np.column_stack([data.states, data.successors, data.states, data.states > 1.5])
+    one = _written(tmp_path / "one.csv", LINE_FORMATS[4], rows)
+    save_dataset(data, str(tmp_path / "d.csv"))
+    statuses = []
+    waitpid = os.waitpid
+
+    def recorded_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    parent, original = os.getpid(), getattr(sampling, name)
+
+    def child_exits(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return original(*args)
+
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    monkeypatch.setattr(sampling, name, child_exits)
+    if name == "_formatted":
+        with _split_forced():
+            assert _written(tmp_path / "two.csv", LINE_FORMATS[4], rows) == one
+    else:
+        outcome, _ = _forced_load(tmp_path / "d.csv")
+        assert outcome[:2] == (data.states.tobytes(), data.successors.tobytes())
+    assert statuses == [3]
+    _no_child_left()
+
+
+def test_a_fork_that_fails_leaves_both_halves_to_this_process(tmp_path, monkeypatch):
+    data = sample_iid(supply_demand(), DOMAIN, 40, seed=6)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    one = path.read_bytes()
+
+    def no_fork():
+        raise OSError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with _split_forced():
+        save_dataset(data, str(path))
+        back = load_dataset(str(path))
+    assert path.read_bytes() == one
+    assert (back.states.tobytes(), back.successors.tobytes()) == (
+        data.states.tobytes(), data.successors.tobytes())
+    _no_child_left()
+
+
+def test_this_process_reaps_the_child_when_its_own_half_fails(tmp_path):
+    rows = np.arange(40.0).reshape(20, 2)
+
+    class FailingFile(io.StringIO):
+        def write(self, text):
+            raise OSError("disk full")
+
+    forks = []
+    with _split_forced(forks), pytest.raises(OSError, match="disk full"):
+        write_rows(FailingFile(), LINE_FORMATS[2], rows)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_split_applies_with_fork_two_cpus_and_a_chunk_per_half(monkeypatch):
+    chunk = sampling._ROW_CHUNK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert sampling._split_at(2 * chunk) == chunk
+    assert sampling._split_at(2 * chunk + 1) == chunk
+    assert sampling._split_at(2 * chunk - 1) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert sampling._split_at(4 * chunk) == 0
+    # without an affinity call, the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpus, split in ((None, 0), (1, 0), (2, 2 * chunk)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert sampling._split_at(4 * chunk) == split
+    monkeypatch.delattr(os, "fork")
+    assert sampling._split_at(4 * chunk) == 0
