@@ -73,6 +73,9 @@ FAMILIES = ("initial", "unsafe", "flow", "bound", "gap")
 DEFAULT_COEFF_BOUND = 100.0
 INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
 
+# Recorded pairs evaluated at a time by sample_values.
+_SAMPLE_BLOCK = 65_536
+
 
 def _powers(x: np.ndarray, top: int):
     """Yield ``(e, x ** e)`` for ``e = 1 .. top``, each power the previous one times ``x``.
@@ -386,10 +389,17 @@ def sample_values(certificate: BarrierCertificate, data: Dataset) -> np.ndarray:
     """The flow expression ``B(successor) - decay * B(x)``, once per recorded pair.
 
     The residual audit and the Lipschitz estimators both read the result, so
-    a run evaluates the barrier on its retained pairs exactly twice.
+    a run evaluates the barrier on its retained pairs exactly twice.  The
+    pairs go through :meth:`BarrierCertificate.evaluate` in blocks of
+    ``_SAMPLE_BLOCK``, so the basis matrices held at once are two blocks tall;
+    each value is the one a single evaluation of all the pairs gives.
     """
-    barrier = certificate.evaluate(data.states)
-    return certificate.evaluate(data.successors) - certificate.decay * barrier
+    flow = np.empty(data.count)
+    for start in range(0, data.count, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        barrier = certificate.evaluate(data.states[block])
+        flow[block] = certificate.evaluate(data.successors[block]) - certificate.decay * barrier
+    return flow
 
 
 def check_certificate(

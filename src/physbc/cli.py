@@ -394,8 +394,7 @@ def cmd_plotdata(report_path, out_dir, points):
         # Same bytes as csv.writer: repr floats, integer flags, CRLF endings.
         with open(os.path.join(out_dir, "samples.csv"), "w", newline="", encoding="ascii") as fh:
             fh.write("x,y,discrepancy,retained\r\n")
-            write_rows(fh, "%r,%r,%r,%d\r\n", np.column_stack(
-                [dataset.states, dataset.successors, disc, kept]))
+            write_rows(fh, "%r,%r,%r,%d\r\n", (dataset.states, dataset.successors, disc, kept))
         written.append("samples.csv")
         if config.filter.enabled and jump is not None:
             start, length = jump

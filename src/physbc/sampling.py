@@ -8,33 +8,41 @@ deterministic guarantee and i.i.d. draws for a probabilistic one.  Both
 refuse a successor that is not finite, naming the first state whose step
 overflows.  On an interval the covering radius is exact.
 
-Datasets persist as CSV written in blocks: :func:`write_rows` formats 65 536
-rows with one ``%`` operation, which gives the same text as formatting them
-row by row.  The file has the columns ``x_1,y_1``, and a JSON sidecar holds
-the scheme, seed, domain, count and ``dimension``, which is always 1.
-:func:`load_dataset` checks every one of them, refusing any other dimension,
-before it reads the body, and ignores any other sidecar key, such as the
-``filtered`` flag that older sidecars carry.  It parses the body with
-``np.loadtxt`` and hands any file it cannot take as is to a line loop, which
-either returns the same values or names the offending line.
+Datasets persist as CSV written in blocks: :func:`write_rows` stacks 65 536
+rows from their columns and formats them with one ``%`` operation, which
+gives the same text as formatting them row by row.  The file has the columns
+``x_1,y_1``, and a JSON sidecar holds the scheme, seed, domain, count and
+``dimension``, which is always 1.  :func:`load_dataset` checks every one of
+them, refusing any other dimension, before it reads the body, and ignores
+any other sidecar key, such as the ``filtered`` flag that older sidecars
+carry.  It parses the body's bytes with ``np.loadtxt`` and hands any file it
+cannot take as is to a text-mode line loop, which either returns the same
+values or names the offending line.
 
-The CSV text work is split between this process and one forked child when
-``os.fork`` exists, at least two CPUs are usable and each half holds at least
-one block of rows (see :func:`_split_at`): the child formats, or parses, the
-back half of the rows and sends its bytes back through a pipe.  Each row's
-text depends on that row alone, so the bytes written and the values read are
-those of the one-process path.  The output file is flushed before the fork;
-the child runs its work inside ``try``/``finally`` and ends in ``os._exit``,
-so it never returns into the caller nor flushes an inherited buffer; this
-process always reaps it, also when its own half raises, and does the back
-half itself if the child exits non-zero.  Nothing is imported or started
-before a large write or read asks for it.
+The CSV path is bytes end to end, and no process holds a decoded copy of
+the whole text.  A writer holds one block's text at a time, or one
+pipe-sized piece of the bytes its child sends; a writing child holds the
+ASCII bytes of its half.  A reader, child or not, holds the bytes of its own
+part of the body and the float64 rows parsed from them.  The work is split between this process and one forked
+child when ``os.fork`` exists, at least two CPUs are usable and each half
+holds at least one block of rows (see :func:`_split_at`): the child formats
+the back half of the rows into ASCII bytes, or reads and parses the back
+part of the body into float64 bytes, and sends them through a pipe once they
+are all made.  Each row's text depends on that row alone, so the bytes
+written and the values read are those of the one-process path.  The output
+file is flushed before the fork; the child runs its work inside
+``try``/``finally`` and ends in ``os._exit``, so it never returns into the
+caller nor flushes an inherited buffer; this process always reaps it, also
+when its own half raises, and does the back half itself if the child exits
+non-zero.  Nothing is imported or started before a large write or read asks
+for it.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import operator
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -64,9 +72,13 @@ _HEADER = "x_1,y_1"
 # Rows formatted per ``%`` operation when writing CSV.
 _ROW_CHUNK = 65_536
 
+# Bytes read at a time when a CSV's bytes are copied or searched in pieces:
+# the capacity of a Linux pipe.
+_PIECE = 1 << 16
+
 # ASCII separators that ``np.loadtxt`` strips around a number as whitespace
 # but ``float`` rejects; a body holding one goes to the line loop.
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 # What os.fork warns, from Python 3.12, in a process that has threads.
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
@@ -173,38 +185,56 @@ def covering_radius(states: np.ndarray, domain: RegionBox) -> float:
     return float(max(radius, 0.0))
 
 
-def write_rows(fh, line_format: str, rows: np.ndarray) -> None:
-    """Write each row of a 2-D array through ``line_format``.
+def write_rows(fh, line_format: str, columns) -> None:
+    """Write rows through ``line_format``, one value from each of ``columns`` per row.
 
-    ``line_format`` holds one ``%`` conversion per column and ends in the line
-    terminator.  Rows go out in chunks of ``_ROW_CHUNK``, each formatted by a
-    single ``%`` over the chunk's values, so the text is what formatting the
-    rows one at a time would give.
+    ``columns`` holds one ``(N,)`` array per ``%`` conversion of
+    ``line_format``, which ends in the line terminator and, like the text it
+    gives, is ASCII.  Rows go out in
+    blocks of ``_ROW_CHUNK``, each stacked from the columns and formatted by a
+    single ``%``, so the text is what formatting the rows one at a time would
+    give, and no ``(N, width)`` array of all the rows is built.
 
-    When :func:`_split_at` allows it, ``fh`` is flushed and a forked child
-    formats the back half of the rows while this process formats and writes
-    the front half; the child's text is then written after it, so the bytes
-    are those of the one-process path.  If the child exits non-zero, the back
-    half is formatted here.
+    When :func:`_split_at` allows it and ``fh`` can seek, ``fh`` is flushed
+    and a forked child formats the back half of the rows into ASCII bytes
+    while this process formats and writes the front half.  The child's bytes
+    are then copied to ``fh`` in pieces of at most ``_PIECE`` bytes, so this
+    process holds one block of its own rows or one piece at a time, and the
+    child the ASCII bytes of its half.  If the child exits non-zero, what was
+    copied is truncated and the back half is formatted here.
     """
-    def write(part):
-        for text in _formatted(line_format, part):
-            fh.write(text)
+    def write(start, stop):
+        fh.writelines(_formatted(line_format, columns, start, stop))
 
-    split = _split_at(rows.shape[0])
+    count = len(columns[0])
+    split = _split_at(count) if fh.seekable() else 0
     if not split:
-        write(rows)
+        write(0, count)
         return
+
+    def front():
+        write(0, split)
+        return fh.tell()
+
+    def copy(end_of_front, stream):
+        fh.seek(end_of_front)
+        fh.truncate()  # the part of a failed child
+        for piece in iter(lambda: stream.read(_PIECE), b""):
+            fh.write(piece.decode("ascii"))
+
+    def back():
+        # map lets go of each block's text once it is encoded, before the next is made
+        return list(map(operator.methodcaller("encode", "ascii"),
+                        _formatted(line_format, columns, split, count)))
+
     fh.flush()
-    _, back = _beside(lambda: write(rows[:split]),
-                      lambda: "".join(_formatted(line_format, rows[split:])).encode())
-    fh.write(back.decode())
+    _beside(front, back, copy)
 
 
-def _formatted(line_format: str, rows: np.ndarray):
-    """Yield the text of ``rows``, one ``%`` operation per ``_ROW_CHUNK`` rows."""
-    for start in range(0, rows.shape[0], _ROW_CHUNK):
-        chunk = rows[start:start + _ROW_CHUNK]
+def _formatted(line_format: str, columns, start: int, stop: int):
+    """Yield the text of rows ``start`` to ``stop``, one ``%`` operation per ``_ROW_CHUNK`` rows."""
+    for at in range(start, stop, _ROW_CHUNK):
+        chunk = np.column_stack([column[at:min(at + _ROW_CHUNK, stop)] for column in columns])
         yield (line_format * chunk.shape[0]) % tuple(chunk.ravel().tolist())
 
 
@@ -224,14 +254,18 @@ def _split_at(rows: int) -> int:
     return rows // 2 if cpus >= 2 else 0
 
 
-def _beside(own_work, child_work):
-    """``(own_work(), child_work())``, with ``child_work`` run in a forked child.
+def _beside(own_work, child_work, take):
+    """``take(own_work(), stream)``, where ``stream`` carries the bytes of a forked child.
 
-    ``child_work`` returns bytes, which come back through a pipe while this
-    process runs ``own_work``.  The child runs inside ``try``/``finally`` and
-    ends in ``os._exit``, so it never returns into the caller nor flushes a
-    buffer it inherited.  The child is reaped even when ``own_work`` raises;
-    if it exits non-zero, or cannot be started, ``child_work`` runs here.
+    The child runs ``child_work``, which returns a list of bytes-like pieces,
+    and writes them to a pipe only once all are made, so that it never waits
+    on this process while this process runs ``own_work``.  ``take`` then reads
+    the pipe to its end.  The child runs inside ``try``/``finally`` and ends in
+    ``os._exit``, so it never returns into the caller nor flushes a buffer it
+    inherited.  The child is reaped even when ``own_work`` or ``take`` raises.
+    If it exits non-zero, or cannot be started, ``child_work`` runs here and
+    ``take`` runs again, or for the first time, on its bytes; ``take`` must
+    undo whatever a first call left behind.
     """
     read_end, write_end = os.pipe()
     try:
@@ -247,28 +281,28 @@ def _beside(own_work, child_work):
     except OSError:  # no process to spare
         os.close(read_end)
         os.close(write_end)
-        return own_work(), child_work()
+        return take(own_work(), io.BytesIO(b"".join(child_work())))
     os.close(write_end)
     try:
         # leaving this block closes the read end, so a child still writing
         # fails at once rather than waiting for a reader
-        with open(read_end, "rb") as pipe:
+        with open(read_end, "rb", buffering=0) as pipe:
             own = own_work()
-            theirs = pipe.read()
+            taken = take(own, pipe)
     finally:
         _, status = os.waitpid(pid, 0)
     if status != 0:
-        theirs = child_work()
-    return own, theirs
+        taken = take(own, io.BytesIO(b"".join(child_work())))
+    return taken
 
 
 def _child(work, read_end: int, write_end: int):
-    """The forked child's whole life: send ``work()`` through the pipe, then exit."""
+    """The forked child's whole life: send ``work()``'s pieces through the pipe, then exit."""
     status = 1
     try:
         os.close(read_end)
         with open(write_end, "wb") as pipe:
-            pipe.write(work())
+            pipe.writelines(work())
         status = 0
     finally:
         os._exit(status)
@@ -277,15 +311,16 @@ def _child(work, read_end: int, write_end: int):
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write pairs as CSV plus a JSON metadata sidecar.
 
-    Floats are rendered with 17 significant digits (``%.17g``, formatted in
-    blocks by :func:`write_rows`, half of them in a forked child when the
-    dataset is large) so a round trip through :func:`load_dataset` reproduces
-    them bit for bit.
+    Floats are rendered with 17 significant digits (``%.17g``) so a round
+    trip through :func:`load_dataset` reproduces them bit for bit.  The
+    states and successors go to :func:`write_rows` as two columns, so no
+    ``(N, 2)`` stack of them is built: this process holds one block's text
+    at a time, and on a large dataset a forked child holds the ASCII bytes
+    of the back half, which this process copies after its own in pieces.
     """
-    rows = np.column_stack([dataset.states, dataset.successors])
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_HEADER + "\n")
-        write_rows(fh, "%.17g,%.17g\n", rows)
+        write_rows(fh, "%.17g,%.17g\n", (dataset.states, dataset.successors))
     meta = {
         "scheme": dataset.scheme,
         "seed": dataset.seed,
@@ -303,33 +338,37 @@ def load_dataset(path: str) -> Dataset:
 
     A sidecar it cannot use, a count above ``DEFAULT_MAX_SAMPLES`` included,
     raises :class:`DatasetParseError` before the body is read or allocated.
-    The body is parsed by ``np.loadtxt``, which reads ``%.17g`` text bit for
-    bit.  A body it rejects, or whose shape disagrees with the sidecar, is
-    read again by the line loop, which accepts what ``float`` accepts (blank
-    lines included) and names the first bad line.
+    The body is read as bytes with ``os.pread`` and parsed by ``np.loadtxt``,
+    which reads ``%.17g`` text bit for bit; this process holds the bytes and
+    the parsed rows, never a decoded copy of the text.  A body it rejects,
+    one with a byte that is not ASCII or is one of ``\\x1c``-``\\x1f``, a
+    header line other than ``x_1,y_1`` with a ``\\n`` or ``\\r\\n`` ending,
+    or rows whose count disagrees with the sidecar, is read again in text
+    mode by the line loop, which accepts what ``float`` accepts (blank lines
+    included) and names the first bad line.
 
-    When :func:`_split_at` allows it for the sidecar count, a forked child
-    runs the same ``np.loadtxt`` on the back half of the body, cut at a line
-    end, and returns its float64 bytes, which follow this process's half.  If
-    either half is rejected or is not an array of pairs, the line loop runs as
-    above, so the values and the error messages are those of the one-process
-    path.
+    When :func:`_split_at` allows it for the sidecar count, the body is cut at
+    the line end past its middle, found by a small read there, and a forked
+    child reads and parses the back part itself and returns its float64
+    bytes; this process reads and parses the front part, then reads the
+    child's bytes straight into the result.  If either part is rejected or is
+    not an array of pairs, the line loop runs as above, so the values and the
+    error messages are those of the one-process path.
     """
     domain, scheme, count, seed = _read_sidecar(path)
-    values = np.empty((count, 2))
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != _HEADER:
-            raise DatasetParseError(f"expected header {_HEADER!r}, got {header!r}", line=1)
-        parsed = _loadtxt_rows(fh, count)
-        if parsed is not None and parsed.shape == values.shape:
-            values = parsed
-        else:
-            # Restart from the top of the file, as the line loop always has:
-            # text is decoded in chunks counted from there, so an undecodable
-            # byte is reported at the same chunk offset.
-            fh.seek(0)
-            fh.readline()
+    with open(path, "rb") as fh:
+        header = fh.readline(len(_HEADER) + 2)
+        values = (_loadtxt_rows(fh.fileno(), len(header), count)
+                  if header in (f"{_HEADER}\n".encode(), f"{_HEADER}\r\n".encode()) else None)
+    if values is None or values.shape != (count, 2):
+        values = np.empty((count, 2))
+        # Restart from the top of the file in text mode, as the line loop always
+        # has: text is decoded in chunks counted from there, so an undecodable
+        # byte is reported at the same chunk offset.
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().rstrip("\n")
+            if header != _HEADER:
+                raise DatasetParseError(f"expected header {_HEADER!r}, got {header!r}", line=1)
             _parse_rows(fh, values)
     return Dataset(values[:, 0], values[:, 1], scheme, domain, seed=seed)
 
@@ -372,41 +411,55 @@ def _read_sidecar(path: str):
     return domain, scheme, count, seed
 
 
-def _loadtxt_rows(fh, count: int) -> Optional[np.ndarray]:
-    """The rest of ``fh`` as parsed by ``np.loadtxt``; None if it rejects the text.
+def _loadtxt_rows(fd: int, start: int, count: int) -> Optional[np.ndarray]:
+    """The file's bytes from ``start`` on as parsed by ``np.loadtxt``; None if it rejects them.
 
-    When :func:`_split_at` allows it for ``count`` rows, the text is cut at the
-    line end nearest past its middle and a forked child parses the back part;
-    both parts must come out as ``(k, 2)`` arrays, and the result is None
-    otherwise.  Each line is parsed on its own, so the values are those of one
-    ``np.loadtxt`` over the whole text.
+    When :func:`_split_at` allows it for ``count`` rows, the bytes are cut at
+    the line end past their middle and a forked child parses the back part;
+    both parts must come out as ``(k, 2)`` arrays that make ``count`` rows,
+    and the result is None otherwise.  Each line is parsed on its own, so the
+    values are those of one ``np.loadtxt`` over all the bytes.
     """
-    try:
-        text = fh.read()
-    except ValueError:  # UnicodeDecodeError
+    end = os.fstat(fd).st_size
+    cut = _line_end_past(fd, start + (end - start) // 2, end) if _split_at(count) else end
+    if cut >= end:
+        return _loadtxt(os.pread(fd, end - start, start))
+
+    def back():
+        parsed = _loadtxt(os.pread(fd, end - cut, cut))
+        return [parsed] if _pairs(parsed) else []
+
+    return _beside(lambda: _loadtxt(os.pread(fd, cut - start, start)), back,
+                   lambda front, stream: _joined(front, stream, count))
+
+
+def _line_end_past(fd: int, at: int, end: int) -> int:
+    """The offset just past the first ``\\n`` at or after ``at``, or ``end`` if there is none."""
+    while at < end:
+        piece = os.pread(fd, min(_PIECE, end - at), at)
+        if not piece:
+            break
+        found = piece.find(b"\n")
+        if found >= 0:
+            return at + found + 1
+        at += len(piece)
+    return end
+
+
+def _loadtxt(body: bytes) -> Optional[np.ndarray]:
+    """ASCII ``body`` parsed by ``np.loadtxt`` as float rows; None if it rejects it.
+
+    A body with a byte that is not ASCII is rejected, and so is one holding
+    any of ``\\x1c``-``\\x1f``, which ``np.loadtxt`` strips as whitespace
+    but ``float`` refuses.
+    """
+    if not body.isascii() or any(c in body for c in _LOADTXT_ONLY_SPACE):
         return None
-    if any(c in text for c in _LOADTXT_ONLY_SPACE):
-        return None
-    cut = text.find("\n", len(text) // 2) + 1 if _split_at(count) else 0
-    if not cut:
-        return _loadtxt(text)
-
-    def back_bytes():
-        back = _loadtxt(text[cut:])
-        return back.tobytes() if _pairs(back) else b""
-
-    front, back = _beside(lambda: _loadtxt(text[:cut]), back_bytes)
-    if not (_pairs(front) and back):
-        return None
-    return np.concatenate([front, np.frombuffer(back).reshape(-1, 2)])
-
-
-def _loadtxt(text: str) -> Optional[np.ndarray]:
-    """``text`` parsed by ``np.loadtxt`` as float rows; None if it rejects it."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a body without rows warns
-            return np.loadtxt(io.StringIO(text), delimiter=",", comments=None, ndmin=2)
+            return np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, ndmin=2,
+                              encoding="ascii")
     except ValueError:
         return None
 
@@ -414,6 +467,35 @@ def _loadtxt(text: str) -> Optional[np.ndarray]:
 def _pairs(parsed: Optional[np.ndarray]) -> bool:
     """Whether a parse came out as one or more rows of two values."""
     return parsed is not None and parsed.shape[0] > 0 and parsed.shape[1:] == (2,)
+
+
+def _joined(front: Optional[np.ndarray], stream, count: int) -> Optional[np.ndarray]:
+    """``front``'s rows, then the float64 rows ``stream`` carries, as one ``(count, 2)`` array.
+
+    None unless ``front`` is an array of pairs and the stream carries the
+    bytes of exactly the one or more rows that ``count`` leaves.  The stream
+    is read to its end either way, so a child writing to it always finishes.
+    """
+    rows = front.shape[0] if _pairs(front) else count
+    if rows >= count:
+        _read_into(stream, memoryview(bytearray()))
+        return None
+    values = np.empty((count, 2))
+    values[:rows] = front
+    tail = memoryview(values[rows:]).cast("B")
+    return values if _read_into(stream, tail) == tail.nbytes else None
+
+
+def _read_into(stream, view: memoryview) -> int:
+    """Read ``stream`` to its end into ``view``; the byte count it held, which
+    exceeds ``view``'s size when it did not fit (the excess is dropped)."""
+    got = 0
+    while True:
+        more = (stream.readinto(view[got:]) if got < view.nbytes
+                else len(stream.read(_PIECE)))
+        if not more:
+            return got
+        got += more
 
 
 def _parse_rows(fh, values: np.ndarray) -> None:

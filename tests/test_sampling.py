@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,13 @@ def _edit_lines(lines, case):
         sep = chr(int(case[-2:], 16))
         row = f"0.6{sep},0.9" if case.startswith("separator-beside-comma") else f"0.6,0.9{sep}"
         return lines[:3] + [row] + lines[4:]
+    if case == "lone-cr":
+        # text mode reads a lone \r as a line break; np.loadtxt over bytes does not
+        return lines[:3] + [lines[3] + "\r" + lines[4]] + lines[5:]
+    if case == "nul-byte":
+        return lines[:4] + ["0.6,0.9\x00"] + lines[5:]
+    if case == "non-ascii-byte":
+        return lines[:4] + ["0.6,0.9\xe9"] + lines[5:]
     if case == "not-a-number":
         return lines[:4] + ["0.6,abc"] + lines[5:]
     if case == "out-of-domain":
@@ -303,7 +311,7 @@ def _edit_lines(lines, case):
 SEPARATORS = ["1c", "1d", "1e", "1f"]
 LOAD_CASES = (["clean", "blank-lines", "whitespace-only-line", "underscores", "trailing-comma",
                "extra-row", "missing-row", "three-columns", "padded-fields", "not-a-number",
-               "out-of-domain"]
+               "out-of-domain", "lone-cr", "nul-byte", "non-ascii-byte"]
               + [f"separator-beside-comma-{sep}" for sep in SEPARATORS]
               + [f"separator-at-line-end-{sep}" for sep in SEPARATORS])
 
@@ -315,16 +323,19 @@ def test_load_matches_rowwise_oracle(tmp_path, case, crlf):
     path = tmp_path / "d.csv"
     save_dataset(data, str(path))
     lines = _edit_lines(path.read_text().splitlines(), case)
-    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("ascii") + b"\n")
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("latin-1") + b"\n")
     fast, slow = _outcome(load_dataset, str(path)), _outcome(load_dataset_rowwise, str(path))
     assert fast == slow
     if case in ("clean", "blank-lines"):
         assert fast[0] == data.states.tobytes()
-    if case in ("whitespace-only-line", "underscores") or case.startswith("separator-at-line-end"):
+    if case in ("whitespace-only-line", "underscores", "lone-cr") or case.startswith(
+            "separator-at-line-end"):
         assert fast[2] == (8,)  # only the line loop accepts these
     if case in ("trailing-comma", "extra-row", "missing-row", "three-columns",
-                "not-a-number") or case.startswith("separator-beside-comma"):
+                "not-a-number", "nul-byte") or case.startswith("separator-beside-comma"):
         assert fast[0] is DatasetParseError
+    if case == "non-ascii-byte":
+        assert fast[0] is UnicodeDecodeError
 
 
 @pytest.mark.parametrize("body", [
@@ -334,6 +345,15 @@ def test_load_matches_rowwise_oracle(tmp_path, case, crlf):
     b"0.7,0.9\n" * 2000 + b"\xff\n",               # the error names a chunk offset
     b"",                                        # no rows at all
     b"\n\n",                                    # blank lines only
+    b"0.6,0.9\r0.7,0.9\r",                       # lone-CR line ends, read as two rows
+    b"0.6,0.9\r\r\n0.7,0.9\n",                   # a lone CR before a CRLF: a blank line
+    b"0.6,0.9\n0.7,0.9\r",                       # a lone CR ending the file
+    b"0.6,0.9\n0.7,\x000.9\n",                   # a NUL byte
+    b"0.6,0.9\n0.7,0.9\x80\n",                   # a byte that is not ASCII
+    b"0.6,0.9\n0.7,0.9\x1c\n",                   # each separator np.loadtxt strips
+    b"0.6,0.9\n0.7,0.9\x1d\n",
+    b"0.6,0.9\n0.7\x1e,0.9\n",
+    b"0.6,0.9\n\x1f0.7,0.9\n",
 ])
 def test_load_matches_rowwise_oracle_on_raw_bodies(tmp_path, body):
     data = sample_iid(supply_demand(), DOMAIN, 2, seed=1)
@@ -470,7 +490,7 @@ def _no_child_left():
 def _written(path, line_format, rows):
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write("head\n")
-        write_rows(fh, line_format, rows)
+        write_rows(fh, line_format, rows.T)
     return path.read_bytes()
 
 
@@ -559,6 +579,50 @@ def test_split_load_names_a_bad_line_in_the_childs_half(tmp_path):
     assert outcome == _outcome(load_dataset, str(path))
 
 
+@pytest.mark.parametrize("half", ["front", "back"])
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", LOAD_CASES)
+def test_split_load_matches_rowwise_oracle(tmp_path, case, crlf, half):
+    # sixteen rows, the case applied to the eight in one half of a forced split
+    data = sample_iid(supply_demand(), DOMAIN, 16, seed=1)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    lines = path.read_text().splitlines()
+    if half == "front":
+        lines = _edit_lines(lines[:9], case) + lines[9:]
+    else:
+        lines = lines[:9] + _edit_lines(lines[:1] + lines[9:], case)[1:]
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("latin-1") + b"\n")
+    outcome, forks = _forced_load(path)
+    assert len(forks) == 1
+    assert outcome == _outcome(load_dataset_rowwise, str(path))
+    if case == "clean":
+        assert outcome[:2] == (data.states.tobytes(), data.successors.tobytes())
+
+
+@pytest.mark.parametrize("body", [
+    b"0.6,0.9\r0.7,0.9\r",
+    b"0.6,0.9\n0.7,0.9\r\r\n",
+    b"0.6,0.9\n0.7,\x000.9\n",
+    b"0.6,0.9\n0.7,0.9\x80\n",
+    b"0.6,0.9\n0.7,0.9\x1c\n",
+    b"0.6,0.9\n0.7,0.9\x1d\n",
+    b"0.6,0.9\n0.7\x1e,0.9\n",
+    b"0.6,0.9\n\x1f0.7,0.9\n",
+], ids=["lone-cr", "cr-before-crlf", "nul", "non-ascii", "sep-1c", "sep-1d", "sep-1e", "sep-1f"])
+@pytest.mark.parametrize("half", ["front", "back"])
+def test_split_load_matches_rowwise_oracle_on_raw_bodies(tmp_path, body, half):
+    data = sample_iid(supply_demand(), DOMAIN, 8, seed=1)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    rows = b"".join(f"{x!r},{y!r}\n".encode() for x, y in zip(data.states[:6].tolist(),
+                                                               data.successors[:6].tolist()))
+    path.write_bytes(b"x_1,y_1\n" + (body + rows if half == "front" else rows + body))
+    outcome, forks = _forced_load(path)
+    assert len(forks) == 1
+    assert outcome == _outcome(load_dataset_rowwise, str(path))
+
+
 @pytest.mark.parametrize("name", ["_formatted", "_loadtxt"])
 def test_a_child_that_fails_leaves_the_work_to_this_process(tmp_path, monkeypatch, name):
     data = sample_iid(supply_demand(), DOMAIN, 40, seed=4)
@@ -592,6 +656,39 @@ def test_a_child_that_fails_leaves_the_work_to_this_process(tmp_path, monkeypatc
     _no_child_left()
 
 
+@pytest.mark.parametrize("work", ["write", "load"])
+def test_a_child_that_fails_after_sending_its_bytes_is_redone_in_their_place(
+        tmp_path, monkeypatch, work):
+    data = sample_iid(supply_demand(), DOMAIN, 40, seed=5)
+    rows = np.column_stack([data.states, data.successors, data.states, data.states > 1.5])
+    one = _written(tmp_path / "one.csv", LINE_FORMATS[4], rows)
+    save_dataset(data, str(tmp_path / "d.csv"))
+    statuses = []
+    waitpid = os.waitpid
+
+    def recorded_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        statuses.append(os.waitstatus_to_exitcode(reaped[1]))
+        return reaped
+
+    parent, exit_now = os.getpid(), os._exit
+
+    def failed_exit(status):  # the child sends all its bytes, then fails
+        exit_now(5 if os.getpid() != parent else status)
+
+    monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+    monkeypatch.setattr(os, "_exit", failed_exit)
+    if work == "write":
+        with _split_forced():
+            # the redo takes the place of the bytes copied from the child, not the place after them
+            assert _written(tmp_path / "two.csv", LINE_FORMATS[4], rows) == one
+    else:
+        outcome, _ = _forced_load(tmp_path / "d.csv")
+        assert outcome[:2] == (data.states.tobytes(), data.successors.tobytes())
+    assert statuses == [5]
+    _no_child_left()
+
+
 def test_a_fork_that_fails_leaves_both_halves_to_this_process(tmp_path, monkeypatch):
     data = sample_iid(supply_demand(), DOMAIN, 40, seed=6)
     path = tmp_path / "d.csv"
@@ -620,9 +717,48 @@ def test_this_process_reaps_the_child_when_its_own_half_fails(tmp_path):
 
     forks = []
     with _split_forced(forks), pytest.raises(OSError, match="disk full"):
-        write_rows(FailingFile(), LINE_FORMATS[2], rows)
+        write_rows(FailingFile(), LINE_FORMATS[2], rows.T)
     assert len(forks) == 1
     _no_child_left()
+
+
+def _traced_peak(work):
+    """The most memory ``work()`` held at once in this process, as tracemalloc
+    counts it (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_split_load_peaks_below_one_and_a_half_times_the_file(tmp_path):
+    data = sample_iid(supply_demand(), DOMAIN, 2 * sampling._ROW_CHUNK, seed=8)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    loaded, forks = [], []
+    with _split_forced(forks):
+        peak = _traced_peak(lambda: loaded.append(load_dataset(str(path))))
+    _no_child_left()
+    assert len(forks) == 1
+    assert loaded[0].states.tobytes() == data.states.tobytes()
+    # the bytes of this process's half and the rows parsed from them, never the text
+    assert peak <= 1.5 * path.stat().st_size
+
+
+def test_a_split_write_peaks_no_higher_than_a_one_process_write(tmp_path, monkeypatch):
+    monkeypatch.setattr(sampling, "_ROW_CHUNK", 4096)
+    rows = np.random.default_rng(10).uniform(-3.0, 3.0, (8 * 4096, 2))  # four chunks a half
+    peaks = {}
+    for cpus in ({0}, {0, 1}, {0}, {0, 1}):  # the first two warm up
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        peaks[len(cpus)] = _traced_peak(lambda: _written(tmp_path / "rows.csv", LINE_FORMATS[2],
+                                                         rows))
+    _no_child_left()
+    # the child's bytes pass through in pipe-sized pieces; the fork and the
+    # pipe add a few hundred bytes of their own
+    assert peaks[2] <= 1.05 * peaks[1]
 
 
 def test_split_applies_with_fork_two_cpus_and_a_chunk_per_half(monkeypatch):
