@@ -392,13 +392,21 @@ def sample_values(certificate: BarrierCertificate, data: Dataset) -> np.ndarray:
     a run evaluates the barrier on its retained pairs exactly twice.  The
     pairs go through :meth:`BarrierCertificate.evaluate` in blocks of
     ``_SAMPLE_BLOCK``, so the basis matrices held at once are two blocks tall;
-    each value is the one a single evaluation of all the pairs gives.
+    each value is the one a single evaluation of all the pairs gives.  A lone
+    last pair joins the block before it: numpy takes a one-row product
+    through a dot product, whose bits may differ from the matrix-vector
+    product's.
     """
     flow = np.empty(data.count)
-    for start in range(0, data.count, _SAMPLE_BLOCK):
-        block = slice(start, start + _SAMPLE_BLOCK)
+    start = 0
+    while start < data.count:
+        stop = start + _SAMPLE_BLOCK
+        if data.count - stop == 1:
+            stop += 1
+        block = slice(start, stop)
         barrier = certificate.evaluate(data.states[block])
         flow[block] = certificate.evaluate(data.successors[block]) - certificate.decay * barrier
+        start = stop
     return flow
 
 
