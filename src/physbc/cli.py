@@ -17,6 +17,7 @@ stderr and exits 1.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import json
 import math
@@ -210,6 +211,15 @@ class _Group(click.Group):
 @click.group(cls=_Group)
 def main():
     """Data-driven barrier certificates with a physics-consistency filter."""
+    # A verb's process exits soon after its work; freezing the heap at exit
+    # spares the interpreter's last collection of the whole module graph.
+    # Registered when a verb starts, not on import, so importing this module
+    # changes nothing; unregistered first, so a process that runs verbs many
+    # times holds one handler; gc is imported here for the same reason.
+    import gc
+
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
 
 
 @main.command("run")

@@ -15,9 +15,11 @@ share no arithmetic:
 
 * :func:`solve`, the production path, runs a small dense simplex on the LP
   dual of the restricted problem: ``width + 1`` equality rows however many
-  rows the working set holds, started from a feasible basis built from the
-  data and pivoted under Bland's rule (lowest index enters and leaves, so it
-  cannot cycle).  It needs numpy only;
+  rows the working set holds, pivoted under Bland's rule (lowest index enters
+  and leaves, so it cannot cycle).  The first round starts from a feasible
+  basis built from the data; every later round resumes from the previous
+  round's optimal basis, which stays feasible because the admitted row only
+  adds a dual column (see :func:`_restricted_minmax`).  It needs numpy only;
 * :func:`solve_minmax_direct`, the cross-check, uses the HiGHS LP backend,
   which is deterministic for identical input; ``scipy.optimize`` is imported
   on its first call.
@@ -34,7 +36,10 @@ one.  The exchange stops only when one matrix-vector product shows that no
 row at the restricted decision exceeds the restricted slack, and that row
 maximum is at least the full minimum.  So at the stop the decision is optimal
 to the stopping tolerance, whichever rows started the exchange: start rows
-change how many rounds it takes, never what proves the optimum.  Neither
+change how many rounds it takes, never what proves the optimum.  For the
+same reason the basis a restricted simplex starts from changes only how many
+pivots a round takes: each round's restricted problem is solved to its own
+optimum, and the full-row check alone decides when to stop.  Neither
 route caps its rounds, since the exchange ends on its own (see
 :func:`_exchange`); both report which rows bind at the optimum.
 """
@@ -126,7 +131,9 @@ def _exchange(A: np.ndarray, b: np.ndarray, restricted, start_rows=()) -> SolveR
     (``(A_w, b_w) -> (decision, slack)``, boxed at ``_ARTIFICIAL_BOX``),
     evaluates every row with one matrix-vector product and admits the
     globally worst row (lowest index on ties), until no row exceeds the
-    restricted slack.  A converged decision pressed against the box means the
+    restricted slack.  The admitted row goes last, so the rows already in the
+    working set keep their positions; :func:`solve` resumes each round's
+    simplex from the previous one's basis on that account.  A converged decision pressed against the box means the
     full problem is unbounded.  The reported slack is clamped to the maximum
     over all rows, so it never understates the decision's true objective.
 
@@ -182,6 +189,7 @@ def _pivot_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list) -> np.
     in_basis = np.zeros(total, dtype=bool)
     in_basis[basis] = True
     eps = np.finfo(float).eps
+    abs_A, abs_c = np.abs(A), np.abs(c)
     for _ in range(_MAX_PIVOTS):
         B = A[:, basis]
         try:
@@ -190,7 +198,7 @@ def _pivot_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list) -> np.
         except np.linalg.LinAlgError as exc:
             raise SolverInternalError("singular basis in dense solver") from exc
         reduced = c - dual @ A
-        noise = eps * (np.abs(dual) @ np.abs(A) + np.abs(c) + 1.0)
+        noise = eps * (np.abs(dual) @ abs_A + abs_c + 1.0)
         improving = np.flatnonzero(~in_basis & (reduced < -np.maximum(1e-9, 64.0 * noise)))
         if improving.size == 0:
             if float(values.min()) < -1e-6:
@@ -212,7 +220,7 @@ def _pivot_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list) -> np.
     raise SolverInternalError("dense solver exceeded its pivot budget")
 
 
-def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray):
+def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray, previous=None):
     """Exact minimax over the working-set rows, solved through the LP dual.
 
     The restricted problem ``min s`` over ``A_w v + b_w <= s`` and
@@ -224,12 +232,25 @@ def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray):
 
     That is ``width + 1`` equality rows however many rows the working set
     holds, and the ``+-e_j`` box columns plus any row column span them, so no
-    row is ever redundant.  The row with the largest offset (``y = 1``), each
-    of its coordinates balanced by one box column, is a feasible basis, so no
-    feasibility search is needed.  At the optimal basis the simplex
-    multipliers ``pi`` solve the primal: ``v = pi[:width]`` (and
+    row is ever redundant.  Column ``i < k`` is row ``i`` of the working set,
+    and the ``2 * width`` box columns follow.  At the optimal basis the
+    simplex multipliers ``pi`` solve the primal: ``v = pi[:width]`` (and
     ``s = -pi[width]``).  The slack is returned as the row maximum at ``v``.
-    Returns (decision, slack).
+
+    With ``previous=None`` the start basis is the row with the largest offset
+    (``y = 1``), each of its coordinates balanced by one box column, which is
+    feasible, so no feasibility search is needed.  Otherwise ``previous`` is
+    the optimal basis returned for this working set without its last row, as
+    the exchange appends the admitted row.  The row columns keep their
+    positions and every box column moves up by one to make room for the new
+    row's column, which starts nonbasic.  The basis then holds the same
+    columns of the same equality rows with the same right-hand side, so its
+    basic values are exactly the previous optimum's: a feasible start, from
+    which Bland's rule ends as it does from any feasible basis.  The start
+    decides only how many pivots the solve takes, since it ends at an optimum
+    of this restricted problem either way.
+
+    Returns (decision, slack, optimal basis).
     """
     k, width = A_w.shape
     eye = np.eye(width)
@@ -240,24 +261,35 @@ def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray):
     cost = np.concatenate([-b_w, np.full(2 * width, _ARTIFICIAL_BOX)])
     rhs = np.zeros(width + 1)
     rhs[-1] = 1.0
-    first = int(np.argmax(b_w))
-    basis = [first] + [
-        k + j if A_w[first, j] <= 0 else k + width + j for j in range(width)
-    ]
+    if previous is None:
+        first = int(np.argmax(b_w))
+        basis = [first] + [
+            k + j if A_w[first, j] <= 0 else k + width + j for j in range(width)
+        ]
+    else:
+        basis = [j + 1 if j >= k - 1 else j for j in previous]
     pi = _pivot_loop(Aeq, rhs, cost, basis)
     decision = pi[:width]
-    return decision, float(np.max(A_w @ decision + b_w))
+    return decision, float(np.max(A_w @ decision + b_w)), basis
 
 
 def solve(rows: np.ndarray, offsets: np.ndarray) -> SolveResult:
     """Minimise the row maximum by constraint generation over dense dual
-    simplex solves.
+    simplex solves, each round's resuming from the previous round's optimal
+    basis.
 
     The exchange ends within one round per row outside the seed working set,
     plus one (see :func:`_exchange`).
     """
     A, b = _validate(rows, offsets)
-    return _exchange(A, b, _restricted_minmax)
+    basis = None  # the last round's optimal dual basis
+
+    def restricted(A_w, b_w):
+        nonlocal basis
+        decision, slack, basis = _restricted_minmax(A_w, b_w, basis)
+        return decision, slack
+
+    return _exchange(A, b, restricted)
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,15 @@ from physbc.lipschitz import (
 )
 from physbc.models import RegionBox, SafetyCheck
 from physbc.sampling import Dataset, _read_sidecar
-from physbc.solver import FEASIBILITY_TOL, OPTIMALITY_TOL, STATUS_OPTIMAL, SolveResult
+from physbc.solver import (
+    FEASIBILITY_TOL,
+    OPTIMALITY_TOL,
+    STATUS_OPTIMAL,
+    SolveResult,
+    _exchange,
+    _restricted_minmax,
+    _validate,
+)
 
 
 def basis_matrix_pow(states, degree):
@@ -203,6 +211,14 @@ def minimax_full_lp(rows, offsets):
     values = A @ decision + b
     active = np.nonzero(values >= slack - 1e-6 * max(1.0, abs(slack)))[0]
     return SolveResult(slack, decision, STATUS_OPTIMAL, active)
+
+
+def minimax_cold_start(rows, offsets):
+    """:func:`physbc.solver.solve` with every round started cold: the same
+    exchange, with each restricted dual simplex started from the
+    largest-offset basis instead of the previous round's optimal basis."""
+    A, b = _validate(rows, offsets)
+    return _exchange(A, b, lambda A_w, b_w: _restricted_minmax(A_w, b_w)[:2])
 
 
 def random_bounded_instance(rng, variables, extra_rows, bound=10.0):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -861,6 +862,31 @@ def test_reference_config_shapes():
 
 
 # -------------------------------------------------------------------- import
+
+
+def test_a_verb_freezes_the_heap_at_exit_once_per_process(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(physbc.cli.atexit, "register", lambda f: calls.append(("register", f)))
+    monkeypatch.setattr(physbc.cli.atexit, "unregister",
+                        lambda f: calls.append(("unregister", f)))
+    runner = CliRunner()
+    assert runner.invoke(main, ["--help"]).exit_code == 0
+    assert calls == []  # no verb ran
+    # a verb that fails on its input still starts
+    assert runner.invoke(main, ["run", "--out", str(tmp_path / "a")]).exit_code == 1
+    assert calls == [("unregister", gc.freeze), ("register", gc.freeze)]
+
+
+def test_cli_import_registers_no_exit_handler():
+    code = ("import atexit, gc\n"
+            "seen = []\n"
+            "atexit.register = lambda f, *args, **kwargs: seen.append(f)\n"
+            "import physbc.cli\n"
+            "print(gc.freeze in seen)")
+    src = os.path.dirname(os.path.dirname(physbc.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_import_loads_no_scipy():

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import physbc.solver
-from oracles import minimax_by_vertices, minimax_full_lp, random_bounded_instance
+from oracles import (
+    minimax_by_vertices,
+    minimax_cold_start,
+    minimax_full_lp,
+    random_bounded_instance,
+)
 from physbc.solver import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
@@ -318,6 +323,63 @@ def test_the_uncapped_exchange_ends_within_one_round_per_row(variables, extra, s
         assert result.status == STATUS_OPTIMAL
         working = np.union1d(seeds, np.asarray(start, dtype=int))
         assert 1 <= len(calls) <= len(rows) - len(working) + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=60),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_warm_started_rounds_reach_the_cold_started_optimum(variables, extra, integral, seed):
+    rng = np.random.default_rng(seed)
+    rows, offsets = random_bounded_instance(rng, variables, extra)
+    if integral:  # small integers, so that rows tie and vertices are degenerate
+        rows, offsets = np.round(rows), np.round(offsets)
+    warm = solve(rows, offsets)
+    cold = minimax_cold_start(rows, offsets)
+    assert warm.status == cold.status == STATUS_OPTIMAL
+    # a different start may end at another optimal basis of a degenerate
+    # restricted problem, so the two may differ by rounding, never more
+    assert abs(warm.slack - cold.slack) <= 1e-12 * max(1.0, abs(cold.slack))
+    assert (rows @ warm.decision + offsets).max() == warm.slack
+
+
+@pytest.mark.parametrize("integral", [False, True])
+@pytest.mark.parametrize("variables", [2, 3, 5])
+def test_each_round_resumes_from_the_previous_optimal_basis(monkeypatch, variables, integral):
+    rounds = []  # (row columns, cost, start basis, optimal basis) per restricted solve
+    inner = physbc.solver._pivot_loop
+
+    def recording(A, b, c, basis):
+        start = list(basis)
+        dual = inner(A, b, c, basis)
+        rounds.append((A.shape[1] - 2 * (A.shape[0] - 1), c, start, list(basis)))
+        return dual
+
+    monkeypatch.setattr(physbc.solver, "_pivot_loop", recording)
+    rng = np.random.default_rng(variables)
+    rows, offsets = random_bounded_instance(rng, variables, 200)
+    if integral:
+        rows, offsets = np.round(rows), np.round(offsets)
+    # Two leading rows +-1 hold every column's extremes (first on ties) and the
+    # largest offset, so they alone seed the exchange.  That restricted problem
+    # is unbounded across the ones vector, so the first optimal basis holds box
+    # columns, and the handoff must move them.
+    ones = np.ones((1, variables))
+    rows = np.vstack([ones, -ones, np.clip(rows, -1.0, 1.0)])
+    offsets = np.concatenate([[offsets.max() + 1.0, offsets.max()], offsets])
+    assert solve(rows, offsets).optimal
+    assert len(rounds) >= 2
+    # the first round starts at the largest-offset row (the lowest dual cost)
+    rows_first, cost, start, optimal = rounds[0]
+    assert rows_first == 2 and start[0] == 0
+    assert max(optimal) >= rows_first
+    for (count, _, _, optimal), (next_count, _, start, _) in zip(rounds, rounds[1:]):
+        # one appended row: row columns stay put, box columns move up by one
+        assert next_count == count + 1
+        assert start == [j if j < count else j + 1 for j in optimal]
 
 
 @pytest.mark.parametrize("starts", [
