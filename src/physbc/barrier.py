@@ -62,7 +62,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidStateError, RegionViolationError
+from .errors import PhysbcError
 from .models import RegionBox, real_array
 from .sampling import Dataset
 
@@ -292,7 +292,7 @@ def assemble(
     passed, every recorded state is validated against it.  ``coeff_bound``
     (> 0) bounds every decision entry in magnitude through the symmetric
     bound rows.  A flow row that is not finite, as when a successor's
-    powers overflow, raises :class:`InvalidStateError` naming the first such
+    powers overflow, raises :class:`PhysbcError` naming the first such
     state and its successor.
     """
     if not (0.0 < decay <= 1.0):
@@ -303,7 +303,7 @@ def assemble(
         inside = domain.contains(data.states, rtol=1e-12)
         if not np.all(inside):
             first = int(np.nonzero(~inside)[0][0])
-            raise RegionViolationError(
+            raise PhysbcError(
                 f"flow sample row {first} lies outside its declared region: {data.states[first]}"
             )
 
@@ -337,7 +337,7 @@ def assemble(
         finite = np.isfinite(rows[flow])
         if not finite.all():
             first = int(np.argmin(finite.all(axis=1)))
-            raise InvalidStateError(
+            raise PhysbcError(
                 f"the flow row of state {float(data.states[first])!r} and successor"
                 f" {float(data.successors[first])!r} is not finite at degree {d}")
 

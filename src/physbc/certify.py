@@ -31,7 +31,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .errors import DomainError, GeometrySaturationError, InsufficientSamplesError
+from .errors import PhysbcError
 
 _ROUNDOFF = 2.0 ** -53
 
@@ -56,14 +56,14 @@ def min_violation_level(risk: float, decision_count: int, retained_count: int) -
     the tail's log-log slope, near 1e-12 relative.
     """
     if not (0.0 < risk < 1.0):
-        raise DomainError("risk must lie strictly between 0 and 1")
+        raise PhysbcError("risk must lie strictly between 0 and 1")
     for name, value in (("decision_count", decision_count), ("retained_count", retained_count)):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+            raise PhysbcError(f"{name} must be an integer, got {value!r}")
     if decision_count < 1:
-        raise DomainError("decision_count must be positive")
+        raise PhysbcError("decision_count must be positive")
     if retained_count <= decision_count:
-        raise InsufficientSamplesError(
+        raise PhysbcError(
             f"{retained_count} retained samples cannot support "
             f"{decision_count} decision variables"
         )
@@ -124,9 +124,9 @@ class CertificationReport:
 def check_deterministic(slack: float, lipschitz: float, covering_radius: float) -> CertificationReport:
     """Pass when ``lipschitz * covering_radius + slack <= 0`` (confidence 1)."""
     if covering_radius <= 0:
-        raise DomainError("covering radius must be positive")
+        raise PhysbcError("covering radius must be positive")
     if lipschitz < 0:
-        raise DomainError("lipschitz constant must be non-negative")
+        raise PhysbcError("lipschitz constant must be non-negative")
     condition = lipschitz * covering_radius + slack
     return CertificationReport(
         mode="deterministic",
@@ -160,15 +160,15 @@ def check_probabilistic(
     a silent fail.  The verdict holds with confidence ``1 - risk``.
     """
     if lipschitz < 0:
-        raise DomainError("lipschitz constant must be non-negative")
+        raise PhysbcError("lipschitz constant must be non-negative")
     if not (0.0 < risk < 1.0):
-        raise DomainError("risk must lie strictly between 0 and 1")
+        raise PhysbcError("risk must lie strictly between 0 and 1")
     if not domain_length > 0:
-        raise DomainError("domain length must be positive")
+        raise PhysbcError("domain length must be positive")
     if violation_level < 0:
-        raise DomainError("level must be non-negative")
+        raise PhysbcError("level must be non-negative")
     if violation_level >= 1.0:
-        raise GeometrySaturationError(f"violation level {violation_level} saturates the domain")
+        raise PhysbcError(f"violation level {violation_level} saturates the domain")
     radius = violation_level * domain_length
     condition = slack + lipschitz * radius
     return CertificationReport(

@@ -276,11 +276,15 @@ def cmd_reproduce(out_dir, scale):
     """Rerun all baseline case-study settings and compare against references."""
     if not (scale > 0 and math.isfinite(scale)):
         raise PhysbcError("--scale must be positive and finite")
+    try:  # a finite scale can still take a sample count past the float range
+        configs = {key: reference_config(key, scale=scale) for key in REFERENCE_RESULTS}
+    except OverflowError as exc:
+        raise PhysbcError(f"--scale {scale!r} takes a sample count past the float range") from exc
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     all_pass = True
     for key, ref in REFERENCE_RESULTS.items():
-        ours, error = _run_row(reference_config(key, scale=scale))
+        ours, error = _run_row(configs[key])
         label = METRIC_LABEL[ref["mode"]]
         title = f"{ref['system']} {ref['mode']} {'physics' if ref['filtered'] else 'traditional'}"
         if error is not None:

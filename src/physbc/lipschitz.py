@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, ModelMismatchError
+from .errors import PhysbcError
 from .sampling import Dataset
 
 METHOD_PAIRWISE = "pairwise-max"
@@ -74,9 +74,9 @@ class LipschitzEstimate:
 def _require_pairs(flow: np.ndarray, dataset: Dataset) -> None:
     """Check that ``flow`` belongs to ``dataset``, and that the dataset can form a pair."""
     if flow.shape != (dataset.count,):
-        raise ModelMismatchError("sample values and dataset sizes differ")
+        raise PhysbcError("sample values and dataset sizes differ")
     if dataset.count < 2:
-        raise DegenerateDataError("need at least two states to form slope pairs")
+        raise PhysbcError("need at least two states to form slope pairs")
 
 
 def _neighbour_maxima(flow: np.ndarray, dataset: Dataset):
@@ -102,7 +102,7 @@ def _neighbour_maxima(flow: np.ndarray, dataset: Dataset):
     np.not_equal(coords[1:], coords[:-1], out=fresh[1:])
     groups = int(np.count_nonzero(fresh))
     if groups < 2:
-        raise DegenerateDataError("all sample states coincide")
+        raise PhysbcError("all sample states coincide")
     if groups == coords.size:  # one state per group: lo = hi = family
         # |diff(family)| / diff(coords), computed in one array
         rise = np.subtract(family[1:], family[:-1])
@@ -148,7 +148,7 @@ def _slope_chunks(flow: np.ndarray, dataset: Dataset, config: LipschitzSpec):
         np.divide(slopes, gaps, out=slopes, where=keep)
         yield slopes, keep
     if kept == 0:
-        raise DegenerateDataError("all drawn state pairs coincide")
+        raise PhysbcError("all drawn state pairs coincide")
 
 
 def estimate_pairwise(
@@ -195,7 +195,7 @@ def estimate_extreme_value(
     """
     slopes = np.concatenate([chunk[keep] for chunk, keep in _slope_chunks(flow, dataset, config)])
     if slopes.size < 2 * config.batches:
-        raise DegenerateDataError(
+        raise PhysbcError(
             f"{slopes.size} slope observations cannot fill "
             f"{config.batches} batches of at least 2"
         )

@@ -18,14 +18,14 @@ membership, and that every state is finite, once per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 from numbers import Real
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import PhysbcError
 
 # Rollout block size: at most this many float64 state entries (512 KiB) per
 # block of steps, and always at least one step.
@@ -161,7 +161,7 @@ class SystemModel:
         """Advance a batch of states ``(N,)`` by one step."""
         x = np.asarray(states, dtype=float)
         if x.ndim != 1:
-            raise InvalidStateError(f"expected (N,) states, got {x.shape}")
+            raise PhysbcError(f"expected (N,) states, got {x.shape}")
         out = np.empty(x.shape)
         self._advance(x, out, np.empty(x.shape))
         return out
@@ -174,9 +174,6 @@ class SafetyCheck:
     trajectories: int
     horizon: int
     violation_count: int
-    # (trajectory index, step, entry state) for each trajectory that hit the
-    # unsafe region, recorded at the first hit only.
-    violations: tuple = field(default_factory=tuple)
 
     @property
     def safe(self) -> bool:
@@ -199,20 +196,19 @@ def check_safety_empirically(
     """Simulate trajectories from the initial region and count unsafe entries.
 
     States are drawn uniformly from ``initial``; each trajectory is rolled
-    forward ``horizon`` steps.  A trajectory counts as violating at the first
-    step whose state lies in ``unsafe``; it is still advanced afterwards so
-    the check's cost is deterministic and independent of the hits.
+    forward ``horizon`` steps.  A trajectory counts as violating when any of
+    its states lies in ``unsafe``; it is still advanced afterwards so the
+    check's cost is deterministic and independent of the hits.
 
     The steps go through the model's one kernel, each written straight into
     a preallocated ``(block, trajectories)`` array of at most
     ``_BLOCK_VALUES`` entries, so memory stays flat in ``horizon``.  Unsafe
     membership (``RegionBox.contains`` at ``rtol = 0``) is tested once per
-    block, and a trajectory's first hit in a block is the ``argmax`` over the
-    block's steps.
+    block and OR-ed into one hit flag per trajectory.
 
     A trajectory that overflows to inf or nan would never lie in ``unsafe``
     and so would read as safe: the first block holding a state that is not
-    finite raises an :class:`InvalidStateError` instead, naming the start
+    finite raises a :class:`PhysbcError` instead, naming the start
     state of the first trajectory that holds one and the step at which it
     stopped being finite.
     """
@@ -221,8 +217,7 @@ def check_safety_empirically(
     rng = np.random.default_rng(seed)
     starts = rng.uniform(initial.lower, initial.upper, size=trajectories)
     states = starts.copy()
-    first_hit = np.full(trajectories, -1, dtype=int)
-    hit_state = np.zeros(trajectories)
+    hit = np.zeros(trajectories, dtype=bool)
 
     steps = min(horizon + 1, _block_steps(trajectories))
     block = np.empty((steps, trajectories))
@@ -243,24 +238,14 @@ def check_safety_empirically(
         if not finite.all():
             i = int(np.argmin(finite.all(axis=0)))
             at = int(np.argmin(finite[:, i]))
-            raise InvalidStateError(
+            raise PhysbcError(
                 f"the trajectory from state {float(starts[i])!r} reaches"
                 f" {float(window[at, i])!r} at step {start + at}, which is not finite")
-        inside = unsafe.contains(window)
-        fresh = np.flatnonzero(inside.any(axis=0) & (first_hit < 0))
-        if fresh.size:
-            at = inside[:, fresh].argmax(axis=0)
-            first_hit[fresh] = start + at
-            hit_state[fresh] = window[at, fresh]
+        hit |= unsafe.contains(window).any(axis=0)
         states[...] = window[-1]
 
-    violating = np.nonzero(first_hit >= 0)[0]
-    events = tuple((int(i), int(first_hit[i]), float(hit_state[i])) for i in violating)
     return SafetyCheck(
-        trajectories=trajectories,
-        horizon=horizon,
-        violation_count=len(events),
-        violations=events,
+        trajectories=trajectories, horizon=horizon, violation_count=int(np.count_nonzero(hit))
     )
 
 

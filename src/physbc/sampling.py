@@ -50,13 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    DatasetParseError,
-    InvalidStateError,
-    NoCoverError,
-    RegionViolationError,
-)
+from .errors import DatasetParseError, PhysbcError
 from .models import RegionBox, SystemModel
 
 SCHEME_GRID = "uniform-grid"
@@ -102,7 +96,7 @@ class Dataset:
         if self.scheme not in (SCHEME_GRID, SCHEME_IID):
             raise ValueError(f"unknown sampling scheme {self.scheme!r}")
         if xs.size and not np.all(self.domain.contains(xs, rtol=1e-12)):
-            raise RegionViolationError("dataset contains states outside the domain")
+            raise PhysbcError("dataset contains states outside the domain")
         xs.flags.writeable = False
         ys.flags.writeable = False
         object.__setattr__(self, "states", xs)
@@ -119,7 +113,7 @@ class Dataset:
 
 def _check_capacity(total: int):
     if total > DEFAULT_MAX_SAMPLES:
-        raise CapacityError(f"requested {total} samples, limit is {DEFAULT_MAX_SAMPLES}")
+        raise PhysbcError(f"requested {total} samples, limit is {DEFAULT_MAX_SAMPLES}")
 
 
 def sample_grid(model: SystemModel, domain: RegionBox, count: int) -> Dataset:
@@ -149,7 +143,7 @@ def sample_iid(model: SystemModel, domain: RegionBox, count: int, seed: int) -> 
 
 
 def _successors(model: SystemModel, states: np.ndarray) -> np.ndarray:
-    """``model.step_many(states)``, or an InvalidStateError naming the first state
+    """``model.step_many(states)``, or a PhysbcError naming the first state
     whose successor is not finite; numpy's overflow warnings stay silent, since
     the error says it all."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -157,8 +151,8 @@ def _successors(model: SystemModel, states: np.ndarray) -> np.ndarray:
     finite = np.isfinite(successors)
     if not finite.all():
         first = int(np.argmin(finite))
-        raise InvalidStateError(f"the system maps state {float(states[first])!r} to"
-                                f" {float(successors[first])!r}, which is not finite")
+        raise PhysbcError(f"the system maps state {float(states[first])!r} to"
+                          f" {float(successors[first])!r}, which is not finite")
     return successors
 
 
@@ -174,9 +168,9 @@ def covering_radius(states: np.ndarray, domain: RegionBox) -> float:
     if pts.ndim != 1:
         raise ValueError(f"expected (N,) states, got {pts.shape}")
     if pts.size == 0:
-        raise NoCoverError("cannot cover a domain with zero states")
+        raise PhysbcError("cannot cover a domain with zero states")
     if not np.all(domain.contains(pts, rtol=1e-12)):
-        raise RegionViolationError("states must lie inside the domain")
+        raise PhysbcError("states must lie inside the domain")
 
     s = pts if np.all(pts[1:] >= pts[:-1]) else np.sort(pts)
     radius = max(s[0] - domain.lower, domain.upper - s[-1])
@@ -345,7 +339,8 @@ def load_dataset(path: str) -> Dataset:
     header line other than ``x_1,y_1`` with a ``\\n`` or ``\\r\\n`` ending,
     or rows whose count disagrees with the sidecar, is read again in text
     mode by the line loop, which accepts what ``float`` accepts (blank lines
-    included) and names the first bad line.
+    included) and names the first bad line, a line with a byte that is not
+    ASCII included.
 
     When :func:`_split_at` allows it for the sidecar count, the body is cut at
     the line end past its middle, found by a small read there, and a forked
@@ -362,10 +357,9 @@ def load_dataset(path: str) -> Dataset:
                   if header in (f"{_HEADER}\n".encode(), f"{_HEADER}\r\n".encode()) else None)
     if values is None or values.shape != (count, 2):
         values = np.empty((count, 2))
-        # Restart from the top of the file in text mode, as the line loop always
-        # has: text is decoded in chunks counted from there, so an undecodable
-        # byte is reported at the same chunk offset.
-        with open(path, "r", encoding="ascii") as fh:
+        # latin-1 decodes every byte, so a byte that is not ASCII reaches the
+        # line loop, which names its line
+        with open(path, "r", encoding="latin-1") as fh:
             header = fh.readline().rstrip("\n")
             if header != _HEADER:
                 raise DatasetParseError(f"expected header {_HEADER!r}, got {header!r}", line=1)
@@ -503,6 +497,9 @@ def _parse_rows(fh, values: np.ndarray) -> None:
     count, width = values.shape
     row = 0
     for lineno, line in enumerate(fh, start=2):
+        if not line.isascii():
+            byte = next(c for c in line if not c.isascii())
+            raise DatasetParseError(f"byte 0x{ord(byte):02x} is not ASCII", line=lineno)
         line = line.strip()
         if not line:
             continue

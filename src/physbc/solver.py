@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverInternalError
+from .errors import PhysbcError
 
 STATUS_OPTIMAL = "optimal"
 STATUS_UNBOUNDED = "unbounded"
@@ -166,7 +166,7 @@ def _exchange(A: np.ndarray, b: np.ndarray, restricted, start_rows=()) -> SolveR
                 active_rows=np.nonzero(values >= slack - tol)[0],
             )
         if worst in working:
-            raise SolverInternalError("exchange stalled on an already-admitted row")
+            raise PhysbcError("exchange stalled on an already-admitted row")
         working.append(worst)
 
 
@@ -196,19 +196,19 @@ def _pivot_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list) -> np.
             values = np.linalg.solve(B, b)
             dual = np.linalg.solve(B.T, c[basis])
         except np.linalg.LinAlgError as exc:
-            raise SolverInternalError("singular basis in dense solver") from exc
+            raise PhysbcError("singular basis in dense solver") from exc
         reduced = c - dual @ A
         noise = eps * (np.abs(dual) @ abs_A + abs_c + 1.0)
         improving = np.flatnonzero(~in_basis & (reduced < -np.maximum(1e-9, 64.0 * noise)))
         if improving.size == 0:
             if float(values.min()) < -1e-6:
-                raise SolverInternalError("pivot loop terminated at an infeasible basis")
+                raise PhysbcError("pivot loop terminated at an infeasible basis")
             return dual
         entering = int(improving[0])
         direction = np.linalg.solve(B, A[:, entering])
         positive = direction > 1e-10
         if not positive.any():
-            raise SolverInternalError("bounded subproblem reported unbounded")
+            raise PhysbcError("bounded subproblem reported unbounded")
         ratios = np.full(m, np.inf)
         ratios[positive] = np.maximum(values[positive], 0.0) / direction[positive]
         # admit only exact ties: a fuzzy window lets a non-blocking row leave
@@ -217,7 +217,7 @@ def _pivot_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list) -> np.
         in_basis[basis[leave]] = False
         in_basis[entering] = True
         basis[leave] = entering
-    raise SolverInternalError("dense solver exceeded its pivot budget")
+    raise PhysbcError("dense solver exceeded its pivot budget")
 
 
 def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray, previous=None):
@@ -330,7 +330,7 @@ def _restricted_highs(A_w: np.ndarray, b_w: np.ndarray):
         },
     )
     if result.status != 0:
-        raise SolverInternalError(f"LP backend returned status {result.status}: {result.message}")
+        raise PhysbcError(f"LP backend returned status {result.status}: {result.message}")
     return result.x[:-1], float(result.x[-1])
 
 

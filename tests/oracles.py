@@ -12,7 +12,7 @@ from scipy import integrate
 from scipy.optimize import linprog
 
 from physbc.barrier import basis_matrix, bernstein_rows
-from physbc.errors import DatasetParseError, DegenerateDataError, ModelMismatchError
+from physbc.errors import DatasetParseError, PhysbcError
 from physbc.lipschitz import (
     METHOD_EXTREME,
     METHOD_PAIRWISE,
@@ -270,9 +270,9 @@ def pair_slopes_whole_array(flow, dataset, config):
     streamed kernel.
     """
     if flow.shape != (dataset.count,):
-        raise ModelMismatchError("sample values and dataset sizes differ")
+        raise PhysbcError("sample values and dataset sizes differ")
     if dataset.count < 2:
-        raise DegenerateDataError("need at least two states to form slope pairs")
+        raise PhysbcError("need at least two states to form slope pairs")
 
     rng = np.random.default_rng(config.seed)
     left = rng.integers(0, dataset.count, size=config.pair_budget)
@@ -283,7 +283,7 @@ def pair_slopes_whole_array(flow, dataset, config):
     gaps = np.linalg.norm((dataset.states[left] - dataset.states[right])[:, None], axis=1)
     keep = gaps > 0.0
     if not keep.any():
-        raise DegenerateDataError("all drawn state pairs coincide")
+        raise PhysbcError("all drawn state pairs coincide")
     left, right, gaps = left[keep], right[keep], gaps[keep]
     return np.abs(flow[left] - flow[right]) / gaps
 
@@ -307,7 +307,10 @@ def extreme_value_whole_array(flow, dataset, config):
     """Drop-in for :func:`physbc.lipschitz.estimate_extreme_value` on a whole slope array."""
     slopes = pair_slopes_whole_array(flow, dataset, config)
     if slopes.size < 2 * config.batches:
-        raise DegenerateDataError("too few slope observations for the batches")
+        raise PhysbcError(
+            f"{slopes.size} slope observations cannot fill "
+            f"{config.batches} batches of at least 2"
+        )
     batch_size = slopes.size // config.batches
     used = config.batches * batch_size
     maxima = slopes[:used].reshape(config.batches, batch_size).max(axis=1)
@@ -332,7 +335,7 @@ def pairwise_all_pairs(certificate, dataset):
     gaps = np.abs(dataset.states[left] - dataset.states[right])
     keep = gaps > 0.0
     if not keep.any():
-        raise DegenerateDataError("all sample states coincide")
+        raise PhysbcError("all sample states coincide")
     left, right, gaps = left[keep], right[keep], gaps[keep]
     return float((np.abs(flow_vals[left] - flow_vals[right]) / gaps).max())
 
@@ -382,27 +385,12 @@ def safety_by_step_many(model, initial, unsafe, trajectories=1000, horizon=500, 
     """
     rng = np.random.default_rng(seed)
     states = rng.uniform(initial.lower, initial.upper, size=trajectories)
-    first_hit = np.full(trajectories, -1, dtype=int)
-    hit_state = np.zeros(trajectories)
-
-    def record(step, batch):
-        inside = unsafe.contains(batch)
-        fresh = inside & (first_hit < 0)
-        first_hit[fresh] = step
-        hit_state[fresh] = batch[fresh]
-
-    record(0, states)
-    for k in range(1, horizon + 1):
+    hit = unsafe.contains(states)
+    for _ in range(horizon):
         states = model.step_many(states)
-        record(k, states)
-
-    violating = np.nonzero(first_hit >= 0)[0]
-    events = tuple((int(i), int(first_hit[i]), hit_state[i].copy()) for i in violating)
+        hit |= unsafe.contains(states)
     return SafetyCheck(
-        trajectories=trajectories,
-        horizon=horizon,
-        violation_count=len(events),
-        violations=events,
+        trajectories=trajectories, horizon=horizon, violation_count=int(np.count_nonzero(hit))
     )
 
 
@@ -436,13 +424,18 @@ def load_dataset_rowwise(path):
     """
     domain, scheme, count, seed = _read_sidecar(path)
     values = np.empty((count, 2))
-    with open(path, "r", encoding="ascii") as fh:
+    # latin-1 maps each byte to one character, so a byte that is not ASCII is
+    # found on its own line
+    with open(path, "r", encoding="latin-1") as fh:
         header = fh.readline().rstrip("\n")
         expected = "x_1,y_1"
         if header != expected:
             raise DatasetParseError(f"expected header {expected!r}, got {header!r}", line=1)
         row = 0
         for lineno, line in enumerate(fh, start=2):
+            high = [c for c in line if ord(c) > 0x7f]
+            if high:
+                raise DatasetParseError(f"byte 0x{ord(high[0]):02x} is not ASCII", line=lineno)
             line = line.strip()
             if not line:
                 continue

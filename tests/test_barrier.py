@@ -23,7 +23,7 @@ from physbc.barrier import (
     check_certificate,
     sample_values,
 )
-from physbc.errors import InvalidStateError, RegionViolationError
+from physbc.errors import PhysbcError
 from physbc.models import RegionBox, supply_demand
 from physbc.sampling import SCHEME_IID, Dataset
 
@@ -393,7 +393,7 @@ def test_certificate_from_decision():
 
 def test_assemble_validates_flow_states_against_the_domain():
     data = _toy_dataset(3)
-    with pytest.raises(RegionViolationError, match="flow sample row 0"):
+    with pytest.raises(PhysbcError, match="flow sample row 0 lies outside its declared region"):
         assemble(2, 0.83, data, INITIAL, UNSAFE, domain=RegionBox(1.0, 2.7))
     assemble(2, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
 
@@ -407,7 +407,7 @@ def test_assemble_names_the_first_pair_whose_flow_row_is_not_finite(successor):
     message = (f"the flow row of state {float(data.states[2])!r} and successor"
                f" {successor!r} is not finite at degree 2")
     with np.errstate(all="raise"):  # and no numpy warning on the way
-        with pytest.raises(InvalidStateError, match=re.escape(message)):
+        with pytest.raises(PhysbcError, match=re.escape(message)):
             assemble(2, 0.83, data, INITIAL, UNSAFE)
         if not np.isnan(successor):
             assert np.isfinite(assemble(1, 0.83, data, INITIAL, UNSAFE).rows).all()

@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import beta_inc_by_quadrature, binomial_tail
 from physbc.certify import check_deterministic, check_probabilistic, min_violation_level
-from physbc.errors import (
-    DomainError,
-    GeometrySaturationError,
-    InsufficientSamplesError,
-)
+from physbc.errors import PhysbcError
 
 
 def _counts(lam, gam):
@@ -58,7 +54,7 @@ def test_beta_inc_matches_quadrature(lam, gam, nu):
     c, count = _counts(lam, gam)
     risk = 1.0 - beta_inc_by_quadrature(nu, lam, gam)
     if count == c:
-        with pytest.raises(InsufficientSamplesError):
+        with pytest.raises(PhysbcError, match="retained samples cannot support"):
             min_violation_level(risk, c, count)
         return
     level = min_violation_level(risk, c, count)
@@ -72,7 +68,7 @@ def test_beta_inc_shape_one_closed_form(gam, risk):
     # one decision variable: the tail is (1 - level)^P, so level = 1 - risk^(1/P)
     c, count = _counts(1.0, gam)
     if count == c:
-        with pytest.raises(InsufficientSamplesError):
+        with pytest.raises(PhysbcError, match="retained samples cannot support"):
             min_violation_level(risk, c, count)
         return
     expected = -math.expm1(math.log(risk) / count)
@@ -85,7 +81,7 @@ def test_beta_inc_shape_one_closed_form(gam, risk):
 def test_inverse_round_trip(lam, gam, p):
     c, count = _counts(lam, gam)
     if count == c:
-        with pytest.raises(InsufficientSamplesError):
+        with pytest.raises(PhysbcError, match="retained samples cannot support"):
             min_violation_level(1.0 - p, c, count)
         return
     level = assert_level_is_the_tail_root(1.0 - p, c, count)
@@ -106,16 +102,16 @@ def test_min_violation_level_edges_and_domain():
     assert min_violation_level(1e-20, 1, 2) == pytest.approx(1.0 - 1e-10, abs=1e-15)
     assert min_violation_level(1e-300, 1, 2) == 1.0  # the root, 1 - 1e-150, rounds up to 1
     for bad in (0.0, 1.0, -0.2, 1.2, math.nan):
-        with pytest.raises(DomainError, match="risk"):
+        with pytest.raises(PhysbcError, match="risk"):
             min_violation_level(bad, 2, 10)
     # counts are integers, bool excluded
     for bad in (5.5, 5.0, True, "5", None):
-        with pytest.raises(DomainError, match="decision_count must be an integer"):
+        with pytest.raises(PhysbcError, match="decision_count must be an integer"):
             min_violation_level(0.05, bad, 100)
-        with pytest.raises(DomainError, match="retained_count must be an integer"):
+        with pytest.raises(PhysbcError, match="retained_count must be an integer"):
             min_violation_level(0.05, 1, bad)
     for bad in (0, -3):
-        with pytest.raises(DomainError, match="decision_count must be positive"):
+        with pytest.raises(PhysbcError, match="decision_count must be positive"):
             min_violation_level(0.05, bad, 100)
 
 
@@ -135,13 +131,13 @@ def test_min_violation_level_monotone():
 
 
 def test_min_violation_level_needs_more_samples_than_decisions():
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(PhysbcError, match="6 retained samples cannot support 6 decision"):
         min_violation_level(0.05, 6, 6)
-    with pytest.raises(InsufficientSamplesError):
+    with pytest.raises(PhysbcError, match="5 retained samples cannot support 6 decision"):
         min_violation_level(0.05, 6, 5)
-    with pytest.raises(DomainError):
+    with pytest.raises(PhysbcError, match="risk must lie strictly between 0 and 1"):
         min_violation_level(0.0, 6, 100)
-    with pytest.raises(DomainError):
+    with pytest.raises(PhysbcError, match="decision_count must be positive"):
         min_violation_level(0.05, 0, 100)
 
 
@@ -160,11 +156,11 @@ def test_geometry_mass_interval_coefficient():
 
 
 def test_geometry_radius_error_paths():
-    with pytest.raises(DomainError):
+    with pytest.raises(PhysbcError, match="level must be non-negative"):
         _radius(-1e-9, 2.2)
-    with pytest.raises(GeometrySaturationError):
+    with pytest.raises(PhysbcError, match="violation level 1.0 saturates the domain"):
         _radius(1.0, 2.2)
-    with pytest.raises(GeometrySaturationError):
+    with pytest.raises(PhysbcError, match="violation level 1.5 saturates the domain"):
         _radius(1.5, 2.2)
 
 
@@ -174,7 +170,7 @@ def test_geometry_rejects_unsupported_dimension():
     with pytest.raises(ValueError, match="bound must be a real number"):
         RegionBox(np.zeros(2), np.ones(2))
     for length in (-1.0, 0.0, math.nan):
-        with pytest.raises(DomainError, match="domain length must be positive"):
+        with pytest.raises(PhysbcError, match="domain length must be positive"):
             _radius(1e-3, length)
 
 
@@ -192,7 +188,7 @@ def test_deterministic_check_arithmetic():
 
 
 def test_deterministic_check_requires_positive_radius():
-    with pytest.raises(DomainError):
+    with pytest.raises(PhysbcError, match="covering radius must be positive"):
         check_deterministic(slack=-0.1, lipschitz=1.0, covering_radius=0.0)
 
 

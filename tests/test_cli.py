@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 import physbc
 from oracles import load_dataset_rowwise, save_dataset_rowwise
-from physbc import sampling
+from physbc import errors, sampling
 from physbc.barrier import BarrierCertificate
 from physbc.cli import REFERENCE_RESULTS, _drift, main, reference_config
 from physbc.config import (
@@ -323,7 +323,8 @@ BASIS_OVERFLOWING_SYSTEM = {"kind": "affine", "linear": [[1e200]], "offset": [0.
 
 @pytest.mark.parametrize("case", [
     "run-config", "sweep-config", "plotdata-report", "validate-certificate", "validate-config",
-    "reproduce-scale", "plotdata-points", "run-nan-system", "run-overflowing-system",
+    "reproduce-scale", "reproduce-huge-scale", "reproduce-overflowing-scale", "plotdata-points",
+    "run-nan-system", "run-overflowing-system",
     "run-overflowing-system-unfiltered", "validate-overflowing-system", "run-diverging-system",
     "run-overflowing-barrier",
 ])
@@ -349,6 +350,10 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
         "validate-certificate": ["validate", "--certificate", str(bad), "--config", config_path],
         "validate-config": ["validate", "--certificate", certificate, "--config", str(bad)],
         "reproduce-scale": ["reproduce", "--scale", "0", "--out", str(tmp_path / "o")],
+        # every sample count overflows, or only those past the first setting's
+        "reproduce-huge-scale": ["reproduce", "--scale", "1e308", "--out", str(tmp_path / "o")],
+        "reproduce-overflowing-scale": ["reproduce", "--scale", "7e302",
+                                        "--out", str(tmp_path / "o")],
         "plotdata-points": ["plotdata", "--report", str(run_dir / "report.json"),
                             "--points", "0", "--out", str(tmp_path / "o")],
         "run-nan-system": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
@@ -389,9 +394,21 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
         value, step = ("nan", 2) if case.startswith("validate") else ("inf", 4)
         assert lines[0] == (f"error: the trajectory from state {start!r} reaches {value} at"
                             f" step {step}, which is not finite")
+    elif case in ("reproduce-huge-scale", "reproduce-overflowing-scale"):
+        assert lines[0] == (f"error: --scale {float(args[2])!r} takes a sample count past"
+                            " the float range")
     elif not case.endswith(("scale", "points")):
         assert str(bad) in lines[0]
     assert "Traceback" not in result.output and not (tmp_path / "o").exists()
+
+
+def test_error_classes_inventory():
+    # the CLI boundary catches PhysbcError alone, and each message names its
+    # kind; DatasetParseError adds the line-numbered form of the dataset reader
+    defined = sorted(name for name, value in vars(errors).items()
+                     if isinstance(value, type) and value.__module__ == errors.__name__)
+    assert defined == ["DatasetParseError", "PhysbcError"]
+    assert issubclass(errors.DatasetParseError, errors.PhysbcError)
 
 
 # ------------------------------------------------------------------ validate
@@ -621,10 +638,15 @@ def test_plotdata_samples_match_csv_writer_bytes(run_dir, config_path, tmp_path,
     assert (out / "jump.csv").exists() == filtered
 
 
-@pytest.mark.parametrize("case", ["huge-count", "two-dimensional"])
+@pytest.mark.parametrize("case", ["huge-count", "two-dimensional", "non-ascii-byte"])
 def test_plotdata_skips_a_dataset_it_cannot_use(case, run_dir, tmp_path):
     (tmp_path / "report.json").write_bytes((run_dir / "report.json").read_bytes())
-    if case == "huge-count":
+    if case == "non-ascii-byte":
+        (tmp_path / "dataset.meta.json").write_bytes((run_dir / "dataset.meta.json").read_bytes())
+        lines = (run_dir / "dataset.csv").read_bytes().split(b"\n")
+        lines[3] += b"\xe9"
+        (tmp_path / "dataset.csv").write_bytes(b"\n".join(lines))
+    elif case == "huge-count":
         (tmp_path / "dataset.csv").write_bytes((run_dir / "dataset.csv").read_bytes())
         meta = json.loads((run_dir / "dataset.meta.json").read_text())
         (tmp_path / "dataset.meta.json").write_text(json.dumps({**meta, "count": 10**12}))
@@ -639,6 +661,8 @@ def test_plotdata_skips_a_dataset_it_cannot_use(case, run_dir, tmp_path):
         "plotdata", "--report", str(tmp_path / "report.json"), "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert "note: dataset not readable" in result.output
+    if case == "non-ascii-byte":
+        assert "(line 4: byte 0xe9 is not ASCII)" in result.output
     assert (out / "barrier_curve.csv").exists() and not (out / "samples.csv").exists()
 
 

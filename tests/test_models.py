@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import safety_by_step_many, step_many_matmul
 from physbc import models
-from physbc.errors import InvalidStateError
+from physbc.errors import PhysbcError
 from physbc.models import (
     PRESET_MODELS,
     RegionBox,
@@ -151,7 +151,7 @@ def test_perturbed_step_adds_field():
 def test_step_shape_checks():
     model = supply_demand()
     for states in (np.zeros((4, 1)), np.zeros((4, 2)), np.float64(1.0)):
-        with pytest.raises(InvalidStateError, match=r"expected \(N,\) states"):
+        with pytest.raises(PhysbcError, match=r"expected \(N,\) states"):
             model.step_many(states)
     assert model.step_many(np.empty(0)).shape == (0,)
 
@@ -180,23 +180,19 @@ def test_safety_check_detects_unsafe_start():
     model = supply_demand()
     initial = RegionBox(2.6, 2.65)
     unsafe = RegionBox(2.55, 2.7)
-    domain_check = check_safety_empirically(model, initial, unsafe, trajectories=50, horizon=3)
-    assert domain_check.violation_count == 50
-    assert not domain_check.safe
-    traj_index, step, state = domain_check.violations[0]
-    assert step == 0
-    assert unsafe.contains(state)
+    for horizon in (0, 3):
+        domain_check = check_safety_empirically(model, initial, unsafe, 50, horizon)
+        assert domain_check.violation_count == 50
+        assert not domain_check.safe
 
 
-def test_safety_check_hit_states_are_read_only():
+def test_safety_check_is_read_only():
     # a check may be shared between pipeline runs, so no run may alter it
     check = check_safety_empirically(
         supply_demand(), RegionBox(2.6, 2.65), RegionBox(2.55, 2.7),
         trajectories=5, horizon=3,
     )
-    # each hit state is a float, which no run can alter in place
-    assert len(check.violations) == 5
-    assert all(type(hit) is float for _, _, hit in check.violations)
+    assert check.violation_count == 5
     with pytest.raises(AttributeError):
         check.violation_count = 0
 
@@ -238,16 +234,14 @@ def test_safety_check_matches_step_many_oracle(name):
     make_model, initial, unsafe = SAFETY_CASES[name]
     model = make_model()
     initial, unsafe = RegionBox(*initial), RegionBox(*unsafe)
-    args = (model, initial, unsafe, 200, 60, 3)
-    lean = check_safety_empirically(*args)
-    oracle = safety_by_step_many(*args)
-    assert 0 < lean.violation_count < 200
-    assert lean.violation_count == oracle.violation_count
-    steps = [step for _, step, _ in lean.violations]
-    assert min(steps) == 0 and len(set(steps)) > 3
-    for (i, step, state), (j, ref_step, ref_state) in zip(lean.violations, oracle.violations):
-        assert (i, step) == (j, ref_step)
-        assert np.array_equal(state, ref_state)
+    # the count at horizon h is the number of first hits at steps <= h, so
+    # equal counts at every horizon mean equal first-hit steps
+    counts = [check_safety_empirically(model, initial, unsafe, 200, h, 3).violation_count
+              for h in range(61)]
+    oracle = [safety_by_step_many(model, initial, unsafe, 200, h, 3).violation_count
+              for h in range(61)]
+    assert counts == oracle
+    assert 0 < counts[0] and counts[-1] < 200 and len(set(counts)) > 4
 
 
 # ------------------------------------------------------- step kernel, rollout
@@ -332,11 +326,7 @@ def test_rollout_equals_step_many_oracle_across_block_edges(case):
         horizon = _block_horizons(trajectories)[horizon_at]
         lean = check_safety_empirically(model, initial, unsafe, trajectories, horizon, seed)
     oracle = safety_by_step_many(model, initial, unsafe, trajectories, horizon, seed)
-    assert (lean.trajectories, lean.horizon) == (trajectories, horizon)
-    assert lean.violation_count == oracle.violation_count
-    for (i, step, state), (j, ref_step, ref_state) in zip(lean.violations, oracle.violations):
-        assert (i, step) == (j, ref_step)
-        assert np.float64(state).tobytes() == ref_state.tobytes()
+    assert lean == oracle
 
 
 @pytest.mark.parametrize("horizon_at", range(6))
@@ -347,15 +337,15 @@ def test_rollout_hits_span_blocks_at_the_real_block_size(horizon_at):
     horizon = _block_horizons(300)[horizon_at]
     lean = check_safety_empirically(model, initial, unsafe, 300, horizon, 5)
     oracle = safety_by_step_many(model, initial, unsafe, 300, horizon, 5)
-    assert lean.violation_count == oracle.violation_count
-    for (i, step, state), (j, ref_step, ref_state) in zip(lean.violations, oracle.violations):
-        assert (i, step) == (j, ref_step)
-        assert np.float64(state).tobytes() == ref_state.tobytes()
+    assert lean == oracle
     if horizon_at == 5:
         assert 0 < lean.violation_count < 300
+        # the count grows over at least three blocks: each holds first hits
         block = models._block_steps(300)
-        blocks = {step // block for _, step, _ in lean.violations}
-        assert len(blocks) >= 3
+        ends = [block - 1, 2 * block - 1, 3 * block - 1, horizon]
+        counts = [0] + [check_safety_empirically(model, initial, unsafe, 300, h, 5)
+                        .violation_count for h in ends]
+        assert sum(a < b for a, b in zip(counts, counts[1:])) >= 3
 
 
 def test_rollout_never_calls_einsum_or_matmul(monkeypatch):
@@ -412,7 +402,7 @@ def test_a_rollout_that_stops_being_finite_is_an_error(case):
                " which is not finite")
     # numpy's overflow warnings would fail this test: the rollout silences them
     with mock.patch.object(models, "_BLOCK_VALUES", 400):
-        with pytest.raises(InvalidStateError, match=re.escape(message)):
+        with pytest.raises(PhysbcError, match=re.escape(message)):
             check_safety_empirically(model, initial, unsafe, trajectories=4, horizon=400)
         # a horizon short of the overflow reads as it did
         short = check_safety_empirically(model, initial, unsafe, trajectories=4,

@@ -10,12 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physbc.errors import (
-    CapacityError,
-    DatasetParseError,
-    NoCoverError,
-    RegionViolationError,
-)
+from physbc.errors import DatasetParseError, PhysbcError
 from oracles import load_dataset_rowwise, save_dataset_rowwise
 from physbc import sampling
 from physbc.models import RegionBox, supply_demand
@@ -49,7 +44,7 @@ def test_grid_is_sorted_and_hits_faces():
 def test_grid_rejects_degenerate_axes_and_overflow():
     with pytest.raises(ValueError):
         sample_grid(supply_demand(), DOMAIN, 1)
-    with pytest.raises(CapacityError):
+    with pytest.raises(PhysbcError, match=f"limit is {DEFAULT_MAX_SAMPLES}"):
         # refused before the states are allocated
         sample_grid(supply_demand(), DOMAIN, DEFAULT_MAX_SAMPLES + 1)
 
@@ -71,7 +66,7 @@ def test_iid_reproducible_by_seed():
 def test_iid_count_validation():
     with pytest.raises(ValueError):
         sample_iid(supply_demand(), DOMAIN, 0, seed=0)
-    with pytest.raises(CapacityError):
+    with pytest.raises(PhysbcError, match=f"limit is {DEFAULT_MAX_SAMPLES}"):
         sample_iid(supply_demand(), DOMAIN, DEFAULT_MAX_SAMPLES + 1, seed=0)
 
 
@@ -83,7 +78,7 @@ def test_dataset_shape_and_domain_validation():
         Dataset(xs[:, None], xs[:, None], SCHEME_GRID, DOMAIN)
     with pytest.raises(ValueError):
         Dataset(xs, xs, "mystery", DOMAIN)
-    with pytest.raises(RegionViolationError):
+    with pytest.raises(PhysbcError, match="dataset contains states outside the domain"):
         Dataset(np.array([0.4]), np.array([0.9]), SCHEME_GRID, DOMAIN)
 
 
@@ -131,9 +126,9 @@ def test_covering_radius_exact_against_dense_scan():
 
 def test_covering_radius_error_paths():
     box = RegionBox(0.0, 1.0)
-    with pytest.raises(NoCoverError):
+    with pytest.raises(PhysbcError, match="cannot cover a domain with zero states"):
         covering_radius(np.empty(0), box)
-    with pytest.raises(RegionViolationError):
+    with pytest.raises(PhysbcError, match="states must lie inside the domain"):
         covering_radius(np.array([1.5]), box)
     for states in (np.array([[0.5, 0.5]]), np.array([[0.5]])):
         with pytest.raises(ValueError, match=r"expected \(N,\) states"):
@@ -335,14 +330,14 @@ def test_load_matches_rowwise_oracle(tmp_path, case, crlf):
                 "not-a-number", "nul-byte") or case.startswith("separator-beside-comma"):
         assert fast[0] is DatasetParseError
     if case == "non-ascii-byte":
-        assert fast[0] is UnicodeDecodeError
+        assert fast == (DatasetParseError, "line 5: byte 0xe9 is not ASCII", 5)
 
 
 @pytest.mark.parametrize("body", [
-    b"0.6,0.9\n\xff\n",                        # undecodable byte
-    b"0.6,0.9\nbad\n0.7,0.9\n\xff\n",            # a bad line before it, same chunk
-    b"0.6,0.9\nbad\n" + b"0.7,0.9\n" * 2000 + b"\xff\n",  # ... in a later chunk
-    b"0.7,0.9\n" * 2000 + b"\xff\n",               # the error names a chunk offset
+    b"0.6,0.9\n\xff\n",                        # a byte that is not ASCII, on a line of its own
+    b"0.6,0.9\nbad\n0.7,0.9\n\xff\n",            # a bad line before it is named first
+    b"0.6,0.9\nbad\n" + b"0.7,0.9\n" * 2000 + b"\xff\n",  # ... however far before
+    b"0.7,0.9\n" * 2000 + b"\xff\n",               # the error names the line, far down
     b"",                                        # no rows at all
     b"\n\n",                                    # blank lines only
     b"0.6,0.9\r0.7,0.9\r",                       # lone-CR line ends, read as two rows
@@ -360,7 +355,10 @@ def test_load_matches_rowwise_oracle_on_raw_bodies(tmp_path, body):
     path = tmp_path / "d.csv"
     save_dataset(data, str(path))
     path.write_bytes(b"x_1,y_1\n" + body)
-    assert _outcome(load_dataset, str(path)) == _outcome(load_dataset_rowwise, str(path))
+    outcome = _outcome(load_dataset, str(path))
+    assert outcome == _outcome(load_dataset_rowwise, str(path))
+    if not body.isascii():  # the first bad line is named, never a decode error
+        assert outcome[0] is DatasetParseError
 
 
 @pytest.mark.parametrize("edit", [
