@@ -58,7 +58,7 @@ import operator
 from dataclasses import asdict, dataclass
 from math import comb
 from numbers import Integral, Real
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -281,31 +281,23 @@ def assemble(
     data: Dataset,
     initial_region: RegionBox,
     unsafe_region: RegionBox,
-    domain: Optional[RegionBox] = None,
     coeff_bound: float = DEFAULT_COEFF_BOUND,
 ) -> ConstraintSystem:
     """Build the scenario constraint system for one dataset and barrier degree.
 
     The initial and unsafe rows are the :func:`bernstein_rows` of their
     regions, so they impose both conditions on the whole region; the
-    recorded pairs in ``data`` feed the flow rows only.  When ``domain`` is
-    passed, every recorded state is validated against it.  ``coeff_bound``
-    (> 0) bounds every decision entry in magnitude through the symmetric
-    bound rows.  A flow row that is not finite, as when a successor's
-    powers overflow, raises :class:`PhysbcError` naming the first such
-    state and its successor.
+    recorded pairs in ``data`` feed the flow rows only, and the
+    :class:`Dataset` has already refused any state outside its domain.
+    ``coeff_bound`` (> 0) bounds every decision entry in magnitude through
+    the symmetric bound rows.  A flow row that is not finite, as when a
+    successor's powers overflow, raises :class:`PhysbcError` naming the
+    first such state and its successor.
     """
     if not (0.0 < decay <= 1.0):
         raise ValueError("decay must lie in (0, 1]")
     if not coeff_bound > 0:
         raise ValueError("coeff_bound must be positive")
-    if domain is not None:
-        inside = domain.contains(data.states, rtol=1e-12)
-        if not np.all(inside):
-            first = int(np.nonzero(~inside)[0][0])
-            raise PhysbcError(
-                f"flow sample row {first} lies outside its declared region: {data.states[first]}"
-            )
 
     d = _degree(degree)
     initial_rows = bernstein_rows(d, initial_region)

@@ -10,9 +10,9 @@ Verbs:
 
 Exit codes: 0 when the requested check passes, 2 when a certificate or
 validation fails, 1 on configuration or runtime errors.  Verbs raise
-:class:`PhysbcError` for bad input; the group prints it, or an ``OSError``
-such as an output path that cannot be written, as one ``error: ...`` line on
-stderr and exits 1.
+:class:`PhysbcError` for bad input; the group prints it, an ``OSError`` such
+as an output path that cannot be written, or a ``MemoryError`` from a size too
+large to allocate, as one ``error: ...`` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -163,29 +163,19 @@ def _load(what: str, path: str, parse):
     try:
         with open(path, encoding="utf-8" if what == "config" else "ascii") as fh:
             return parse(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise PhysbcError(f"could not load {what} {path}: {exc}") from exc
 
 
 def _report_parts(report: dict):
-    """What ``plotdata`` reads of a report: config, certificate, slack, dataset path, jump."""
+    """What ``plotdata`` reads of a report: config, certificate, slack, dataset path."""
     config = RunConfig.from_dict(report["config"])
     certificate = BarrierCertificate.from_dict(report["certificate"])
     slack = report["solver"]["slack"]
     data_rel = report["dataset"]["path"]
     if data_rel is not None and not isinstance(data_rel, str):
         raise TypeError(f"dataset.path must be a string or null, got {data_rel!r}")
-    filt = report.get("filter", {})  # a report may leave the filter block out
-    if not isinstance(filt, dict):
-        raise TypeError(f"filter must be a mapping, got {filt!r}")
-    jump = filt.get("max_jump")
-    if jump is not None:
-        start, length = jump["start_index"], jump["length"]
-        if type(start) is not int or type(length) is not int or start < 0 or length < 1:
-            raise ValueError("filter.max_jump must hold integers start_index >= 0 and"
-                             f" length >= 1, got {jump!r}")
-        jump = start, length
-    return config, certificate, slack, data_rel, jump
+    return config, certificate, slack, data_rel
 
 
 def _write_table(path: str, header, rows) -> None:
@@ -196,14 +186,15 @@ def _write_table(path: str, header, rows) -> None:
 
 
 class _Group(click.Group):
-    """Reports a PhysbcError or OSError that escapes a verb as ``error: ...`` with exit 1."""
+    """Reports a PhysbcError, OSError or MemoryError (a size too large to allocate)
+    that escapes a verb as ``error: ...`` with exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except BrokenPipeError:
             raise  # click's own handler quiets a closed stdout
-        except (PhysbcError, OSError) as exc:
+        except (PhysbcError, OSError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 
@@ -375,10 +366,10 @@ def cmd_plotdata(report_path, out_dir, points):
     """Dump plot-ready CSV series from a saved run report."""
     if points < 1:
         raise PhysbcError("--points must be at least 1")
-    config, certificate, slack, data_rel, jump = _load("report", report_path, _report_parts)
+    config, certificate, slack, data_rel = _load("report", report_path, _report_parts)
 
-    os.makedirs(out_dir, exist_ok=True)
     grid = np.linspace(config.domain.lower, config.domain.upper, points)
+    os.makedirs(out_dir, exist_ok=True)
     _write_table(os.path.join(out_dir, "barrier_curve.csv"), ["x", "value"],
                  zip(grid.tolist(), certificate.evaluate(grid).tolist()))
     _write_table(os.path.join(out_dir, "levels.csv"), ["name", "value"], [
@@ -410,17 +401,16 @@ def cmd_plotdata(report_path, out_dir, points):
             fh.write("x,y,discrepancy,retained\r\n")
             write_rows(fh, "%r,%r,%r,%d\r\n", (dataset.states, dataset.successors, disc, kept))
         written.append("samples.csv")
-        if config.filter.enabled and jump is not None:
+        # the longest discarded run of the mask just written; read after the
+        # write, so that its scratch arrays do not add to the write's peak
+        jump = outcome.max_jump if config.filter.enabled else None
+        if jump is not None:
             start, length = jump
-            if start + length > dataset.count:
-                click.echo(f"note: max_jump {start}+{length} does not fit the"
-                           f" {dataset.count}-sample dataset; skipping jump.csv")
-            else:
-                _write_table(os.path.join(out_dir, "jump.csv"),
-                             ["start_index", "length", "start_x", "end_x"],
-                             [[start, length, dataset.states[start],
-                               dataset.states[start + length - 1]]])
-                written.append("jump.csv")
+            _write_table(os.path.join(out_dir, "jump.csv"),
+                         ["start_index", "length", "start_x", "end_x"],
+                         [[start, length, dataset.states[start],
+                           dataset.states[start + length - 1]]])
+            written.append("jump.csv")
 
     click.echo(f"wrote {', '.join(written)} to {out_dir}")
     sys.exit(0)

@@ -143,7 +143,6 @@ def run(config: RunConfig) -> RunArtifacts:
         retained,
         config.initial,
         config.unsafe,
-        domain=config.domain,
         coeff_bound=config.solver.coeff_bound,
     )
     timings["assemble"] = clock() - t0

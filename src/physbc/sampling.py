@@ -19,23 +19,25 @@ carry.  It parses the body's bytes with ``np.loadtxt`` and hands any file it
 cannot take as is to a text-mode line loop, which either returns the same
 values or names the offending line.
 
-The CSV path is bytes end to end, and no process holds a decoded copy of
-the whole text.  A writer holds one block's text at a time, or one
-pipe-sized piece of the bytes its child sends; a writing child holds the
-ASCII bytes of its half.  A reader, child or not, holds the bytes of its own
-part of the body and the float64 rows parsed from them.  The work is split between this process and one forked
-child when ``os.fork`` exists, at least two CPUs are usable and each half
-holds at least one block of rows (see :func:`_split_at`): the child formats
-the back half of the rows into ASCII bytes, or reads and parses the back
-part of the body into float64 bytes, and sends them through a pipe once they
-are all made.  Each row's text depends on that row alone, so the bytes
-written and the values read are those of the one-process path.  The output
-file is flushed before the fork; the child runs its work inside
-``try``/``finally`` and ends in ``os._exit``, so it never returns into the
-caller nor flushes an inherited buffer; this process always reaps it, also
-when its own half raises, and does the back half itself if the child exits
-non-zero.  Nothing is imported or started before a large write or read asks
-for it.
+The reader works on the body's bytes; only its line-loop fallback decodes
+them, as latin-1.  The writer writes each block's text to a text handle, and
+decodes the ASCII pieces its child sends back into that handle.  No process
+holds a decoded copy of the whole text.  A writer holds one block's text at
+a time, or one pipe-sized piece of the bytes its child sends; a writing
+child holds the ASCII bytes of its half.  A reader, child or not, holds the
+bytes of its own part of the body and the float64 rows parsed from them.
+The work is split between this process and one forked child when ``os.fork``
+exists, at least two CPUs are usable and each half holds at least one block
+of rows (see :func:`_split_at`): the child formats the back half of the rows
+into ASCII bytes, or reads and parses the back part of the body into float64
+bytes, and sends them through a pipe once they are all made.  Each row's
+text depends on that row alone, so the bytes written and the values read are
+those of the one-process path.  The output file is flushed before the fork;
+the child runs its work inside ``try``/``finally`` and ends in ``os._exit``,
+so it never returns into the caller nor flushes an inherited buffer; this
+process always reaps it, also when its own half raises, and does the back
+half itself if the child exits non-zero.  Nothing is imported or started
+before a large write or read asks for it.
 """
 
 from __future__ import annotations
@@ -375,7 +377,7 @@ def _read_sidecar(path: str):
     with open(sidecar, "r", encoding="ascii") as fh:
         try:
             meta = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+        except (ValueError, RecursionError) as exc:  # a decode error, or nesting too deep
             raise DatasetParseError(f"invalid sidecar JSON: {exc}") from exc
     try:
         scheme = meta["scheme"]

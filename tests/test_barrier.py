@@ -286,7 +286,7 @@ def test_bernstein_rows_of_a_sparse_template_match_exact_rational_expansion():
 
 def test_assemble_row_structure():
     data = _toy_dataset(4)
-    system = assemble(2, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
+    system = assemble(2, 0.83, data, INITIAL, UNSAFE)
 
     # d + 1 = 3 Bernstein rows per region
     assert system.counts == {"initial": 3, "unsafe": 3, "flow": 4}
@@ -389,13 +389,6 @@ def test_certificate_from_decision():
     assert cert.coefficients == pytest.approx([0.2, 0.8, -1.0])
     assert cert.degree == 2
     assert cert.decay == 0.83
-
-
-def test_assemble_validates_flow_states_against_the_domain():
-    data = _toy_dataset(3)
-    with pytest.raises(PhysbcError, match="flow sample row 0 lies outside its declared region"):
-        assemble(2, 0.83, data, INITIAL, UNSAFE, domain=RegionBox(1.0, 2.7))
-    assemble(2, 0.83, data, INITIAL, UNSAFE, domain=DOMAIN)
 
 
 @pytest.mark.parametrize("successor", [1e200, -1e200, np.nan])

@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -319,6 +320,10 @@ OVERFLOWING_SYSTEM = {"kind": "affine", "linear": [[1e308]], "offset": [0.5]}
 DIVERGING_SYSTEM = {"kind": "affine", "linear": [[1e100]], "offset": [0.5]}
 # One whose successors are finite but whose squares, in the barrier's flow rows, are not.
 BASIS_OVERFLOWING_SYSTEM = {"kind": "affine", "linear": [[1e200]], "offset": [0.5]}
+# JSON nested past the parser's recursion limit: DEEP "[" and then DEEP "]".
+DEEP = 100_000
+# A count whose float64 array (about 6.9 EiB) no allocator can grant.
+HUGE = 10**18
 
 
 @pytest.mark.parametrize("case", [
@@ -326,13 +331,16 @@ BASIS_OVERFLOWING_SYSTEM = {"kind": "affine", "linear": [[1e200]], "offset": [0.
     "reproduce-scale", "reproduce-huge-scale", "reproduce-overflowing-scale", "plotdata-points",
     "run-nan-system", "run-overflowing-system",
     "run-overflowing-system-unfiltered", "validate-overflowing-system", "run-diverging-system",
-    "run-overflowing-barrier",
+    "run-overflowing-barrier", "run-deep-config", "validate-deep-certificate",
+    "plotdata-huge-points", "validate-huge-trajectories",
 ])
 def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_path, tmp_path,
                                                           monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    if case == "run-nan-system":
+    if "deep" in case:
+        bad.write_text("[" * DEEP + "]" * DEEP)
+    elif case == "run-nan-system":
         system = {"kind": "affine", "linear": [[math.nan]], "offset": [0.5]}
         bad.write_text(json.dumps(_with_setting(small_config_dict(), "system", system)))
     elif case == "run-overflowing-barrier":
@@ -364,6 +372,14 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
                                         "--config", str(bad)],
         "run-diverging-system": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
         "run-overflowing-barrier": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
+        "run-deep-config": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
+        "validate-deep-certificate": ["validate", "--certificate", str(bad),
+                                      "--config", config_path],
+        # sizes that fail at allocation, before any memory is touched
+        "plotdata-huge-points": ["plotdata", "--report", str(run_dir / "report.json"),
+                                 "--points", str(HUGE), "--out", str(tmp_path / "o")],
+        "validate-huge-trajectories": ["validate", "--certificate", certificate,
+                                       "--config", config_path, "--trajectories", str(HUGE)],
     }[case]
 
     def no_work(*args, **kwargs):
@@ -372,8 +388,8 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
     # an overflowing system is found only once the sampler steps it
     if not case.startswith(("run-overflowing", "run-diverging")):
         monkeypatch.setattr("physbc.cli.run", no_work)
-    # and a rollout that overflows only once validate rolls it out
-    if case != "validate-overflowing-system":
+    # and a rollout that overflows, or cannot be allocated, only once validate rolls it out
+    if case not in ("validate-overflowing-system", "validate-huge-trajectories"):
         monkeypatch.setattr("physbc.cli.check_safety_empirically", no_work)
     result = CliRunner().invoke(main, args)
     assert isinstance(result.exception, SystemExit), result.exception
@@ -397,6 +413,10 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
     elif case in ("reproduce-huge-scale", "reproduce-overflowing-scale"):
         assert lines[0] == (f"error: --scale {float(args[2])!r} takes a sample count past"
                             " the float range")
+    elif "huge" in case:
+        assert lines[0].startswith("error: Unable to allocate"), lines[0]
+    elif "deep" in case:
+        assert str(bad) in lines[0] and "maximum recursion depth exceeded" in lines[0]
     elif not case.endswith(("scale", "points")):
         assert str(bad) in lines[0]
     assert "Traceback" not in result.output and not (tmp_path / "o").exists()
@@ -638,7 +658,8 @@ def test_plotdata_samples_match_csv_writer_bytes(run_dir, config_path, tmp_path,
     assert (out / "jump.csv").exists() == filtered
 
 
-@pytest.mark.parametrize("case", ["huge-count", "two-dimensional", "non-ascii-byte"])
+@pytest.mark.parametrize("case", ["huge-count", "two-dimensional", "non-ascii-byte",
+                                  "deep-sidecar"])
 def test_plotdata_skips_a_dataset_it_cannot_use(case, run_dir, tmp_path):
     (tmp_path / "report.json").write_bytes((run_dir / "report.json").read_bytes())
     if case == "non-ascii-byte":
@@ -646,6 +667,9 @@ def test_plotdata_skips_a_dataset_it_cannot_use(case, run_dir, tmp_path):
         lines = (run_dir / "dataset.csv").read_bytes().split(b"\n")
         lines[3] += b"\xe9"
         (tmp_path / "dataset.csv").write_bytes(b"\n".join(lines))
+    elif case == "deep-sidecar":
+        (tmp_path / "dataset.csv").write_bytes((run_dir / "dataset.csv").read_bytes())
+        (tmp_path / "dataset.meta.json").write_text("[" * DEEP + "]" * DEEP)
     elif case == "huge-count":
         (tmp_path / "dataset.csv").write_bytes((run_dir / "dataset.csv").read_bytes())
         meta = json.loads((run_dir / "dataset.meta.json").read_text())
@@ -663,6 +687,8 @@ def test_plotdata_skips_a_dataset_it_cannot_use(case, run_dir, tmp_path):
     assert "note: dataset not readable" in result.output
     if case == "non-ascii-byte":
         assert "(line 4: byte 0xe9 is not ASCII)" in result.output
+    elif case == "deep-sidecar":
+        assert "(invalid sidecar JSON: maximum recursion depth exceeded" in result.output
     assert (out / "barrier_curve.csv").exists() and not (out / "samples.csv").exists()
 
 
@@ -671,11 +697,6 @@ REPORT_EDITS = {
     "no-solver": lambda r: r.pop("solver"),
     "no-dataset": lambda r: r.pop("dataset"),
     "numeric-dataset-path": lambda r: r["dataset"].update(path=5),
-    "list-filter": lambda r: r.update(filter=[1]),
-    "quoted-jump-start": lambda r: r["filter"]["max_jump"].update(start_index="10"),
-    "boolean-jump-length": lambda r: r["filter"]["max_jump"].update(length=True),
-    "negative-jump-start": lambda r: r["filter"]["max_jump"].update(start_index=-1),
-    "empty-jump": lambda r: r["filter"]["max_jump"].update(length=0),
 }
 
 
@@ -700,23 +721,6 @@ def test_plotdata_refuses_a_malformed_report_before_writing(edit, run_dir, tmp_p
     assert not (tmp_path / "plots").exists()
 
 
-@pytest.mark.parametrize("jump", [{"start_index": 10**9, "length": 1},
-                                  {"start_index": 0, "length": 10**9}, None],
-                         ids=["start-past-the-end", "run-past-the-end", "no-filter-block"])
-def test_plotdata_skips_a_jump_that_does_not_fit_the_dataset(jump, run_dir, tmp_path):
-    def edit(report):
-        if jump is None:
-            del report["filter"]
-        else:
-            report["filter"]["max_jump"] = jump
-
-    result = plot_edited_report(edit, run_dir, tmp_path)
-    out = tmp_path / "plots"
-    assert result.exit_code == 0, result.output
-    assert ("note: max_jump" in result.output) == (jump is not None)
-    assert (out / "samples.csv").exists() and not (out / "jump.csv").exists()
-
-
 def test_plotdata_jump_spans_the_longest_discarded_run(run_dir, tmp_path):
     report = json.loads((run_dir / "report.json").read_text())
     start, length = (report["filter"]["max_jump"][k] for k in ("start_index", "length"))
@@ -730,6 +734,30 @@ def test_plotdata_jump_spans_the_longest_discarded_run(run_dir, tmp_path):
     assert (int(row["start_index"]), int(row["length"])) == (start, length)
     assert float(row["start_x"]) == dataset.states[start]
     assert float(row["end_x"]) == dataset.states[start + length - 1]
+
+
+def test_plotdata_jump_comes_from_the_keep_mask_not_the_report(run_dir, tmp_path):
+    # a report whose filter block names another run: plotdata reads its own mask
+    def edit(report):
+        report["filter"]["max_jump"] = {"start_index": 0, "length": 1}
+
+    result = plot_edited_report(edit, run_dir, tmp_path)
+    assert result.exit_code == 0, result.output
+    out = tmp_path / "plots"
+    with open(out / "samples.csv", newline="") as fh:
+        samples = list(csv.DictReader(fh))
+    start, length, at = None, 0, 0
+    for flag, run in itertools.groupby(row["retained"] for row in samples):
+        size = len(list(run))
+        if flag == "0" and size > length:  # the first of the longest runs
+            start, length = at, size
+        at += size
+    assert length > 1  # so the edited pair cannot be the run by chance
+    with open(out / "jump.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (int(row["start_index"]), int(row["length"])) == (start, length)
+    assert row["start_x"] == samples[start]["x"]
+    assert row["end_x"] == samples[start + length - 1]["x"]
 
 
 def test_plotdata_rejects_missing_report(tmp_path):
