@@ -73,9 +73,6 @@ FAMILIES = ("initial", "unsafe", "flow", "bound", "gap")
 DEFAULT_COEFF_BOUND = 100.0
 INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
 
-# Recorded pairs evaluated at a time by sample_values.
-_SAMPLE_BLOCK = 65_536
-
 
 def _powers(x: np.ndarray, top: int):
     """Yield ``(e, x ** e)`` for ``e = 1 .. top``, each power the previous one times ``x``.
@@ -381,25 +378,12 @@ def sample_values(certificate: BarrierCertificate, data: Dataset) -> np.ndarray:
     """The flow expression ``B(successor) - decay * B(x)``, once per recorded pair.
 
     The residual audit and the Lipschitz estimators both read the result, so
-    a run evaluates the barrier on its retained pairs exactly twice.  The
-    pairs go through :meth:`BarrierCertificate.evaluate` in blocks of
-    ``_SAMPLE_BLOCK``, so the basis matrices held at once are two blocks tall;
-    each value is the one a single evaluation of all the pairs gives.  A lone
-    last pair joins the block before it: numpy takes a one-row product
-    through a dot product, whose bits may differ from the matrix-vector
-    product's.
+    a run evaluates the barrier on its retained pairs exactly twice: one
+    :meth:`BarrierCertificate.evaluate` over all the states and one over all
+    the successors.
     """
-    flow = np.empty(data.count)
-    start = 0
-    while start < data.count:
-        stop = start + _SAMPLE_BLOCK
-        if data.count - stop == 1:
-            stop += 1
-        block = slice(start, stop)
-        barrier = certificate.evaluate(data.states[block])
-        flow[block] = certificate.evaluate(data.successors[block]) - certificate.decay * barrier
-        start = stop
-    return flow
+    barrier = certificate.evaluate(data.states)
+    return certificate.evaluate(data.successors) - certificate.decay * barrier
 
 
 def check_certificate(

@@ -89,6 +89,11 @@ REFERENCE_RESULTS = {
     },
 }
 
+# What a verb reports as one ``error: ...`` line, and a ``reproduce`` or
+# ``sweep`` setting as its error row: bad input, a path that cannot be read or
+# written, and a size too large to allocate.
+_REPORTED_ERRORS = (PhysbcError, OSError, MemoryError)
+
 METRIC_LABEL = {MODE_DETERMINISTIC: "radius", MODE_PROBABILISTIC: "level"}
 
 # The columns ``reproduce`` and ``sweep`` compare, ours against the reference.
@@ -132,10 +137,11 @@ def _drift(ours: float, ref: float) -> str:
 
 
 def _run_row(config: RunConfig):
-    """Run one config; return ``(_ours_row, None)``, or ``(None, message)`` on a PhysbcError."""
+    """Run one config; return ``(_ours_row, None)``, or ``(None, message)`` on one of
+    the ``_REPORTED_ERRORS``."""
     try:
         return _ours_row(run(config).report), None
-    except PhysbcError as exc:
+    except _REPORTED_ERRORS as exc:
         return None, str(exc)
 
 
@@ -186,15 +192,15 @@ def _write_table(path: str, header, rows) -> None:
 
 
 class _Group(click.Group):
-    """Reports a PhysbcError, OSError or MemoryError (a size too large to allocate)
-    that escapes a verb as ``error: ...`` with exit 1."""
+    """Reports one of the ``_REPORTED_ERRORS`` that escapes a verb as ``error: ...``
+    with exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except BrokenPipeError:
             raise  # click's own handler quiets a closed stdout
-        except (PhysbcError, OSError, MemoryError) as exc:
+        except _REPORTED_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
 

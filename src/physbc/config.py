@@ -37,6 +37,7 @@ from .models import (
     SystemModel,
     real_array,
 )
+from .sampling import DEFAULT_MAX_SAMPLES
 
 MODE_DETERMINISTIC = "deterministic"
 MODE_PROBABILISTIC = "probabilistic"
@@ -178,6 +179,12 @@ class RunConfig:
             raise ValueError("validation trajectories must be at least 1")
         if self.validation.horizon < 1:
             raise ValueError("validation horizon must be at least 1")
+        steps = int(self.validation.trajectories) * int(self.validation.horizon)
+        if steps > DEFAULT_MAX_SAMPLES:
+            raise ValueError(
+                "validation.trajectories * validation.horizon must be at most"
+                f" {DEFAULT_MAX_SAMPLES}, got {self.validation.trajectories}"
+                f" * {self.validation.horizon} = {steps}")
         if self.lipschitz.method not in (METHOD_PAIRWISE, METHOD_EXTREME):
             raise ValueError(f"unknown lipschitz method {self.lipschitz.method!r}")
         if self.lipschitz.pair_budget < 1:
@@ -267,8 +274,6 @@ def preset(name: str, mode: str = MODE_DETERMINISTIC) -> RunConfig:
 
     Each mode takes the sample count the reference experiments used for it.
     """
-    if mode not in (MODE_DETERMINISTIC, MODE_PROBABILISTIC):
-        raise ValueError(f"unknown guarantee mode {mode!r}")
     if name == "supply-demand":
         regions = (
             RegionBox(0.5, 2.7),

@@ -5,7 +5,10 @@ A pair (state, successor) is kept when the recorded successor lies within
 exactly on the boundary are kept; every other pair, one with a NaN
 discrepancy included, is discarded.  The filter never
 re-simulates anything: it only compares recorded successors against the
-physics map, so applying it is pure and repeatable.
+physics map, so applying it is pure and repeatable.  :func:`apply_filter`
+returns the retained pairs together with every pair's discrepancy and the
+keep mask, and the longest discarded run (:attr:`FilterOutcome.max_jump`) is
+read from that mask.
 """
 
 from __future__ import annotations
@@ -35,34 +38,18 @@ class FilterOutcome:
 
     @property
     def max_jump(self) -> Optional[Tuple[int, int]]:
-        """Longest contiguous run of discarded pairs, as in :class:`DiscrepancyProfile`."""
+        """Longest contiguous run of discarded pairs, as ``(start index, length)``.
+
+        The first of equal runs wins, and it is None when nothing was
+        discarded.  For ordered grids this run is the widest data gap the
+        filter opens up.
+        """
         return _longest_run(~self.mask)
-
-
-@dataclass(frozen=True, eq=False)
-class DiscrepancyProfile:
-    states: np.ndarray
-    discrepancies: np.ndarray
-    discarded_mask: np.ndarray
-    # Longest contiguous run of discarded pairs, as (start index, length);
-    # None when nothing was discarded.  For ordered grids this run is the
-    # widest data gap the filter opens up.
-    max_jump: Optional[Tuple[int, int]]
 
 
 def discrepancies(dataset: Dataset, physics: SystemModel) -> np.ndarray:
     """Distance of each recorded successor from the physics prediction."""
     return np.abs(physics.step_many(dataset.states) - dataset.successors)
-
-
-def _keep(
-    dataset: Dataset, physics: SystemModel, threshold: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-pair discrepancies and the keep mask; every filter result derives from these."""
-    if not (threshold > 0):
-        raise ValueError("threshold must be strictly positive")
-    disc = discrepancies(dataset, physics)
-    return disc, disc <= threshold
 
 
 def apply_filter(dataset: Dataset, physics: SystemModel, threshold: float) -> FilterOutcome:
@@ -71,22 +58,11 @@ def apply_filter(dataset: Dataset, physics: SystemModel, threshold: float) -> Fi
     Order is preserved.  An all-discarding threshold is legal and yields an
     empty retained set.
     """
-    disc, keep = _keep(dataset, physics, threshold)
+    if not (threshold > 0):
+        raise ValueError("threshold must be strictly positive")
+    disc = discrepancies(dataset, physics)
+    keep = disc <= threshold
     return FilterOutcome(retained=dataset.take(keep), discrepancies=disc, mask=keep)
-
-
-def discrepancy_profile(
-    dataset: Dataset, physics: SystemModel, threshold: float
-) -> DiscrepancyProfile:
-    """Per-pair discrepancies plus the longest contiguous discarded run."""
-    disc, keep = _keep(dataset, physics, threshold)
-    discarded = ~keep
-    return DiscrepancyProfile(
-        states=dataset.states,
-        discrepancies=disc,
-        discarded_mask=discarded,
-        max_jump=_longest_run(discarded),
-    )
 
 
 def _longest_run(mask: np.ndarray) -> Optional[Tuple[int, int]]:

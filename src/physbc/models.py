@@ -11,9 +11,9 @@ the physics with a nonzero amplitude.
 Every evaluation of ``f`` goes through one kernel, ``SystemModel._advance``,
 which writes into caller-supplied buffers: :meth:`SystemModel.step_many` and
 :func:`check_safety_empirically` both call it, so a batch step and a rollout
-step are the same arithmetic.  The Monte-Carlo rollout writes its steps into
-one preallocated block of at most ``_BLOCK_VALUES`` entries and tests unsafe
-membership, and that every state is finite, once per block.
+step are the same arithmetic.  The Monte-Carlo rollout advances one
+``(trajectories,)`` state array per step and tests unsafe membership, and that
+every state is finite, after each step.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import PhysbcError
-
-# Rollout block size: at most this many float64 state entries (512 KiB) per
-# block of steps, and always at least one step.
-_BLOCK_VALUES = 1 << 16
 
 # Tags of the two polynomial families in a custom-system JSON object.
 KIND_AFFINE = "affine"
@@ -180,11 +176,6 @@ class SafetyCheck:
         return self.violation_count == 0
 
 
-def _block_steps(trajectories: int) -> int:
-    """Steps per rollout block: ``_BLOCK_VALUES`` states, and at least one step."""
-    return max(1, _BLOCK_VALUES // max(1, trajectories))
-
-
 def check_safety_empirically(
     model: SystemModel,
     initial: RegionBox,
@@ -200,49 +191,37 @@ def check_safety_empirically(
     its states lies in ``unsafe``; it is still advanced afterwards so the
     check's cost is deterministic and independent of the hits.
 
-    The steps go through the model's one kernel, each written straight into
-    a preallocated ``(block, trajectories)`` array of at most
-    ``_BLOCK_VALUES`` entries, so memory stays flat in ``horizon``.  Unsafe
-    membership (``RegionBox.contains`` at ``rtol = 0``) is tested once per
-    block and OR-ed into one hit flag per trajectory.
+    Each step goes through the model's one kernel, from one
+    ``(trajectories,)`` state array into another, the two swapping roles, so
+    memory stays flat in ``horizon``.  After each step, unsafe membership
+    (``RegionBox.contains`` at ``rtol = 0``) is OR-ed into one hit flag per
+    trajectory.
 
     A trajectory that overflows to inf or nan would never lie in ``unsafe``
-    and so would read as safe: the first block holding a state that is not
-    finite raises a :class:`PhysbcError` instead, naming the start
-    state of the first trajectory that holds one and the step at which it
-    stopped being finite.
+    and so would read as safe: the first step at which a state is not finite
+    raises a :class:`PhysbcError` instead, naming that step and the start
+    state of the lowest-index trajectory whose state is not finite there.
     """
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     rng = np.random.default_rng(seed)
     starts = rng.uniform(initial.lower, initial.upper, size=trajectories)
     states = starts.copy()
-    hit = np.zeros(trajectories, dtype=bool)
-
-    steps = min(horizon + 1, _block_steps(trajectories))
-    block = np.empty((steps, trajectories))
+    following = np.empty(trajectories)
     scratch = np.empty(trajectories)
-    for start in range(0, horizon + 1, steps):
-        # numpy's overflow warnings stay silent, since the error says it all
-        with np.errstate(over="ignore", invalid="ignore"):
-            if start:
-                # states carries the previous block's last step
-                model._advance(states, block[0], scratch)
-            else:
-                block[0] = states
-            count = min(steps, horizon + 1 - start)
-            for s in range(1, count):
-                model._advance(block[s - 1], block[s], scratch)
-        window = block[:count]
-        finite = np.isfinite(window)
-        if not finite.all():
-            i = int(np.argmin(finite.all(axis=0)))
-            at = int(np.argmin(finite[:, i]))
-            raise PhysbcError(
-                f"the trajectory from state {float(starts[i])!r} reaches"
-                f" {float(window[at, i])!r} at step {start + at}, which is not finite")
-        hit |= unsafe.contains(window).any(axis=0)
-        states[...] = window[-1]
+    hit = unsafe.contains(states)
+    # numpy's overflow warnings stay silent, since the error says it all
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, horizon + 1):
+            model._advance(states, following, scratch)
+            states, following = following, states
+            finite = np.isfinite(states)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise PhysbcError(
+                    f"the trajectory from state {float(starts[i])!r} reaches"
+                    f" {float(states[i])!r} at step {step}, which is not finite")
+            hit |= unsafe.contains(states)
 
     return SafetyCheck(
         trajectories=trajectories, horizon=horizon, violation_count=int(np.count_nonzero(hit))

@@ -60,16 +60,6 @@ def basis_matrix_repeated(states, degree):
     return out
 
 
-def sample_values_whole_array(certificate, data):
-    """The flow expression evaluated on all states and all successors at once.
-
-    The former body of :func:`physbc.barrier.sample_values`: two full
-    ``(N, degree + 1)`` basis matrices, each times the coefficients.
-    """
-    barrier = certificate.evaluate(data.states)
-    return certificate.evaluate(data.successors) - certificate.decay * barrier
-
-
 def assemble_vstack(degree, decay, data, initial_region, unsafe_region, coeff_bound=100.0):
     """The constraint stack built family by family and joined with ``vstack``.
 

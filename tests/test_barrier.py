@@ -10,9 +10,7 @@ from oracles import (
     basis_matrix_pow,
     basis_matrix_repeated,
     bernstein_rows_exact,
-    sample_values_whole_array,
 )
-from physbc import barrier
 from physbc.barrier import (
     FAMILIES,
     INITIAL_LEVEL,
@@ -512,23 +510,22 @@ def test_assemble_equals_vstack_on_templates_with_gaps(exponents, strided, decay
 
 
 @settings(max_examples=30, deadline=None)
-@given(degree=st.integers(0, 6), draw=st.data())
-def test_sample_values_in_blocks_are_the_whole_array_values(degree, draw):
-    # the block size of the package, or a small one, with sizes about its edges
-    block = draw.draw(st.sampled_from([barrier._SAMPLE_BLOCK, 1000, 7]))
-    count = block * draw.draw(st.integers(0, 2)) + draw.draw(st.integers(-1, 1))
-    coefficients = draw.draw(st.lists(st.floats(-100.0, 100.0), min_size=degree + 1,
-                                      max_size=degree + 1))
+@given(degree=st.integers(0, 6), count=st.integers(0, 40), draw=st.data())
+def test_sample_values_are_the_flow_expression_at_each_pair(degree, count, draw):
+    coefficients = np.array(draw.draw(st.lists(st.floats(-100.0, 100.0), min_size=degree + 1,
+                                               max_size=degree + 1)))
     decay = draw.draw(st.floats(1e-3, 1.0))
     rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
-    states = rng.uniform(DOMAIN.lower, DOMAIN.upper, max(count, 0))
-    data = Dataset(states, rng.uniform(-3.0, 3.0, states.size), SCHEME_IID, DOMAIN, seed=0)
-    certificate = BarrierCertificate(np.array(coefficients), decay, 0.0, 1.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(barrier, "_SAMPLE_BLOCK", block)
-        flow = sample_values(certificate, data)
-    assert flow.shape == (data.count,)
-    assert flow.tobytes() == sample_values_whole_array(certificate, data).tobytes()
+    states = rng.uniform(DOMAIN.lower, DOMAIN.upper, count)
+    data = Dataset(states, rng.uniform(-3.0, 3.0, count), SCHEME_IID, DOMAIN, seed=0)
+    flow = sample_values(BarrierCertificate(coefficients, decay, 0.0, 1.0), data)
+    assert flow.shape == (count,)
+    after = basis_matrix_repeated(data.successors, degree)
+    before = basis_matrix_repeated(data.states, degree)
+    expected = after @ coefficients - decay * (before @ coefficients)
+    # a few roundings of each term, far below this bound
+    scale = np.abs(after) @ np.abs(coefficients) + decay * (np.abs(before) @ np.abs(coefficients))
+    assert (np.abs(flow - expected) <= 1e-12 * scale).all()
 
 
 @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])

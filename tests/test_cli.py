@@ -375,9 +375,10 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
         "run-deep-config": ["run", "--config", str(bad), "--out", str(tmp_path / "o")],
         "validate-deep-certificate": ["validate", "--certificate", str(bad),
                                       "--config", config_path],
-        # sizes that fail at allocation, before any memory is touched
+        # a size that fails at allocation, before any memory is touched
         "plotdata-huge-points": ["plotdata", "--report", str(run_dir / "report.json"),
                                  "--points", str(HUGE), "--out", str(tmp_path / "o")],
+        # and one the config refuses, before any rollout
         "validate-huge-trajectories": ["validate", "--certificate", certificate,
                                        "--config", config_path, "--trajectories", str(HUGE)],
     }[case]
@@ -388,8 +389,8 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
     # an overflowing system is found only once the sampler steps it
     if not case.startswith(("run-overflowing", "run-diverging")):
         monkeypatch.setattr("physbc.cli.run", no_work)
-    # and a rollout that overflows, or cannot be allocated, only once validate rolls it out
-    if case not in ("validate-overflowing-system", "validate-huge-trajectories"):
+    # and a rollout that overflows only once validate rolls it out
+    if case != "validate-overflowing-system":
         monkeypatch.setattr("physbc.cli.check_safety_empirically", no_work)
     result = CliRunner().invoke(main, args)
     assert isinstance(result.exception, SystemExit), result.exception
@@ -413,6 +414,9 @@ def test_every_verb_reports_a_bad_input_as_one_error_line(case, run_dir, config_
     elif case in ("reproduce-huge-scale", "reproduce-overflowing-scale"):
         assert lines[0] == (f"error: --scale {float(args[2])!r} takes a sample count past"
                             " the float range")
+    elif case == "validate-huge-trajectories":
+        assert lines[0] == ("error: validation.trajectories * validation.horizon must be at"
+                            f" most 20000000, got {HUGE} * 100 = {HUGE * 100}")
     elif "huge" in case:
         assert lines[0].startswith("error: Unable to allocate"), lines[0]
     elif "deep" in case:
@@ -836,6 +840,28 @@ def test_sweep_records_a_system_whose_barrier_rows_overflow_as_error_rows(tmp_pa
         rows = list(csv.DictReader(fh))
     assert [r["error"] for r in rows] == [
         "the flow row of state 0.5 and successor 5e+199 is not finite at degree 2"] * 2
+    assert "Traceback" not in result.output
+
+
+def test_sweep_records_a_memory_error_as_its_error_row(config_path, tmp_path, monkeypatch):
+    run = physbc.cli.run
+
+    def run_or_run_out(config):
+        if config.guarantee.risk == 0.2:
+            raise MemoryError("Unable to allocate 6.94 EiB")
+        return run(config)
+
+    monkeypatch.setattr("physbc.cli.run", run_or_run_out)
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, [
+        "sweep", "--config", config_path, "--param", "risk", "--values", "0.1,0.2",
+        "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    with open(out, newline="") as fh:
+        good, bad = csv.DictReader(fh)
+    assert good["error"] == "" and good["verdict"]
+    assert float(bad["value"]) == 0.2 and bad["error"] == "Unable to allocate 6.94 EiB"
     assert "Traceback" not in result.output
 
 

@@ -70,6 +70,18 @@ def test_preset_rejects_unknown_names_and_modes():
         preset("supply-demand", "bayesian")
 
 
+def test_validation_rollout_is_bounded_by_the_sample_limit():
+    # 40 000 x 500 is the limit itself; numpy integers are multiplied without wrapping
+    small_config(validation=ValidationSpec(trajectories=40_000, horizon=500))
+    message = ("validation.trajectories * validation.horizon must be at most 20000000,"
+               " got 40001 * 500 = 20000500")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_config(validation=ValidationSpec(trajectories=40_001, horizon=500))
+    with pytest.raises(ValueError, match="validation.trajectories \\* validation.horizon"):
+        small_config(validation=ValidationSpec(trajectories=np.int64(10**18),
+                                               horizon=np.int64(500)))
+
+
 def test_round_trip_through_dict_and_json(tmp_path):
     config = preset("logistic-growth", MODE_PROBABILISTIC)
     clone = RunConfig.from_dict(config.to_dict())

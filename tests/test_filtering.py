@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from physbc.filtering import apply_filter, discrepancies, discrepancy_profile
+from physbc.filtering import apply_filter, discrepancies
 from physbc.models import RegionBox, supply_demand
 from physbc.sampling import SCHEME_IID, Dataset
 
@@ -69,9 +69,22 @@ def test_filter_threshold_must_be_positive():
 
 def test_profile_locates_longest_discarded_run():
     data = _dataset_with_deviations([0.0, 0.02, 0.02, 0.0, 0.02, 0.0])
-    profile = discrepancy_profile(data, supply_demand(), 0.005)
-    assert profile.discarded_mask.tolist() == [False, True, True, False, True, False]
-    assert profile.max_jump == (1, 2)
+    outcome = apply_filter(data, supply_demand(), 0.005)
+    assert (~outcome.mask).tolist() == [False, True, True, False, True, False]
+    assert outcome.max_jump == (1, 2)
+
+
+def _longest_run_by_scan(discarded):
+    """The first longest run of True, as (start, length), by one pass; None if there is none."""
+    best, start = None, None
+    for i, flag in enumerate([*discarded, False]):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            if best is None or i - start > best[1]:
+                best = (start, i - start)
+            start = None
+    return best
 
 
 @pytest.mark.parametrize(
@@ -79,23 +92,23 @@ def test_profile_locates_longest_discarded_run():
     [[0.0, 0.02, 0.02, 0.0, 0.02, 0.0], [0.02, 0.0, 0.02, 0.0], [0.0, 0.001]],
 )
 def test_outcome_max_jump_matches_profile(deviations):
+    # the profile: each pair's discrepancy against the threshold
     data = _dataset_with_deviations(deviations)
     outcome = apply_filter(data, supply_demand(), 0.005)
-    profile = discrepancy_profile(data, supply_demand(), 0.005)
-    assert outcome.max_jump == profile.max_jump
+    profile = discrepancies(data, supply_demand()) > 0.005
+    assert outcome.max_jump == _longest_run_by_scan(profile.tolist())
 
 
 def test_profile_first_maximal_run_wins_ties():
     data = _dataset_with_deviations([0.02, 0.0, 0.02, 0.0])
-    profile = discrepancy_profile(data, supply_demand(), 0.005)
-    assert profile.max_jump == (0, 1)
+    assert apply_filter(data, supply_demand(), 0.005).max_jump == (0, 1)
 
 
 def test_profile_without_discards():
     data = _dataset_with_deviations([0.0, 0.001])
-    profile = discrepancy_profile(data, supply_demand(), 0.005)
-    assert profile.max_jump is None
-    assert not profile.discarded_mask.any()
+    outcome = apply_filter(data, supply_demand(), 0.005)
+    assert outcome.max_jump is None
+    assert outcome.mask.all()
 
 
 def test_sinusoidal_deviation_splits_in_half():

@@ -1,7 +1,6 @@
 import re
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import safety_by_step_many, step_many_matmul
-from physbc import models
 from physbc.errors import PhysbcError
 from physbc.models import (
     PRESET_MODELS,
@@ -299,50 +297,45 @@ def test_perturbation_writes_into_a_given_buffer():
     assert x.tobytes() == before.tobytes()
 
 
-def _block_horizons(trajectories):
-    block = models._block_steps(trajectories)
-    return [0, 1, max(block - 1, 0), block, block + 1, 3 * block + 2]
-
-
 @st.composite
 def _rollout_case(draw):
     model = _contracting_model(draw, draw(_KINDS))
     lower = draw(st.floats(0.3, 0.8))
     unsafe = RegionBox(lower, lower + draw(st.floats(0.005, 0.2)))
     trajectories = draw(st.integers(1, 300))
-    block_values = draw(st.integers(1, 1024))
-    horizon_at = draw(st.integers(0, 5))
+    horizon = draw(st.integers(0, 400))
     seed = draw(st.integers(0, 2**16))
-    return model, unsafe, trajectories, block_values, horizon_at, seed
+    return model, unsafe, trajectories, horizon, seed
 
 
 @settings(max_examples=60, deadline=None)
 @given(_rollout_case())
 def test_rollout_equals_step_many_oracle_across_block_edges(case):
-    """Every hit, step and hit state, for horizons on and around block edges."""
-    model, unsafe, trajectories, block_values, horizon_at, seed = case
+    """Every hit count at an arbitrary horizon, the former rollout's block edges among them."""
+    model, unsafe, trajectories, horizon, seed = case
     initial = RegionBox(0.0, 0.3)
-    with mock.patch.object(models, "_BLOCK_VALUES", block_values):
-        horizon = _block_horizons(trajectories)[horizon_at]
-        lean = check_safety_empirically(model, initial, unsafe, trajectories, horizon, seed)
+    lean = check_safety_empirically(model, initial, unsafe, trajectories, horizon, seed)
     oracle = safety_by_step_many(model, initial, unsafe, trajectories, horizon, seed)
     assert lean == oracle
 
 
-@pytest.mark.parametrize("horizon_at", range(6))
+# horizons about the edges of the former 218-step rollout blocks at 300 trajectories
+SPAN_HORIZONS = [0, 1, 217, 218, 219, 656]
+
+
+@pytest.mark.parametrize("horizon_at", range(len(SPAN_HORIZONS)))
 def test_rollout_hits_span_blocks_at_the_real_block_size(horizon_at):
-    """A slow approach to a thin unsafe band: first hits land in several blocks."""
+    """A slow approach to a thin unsafe band: first hits land over hundreds of steps."""
     model = SystemModel(0.995, 0.005, amplitude=1e-4, frequency=300.0)
     initial, unsafe = RegionBox(0.0, 0.95), RegionBox(0.9, 0.92)
-    horizon = _block_horizons(300)[horizon_at]
+    horizon = SPAN_HORIZONS[horizon_at]
     lean = check_safety_empirically(model, initial, unsafe, 300, horizon, 5)
     oracle = safety_by_step_many(model, initial, unsafe, 300, horizon, 5)
     assert lean == oracle
-    if horizon_at == 5:
+    if horizon == SPAN_HORIZONS[-1]:
         assert 0 < lean.violation_count < 300
-        # the count grows over at least three blocks: each holds first hits
-        block = models._block_steps(300)
-        ends = [block - 1, 2 * block - 1, 3 * block - 1, horizon]
+        # the count grows in each of three spans of 218 steps
+        ends = [217, 435, 653, horizon]
         counts = [0] + [check_safety_empirically(model, initial, unsafe, 300, h, 5)
                         .violation_count for h in ends]
         assert sum(a < b for a, b in zip(counts, counts[1:])) >= 3
@@ -358,13 +351,6 @@ def test_rollout_never_calls_einsum_or_matmul(monkeypatch):
     monkeypatch.setattr(np, "matmul", refuse)
     check_safety_empirically(model, box, box, trajectories=20, horizon=30)
     model.step_many(np.full(5, 0.1))
-
-
-def test_rollout_block_is_capped_at_512_kib_and_one_step():
-    assert models._BLOCK_VALUES * 8 == 512 * 1024
-    assert models._block_steps(1000) == 65
-    assert models._block_steps(1) == models._BLOCK_VALUES
-    assert models._block_steps(10**6) == 1
 
 
 def _rollout_peak(horizon):
@@ -388,7 +374,7 @@ OVERFLOWS = {
     "inf": (SystemModel(1e308, 0.5), 2, "inf"),
     # after two steps 1e200 x is inf and -x^2 is -inf: their sum is nan
     "nan": (SystemModel(1e200, 0.0, quadratic=-1.0), 2, "nan"),
-    # 10^k x first exceeds the largest float at k = 309, in the fourth block of 100 steps
+    # 10^k x first exceeds the largest float at k = 309
     "late": (SystemModel(10.0, 0.0), 309, "inf"),
 }
 
@@ -401,10 +387,19 @@ def test_a_rollout_that_stops_being_finite_is_an_error(case):
     message = (f"the trajectory from state {start!r} reaches {value} at step {step},"
                " which is not finite")
     # numpy's overflow warnings would fail this test: the rollout silences them
-    with mock.patch.object(models, "_BLOCK_VALUES", 400):
-        with pytest.raises(PhysbcError, match=re.escape(message)):
-            check_safety_empirically(model, initial, unsafe, trajectories=4, horizon=400)
-        # a horizon short of the overflow reads as it did
-        short = check_safety_empirically(model, initial, unsafe, trajectories=4,
-                                         horizon=step - 1)
+    with pytest.raises(PhysbcError, match=re.escape(message)):
+        check_safety_empirically(model, initial, unsafe, trajectories=4, horizon=400)
+    # a horizon short of the overflow reads as it did
+    short = check_safety_empirically(model, initial, unsafe, trajectories=4, horizon=step - 1)
     assert short.safe and short.horizon == step - 1
+
+
+def test_a_rollout_error_names_the_earliest_step_not_the_lowest_trajectory():
+    # from 0.0140, 10^k x first leaves the floats at step 311; from 0.873, at step 309
+    model, initial, unsafe = SystemModel(10.0, 0.0), RegionBox(0.01, 1.0), RegionBox(0.01, 0.02)
+    starts = np.random.default_rng(34).uniform(0.01, 1.0, size=2)
+    assert starts[0] < 0.0141 and starts[1] > 0.87
+    message = (f"the trajectory from state {float(starts[1])!r} reaches inf at step 309,"
+               " which is not finite")
+    with pytest.raises(PhysbcError, match=re.escape(message)):
+        check_safety_empirically(model, initial, unsafe, trajectories=2, horizon=400, seed=34)
