@@ -318,11 +318,11 @@ def assemble(
         # column 1 + d - e is y^e - decay * x^e, the basis matrices' arithmetic
         # written straight into the stack
         rows[flow, 1 + d] = 1.0 - 1.0 * decay
-        scratch = np.empty(data.count)
         with np.errstate(over="ignore", invalid="ignore"):  # the check below says it all
             for (e, px), (_, py) in zip(_powers(data.states, d), _powers(data.successors, d)):
-                np.multiply(px, decay, out=scratch)
-                np.subtract(py, scratch, out=rows[flow, 1 + d - e])
+                column = rows[flow, 1 + d - e]
+                np.multiply(px, decay, out=column)
+                np.subtract(py, column, out=column)
         finite = np.isfinite(rows[flow])
         if not finite.all():
             first = int(np.argmin(finite.all(axis=1)))

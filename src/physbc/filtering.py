@@ -62,7 +62,8 @@ def apply_filter(dataset: Dataset, physics: SystemModel, threshold: float) -> Fi
         raise ValueError("threshold must be strictly positive")
     disc = discrepancies(dataset, physics)
     keep = disc <= threshold
-    return FilterOutcome(retained=dataset.take(keep), discrepancies=disc, mask=keep)
+    picks = np.flatnonzero(keep)  # gathers scattered pairs several times faster than the mask
+    return FilterOutcome(retained=dataset.take(picks), discrepancies=disc, mask=keep)
 
 
 def _longest_run(mask: np.ndarray) -> Optional[Tuple[int, int]]:

@@ -12,6 +12,12 @@ each interval.  The recorded pairs feed the flow rows, and the flow
 expression on them, evaluated once, feeds the audit and the Lipschitz
 estimate.
 
+The constraint stack is freed once the solve has read it: the certificate,
+the binding rows per family and the cross-check block are taken from it, and
+nothing returned holds it, so the audit and the Lipschitz estimate run without
+it beside them.  :func:`physbc.barrier.assemble` on the run's retained pairs
+rebuilds it.
+
 The empirical validation simulates only the ground truth, so runs that differ
 in filtering, sampling or guarantee mode share it: it runs once per distinct
 truth, regions and validation settings in a process, and a run that reuses an
@@ -39,7 +45,6 @@ import numpy as np
 
 from .barrier import (
     BarrierCertificate,
-    ConstraintSystem,
     assemble,
     check_certificate,
     sample_values,
@@ -84,7 +89,6 @@ class RunArtifacts:
 
     dataset: Dataset
     retained: Dataset
-    system: ConstraintSystem
     solve_result: SolveResult
     certificate: BarrierCertificate
     safety: SafetyCheck
@@ -136,39 +140,8 @@ def run(config: RunConfig) -> RunArtifacts:
         filter_report = {"enabled": False, "input_count": dataset.count}
     timings["filter"] = clock() - t0
 
-    # ---- constraint assembly -------------------------------------------------
-    t0 = clock()
-    system = assemble(
-        config.template_degree,
-        config.decay,
-        retained,
-        config.initial,
-        config.unsafe,
-        coeff_bound=config.solver.coeff_bound,
-    )
-    timings["assemble"] = clock() - t0
-
-    # ---- minimax solve ---------------------------------------------------------
-    t0 = clock()
-    result = solve(system.rows, system.offsets)
-    if result.status != STATUS_OPTIMAL:
-        raise PhysbcError(f"scenario program did not solve to optimality: {result.status}")
-    certificate = system.certificate_from_decision(result.decision)
-    cross: Optional[dict] = None
-    if config.solver.cross_check:
-        # the HiGHS exchange, started from the seed rows plus the rows that bind
-        # at the production optimum: only those indices cross over, never the
-        # decision or the slack, and HiGHS alone proves its optimum over every
-        # row.  Its first call imports scipy.optimize.
-        direct = solve_minmax_direct(
-            system.rows, system.offsets, start_rows=result.active_rows
-        )
-        cross = {
-            "status": direct.status,
-            "slack": direct.slack,
-            "difference": abs(direct.slack - result.slack),
-        }
-    timings["solve"] = clock() - t0
+    # ---- constraint assembly and minimax solve --------------------------------
+    result, certificate, active_rows, cross = _fit(config, retained, timings)
 
     # ---- residual audit -------------------------------------------------------
     # the flow expression on the retained pairs, evaluated once for the audit and the estimator
@@ -195,7 +168,7 @@ def run(config: RunConfig) -> RunArtifacts:
         certification = check_deterministic(result.slack, estimate.overall, radius)
         guarantee_report = {"mode": MODE_DETERMINISTIC, "covering_radius": radius}
     else:
-        count_dec = system.decision_size + 1  # the unsafe level, the coefficients and the slack
+        count_dec = result.decision.size + 1  # the unsafe level, the coefficients and the slack
         level = min_violation_level(config.guarantee.risk, count_dec, retained.count)
         certification = check_probabilistic(
             result.slack,
@@ -233,7 +206,7 @@ def run(config: RunConfig) -> RunArtifacts:
             "status": result.status,
             "slack": result.slack,
             "decision": result.decision.tolist(),
-            "active_rows": system.family_counts(result.active_rows),
+            "active_rows": active_rows,
             "cross_check": cross,
         },
         "certificate": certificate.to_dict(),
@@ -256,12 +229,45 @@ def run(config: RunConfig) -> RunArtifacts:
     return RunArtifacts(
         dataset=dataset,
         retained=retained,
-        system=system,
         solve_result=result,
         certificate=certificate,
         safety=safety,
         report=report,
     )
+
+
+def _fit(config: RunConfig, retained: Dataset, timings: dict):
+    """Assemble the constraint stack on ``retained`` and solve it.
+
+    Returns the solve result, the certificate, the binding rows per family and
+    the cross-check block (None when it is off).  Only this frame holds the
+    stack, so it is freed when this returns.
+    """
+    clock = time.perf_counter
+    t0 = clock()
+    system = assemble(config.template_degree, config.decay, retained, config.initial,
+                      config.unsafe, coeff_bound=config.solver.coeff_bound)
+    timings["assemble"] = clock() - t0
+
+    t0 = clock()
+    result = solve(system.rows, system.offsets)
+    if result.status != STATUS_OPTIMAL:
+        raise PhysbcError(f"scenario program did not solve to optimality: {result.status}")
+    certificate = system.certificate_from_decision(result.decision)
+    cross: Optional[dict] = None
+    if config.solver.cross_check:
+        # the HiGHS exchange, started from the seed rows plus the rows that bind
+        # at the production optimum: only those indices cross over, never the
+        # decision or the slack, and HiGHS alone proves its optimum over every
+        # row.  Its first call imports scipy.optimize.
+        direct = solve_minmax_direct(system.rows, system.offsets, start_rows=result.active_rows)
+        cross = {
+            "status": direct.status,
+            "slack": direct.slack,
+            "difference": abs(direct.slack - result.slack),
+        }
+    timings["solve"] = clock() - t0
+    return result, certificate, system.family_counts(result.active_rows), cross
 
 
 def _sampled(truth: SystemModel, config: RunConfig):

@@ -108,9 +108,10 @@ class Dataset:
     def count(self) -> int:
         return self.states.size
 
-    def take(self, mask: np.ndarray) -> "Dataset":
-        """Subset in original order."""
-        return replace(self, states=self.states[mask], successors=self.successors[mask])
+    def take(self, picks: np.ndarray) -> "Dataset":
+        """Subset in original order: ``picks`` is a boolean mask over the pairs
+        or ascending pair indices, and either selects the same arrays."""
+        return replace(self, states=self.states[picks], successors=self.successors[picks])
 
 
 def _check_capacity(total: int):

@@ -102,12 +102,22 @@ def _seed_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     depend on how a caller stacks its rows: a block of near-collinear leading
     rows would start the exchange from a singular restricted problem.
 
-    The columns are copied once into contiguous rows and reduced along them;
-    a reduction over axis 0 of the tall stack copies it internally, once per
-    call.  On finite input both give each column's first extreme row.
+    Each column in turn, then the offsets, is copied into one reused
+    contiguous buffer and reduced there, so beside the stack this holds one
+    column (8 bytes a row), never a transposed copy of it.  Reducing the
+    strided column itself would allocate a contiguous copy per reduction, and
+    numpy's ``argmax`` copies a read-only array, such as an assembled stack's
+    offsets, whole.  On finite input it gives each column's first extreme
+    row, as a reduction over axis 0 does.
     """
-    columns = np.ascontiguousarray(A.T)
-    return np.concatenate([columns.argmax(axis=1), columns.argmin(axis=1), [b.argmax()]])
+    column = np.empty(A.shape[0])
+    highest, lowest = [], []
+    for j in range(A.shape[1]):
+        np.copyto(column, A[:, j])
+        highest.append(column.argmax())
+        lowest.append(column.argmin())
+    np.copyto(column, b)
+    return np.array(highest + lowest + [column.argmax()])
 
 
 def _start_rows(start_rows, count: int) -> np.ndarray:

@@ -59,6 +59,21 @@ def test_filter_may_discard_everything():
     assert out.discarded_count == 3
 
 
+@pytest.mark.parametrize("threshold, kept", [(1e-9, {0}), (0.004, set(range(1, 300))),
+                                              (1.0, {300})], ids=["none", "some", "all"])
+def test_retained_pairs_are_the_mask_selection(threshold, kept):
+    rng = np.random.default_rng(11)
+    data = _dataset_with_deviations(rng.normal(scale=0.005, size=300).tolist())
+    out = apply_filter(data, supply_demand(), threshold)
+    assert out.retained_count == np.count_nonzero(out.mask)
+    assert out.retained_count in kept
+    assert np.array_equal(out.retained.states, data.states[out.mask])
+    assert np.array_equal(out.retained.successors, data.successors[out.mask])
+    assert out.retained.states.dtype == data.states.dtype
+    assert (out.retained.scheme, out.retained.domain, out.retained.seed) == (
+        data.scheme, data.domain, data.seed)
+
+
 def test_filter_threshold_must_be_positive():
     data = _dataset_with_deviations([0.0, 0.001])
     with pytest.raises(ValueError):

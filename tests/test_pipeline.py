@@ -1,5 +1,7 @@
 import hashlib
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -115,6 +117,13 @@ def _full_lp_with_clamp(rows, offsets):
     return replace(result, slack=max(result.slack, float(values.max())))
 
 
+def _rebuilt_system(config, artifacts):
+    """The constraint stack a run solved, assembled again from its retained pairs."""
+    return physbc.barrier.assemble(config.template_degree, config.decay, artifacts.retained,
+                                   config.initial, config.unsafe,
+                                   coeff_bound=config.solver.coeff_bound)
+
+
 def _non_float_fields(tree):
     """The report with every float replaced by a marker, so the rest compares exactly."""
     if isinstance(tree, dict):
@@ -128,8 +137,8 @@ def _non_float_fields(tree):
 def test_constraint_generation_matches_full_lp_on_reference_systems(key, monkeypatch):
     config = reference_config(key, 0.05)
     shipped = run(config)
-    rows, offsets = shipped.system.rows, shipped.system.offsets
-    oracle = minimax_full_lp(rows, offsets)
+    system = _rebuilt_system(config, shipped)
+    oracle = minimax_full_lp(system.rows, system.offsets)
     assert shipped.solve_result.optimal
     assert shipped.solve_result.slack == pytest.approx(oracle.slack, abs=1e-9)
     assert shipped.solve_result.decision == pytest.approx(oracle.decision, abs=1e-9)
@@ -360,12 +369,56 @@ def test_cross_check_is_one_highs_solve_started_from_the_binding_rows(key, monke
     artifacts = run(replace(base, solver=replace(base.solver, cross_check=True)))
     assert len(calls) == 1
     # the start rows choose where the HiGHS exchange starts, not what it reports
-    unseeded = solve_minmax_direct(artifacts.system.rows, artifacts.system.offsets)
+    system = _rebuilt_system(base, artifacts)
+    unseeded = solve_minmax_direct(system.rows, system.offsets)
     assert artifacts.report["solver"]["cross_check"] == {
         "status": unseeded.status,
         "slack": unseeded.slack,
         "difference": abs(unseeded.slack - artifacts.solve_result.slack),
     }
+
+
+@pytest.mark.parametrize("key, cross_check", [
+    ("sd-det-trad", False),  # grid
+    ("lg-prob-phys", False),  # i.i.d., filtered
+    ("lg-det-phys", True),  # with the HiGHS cross-check
+])
+def test_the_constraint_stack_is_freed_before_the_audit(key, cross_check, monkeypatch):
+    held = []
+    assemble_stack, evaluate = physbc.pipeline.assemble, physbc.pipeline.sample_values
+
+    def keeping_a_weakref(*args, **kwargs):
+        system = assemble_stack(*args, **kwargs)
+        held.extend([weakref.ref(system), weakref.ref(system.rows)])
+        return system
+
+    def audit_start(*args, **kwargs):
+        assert held and all(ref() is None for ref in held)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(physbc.pipeline, "assemble", keeping_a_weakref)
+    monkeypatch.setattr(physbc.pipeline, "sample_values", audit_start)
+    base = reference_config(key, 0.05)
+    artifacts = run(replace(base, solver=replace(base.solver, cross_check=cross_check)))
+    assert (artifacts.report["solver"]["cross_check"] is not None) == cross_check
+    assert "system" not in {field.name for field in fields(artifacts)}
+
+
+def test_a_run_peaks_at_one_constraint_stack_per_pair():
+    # the stack (four columns and the offsets, 40 bytes a pair) beside the
+    # pairs sets the peak at about 76 bytes a pair; a transposed copy of the
+    # stack in the solver, or the stack kept alive through the Lipschitz
+    # stage, lifts it to 96 or more
+    config = reference_config("sd-prob-trad", 0.1)
+    run(config)  # the rollout is memoised and the imports are done
+    physbc.pipeline._dataset_memo.clear()  # so the sampled pairs count, as in a cold run
+    tracemalloc.start()
+    try:
+        artifacts = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / artifacts.dataset.count < 88
 
 
 def test_unknown_lipschitz_method_rejected():

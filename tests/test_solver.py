@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -436,3 +438,17 @@ def test_seed_rows_equal_the_axis_0_reductions(shape, high, fortran, seed):
     seeds = physbc.solver._seed_rows(rows, offsets)
     assert seeds.tolist() == expected.tolist()
     assert seeds.dtype == expected.dtype
+
+
+def test_seed_rows_hold_one_column_beside_the_stack():
+    rng = np.random.default_rng(8)
+    rows, offsets = rng.standard_normal((200_000, 4)), rng.standard_normal(200_000)
+    rows.flags.writeable = offsets.flags.writeable = False  # as assemble hands them over
+    tracemalloc.start()
+    try:
+        physbc.solver._seed_rows(rows, offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a transposed copy of the stack would be four columns
+    assert peak < 1.5 * rows[:, 0].nbytes
