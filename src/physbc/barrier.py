@@ -49,6 +49,15 @@ the per-family row counts alone.
 After the solve, :func:`sample_values` evaluates the flow expression once on
 the recorded pairs; the residual audit (:func:`check_certificate`) and the
 Lipschitz estimators read those values instead of evaluating it again.
+
+Full-length arrays, those with a row per pair: :func:`assemble` makes one,
+the stack, and writes its flow rows ``_BLOCK_ROWS`` pairs at a time, so its
+power buffers and finiteness check hold one block.  :func:`basis_matrix`
+fills its ``(N, degree + 1)`` result a block at a time too.
+:func:`sample_values` holds one basis matrix and two value columns at a
+time; each of its two products is one BLAS call over the whole basis
+matrix, since a matrix-vector product split by rows can round its tail rows
+differently.
 """
 
 from __future__ import annotations
@@ -72,6 +81,9 @@ FAMILIES = ("initial", "unsafe", "flow", "bound", "gap")
 
 DEFAULT_COEFF_BOUND = 100.0
 INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
+
+# Rows per block of the row-wise passes of basis_matrix and assemble.
+_BLOCK_ROWS = 16_384
 
 
 def _powers(x: np.ndarray, top: int):
@@ -99,18 +111,22 @@ def basis_matrix(states: np.ndarray, degree: int) -> np.ndarray:
 
     Column ``j`` holds ``x^(degree - j)``.  Each power ``x^e`` is ``x^(e - 1) *
     x``, written straight into its column.  The last column, ``x^0``, is
-    exactly 1.0, as ``x**0`` is, also for inf and nan states.
+    exactly 1.0, as ``x**0`` is, also for inf and nan states.  The rows are
+    filled ``_BLOCK_ROWS`` at a time, so each block's powers are made while
+    its rows are in cache; every entry is the same product either way.
     """
     d = _degree(degree)
     x = np.asarray(states, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected (N,) states, got {x.shape}")
     out = np.empty((x.size, d + 1))
-    out[:, d] = 1.0
-    if d:
-        out[:, d - 1] = x
-    for j in range(d - 2, -1, -1):
-        np.multiply(out[:, j + 1], x, out=out[:, j])
+    for at in range(0, x.size, _BLOCK_ROWS):
+        block, xs = out[at:at + _BLOCK_ROWS], x[at:at + _BLOCK_ROWS]
+        block[:, d] = 1.0
+        if d:
+            block[:, d - 1] = xs
+        for j in range(d - 2, -1, -1):
+            np.multiply(block[:, j + 1], xs, out=block[:, j])
     return out
 
 
@@ -290,6 +306,11 @@ def assemble(
     the symmetric bound rows.  A flow row that is not finite, as when a
     successor's powers overflow, raises :class:`PhysbcError` naming the
     first such state and its successor.
+
+    The stack is the one full-length array this makes.  The flow rows are
+    written ``_BLOCK_ROWS`` at a time, each block with its own power buffers
+    and finiteness check, so beside the stack this holds one block's
+    scratch, whatever the pair count.
     """
     if not (0.0 < decay <= 1.0):
         raise ValueError("decay must lie in (0, 1]")
@@ -314,18 +335,20 @@ def assemble(
     rows[unsafe, 0] = 1.0
     np.negative(unsafe_rows, out=rows[unsafe, 1:])
 
-    if data.count:
-        # column 1 + d - e is y^e - decay * x^e, the basis matrices' arithmetic
-        # written straight into the stack
-        rows[flow, 1 + d] = 1.0 - 1.0 * decay
+    # column 1 + d - e of a flow row is y^e - decay * x^e, the basis matrices'
+    # arithmetic written straight into the stack
+    flow_rows = rows[flow]
+    for at in range(0, data.count, _BLOCK_ROWS):
+        block = flow_rows[at:at + _BLOCK_ROWS]
+        xs, ys = data.states[at:at + _BLOCK_ROWS], data.successors[at:at + _BLOCK_ROWS]
+        block[:, 1 + d] = 1.0 - 1.0 * decay
         with np.errstate(over="ignore", invalid="ignore"):  # the check below says it all
-            for (e, px), (_, py) in zip(_powers(data.states, d), _powers(data.successors, d)):
-                column = rows[flow, 1 + d - e]
+            for (e, px), (_, py) in zip(_powers(xs, d), _powers(ys, d)):
+                column = block[:, 1 + d - e]
                 np.multiply(px, decay, out=column)
                 np.subtract(py, column, out=column)
-        finite = np.isfinite(rows[flow])
-        if not finite.all():
-            first = int(np.argmin(finite.all(axis=1)))
+        if not np.isfinite(block).all():
+            first = at + int(np.argmin(np.isfinite(block).all(axis=1)))
             raise PhysbcError(
                 f"the flow row of state {float(data.states[first])!r} and successor"
                 f" {float(data.successors[first])!r} is not finite at degree {d}")

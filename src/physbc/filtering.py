@@ -6,14 +6,16 @@ exactly on the boundary are kept; every other pair, one with a NaN
 discrepancy included, is discarded.  The filter never
 re-simulates anything: it only compares recorded successors against the
 physics map, so applying it is pure and repeatable.  :func:`apply_filter`
-returns the retained pairs together with every pair's discrepancy and the
-keep mask, and the longest discarded run (:attr:`FilterOutcome.max_jump`) is
-read from that mask.
+returns every pair's discrepancy and the keep mask, from which the retained
+pairs and the longest discarded run (:attr:`FilterOutcome.max_jump`) are
+read.  The retained pairs are gathered on first use, so a caller that reads
+only the mask, as ``physbc plotdata`` does, never holds a copy of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -24,17 +26,23 @@ from .sampling import Dataset
 
 @dataclass(frozen=True, eq=False)
 class FilterOutcome:
-    retained: Dataset
+    dataset: Dataset  # the input pairs
     discrepancies: np.ndarray  # per input pair, in input order
     mask: np.ndarray  # True where the input pair was kept
 
+    @cached_property
+    def retained(self) -> Dataset:
+        """The kept pairs in input order, gathered on first use."""
+        # gathers scattered pairs several times faster than the mask
+        return self.dataset.take(np.flatnonzero(self.mask))
+
     @property
     def retained_count(self) -> int:
-        return self.retained.count
+        return int(np.count_nonzero(self.mask))
 
     @property
     def discarded_count(self) -> int:
-        return self.mask.size - self.retained.count
+        return self.mask.size - self.retained_count
 
     @property
     def max_jump(self) -> Optional[Tuple[int, int]]:
@@ -49,7 +57,9 @@ class FilterOutcome:
 
 def discrepancies(dataset: Dataset, physics: SystemModel) -> np.ndarray:
     """Distance of each recorded successor from the physics prediction."""
-    return np.abs(physics.step_many(dataset.states) - dataset.successors)
+    gap = physics.step_many(dataset.states)
+    gap -= dataset.successors
+    return np.abs(gap, out=gap)
 
 
 def apply_filter(dataset: Dataset, physics: SystemModel, threshold: float) -> FilterOutcome:
@@ -61,18 +71,16 @@ def apply_filter(dataset: Dataset, physics: SystemModel, threshold: float) -> Fi
     if not (threshold > 0):
         raise ValueError("threshold must be strictly positive")
     disc = discrepancies(dataset, physics)
-    keep = disc <= threshold
-    picks = np.flatnonzero(keep)  # gathers scattered pairs several times faster than the mask
-    return FilterOutcome(retained=dataset.take(picks), discrepancies=disc, mask=keep)
+    return FilterOutcome(dataset=dataset, discrepancies=disc, mask=disc <= threshold)
 
 
 def _longest_run(mask: np.ndarray) -> Optional[Tuple[int, int]]:
     if not mask.any():
         return None
-    padded = np.concatenate([[False], mask, [False]])
-    edges = np.diff(padded.astype(int))
-    starts = np.nonzero(edges == 1)[0]
-    ends = np.nonzero(edges == -1)[0]
-    lengths = ends - starts
+    # +1 where a run starts, -1 just past its end; the int8 view needs no copy
+    edges = np.diff(np.concatenate([[False], mask, [False]]).view(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    lengths = np.flatnonzero(edges == -1)
+    lengths -= starts
     best = int(np.argmax(lengths))  # first maximal run wins ties
     return int(starts[best]), int(lengths[best])

@@ -97,6 +97,7 @@ def _neighbour_maxima(flow: np.ndarray, dataset: Dataset):
         # equal states may come out in any order: only their group's extremes are read
         order = np.argsort(coords)
         coords, family = coords[order], flow[order]
+        del order  # its gathers are done; the grouping below needs only their results
     fresh = np.empty(coords.size, dtype=bool)
     fresh[0] = True
     np.not_equal(coords[1:], coords[:-1], out=fresh[1:])

@@ -18,6 +18,19 @@ nothing returned holds it, so the audit and the Lipschitz estimate run without
 it beside them.  :func:`physbc.barrier.assemble` on the run's retained pairs
 rebuilds it.
 
+Each stage holds few arrays with a row per pair, and frees its own when it
+returns.  Beside the sampled pairs:
+
+* filter (:func:`_filtered`): every pair's discrepancy and the keep mask,
+  freed when the stage returns, and the retained pairs, which stay;
+* assemble and solve (:func:`_fit`): the constraint stack, and the
+  exchange's row values with their binding mask, freed when the solve
+  returns; assembly and the seed scan work in blocks of rows beside it;
+* audit: the flow expression per retained pair, built one basis matrix at a
+  time, and kept for the Lipschitz estimate;
+* Lipschitz: for states out of order, their sort order, freed once the
+  sorted states and flow values are gathered.
+
 The empirical validation simulates only the ground truth, so runs that differ
 in filtering, sampling or guarantee mode share it: it runs once per distinct
 truth, regions and validation settings in a process, and a run that reuses an
@@ -118,26 +131,7 @@ def run(config: RunConfig) -> RunArtifacts:
 
     # ---- physics-consistency filter -----------------------------------------
     t0 = clock()
-    filter_report: dict
-    if config.filter.enabled:
-        outcome = apply_filter(dataset, physics, config.filter.threshold)
-        retained = outcome.retained
-        max_jump = outcome.max_jump
-        jump = None
-        if max_jump is not None:
-            jump = {"start_index": max_jump[0], "length": max_jump[1]}
-        filter_report = {
-            "enabled": True,
-            "threshold": config.filter.threshold,
-            "input_count": dataset.count,
-            "retained_count": outcome.retained_count,
-            "discarded_count": outcome.discarded_count,
-            "retention": outcome.retained_count / dataset.count,
-            "max_jump": jump,
-        }
-    else:
-        retained = dataset
-        filter_report = {"enabled": False, "input_count": dataset.count}
+    retained, filter_report = _filtered(config, dataset, physics)
     timings["filter"] = clock() - t0
 
     # ---- constraint assembly and minimax solve --------------------------------
@@ -234,6 +228,30 @@ def run(config: RunConfig) -> RunArtifacts:
         safety=safety,
         report=report,
     )
+
+
+def _filtered(config: RunConfig, dataset: Dataset, physics: SystemModel):
+    """The pairs of ``dataset`` that the run keeps, and the report's filter block.
+
+    Only this frame holds the filter outcome, so every pair's discrepancy and
+    the keep mask are freed when this returns.
+    """
+    if not config.filter.enabled:
+        return dataset, {"enabled": False, "input_count": dataset.count}
+    outcome = apply_filter(dataset, physics, config.filter.threshold)
+    max_jump = outcome.max_jump
+    jump = None
+    if max_jump is not None:
+        jump = {"start_index": max_jump[0], "length": max_jump[1]}
+    return outcome.retained, {
+        "enabled": True,
+        "threshold": config.filter.threshold,
+        "input_count": dataset.count,
+        "retained_count": outcome.retained_count,
+        "discarded_count": outcome.discarded_count,
+        "retention": outcome.retained_count / dataset.count,
+        "max_jump": jump,
+    }
 
 
 def _fit(config: RunConfig, retained: Dataset, timings: dict):

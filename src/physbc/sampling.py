@@ -8,9 +8,11 @@ deterministic guarantee and i.i.d. draws for a probabilistic one.  Both
 refuse a successor that is not finite, naming the first state whose step
 overflows.  On an interval the covering radius is exact.
 
-Datasets persist as CSV written in blocks: :func:`write_rows` stacks 65 536
+Datasets persist as CSV written in blocks: :func:`write_rows` stacks 4 096
 rows from their columns and formats them with one ``%`` operation, which
-gives the same text as formatting them row by row.  The file has the columns
+gives the same text as formatting them row by row.  A block's Python floats
+and text take about 1 MB however many rows the file has; the time per row
+does not depend on the block size.  The file has the columns
 ``x_1,y_1``, and a JSON sidecar holds the scheme, seed, domain, count and
 ``dimension``, which is always 1.  :func:`load_dataset` checks every one of
 them, refusing any other dimension, before it reads the body, and ignores
@@ -27,12 +29,13 @@ a time, or one pipe-sized piece of the bytes its child sends; a writing
 child holds the ASCII bytes of its half.  A reader, child or not, holds the
 bytes of its own part of the body and the float64 rows parsed from them.
 The work is split between this process and one forked child when ``os.fork``
-exists, at least two CPUs are usable and each half holds at least one block
-of rows (see :func:`_split_at`): the child formats the back half of the rows
-into ASCII bytes, or reads and parses the back part of the body into float64
-bytes, and sends them through a pipe once they are all made.  Each row's
-text depends on that row alone, so the bytes written and the values read are
-those of the one-process path.  The output file is flushed before the fork;
+exists, at least two CPUs are usable and the dataset holds at least
+``_SPLIT_ROWS`` (131 072) rows, a threshold of its own that the block size
+does not move (see :func:`_split_at`): the child formats the back half of
+the rows into ASCII bytes, or reads and parses the back part of the body
+into float64 bytes, and sends them through a pipe once they are all made.
+Each row's text depends on that row alone, so the bytes written and the
+values read are those of the one-process path.  The output file is flushed before the fork;
 the child runs its work inside ``try``/``finally`` and ends in ``os._exit``,
 so it never returns into the caller nor flushes an inherited buffer; this
 process always reaps it, also when its own half raises, and does the back
@@ -66,7 +69,10 @@ DEFAULT_MAX_SAMPLES = 20_000_000
 _HEADER = "x_1,y_1"
 
 # Rows formatted per ``%`` operation when writing CSV.
-_ROW_CHUNK = 65_536
+_ROW_CHUNK = 4_096
+
+# Fewest rows whose CSV text work is split with a forked child.
+_SPLIT_ROWS = 131_072
 
 # Bytes read at a time when a CSV's bytes are copied or searched in pieces:
 # the capacity of a Linux pipe.
@@ -188,11 +194,14 @@ def write_rows(fh, line_format: str, columns) -> None:
     ``columns`` holds one ``(N,)`` array per ``%`` conversion of
     ``line_format``, which ends in the line terminator and, like the text it
     gives, is ASCII.  Rows go out in
-    blocks of ``_ROW_CHUNK``, each stacked from the columns and formatted by a
-    single ``%``, so the text is what formatting the rows one at a time would
-    give, and no ``(N, width)`` array of all the rows is built.
+    blocks of ``_ROW_CHUNK`` (4 096), each stacked from the columns and
+    formatted by a single ``%``, so the text is what formatting the rows one
+    at a time would give, and no ``(N, width)`` array of all the rows is
+    built: beside the columns this holds one block's floats and text, whose
+    size does not grow with the row count.
 
-    When :func:`_split_at` allows it and ``fh`` can seek, ``fh`` is flushed
+    When :func:`_split_at` allows it (from ``_SPLIT_ROWS`` rows on, whatever
+    the block size) and ``fh`` can seek, ``fh`` is flushed
     and a forked child formats the back half of the rows into ASCII bytes
     while this process formats and writes the front half.  The child's bytes
     are then copied to ``fh`` in pieces of at most ``_PIECE`` bytes, so this
@@ -239,10 +248,10 @@ def _split_at(rows: int) -> int:
     """The row at which a forked child takes over the CSV text work, or 0 for none.
 
     A child is used only where ``os.fork`` exists, at least two CPUs are
-    usable, and each half holds at least ``_ROW_CHUNK`` rows; it then takes
-    the back half.
+    usable, and there are at least ``_SPLIT_ROWS`` rows; it then takes the
+    back half.
     """
-    if not hasattr(os, "fork") or rows < 2 * _ROW_CHUNK:
+    if not hasattr(os, "fork") or rows < _SPLIT_ROWS:
         return 0
     try:
         cpus = len(os.sched_getaffinity(0))

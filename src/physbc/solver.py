@@ -67,6 +67,9 @@ _ARTIFICIAL_BOX = 1e6
 # terminates on its own long before this on problems of this size.
 _MAX_PIVOTS = 20000
 
+# Rows per block of the seed scan's transposed scratch.
+_BLOCK_ROWS = 16_384
+
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -81,6 +84,8 @@ class SolveResult:
 
 
 def _validate(rows: np.ndarray, offsets: np.ndarray):
+    """The stack as float arrays, with its shape checked; :func:`_seed_rows`,
+    the first pass over its entries, checks that they are finite."""
     A = np.atleast_2d(np.asarray(rows, dtype=float))
     b = np.atleast_1d(np.asarray(offsets, dtype=float))
     if A.ndim != 2 or A.shape[0] != b.shape[0]:
@@ -89,35 +94,47 @@ def _validate(rows: np.ndarray, offsets: np.ndarray):
         raise ValueError("need at least one row")
     if A.shape[1] == 0:
         raise ValueError("need at least one decision variable")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("rows and offsets must be finite")
     return A, b
 
 
 def _seed_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Initial working set: each column's largest and smallest row, plus the
-    row with the largest offset.
+    row with the largest offset; a ValueError if any row or offset is not
+    finite.
 
     Chosen from the data rather than from the row order, so the seed does not
     depend on how a caller stacks its rows: a block of near-collinear leading
     rows would start the exchange from a singular restricted problem.
 
-    Each column in turn, then the offsets, is copied into one reused
-    contiguous buffer and reduced there, so beside the stack this holds one
-    column (8 bytes a row), never a transposed copy of it.  Reducing the
-    strided column itself would allocate a contiguous copy per reduction, and
-    numpy's ``argmax`` copies a read-only array, such as an assembled stack's
-    offsets, whole.  On finite input it gives each column's first extreme
-    row, as a reduction over axis 0 does.
+    The stack is read once, ``_BLOCK_ROWS`` rows at a time: each block's
+    columns and offsets are copied into one small contiguous transposed
+    scratch and reduced there.  So beside the stack this holds one block,
+    never a full-length column, whether the stack is in C or F order.  A
+    block's extreme replaces the running one only when it is strictly
+    larger (or smaller), so each column gets its first extreme row, as a
+    reduction over axis 0 does.
     """
-    column = np.empty(A.shape[0])
-    highest, lowest = [], []
-    for j in range(A.shape[1]):
-        np.copyto(column, A[:, j])
-        highest.append(column.argmax())
-        lowest.append(column.argmin())
-    np.copyto(column, b)
-    return np.array(highest + lowest + [column.argmax()])
+    count, width = A.shape
+    scratch = np.empty((width + 1) * min(count, _BLOCK_ROWS))
+    entries = np.arange(width + 1)
+    high, low = np.full(width + 1, -np.inf), np.full(width + 1, np.inf)
+    highest = lowest = 0  # every entry is finite, so the first block replaces these
+    for at in range(0, count, _BLOCK_ROWS):
+        size = min(count - at, _BLOCK_ROWS)
+        block = scratch[:(width + 1) * size].reshape(width + 1, size)
+        np.copyto(block[:width], A[at:at + size].T)
+        np.copyto(block[width], b[at:at + size])
+        top, bottom = block.argmax(axis=1), block.argmin(axis=1)
+        peak, trough = block[entries, top], block[entries, bottom]
+        # both reductions stop at a nan, and an infinity is an extreme, so an
+        # entry that is not finite shows in peak or trough
+        if not (np.isfinite(peak).all() and np.isfinite(trough).all()):
+            raise ValueError("rows and offsets must be finite")
+        highest = np.where(peak > high, at + top, highest)
+        high = np.maximum(high, peak)
+        lowest = np.where(trough < low, at + bottom, lowest)
+        low = np.minimum(low, trough)
+    return np.concatenate([highest[:width], lowest[:width], highest[width:]])
 
 
 def _start_rows(start_rows, count: int) -> np.ndarray:

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import physbc.barrier
 from oracles import (
     assemble_vstack,
     basis_matrix_pow,
@@ -604,3 +606,57 @@ def test_certificate_from_dict_accepts_integer_numbers():
     assert cert.coefficients.tolist() == [1.0, -2.0]
     assert (cert.decay, cert.initial_level, cert.unsafe_level) == (1.0, 0.0, 3.0)
     assert all(type(v) is float for v in (cert.decay, cert.initial_level, cert.unsafe_level))
+
+
+# ------------------------------------------- the row blocks of basis_matrix and assemble
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("degree", [0, 1, 2, 5])
+def test_blocked_passes_match_whole_array_passes(monkeypatch, block, degree):
+    rng = np.random.default_rng(block * 10 + degree)
+    # a block short, on its edge, one past it and one into a third block
+    for count in (block - 1, block, block + 1, 2 * block + 1):
+        states = rng.uniform(DOMAIN.lower, DOMAIN.upper, count)
+        data = Dataset(states, rng.uniform(-3.0, 3.0, count), SCHEME_IID, DOMAIN, seed=0)
+        whole_basis = basis_matrix(states, degree)  # the default block exceeds these counts
+        whole = assemble(degree, 0.83, data, INITIAL, UNSAFE)
+        with monkeypatch.context() as patch:
+            patch.setattr(physbc.barrier, "_BLOCK_ROWS", block)
+            assert basis_matrix(states, degree).tobytes() == whole_basis.tobytes()
+            blocked = assemble(degree, 0.83, data, INITIAL, UNSAFE)
+        assert blocked.rows.tobytes() == whole.rows.tobytes()
+        assert blocked.offsets.tobytes() == whole.offsets.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("successor", [1e200, np.nan])
+def test_a_block_names_the_first_pair_whose_flow_row_is_not_finite(monkeypatch, block, successor):
+    monkeypatch.setattr(physbc.barrier, "_BLOCK_ROWS", block)
+    data = _toy_dataset(3 * block + 1)
+    ys = data.successors.copy()
+    first = block + 1  # past the first block; every pair after it is bad too
+    ys[first:] = successor
+    data = Dataset(data.states, ys, SCHEME_IID, DOMAIN, seed=0)
+    message = (f"the flow row of state {float(data.states[first])!r} and successor"
+               f" {successor!r} is not finite at degree 2")
+    with np.errstate(all="raise"):
+        with pytest.raises(PhysbcError, match=re.escape(message)):
+            assemble(2, 0.83, data, INITIAL, UNSAFE)
+
+
+def test_assemble_holds_one_block_beside_its_stack():
+    rng = np.random.default_rng(12)
+    count = 300_000
+    states = rng.uniform(DOMAIN.lower, DOMAIN.upper, count)
+    data = Dataset(states, supply_demand().step_many(states), SCHEME_IID, DOMAIN, seed=0)
+    tracemalloc.start()
+    try:
+        system = assemble(2, 0.83, data, INITIAL, UNSAFE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    beside = peak - system.rows.nbytes - system.offsets.nbytes
+    # one block of stack rows; full-length power buffers and finiteness
+    # checks would hold about 5.7 MiB here
+    assert beside < physbc.barrier._BLOCK_ROWS * system.rows.shape[1] * system.rows.itemsize

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -1042,7 +1043,7 @@ finally:
 
 
 def test_run_and_plotdata_split_a_dataset_above_the_threshold_silently(tmp_path):
-    count = 2 * sampling._ROW_CHUNK + 2  # the smallest dataset whose halves get a chunk each
+    count = sampling._SPLIT_ROWS + 2  # just above the smallest dataset that is split
     config = tmp_path / "big.json"
     config.write_text(json.dumps(_with_setting(small_config_dict(), "sampling.count", count)))
     src = os.path.dirname(os.path.dirname(physbc.__file__))
@@ -1071,3 +1072,37 @@ def test_run_and_plotdata_split_a_dataset_above_the_threshold_silently(tmp_path)
     samples = (tmp_path / "plot" / "samples.csv").read_bytes().decode("ascii").split("\r\n")
     assert [line.split(",")[:2] for line in samples[1:-1]] == [
         [repr(x), repr(y)] for x, y in zip(dataset.states.tolist(), dataset.successors.tolist())]
+
+
+def test_plotdata_peaks_below_one_and_a_half_times_its_arrays(tmp_path, monkeypatch):
+    config = tmp_path / "big.json"
+    data = _with_setting(small_config_dict(), "sampling.count", 200_000)
+    config.write_text(json.dumps(_with_setting(data, "guarantee.mode", "probabilistic")))
+    run = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(tmp_path / "run")])
+    assert run.exit_code in (0, 2), run.output
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # no split
+    loaded, load = [], physbc.cli.load_dataset
+
+    def load_then_reset(path):
+        dataset = load(path)
+        loaded.append(dataset)
+        # the peak from here on; the load itself holds the file's bytes
+        tracemalloc.reset_peak()
+        return dataset
+
+    monkeypatch.setattr(physbc.cli, "load_dataset", load_then_reset)
+    tracemalloc.start()
+    try:
+        plot = CliRunner().invoke(main, ["plotdata", "--report", str(tmp_path / "run" / "report.json"),
+                                         "--out", str(tmp_path / "plot")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plot.exit_code == 0, plot.output
+    assert "jump.csv" in plot.output  # the filter discarded pairs, so the mask was read
+    dataset = loaded[0]
+    arrays = dataset.states.nbytes + dataset.successors.nbytes + 8 * dataset.count
+    # the loaded pairs, every pair's discrepancy and keep flag, and one block of
+    # text; a gathered copy of the retained pairs, or the text of 65 536 rows,
+    # would not fit
+    assert peak < 1.5 * arrays

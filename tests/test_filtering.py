@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from physbc.filtering import apply_filter, discrepancies
+from physbc.filtering import _longest_run, apply_filter, discrepancies
 from physbc.models import RegionBox, supply_demand
 from physbc.sampling import SCHEME_IID, Dataset
 
@@ -145,3 +147,13 @@ def test_discrepancy_is_the_one_column_euclidean_norm():
     data = Dataset(xs, model.step_many(xs) + dev, SCHEME_IID, DOMAIN, seed=0)
     norm = np.linalg.norm((model.step_many(xs) - data.successors)[:, None], axis=1)
     assert discrepancies(data, model).tobytes() == norm.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.booleans(), max_size=60),
+    st.integers(0, 60).flatmap(lambda n: st.sampled_from([[False] * n, [True] * n])),
+))
+def test_longest_run_matches_a_scan(discarded):
+    # the empty, all-kept and all-discarded masks included
+    assert _longest_run(np.array(discarded, dtype=bool)) == _longest_run_by_scan(discarded)

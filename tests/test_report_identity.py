@@ -156,6 +156,7 @@ def test_artifacts_an_earlier_release_wrote_read_as_they_did(tmp_path, monkeypat
         return pid
 
     monkeypatch.setattr(sampling, "_ROW_CHUNK", 1000)
+    monkeypatch.setattr(sampling, "_SPLIT_ROWS", 2000)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted_fork)
     fresh, plot = _run_and_plot(tmp_path / "split", earlier)

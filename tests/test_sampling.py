@@ -227,7 +227,8 @@ def _same_save_bytes(data, tmp_path):
     assert fast == slow
 
 
-@pytest.mark.parametrize("count", [65_535, 65_536, 65_537])
+# around the block edge, and around the edge of the block this module used before
+@pytest.mark.parametrize("count", [4_095, 4_096, 4_097, 65_535, 65_536, 65_537])
 def test_save_matches_rowwise_oracle_around_chunk_edge(tmp_path, count):
     _same_save_bytes(sample_iid(supply_demand(), DOMAIN, count, seed=count), tmp_path)
 
@@ -462,9 +463,11 @@ def test_covering_radius_does_not_sort_sorted_states(monkeypatch):
 
 @contextlib.contextmanager
 def _split_forced(forks=None):
-    """Split every CSV of four rows or more: a ``_ROW_CHUNK`` of two rows and
-    two usable CPUs.  Each fork appends its pid to ``forks`` when given."""
+    """Split every CSV of four rows or more: a ``_SPLIT_ROWS`` of four rows,
+    a ``_ROW_CHUNK`` of two and two usable CPUs.  Each fork appends its pid
+    to ``forks`` when given."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_SPLIT_ROWS", 4)
         mp.setattr(sampling, "_ROW_CHUNK", 2)
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         if forks is not None:
@@ -732,7 +735,7 @@ def _traced_peak(work):
 
 
 def test_a_split_load_peaks_below_one_and_a_half_times_the_file(tmp_path):
-    data = sample_iid(supply_demand(), DOMAIN, 2 * sampling._ROW_CHUNK, seed=8)
+    data = sample_iid(supply_demand(), DOMAIN, sampling._SPLIT_ROWS, seed=8)
     path = tmp_path / "d.csv"
     save_dataset(data, str(path))
     loaded, forks = [], []
@@ -747,6 +750,7 @@ def test_a_split_load_peaks_below_one_and_a_half_times_the_file(tmp_path):
 
 def test_a_split_write_peaks_no_higher_than_a_one_process_write(tmp_path, monkeypatch):
     monkeypatch.setattr(sampling, "_ROW_CHUNK", 4096)
+    monkeypatch.setattr(sampling, "_SPLIT_ROWS", 8 * 4096)
     rows = np.random.default_rng(10).uniform(-3.0, 3.0, (8 * 4096, 2))  # four chunks a half
     peaks = {}
     for cpus in ({0}, {0, 1}, {0}, {0, 1}):  # the first two warm up
@@ -760,7 +764,7 @@ def test_a_split_write_peaks_no_higher_than_a_one_process_write(tmp_path, monkey
 
 
 def test_split_applies_with_fork_two_cpus_and_a_chunk_per_half(monkeypatch):
-    chunk = sampling._ROW_CHUNK
+    chunk = sampling._SPLIT_ROWS // 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert sampling._split_at(2 * chunk) == chunk
     assert sampling._split_at(2 * chunk + 1) == chunk
@@ -774,3 +778,25 @@ def test_split_applies_with_fork_two_cpus_and_a_chunk_per_half(monkeypatch):
         assert sampling._split_at(4 * chunk) == split
     monkeypatch.delattr(os, "fork")
     assert sampling._split_at(4 * chunk) == 0
+
+
+@pytest.mark.parametrize("chunk", [2, 4096, 65_536, 1 << 20])
+def test_split_threshold_does_not_follow_the_block_size(monkeypatch, chunk):
+    monkeypatch.setattr(sampling, "_ROW_CHUNK", chunk)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert sampling._split_at(131_072) == 65_536
+    assert sampling._split_at(131_071) == 0
+
+
+def test_a_write_peaks_at_one_block_whatever_the_row_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # no split
+    rng = np.random.default_rng(14)
+    columns = (*rng.uniform(-3.0, 3.0, (3, 200_000)), rng.uniform(size=200_000) < 0.8)
+
+    def write():
+        with open(tmp_path / "samples.csv", "w", newline="", encoding="ascii") as fh:
+            write_rows(fh, LINE_FORMATS[4], columns)
+
+    peak = _traced_peak(write)
+    # one block's floats and text, about 1 MiB; a block of 65 536 rows held 11 MiB
+    assert peak < 2 * 2**20

@@ -452,3 +452,48 @@ def test_seed_rows_hold_one_column_beside_the_stack():
         tracemalloc.stop()
     # a transposed copy of the stack would be four columns
     assert peak < 1.5 * rows[:, 0].nbytes
+
+
+# the seed scan with its block patched to a few rows, so that ties and
+# extremes fall on both sides of block edges
+@settings(max_examples=200, deadline=None)
+@given(
+    block=st.integers(1, 5),
+    width=st.integers(1, 6),
+    high=st.integers(0, 3),
+    fortran=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
+)
+def test_seed_rows_in_small_blocks_equal_the_axis_0_reductions(block, width, high, fortran,
+                                                               seed, data):
+    edges = [block - 1, block, block + 1, 2 * block + 1]
+    count = data.draw(st.one_of(st.sampled_from([n for n in edges if n]), st.integers(1, 40)))
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-high, high + 1, size=(count, width)).astype(float)
+    if fortran:
+        rows = np.asfortranarray(rows)
+    offsets = rng.integers(-high, high + 1, size=count).astype(float)
+    expected = np.concatenate([rows.argmax(0), rows.argmin(0), [offsets.argmax()]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(physbc.solver, "_BLOCK_ROWS", block)
+        seeds = physbc.solver._seed_rows(rows, offsets)
+    assert seeds.tolist() == expected.tolist()
+    assert seeds.dtype == expected.dtype
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("where", ["rows", "offsets"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_entry_in_a_later_block_is_refused(monkeypatch, block, where, value):
+    monkeypatch.setattr(physbc.solver, "_BLOCK_ROWS", block)
+    rows, offsets = random_bounded_instance(np.random.default_rng(block), 2, 2 * block + 1)
+    for at in range(block, len(rows)):  # every row past the first block
+        bad_rows, bad_offsets = rows.copy(), offsets.copy()
+        if where == "rows":
+            bad_rows[at, at % 2] = value
+        else:
+            bad_offsets[at] = value
+        for route in (solve, solve_minmax_direct):
+            with pytest.raises(ValueError, match="rows and offsets must be finite"):
+                route(bad_rows, bad_offsets)
