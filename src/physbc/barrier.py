@@ -62,8 +62,6 @@ differently.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import asdict, dataclass
 from math import comb
 from numbers import Integral, Real
@@ -81,6 +79,7 @@ FAMILIES = ("initial", "unsafe", "flow", "bound", "gap")
 
 DEFAULT_COEFF_BOUND = 100.0
 INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
+RESIDUAL_TOLERANCE = 1e-7  # the residual audit's allowance above the slack
 
 # Rows per block of the row-wise passes of basis_matrix and assemble.
 _BLOCK_ROWS = 16_384
@@ -235,11 +234,6 @@ class ConstraintSystem:
         self.offsets.flags.writeable = False
 
     @property
-    def decision_size(self) -> int:
-        """Width of the decision vector: the unsafe level plus the coefficients."""
-        return self.rows.shape[1]
-
-    @property
     def counts(self) -> dict:
         """Rows per region or sample family (initial, unsafe, flow)."""
         return dict(zip(FAMILIES[:3], self.family_sizes))
@@ -272,13 +266,13 @@ def bernstein_rows(degree: int, region: RegionBox) -> np.ndarray:
     ``sum_j C(k, j) C(d - k, e - j) / C(d, e) * hi^j * lo^(e - j)``, the same
     numbers as expanding ``(lo + (hi - lo) t)^e`` and converting powers of
     ``t`` to the Bernstein basis.  This form needs no ``hi - lo`` and keeps
-    the ends exact: the first and last rows equal the basis matrix at ``lo``
-    and ``hi``, bit for bit.
+    the ends exact.  The powers of ``lo`` and ``hi`` are read from
+    :func:`basis_matrix` at the two ends, so the first and last rows equal
+    the basis matrix there, bit for bit.
     """
     degree = _degree(degree)
-    # lo[p] is lo ** p and hi[p] is hi ** p, by repeated multiplication
-    lo, hi = (list(itertools.accumulate([end] * degree, operator.mul, initial=1.0))
-              for end in (region.lower, region.upper))
+    # lo[p] is lo ** p and hi[p] is hi ** p, the basis matrix's columns lowest power first
+    lo, hi = basis_matrix(np.array([region.lower, region.upper]), degree)[:, ::-1].tolist()
     table = np.array([
         [sum(comb(k, j) * comb(degree - k, e - j) / comb(degree, e) * hi[j] * lo[e - j]
              for j in range(max(0, e - degree + k), min(k, e) + 1))
@@ -411,7 +405,6 @@ def sample_values(certificate: BarrierCertificate, data: Dataset) -> np.ndarray:
 
 def check_certificate(
     certificate: BarrierCertificate,
-    tolerance: float,
     flow: np.ndarray,
     initial_region: RegionBox,
     unsafe_region: RegionBox,
@@ -421,7 +414,8 @@ def check_certificate(
     The region families read the certificate's Bernstein coefficients on
     each region, the numbers the assembled rows bound; the flow family is
     read from ``flow``, the certificate's :func:`sample_values` on the
-    recorded pairs.
+    recorded pairs.  The report allows :data:`RESIDUAL_TOLERANCE` above the
+    slack.
     """
     initial = bernstein_rows(certificate.degree, initial_region)
     unsafe = bernstein_rows(certificate.degree, unsafe_region)
@@ -431,5 +425,5 @@ def check_certificate(
         unsafe_max=float((certificate.unsafe_level - values[len(initial):]).max()),
         flow_max=float(flow.max()) if flow.size else float("-inf"),
         definition_ok=certificate.definition_ok,
-        tolerance=tolerance,
+        tolerance=RESIDUAL_TOLERANCE,
     )

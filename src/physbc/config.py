@@ -99,6 +99,19 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+# Each checked setting type: the test its values pass, and what the error calls it.
+# numpy's integers, reals and bools count, bool as an integer or a real does not;
+# flags are booleans, as "false" or 0 would read as set or unset; a null
+# amplitude means the derived one.
+_CHECKS = {
+    int: (lambda value: not isinstance(value, bool) and isinstance(value, (int, np.integer)),
+          "an integer"),
+    float: (_is_finite_number, "a finite number"),
+    Optional[float]: (lambda value: value is None or _is_finite_number(value), "a finite number"),
+    bool: (lambda value: isinstance(value, (bool, np.bool_)), "a boolean"),
+}
+
+
 def _unknown_keys(data: dict, cls, where: str) -> None:
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
@@ -131,30 +144,12 @@ class RunConfig:
     validation: ValidationSpec = field(default_factory=ValidationSpec)
 
     def __post_init__(self):
-        # numpy integers count as integers; bool does not
-        for key in ("template_degree", "sampling.count", "sampling.seed", "validation.trajectories",
-                    "validation.horizon", "validation.seed", "lipschitz.pair_budget",
-                    "lipschitz.batches", "lipschitz.seed"):
+        for key, accepts, kind in _SETTINGS:
             value = attrgetter(key)(self)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if not accepts(value):
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
             if key.endswith(".seed") and value < 0:
                 raise ValueError(f"{key} must be non-negative")
-        # finite real numbers, numpy floats included; bool does not count, and
-        # a null amplitude means the derived one
-        for key in ("decay", "filter.threshold", "solver.coeff_bound", "guarantee.risk",
-                    "perturbation.amplitude", "perturbation.frequency", "lipschitz.multiplier",
-                    "lipschitz.shape"):
-            value = attrgetter(key)(self)
-            if key == "perturbation.amplitude" and value is None:
-                continue
-            if not _is_finite_number(value):
-                raise ValueError(f"{key} must be a finite number, got {value!r}")
-        # flags are booleans, numpy's included: "false" or 0 would read as set or unset
-        for key in ("filter.enabled", "solver.cross_check"):
-            value = attrgetter(key)(self)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{key} must be a boolean, got {value!r}")
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
         if not self.domain.contains_box(self.initial):
@@ -267,6 +262,18 @@ class RunConfig:
 
 # Each nested record of a RunConfig by field name; from_dict builds it from its JSON object.
 _SECTIONS = {k: t for k, t in get_type_hints(RunConfig).items() if is_dataclass(t)}
+
+# (dotted key, test, type name) of every setting whose annotation is in _CHECKS, in
+# declaration order; RunConfig.__post_init__ checks each.  The RegionBox sections
+# check themselves.
+_SETTINGS = tuple(
+    (prefix + name, *_CHECKS[annotation])
+    for prefix, cls in [("", RunConfig)] + [
+        (f"{section}.", section_cls) for section, section_cls in _SECTIONS.items()
+        if section_cls is not RegionBox]
+    for name, annotation in get_type_hints(cls).items()
+    if annotation in _CHECKS
+)
 
 
 def preset(name: str, mode: str = MODE_DETERMINISTIC) -> RunConfig:

@@ -180,9 +180,9 @@ def check_safety_empirically(
     model: SystemModel,
     initial: RegionBox,
     unsafe: RegionBox,
-    trajectories: int = 1000,
-    horizon: int = 500,
-    seed: int = 0,
+    trajectories: int,
+    horizon: int,
+    seed: int,
 ) -> SafetyCheck:
     """Simulate trajectories from the initial region and count unsafe entries.
 

@@ -84,8 +84,6 @@ from .sampling import (
 )
 from .solver import STATUS_OPTIMAL, SolveResult, solve, solve_minmax_direct
 
-RESIDUAL_TOLERANCE = 1e-7
-
 # Empirical checks already computed in this process, keyed by everything the
 # rollout reads; past this many entries the oldest is dropped.
 _SAFETY_MEMO_SIZE = 16
@@ -141,9 +139,7 @@ def run(config: RunConfig) -> RunArtifacts:
     # the flow expression on the retained pairs, evaluated once for the audit and the estimator
     t0 = clock()
     flow = sample_values(certificate, retained)
-    residuals = check_certificate(
-        certificate, RESIDUAL_TOLERANCE, flow, config.initial, config.unsafe
-    )
+    residuals = check_certificate(certificate, flow, config.initial, config.unsafe)
     timings["audit"] = clock() - t0
 
     # ---- Lipschitz estimation ---------------------------------------------------
@@ -158,7 +154,7 @@ def run(config: RunConfig) -> RunArtifacts:
     t0 = clock()
     guarantee_report: dict
     if config.guarantee.mode == MODE_DETERMINISTIC:
-        radius = covering_radius(retained.states, config.domain)
+        radius = covering_radius(retained)
         certification = check_deterministic(result.slack, estimate.overall, radius)
         guarantee_report = {"mode": MODE_DETERMINISTIC, "covering_radius": radius}
     else:

@@ -165,23 +165,20 @@ def _successors(model: SystemModel, states: np.ndarray) -> np.ndarray:
     return successors
 
 
-def covering_radius(states: np.ndarray, domain: RegionBox) -> float:
-    """Largest distance from any point of an interval to its nearest listed state.
+def covering_radius(dataset: Dataset) -> float:
+    """Largest distance from any point of the dataset's domain to its nearest state.
 
     The value is exact: with the states sorted, it is the larger of the two
     boundary gaps and half the widest interior gap.  States already in
     nondecreasing order, as grid samples and their filtered subsets are, are
-    read as given, with no sort.
+    read as given, with no sort.  The :class:`Dataset` has already refused
+    any state outside its domain.
     """
-    pts = np.asarray(states, dtype=float)
-    if pts.ndim != 1:
-        raise ValueError(f"expected (N,) states, got {pts.shape}")
-    if pts.size == 0:
+    s, domain = dataset.states, dataset.domain
+    if s.size == 0:
         raise PhysbcError("cannot cover a domain with zero states")
-    if not np.all(domain.contains(pts, rtol=1e-12)):
-        raise PhysbcError("states must lie inside the domain")
-
-    s = pts if np.all(pts[1:] >= pts[:-1]) else np.sort(pts)
+    if not np.all(s[1:] >= s[:-1]):
+        s = np.sort(s)
     radius = max(s[0] - domain.lower, domain.upper - s[-1])
     if s.size > 1:
         radius = max(radius, 0.5 * float(np.max(np.diff(s))))

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import operator
 import os
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -131,6 +132,21 @@ def bernstein_rows_exact(degree, region):
                 table[k][e] += term * Fraction(math.comb(k, m), math.comb(degree, m))
     return np.array([[float(table[k][e]) for e in range(degree, -1, -1)]
                      for k in range(degree + 1)])
+
+
+def bernstein_rows_accumulate(degree, region):
+    """Former :func:`physbc.barrier.bernstein_rows`, which made the end powers with
+    ``itertools.accumulate`` where the shipped one reads them from the basis matrix."""
+    lo, hi = (list(itertools.accumulate([end] * degree, operator.mul, initial=1.0))
+              for end in (region.lower, region.upper))
+    table = np.array([
+        [sum(math.comb(k, j) * math.comb(degree - k, e - j) / math.comb(degree, e)
+             * hi[j] * lo[e - j]
+             for j in range(max(0, e - degree + k), min(k, e) + 1))
+         for e in range(degree + 1)]
+        for k in range(degree + 1)
+    ])
+    return table[:, ::-1]
 
 
 def minimax_by_vertices(rows, offsets, feas_tol=1e-7):
@@ -367,7 +383,7 @@ def neighbour_maxima_grouped(flow, dataset):
     return float((rise / gaps).max()), starts.size - 1
 
 
-def safety_by_step_many(model, initial, unsafe, trajectories=1000, horizon=500, seed=0):
+def safety_by_step_many(model, initial, unsafe, trajectories, horizon, seed):
     """Drop-in for :func:`physbc.models.check_safety_empirically` built from public calls.
 
     Advances the batch with ``model.step_many`` and tests membership with

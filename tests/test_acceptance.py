@@ -28,7 +28,7 @@ from physbc.config import MODE_DETERMINISTIC, MODE_PROBABILISTIC, RunConfig, pre
 from physbc.filtering import apply_filter
 from physbc.models import RegionBox
 from physbc.pipeline import run
-from physbc.sampling import covering_radius, sample_iid
+from physbc.sampling import SCHEME_IID, Dataset, covering_radius, sample_iid
 from physbc.solver import solve, solve_minmax_direct
 
 
@@ -235,7 +235,8 @@ def test_criterion_7_empirical_safety_of_passing_runs(sd_det_run, lg_prob_run):
 
 
 def test_criterion_8_covering_radius_exactness():
-    hand = covering_radius(np.array([0.0, 0.5, 1.0]), RegionBox(0.0, 1.0))
+    three = np.array([0.0, 0.5, 1.0])
+    hand = covering_radius(Dataset(three, three, SCHEME_IID, RegionBox(0.0, 1.0)))
     hand_ok = hand == pytest.approx(0.25, abs=1e-15)
 
     rng = np.random.default_rng(7)
@@ -246,7 +247,7 @@ def test_criterion_8_covering_radius_exactness():
         if hi - lo < 1e-3:
             continue
         points = np.sort(rng.uniform(lo, hi, size=int(rng.integers(2, 40))))
-        exact = covering_radius(points, RegionBox(lo, hi))
+        exact = covering_radius(Dataset(points, points, SCHEME_IID, RegionBox(lo, hi)))
         grid = np.linspace(lo, hi, 200_001)
         scanned = float(np.abs(grid[:, None] - points[None, :]).min(axis=1).max())
         spacing = (hi - lo) / 200_000

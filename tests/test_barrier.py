@@ -11,11 +11,13 @@ from oracles import (
     assemble_vstack,
     basis_matrix_pow,
     basis_matrix_repeated,
+    bernstein_rows_accumulate,
     bernstein_rows_exact,
 )
 from physbc.barrier import (
     FAMILIES,
     INITIAL_LEVEL,
+    RESIDUAL_TOLERANCE,
     BarrierCertificate,
     assemble,
     basis_matrix,
@@ -265,6 +267,18 @@ def test_bernstein_rows_match_exact_rational_expansion(degree, draw):
     np.testing.assert_allclose(rows, exact, rtol=1e-13, atol=1e-13 * scale)
 
 
+def test_bernstein_rows_are_the_former_accumulated_powers_form_bit_for_bit():
+    # negative, tiny and wide intervals, every degree from 0 to 8
+    rng = np.random.default_rng(34)
+    lowers = rng.uniform(-5.0, 5.0, size=40)
+    lengths = 10.0 ** rng.uniform(-12.0, 2.0, size=40)
+    for degree in range(9):
+        for lower, length in zip(lowers, lengths):
+            box = RegionBox(float(lower), float(lower + length))
+            former = bernstein_rows_accumulate(degree, box)
+            assert bernstein_rows(degree, box).tobytes() == former.tobytes()
+
+
 def test_bernstein_rows_of_a_sparse_template_match_exact_rational_expansion():
     # a polynomial that skips powers, 2 x^4 - x^3 + 3 x + 0.5, is the degree-4
     # basis with the x^2 coefficient at zero
@@ -312,7 +326,7 @@ def test_assemble_row_structure():
 def test_assemble_auxiliary_rows():
     data = _toy_dataset(3)
     system = assemble(2, 0.83, data, INITIAL, UNSAFE, coeff_bound=50.0)
-    width = system.decision_size
+    width = system.rows.shape[1]
     assert width == 4
     assert system.family_sizes == (3, 3, 3, 2 * width, 1)
     bounds = system.rows[9:-1]
@@ -358,7 +372,7 @@ def test_assemble_writes_one_stack_equal_to_vstack(case, degree):
     # degree d: d + 1 Bernstein rows per region
     assert system.counts == {"initial": degree + 1, "unsafe": degree + 1, "flow": 50}
     # every system ends in 2 * width bound rows and the one gap row
-    assert system.family_sizes[3:] == (2 * system.decision_size, 1)
+    assert system.family_sizes[3:] == (2 * system.rows.shape[1], 1)
     assert not system.rows.flags.writeable and not system.offsets.flags.writeable
 
 
@@ -382,7 +396,7 @@ def test_family_counts_match_tag_tally(case, degree):
 def test_certificate_from_decision():
     data = _toy_dataset(2)
     system = assemble(2, 0.83, data, INITIAL, UNSAFE)
-    assert system.decision_size == 4
+    assert system.rows.shape[1] == 4
     cert = system.certificate_from_decision(np.array([1.5, 0.2, 0.8, -1.0]))
     assert cert.initial_level == INITIAL_LEVEL
     assert cert.unsafe_level == 1.5
@@ -426,7 +440,7 @@ def test_residuals_separate_the_three_families():
     model = supply_demand()
     xs = np.array([1.0, 2.0])
     data = Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
-    report = check_certificate(cert, 1e-9, sample_values(cert, data), INITIAL, UNSAFE)
+    report = check_certificate(cert, sample_values(cert, data), INITIAL, UNSAFE)
     # B is monotone, so its extreme Bernstein coefficients are its corner values
     assert report.initial_max == pytest.approx(0.6 - 0.55)
     assert report.unsafe_max == pytest.approx(2.66 - 2.6)
@@ -443,7 +457,7 @@ def test_region_residuals_hold_between_the_corners():
     # the ends alone would miss it
     cert = quadratic_certificate(-1.0, 1.1, -0.3025, initial_level=-0.001, unsafe_level=0.0)
     data = _toy_dataset(3)
-    report = check_certificate(cert, 1e-9, sample_values(cert, data), INITIAL, UNSAFE)
+    report = check_certificate(cert, sample_values(cert, data), INITIAL, UNSAFE)
     scan = np.linspace(0.5, 0.6, 1001)
     true_max = float((cert.evaluate(scan) - cert.initial_level).max())
     corner_max = float((cert.evaluate(np.array([0.5, 0.6])) - cert.initial_level).max())
@@ -459,10 +473,10 @@ def test_residual_report_serialises():
     model = supply_demand()
     xs = np.array([1.0, 1.5])
     data = Dataset(xs, model.step_many(xs), SCHEME_IID, DOMAIN, seed=0)
-    report = check_certificate(cert, 1e-6, sample_values(cert, data), INITIAL, UNSAFE)
+    report = check_certificate(cert, sample_values(cert, data), INITIAL, UNSAFE)
     d = report.to_dict()
     assert set(d) == {"initial_max", "unsafe_max", "flow_max", "definition_ok", "tolerance"}
-    assert d["tolerance"] == 1e-6
+    assert d["tolerance"] == RESIDUAL_TOLERANCE == 1e-7
 
 
 # the powers of polynomials that skip some, the constant alone, and the full quadratic;
@@ -564,7 +578,7 @@ def test_template_accepts_numpy_integers():
     assert basis_matrix(np.array([2.0]), np.int64(2)).tolist() == [[4.0, 2.0, 1.0]]
     assert bernstein_rows(np.int32(0), INITIAL).tolist() == [[1.0]]
     system = assemble(np.int64(2), 0.83, _toy_dataset(2), INITIAL, UNSAFE)
-    assert system.decision_size == 4 and system.rows.shape == (3 + 3 + 2 + 8 + 1, 4)
+    assert system.rows.shape == (3 + 3 + 2 + 8 + 1, 4)
 
 
 # One field of a saved certificate given as something other than a JSON number of its kind.

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import re
 from dataclasses import replace
+from typing import Optional, Union, get_type_hints
 
 import numpy as np
 import pytest
@@ -228,6 +230,47 @@ def test_lipschitz_seed_must_be_non_negative():
     data = _with_setting(small_config().to_dict(), "lipschitz.seed", -1)
     with pytest.raises(ValueError, match="lipschitz.seed must be non-negative"):
         RunConfig.from_dict(data)
+
+
+def _annotated_fields(cls=RunConfig, prefix=""):
+    """``(dotted key, annotation)`` of every field of ``cls`` and of its sections, read
+    from the dataclasses themselves; the regions are left out, as RegionBox checks its
+    own bounds."""
+    hints = get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            if hints[f.name] is not RegionBox:
+                yield from _annotated_fields(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, hints[f.name]
+
+
+# What a config error calls each checked type, and values of the wrong type for it.
+TYPE_NAMES = {int: "an integer", float: "a finite number", Optional[float]: "a finite number",
+              bool: "a boolean"}
+WRONG_TYPED = {
+    int: [2.5, "3", True, None],
+    float: ["0.5", True, None, math.inf],
+    Optional[float]: ["0.5", False, math.nan],
+    bool: ["true", 1, None],
+}
+
+
+def test_every_setting_has_a_checked_type():
+    # a field of any other type would go unchecked: name and system are checked by hand
+    others = {key: a for key, a in _annotated_fields() if a not in TYPE_NAMES}
+    assert others == {"system": Union[str, dict], "name": str, "lipschitz.method": str,
+                      "guarantee.mode": str}
+
+
+@pytest.mark.parametrize("key, annotation",
+                         [(key, a) for key, a in _annotated_fields() if a in TYPE_NAMES])
+def test_every_typed_setting_refuses_a_wrong_type_and_names_its_key(key, annotation):
+    for value in WRONG_TYPED[annotation]:
+        data = _with_setting(small_config().to_dict(), key, value)
+        message = f"{key} must be {TYPE_NAMES[annotation]}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig.from_dict(data)
 
 
 def test_non_finite_json_values_are_named():

@@ -179,7 +179,7 @@ def test_safety_check_detects_unsafe_start():
     initial = RegionBox(2.6, 2.65)
     unsafe = RegionBox(2.55, 2.7)
     for horizon in (0, 3):
-        domain_check = check_safety_empirically(model, initial, unsafe, 50, horizon)
+        domain_check = check_safety_empirically(model, initial, unsafe, 50, horizon, 0)
         assert domain_check.violation_count == 50
         assert not domain_check.safe
 
@@ -188,7 +188,7 @@ def test_safety_check_is_read_only():
     # a check may be shared between pipeline runs, so no run may alter it
     check = check_safety_empirically(
         supply_demand(), RegionBox(2.6, 2.65), RegionBox(2.55, 2.7),
-        trajectories=5, horizon=3,
+        trajectories=5, horizon=3, seed=0,
     )
     assert check.violation_count == 5
     with pytest.raises(AttributeError):
@@ -208,7 +208,7 @@ def test_safety_check_clean_run_is_reproducible():
 def test_safety_check_rejects_negative_horizon():
     line = RegionBox(0.0, 1.0)
     with pytest.raises(ValueError, match="horizon"):
-        check_safety_empirically(supply_demand(), line, line, trajectories=5, horizon=-1)
+        check_safety_empirically(supply_demand(), line, line, trajectories=5, horizon=-1, seed=0)
 
 
 # Unsafe sets narrower than one step near them: some trajectories start
@@ -349,7 +349,7 @@ def test_rollout_never_calls_einsum_or_matmul(monkeypatch):
     box = RegionBox(0.0, 0.5)
     monkeypatch.setattr(np, "einsum", refuse)
     monkeypatch.setattr(np, "matmul", refuse)
-    check_safety_empirically(model, box, box, trajectories=20, horizon=30)
+    check_safety_empirically(model, box, box, trajectories=20, horizon=30, seed=0)
     model.step_many(np.full(5, 0.1))
 
 
@@ -358,7 +358,8 @@ def _rollout_peak(horizon):
     initial, unsafe = RegionBox(0.5, 0.6), RegionBox(2.6, 2.7)
     tracemalloc.start()
     try:
-        check_safety_empirically(model, initial, unsafe, trajectories=1000, horizon=horizon)
+        check_safety_empirically(model, initial, unsafe, trajectories=1000, horizon=horizon,
+                                 seed=0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -388,9 +389,10 @@ def test_a_rollout_that_stops_being_finite_is_an_error(case):
                " which is not finite")
     # numpy's overflow warnings would fail this test: the rollout silences them
     with pytest.raises(PhysbcError, match=re.escape(message)):
-        check_safety_empirically(model, initial, unsafe, trajectories=4, horizon=400)
+        check_safety_empirically(model, initial, unsafe, trajectories=4, horizon=400, seed=0)
     # a horizon short of the overflow reads as it did
-    short = check_safety_empirically(model, initial, unsafe, trajectories=4, horizon=step - 1)
+    short = check_safety_empirically(model, initial, unsafe, trajectories=4, horizon=step - 1,
+                                     seed=0)
     assert short.safe and short.horizon == step - 1
 
 

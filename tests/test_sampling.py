@@ -94,30 +94,35 @@ def test_dataset_take_preserves_order_and_metadata():
     assert sub.successors[0] == data.successors[1]
 
 
+def _states_on(box, states):
+    """A dataset of ``states`` on ``box``; the covering radius reads only these two."""
+    states = np.asarray(states, dtype=float)
+    return Dataset(states, states, SCHEME_IID, box)
+
+
 def test_covering_radius_three_point_example():
-    box = RegionBox(0.0, 1.0)
-    assert covering_radius(np.array([0.0, 0.5, 1.0]), box) == pytest.approx(0.25)
+    assert covering_radius(_states_on(RegionBox(0.0, 1.0), [0.0, 0.5, 1.0])) == pytest.approx(0.25)
 
 
 def test_covering_radius_boundary_gaps_dominate():
     box = RegionBox(0.0, 1.0)
     # lone interior point: the far boundary is the worst spot
-    assert covering_radius(np.array([0.3]), box) == pytest.approx(0.7)
+    assert covering_radius(_states_on(box, [0.3])) == pytest.approx(0.7)
     # half the widest interior gap can also dominate
-    assert covering_radius(np.array([0.0, 0.1, 0.9, 1.0]), box) == pytest.approx(0.4)
+    assert covering_radius(_states_on(box, [0.0, 0.1, 0.9, 1.0])) == pytest.approx(0.4)
 
 
 def test_covering_radius_accepts_unsorted_input():
     box = RegionBox(0.0, 1.0)
     states = np.array([0.9, 0.1, 0.5])
-    assert covering_radius(states, box) == covering_radius(np.sort(states), box)
+    assert covering_radius(_states_on(box, states)) == covering_radius(
+        _states_on(box, np.sort(states)))
 
 
 def test_covering_radius_exact_against_dense_scan():
     rng = np.random.default_rng(11)
-    box = RegionBox(0.5, 2.7)
     states = rng.uniform(0.5, 2.7, size=40)
-    exact = covering_radius(states, box)
+    exact = covering_radius(_states_on(RegionBox(0.5, 2.7), states))
     probes = np.linspace(0.5, 2.7, 200_001)
     scan = np.min(np.abs(probes[:, None] - states[None, :]), axis=1).max()
     assert exact == pytest.approx(scan, abs=2e-5)
@@ -125,14 +130,10 @@ def test_covering_radius_exact_against_dense_scan():
 
 
 def test_covering_radius_error_paths():
-    box = RegionBox(0.0, 1.0)
+    # states outside the domain, or not (N,), are the Dataset's to refuse
+    # (test_dataset_shape_and_domain_validation)
     with pytest.raises(PhysbcError, match="cannot cover a domain with zero states"):
-        covering_radius(np.empty(0), box)
-    with pytest.raises(PhysbcError, match="states must lie inside the domain"):
-        covering_radius(np.array([1.5]), box)
-    for states in (np.array([[0.5, 0.5]]), np.array([[0.5]])):
-        with pytest.raises(ValueError, match=r"expected \(N,\) states"):
-            covering_radius(states, box)
+        covering_radius(_states_on(RegionBox(0.0, 1.0), []))
 
 
 def test_save_load_round_trip_is_bitwise(tmp_path):
@@ -440,22 +441,23 @@ def test_covering_radius_of_sorted_states_equals_the_sorted_form(ticks, seed):
     expected = max(s[0] - box.lower, box.upper - s[-1])
     if s.size > 1:
         expected = max(expected, 0.5 * float(np.max(np.diff(s))))
-    assert covering_radius(states, box) == float(max(expected, 0.0))
-    assert covering_radius(shuffled, box) == covering_radius(states, box)
+    assert covering_radius(_states_on(box, states)) == float(max(expected, 0.0))
+    assert covering_radius(_states_on(box, shuffled)) == covering_radius(_states_on(box, states))
 
 
 def test_covering_radius_does_not_sort_sorted_states(monkeypatch):
     box = RegionBox(0.5, 2.7)
-    grid = sample_grid(supply_demand(), box, 1001).states
-    states = np.repeat(grid, 3)
-    expected = covering_radius(np.random.default_rng(2).permutation(states), box)
+    grid = sample_grid(supply_demand(), box, 1001)
+    repeated = _states_on(box, np.repeat(grid.states, 3))
+    expected = covering_radius(_states_on(box, np.random.default_rng(2).permutation(
+        repeated.states)))
 
     def no_sort(*args, **kwargs):
         raise AssertionError("sorted states were sorted again")
 
     monkeypatch.setattr(np, "sort", no_sort)
-    assert covering_radius(states, box) == expected
-    assert covering_radius(grid, box) == expected
+    assert covering_radius(repeated) == expected
+    assert covering_radius(grid) == expected
 
 
 # ------------------------------------- the CSV text work split with a forked child
