@@ -33,8 +33,7 @@ class FilterOutcome:
     @cached_property
     def retained(self) -> Dataset:
         """The kept pairs in input order, gathered on first use."""
-        # gathers scattered pairs several times faster than the mask
-        return self.dataset.take(np.flatnonzero(self.mask))
+        return self.dataset.take(self.mask)
 
     @property
     def retained_count(self) -> int:
@@ -49,8 +48,8 @@ class FilterOutcome:
         """Longest contiguous run of discarded pairs, as ``(start index, length)``.
 
         The first of equal runs wins, and it is None when nothing was
-        discarded.  For ordered grids this run is the widest data gap the
-        filter opens up.
+        discarded.  Every sampled dataset is in ascending state order, so
+        this run is the widest data gap the filter opens on the state line.
         """
         return _longest_run(~self.mask)
 

@@ -16,8 +16,11 @@ residual audit, together with the dataset whose states give the gaps.
 :func:`estimate_pairwise` is exact over the sample pairs: on the state line
 the steepest slope over all pairs is the steepest between neighbouring
 distinct states (a secant over a wider span is a weighted mean of the secants
-it covers), so one sort gives the maximum over every sample pair.  States
-that coincide are grouped, and each group contributes its extreme values.
+it covers), so one scan of the states in order gives the maximum over every
+sample pair.  Every sampled dataset, and so every run's retained pairs, is
+in ascending state order, and is scanned as it is; other datasets are sorted
+first.  States that coincide are grouped, and each group contributes its
+extreme values.
 
 The extreme-value method draws ``pair_budget`` random pairs.  Their indices
 are drawn in one go from the configured seed; the slopes are then computed in
@@ -83,12 +86,12 @@ def _neighbour_maxima(flow: np.ndarray, dataset: Dataset):
     """Exact largest flow slope over all pairs of a dataset.
 
     Sorts the states once, unless one comparison shows they are already in
-    order (grid samples and their filtered subsets are), and groups equal
-    coordinates; between adjacent groups the steepest slope pairs one group's
-    highest value with the other's lowest; when no two states coincide each
-    group is one state and the grouping reductions are skipped.  Where three
-    values are collinear a wider secant can round one ulp above the neighbour
-    slopes, which the multiplier's headroom dwarfs.
+    order (every sampled dataset and its filtered subsets are), and groups
+    equal coordinates; between adjacent groups the steepest slope pairs one
+    group's highest value with the other's lowest; when no two states
+    coincide each group is one state and the grouping reductions are
+    skipped.  Where three values are collinear a wider secant can round one
+    ulp above the neighbour slopes, which the multiplier's headroom dwarfs.
     Returns ``(flow slope, adjacent group pairs)``.
     """
     _require_pairs(flow, dataset)

@@ -28,8 +28,9 @@ returns.  Beside the sampled pairs:
   returns; assembly and the seed scan work in blocks of rows beside it;
 * audit: the flow expression per retained pair, built one basis matrix at a
   time, and kept for the Lipschitz estimate;
-* Lipschitz: for states out of order, their sort order, freed once the
-  sorted states and flow values are gathered.
+* Lipschitz: the slopes between neighbouring states; every sampled dataset
+  is in ascending state order, so the retained pairs are scanned as they are,
+  with no sort order or sorted copy.
 
 The empirical validation simulates only the ground truth, so runs that differ
 in filtering, sampling or guarantee mode share it: it runs once per distinct

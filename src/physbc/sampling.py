@@ -3,10 +3,12 @@
 A dataset is an ordered collection of scalar (state, successor) pairs
 recorded from one model over one domain interval.  Grid and i.i.d.-uniform
 schemes are provided; both are reproducible from their parameters (the
-i.i.d. scheme from its seed).  A pipeline run takes the grid for a
-deterministic guarantee and i.i.d. draws for a probabilistic one.  Both
-refuse a successor that is not finite, naming the first state whose step
-overflows.  On an interval the covering radius is exact.
+i.i.d. scheme from its seed), and both record their states in ascending
+order, so every sampled dataset is ordered and no later stage sorts it.  A
+pipeline run takes the grid for a deterministic guarantee and i.i.d. draws
+for a probabilistic one.  Both refuse a successor that is not finite, naming
+the first state whose step overflows.  On an interval the covering radius is
+exact.
 
 Datasets persist as CSV written in blocks: :func:`write_rows` stacks 4 096
 rows from their columns and formats them with one ``%`` operation, which
@@ -88,7 +90,12 @@ _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) ma
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered (state, successor) pairs, two ``(N,)`` arrays, plus the metadata to rebuild them."""
+    """Ordered (state, successor) pairs, two ``(N,)`` arrays, plus the metadata to rebuild them.
+
+    Every sampled dataset holds its states in ascending order; one built
+    directly, or loaded from a file an earlier release wrote in draw order,
+    may hold them in any order, which the readers of the states allow for.
+    """
 
     states: np.ndarray
     successors: np.ndarray
@@ -114,10 +121,9 @@ class Dataset:
     def count(self) -> int:
         return self.states.size
 
-    def take(self, picks: np.ndarray) -> "Dataset":
-        """Subset in original order: ``picks`` is a boolean mask over the pairs
-        or ascending pair indices, and either selects the same arrays."""
-        return replace(self, states=self.states[picks], successors=self.successors[picks])
+    def take(self, mask: np.ndarray) -> "Dataset":
+        """Subset in original order: the pairs where the boolean ``mask`` is true."""
+        return replace(self, states=self.states[mask], successors=self.successors[mask])
 
 
 def _check_capacity(total: int):
@@ -141,13 +147,20 @@ def sample_grid(model: SystemModel, domain: RegionBox, count: int) -> Dataset:
 def sample_iid(model: SystemModel, domain: RegionBox, count: int, seed: int) -> Dataset:
     """Record successors at ``count`` i.i.d. uniform draws from the domain.
 
-    ``count`` is at least 1 and at most ``DEFAULT_MAX_SAMPLES``.
+    ``count`` is at least 1 and at most ``DEFAULT_MAX_SAMPLES``.  The draws
+    are recorded in ascending state order: the scenario program is a set of
+    constraints, so the order of its pairs moves neither the program nor its
+    bound, and every later stage can read the states as ordered.  Equal
+    doubles have equal bytes except for a signed zero, and a draw
+    ``lower + width * u`` is never ``-0.0``, so the sorted draw does not
+    depend on which sort kernel numpy picks.
     """
     if count < 1:
         raise ValueError("count must be positive")
     _check_capacity(count)
     rng = np.random.default_rng(seed)
     states = rng.uniform(domain.lower, domain.upper, size=count)
+    states.sort()
     return Dataset(states, _successors(model, states), SCHEME_IID, domain, seed=seed)
 
 
@@ -170,9 +183,9 @@ def covering_radius(dataset: Dataset) -> float:
 
     The value is exact: with the states sorted, it is the larger of the two
     boundary gaps and half the widest interior gap.  States already in
-    nondecreasing order, as grid samples and their filtered subsets are, are
-    read as given, with no sort.  The :class:`Dataset` has already refused
-    any state outside its domain.
+    nondecreasing order, as those of every sampled dataset and its filtered
+    subsets are, are read as given, with no sort.  The :class:`Dataset` has
+    already refused any state outside its domain.
     """
     s, domain = dataset.states, dataset.domain
     if s.size == 0:

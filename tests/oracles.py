@@ -21,7 +21,7 @@ from physbc.lipschitz import (
     _reverse_weibull_location,
 )
 from physbc.models import RegionBox, SafetyCheck
-from physbc.sampling import Dataset, _read_sidecar
+from physbc.sampling import SCHEME_IID, Dataset, _read_sidecar, _successors
 from physbc.solver import (
     FEASIBILITY_TOL,
     OPTIMALITY_TOL,
@@ -381,6 +381,16 @@ def neighbour_maxima_grouped(flow, dataset):
     hi = np.maximum.reduceat(family, starts)
     rise = np.maximum(np.abs(hi[1:] - lo[:-1]), np.abs(lo[1:] - hi[:-1]))
     return float((rise / gaps).max()), starts.size - 1
+
+
+def sample_iid_in_draw_order(model, domain, count, seed):
+    """The former body of :func:`physbc.sampling.sample_iid`: the same draws, unsorted.
+
+    The pairs stay in the order numpy's uniform stream gives them, as the
+    datasets of earlier releases hold them.
+    """
+    states = np.random.default_rng(seed).uniform(domain.lower, domain.upper, size=count)
+    return Dataset(states, _successors(model, states), SCHEME_IID, domain, seed=seed)
 
 
 def safety_by_step_many(model, initial, unsafe, trajectories, horizon, seed):

@@ -10,6 +10,7 @@ from oracles import (
     minimax_full_lp,
     pairwise_whole_array,
     safety_by_step_many,
+    sample_iid_in_draw_order,
 )
 import physbc.barrier
 import physbc.pipeline
@@ -196,17 +197,17 @@ REFERENCE_EXPECTATIONS = {
     "sd-det-phys": ("pass", 5499, 5500,
                     "f9718e9683ea7de01203ab3366387f7f7b779c834a72661d8347fc7ed3d4dc6c"),
     "sd-prob-trad": ("fail", 14999, None,
-                     "f6cc5cb631bda113850f4b97868873d254ae46ecdd3cf7815aba05aec5e22c47"),
+                     "8aba6f1054ca9d02019184864c6b731ccb7c194069039dc588acb4f170fcdad8"),
     "sd-prob-phys": ("fail", 7507, 7508,
-                     "f6cc5cb631bda113850f4b97868873d254ae46ecdd3cf7815aba05aec5e22c47"),
+                     "8aba6f1054ca9d02019184864c6b731ccb7c194069039dc588acb4f170fcdad8"),
     "lg-det-trad": ("fail", 4499, None,
                     "6e757d688ff42989b64952d681877137e54b5dfcb5ccda06b1c3a24dfc280199"),
     "lg-det-phys": ("fail", 2249, 2250,
                     "6e757d688ff42989b64952d681877137e54b5dfcb5ccda06b1c3a24dfc280199"),
     "lg-prob-trad": ("fail", 12999, None,
-                     "bbfa5b71cf9f4dc36171534bcee1933375d1ce3b4e05150690dd691c5748a0cc"),
+                     "bc7dfadcc6976f706aec9807f0ac637796522ee60237cba64b56f3a5a16bf2c1"),
     "lg-prob-phys": ("fail", 6500, 6501,
-                     "bbfa5b71cf9f4dc36171534bcee1933375d1ce3b4e05150690dd691c5748a0cc"),
+                     "bc7dfadcc6976f706aec9807f0ac637796522ee60237cba64b56f3a5a16bf2c1"),
 }
 REFERENCE_ACTIVE_ROWS = {"initial": 0, "unsafe": 1, "flow": 1, "bound": 2, "gap": 1}
 
@@ -220,6 +221,37 @@ def test_reference_settings_match_stored_expectations(key):
     assert report["lipschitz"]["samples_used"] == samples_used
     assert report["filter"].get("retained_count") == retained_count
     assert report["dataset"]["hash"] == data_hash
+
+
+PROBABILISTIC = sorted(key for key in REFERENCE_RESULTS
+                       if reference_config(key).guarantee.mode == MODE_PROBABILISTIC)
+
+
+@pytest.mark.parametrize("key", PROBABILISTIC)
+def test_a_probabilistic_run_sorts_nothing(key, monkeypatch):
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the sampled states were sorted again")
+
+    monkeypatch.setattr(np, "argsort", no_sort)
+    artifacts = run(reference_config(key, 0.05))
+    for data in (artifacts.dataset, artifacts.retained):
+        assert np.all(data.states[1:] >= data.states[:-1])
+
+
+@pytest.mark.parametrize("key", PROBABILISTIC)
+def test_the_order_of_the_draws_moves_no_result(key, monkeypatch):
+    config = reference_config(key, 0.05)
+    ascending = run(config)
+    # the same draws in draw order, as earlier releases recorded them
+    physbc.pipeline._dataset_memo.clear()
+    monkeypatch.setattr("physbc.pipeline.sample_iid", sample_iid_in_draw_order)
+    drawn = run(config)
+    assert not np.array_equal(drawn.dataset.states, ascending.dataset.states)
+    assert drawn.certificate.to_dict() == ascending.certificate.to_dict()
+    a, b = ascending.report, drawn.report
+    assert (a["solver"]["slack"], a["lipschitz"]["overall"], a["verdict"]) == (
+        b["solver"]["slack"], b["lipschitz"]["overall"], b["verdict"])
+    assert a["certification"] == b["certification"]
 
 
 def test_run_evaluates_the_barrier_on_retained_pairs_twice_after_the_solve(monkeypatch):

@@ -58,9 +58,11 @@ def test_iid_reproducible_by_seed():
     assert a.scheme == SCHEME_IID and a.seed == 3
     assert a.states.shape == (500,)
     assert np.all(DOMAIN.contains(a.states))
-    # the draw is numpy's uniform stream over the interval, one value per state
-    expected = np.random.default_rng(3).uniform(0.5, 2.7, size=500)
+    # the draw is numpy's uniform stream over the interval, one value per
+    # state, recorded in ascending order
+    expected = np.sort(np.random.default_rng(3).uniform(0.5, 2.7, size=500))
     assert a.states.tobytes() == expected.tobytes()
+    assert np.all(a.states[1:] > a.states[:-1])
 
 
 def test_iid_count_validation():
