@@ -41,19 +41,19 @@ system ends in the same auxiliary rows: ``2 * width`` symmetric bound rows
 that keep the polytope bounded, and one level-gap row ``initial_level -
 unsafe_level <= slack`` so that a negative optimal slack certifies
 ``unsafe_level > initial_level`` instead of letting the optimiser collapse
-the separation.  :func:`assemble` writes every row into one preallocated,
-read-only stack that the solver receives uncopied.  The rows come in the
-order of :data:`FAMILIES`, so a row's family follows from its position and
-the per-family row counts alone.
+the separation.  The rows come in the order of :data:`FAMILIES`, so a row's
+family follows from its position and the per-family row counts alone.  A
+flow row ``[0, y^d - decay x^d, ..., y - decay x, 1 - decay]`` varies in its
+``d`` middle entries only, so :func:`assemble` keeps just those columns
+between the region rows and the auxiliary rows, two small dense blocks: a
+:class:`physbc.solver.RowSystem`, with no ``N x (d + 2)`` stack.
 
 After the solve, :func:`sample_values` evaluates the flow expression once on
 the recorded pairs; the residual audit (:func:`check_certificate`) and the
 Lipschitz estimators read those values instead of evaluating it again.
 
-Full-length arrays, those with a row per pair: :func:`assemble` makes one,
-the stack, and writes its flow rows ``_BLOCK_ROWS`` pairs at a time, so its
-power buffers and finiteness check hold one block.  :func:`basis_matrix`
-fills its ``(N, degree + 1)`` result a block at a time too.
+Full-length arrays, those with a row per pair: :func:`assemble` keeps the
+flow columns, with two power columns beside them while it writes them.
 :func:`sample_values` holds one basis matrix and two value columns at a
 time; each of its two products is one BLAS call over the whole basis
 matrix, since a matrix-vector product split by rows can round its tail rows
@@ -72,29 +72,15 @@ import numpy as np
 from .errors import PhysbcError
 from .models import RegionBox, real_array
 from .sampling import Dataset
+from .solver import RowSystem
 
-# row families, in stack order: the two region families and the flow samples,
+# row families, in row order: the two region families and the flow samples,
 # then the auxiliary rows
 FAMILIES = ("initial", "unsafe", "flow", "bound", "gap")
 
 DEFAULT_COEFF_BOUND = 100.0
 INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
 RESIDUAL_TOLERANCE = 1e-7  # the residual audit's allowance above the slack
-
-# Rows per block of the row-wise passes of basis_matrix and assemble.
-_BLOCK_ROWS = 16_384
-
-
-def _powers(x: np.ndarray, top: int):
-    """Yield ``(e, x ** e)`` for ``e = 1 .. top``, each power the previous one times ``x``.
-
-    ``x ** 1`` is ``x`` itself; every later power overwrites one buffer.
-    """
-    power = x
-    for e in range(1, top + 1):
-        if e > 1:
-            power = np.multiply(power, x, out=None if e == 2 else power)
-        yield e, power
 
 
 def _degree(degree) -> int:
@@ -110,22 +96,18 @@ def basis_matrix(states: np.ndarray, degree: int) -> np.ndarray:
 
     Column ``j`` holds ``x^(degree - j)``.  Each power ``x^e`` is ``x^(e - 1) *
     x``, written straight into its column.  The last column, ``x^0``, is
-    exactly 1.0, as ``x**0`` is, also for inf and nan states.  The rows are
-    filled ``_BLOCK_ROWS`` at a time, so each block's powers are made while
-    its rows are in cache; every entry is the same product either way.
+    exactly 1.0, as ``x**0`` is, also for inf and nan states.
     """
     d = _degree(degree)
     x = np.asarray(states, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected (N,) states, got {x.shape}")
     out = np.empty((x.size, d + 1))
-    for at in range(0, x.size, _BLOCK_ROWS):
-        block, xs = out[at:at + _BLOCK_ROWS], x[at:at + _BLOCK_ROWS]
-        block[:, d] = 1.0
-        if d:
-            block[:, d - 1] = xs
-        for j in range(d - 2, -1, -1):
-            np.multiply(block[:, j + 1], xs, out=block[:, j])
+    out[:, d] = 1.0
+    if d:
+        out[:, d - 1] = x
+    for j in range(d - 2, -1, -1):
+        np.multiply(out[:, j + 1], x, out=out[:, j])
     return out
 
 
@@ -214,24 +196,23 @@ class BarrierCertificate:
 
 
 @dataclass(frozen=True, eq=False)
-class ConstraintSystem:
-    """Affine rows ``rows @ d + offsets <= slack`` over the decision vector.
+class ConstraintSystem(RowSystem):
+    """Affine rows ``a_i . d + b_i <= slack`` over the decision vector.
 
     The pinned :data:`INITIAL_LEVEL` is folded into the offsets, so the
-    decision vector is ``[unsafe_level, coefficients...]``.  ``rows`` and
-    ``offsets`` are one read-only stack, the solver's input as is.
-    ``family_sizes`` holds the row count of each of :data:`FAMILIES`, whose
-    rows lie in that order, one block after another.
+    decision vector is ``[unsafe_level, coefficients...]``.  ``lead`` holds
+    the initial and unsafe rows, ``flow`` column ``j`` is ``y^(d - j) - decay
+    x^(d - j)``, and ``trail`` holds the bound and gap rows; every array is
+    read-only, the solver's input as is.  ``family_sizes`` holds the row
+    count of each of :data:`FAMILIES`, whose rows lie in that order.
     """
 
     decay: float
-    rows: np.ndarray
-    offsets: np.ndarray
     family_sizes: Tuple[int, int, int, int, int]
 
     def __post_init__(self):
-        self.rows.flags.writeable = False
-        self.offsets.flags.writeable = False
+        for array in (self.lead, self.lead_offsets, self.flow, self.trail, self.trail_offsets):
+            array.flags.writeable = False
 
     @property
     def counts(self) -> dict:
@@ -239,10 +220,10 @@ class ConstraintSystem:
         return dict(zip(FAMILIES[:3], self.family_sizes))
 
     def family_counts(self, indices: np.ndarray) -> dict:
-        """Rows per family among ``indices``, positions in the stack; every family is a key."""
+        """Rows per family among ``indices``, row positions; every family is a key."""
         indices = np.asarray(indices)
-        if indices.size and (indices.min() < 0 or indices.max() >= len(self.offsets)):
-            raise IndexError("row index outside the constraint stack")
+        if indices.size and (indices.min() < 0 or indices.max() >= self.count):
+            raise IndexError("row index outside the constraint system")
         family = np.searchsorted(np.cumsum(self.family_sizes), indices, side="right")
         return dict(zip(FAMILIES, np.bincount(family, minlength=len(FAMILIES)).tolist()))
 
@@ -301,10 +282,8 @@ def assemble(
     successor's powers overflow, raises :class:`PhysbcError` naming the
     first such state and its successor.
 
-    The stack is the one full-length array this makes.  The flow rows are
-    written ``_BLOCK_ROWS`` at a time, each block with its own power buffers
-    and finiteness check, so beside the stack this holds one block's
-    scratch, whatever the pair count.
+    The flow columns, ``y^e - decay * x^e`` each, are the one full-length
+    array this returns; one ``isfinite`` over them checks every flow row.
     """
     if not (0.0 < decay <= 1.0):
         raise ValueError("decay must lie in (0, 1]")
@@ -312,55 +291,39 @@ def assemble(
         raise ValueError("coeff_bound must be positive")
 
     d = _degree(degree)
-    initial_rows = bernstein_rows(d, initial_region)
-    unsafe_rows = bernstein_rows(d, unsafe_region)
     width = 2 + d  # the unsafe level and the d + 1 coefficients
-    family_sizes = (len(initial_rows), len(unsafe_rows), data.count, 2 * width, 1)
-    samples = sum(family_sizes[:3])
-    rows = np.zeros((sum(family_sizes), width))
-    offsets = np.zeros(len(rows))
-    initial = slice(0, len(initial_rows))
-    unsafe = slice(initial.stop, initial.stop + len(unsafe_rows))
-    flow = slice(unsafe.stop, samples)
+    lead = np.zeros((2 * (d + 1), width))
+    lead_offsets = np.repeat([-INITIAL_LEVEL, 0.0], d + 1)
+    lead[:d + 1, 1:] = bernstein_rows(d, initial_region)
+    lead[d + 1:, 0] = 1.0
+    np.negative(bernstein_rows(d, unsafe_region), out=lead[d + 1:, 1:])
 
-    rows[initial, 1:] = initial_rows
-    offsets[initial] = -INITIAL_LEVEL
+    # column d - e is y^e - decay * x^e, each power the previous one times the state
+    flow = np.empty((data.count, d), order="F")
+    px, py = data.states, data.successors
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below says it all
+        for e in range(1, d + 1):
+            if e > 1:
+                px, py = px * data.states, py * data.successors
+            column = flow[:, d - e]
+            np.multiply(px, decay, out=column)
+            np.subtract(py, column, out=column)
+    finite = np.isfinite(flow)
+    if not finite.all():
+        first = int(np.argmin(finite.all(axis=1)))
+        raise PhysbcError(
+            f"the flow row of state {float(data.states[first])!r} and successor"
+            f" {float(data.successors[first])!r} is not finite at degree {d}")
 
-    rows[unsafe, 0] = 1.0
-    np.negative(unsafe_rows, out=rows[unsafe, 1:])
+    # each decision entry gets a +e_j and a -e_j row, then the gap row closes the system
+    trail = np.zeros((2 * width + 1, width))
+    trail[0:-1:2] = np.eye(width)
+    trail[1:-1:2] = -np.eye(width)
+    trail[-1, 0] = -1.0
+    trail_offsets = np.append(np.full(2 * width, -coeff_bound, dtype=float), INITIAL_LEVEL)
 
-    # column 1 + d - e of a flow row is y^e - decay * x^e, the basis matrices'
-    # arithmetic written straight into the stack
-    flow_rows = rows[flow]
-    for at in range(0, data.count, _BLOCK_ROWS):
-        block = flow_rows[at:at + _BLOCK_ROWS]
-        xs, ys = data.states[at:at + _BLOCK_ROWS], data.successors[at:at + _BLOCK_ROWS]
-        block[:, 1 + d] = 1.0 - 1.0 * decay
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below says it all
-            for (e, px), (_, py) in zip(_powers(xs, d), _powers(ys, d)):
-                column = block[:, 1 + d - e]
-                np.multiply(px, decay, out=column)
-                np.subtract(py, column, out=column)
-        if not np.isfinite(block).all():
-            first = at + int(np.argmin(np.isfinite(block).all(axis=1)))
-            raise PhysbcError(
-                f"the flow row of state {float(data.states[first])!r} and successor"
-                f" {float(data.successors[first])!r} is not finite at degree {d}")
-
-    # each decision entry gets a +e_j and a -e_j row, then the gap row closes the stack
-    bounds = rows[samples:-1]
-    bounds[0::2] = np.eye(width)
-    bounds[1::2] = -np.eye(width)
-    offsets[samples:-1] = -coeff_bound
-    rows[-1, 0] = -1.0
-    offsets[-1] = INITIAL_LEVEL
-
-    return ConstraintSystem(
-        decay=decay,
-        rows=rows,
-        offsets=offsets,
-        family_sizes=family_sizes,
-    )
+    return ConstraintSystem(lead, lead_offsets, flow, 1.0 - 1.0 * decay, trail, trail_offsets,
+                            decay, (d + 1, d + 1, data.count, 2 * width, 1))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ each interval.  The recorded pairs feed the flow rows, and the flow
 expression on them, evaluated once, feeds the audit and the Lipschitz
 estimate.
 
-The constraint stack is freed once the solve has read it: the certificate,
+The constraint system is freed once the solve has read it: the certificate,
 the binding rows per family and the cross-check block are taken from it, and
 nothing returned holds it, so the audit and the Lipschitz estimate run without
 it beside them.  :func:`physbc.barrier.assemble` on the run's retained pairs
@@ -23,9 +23,9 @@ returns.  Beside the sampled pairs:
 
 * filter (:func:`_filtered`): every pair's discrepancy and the keep mask,
   freed when the stage returns, and the retained pairs, which stay;
-* assemble and solve (:func:`_fit`): the constraint stack, and the
-  exchange's row values with their binding mask, freed when the solve
-  returns; assembly and the seed scan work in blocks of rows beside it;
+* assemble and solve (:func:`_fit`): the flow rows' varying columns (two
+  at degree 2), and the exchange's row values with their binding mask,
+  freed when the solve returns;
 * audit: the flow expression per retained pair, built one basis matrix at a
   time, and kept for the Lipschitz estimate;
 * Lipschitz: the slopes between neighbouring states; every sampled dataset
@@ -252,11 +252,11 @@ def _filtered(config: RunConfig, dataset: Dataset, physics: SystemModel):
 
 
 def _fit(config: RunConfig, retained: Dataset, timings: dict):
-    """Assemble the constraint stack on ``retained`` and solve it.
+    """Assemble the constraint system on ``retained`` and solve it.
 
     Returns the solve result, the certificate, the binding rows per family and
     the cross-check block (None when it is off).  Only this frame holds the
-    stack, so it is freed when this returns.
+    system, so it is freed when this returns.
     """
     clock = time.perf_counter
     t0 = clock()
@@ -265,7 +265,7 @@ def _fit(config: RunConfig, retained: Dataset, timings: dict):
     timings["assemble"] = clock() - t0
 
     t0 = clock()
-    result = solve(system.rows, system.offsets)
+    result = solve(system)
     if result.status != STATUS_OPTIMAL:
         raise PhysbcError(f"scenario program did not solve to optimality: {result.status}")
     certificate = system.certificate_from_decision(result.decision)
@@ -275,7 +275,7 @@ def _fit(config: RunConfig, retained: Dataset, timings: dict):
         # at the production optimum: only those indices cross over, never the
         # decision or the slack, and HiGHS alone proves its optimum over every
         # row.  Its first call imports scipy.optimize.
-        direct = solve_minmax_direct(system.rows, system.offsets, start_rows=result.active_rows)
+        direct = solve_minmax_direct(system, start_rows=result.active_rows)
         cross = {
             "status": direct.status,
             "slack": direct.slack,

@@ -6,12 +6,14 @@ Both entry points minimise the shared slack ``s`` over rows
 
 The systems this package assembles are tall and thin (up to a few hundred
 thousand rows over a handful of decision columns) and only a few rows bind at
-the optimum.  Both entry points therefore run one exchange driver, constraint
-generation in the manner of Kelley's cutting-plane method: solve the problem
-restricted to a small working set of rows exactly, evaluate every row with one
-matrix-vector product, admit the worst row, and repeat until no row exceeds
-the restricted slack.  They differ only in the restricted solver, and the two
-share no arithmetic:
+the optimum.  Nearly all are flow rows, which vary in a few columns only, so
+a :class:`RowSystem` keeps those columns between two small dense blocks; a
+dense stack is one with every row in its first block.  Both entry points run
+one exchange driver, constraint generation in the manner of Kelley's
+cutting-plane method: solve the problem restricted to a small working set of
+rows exactly, evaluate every row, admit the worst row, and repeat until no
+row exceeds the restricted slack.  They differ only in the restricted
+solver, and the two share no arithmetic:
 
 * :func:`solve`, the production path, runs a small dense simplex on the LP
   dual of the restricted problem: ``width + 1`` equality rows however many
@@ -32,7 +34,7 @@ routes need not solve the same restricted problems.
 
 Where the exchange starts does not decide what it returns.  A restricted
 problem has a subset of the rows, so its minimum is never above the full
-one.  The exchange stops only when one matrix-vector product shows that no
+one.  The exchange stops only when the evaluation of every row shows that no
 row at the restricted decision exceeds the restricted slack, and that row
 maximum is at least the full minimum.  So at the stop the decision is optimal
 to the stopping tolerance, whichever rows started the exchange: start rows
@@ -67,74 +69,102 @@ _ARTIFICIAL_BOX = 1e6
 # terminates on its own long before this on problems of this size.
 _MAX_PIVOTS = 20000
 
-# Rows per block of the seed scan's transposed scratch.
-_BLOCK_ROWS = 16_384
-
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     slack: float
     decision: np.ndarray
     status: str
-    active_rows: np.ndarray  # indices into the row stack handed to the solver
+    active_rows: np.ndarray  # row indices, counted as in the system handed to the solver
 
     @property
     def optimal(self) -> bool:
         return self.status == STATUS_OPTIMAL
 
 
-def _validate(rows: np.ndarray, offsets: np.ndarray):
-    """The stack as float arrays, with its shape checked; :func:`_seed_rows`,
-    the first pass over its entries, checks that they are finite."""
-    A = np.atleast_2d(np.asarray(rows, dtype=float))
-    b = np.atleast_1d(np.asarray(offsets, dtype=float))
-    if A.ndim != 2 or A.shape[0] != b.shape[0]:
-        raise ValueError("rows and offsets must agree on the number of constraints")
-    if A.shape[0] == 0:
-        raise ValueError("need at least one row")
-    if A.shape[1] == 0:
-        raise ValueError("need at least one decision variable")
-    return A, b
-
-
-def _seed_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Initial working set: each column's largest and smallest row, plus the
-    row with the largest offset; a ValueError if any row or offset is not
-    finite.
-
-    Chosen from the data rather than from the row order, so the seed does not
-    depend on how a caller stacks its rows: a block of near-collinear leading
-    rows would start the exchange from a singular restricted problem.
-
-    The stack is read once, ``_BLOCK_ROWS`` rows at a time: each block's
-    columns and offsets are copied into one small contiguous transposed
-    scratch and reduced there.  So beside the stack this holds one block,
-    never a full-length column, whether the stack is in C or F order.  A
-    block's extreme replaces the running one only when it is strictly
-    larger (or smaller), so each column gets its first extreme row, as a
-    reduction over axis 0 does.
+@dataclass(frozen=True, eq=False)
+class RowSystem:
+    """Affine rows ``a_i . v + b_i``: the dense ``lead``, then flow rows ``[0,
+    flow[i], flow_constant]`` with offset 0, which vary only in the columns of
+    the F-contiguous ``flow``, then the dense ``trail``.  The solver reads it
+    through :meth:`evaluate`, :meth:`row` and :meth:`seed_rows` alone.
     """
-    count, width = A.shape
-    scratch = np.empty((width + 1) * min(count, _BLOCK_ROWS))
-    entries = np.arange(width + 1)
-    high, low = np.full(width + 1, -np.inf), np.full(width + 1, np.inf)
-    highest = lowest = 0  # every entry is finite, so the first block replaces these
-    for at in range(0, count, _BLOCK_ROWS):
-        size = min(count - at, _BLOCK_ROWS)
-        block = scratch[:(width + 1) * size].reshape(width + 1, size)
-        np.copyto(block[:width], A[at:at + size].T)
-        np.copyto(block[width], b[at:at + size])
-        top, bottom = block.argmax(axis=1), block.argmin(axis=1)
-        peak, trough = block[entries, top], block[entries, bottom]
+
+    lead: np.ndarray
+    lead_offsets: np.ndarray
+    flow: np.ndarray
+    flow_constant: float
+    trail: np.ndarray
+    trail_offsets: np.ndarray
+
+    @classmethod
+    def stack(cls, rows, offsets) -> "RowSystem":
+        """A dense stack as a system, every row in ``lead``; its shape checked."""
+        A = np.atleast_2d(np.asarray(rows, dtype=float))
+        b = np.atleast_1d(np.asarray(offsets, dtype=float))
+        if A.ndim != 2 or A.shape[0] != b.shape[0] or 0 in A.shape:
+            raise ValueError("need as many offsets as rows, at least one row and one column")
+        flow = np.empty((0, max(A.shape[1] - 2, 0)))
+        return cls(A, b, flow, 0.0, np.empty((0, A.shape[1])), np.empty(0))
+
+    @property
+    def count(self) -> int:
+        return len(self.lead) + len(self.flow) + len(self.trail)
+
+    def evaluate(self, decision: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Every row at ``decision``, written into ``out``: a matrix-vector
+        product per dense part, and the flow rows elementwise as ``c_1 u_1 +
+        ... + c_d u_d + c_0 flow_constant``, ``u_e`` the column of ``x^e``."""
+        h, n = len(self.lead), len(self.flow)
+        for part, rows, offsets in ((out[:h], self.lead, self.lead_offsets),
+                                    (out[h + n:], self.trail, self.trail_offsets)):
+            np.matmul(rows, decision, out=part)
+            part += offsets
+        values, d = out[h:h + n], self.flow.shape[1]
+        if d:
+            np.multiply(self.flow[:, d - 1], decision[d], out=values)
+        else:
+            values.fill(0.0)
+        for j in range(d - 2, -1, -1):
+            values += self.flow[:, j] * decision[1 + j]
+        values += decision[-1] * self.flow_constant
+        return out
+
+    def row(self, i: int) -> tuple:
+        """Row ``i`` and its offset, the row in exactly the bytes a dense stack holds."""
+        h, n = len(self.lead), len(self.flow)
+        if i < h:
+            return self.lead[i], self.lead_offsets[i]
+        if i >= h + n:
+            return self.trail[i - h - n], self.trail_offsets[i - h - n]
+        row = np.zeros(self.lead.shape[1])
+        row[1:-1], row[-1] = self.flow[i - h], self.flow_constant
+        return row, 0.0
+
+    def seed_rows(self) -> np.ndarray:
+        """Initial working set from the data, not the row order, where collinear
+        leading rows could start a singular problem: each column's first
+        largest and first smallest row, and the first row with the largest
+        offset; a ValueError if an entry is not finite.  Only the dense rows,
+        the first flow row and each flow column's first entries equal to its
+        max and min (``argmax`` would copy a read-only array) can be those."""
+        h, n, width = len(self.lead), len(self.flow), self.lead.shape[1]
+        candidates = [np.arange(h), h + n + np.arange(len(self.trail))]
+        if n:
+            extremes = np.concatenate([self.flow.max(axis=0), self.flow.min(axis=0)])
+            if not np.isfinite(extremes).all():
+                raise ValueError("rows and offsets must be finite")
+            firsts = [np.argmax(col == value) for col, value in zip([*self.flow.T] * 2, extremes)]
+            candidates += [[h], h + np.array(firsts, dtype=int)]
+        candidates = np.unique(np.concatenate(candidates))
+        block = np.column_stack([*map(np.array, zip(*map(self.row, candidates)))])
+        top, bottom = block.argmax(axis=0), block.argmin(axis=0)
         # both reductions stop at a nan, and an infinity is an extreme, so an
-        # entry that is not finite shows in peak or trough
-        if not (np.isfinite(peak).all() and np.isfinite(trough).all()):
+        # entry that is not finite shows in a peak or a trough
+        entries = np.arange(width + 1)
+        if not np.isfinite([block[top, entries], block[bottom, entries]]).all():
             raise ValueError("rows and offsets must be finite")
-        highest = np.where(peak > high, at + top, highest)
-        high = np.maximum(high, peak)
-        lowest = np.where(trough < low, at + bottom, lowest)
-        low = np.minimum(low, trough)
-    return np.concatenate([highest[:width], lowest[:width], highest[width:]])
+        return candidates[np.concatenate([top[:width], bottom[:width], top[width:]])]
 
 
 def _start_rows(start_rows, count: int) -> np.ndarray:
@@ -150,37 +180,39 @@ def _start_rows(start_rows, count: int) -> np.ndarray:
     return picks
 
 
-def _exchange(A: np.ndarray, b: np.ndarray, restricted, start_rows=()) -> SolveResult:
-    """Constraint generation over the rows of ``A v + b``.
+def _exchange(rows, offsets, restricted, start_rows=()) -> SolveResult:
+    """Constraint generation over the rows of a :class:`RowSystem`, or of a
+    dense stack with its offsets.
 
     The working set starts as the seed rows merged with ``start_rows``.  Each
     round solves the working-set rows exactly with ``restricted``
     (``(A_w, b_w) -> (decision, slack)``, boxed at ``_ARTIFICIAL_BOX``),
-    evaluates every row with one matrix-vector product and admits the
-    globally worst row (lowest index on ties), until no row exceeds the
-    restricted slack.  The admitted row goes last, so the rows already in the
-    working set keep their positions; :func:`solve` resumes each round's
-    simplex from the previous one's basis on that account.  A converged decision pressed against the box means the
-    full problem is unbounded.  The reported slack is clamped to the maximum
-    over all rows, so it never understates the decision's true objective.
+    evaluates every row into one reused array and admits the globally worst
+    row (lowest index on ties), until no row exceeds the restricted slack.
+    The admitted row goes last, so the rows already in the working set keep
+    their positions; :func:`solve` resumes each round's simplex from the
+    previous one's basis on that account.  A converged decision pressed
+    against the box means the full problem is unbounded.  The reported slack
+    is clamped to the maximum over all rows, so it never understates the
+    decision's true objective.
 
     It needs no round cap: a round that does not stop either admits a row
     outside the working set or raises "stalled", so with N rows and W in the
     starting working set it ends within N - W + 1 rounds.
     """
-    width = A.shape[1]
-    working = np.union1d(_seed_rows(A, b), _start_rows(start_rows, A.shape[0])).tolist()
-    values = np.empty(A.shape[0])  # every round's row values, in one array
+    system = rows if isinstance(rows, RowSystem) else RowSystem.stack(rows, offsets)
+    working = np.union1d(system.seed_rows(), _start_rows(start_rows, system.count)).tolist()
+    A_w, b_w = map(np.array, zip(*map(system.row, working)))  # the working rows, fetched once
+    values = np.empty(system.count)  # every round's row values, in one array
     while True:
-        decision, slack = restricted(A[working], b[working])
-        np.matmul(A, decision, out=values)
-        values += b
+        decision, slack = restricted(A_w, b_w)
+        system.evaluate(decision, values)
         worst = int(np.argmax(values))
         if values[worst] <= slack + 1e-9 * max(1.0, abs(slack)):
             if np.max(np.abs(decision)) >= 0.5 * _ARTIFICIAL_BOX:
                 return SolveResult(
                     slack=float("-inf"),
-                    decision=np.full(width, np.nan),
+                    decision=np.full(system.lead.shape[1], np.nan),
                     status=STATUS_UNBOUNDED,
                     active_rows=np.empty(0, dtype=int),
                 )
@@ -195,6 +227,8 @@ def _exchange(A: np.ndarray, b: np.ndarray, restricted, start_rows=()) -> SolveR
         if worst in working:
             raise PhysbcError("exchange stalled on an already-admitted row")
         working.append(worst)
+        row, offset = system.row(worst)
+        A_w, b_w = np.vstack([A_w, row]), np.append(b_w, offset)
 
 
 # --------------------------------------------------------------------------
@@ -300,15 +334,15 @@ def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray, previous=None):
     return decision, float(np.max(A_w @ decision + b_w)), basis
 
 
-def solve(rows: np.ndarray, offsets: np.ndarray) -> SolveResult:
+def solve(rows, offsets=None) -> SolveResult:
     """Minimise the row maximum by constraint generation over dense dual
     simplex solves, each round's resuming from the previous round's optimal
     basis.
 
+    ``rows`` is a :class:`RowSystem`, or a dense stack with its ``offsets``.
     The exchange ends within one round per row outside the seed working set,
     plus one (see :func:`_exchange`).
     """
-    A, b = _validate(rows, offsets)
     basis = None  # the last round's optimal dual basis
 
     def restricted(A_w, b_w):
@@ -316,7 +350,7 @@ def solve(rows: np.ndarray, offsets: np.ndarray) -> SolveResult:
         decision, slack, basis = _restricted_minmax(A_w, b_w, basis)
         return decision, slack
 
-    return _exchange(A, b, restricted)
+    return _exchange(rows, offsets, restricted)
 
 
 # --------------------------------------------------------------------------
@@ -361,14 +395,15 @@ def _restricted_highs(A_w: np.ndarray, b_w: np.ndarray):
     return result.x[:-1], float(result.x[-1])
 
 
-def solve_minmax_direct(rows: np.ndarray, offsets: np.ndarray, start_rows=()) -> SolveResult:
+def solve_minmax_direct(rows, offsets=None, start_rows=()) -> SolveResult:
     """Minimise the row maximum by constraint generation over HiGHS solves.
 
     The cross-check of :func:`solve`: the same exchange, with the restricted
     problems handed to the HiGHS LP backend (``scipy.optimize``, imported on
     the first call), so it shares no LP arithmetic with the production route.
 
-    ``start_rows`` (integer indices in ``[0, len(rows))``, else ``ValueError``)
+    ``rows`` is a :class:`RowSystem`, or a dense stack with its ``offsets``.
+    ``start_rows`` (integer row indices in ``[0, count)``, else ``ValueError``)
     join the seed working set.  They choose only where the exchange starts:
     every restricted minimum is at most the full one, and the exchange stops
     only once every row at the HiGHS decision is within tolerance of the
@@ -377,5 +412,4 @@ def solve_minmax_direct(rows: np.ndarray, offsets: np.ndarray, start_rows=()) ->
     route's optimum usually makes it one HiGHS solve.  Like :func:`solve`, it
     ends within one round per row outside the starting working set, plus one.
     """
-    A, b = _validate(rows, offsets)
-    return _exchange(A, b, _restricted_highs, start_rows)
+    return _exchange(rows, offsets, _restricted_highs, start_rows)

@@ -29,7 +29,6 @@ from physbc.solver import (
     SolveResult,
     _exchange,
     _restricted_minmax,
-    _validate,
 )
 
 
@@ -223,8 +222,22 @@ def minimax_cold_start(rows, offsets):
     """:func:`physbc.solver.solve` with every round started cold: the same
     exchange, with each restricted dual simplex started from the
     largest-offset basis instead of the previous round's optimal basis."""
-    A, b = _validate(rows, offsets)
-    return _exchange(A, b, lambda A_w, b_w: _restricted_minmax(A_w, b_w)[:2])
+    return _exchange(rows, offsets, lambda A_w, b_w: _restricted_minmax(A_w, b_w)[:2])
+
+
+def dense(system):
+    """The dense ``(rows, offsets)`` stack of a compact row system, row for row.
+
+    Built from the system's parts alone: the leading rows, then one row
+    ``[0, flow[i], flow_constant]`` with offset 0 per flow row, then the
+    trailing rows.
+    """
+    flow = np.zeros((len(system.flow), system.lead.shape[1]))
+    flow[:, 1:-1] = system.flow
+    flow[:, -1] = system.flow_constant
+    rows = np.vstack([system.lead, flow, system.trail])
+    offsets = np.concatenate([system.lead_offsets, np.zeros(len(flow)), system.trail_offsets])
+    return rows, offsets
 
 
 def random_bounded_instance(rng, variables, extra_rows, bound=10.0):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import physbc.barrier
 from oracles import (
     assemble_vstack,
     basis_matrix_pow,
     basis_matrix_repeated,
     bernstein_rows_accumulate,
     bernstein_rows_exact,
+    dense,
 )
 from physbc.barrier import (
     FAMILIES,
@@ -301,42 +301,44 @@ def test_bernstein_rows_of_a_sparse_template_match_exact_rational_expansion():
 def test_assemble_row_structure():
     data = _toy_dataset(4)
     system = assemble(2, 0.83, data, INITIAL, UNSAFE)
+    rows, offsets = dense(system)
 
     # d + 1 = 3 Bernstein rows per region
     assert system.counts == {"initial": 3, "unsafe": 3, "flow": 4}
     # then 2 bound rows per decision entry and the level-gap row
     assert system.family_sizes == (3, 3, 4, 8, 1)
-    assert system.rows.shape == (19, 4)
+    assert rows.shape == (19, 4)
 
     # initial rows:  b_k - initial_level <= slack, pin folded into the offset
-    assert np.array_equal(system.rows[:3, 1:], bernstein_rows(2, INITIAL))
-    assert np.all(system.rows[:3, 0] == 0.0)
-    assert system.rows[0] == pytest.approx([0.0, 0.25, 0.5, 1.0])
-    assert system.offsets[:3] == pytest.approx([-INITIAL_LEVEL] * 3)
+    assert np.array_equal(rows[:3, 1:], bernstein_rows(2, INITIAL))
+    assert np.all(rows[:3, 0] == 0.0)
+    assert rows[0] == pytest.approx([0.0, 0.25, 0.5, 1.0])
+    assert offsets[:3] == pytest.approx([-INITIAL_LEVEL] * 3)
     # unsafe rows:   unsafe_level - b_k <= slack
-    assert np.array_equal(system.rows[3:6, 1:], -bernstein_rows(2, UNSAFE))
-    assert system.rows[3] == pytest.approx([1.0, -(2.6 ** 2), -2.6, -1.0])
+    assert np.array_equal(rows[3:6, 1:], -bernstein_rows(2, UNSAFE))
+    assert rows[3] == pytest.approx([1.0, -(2.6 ** 2), -2.6, -1.0])
     # flow rows:     B(y) - decay B(x) <= slack
     x, y = data.states[0], data.successors[0]
     expected = [0.0, y * y - 0.83 * x * x, y - 0.83 * x, 1.0 - 0.83]
-    assert system.rows[6] == pytest.approx(expected)
-    assert np.all(system.offsets[3:10] == 0.0)
+    assert rows[6] == pytest.approx(expected)
+    assert np.all(offsets[3:10] == 0.0)
 
 
 def test_assemble_auxiliary_rows():
     data = _toy_dataset(3)
     system = assemble(2, 0.83, data, INITIAL, UNSAFE, coeff_bound=50.0)
-    width = system.rows.shape[1]
+    rows, offsets = dense(system)
+    width = rows.shape[1]
     assert width == 4
     assert system.family_sizes == (3, 3, 3, 2 * width, 1)
-    bounds = system.rows[9:-1]
-    assert np.all(system.offsets[9:-1] == -50.0)
+    bounds = rows[9:-1]
+    assert np.all(offsets[9:-1] == -50.0)
     # each decision entry gets a +e_j and a -e_j row
     assert bounds[0::2] == pytest.approx(np.eye(width))
     assert bounds[1::2] == pytest.approx(-np.eye(width))
     # the gap row reads initial_level - unsafe_level <= slack
-    assert system.rows[-1] == pytest.approx([-1.0, 0.0, 0.0, 0.0])
-    assert system.offsets[-1] == INITIAL_LEVEL
+    assert rows[-1] == pytest.approx([-1.0, 0.0, 0.0, 0.0])
+    assert offsets[-1] == INITIAL_LEVEL
 
 
 STACK_CASES = {
@@ -364,16 +366,19 @@ def _stack_case(case, degree):
 def test_assemble_writes_one_stack_equal_to_vstack(case, degree):
     system, expected = _stack_case(case, degree)
     rows, offsets, tags, extra_rows, extra_offsets, extra_tags = expected
-    assert np.array_equal(system.rows, np.vstack([rows, extra_rows]))
-    assert np.array_equal(system.offsets, np.concatenate([offsets, extra_offsets]))
+    stack, stack_offsets = dense(system)
+    assert np.array_equal(stack, np.vstack([rows, extra_rows]))
+    assert np.array_equal(stack_offsets, np.concatenate([offsets, extra_offsets]))
     # a row's family is its position: the per-row tags follow from the sizes
     assert np.array_equal(np.repeat(FAMILIES, system.family_sizes),
                           np.concatenate([tags, extra_tags]))
     # degree d: d + 1 Bernstein rows per region
     assert system.counts == {"initial": degree + 1, "unsafe": degree + 1, "flow": 50}
     # every system ends in 2 * width bound rows and the one gap row
-    assert system.family_sizes[3:] == (2 * system.rows.shape[1], 1)
-    assert not system.rows.flags.writeable and not system.offsets.flags.writeable
+    assert system.family_sizes[3:] == (2 * stack.shape[1], 1)
+    # every part the solver reads is read-only
+    parts = (system.lead, system.lead_offsets, system.flow, system.trail, system.trail_offsets)
+    assert not any(part.flags.writeable for part in parts)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -396,7 +401,7 @@ def test_family_counts_match_tag_tally(case, degree):
 def test_certificate_from_decision():
     data = _toy_dataset(2)
     system = assemble(2, 0.83, data, INITIAL, UNSAFE)
-    assert system.rows.shape[1] == 4
+    assert dense(system)[0].shape[1] == 4
     cert = system.certificate_from_decision(np.array([1.5, 0.2, 0.8, -1.0]))
     assert cert.initial_level == INITIAL_LEVEL
     assert cert.unsafe_level == 1.5
@@ -417,7 +422,7 @@ def test_assemble_names_the_first_pair_whose_flow_row_is_not_finite(successor):
         with pytest.raises(PhysbcError, match=re.escape(message)):
             assemble(2, 0.83, data, INITIAL, UNSAFE)
         if not np.isnan(successor):
-            assert np.isfinite(assemble(1, 0.83, data, INITIAL, UNSAFE).rows).all()
+            assert np.isfinite(dense(assemble(1, 0.83, data, INITIAL, UNSAFE))[0]).all()
 
 
 def test_assemble_rejects_bad_decay_and_bound():
@@ -517,11 +522,12 @@ def test_assemble_equals_vstack_on_templates_with_gaps(exponents, strided, decay
     system = assemble(degree, decay, data, initial, unsafe)
     rows, offsets, _, extra_rows, extra_offsets, _ = assemble_vstack(
         degree, decay, data, initial, unsafe)
-    assert system.rows.tobytes() == np.vstack([rows, extra_rows]).tobytes()
-    assert system.offsets.tobytes() == np.concatenate([offsets, extra_offsets]).tobytes()
+    stack, stack_offsets = dense(system)
+    assert stack.tobytes() == np.vstack([rows, extra_rows]).tobytes()
+    assert stack_offsets.tobytes() == np.concatenate([offsets, extra_offsets]).tobytes()
     # the flow rows times the polynomial's coefficients are its flow expression
     flow = slice(*np.cumsum(system.family_sizes)[1:3])
-    np.testing.assert_allclose(system.rows[flow, 1:] @ certificate.coefficients,
+    np.testing.assert_allclose(stack[flow, 1:] @ certificate.coefficients,
                                sample_values(certificate, data), rtol=1e-12, atol=1e-12)
 
 
@@ -578,7 +584,7 @@ def test_template_accepts_numpy_integers():
     assert basis_matrix(np.array([2.0]), np.int64(2)).tolist() == [[4.0, 2.0, 1.0]]
     assert bernstein_rows(np.int32(0), INITIAL).tolist() == [[1.0]]
     system = assemble(np.int64(2), 0.83, _toy_dataset(2), INITIAL, UNSAFE)
-    assert system.rows.shape == (3 + 3 + 2 + 8 + 1, 4)
+    assert dense(system)[0].shape == (3 + 3 + 2 + 8 + 1, 4)
 
 
 # One field of a saved certificate given as something other than a JSON number of its kind.
@@ -622,34 +628,38 @@ def test_certificate_from_dict_accepts_integer_numbers():
     assert all(type(v) is float for v in (cert.decay, cert.initial_level, cert.unsafe_level))
 
 
-# ------------------------------------------- the row blocks of basis_matrix and assemble
+# ------------------------------------------- row by row: basis_matrix and assemble
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("degree", [0, 1, 2, 5])
-def test_blocked_passes_match_whole_array_passes(monkeypatch, block, degree):
+def test_blocked_passes_match_whole_array_passes(block, degree):
+    # every row depends on its own pair alone: the passes over the pairs cut
+    # into blocks of `block`, stacked, equal the passes over all of them
     rng = np.random.default_rng(block * 10 + degree)
     # a block short, on its edge, one past it and one into a third block
     for count in (block - 1, block, block + 1, 2 * block + 1):
         states = rng.uniform(DOMAIN.lower, DOMAIN.upper, count)
         data = Dataset(states, rng.uniform(-3.0, 3.0, count), SCHEME_IID, DOMAIN, seed=0)
-        whole_basis = basis_matrix(states, degree)  # the default block exceeds these counts
         whole = assemble(degree, 0.83, data, INITIAL, UNSAFE)
-        with monkeypatch.context() as patch:
-            patch.setattr(physbc.barrier, "_BLOCK_ROWS", block)
-            assert basis_matrix(states, degree).tobytes() == whole_basis.tobytes()
-            blocked = assemble(degree, 0.83, data, INITIAL, UNSAFE)
-        assert blocked.rows.tobytes() == whole.rows.tobytes()
-        assert blocked.offsets.tobytes() == whole.offsets.tobytes()
+        cuts = range(0, count, block)
+        pieces = [Dataset(states[at:at + block], data.successors[at:at + block], SCHEME_IID,
+                          DOMAIN, seed=0) for at in cuts]
+        basis = [basis_matrix(states[at:at + block], degree) for at in cuts]
+        flows = [assemble(degree, 0.83, piece, INITIAL, UNSAFE).flow for piece in pieces]
+        assert np.vstack(basis + [np.empty((0, degree + 1))]).tobytes() == \
+            basis_matrix(states, degree).tobytes()
+        assert np.vstack(flows + [np.empty((0, degree))]).tobytes() == \
+            whole.flow.tobytes()
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("successor", [1e200, np.nan])
-def test_a_block_names_the_first_pair_whose_flow_row_is_not_finite(monkeypatch, block, successor):
-    monkeypatch.setattr(physbc.barrier, "_BLOCK_ROWS", block)
+def test_a_block_names_the_first_pair_whose_flow_row_is_not_finite(block, successor):
+    # every pair from `first` on is bad, in a dataset of 3 * block + 1 pairs
     data = _toy_dataset(3 * block + 1)
     ys = data.successors.copy()
-    first = block + 1  # past the first block; every pair after it is bad too
+    first = block + 1
     ys[first:] = successor
     data = Dataset(data.states, ys, SCHEME_IID, DOMAIN, seed=0)
     message = (f"the flow row of state {float(data.states[first])!r} and successor"
@@ -659,7 +669,7 @@ def test_a_block_names_the_first_pair_whose_flow_row_is_not_finite(monkeypatch, 
             assemble(2, 0.83, data, INITIAL, UNSAFE)
 
 
-def test_assemble_holds_one_block_beside_its_stack():
+def test_assemble_holds_its_flow_columns_and_two_power_columns():
     rng = np.random.default_rng(12)
     count = 300_000
     states = rng.uniform(DOMAIN.lower, DOMAIN.upper, count)
@@ -670,7 +680,11 @@ def test_assemble_holds_one_block_beside_its_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    beside = peak - system.rows.nbytes - system.offsets.nbytes
-    # one block of stack rows; full-length power buffers and finiteness
-    # checks would hold about 5.7 MiB here
-    assert beside < physbc.barrier._BLOCK_ROWS * system.rows.shape[1] * system.rows.itemsize
+    # the flow rows are their two varying columns, 16 bytes a pair, no
+    # (N, 4) stack of 32; the powers x^2 and y^2 and the finiteness mask
+    # are all that is held beside them while they are written
+    assert system.flow.shape == (count, 2) and system.flow.flags.f_contiguous
+    assert system.flow.nbytes == 16 * count
+    assert peak - system.flow.nbytes < 2 * states.nbytes + 2 * count + 64 * 1024
+    # the stack, 40 bytes a pair with its offsets, bounded the former peak
+    assert peak < 40 * count

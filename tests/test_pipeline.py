@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    dense,
     minimax_full_lp,
     pairwise_whole_array,
     safety_by_step_many,
@@ -110,16 +111,18 @@ def test_reports_are_deterministic(det_run):
     assert report_json(a) == report_json(b)
 
 
-def _full_lp_with_clamp(rows, offsets):
-    """The one-shot full-LP oracle, its slack lifted to the maximum over all
-    rows as the shipped solver reports it (a rounding-level difference)."""
-    result = minimax_full_lp(rows, offsets)
-    values = rows @ result.decision + offsets
+def _full_lp_with_clamp(system):
+    """The one-shot full-LP oracle on the system's dense stack, its slack
+    lifted to the maximum over all rows as the shipped solver reports it (a
+    rounding-level difference): with the rows evaluated as the exchange
+    evaluates them, the flow rows elementwise from their columns."""
+    result = minimax_full_lp(*dense(system))
+    values = system.evaluate(result.decision, np.empty(system.count))
     return replace(result, slack=max(result.slack, float(values.max())))
 
 
 def _rebuilt_system(config, artifacts):
-    """The constraint stack a run solved, assembled again from its retained pairs."""
+    """The constraint system a run solved, assembled again from its retained pairs."""
     return physbc.barrier.assemble(config.template_degree, config.decay, artifacts.retained,
                                    config.initial, config.unsafe,
                                    coeff_bound=config.solver.coeff_bound)
@@ -139,7 +142,7 @@ def test_constraint_generation_matches_full_lp_on_reference_systems(key, monkeyp
     config = reference_config(key, 0.05)
     shipped = run(config)
     system = _rebuilt_system(config, shipped)
-    oracle = minimax_full_lp(system.rows, system.offsets)
+    oracle = minimax_full_lp(*dense(system))
     assert shipped.solve_result.optimal
     assert shipped.solve_result.slack == pytest.approx(oracle.slack, abs=1e-9)
     assert shipped.solve_result.decision == pytest.approx(oracle.decision, abs=1e-9)
@@ -402,7 +405,7 @@ def test_cross_check_is_one_highs_solve_started_from_the_binding_rows(key, monke
     assert len(calls) == 1
     # the start rows choose where the HiGHS exchange starts, not what it reports
     system = _rebuilt_system(base, artifacts)
-    unseeded = solve_minmax_direct(system.rows, system.offsets)
+    unseeded = solve_minmax_direct(system)
     assert artifacts.report["solver"]["cross_check"] == {
         "status": unseeded.status,
         "slack": unseeded.slack,
@@ -421,7 +424,7 @@ def test_the_constraint_stack_is_freed_before_the_audit(key, cross_check, monkey
 
     def keeping_a_weakref(*args, **kwargs):
         system = assemble_stack(*args, **kwargs)
-        held.extend([weakref.ref(system), weakref.ref(system.rows)])
+        held.extend([weakref.ref(system), weakref.ref(system.flow)])
         return system
 
     def audit_start(*args, **kwargs):
@@ -437,10 +440,11 @@ def test_the_constraint_stack_is_freed_before_the_audit(key, cross_check, monkey
 
 
 def test_a_run_peaks_at_one_constraint_stack_per_pair():
-    # the stack (four columns and the offsets, 40 bytes a pair) beside the
-    # pairs sets the peak at about 76 bytes a pair; a transposed copy of the
-    # stack in the solver, or the stack kept alive through the Lipschitz
-    # stage, lifts it to 96 or more
+    # beside the pairs (16 bytes a pair) the flow columns (16) and the solve's
+    # row values (8 and a temporary of 8) stay below the audit's basis matrix
+    # and value columns (40), which set the peak at about 56.2 bytes a pair;
+    # the bound leaves 3.8 of margin.  A dense (N, 4) stack and its offsets
+    # (40) beside the row values would lift it to 64 or more
     config = reference_config("sd-prob-trad", 0.1)
     run(config)  # the rollout is memoised and the imports are done
     physbc.pipeline._dataset_memo.clear()  # so the sampled pairs count, as in a cold run
@@ -450,7 +454,7 @@ def test_a_run_peaks_at_one_constraint_stack_per_pair():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / artifacts.dataset.count < 88
+    assert peak / artifacts.dataset.count < 60
 
 
 def test_unknown_lipschitz_method_rejected():

@@ -36,13 +36,13 @@ from physbc.config import RunConfig
 from physbc.pipeline import report_json
 
 DIGESTS = {
-    ("sd-det-trad", 1.0): ("6dc31ccd4e0afd55a691b9349b2b6c25f9fd21f6212e018e75bce3616490a861",
+    ("sd-det-trad", 1.0): ("66ec5f80cb56bd544ed20133983ad2dbb0c69a0e775c5e0cc48aed2331577fdf",
                                "ec34ef4d94daaea81e9b1e8c7bb607ec0e7349c23a63fd113a74409d8bebbb67"),
     ("sd-det-phys", 1.0): ("29892482151af4675fa55fd589c9b47b653b40720e662fd2248498e11d45d5ef",
                                "7e0e2f9a835d4ac2bed8365b8b830093e9478fe1e6fc69ff75716e715ba77abd"),
     ("sd-prob-trad", 1.0): ("e39172d7d367e4518bfd94018a0750a4440e68e26d21c30d51bf0478ec31ff1b",
                                 "f68c640e0e0592c136f70661c06583dc01e7d8f8839fdb0f6debc4cec2ce82f3"),
-    ("sd-prob-phys", 1.0): ("9ed396bad33bd3fb045edfb1252cfa9e4947ff36c8456b28bdf758aa5e67dab9",
+    ("sd-prob-phys", 1.0): ("33a7cc0c8035b2251d619cc8a63a765b9081becef5e2b9e393dda9e803b2a04b",
                                 "1a5aff29634cd91de7de2293fe0de7199eb0f4c0b546a2f919855ee8834b9f43"),
     ("lg-det-trad", 1.0): ("3c97890eabb94da775416380433a7a93622770cb3af054a7193b7a3ad0a680b1",
                                "67c4fcb21ea26bf0be87d940a6d463f0aacd423e40f13ab7c23fade259b64ff2"),
@@ -56,7 +56,7 @@ DIGESTS = {
                                "9c9fb8bf8ba1432d683122982520e03e601467e8a5f8a756d59bfef8324b0cef"),
     ("sd-det-phys", 0.05): ("77bcf684e48e62d83f6a00d3a0e29700f240ee2fcb0ffab7e2775bbb66ef2c9b",
                                "b0c34fe44dbc9b29f722580d0d96534e15492ac2c056ed206c1924103fdb8ae5"),
-    ("sd-prob-trad", 0.05): ("0019bcb8cf4f39179be34895f3591064e9ea03c10a84989c8ae189639b50c27b",
+    ("sd-prob-trad", 0.05): ("2c6c3c457e5a9183014f316b839f139d5b8a6c27d553072de6524d168c011b04",
                                 "adc5ea6cefc6d7a43e4326d9b907b97744fc4906769827a92289980efee27514"),
     ("sd-prob-phys", 0.05): ("59480bd2d3fd31e2fbd9af7ec04a0b781de2ff671bbfd7329c92df089e103c2d",
                                 "32394deece873a2dd57ff38570241e6d81c5842b47fd2b0ba89108bab242af9b"),
@@ -64,7 +64,7 @@ DIGESTS = {
                                "46c10a9eaf4bd51ec337839b8eb4d1a16b7fd02957727538289b3749ddb405ca"),
     ("lg-det-phys", 0.05): ("d710b309bbd62d071e90c9985bf8e28adf31053ac2feb457f4fb1f35911275ad",
                                "95c3c9c1b4358d649ae25c1cc94cf9191831d540000396b9c507ba2b144dfe79"),
-    ("lg-prob-trad", 0.05): ("e2bea90ef3899487d981a84db2c339db278de6481640fa74d19795ba4ebf6b8c",
+    ("lg-prob-trad", 0.05): ("27e51f424ccda3bcd67efa0ce8b9dbacf005068b000198babfbfed721e9ae9d4",
                                 "245f16334792c86404881ab32317b255ef910eadf916bb339df570783dd77c9c"),
     ("lg-prob-phys", 0.05): ("532fe2b22cda32e8d5fcc9bd0f7592d5f7b745f18737c9c4c4b00a0a374f1fa0",
                                 "1a92291c9185aa9eb67c3857634c226ed551cf6caba257bbce9ce3cfa78112bb"),

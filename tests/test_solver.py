@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 import physbc.solver
 from oracles import (
+    dense,
     minimax_by_vertices,
     minimax_cold_start,
     minimax_full_lp,
     random_bounded_instance,
 )
+from physbc.barrier import assemble
+from physbc.models import RegionBox
+from physbc.sampling import SCHEME_IID, Dataset
 from physbc.solver import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    RowSystem,
     solve,
     solve_minmax_direct,
 )
@@ -277,7 +282,7 @@ def _start_row_choices(count, seed_rows):
 def test_start_rows_do_not_move_the_direct_optimum(variables, extra, seed, data):
     rng = np.random.default_rng(seed)
     rows, offsets = random_bounded_instance(rng, variables, extra)
-    starts = data.draw(_start_row_choices(len(rows), physbc.solver._seed_rows(rows, offsets)))
+    starts = data.draw(_start_row_choices(len(rows), RowSystem.stack(rows, offsets).seed_rows()))
     plain = solve_minmax_direct(rows, offsets)
     started = solve_minmax_direct(rows, offsets, start_rows=starts)
     assert plain.optimal and started.optimal
@@ -311,7 +316,7 @@ def test_the_uncapped_exchange_ends_within_one_round_per_row(variables, extra, s
     # every round that does not stop admits a row outside the working set
     rng = np.random.default_rng(seed)
     rows, offsets = random_bounded_instance(rng, variables, extra)
-    seeds = physbc.solver._seed_rows(rows, offsets)
+    seeds = RowSystem.stack(rows, offsets).seed_rows()
     starts = data.draw(_start_row_choices(len(rows), seeds))
     routes = (
         ("_restricted_minmax", lambda: solve(rows, offsets), []),
@@ -435,58 +440,73 @@ def test_seed_rows_equal_the_axis_0_reductions(shape, high, fortran, seed):
         rows = np.asfortranarray(rows)
     offsets = rng.integers(-high, high + 1, size=shape[0]).astype(float)
     expected = np.concatenate([rows.argmax(0), rows.argmin(0), [offsets.argmax()]])
-    seeds = physbc.solver._seed_rows(rows, offsets)
+    seeds = RowSystem.stack(rows, offsets).seed_rows()
     assert seeds.tolist() == expected.tolist()
     assert seeds.dtype == expected.dtype
 
 
-def test_seed_rows_hold_one_column_beside_the_stack():
+def _compact(rng, width, lead, flow, trail, high):
+    """A random :class:`RowSystem` of small integer entries, so that its
+    columns tie often, also across its parts."""
+    def draw(*shape):
+        return rng.integers(-high, high + 1, size=shape).astype(float)
+
+    return RowSystem(draw(lead, width), draw(lead), np.asfortranarray(draw(flow, width - 2)),
+                     float(rng.integers(-high, high + 1)), draw(trail, width), draw(trail))
+
+
+def _frozen(system):
+    for part in (system.lead, system.lead_offsets, system.flow, system.trail,
+                 system.trail_offsets):
+        part.flags.writeable = False
+    return system
+
+
+def test_seed_rows_of_a_compact_system_hold_no_column_beside_it():
     rng = np.random.default_rng(8)
-    rows, offsets = rng.standard_normal((200_000, 4)), rng.standard_normal(200_000)
-    rows.flags.writeable = offsets.flags.writeable = False  # as assemble hands them over
+    system = _frozen(_compact(rng, 4, 6, 200_000, 9, 1000))  # read-only, as assemble makes it
+    _compact(rng, 4, 6, 10, 9, 3).seed_rows()  # the first call's imports are not counted
     tracemalloc.start()
     try:
-        physbc.solver._seed_rows(rows, offsets)
+        system.seed_rows()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a transposed copy of the stack would be four columns
-    assert peak < 1.5 * rows[:, 0].nbytes
+    # one boolean mask of a flow column at a time, an eighth of a float column;
+    # argmax over the read-only columns would copy them
+    assert peak < 0.25 * system.flow[:, 0].nbytes
 
 
-# the seed scan with its block patched to a few rows, so that ties and
-# extremes fall on both sides of block edges
+# lead, flow and trail blocks of a few rows each, some empty, so that ties and
+# extremes fall on both sides of every part edge
 @settings(max_examples=200, deadline=None)
 @given(
-    block=st.integers(1, 5),
-    width=st.integers(1, 6),
+    sizes=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).filter(any),
+    width=st.integers(2, 6),
     high=st.integers(0, 3),
-    fortran=st.booleans(),
+    frozen=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    data=st.data(),
 )
-def test_seed_rows_in_small_blocks_equal_the_axis_0_reductions(block, width, high, fortran,
-                                                               seed, data):
-    edges = [block - 1, block, block + 1, 2 * block + 1]
-    count = data.draw(st.one_of(st.sampled_from([n for n in edges if n]), st.integers(1, 40)))
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(-high, high + 1, size=(count, width)).astype(float)
-    if fortran:
-        rows = np.asfortranarray(rows)
-    offsets = rng.integers(-high, high + 1, size=count).astype(float)
+def test_compact_seed_rows_equal_the_dense_axis_0_reductions(sizes, width, high, frozen, seed):
+    system = _compact(np.random.default_rng(seed), width, *sizes, high)
+    if frozen:
+        system = _frozen(system)
+    rows, offsets = dense(system)
     expected = np.concatenate([rows.argmax(0), rows.argmin(0), [offsets.argmax()]])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(physbc.solver, "_BLOCK_ROWS", block)
-        seeds = physbc.solver._seed_rows(rows, offsets)
+    seeds = system.seed_rows()
     assert seeds.tolist() == expected.tolist()
     assert seeds.dtype == expected.dtype
+    # the fetched rows are the dense stack's, byte for byte
+    for i in range(system.count):
+        row, offset = system.row(i)
+        assert row.tobytes() == rows[i].tobytes()
+        assert np.float64(offset).tobytes() == offsets[i].tobytes()
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("where", ["rows", "offsets"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-def test_a_non_finite_entry_in_a_later_block_is_refused(monkeypatch, block, where, value):
-    monkeypatch.setattr(physbc.solver, "_BLOCK_ROWS", block)
+def test_a_non_finite_entry_in_a_later_block_is_refused(block, where, value):
     rows, offsets = random_bounded_instance(np.random.default_rng(block), 2, 2 * block + 1)
     for at in range(block, len(rows)):  # every row past the first block
         bad_rows, bad_offsets = rows.copy(), offsets.copy()
@@ -494,6 +514,62 @@ def test_a_non_finite_entry_in_a_later_block_is_refused(monkeypatch, block, wher
             bad_rows[at, at % 2] = value
         else:
             bad_offsets[at] = value
+        # as one dense stack, and split into a leading block and a trailing one
+        split = RowSystem(bad_rows[:block], bad_offsets[:block], np.empty((0, 0)), 0.0,
+                          bad_rows[block:], bad_offsets[block:])
         for route in (solve, solve_minmax_direct):
-            with pytest.raises(ValueError, match="rows and offsets must be finite"):
-                route(bad_rows, bad_offsets)
+            for system in ((bad_rows, bad_offsets), (split,)):
+                with pytest.raises(ValueError, match="rows and offsets must be finite"):
+                    route(*system)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_flow_entry_is_refused(value):
+    system = _compact(np.random.default_rng(6), 4, 3, 7, 9, 3)
+    for at in range(len(system.flow)):
+        for column in range(2):
+            flow = system.flow.copy(order="F")
+            flow[at, column] = value
+            bad = RowSystem(system.lead, system.lead_offsets, flow, system.flow_constant,
+                            system.trail, system.trail_offsets)
+            for route in (solve, solve_minmax_direct):
+                with pytest.raises(ValueError, match="rows and offsets must be finite"):
+                    route(bad)
+
+
+# random assembled systems: the compact flow family against its dense stack
+@settings(max_examples=40, deadline=2000, derandomize=True)
+@given(
+    degree=st.integers(0, 4),
+    decay=st.floats(0.0, 1.0, exclude_min=True),
+    count=st.integers(0, 60),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_the_compact_system_agrees_with_its_dense_stack(degree, decay, count, seed):
+    rng = np.random.default_rng(seed)
+    domain = RegionBox(0.0, 3.0)
+    states = rng.uniform(domain.lower, domain.upper, count)
+    successors = 0.9 * states + 0.1 + rng.normal(0.0, 0.05, count)
+    data = Dataset(states, successors, SCHEME_IID, domain, seed=0)
+    system = assemble(degree, decay, data, RegionBox(0.0, 0.5), RegionBox(2.5, 3.0))
+    rows, offsets = dense(system)
+
+    # every row value, against the dense product to 1e-13 of its terms' size
+    decision = rng.normal(0.0, 10.0, system.lead.shape[1])
+    values = system.evaluate(decision, np.empty(system.count))
+    scale = np.abs(rows) @ np.abs(decision) + np.abs(offsets)
+    assert (np.abs(values - (rows @ decision + offsets)) <= 1e-13 * scale).all()
+    # fetched rows are the dense rows, byte for byte
+    for i in rng.permutation(system.count)[:20]:
+        row, offset = system.row(i)
+        assert row.tobytes() == rows[i].tobytes()
+        assert np.float64(offset).tobytes() == offsets[i].tobytes()
+    # the seed rows are the dense stack's first extremes over axis 0
+    expected = np.concatenate([rows.argmax(0), rows.argmin(0), [offsets.argmax()]])
+    assert system.seed_rows().tolist() == expected.tolist()
+    # the exchange reaches the same decision and binding rows either way
+    compact, stacked = solve(system), solve(rows, offsets)
+    assert compact.optimal and stacked.optimal
+    assert np.array_equal(compact.decision, stacked.decision)
+    assert np.array_equal(compact.active_rows, stacked.active_rows)
+    assert abs(compact.slack - stacked.slack) <= 1e-12 * max(1.0, abs(stacked.slack))
