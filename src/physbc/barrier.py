@@ -37,16 +37,17 @@ valid by construction.
 Every row is an affine function of the decision vector that must stay below
 the shared slack variable; minimising the slack over all rows is the job of
 :mod:`physbc.solver`.  Besides the region and sample rows, every assembled
-system ends in the same auxiliary rows: ``2 * width`` symmetric bound rows
+system holds the same auxiliary rows: ``2 * width`` symmetric bound rows
 that keep the polytope bounded, and one level-gap row ``initial_level -
 unsafe_level <= slack`` so that a negative optimal slack certifies
 ``unsafe_level > initial_level`` instead of letting the optimiser collapse
 the separation.  The rows come in the order of :data:`FAMILIES`, so a row's
 family follows from its position and the per-family row counts alone.  A
 flow row ``[0, y^d - decay x^d, ..., y - decay x, 1 - decay]`` varies in its
-``d`` middle entries only, so :func:`assemble` keeps just those columns
-between the region rows and the auxiliary rows, two small dense blocks: a
-:class:`physbc.solver.RowSystem`, with no ``N x (d + 2)`` stack.
+``d`` middle entries only, so :func:`assemble` writes the region, bound and
+gap rows into one small dense block, the head, and keeps just those columns
+of the flow rows after it: a :class:`physbc.solver.RowSystem`, with no ``N x
+(d + 2)`` stack.
 
 After the solve, :func:`sample_values` evaluates the flow expression once on
 the recorded pairs; the residual audit (:func:`check_certificate`) and the
@@ -74,9 +75,9 @@ from .models import RegionBox, real_array
 from .sampling import Dataset
 from .solver import RowSystem
 
-# row families, in row order: the two region families and the flow samples,
-# then the auxiliary rows
-FAMILIES = ("initial", "unsafe", "flow", "bound", "gap")
+# row families, in row order: the dense ones (the two region families and the
+# auxiliary rows), then the flow samples
+FAMILIES = ("initial", "unsafe", "bound", "gap", "flow")
 
 DEFAULT_COEFF_BOUND = 100.0
 INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
@@ -200,24 +201,25 @@ class ConstraintSystem(RowSystem):
     """Affine rows ``a_i . d + b_i <= slack`` over the decision vector.
 
     The pinned :data:`INITIAL_LEVEL` is folded into the offsets, so the
-    decision vector is ``[unsafe_level, coefficients...]``.  ``lead`` holds
-    the initial and unsafe rows, ``flow`` column ``j`` is ``y^(d - j) - decay
-    x^(d - j)``, and ``trail`` holds the bound and gap rows; every array is
-    read-only, the solver's input as is.  ``family_sizes`` holds the row
-    count of each of :data:`FAMILIES`, whose rows lie in that order.
+    decision vector is ``[unsafe_level, coefficients...]``.  ``head`` holds
+    the initial, unsafe, bound and gap rows, and ``flow`` column ``j`` is
+    ``y^(d - j) - decay x^(d - j)``; every array is read-only, the solver's
+    input as is.  ``family_sizes`` holds the row count of each of
+    :data:`FAMILIES`, whose rows lie in that order.
     """
 
     decay: float
     family_sizes: Tuple[int, int, int, int, int]
 
     def __post_init__(self):
-        for array in (self.lead, self.lead_offsets, self.flow, self.trail, self.trail_offsets):
+        for array in (self.head, self.head_offsets, self.flow):
             array.flags.writeable = False
 
     @property
     def counts(self) -> dict:
         """Rows per region or sample family (initial, unsafe, flow)."""
-        return dict(zip(FAMILIES[:3], self.family_sizes))
+        sizes = dict(zip(FAMILIES, self.family_sizes))
+        return {family: sizes[family] for family in ("initial", "unsafe", "flow")}
 
     def family_counts(self, indices: np.ndarray) -> dict:
         """Rows per family among ``indices``, row positions; every family is a key."""
@@ -292,11 +294,18 @@ def assemble(
 
     d = _degree(degree)
     width = 2 + d  # the unsafe level and the d + 1 coefficients
-    lead = np.zeros((2 * (d + 1), width))
-    lead_offsets = np.repeat([-INITIAL_LEVEL, 0.0], d + 1)
-    lead[:d + 1, 1:] = bernstein_rows(d, initial_region)
-    lead[d + 1:, 0] = 1.0
-    np.negative(bernstein_rows(d, unsafe_region), out=lead[d + 1:, 1:])
+    # the Bernstein rows of both regions, then a +e_j and a -e_j row per
+    # decision entry, then the gap row
+    regions = 2 * (d + 1)
+    head = np.zeros((regions + 2 * width + 1, width))
+    head[:d + 1, 1:] = bernstein_rows(d, initial_region)
+    head[d + 1:regions, 0] = 1.0
+    np.negative(bernstein_rows(d, unsafe_region), out=head[d + 1:regions, 1:])
+    head[regions:-1:2] = np.eye(width)
+    head[regions + 1:-1:2] = -np.eye(width)
+    head[-1, 0] = -1.0
+    head_offsets = np.concatenate([np.repeat([-INITIAL_LEVEL, 0.0], d + 1),
+                                   np.full(2 * width, -coeff_bound, dtype=float), [INITIAL_LEVEL]])
 
     # column d - e is y^e - decay * x^e, each power the previous one times the state
     flow = np.empty((data.count, d), order="F")
@@ -315,15 +324,8 @@ def assemble(
             f"the flow row of state {float(data.states[first])!r} and successor"
             f" {float(data.successors[first])!r} is not finite at degree {d}")
 
-    # each decision entry gets a +e_j and a -e_j row, then the gap row closes the system
-    trail = np.zeros((2 * width + 1, width))
-    trail[0:-1:2] = np.eye(width)
-    trail[1:-1:2] = -np.eye(width)
-    trail[-1, 0] = -1.0
-    trail_offsets = np.append(np.full(2 * width, -coeff_bound, dtype=float), INITIAL_LEVEL)
-
-    return ConstraintSystem(lead, lead_offsets, flow, 1.0 - 1.0 * decay, trail, trail_offsets,
-                            decay, (d + 1, d + 1, data.count, 2 * width, 1))
+    return ConstraintSystem(head, head_offsets, flow, 1.0 - 1.0 * decay, decay,
+                            (d + 1, d + 1, 2 * width, 1, data.count))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from numbers import Integral
 from typing import Optional
 
 from .errors import PhysbcError
@@ -58,7 +59,7 @@ def min_violation_level(risk: float, decision_count: int, retained_count: int) -
     if not (0.0 < risk < 1.0):
         raise PhysbcError("risk must lie strictly between 0 and 1")
     for name, value in (("decision_count", decision_count), ("retained_count", retained_count)):
-        if isinstance(value, bool) or not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, Integral):
             raise PhysbcError(f"{name} must be an integer, got {value!r}")
     if decision_count < 1:
         raise PhysbcError("decision_count must be positive")
@@ -67,7 +68,7 @@ def min_violation_level(risk: float, decision_count: int, retained_count: int) -
             f"{retained_count} retained samples cannot support "
             f"{decision_count} decision variables"
         )
-    c, count = decision_count, retained_count
+    c, count = int(decision_count), int(retained_count)  # exact binomials, never int64
     log_binom, binom = [], 1
     for i in range(c):
         log_binom.append(math.log(binom))

@@ -7,8 +7,8 @@ Both entry points minimise the shared slack ``s`` over rows
 The systems this package assembles are tall and thin (up to a few hundred
 thousand rows over a handful of decision columns) and only a few rows bind at
 the optimum.  Nearly all are flow rows, which vary in a few columns only, so
-a :class:`RowSystem` keeps those columns between two small dense blocks; a
-dense stack is one with every row in its first block.  Both entry points run
+a :class:`RowSystem` keeps those columns after one small dense block, the
+head; a dense stack is a head with no flow rows.  Both entry points run
 one exchange driver, constraint generation in the manner of Kelley's
 cutting-plane method: solve the problem restricted to a small working set of
 rows exactly, evaluate every row, admit the worst row, and repeat until no
@@ -84,43 +84,38 @@ class SolveResult:
 
 @dataclass(frozen=True, eq=False)
 class RowSystem:
-    """Affine rows ``a_i . v + b_i``: the dense ``lead``, then flow rows ``[0,
+    """Affine rows ``a_i . v + b_i``: the dense ``head``, then flow rows ``[0,
     flow[i], flow_constant]`` with offset 0, which vary only in the columns of
-    the F-contiguous ``flow``, then the dense ``trail``.  The solver reads it
-    through :meth:`evaluate`, :meth:`row` and :meth:`seed_rows` alone.
+    the F-contiguous ``flow``.  The solver reads it through :meth:`evaluate`,
+    :meth:`row` and :meth:`seed_rows` alone.
     """
 
-    lead: np.ndarray
-    lead_offsets: np.ndarray
+    head: np.ndarray
+    head_offsets: np.ndarray
     flow: np.ndarray
     flow_constant: float
-    trail: np.ndarray
-    trail_offsets: np.ndarray
 
     @classmethod
     def stack(cls, rows, offsets) -> "RowSystem":
-        """A dense stack as a system, every row in ``lead``; its shape checked."""
+        """A dense stack as a system, every row in ``head``; its shape checked."""
         A = np.atleast_2d(np.asarray(rows, dtype=float))
         b = np.atleast_1d(np.asarray(offsets, dtype=float))
         if A.ndim != 2 or A.shape[0] != b.shape[0] or 0 in A.shape:
             raise ValueError("need as many offsets as rows, at least one row and one column")
-        flow = np.empty((0, max(A.shape[1] - 2, 0)))
-        return cls(A, b, flow, 0.0, np.empty((0, A.shape[1])), np.empty(0))
+        return cls(A, b, np.empty((0, max(A.shape[1] - 2, 0))), 0.0)
 
     @property
     def count(self) -> int:
-        return len(self.lead) + len(self.flow) + len(self.trail)
+        return len(self.head) + len(self.flow)
 
     def evaluate(self, decision: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Every row at ``decision``, written into ``out``: a matrix-vector
-        product per dense part, and the flow rows elementwise as ``c_1 u_1 +
-        ... + c_d u_d + c_0 flow_constant``, ``u_e`` the column of ``x^e``."""
-        h, n = len(self.lead), len(self.flow)
-        for part, rows, offsets in ((out[:h], self.lead, self.lead_offsets),
-                                    (out[h + n:], self.trail, self.trail_offsets)):
-            np.matmul(rows, decision, out=part)
-            part += offsets
-        values, d = out[h:h + n], self.flow.shape[1]
+        """Every row at ``decision``, written into ``out``: one matrix-vector
+        product for the head, and the flow rows elementwise as ``c_1 u_1 + ...
+        + c_d u_d + c_0 flow_constant``, ``u_e`` the column of ``x^e``."""
+        h, d = len(self.head), self.flow.shape[1]
+        np.matmul(self.head, decision, out=out[:h])
+        out[:h] += self.head_offsets
+        values = out[h:]
         if d:
             np.multiply(self.flow[:, d - 1], decision[d], out=values)
         else:
@@ -132,38 +127,41 @@ class RowSystem:
 
     def row(self, i: int) -> tuple:
         """Row ``i`` and its offset, the row in exactly the bytes a dense stack holds."""
-        h, n = len(self.lead), len(self.flow)
+        h = len(self.head)
         if i < h:
-            return self.lead[i], self.lead_offsets[i]
-        if i >= h + n:
-            return self.trail[i - h - n], self.trail_offsets[i - h - n]
-        row = np.zeros(self.lead.shape[1])
+            return self.head[i], self.head_offsets[i]
+        row = np.zeros(self.head.shape[1])
         row[1:-1], row[-1] = self.flow[i - h], self.flow_constant
         return row, 0.0
 
     def seed_rows(self) -> np.ndarray:
-        """Initial working set from the data, not the row order, where collinear
-        leading rows could start a singular problem: each column's first
-        largest and first smallest row, and the first row with the largest
-        offset; a ValueError if an entry is not finite.  Only the dense rows,
-        the first flow row and each flow column's first entries equal to its
-        max and min (``argmax`` would copy a read-only array) can be those."""
-        h, n, width = len(self.lead), len(self.flow), self.lead.shape[1]
-        candidates = [np.arange(h), h + n + np.arange(len(self.trail))]
-        if n:
+        """Initial working set from the data, not the row order, since the
+        first rows may be collinear and start a singular problem: each
+        column's first largest and first smallest row, and the first row with
+        the largest offset; a ValueError if an entry is not finite.  Only the
+        head rows, the first flow row and each flow column's first entries
+        equal to its max and min (``argmax`` would copy a read-only array) can
+        be those, so the reductions run over a block of those rows, in row
+        order."""
+        h, width = len(self.head), self.head.shape[1]
+        firsts = np.empty(0, dtype=int)
+        if len(self.flow):
             extremes = np.concatenate([self.flow.max(axis=0), self.flow.min(axis=0)])
             if not np.isfinite(extremes).all():
                 raise ValueError("rows and offsets must be finite")
-            firsts = [np.argmax(col == value) for col, value in zip([*self.flow.T] * 2, extremes)]
-            candidates += [[h], h + np.array(firsts, dtype=int)]
-        candidates = np.unique(np.concatenate(candidates))
-        block = np.column_stack([*map(np.array, zip(*map(self.row, candidates)))])
+            firsts = np.sort([0] + [np.argmax(column == value)
+                                    for column, value in zip([*self.flow.T] * 2, extremes)])
+        # one row per candidate: its entries, then its offset
+        block = np.zeros((h + len(firsts), width + 1))
+        block[:h, :width], block[:h, width] = self.head, self.head_offsets
+        block[h:, 1:-2], block[h:, -2] = self.flow[firsts], self.flow_constant
         top, bottom = block.argmax(axis=0), block.argmin(axis=0)
         # both reductions stop at a nan, and an infinity is an extreme, so an
         # entry that is not finite shows in a peak or a trough
         entries = np.arange(width + 1)
         if not np.isfinite([block[top, entries], block[bottom, entries]]).all():
             raise ValueError("rows and offsets must be finite")
+        candidates = np.concatenate([np.arange(h), h + firsts])
         return candidates[np.concatenate([top[:width], bottom[:width], top[width:]])]
 
 
@@ -180,9 +178,8 @@ def _start_rows(start_rows, count: int) -> np.ndarray:
     return picks
 
 
-def _exchange(rows, offsets, restricted, start_rows=()) -> SolveResult:
-    """Constraint generation over the rows of a :class:`RowSystem`, or of a
-    dense stack with its offsets.
+def _exchange(system: RowSystem, restricted, start_rows=()) -> SolveResult:
+    """Constraint generation over the rows of a :class:`RowSystem`.
 
     The working set starts as the seed rows merged with ``start_rows``.  Each
     round solves the working-set rows exactly with ``restricted``
@@ -200,7 +197,6 @@ def _exchange(rows, offsets, restricted, start_rows=()) -> SolveResult:
     outside the working set or raises "stalled", so with N rows and W in the
     starting working set it ends within N - W + 1 rounds.
     """
-    system = rows if isinstance(rows, RowSystem) else RowSystem.stack(rows, offsets)
     working = np.union1d(system.seed_rows(), _start_rows(start_rows, system.count)).tolist()
     A_w, b_w = map(np.array, zip(*map(system.row, working)))  # the working rows, fetched once
     values = np.empty(system.count)  # every round's row values, in one array
@@ -212,7 +208,7 @@ def _exchange(rows, offsets, restricted, start_rows=()) -> SolveResult:
             if np.max(np.abs(decision)) >= 0.5 * _ARTIFICIAL_BOX:
                 return SolveResult(
                     slack=float("-inf"),
-                    decision=np.full(system.lead.shape[1], np.nan),
+                    decision=np.full(system.head.shape[1], np.nan),
                     status=STATUS_UNBOUNDED,
                     active_rows=np.empty(0, dtype=int),
                 )
@@ -334,14 +330,14 @@ def _restricted_minmax(A_w: np.ndarray, b_w: np.ndarray, previous=None):
     return decision, float(np.max(A_w @ decision + b_w)), basis
 
 
-def solve(rows, offsets=None) -> SolveResult:
+def solve(system: RowSystem) -> SolveResult:
     """Minimise the row maximum by constraint generation over dense dual
     simplex solves, each round's resuming from the previous round's optimal
     basis.
 
-    ``rows`` is a :class:`RowSystem`, or a dense stack with its ``offsets``.
-    The exchange ends within one round per row outside the seed working set,
-    plus one (see :func:`_exchange`).
+    A dense ``(rows, offsets)`` stack goes in as ``RowSystem.stack(rows,
+    offsets)``.  The exchange ends within one round per row outside the seed
+    working set, plus one (see :func:`_exchange`).
     """
     basis = None  # the last round's optimal dual basis
 
@@ -350,7 +346,7 @@ def solve(rows, offsets=None) -> SolveResult:
         decision, slack, basis = _restricted_minmax(A_w, b_w, basis)
         return decision, slack
 
-    return _exchange(rows, offsets, restricted)
+    return _exchange(system, restricted)
 
 
 # --------------------------------------------------------------------------
@@ -395,14 +391,13 @@ def _restricted_highs(A_w: np.ndarray, b_w: np.ndarray):
     return result.x[:-1], float(result.x[-1])
 
 
-def solve_minmax_direct(rows, offsets=None, start_rows=()) -> SolveResult:
+def solve_minmax_direct(system: RowSystem, start_rows=()) -> SolveResult:
     """Minimise the row maximum by constraint generation over HiGHS solves.
 
     The cross-check of :func:`solve`: the same exchange, with the restricted
     problems handed to the HiGHS LP backend (``scipy.optimize``, imported on
     the first call), so it shares no LP arithmetic with the production route.
 
-    ``rows`` is a :class:`RowSystem`, or a dense stack with its ``offsets``.
     ``start_rows`` (integer row indices in ``[0, count)``, else ``ValueError``)
     join the seed working set.  They choose only where the exchange starts:
     every restricted minimum is at most the full one, and the exchange stops
@@ -412,4 +407,4 @@ def solve_minmax_direct(rows, offsets=None, start_rows=()) -> SolveResult:
     route's optimum usually makes it one HiGHS solve.  Like :func:`solve`, it
     ends within one round per row outside the starting working set, plus one.
     """
-    return _exchange(rows, offsets, _restricted_highs, start_rows)
+    return _exchange(system, _restricted_highs, start_rows)

@@ -26,6 +26,7 @@ from physbc.solver import (
     FEASIBILITY_TOL,
     OPTIMALITY_TOL,
     STATUS_OPTIMAL,
+    RowSystem,
     SolveResult,
     _exchange,
     _restricted_minmax,
@@ -66,9 +67,9 @@ def assemble_vstack(degree, decay, data, initial_region, unsafe_region, coeff_bo
     The former body of :func:`physbc.barrier.assemble`, without its input
     checks, with the region blocks built from
     :func:`physbc.barrier.bernstein_rows`, and with the bound rows and the
-    level-gap row that every system carries.  Returns ``(rows, offsets, tags,
-    aux_rows, aux_offsets, aux_tags)``; the solver saw ``vstack``/``concatenate``
-    of the two parts.
+    level-gap row that every system carries.  Returns ``(rows, offsets,
+    tags)``, the families in the order of :data:`physbc.barrier.FAMILIES`:
+    the region rows, the bound rows and the gap row, then the flow rows.
     """
     initial_level = 1e-4  # the pinned level, written out here rather than imported
     x0 = bernstein_rows(degree, initial_region)
@@ -84,12 +85,6 @@ def assemble_vstack(degree, decay, data, initial_region, unsafe_region, coeff_bo
     if data.count:
         flow_block[:, 1:] = (basis_matrix(data.successors, degree)
                              - decay * basis_matrix(data.states, degree))
-    rows = np.vstack([initial_block, unsafe_block, flow_block])
-    offsets = np.zeros(len(rows))
-    offsets[: len(x0)] = -initial_level
-    tags = np.concatenate([
-        np.full(len(x0), "initial"), np.full(len(xu), "unsafe"), np.full(data.count, "flow"),
-    ])
 
     aux_rows, aux_offsets, aux_tags = [], [], []
     eye = np.eye(width)
@@ -102,14 +97,18 @@ def assemble_vstack(degree, decay, data, initial_region, unsafe_region, coeff_bo
     aux_rows.append(gap)
     aux_offsets.append(float(initial_level))
     aux_tags.append("gap")
-    return (
-        rows,
-        offsets,
-        tags,
-        np.asarray(aux_rows, dtype=float).reshape(-1, width),
-        np.asarray(aux_offsets, dtype=float),
-        np.asarray(aux_tags, dtype=str),
-    )
+
+    rows = np.vstack([initial_block, unsafe_block, np.asarray(aux_rows, dtype=float),
+                      flow_block])
+    offsets = np.concatenate([
+        np.full(len(x0), -initial_level), np.zeros(len(xu)),
+        np.asarray(aux_offsets, dtype=float), np.zeros(data.count),
+    ])
+    tags = np.concatenate([
+        np.full(len(x0), "initial"), np.full(len(xu), "unsafe"), np.asarray(aux_tags),
+        np.full(data.count, "flow"),
+    ])
+    return rows, offsets, tags
 
 
 def bernstein_rows_exact(degree, region):
@@ -222,22 +221,21 @@ def minimax_cold_start(rows, offsets):
     """:func:`physbc.solver.solve` with every round started cold: the same
     exchange, with each restricted dual simplex started from the
     largest-offset basis instead of the previous round's optimal basis."""
-    return _exchange(rows, offsets, lambda A_w, b_w: _restricted_minmax(A_w, b_w)[:2])
+    return _exchange(RowSystem.stack(rows, offsets),
+                     lambda A_w, b_w: _restricted_minmax(A_w, b_w)[:2])
 
 
 def dense(system):
     """The dense ``(rows, offsets)`` stack of a compact row system, row for row.
 
-    Built from the system's parts alone: the leading rows, then one row
-    ``[0, flow[i], flow_constant]`` with offset 0 per flow row, then the
-    trailing rows.
+    Built from the system's parts alone: the head rows, then one row ``[0,
+    flow[i], flow_constant]`` with offset 0 per flow row.
     """
-    flow = np.zeros((len(system.flow), system.lead.shape[1]))
+    flow = np.zeros((len(system.flow), system.head.shape[1]))
     flow[:, 1:-1] = system.flow
     flow[:, -1] = system.flow_constant
-    rows = np.vstack([system.lead, flow, system.trail])
-    offsets = np.concatenate([system.lead_offsets, np.zeros(len(flow)), system.trail_offsets])
-    return rows, offsets
+    return (np.vstack([system.head, flow]),
+            np.concatenate([system.head_offsets, np.zeros(len(flow))]))
 
 
 def random_bounded_instance(rng, variables, extra_rows, bound=10.0):

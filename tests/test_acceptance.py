@@ -29,7 +29,7 @@ from physbc.filtering import apply_filter
 from physbc.models import RegionBox
 from physbc.pipeline import run
 from physbc.sampling import SCHEME_IID, Dataset, covering_radius, sample_iid
-from physbc.solver import solve, solve_minmax_direct
+from physbc.solver import RowSystem, solve, solve_minmax_direct
 
 
 def note(name, ok, detail=""):
@@ -159,8 +159,9 @@ def test_criterion_5_lp_route_equivalence():
         d = 1 + trial % 5
         extra = int(rng.integers(2, row_cap[d] - 2 * d + 1))
         rows, offsets = random_bounded_instance(rng, d, extra, bound=8.0)
-        dense = solve(rows, offsets)
-        direct = solve_minmax_direct(rows, offsets)
+        system = RowSystem.stack(rows, offsets)
+        dense = solve(system)
+        direct = solve_minmax_direct(system)
         vertex = minimax_by_vertices(rows, offsets)
         assert dense.optimal and direct.optimal and vertex is not None, trial
         worst_vertex = max(worst_vertex, abs(dense.slack - vertex[0]))
@@ -197,10 +198,10 @@ def test_criterion_6_monotonicity_properties():
         extras = rng.normal(size=(14, d))
         extra_offsets = rng.normal(size=14)
         cut = int(rng.integers(1, 13))
-        small = solve(np.vstack([extras[:cut], box]),
-                      np.concatenate([extra_offsets[:cut], box_offsets]))
-        large = solve(np.vstack([extras, box]),
-                      np.concatenate([extra_offsets, box_offsets]))
+        small = solve(RowSystem.stack(np.vstack([extras[:cut], box]),
+                                      np.concatenate([extra_offsets[:cut], box_offsets])))
+        large = solve(RowSystem.stack(np.vstack([extras, box]),
+                                      np.concatenate([extra_offsets, box_offsets])))
         nesting_ok = nesting_ok and large.slack >= small.slack - 1e-9
 
     # (c) the violation level shrinks with samples and grows with decisions

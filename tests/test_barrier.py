@@ -305,8 +305,8 @@ def test_assemble_row_structure():
 
     # d + 1 = 3 Bernstein rows per region
     assert system.counts == {"initial": 3, "unsafe": 3, "flow": 4}
-    # then 2 bound rows per decision entry and the level-gap row
-    assert system.family_sizes == (3, 3, 4, 8, 1)
+    # then 2 bound rows per decision entry and the level-gap row, then the flow rows
+    assert system.family_sizes == (3, 3, 8, 1, 4)
     assert rows.shape == (19, 4)
 
     # initial rows:  b_k - initial_level <= slack, pin folded into the offset
@@ -317,11 +317,12 @@ def test_assemble_row_structure():
     # unsafe rows:   unsafe_level - b_k <= slack
     assert np.array_equal(rows[3:6, 1:], -bernstein_rows(2, UNSAFE))
     assert rows[3] == pytest.approx([1.0, -(2.6 ** 2), -2.6, -1.0])
-    # flow rows:     B(y) - decay B(x) <= slack
+    # flow rows:     B(y) - decay B(x) <= slack, after the dense rows
     x, y = data.states[0], data.successors[0]
     expected = [0.0, y * y - 0.83 * x * x, y - 0.83 * x, 1.0 - 0.83]
-    assert rows[6] == pytest.approx(expected)
-    assert np.all(offsets[3:10] == 0.0)
+    assert rows[15] == pytest.approx(expected)
+    assert np.all(offsets[3:6] == 0.0)
+    assert np.all(offsets[15:] == 0.0)
 
 
 def test_assemble_auxiliary_rows():
@@ -330,15 +331,18 @@ def test_assemble_auxiliary_rows():
     rows, offsets = dense(system)
     width = rows.shape[1]
     assert width == 4
-    assert system.family_sizes == (3, 3, 3, 2 * width, 1)
-    bounds = rows[9:-1]
-    assert np.all(offsets[9:-1] == -50.0)
+    assert system.family_sizes == (3, 3, 2 * width, 1, 3)
+    # the auxiliary rows follow the region rows and precede the flow rows
+    bounds = rows[6:6 + 2 * width]
+    assert np.all(offsets[6:6 + 2 * width] == -50.0)
     # each decision entry gets a +e_j and a -e_j row
     assert bounds[0::2] == pytest.approx(np.eye(width))
     assert bounds[1::2] == pytest.approx(-np.eye(width))
     # the gap row reads initial_level - unsafe_level <= slack
-    assert rows[-1] == pytest.approx([-1.0, 0.0, 0.0, 0.0])
-    assert offsets[-1] == INITIAL_LEVEL
+    gap = 6 + 2 * width
+    assert rows[gap] == pytest.approx([-1.0, 0.0, 0.0, 0.0])
+    assert offsets[gap] == INITIAL_LEVEL
+    assert len(system.head) == gap + 1
 
 
 STACK_CASES = {
@@ -364,28 +368,27 @@ def _stack_case(case, degree):
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_assemble_writes_one_stack_equal_to_vstack(case, degree):
-    system, expected = _stack_case(case, degree)
-    rows, offsets, tags, extra_rows, extra_offsets, extra_tags = expected
+    system, (rows, offsets, tags) = _stack_case(case, degree)
     stack, stack_offsets = dense(system)
-    assert np.array_equal(stack, np.vstack([rows, extra_rows]))
-    assert np.array_equal(stack_offsets, np.concatenate([offsets, extra_offsets]))
+    assert np.array_equal(stack, rows)
+    assert np.array_equal(stack_offsets, offsets)
     # a row's family is its position: the per-row tags follow from the sizes
-    assert np.array_equal(np.repeat(FAMILIES, system.family_sizes),
-                          np.concatenate([tags, extra_tags]))
+    assert np.array_equal(np.repeat(FAMILIES, system.family_sizes), tags)
     # degree d: d + 1 Bernstein rows per region
     assert system.counts == {"initial": degree + 1, "unsafe": degree + 1, "flow": 50}
-    # every system ends in 2 * width bound rows and the one gap row
-    assert system.family_sizes[3:] == (2 * stack.shape[1], 1)
+    # every system holds 2 * width bound rows and the one gap row, and every
+    # row but the flow rows lies in the head
+    assert system.family_sizes[2:4] == (2 * stack.shape[1], 1)
+    assert len(system.head) == sum(system.family_sizes[:4])
     # every part the solver reads is read-only
-    parts = (system.lead, system.lead_offsets, system.flow, system.trail, system.trail_offsets)
+    parts = (system.head, system.head_offsets, system.flow)
     assert not any(part.flags.writeable for part in parts)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_family_counts_match_tag_tally(case, degree):
-    system, expected = _stack_case(case, degree)
-    tags = np.concatenate([expected[2], expected[5]])
+    system, (_, _, tags) = _stack_case(case, degree)
     rng = np.random.default_rng([degree, len(tags)])
     draws = [np.empty(0, dtype=int), np.arange(len(tags)), np.array([len(tags) - 1])]
     draws += [rng.integers(0, len(tags), size=k) for k in (1, 5, 17, 200)]
@@ -520,13 +523,12 @@ def test_assemble_equals_vstack_on_templates_with_gaps(exponents, strided, decay
     assert data.states.flags.c_contiguous != strided
     initial, unsafe = RegionBox(0.0, 0.5), RegionBox(2.5, 3.0)
     system = assemble(degree, decay, data, initial, unsafe)
-    rows, offsets, _, extra_rows, extra_offsets, _ = assemble_vstack(
-        degree, decay, data, initial, unsafe)
+    rows, offsets, _ = assemble_vstack(degree, decay, data, initial, unsafe)
     stack, stack_offsets = dense(system)
-    assert stack.tobytes() == np.vstack([rows, extra_rows]).tobytes()
-    assert stack_offsets.tobytes() == np.concatenate([offsets, extra_offsets]).tobytes()
-    # the flow rows times the polynomial's coefficients are its flow expression
-    flow = slice(*np.cumsum(system.family_sizes)[1:3])
+    assert stack.tobytes() == rows.tobytes()
+    assert stack_offsets.tobytes() == offsets.tobytes()
+    # the flow rows, last, times the polynomial's coefficients are its flow expression
+    flow = slice(len(system.head), None)
     np.testing.assert_allclose(stack[flow, 1:] @ certificate.coefficients,
                                sample_values(certificate, data), rtol=1e-12, atol=1e-12)
 

@@ -104,8 +104,13 @@ def test_min_violation_level_edges_and_domain():
     for bad in (0.0, 1.0, -0.2, 1.2, math.nan):
         with pytest.raises(PhysbcError, match="risk"):
             min_violation_level(bad, 2, 10)
-    # counts are integers, bool excluded
-    for bad in (5.5, 5.0, True, "5", None):
+    # counts are integers, numpy's among them, bool excluded
+    assert min_violation_level(0.05, np.int64(5), 1000) == min_violation_level(0.05, 5, 1000)
+    assert min_violation_level(0.05, 1, np.int64(1000)) == min_violation_level(0.05, 1, 1000)
+    # the binomials stay exact Python integers: C(130 234, 5) overflows an int64
+    assert (min_violation_level(0.05, np.int64(6), np.int64(130_234))
+            == min_violation_level(0.05, 6, 130_234))
+    for bad in (5.5, 5.0, np.float64(5.0), True, np.bool_(True), "5", None):
         with pytest.raises(PhysbcError, match="decision_count must be an integer"):
             min_violation_level(0.05, bad, 100)
         with pytest.raises(PhysbcError, match="retained_count must be an integer"):

@@ -30,7 +30,7 @@ SOLVERS = [solve, solve_minmax_direct]
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_absolute_value_minimum(solver):
     # max(v, -v) is minimised at the origin
-    result = solver(np.array([[1.0], [-1.0]]), np.zeros(2))
+    result = solver(RowSystem.stack([[1.0], [-1.0]], np.zeros(2)))
     assert result.status == STATUS_OPTIMAL
     assert result.slack == pytest.approx(0.0, abs=1e-9)
     assert result.decision == pytest.approx([0.0], abs=1e-9)
@@ -39,7 +39,7 @@ def test_absolute_value_minimum(solver):
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_shifted_absolute_value(solver):
-    result = solver(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
+    result = solver(RowSystem.stack([[1.0], [-1.0]], [-1.0, -1.0]))
     assert result.optimal
     assert result.slack == pytest.approx(-1.0, abs=1e-9)
 
@@ -49,7 +49,7 @@ def test_two_variable_known_optimum(solver):
     # max(v1, v2, -v1 - v2 + 3): optimum 1 at v1 = v2 = 1
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
     offsets = np.array([0.0, 0.0, 3.0])
-    result = solver(rows, offsets)
+    result = solver(RowSystem.stack(rows, offsets))
     assert result.optimal
     assert result.slack == pytest.approx(1.0, abs=1e-8)
     assert result.decision == pytest.approx([1.0, 1.0], abs=1e-7)
@@ -60,7 +60,7 @@ def test_two_variable_known_optimum(solver):
 def test_unbounded_detection(solver, slope):
     # a steep row must reach the box too: a box written as the extra rows
     # ``+-v - box <= s`` stops a slope-100 row at v = -box/101
-    result = solver(np.array([[slope]]), np.array([0.0]))
+    result = solver(RowSystem.stack([[slope]], [0.0]))
     assert result.status == STATUS_UNBOUNDED
     assert result.slack == float("-inf")
     assert np.isnan(result.decision).all()
@@ -69,18 +69,18 @@ def test_unbounded_detection(solver, slope):
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_input_validation(solver):
     with pytest.raises(ValueError):
-        solver(np.empty((0, 2)), np.empty(0))
+        solver(RowSystem.stack(np.empty((0, 2)), np.empty(0)))
     with pytest.raises(ValueError):
-        solver(np.array([[1.0]]), np.array([1.0, 2.0]))
+        solver(RowSystem.stack([[1.0]], [1.0, 2.0]))
     with pytest.raises(ValueError):
-        solver(np.array([[np.nan]]), np.array([0.0]))
+        solver(RowSystem.stack([[np.nan]], [0.0]))
 
 
 def test_offset_translation_shifts_slack():
     rng = np.random.default_rng(1)
     rows, offsets = random_bounded_instance(rng, 2, 12)
-    base = solve(rows, offsets)
-    shifted = solve(rows, offsets + 0.75)
+    base = solve(RowSystem.stack(rows, offsets))
+    shifted = solve(RowSystem.stack(rows, offsets + 0.75))
     assert shifted.slack == pytest.approx(base.slack + 0.75, abs=1e-8)
     assert shifted.decision == pytest.approx(base.decision, abs=1e-6)
 
@@ -88,8 +88,8 @@ def test_offset_translation_shifts_slack():
 def test_solver_is_deterministic():
     rng = np.random.default_rng(2)
     rows, offsets = random_bounded_instance(rng, 3, 25)
-    first = solve(rows, offsets)
-    second = solve(rows, offsets)
+    first = solve(RowSystem.stack(rows, offsets))
+    second = solve(RowSystem.stack(rows, offsets))
     assert first.slack == second.slack
     assert np.array_equal(first.decision, second.decision)
     assert np.array_equal(first.active_rows, second.active_rows)
@@ -98,8 +98,8 @@ def test_solver_is_deterministic():
 def test_direct_is_deterministic():
     rng = np.random.default_rng(3)
     rows, offsets = random_bounded_instance(rng, 2, 15)
-    first = solve_minmax_direct(rows, offsets)
-    second = solve_minmax_direct(rows, offsets)
+    first = solve_minmax_direct(RowSystem.stack(rows, offsets))
+    second = solve_minmax_direct(RowSystem.stack(rows, offsets))
     assert first.slack == second.slack
     assert np.array_equal(first.decision, second.decision)
 
@@ -111,7 +111,7 @@ def test_backend_matches_vertex_enumeration(seed):
     rows, offsets = random_bounded_instance(rng, variables, int(rng.integers(3, 12)))
     oracle = minimax_by_vertices(rows, offsets)
     assert oracle is not None
-    result = solve(rows, offsets)
+    result = solve(RowSystem.stack(rows, offsets))
     assert result.optimal
     assert result.slack == pytest.approx(oracle[0], abs=1e-6)
     # constraint generation reaches the vertex the one-shot full LP reaches
@@ -125,8 +125,8 @@ def test_direct_matches_backend(seed):
     rng = np.random.default_rng(200 + seed)
     variables = int(rng.integers(1, 5))
     rows, offsets = random_bounded_instance(rng, variables, int(rng.integers(3, 30)))
-    dense = solve(rows, offsets)
-    direct = solve_minmax_direct(rows, offsets)
+    dense = solve(RowSystem.stack(rows, offsets))
+    direct = solve_minmax_direct(RowSystem.stack(rows, offsets))
     assert direct.optimal
     assert direct.slack == pytest.approx(dense.slack, abs=1e-6)
     # the decisions may differ on degenerate faces, but both must be optimal:
@@ -138,7 +138,7 @@ def test_direct_matches_backend(seed):
 def test_active_rows_attain_the_optimum():
     rng = np.random.default_rng(7)
     rows, offsets = random_bounded_instance(rng, 2, 20)
-    result = solve(rows, offsets)
+    result = solve(RowSystem.stack(rows, offsets))
     values = rows @ result.decision + offsets
     assert values[result.active_rows].max() == pytest.approx(result.slack, abs=1e-6)
     inactive = np.setdiff1d(np.arange(len(rows)), result.active_rows)
@@ -160,8 +160,8 @@ def test_barrier_shaped_instance_agrees_across_routes():
     rows = np.vstack([initial, unsafe, flow, gap, box])
     offsets = np.concatenate([np.zeros(11), np.full(10, -100.0)])
 
-    dense = solve(rows, offsets)
-    direct = solve_minmax_direct(rows, offsets)
+    dense = solve(RowSystem.stack(rows, offsets))
+    direct = solve_minmax_direct(RowSystem.stack(rows, offsets))
     oracle = minimax_by_vertices(rows, offsets)
     assert dense.optimal and direct.optimal and oracle is not None
     assert dense.slack == pytest.approx(oracle[0], abs=1e-6)
@@ -178,8 +178,8 @@ def test_barrier_shaped_instance_agrees_across_routes():
 def test_routes_agree_on_random_small_instances(variables, extra, seed):
     rng = np.random.default_rng(seed)
     rows, offsets = random_bounded_instance(rng, variables, extra, bound=5.0)
-    dense = solve(rows, offsets)
-    direct = solve_minmax_direct(rows, offsets)
+    dense = solve(RowSystem.stack(rows, offsets))
+    direct = solve_minmax_direct(RowSystem.stack(rows, offsets))
     assert dense.optimal and direct.optimal
     assert direct.slack == pytest.approx(dense.slack, abs=1e-6, rel=1e-6)
 
@@ -210,8 +210,8 @@ def test_direct_survives_near_collinear_leading_rows():
     ])
     offsets = np.concatenate([np.full(6, -level), np.zeros(44), np.full(8, -100.0), [level]])
 
-    dense = solve(rows, offsets)
-    direct = solve_minmax_direct(rows, offsets)
+    dense = solve(RowSystem.stack(rows, offsets))
+    direct = solve_minmax_direct(RowSystem.stack(rows, offsets))
     assert dense.optimal and direct.optimal
     assert direct.slack == pytest.approx(dense.slack, abs=1e-6)
 
@@ -227,7 +227,7 @@ def test_reported_slack_bounds_every_row(solver, variables, extra, seed):
     # the slack is never below the returned decision's true objective
     rng = np.random.default_rng(seed)
     rows, offsets = random_bounded_instance(rng, variables, extra)
-    result = solver(rows, offsets)
+    result = solver(RowSystem.stack(rows, offsets))
     assert result.optimal
     values = rows @ result.decision + offsets
     assert values.max() <= result.slack + 1e-9 * max(1.0, abs(result.slack))
@@ -247,7 +247,7 @@ def test_solve_matches_full_lp_with_duplicated_and_near_collinear_rows(variables
     near = base + 1e-9 * rng.normal(size=(4, variables))
     rows = np.vstack([rows, rows[twins], near])
     offsets = np.concatenate([offsets, offsets[twins], 1e-9 * rng.normal(size=4)])
-    result = solve(rows, offsets)
+    result = solve(RowSystem.stack(rows, offsets))
     full = minimax_full_lp(rows, offsets)
     assert result.optimal
     # the oracle's slack lifted to its decision's row maximum, as solve reports it
@@ -282,9 +282,10 @@ def _start_row_choices(count, seed_rows):
 def test_start_rows_do_not_move_the_direct_optimum(variables, extra, seed, data):
     rng = np.random.default_rng(seed)
     rows, offsets = random_bounded_instance(rng, variables, extra)
-    starts = data.draw(_start_row_choices(len(rows), RowSystem.stack(rows, offsets).seed_rows()))
-    plain = solve_minmax_direct(rows, offsets)
-    started = solve_minmax_direct(rows, offsets, start_rows=starts)
+    system = RowSystem.stack(rows, offsets)
+    starts = data.draw(_start_row_choices(len(rows), system.seed_rows()))
+    plain = solve_minmax_direct(system)
+    started = solve_minmax_direct(system, start_rows=starts)
     assert plain.optimal and started.optimal
     # both stop within the exchange's tolerance above the restricted minimum,
     # which is never above the full one, wherever they started
@@ -316,11 +317,12 @@ def test_the_uncapped_exchange_ends_within_one_round_per_row(variables, extra, s
     # every round that does not stop admits a row outside the working set
     rng = np.random.default_rng(seed)
     rows, offsets = random_bounded_instance(rng, variables, extra)
-    seeds = RowSystem.stack(rows, offsets).seed_rows()
+    system = RowSystem.stack(rows, offsets)
+    seeds = system.seed_rows()
     starts = data.draw(_start_row_choices(len(rows), seeds))
     routes = (
-        ("_restricted_minmax", lambda: solve(rows, offsets), []),
-        ("linprog", lambda: solve_minmax_direct(rows, offsets, start_rows=starts), starts),
+        ("_restricted_minmax", lambda: solve(system), []),
+        ("linprog", lambda: solve_minmax_direct(system, start_rows=starts), starts),
     )
     for route, call, start in routes:
         counting, calls = _counted(route)
@@ -344,7 +346,7 @@ def test_warm_started_rounds_reach_the_cold_started_optimum(variables, extra, in
     rows, offsets = random_bounded_instance(rng, variables, extra)
     if integral:  # small integers, so that rows tie and vertices are degenerate
         rows, offsets = np.round(rows), np.round(offsets)
-    warm = solve(rows, offsets)
+    warm = solve(RowSystem.stack(rows, offsets))
     cold = minimax_cold_start(rows, offsets)
     assert warm.status == cold.status == STATUS_OPTIMAL
     # a different start may end at another optimal basis of a degenerate
@@ -377,7 +379,7 @@ def test_each_round_resumes_from_the_previous_optimal_basis(monkeypatch, variabl
     ones = np.ones((1, variables))
     rows = np.vstack([ones, -ones, np.clip(rows, -1.0, 1.0)])
     offsets = np.concatenate([[offsets.max() + 1.0, offsets.max()], offsets])
-    assert solve(rows, offsets).optimal
+    assert solve(RowSystem.stack(rows, offsets)).optimal
     assert len(rounds) >= 2
     # the first round starts at the largest-offset row (the lowest dual cost)
     rows_first, cost, start, optimal = rounds[0]
@@ -398,7 +400,7 @@ def test_direct_refuses_bad_start_rows(starts):
     rng = np.random.default_rng(5)
     rows, offsets = random_bounded_instance(rng, 2, 10)  # 14 rows
     with pytest.raises(ValueError, match="start rows"):
-        solve_minmax_direct(rows, offsets, start_rows=starts)
+        solve_minmax_direct(RowSystem.stack(rows, offsets), start_rows=starts)
 
 
 def test_cross_check_calls_linprog_through_the_module_attribute(monkeypatch):
@@ -410,7 +412,7 @@ def test_cross_check_calls_linprog_through_the_module_attribute(monkeypatch):
         return backend(*args, **kwargs)
 
     monkeypatch.setattr(physbc.solver, "linprog", counting)
-    result = solve_minmax_direct(np.array([[1.0], [-1.0]]), np.zeros(2))
+    result = solve_minmax_direct(RowSystem.stack([[1.0], [-1.0]], np.zeros(2)))
     assert result.status == STATUS_OPTIMAL
     assert calls
 
@@ -422,7 +424,7 @@ def test_solve_never_calls_linprog(monkeypatch):
     monkeypatch.setattr(physbc.solver, "linprog", refuse)
     rng = np.random.default_rng(4)
     rows, offsets = random_bounded_instance(rng, 4, 30)
-    assert solve(rows, offsets).optimal
+    assert solve(RowSystem.stack(rows, offsets)).optimal
 
 
 # small integer entries, so that columns tie often, in row-major and strided stacks
@@ -445,27 +447,26 @@ def test_seed_rows_equal_the_axis_0_reductions(shape, high, fortran, seed):
     assert seeds.dtype == expected.dtype
 
 
-def _compact(rng, width, lead, flow, trail, high):
+def _compact(rng, width, head, flow, high):
     """A random :class:`RowSystem` of small integer entries, so that its
-    columns tie often, also across its parts."""
+    columns tie often, also across its head and its flow rows."""
     def draw(*shape):
         return rng.integers(-high, high + 1, size=shape).astype(float)
 
-    return RowSystem(draw(lead, width), draw(lead), np.asfortranarray(draw(flow, width - 2)),
-                     float(rng.integers(-high, high + 1)), draw(trail, width), draw(trail))
+    return RowSystem(draw(head, width), draw(head), np.asfortranarray(draw(flow, width - 2)),
+                     float(rng.integers(-high, high + 1)))
 
 
 def _frozen(system):
-    for part in (system.lead, system.lead_offsets, system.flow, system.trail,
-                 system.trail_offsets):
+    for part in (system.head, system.head_offsets, system.flow):
         part.flags.writeable = False
     return system
 
 
 def test_seed_rows_of_a_compact_system_hold_no_column_beside_it():
     rng = np.random.default_rng(8)
-    system = _frozen(_compact(rng, 4, 6, 200_000, 9, 1000))  # read-only, as assemble makes it
-    _compact(rng, 4, 6, 10, 9, 3).seed_rows()  # the first call's imports are not counted
+    system = _frozen(_compact(rng, 4, 15, 200_000, 1000))  # read-only, as assemble makes it
+    _compact(rng, 4, 15, 10, 3).seed_rows()  # the first call's imports are not counted
     tracemalloc.start()
     try:
         system.seed_rows()
@@ -477,11 +478,11 @@ def test_seed_rows_of_a_compact_system_hold_no_column_beside_it():
     assert peak < 0.25 * system.flow[:, 0].nbytes
 
 
-# lead, flow and trail blocks of a few rows each, some empty, so that ties and
-# extremes fall on both sides of every part edge
+# a head and flow rows of a few each, either empty, so that ties and extremes
+# fall on both sides of the edge between them
 @settings(max_examples=200, deadline=None)
 @given(
-    sizes=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).filter(any),
+    sizes=st.tuples(st.integers(0, 10), st.integers(0, 5)).filter(any),
     width=st.integers(2, 6),
     high=st.integers(0, 3),
     frozen=st.booleans(),
@@ -514,24 +515,22 @@ def test_a_non_finite_entry_in_a_later_block_is_refused(block, where, value):
             bad_rows[at, at % 2] = value
         else:
             bad_offsets[at] = value
-        # as one dense stack, and split into a leading block and a trailing one
-        split = RowSystem(bad_rows[:block], bad_offsets[:block], np.empty((0, 0)), 0.0,
-                          bad_rows[block:], bad_offsets[block:])
+        # as one dense stack, and as the head of a system with flow rows after it
+        headed = RowSystem(bad_rows, bad_offsets, np.zeros((block, 0)), -1.0)
         for route in (solve, solve_minmax_direct):
-            for system in ((bad_rows, bad_offsets), (split,)):
+            for system in (RowSystem.stack(bad_rows, bad_offsets), headed):
                 with pytest.raises(ValueError, match="rows and offsets must be finite"):
-                    route(*system)
+                    route(system)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_a_non_finite_flow_entry_is_refused(value):
-    system = _compact(np.random.default_rng(6), 4, 3, 7, 9, 3)
+    system = _compact(np.random.default_rng(6), 4, 12, 7, 3)
     for at in range(len(system.flow)):
         for column in range(2):
             flow = system.flow.copy(order="F")
             flow[at, column] = value
-            bad = RowSystem(system.lead, system.lead_offsets, flow, system.flow_constant,
-                            system.trail, system.trail_offsets)
+            bad = RowSystem(system.head, system.head_offsets, flow, system.flow_constant)
             for route in (solve, solve_minmax_direct):
                 with pytest.raises(ValueError, match="rows and offsets must be finite"):
                     route(bad)
@@ -555,7 +554,7 @@ def test_the_compact_system_agrees_with_its_dense_stack(degree, decay, count, se
     rows, offsets = dense(system)
 
     # every row value, against the dense product to 1e-13 of its terms' size
-    decision = rng.normal(0.0, 10.0, system.lead.shape[1])
+    decision = rng.normal(0.0, 10.0, system.head.shape[1])
     values = system.evaluate(decision, np.empty(system.count))
     scale = np.abs(rows) @ np.abs(decision) + np.abs(offsets)
     assert (np.abs(values - (rows @ decision + offsets)) <= 1e-13 * scale).all()
@@ -568,7 +567,7 @@ def test_the_compact_system_agrees_with_its_dense_stack(degree, decay, count, se
     expected = np.concatenate([rows.argmax(0), rows.argmin(0), [offsets.argmax()]])
     assert system.seed_rows().tolist() == expected.tolist()
     # the exchange reaches the same decision and binding rows either way
-    compact, stacked = solve(system), solve(rows, offsets)
+    compact, stacked = solve(system), solve(RowSystem.stack(rows, offsets))
     assert compact.optimal and stacked.optimal
     assert np.array_equal(compact.decision, stacked.decision)
     assert np.array_equal(compact.active_rows, stacked.active_rows)
