@@ -4,7 +4,8 @@ A certificate ``B(x)`` of degree ``d`` is a linear combination of the
 monomials ``x^d, ..., x, 1`` of a scalar state, highest power first, so its
 coefficient count fixes ``d``; the functions here take the degree as a plain
 integer.  :func:`basis_matrix` builds every power by repeated multiplication
-(``x``, ``x*x``, ...), with no floating-point ``pow``.
+(``x``, ``x*x``, ...), with no floating-point ``pow``; :func:`bernstein_rows`
+reads the powers of a region's two ends from it.
 Safety is encoded by three families of affine constraints on the stacked
 decision vector ``[unsafe_level, coefficients...]``:
 
@@ -52,13 +53,16 @@ of the flow rows after it: a :class:`physbc.solver.RowSystem`, with no ``N x
 After the solve, :func:`sample_values` evaluates the flow expression once on
 the recorded pairs; the residual audit (:func:`check_certificate`) and the
 Lipschitz estimators read those values instead of evaluating it again.
+Everything the audit computes is elementwise arithmetic in a fixed order,
+with no BLAS call: :meth:`BarrierCertificate.evaluate` runs Horner's rule,
+and :func:`check_certificate` sums the Bernstein values column by column,
+left to right.  So each value is the same on any BLAS kernel and any split
+of the pairs, and :func:`sample_values` bounds its rounding error.
 
 Full-length arrays, those with a row per pair: :func:`assemble` keeps the
 flow columns, with two power columns beside them while it writes them.
-:func:`sample_values` holds one basis matrix and two value columns at a
-time; each of its two products is one BLAS call over the whole basis
-matrix, since a matrix-vector product split by rows can round its tail rows
-differently.
+:func:`sample_values` holds two value columns and no basis matrix; Horner's
+rule works in place in the column it returns.
 """
 
 from __future__ import annotations
@@ -152,8 +156,31 @@ class BarrierCertificate:
         return separated and (self.decay == 1.0 or self.unsafe_level >= 0.0)
 
     def evaluate(self, states):
-        """Barrier values at a batch ``(N,)``; a single state yields a float."""
-        values = basis_matrix(np.atleast_1d(states), self.degree) @ self.coefficients
+        """Barrier values at a batch ``(N,)``; a single state yields a float.
+
+        Horner's rule, elementwise and in place.  With ``c_0, ..., c_d`` the
+        coefficients, highest power first: ``v = c_0 * x``, then ``v += c_j;
+        v *= x`` for ``j = 1, ..., d - 1``, and last ``v += c_d``; at degree
+        0 every value is ``c_0``.  Each value is those ``2 d`` correctly
+        rounded operations on its own state, in that order, whatever the
+        batch.  Barring underflow and overflow, the computed value is
+        within ``gamma_2d * P(|x|)`` of the exact ``B(x)``, where ``P(t) =
+        sum_j |c_j| t^(d - j)``, ``gamma_n = n u / (1 - n u)`` and ``u =
+        2^-53`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        2nd ed., section 5.1).
+        """
+        x = np.atleast_1d(np.asarray(states, dtype=float))
+        if x.ndim != 1:
+            raise ValueError(f"expected (N,) states, got {x.shape}")
+        c = self.coefficients.tolist()
+        if len(c) == 1:
+            values = np.full(x.shape, c[0])
+        else:
+            values = np.multiply(x, c[0])
+            for cj in c[1:-1]:
+                values += cj
+                values *= x
+            values += c[-1]
         return float(values[0]) if np.ndim(states) == 0 else values
 
     def to_dict(self) -> dict:
@@ -361,11 +388,42 @@ def sample_values(certificate: BarrierCertificate, data: Dataset) -> np.ndarray:
 
     The residual audit and the Lipschitz estimators both read the result, so
     a run evaluates the barrier on its retained pairs exactly twice: one
-    :meth:`BarrierCertificate.evaluate` over all the states and one over all
-    the successors.
+    :meth:`BarrierCertificate.evaluate` over all the successors and one over
+    all the states.  The value at a pair ``(x, y)`` is then ``fl(B^(y) -
+    fl(decay * B^(x)))``, with ``B^`` Horner's computed value.
+
+    Its rounding error, barring underflow and overflow.  Every correctly
+    rounded operation multiplies its exact result by some ``1 + delta``,
+    ``|delta| <= u = 2^-53``.  Horner's rule at degree ``d`` gives ``B^(t) =
+    sum_j c_j t^(d - j) (1 + theta_j)``, each ``1 + theta_j`` a product of at
+    most ``2 d`` such factors (Higham, section 5.1).  The product by
+    ``decay`` adds one factor to the terms of ``B^(x)``, and the difference
+    one to every term, so the computed value is ``sum_j c_j y^(d - j) (1 +
+    theta'_j) - decay * sum_j c_j x^(d - j) (1 + theta''_j)``, with at most
+    ``2 d + 1`` factors in each ``1 + theta'_j`` and ``2 d + 2`` in each
+    ``1 + theta''_j``.  A product of ``n`` such factors is ``1 + theta`` with
+    ``|theta| <= gamma_n = n u / (1 - n u)`` (Higham, lemma 3.1), and
+    ``gamma_n`` grows with ``n``.  So the computed value lies within
+    ``gamma_(2d+2) * (P(|y|) + decay * P(|x|))`` of the exact flow
+    expression, where ``P(t) = sum_j |c_j| t^(d - j)``.
     """
+    values = certificate.evaluate(data.successors)
     barrier = certificate.evaluate(data.states)
-    return certificate.evaluate(data.successors) - certificate.decay * barrier
+    barrier *= certificate.decay
+    values -= barrier
+    return values
+
+
+def _bernstein_values(certificate: BarrierCertificate, region: RegionBox) -> np.ndarray:
+    """The certificate's Bernstein coefficients on ``region``: its
+    :func:`bernstein_rows` times its coefficients, summed column by column
+    from the left, elementwise."""
+    rows = bernstein_rows(certificate.degree, region)
+    c = certificate.coefficients.tolist()
+    values = rows[:, 0] * c[0]
+    for j in range(1, len(c)):
+        values += rows[:, j] * c[j]
+    return values
 
 
 def check_certificate(
@@ -382,12 +440,11 @@ def check_certificate(
     recorded pairs.  The report allows :data:`RESIDUAL_TOLERANCE` above the
     slack.
     """
-    initial = bernstein_rows(certificate.degree, initial_region)
-    unsafe = bernstein_rows(certificate.degree, unsafe_region)
-    values = np.vstack([initial, unsafe]) @ certificate.coefficients
+    initial = _bernstein_values(certificate, initial_region)
+    unsafe = _bernstein_values(certificate, unsafe_region)
     return ResidualReport(
-        initial_max=float((values[:len(initial)] - certificate.initial_level).max()),
-        unsafe_max=float((certificate.unsafe_level - values[len(initial):]).max()),
+        initial_max=float((initial - certificate.initial_level).max()),
+        unsafe_max=float((certificate.unsafe_level - unsafe).max()),
         flow_max=float(flow.max()) if flow.size else float("-inf"),
         definition_ok=certificate.definition_ok,
         tolerance=RESIDUAL_TOLERANCE,

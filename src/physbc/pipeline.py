@@ -26,8 +26,10 @@ returns.  Beside the sampled pairs:
 * assemble and solve (:func:`_fit`): the flow rows' varying columns (two
   at degree 2), and the exchange's row values with their binding mask,
   freed when the solve returns;
-* audit: the flow expression per retained pair, built one basis matrix at a
-  time, and kept for the Lipschitz estimate;
+* audit: the barrier's values on the retained successors and states, two
+  columns that Horner's rule fills in place with no basis matrix; the first
+  becomes the flow expression per retained pair, kept for the Lipschitz
+  estimate;
 * Lipschitz: the slopes between neighbouring states; every sampled dataset
   is in ascending state order, so the retained pairs are scanned as they are,
   with no sort order or sorted copy.

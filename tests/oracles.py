@@ -61,6 +61,42 @@ def basis_matrix_repeated(states, degree):
     return out
 
 
+def horner(coefficients, t):
+    """``B(t)`` by Horner's rule in plain Python floats, highest power first.
+
+    ``v = c_0 * t``, then ``v = (v + c_j) * t`` for ``j = 1, ..., d - 1``,
+    and last ``v + c_d``; ``c_0`` alone at degree 0.
+    """
+    c = list(coefficients)
+    if len(c) == 1:
+        return c[0]
+    v = c[0] * t
+    for cj in c[1:-1]:
+        v = (v + cj) * t
+    return v + c[-1]
+
+
+def sample_values_horner(certificate, data):
+    """The flow expression ``B(y) - decay * B(x)`` pair by pair in plain Python
+    floats, each ``B`` by :func:`horner`."""
+    c, decay = certificate.coefficients.tolist(), certificate.decay
+    return np.array([horner(c, y) - decay * horner(c, x)
+                     for x, y in zip(data.states.tolist(), data.successors.tolist())],
+                    dtype=float)
+
+
+def column_sums(rows, coefficients):
+    """``rows @ coefficients`` row by row in plain Python floats, each sum
+    taken from its first column to its last."""
+    sums = []
+    for row in np.asarray(rows).tolist():
+        total = row[0] * coefficients[0]
+        for value, cj in zip(row[1:], coefficients[1:]):
+            total = total + value * cj
+        sums.append(total)
+    return np.array(sums, dtype=float)
+
+
 def assemble_vstack(degree, decay, data, initial_region, unsafe_region, coeff_bound=100.0):
     """The constraint stack built family by family and joined with ``vstack``.
 

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from oracles import (
     basis_matrix_repeated,
     bernstein_rows_accumulate,
     bernstein_rows_exact,
+    column_sums,
     dense,
+    sample_values_horner,
 )
 from physbc.barrier import (
+    DEFAULT_COEFF_BOUND,
     FAMILIES,
     INITIAL_LEVEL,
     RESIDUAL_TOLERANCE,
@@ -550,6 +554,59 @@ def test_sample_values_are_the_flow_expression_at_each_pair(degree, count, draw)
     # a few roundings of each term, far below this bound
     scale = np.abs(after) @ np.abs(coefficients) + decay * (np.abs(before) @ np.abs(coefficients))
     assert (np.abs(flow - expected) <= 1e-12 * scale).all()
+
+
+# Coefficients, states and decays whose nonzero magnitudes are at least
+# 2^-500, 0.5 and 2^-100: every nonzero value Horner's rule and the flow
+# expression meet is then a multiple of 2^-916, far above the smallest normal
+# float, 2^-1022, so no operation underflows and the documented bound holds.
+_COEFFICIENTS = st.floats(-DEFAULT_COEFF_BOUND, DEFAULT_COEFF_BOUND).map(
+    lambda c: c if abs(c) >= 2.0 ** -500 else 0.0)
+_IN_DOMAIN = st.floats(DOMAIN.lower, DOMAIN.upper)
+
+
+def _gamma(n):
+    """Higham's ``gamma_n = n u / (1 - n u)``, exactly, for ``u = 2^-53``."""
+    nu = Fraction(n, 2 ** 53)
+    return nu / (1 - nu)
+
+
+@settings(max_examples=150, deadline=1000, derandomize=True)
+@given(degree=st.integers(0, 4), count=st.integers(0, 12),
+       decay=st.floats(2.0 ** -100, 1.0), draw=st.data())
+def test_sample_values_are_horner_bit_for_bit_and_within_its_error_bound(degree, count, decay,
+                                                                          draw):
+    c = draw.draw(st.lists(_COEFFICIENTS, min_size=degree + 1, max_size=degree + 1))
+    states = np.array(draw.draw(st.lists(_IN_DOMAIN, min_size=count, max_size=count)))
+    successors = np.array(draw.draw(st.lists(_IN_DOMAIN, min_size=count, max_size=count)))
+    certificate = BarrierCertificate(np.array(c), decay, INITIAL_LEVEL, 1.0)
+    data = Dataset(states, successors, SCHEME_IID, DOMAIN, seed=0)
+    flow = sample_values(certificate, data)
+    # the same operations in the same order as plain Python floats, so the
+    # same bits on any BLAS kernel
+    assert flow.tobytes() == sample_values_horner(certificate, data).tobytes()
+
+    # within gamma_(2d+2) * (P(|y|) + decay * P(|x|)) of the exact value
+    q, k = [Fraction(cj) for cj in c], Fraction(decay)
+
+    def exact(t):
+        return sum(cj * t ** (degree - j) for j, cj in enumerate(q))
+
+    def magnitude(t):
+        return sum(abs(cj) * abs(t) ** (degree - j) for j, cj in enumerate(q))
+
+    gamma = _gamma(2 * degree + 2)
+    for x, y, value in zip(states.tolist(), successors.tolist(), flow.tolist()):
+        x, y = Fraction(x), Fraction(y)
+        error = abs(Fraction(value) - (exact(y) - k * exact(x)))
+        assert error <= gamma * (magnitude(y) + k * magnitude(x))
+
+    # the region residuals are the Bernstein values summed from the left, elementwise
+    report = check_certificate(certificate, flow, INITIAL, UNSAFE)
+    initial = column_sums(bernstein_rows(degree, INITIAL), c)
+    unsafe = column_sums(bernstein_rows(degree, UNSAFE), c)
+    assert report.initial_max == float((initial - INITIAL_LEVEL).max())
+    assert report.unsafe_max == float((1.0 - unsafe).max())
 
 
 @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])

@@ -260,24 +260,38 @@ def test_the_order_of_the_draws_moves_no_result(key, monkeypatch):
 def test_run_evaluates_the_barrier_on_retained_pairs_twice_after_the_solve(monkeypatch):
     config = quick(preset("supply-demand"))
     solved = []
-    after_solve = []
+    evaluated = []
+    basis_lengths = []
     shipped_solve = physbc.pipeline.solve
+    shipped_evaluate = physbc.barrier.BarrierCertificate.evaluate
     kernel = physbc.barrier.basis_matrix
 
     def solve(*args, **kwargs):
         solved.append(True)
         return shipped_solve(*args, **kwargs)
 
+    def evaluate(certificate, states):
+        if solved:
+            evaluated.append(states)
+        return shipped_evaluate(certificate, states)
+
     def basis_matrix(states, degree):
         if solved:
-            after_solve.append(len(states))
+            basis_lengths.append(len(states))
         return kernel(states, degree)
 
     monkeypatch.setattr("physbc.pipeline.solve", solve)
+    monkeypatch.setattr("physbc.barrier.BarrierCertificate.evaluate", evaluate)
     monkeypatch.setattr("physbc.barrier.basis_matrix", basis_matrix)
     artifacts = run(config)
-    # once on the states and once on the successors, shared by audit and Lipschitz
-    assert after_solve.count(artifacts.retained.count) == 2
+    retained = artifacts.retained
+    # once on the successors and once on the states, shared by audit and Lipschitz
+    assert len(evaluated) == 2
+    assert sorted(map(id, evaluated)) == sorted([id(retained.states), id(retained.successors)])
+    # Horner's rule builds no basis matrix over the pairs; only the Bernstein
+    # rows' two end points go through one
+    assert retained.count > 2
+    assert set(basis_lengths) <= {2}
 
 
 def test_probabilistic_run(prob_run):
@@ -440,11 +454,14 @@ def test_the_constraint_stack_is_freed_before_the_audit(key, cross_check, monkey
 
 
 def test_a_run_peaks_at_one_constraint_stack_per_pair():
-    # beside the pairs (16 bytes a pair) the flow columns (16) and the solve's
-    # row values (8 and a temporary of 8) stay below the audit's basis matrix
-    # and value columns (40), which set the peak at about 56.2 bytes a pair;
-    # the bound leaves 3.8 of margin.  A dense (N, 4) stack and its offsets
-    # (40) beside the row values would lift it to 64 or more
+    # beside the pairs (16 bytes a pair) the working arrays of assemble and
+    # the solve set the peak: the flow columns (16) with, while assemble
+    # writes them, two power columns and the finiteness mask (17), about 50.1
+    # bytes a pair, or with the solve's row values and a temporary (16),
+    # about 48.2; the bound leaves 2.9 of margin.  The audit holds two value
+    # columns (16); a basis matrix beside them (24 more) lifted the peak to
+    # 56.2, and a dense (N, 4) stack and its offsets (40) beside the row
+    # values would lift it to 64 or more
     config = reference_config("sd-prob-trad", 0.1)
     run(config)  # the rollout is memoised and the imports are done
     physbc.pipeline._dataset_memo.clear()  # so the sampled pairs count, as in a cold run
@@ -454,7 +471,7 @@ def test_a_run_peaks_at_one_constraint_stack_per_pair():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / artifacts.dataset.count < 60
+    assert peak / artifacts.dataset.count < 53
 
 
 def test_unknown_lipschitz_method_rejected():
