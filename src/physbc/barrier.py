@@ -312,7 +312,10 @@ def assemble(
     first such state and its successor.
 
     The flow columns, ``y^e - decay * x^e`` each, are the one full-length
-    array this returns; one ``isfinite`` over them checks every flow row.
+    array this returns.  Their block extremes
+    (:attr:`physbc.solver.RowSystem.extremes`), which the solver reads
+    too, check every flow row: a nan or an infinity shows in them, so no
+    full-length mask is made.
     """
     if not (0.0 < decay <= 1.0):
         raise ValueError("decay must lie in (0, 1]")
@@ -344,15 +347,14 @@ def assemble(
             column = flow[:, d - e]
             np.multiply(px, decay, out=column)
             np.subtract(py, column, out=column)
-    finite = np.isfinite(flow)
-    if not finite.all():
-        first = int(np.argmin(finite.all(axis=1)))
+    system = ConstraintSystem(head, head_offsets, flow, 1.0 - 1.0 * decay, decay,
+                              (d + 1, d + 1, 2 * width, 1, data.count))
+    first = system.first_non_finite()
+    if first >= 0:
         raise PhysbcError(
             f"the flow row of state {float(data.states[first])!r} and successor"
             f" {float(data.successors[first])!r} is not finite at degree {d}")
-
-    return ConstraintSystem(head, head_offsets, flow, 1.0 - 1.0 * decay, decay,
-                            (d + 1, d + 1, 2 * width, 1, data.count))
+    return system
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ returns.  Beside the sampled pairs:
 * filter (:func:`_filtered`): every pair's discrepancy and the keep mask,
   freed when the stage returns, and the retained pairs, which stay;
 * assemble and solve (:func:`_fit`): the flow rows' varying columns (two
-  at degree 2), and the exchange's row values with their binding mask,
-  freed when the solve returns;
+  at degree 2), and the exchange's row values, one array of which each
+  round writes only the blocks that can hold the worst row, freed when the
+  solve returns;
 * audit: the barrier's values on the retained successors and states, two
   columns that Horner's rule fills in place with no basis matrix; the first
   becomes the flow expression per retained pair, kept for the Lipschitz

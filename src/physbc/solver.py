@@ -11,9 +11,9 @@ a :class:`RowSystem` keeps those columns after one small dense block, the
 head; a dense stack is a head with no flow rows.  Both entry points run
 one exchange driver, constraint generation in the manner of Kelley's
 cutting-plane method: solve the problem restricted to a small working set of
-rows exactly, evaluate every row, admit the worst row, and repeat until no
-row exceeds the restricted slack.  They differ only in the restricted
-solver, and the two share no arithmetic:
+rows exactly, find the worst row, admit it, and repeat until no row exceeds
+the restricted slack.  They differ only in the restricted solver, and the
+two share no arithmetic:
 
 * :func:`solve`, the production path, runs a small dense simplex on the LP
   dual of the restricted problem: ``width + 1`` equality rows however many
@@ -32,23 +32,39 @@ seed working set; the cross-check also accepts extra start rows (the
 pipeline hands it the rows that bind at the production optimum), so the two
 routes need not solve the same restricted problems.
 
+Finding the worst row reads only part of the flow family.  The flow rows
+come in blocks of ``_BOUND_ROWS``, and each block keeps its columns' max and
+min.  Round-to-nearest is monotone, so the flow kernel's own operations run
+on a block's extremes, each column at the extreme its coefficient's sign
+favours, give a floating-point value at least every computed row value in the
+block: a bound with no epsilon (:meth:`RowSystem.bound`).  A round evaluates
+the head and the block with the largest bound, takes their largest value as
+the level, and evaluates every other block whose bound is not below it
+(:func:`_worst_row`); a skipped block holds only rows below a value some row
+attains.  So the worst row found is the worst of every row, bit for bit, as
+a full evaluation would find it.  A flow of only a few blocks is evaluated
+whole, since there the bound costs more than it skips.
+
 Where the exchange starts does not decide what it returns.  A restricted
 problem has a subset of the rows, so its minimum is never above the full
-one.  The exchange stops only when the evaluation of every row shows that no
-row at the restricted decision exceeds the restricted slack, and that row
-maximum is at least the full minimum.  So at the stop the decision is optimal
-to the stopping tolerance, whichever rows started the exchange: start rows
-change how many rounds it takes, never what proves the optimum.  For the
-same reason the basis a restricted simplex starts from changes only how many
-pivots a round takes: each round's restricted problem is solved to its own
-optimum, and the full-row check alone decides when to stop.  Neither
-route caps its rounds, since the exchange ends on its own (see
-:func:`_exchange`); both report which rows bind at the optimum.
+one.  The exchange stops only when no row at the restricted decision exceeds
+the restricted slack: every computed row value is at most its block's bound,
+and every block whose bound reaches the level was evaluated exactly, so the
+largest value found is the row maximum, and that is at least the full
+minimum.  So at the stop the decision is optimal to the stopping tolerance,
+whichever rows started the exchange: start rows change how many rounds it
+takes, never what proves the optimum.  For the same reason the basis a
+restricted simplex starts from changes only how many pivots a round takes:
+each round's restricted problem is solved to its own optimum, and the check
+over every row alone decides when to stop.  Neither route caps its rounds,
+since the exchange ends on its own (see :func:`_exchange`); both report
+which rows bind at the optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +85,15 @@ _ARTIFICIAL_BOX = 1e6
 # terminates on its own long before this on problems of this size.
 _MAX_PIVOTS = 20000
 
+# Rows per block of the flow family: each block's column extremes bound its
+# rows (:meth:`RowSystem.bound`), so an exchange round evaluates only the
+# blocks whose bound reaches the worst row found so far.
+_BOUND_ROWS = 4096
+
+# A flow of fewer blocks than this is evaluated whole each round: there the
+# bound and the bookkeeping of skipping blocks cost more than they save.
+_PRUNE_BLOCKS = 8
+
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -82,12 +107,33 @@ class SolveResult:
         return self.status == STATUS_OPTIMAL
 
 
+def _flow_values(columns, decision: np.ndarray, constant: float, out: np.ndarray) -> np.ndarray:
+    """The flow kernel, ``c_1 u_1 + ... + c_d u_d + c_0 constant`` written into
+    ``out``, ``u_e`` the column of ``x^e`` and ``c`` the decision: the last
+    column times its coefficient, then each earlier column's product added,
+    last column first, then the constant term's product added.  The flow rows
+    and their block bounds (:meth:`RowSystem.bound`) both run this sequence."""
+    d = len(columns)
+    if d:
+        np.multiply(columns[d - 1], decision[d], out=out)
+    else:
+        out.fill(0.0)
+    for j in range(d - 2, -1, -1):
+        out += columns[j] * decision[1 + j]
+    out += decision[-1] * constant
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class RowSystem:
     """Affine rows ``a_i . v + b_i``: the dense ``head``, then flow rows ``[0,
     flow[i], flow_constant]`` with offset 0, which vary only in the columns of
-    the F-contiguous ``flow``.  The solver reads it through :meth:`evaluate`,
-    :meth:`row` and :meth:`seed_rows` alone.
+    the F-contiguous ``flow``.  The flow rows come in blocks of
+    ``_BOUND_ROWS``, the last one shorter; :attr:`extremes` holds each
+    block's column extremes, from which :meth:`bound` bounds its rows.  The
+    exchange reads the flow rows through :meth:`bound`, :meth:`spans`,
+    :meth:`evaluate_blocks`, :meth:`row` and :meth:`seed_rows`, and a flow
+    of only a few blocks as a whole.
     """
 
     head: np.ndarray
@@ -108,22 +154,76 @@ class RowSystem:
     def count(self) -> int:
         return len(self.head) + len(self.flow)
 
-    def evaluate(self, decision: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Every row at ``decision``, written into ``out``: one matrix-vector
-        product for the head, and the flow rows elementwise as ``c_1 u_1 + ...
-        + c_d u_d + c_0 flow_constant``, ``u_e`` the column of ``x^e``."""
-        h, d = len(self.head), self.flow.shape[1]
-        np.matmul(self.head, decision, out=out[:h])
-        out[:h] += self.head_offsets
-        values = out[h:]
-        if d:
-            np.multiply(self.flow[:, d - 1], decision[d], out=values)
-        else:
-            values.fill(0.0)
-        for j in range(d - 2, -1, -1):
-            values += self.flow[:, j] * decision[1 + j]
-        values += decision[-1] * self.flow_constant
-        return out
+    @cached_property
+    def extremes(self) -> tuple:
+        """Each flow column's max and min over each block of rows: two
+        read-only ``(blocks, d)`` arrays, computed once per system.  Both
+        reductions propagate a nan and an infinity is an extreme, so a block
+        holds an entry that is not finite exactly when one of its extremes is
+        not finite."""
+        starts = np.arange(0, len(self.flow), _BOUND_ROWS)
+        top = np.maximum.reduceat(self.flow, starts, axis=0)
+        bottom = np.minimum.reduceat(self.flow, starts, axis=0)
+        top.flags.writeable = bottom.flags.writeable = False
+        return top, bottom
+
+    def first_non_finite(self) -> int:
+        """The first flow row with an entry that is not finite, counted within
+        the flow family, or -1 if there is none.  Only the first block whose
+        extremes are not all finite can hold it, so only that block is
+        searched."""
+        top, bottom = self.extremes
+        if np.isfinite(top).all() and np.isfinite(bottom).all():
+            return -1
+        finite = np.isfinite(top).all(axis=1) & np.isfinite(bottom).all(axis=1)
+        start = int(np.argmin(finite)) * _BOUND_ROWS
+        block = self.flow[start:start + _BOUND_ROWS]
+        return start + int(np.argmin(np.isfinite(block).all(axis=1)))
+
+    def bound(self, decision: np.ndarray) -> np.ndarray:
+        """An upper bound on every computed flow row value of each block at
+        ``decision``: :func:`_flow_values` on the block's extremes, each
+        column at its max where its coefficient is >= 0 and at its min
+        otherwise.
+
+        Round-to-nearest is monotone: ``a <= b`` gives ``fl(a) <= fl(b)``.
+        So each product ``fl(u c)`` is non-decreasing in ``u`` for ``c >= 0``
+        (``-0.0`` included: every product is a zero) and non-increasing for
+        ``c < 0``, and each sum ``fl(a + b)`` is non-decreasing in both
+        terms.  Running a row's exact operation sequence with every column
+        replaced by that extreme therefore gives a value at least the row's
+        computed value, bit for bit and with no epsilon.  A row whose
+        computed value is nan met an ``inf - inf``, so the bound met an
+        infinity at least as large and is ``inf`` or nan itself."""
+        top, bottom = self.extremes
+        columns = [top[:, j] if decision[1 + j] >= 0 else bottom[:, j]
+                   for j in range(top.shape[1])]
+        return _flow_values(columns, decision, self.flow_constant, np.empty(len(top)))
+
+    def spans(self, blocks: np.ndarray) -> list:
+        """The row ranges ``(start, stop)`` of the runs of true entries in the
+        boolean ``blocks``, one entry per block, counted as in the system and
+        in ascending order."""
+        runs = []  # [first block, last block + 1] of each run
+        for k in np.flatnonzero(blocks).tolist():
+            if runs and runs[-1][1] == k:
+                runs[-1][1] = k + 1
+            else:
+                runs.append([k, k + 1])
+        h, n = len(self.head), len(self.flow)
+        return [(h + first * _BOUND_ROWS, h + min(stop * _BOUND_ROWS, n)) for first, stop in runs]
+
+    def evaluate_blocks(self, decision: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> list:
+        """The flow rows of the blocks marked in ``blocks`` at ``decision``,
+        each written into ``out`` at its row position by :func:`_flow_values`;
+        every other entry of ``out`` is left as it was.  Returns their
+        :meth:`spans`."""
+        h = len(self.head)
+        spans = self.spans(blocks)
+        for start, stop in spans:
+            _flow_values(self.flow[start - h:stop - h].T, decision, self.flow_constant,
+                         out[start:stop])
+        return spans
 
     def row(self, i: int) -> tuple:
         """Row ``i`` and its offset, the row in exactly the bytes a dense stack holds."""
@@ -140,17 +240,24 @@ class RowSystem:
         column's first largest and first smallest row, and the first row with
         the largest offset; a ValueError if an entry is not finite.  Only the
         head rows, the first flow row and each flow column's first entries
-        equal to its max and min (``argmax`` would copy a read-only array) can
-        be those, so the reductions run over a block of those rows, in row
-        order."""
+        equal to its max and min can be those, so the reductions run over a
+        block of those rows, in row order.  A flow column's max and min are
+        read from :attr:`extremes`; only the first block that holds each is
+        searched for its first entry equal to it (``argmax`` would copy a
+        read-only column)."""
         h, width = len(self.head), self.head.shape[1]
         firsts = np.empty(0, dtype=int)
         if len(self.flow):
-            extremes = np.concatenate([self.flow.max(axis=0), self.flow.min(axis=0)])
-            if not np.isfinite(extremes).all():
+            if self.first_non_finite() >= 0:
                 raise ValueError("rows and offsets must be finite")
-            firsts = np.sort([0] + [np.argmax(column == value)
-                                    for column, value in zip([*self.flow.T] * 2, extremes)])
+            top, bottom = self.extremes
+            firsts = [0]
+            # the first block that holds each column's max, then each one's min
+            for extremes, blocks in ((top, top.argmax(axis=0)), (bottom, bottom.argmin(axis=0))):
+                for j, k in enumerate(blocks.tolist()):
+                    rows = self.flow[k * _BOUND_ROWS:(k + 1) * _BOUND_ROWS, j]
+                    firsts.append(k * _BOUND_ROWS + int(np.argmax(rows == extremes[k, j])))
+            firsts = np.sort(firsts)
         # one row per candidate: its entries, then its offset
         block = np.zeros((h + len(firsts), width + 1))
         block[:h, :width], block[:h, width] = self.head, self.head_offsets
@@ -178,20 +285,90 @@ def _start_rows(start_rows, count: int) -> np.ndarray:
     return picks
 
 
+def _worst_row(system: RowSystem, decision: np.ndarray, bound: np.ndarray,
+               values: np.ndarray) -> tuple:
+    """The first row with the largest value at ``decision``, as ``np.argmax``
+    over every row would pick it (the first nan if any), and the boolean mask
+    of the blocks evaluated to find it; ``bound`` is ``system.bound(decision)``
+    of a flow of one block or more, or None to evaluate every row into
+    ``values`` (the mask is then None).
+
+    The head and the block with the largest bound are evaluated into
+    ``values``.  Their largest value, the level, is the value of some row, so
+    the worst row is not below it; a block whose bound is below the level
+    holds only rows below it, and is skipped.  Every other block is evaluated
+    into ``values`` too, found as ``~(bound < level)`` so that a nan bound or
+    level prunes nothing.  The worst row is the first largest over the head,
+    then the evaluated blocks in ascending order."""
+    head = values[:len(system.head)]
+    np.matmul(system.head, decision, out=head)
+    head += system.head_offsets
+    if bound is None:  # every flow row, in one pass
+        _flow_values(system.flow.T, decision, system.flow_constant, values[len(head):])
+        return int(np.argmax(values)), None
+    evaluated = np.zeros(bound.shape, dtype=bool)
+    evaluated[np.argmax(bound)] = True
+    spans = system.evaluate_blocks(decision, evaluated, values)
+    (start, stop), = spans
+    level = values[start:stop].max()
+    if head.size:
+        level = max(level, head.max())  # keeps a nan level: nan > x is false
+    rest = ~(bound < level)
+    rest[evaluated] = False
+    if rest.any():
+        system.evaluate_blocks(decision, rest, values)
+        evaluated |= rest
+        spans = system.spans(evaluated)
+    if head.size:
+        spans.insert(0, (0, head.size))
+    firsts = [start + int(np.argmax(values[start:stop])) for start, stop in spans]
+    return firsts[int(np.argmax(values[firsts]))], evaluated
+
+
+def _rows_at_least(system: RowSystem, decision: np.ndarray, level: float, bound: np.ndarray,
+                   evaluated: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The rows whose value at ``decision`` is at least ``level``, in ascending
+    order.  ``values`` holds the head and the ``evaluated`` blocks at
+    ``decision`` already, as :func:`_worst_row` left them (every row if
+    ``bound`` is None); of the rest, only the blocks whose ``bound`` is not
+    below ``level`` can hold such a row, so only they are evaluated."""
+    if bound is None:  # every row was evaluated
+        return np.flatnonzero(values >= level)
+    reach = ~(bound < level)
+    missing = reach & ~evaluated
+    if missing.any():
+        system.evaluate_blocks(decision, missing, values)
+    spans = [(0, len(system.head)), *system.spans(reach)]
+    return np.concatenate([start + np.flatnonzero(values[start:stop] >= level)
+                           for start, stop in spans])
+
+
 def _exchange(system: RowSystem, restricted, start_rows=()) -> SolveResult:
     """Constraint generation over the rows of a :class:`RowSystem`.
 
     The working set starts as the seed rows merged with ``start_rows``.  Each
     round solves the working-set rows exactly with ``restricted``
     (``(A_w, b_w) -> (decision, slack)``, boxed at ``_ARTIFICIAL_BOX``),
-    evaluates every row into one reused array and admits the globally worst
-    row (lowest index on ties), until no row exceeds the restricted slack.
-    The admitted row goes last, so the rows already in the working set keep
-    their positions; :func:`solve` resumes each round's simplex from the
-    previous one's basis on that account.  A converged decision pressed
-    against the box means the full problem is unbounded.  The reported slack
-    is clamped to the maximum over all rows, so it never understates the
-    decision's true objective.
+    finds the globally worst row (lowest index on ties) with
+    :func:`_worst_row`, and admits it, until no row exceeds the restricted
+    slack.  The admitted row goes last, so the rows already in the working
+    set keep their positions; :func:`solve` resumes each round's simplex
+    from the previous one's basis on that account.  A converged decision
+    pressed against the box means the full problem is unbounded.  The
+    reported slack is clamped to the maximum over all rows, so it never
+    understates the decision's true objective.
+
+    A round evaluates the head and only the flow blocks that can hold the
+    worst row, into one reused array; a flow of fewer than
+    ``_PRUNE_BLOCKS`` blocks is evaluated whole, with no bound.  Rounding
+    to nearest is monotone, so the flow kernel run on a block's column
+    extremes, each at the end its coefficient's sign favours, bounds every
+    computed value in the block (:meth:`RowSystem.bound`).  Every computed
+    flow value is at most its block's bound, and every block whose bound
+    reaches the level, the largest value found first, is evaluated exactly;
+    so the worst row, and the maximum the stop compares, are those of every
+    row, bit for bit.  At the stop, the rows within the tolerance of the
+    slack are found the same way, at the level ``slack - tol``.
 
     It needs no round cap: a round that does not stop either admits a row
     outside the working set or raises "stalled", so with N rows and W in the
@@ -199,11 +376,11 @@ def _exchange(system: RowSystem, restricted, start_rows=()) -> SolveResult:
     """
     working = np.union1d(system.seed_rows(), _start_rows(start_rows, system.count)).tolist()
     A_w, b_w = map(np.array, zip(*map(system.row, working)))  # the working rows, fetched once
-    values = np.empty(system.count)  # every round's row values, in one array
+    values = np.empty(system.count)  # every round's evaluated rows, in one array
     while True:
         decision, slack = restricted(A_w, b_w)
-        system.evaluate(decision, values)
-        worst = int(np.argmax(values))
+        bound = system.bound(decision) if len(system.extremes[0]) >= _PRUNE_BLOCKS else None
+        worst, evaluated = _worst_row(system, decision, bound, values)
         if values[worst] <= slack + 1e-9 * max(1.0, abs(slack)):
             if np.max(np.abs(decision)) >= 0.5 * _ARTIFICIAL_BOX:
                 return SolveResult(
@@ -218,7 +395,8 @@ def _exchange(system: RowSystem, restricted, start_rows=()) -> SolveResult:
                 slack=slack,
                 decision=decision,
                 status=STATUS_OPTIMAL,
-                active_rows=np.nonzero(values >= slack - tol)[0],
+                active_rows=_rows_at_least(system, decision, slack - tol, bound, evaluated,
+                                           values),
             )
         if worst in working:
             raise PhysbcError("exchange stalled on an already-admitted row")

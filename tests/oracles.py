@@ -274,6 +274,27 @@ def dense(system):
             np.concatenate([system.head_offsets, np.zeros(len(flow))]))
 
 
+def evaluate_rows(system, decision):
+    """Every row of a compact row system at ``decision``, the whole system at
+    once, as the exchange evaluated it before it bounded blocks of flow rows:
+    one matrix-vector product for the head, and the flow rows elementwise as
+    ``c_1 u_1 + ... + c_d u_d + c_0 flow_constant`` in the order of
+    :func:`physbc.solver._flow_values`, ``u_e`` the column of ``x^e``."""
+    h, d = len(system.head), system.flow.shape[1]
+    out = np.empty(system.count)
+    np.matmul(system.head, decision, out=out[:h])
+    out[:h] += system.head_offsets
+    values = out[h:]
+    if d:
+        np.multiply(system.flow[:, d - 1], decision[d], out=values)
+    else:
+        values.fill(0.0)
+    for j in range(d - 2, -1, -1):
+        values += system.flow[:, j] * decision[1 + j]
+    values += decision[-1] * system.flow_constant
+    return out
+
+
 def random_bounded_instance(rng, variables, extra_rows, bound=10.0):
     """Random minimax instance kept bounded by a symmetric box on every variable."""
     box = np.vstack([np.eye(variables), -np.eye(variables)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import physbc.solver
 from oracles import (
     assemble_vstack,
     basis_matrix_pow,
@@ -714,8 +715,12 @@ def test_blocked_passes_match_whole_array_passes(block, degree):
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("successor", [1e200, np.nan])
-def test_a_block_names_the_first_pair_whose_flow_row_is_not_finite(block, successor):
+def test_a_block_names_the_first_pair_whose_flow_row_is_not_finite(monkeypatch, block,
+                                                                   successor):
     # every pair from `first` on is bad, in a dataset of 3 * block + 1 pairs
+    # whose flow rows come in blocks of `block`: the first bad row is in the
+    # second block, and later blocks hold bad rows too
+    monkeypatch.setattr(physbc.solver, "_BOUND_ROWS", block)
     data = _toy_dataset(3 * block + 1)
     ys = data.successors.copy()
     first = block + 1

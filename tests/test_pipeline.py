@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     dense,
+    evaluate_rows,
     minimax_full_lp,
     pairwise_whole_array,
     safety_by_step_many,
@@ -117,7 +118,7 @@ def _full_lp_with_clamp(system):
     rounding-level difference): with the rows evaluated as the exchange
     evaluates them, the flow rows elementwise from their columns."""
     result = minimax_full_lp(*dense(system))
-    values = system.evaluate(result.decision, np.empty(system.count))
+    values = evaluate_rows(system, result.decision)
     return replace(result, slack=max(result.slack, float(values.max())))
 
 
@@ -454,14 +455,15 @@ def test_the_constraint_stack_is_freed_before_the_audit(key, cross_check, monkey
 
 
 def test_a_run_peaks_at_one_constraint_stack_per_pair():
-    # beside the pairs (16 bytes a pair) the working arrays of assemble and
-    # the solve set the peak: the flow columns (16) with, while assemble
-    # writes them, two power columns and the finiteness mask (17), about 50.1
-    # bytes a pair, or with the solve's row values and a temporary (16),
-    # about 48.2; the bound leaves 2.9 of margin.  The audit holds two value
-    # columns (16); a basis matrix beside them (24 more) lifted the peak to
-    # 56.2, and a dense (N, 4) stack and its offsets (40) beside the row
-    # values would lift it to 64 or more
+    # beside the pairs (16 bytes a pair) assemble sets the peak: the flow
+    # columns (16) with the two power columns it writes them from (16), about
+    # 48.2 bytes a pair; the bound leaves 2.8 of margin.  Its block extremes
+    # check the flow rows with no finiteness mask (which lifted the peak to
+    # 50.1), and the solve holds the flow columns with one row-value array
+    # and the temporaries of the blocks it evaluates, about 42.6.  The audit
+    # holds two value columns (16); a basis matrix beside them (24 more)
+    # lifted the peak to 56.2, and a dense (N, 4) stack and its offsets (40)
+    # beside the row values would lift it to 64 or more
     config = reference_config("sd-prob-trad", 0.1)
     run(config)  # the rollout is memoised and the imports are done
     physbc.pipeline._dataset_memo.clear()  # so the sampled pairs count, as in a cold run
@@ -471,7 +473,7 @@ def test_a_run_peaks_at_one_constraint_stack_per_pair():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / artifacts.dataset.count < 53
+    assert peak / artifacts.dataset.count < 51
 
 
 def test_unknown_lipschitz_method_rejected():
