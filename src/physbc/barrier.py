@@ -59,8 +59,9 @@ and :func:`check_certificate` sums the Bernstein values column by column,
 left to right.  So each value is the same on any BLAS kernel and any split
 of the pairs, and :func:`sample_values` bounds its rounding error.
 
-Full-length arrays, those with a row per pair: :func:`assemble` keeps the
-flow columns, with two power columns beside them while it writes them.
+Full-length arrays, those with a row per pair: :func:`assemble` makes the
+flow columns and nothing else; it writes them ``_POWER_ROWS`` pairs at a
+time, from two power columns of that length that each block reuses.
 :func:`sample_values` holds two value columns and no basis matrix; Horner's
 rule works in place in the column it returns.
 """
@@ -86,6 +87,9 @@ FAMILIES = ("initial", "unsafe", "bound", "gap", "flow")
 DEFAULT_COEFF_BOUND = 100.0
 INITIAL_LEVEL = 1e-4  # the pinned barrier level on the initial set
 RESIDUAL_TOLERANCE = 1e-7  # the residual audit's allowance above the slack
+
+# Pairs whose powers assemble holds at a time while it writes the flow columns.
+_POWER_ROWS = 8192
 
 
 def _degree(degree) -> int:
@@ -312,7 +316,11 @@ def assemble(
     first such state and its successor.
 
     The flow columns, ``y^e - decay * x^e`` each, are the one full-length
-    array this returns.  Their block extremes
+    array this makes.  They are written ``_POWER_ROWS`` pairs at a time:
+    each power is the previous one times the state or successor, written
+    into one of two reused power columns, so every entry is the same
+    operations on its own pair as over all the pairs at once.  Their block
+    extremes
     (:attr:`physbc.solver.RowSystem.extremes`), which the solver reads
     too, check every flow row: a nan or an infinity shows in them, so no
     full-length mask is made.
@@ -337,16 +345,22 @@ def assemble(
     head_offsets = np.concatenate([np.repeat([-INITIAL_LEVEL, 0.0], d + 1),
                                    np.full(2 * width, -coeff_bound, dtype=float), [INITIAL_LEVEL]])
 
-    # column d - e is y^e - decay * x^e, each power the previous one times the state
+    # column d - e is y^e - decay * x^e, each power the previous one times the
+    # state, written _POWER_ROWS rows at a time from two reused power columns
     flow = np.empty((data.count, d), order="F")
-    px, py = data.states, data.successors
+    powers = np.empty((2, min(_POWER_ROWS, data.count)))
     with np.errstate(over="ignore", invalid="ignore"):  # the check below says it all
-        for e in range(1, d + 1):
-            if e > 1:
-                px, py = px * data.states, py * data.successors
-            column = flow[:, d - e]
-            np.multiply(px, decay, out=column)
-            np.subtract(py, column, out=column)
+        for start in range(0, data.count, _POWER_ROWS):
+            xs = data.states[start:start + _POWER_ROWS]
+            ys = data.successors[start:start + _POWER_ROWS]
+            px, py = xs, ys
+            for e in range(1, d + 1):
+                if e > 1:
+                    px = np.multiply(px, xs, out=powers[0, :len(xs)])
+                    py = np.multiply(py, ys, out=powers[1, :len(xs)])
+                column = flow[start:start + len(xs), d - e]
+                np.multiply(px, decay, out=column)
+                np.subtract(py, column, out=column)
     system = ConstraintSystem(head, head_offsets, flow, 1.0 - 1.0 * decay, decay,
                               (d + 1, d + 1, 2 * width, 1, data.count))
     first = system.first_non_finite()

@@ -6,16 +6,16 @@ exactly on the boundary are kept; every other pair, one with a NaN
 discrepancy included, is discarded.  The filter never
 re-simulates anything: it only compares recorded successors against the
 physics map, so applying it is pure and repeatable.  :func:`apply_filter`
-returns every pair's discrepancy and the keep mask, from which the retained
-pairs and the longest discarded run (:attr:`FilterOutcome.max_jump`) are
-read.  The retained pairs are gathered on first use, so a caller that reads
-only the mask, as ``physbc plotdata`` does, never holds a copy of them.
+returns every pair's discrepancy and the keep mask, from which the longest
+discarded run (:attr:`FilterOutcome.max_jump`) is read.  A caller gathers
+the retained pairs itself, with ``dataset.take(outcome.mask)``, so one that
+reads only the mask, as ``physbc plotdata`` does, never holds a copy of
+them, and one that gathers them can free the discrepancies first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -26,14 +26,8 @@ from .sampling import Dataset
 
 @dataclass(frozen=True, eq=False)
 class FilterOutcome:
-    dataset: Dataset  # the input pairs
     discrepancies: np.ndarray  # per input pair, in input order
     mask: np.ndarray  # True where the input pair was kept
-
-    @cached_property
-    def retained(self) -> Dataset:
-        """The kept pairs in input order, gathered on first use."""
-        return self.dataset.take(self.mask)
 
     @property
     def retained_count(self) -> int:
@@ -70,7 +64,7 @@ def apply_filter(dataset: Dataset, physics: SystemModel, threshold: float) -> Fi
     if not (threshold > 0):
         raise ValueError("threshold must be strictly positive")
     disc = discrepancies(dataset, physics)
-    return FilterOutcome(dataset=dataset, discrepancies=disc, mask=disc <= threshold)
+    return FilterOutcome(discrepancies=disc, mask=disc <= threshold)
 
 
 def _longest_run(mask: np.ndarray) -> Optional[Tuple[int, int]]:

@@ -42,6 +42,7 @@ METHOD_PAIRWISE = "pairwise-max"
 METHOD_EXTREME = "extreme-value"
 
 _CHUNK = 1 << 16  # pairs per streamed slope chunk
+_SCAN_ROWS = 8192  # neighbour pairs per block of the exact scan
 
 
 @dataclass(frozen=True)
@@ -85,34 +86,45 @@ def _require_pairs(flow: np.ndarray, dataset: Dataset) -> None:
 def _neighbour_maxima(flow: np.ndarray, dataset: Dataset):
     """Exact largest flow slope over all pairs of a dataset.
 
-    Sorts the states once, unless one comparison shows they are already in
-    order (every sampled dataset and its filtered subsets are), and groups
-    equal coordinates; between adjacent groups the steepest slope pairs one
-    group's highest value with the other's lowest; when no two states
-    coincide each group is one state and the grouping reductions are
-    skipped.  Where three values are collinear a wider secant can round one
-    ulp above the neighbour slopes, which the multiplier's headroom dwarfs.
-    Returns ``(flow slope, adjacent group pairs)``.
+    Sorts the states once, unless they are already in order (every sampled
+    dataset and its filtered subsets are), and groups equal coordinates;
+    between adjacent groups the steepest slope pairs one group's highest
+    value with the other's lowest.  When no two states coincide each group
+    is one state, and the slopes ``|diff(flow)| / diff(states)`` are scanned
+    ``_SCAN_ROWS`` neighbour pairs at a time in two reused arrays; the
+    largest of the blocks' maxima is taken by ``np.max``, so a nan slope
+    shows as it does over the whole array.  Where three values are collinear
+    a wider secant can round one ulp above the neighbour slopes, which the
+    multiplier's headroom dwarfs.  Returns ``(flow slope, adjacent group
+    pairs)``.
     """
     _require_pairs(flow, dataset)
     coords, family = dataset.states, flow
-    if not np.all(coords[1:] >= coords[:-1]):
+    blocks = [(start, min(start + _SCAN_ROWS, coords.size - 1))
+              for start in range(0, coords.size - 1, _SCAN_ROWS)]
+    if not all(np.all(coords[a + 1:b + 1] >= coords[a:b]) for a, b in blocks):
         # equal states may come out in any order: only their group's extremes are read
         order = np.argsort(coords)
         coords, family = coords[order], flow[order]
         del order  # its gathers are done; the grouping below needs only their results
-    fresh = np.empty(coords.size, dtype=bool)
-    fresh[0] = True
-    np.not_equal(coords[1:], coords[:-1], out=fresh[1:])
-    groups = int(np.count_nonzero(fresh))
+    groups = 1 + sum(int(np.count_nonzero(coords[a + 1:b + 1] != coords[a:b]))
+                     for a, b in blocks)
     if groups < 2:
         raise PhysbcError("all sample states coincide")
     if groups == coords.size:  # one state per group: lo = hi = family
-        # |diff(family)| / diff(coords), computed in one array
-        rise = np.subtract(family[1:], family[:-1])
-        np.abs(rise, out=rise)
-        rise /= np.diff(coords)
-        return float(rise.max()), groups - 1
+        rise, run = np.empty((2, blocks[0][1]))
+        steepest = []
+        for a, b in blocks:
+            r, g = rise[:b - a], run[:b - a]
+            np.subtract(family[a + 1:b + 1], family[a:b], out=r)
+            np.abs(r, out=r)
+            np.subtract(coords[a + 1:b + 1], coords[a:b], out=g)
+            r /= g
+            steepest.append(r.max())
+        return float(np.max(steepest)), groups - 1
+    fresh = np.empty(coords.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(coords[1:], coords[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
     lo = np.minimum.reduceat(family, starts)
     hi = np.maximum.reduceat(family, starts)

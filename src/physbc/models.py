@@ -9,9 +9,9 @@ A :class:`SystemModel` is these terms and nothing else: the ground truth is
 the physics with a nonzero amplitude.
 
 Every evaluation of ``f`` goes through one kernel, ``SystemModel._advance``,
-which writes into caller-supplied buffers: :meth:`SystemModel.step_many` and
-:func:`check_safety_empirically` both call it, so a batch step and a rollout
-step are the same arithmetic.  The Monte-Carlo rollout advances one
+which writes into caller-supplied buffers: :meth:`SystemModel.step_many`, a
+block of states at a time, and :func:`check_safety_empirically` both call it,
+so a batch step and a rollout step are the same arithmetic.  The Monte-Carlo rollout advances one
 ``(trajectories,)`` state array per step and tests unsafe membership, and that
 every state is finite, after each step.
 """
@@ -30,6 +30,9 @@ from .errors import PhysbcError
 # Tags of the two polynomial families in a custom-system JSON object.
 KIND_AFFINE = "affine"
 KIND_QUADRATIC = "quadratic-polynomial"
+
+# States a batch step advances at a time, through one scratch of this length.
+_STEP_ROWS = 8192
 
 
 def real_array(value, field: str) -> np.ndarray:
@@ -154,12 +157,20 @@ class SystemModel:
             out += scratch
 
     def step_many(self, states: np.ndarray) -> np.ndarray:
-        """Advance a batch of states ``(N,)`` by one step."""
+        """Advance a batch of states ``(N,)`` by one step.
+
+        The states are advanced ``_STEP_ROWS`` at a time, through one scratch
+        of that length, so beside the result no array with a row per state is
+        made; each successor is the same operations on its own state.
+        """
         x = np.asarray(states, dtype=float)
         if x.ndim != 1:
             raise PhysbcError(f"expected (N,) states, got {x.shape}")
         out = np.empty(x.shape)
-        self._advance(x, out, np.empty(x.shape))
+        scratch = np.empty(min(_STEP_ROWS, x.size))
+        for start in range(0, x.size, _STEP_ROWS):
+            stop = min(start + _STEP_ROWS, x.size)
+            self._advance(x[start:stop], out[start:stop], scratch[:stop - start])
         return out
 
 

@@ -19,21 +19,28 @@ it beside them.  :func:`physbc.barrier.assemble` on the run's retained pairs
 rebuilds it.
 
 Each stage holds few arrays with a row per pair, and frees its own when it
-returns.  Beside the sampled pairs:
+returns; its float scratch has a fixed number of rows.  Beside the sampled
+pairs:
 
-* filter (:func:`_filtered`): every pair's discrepancy and the keep mask,
-  freed when the stage returns, and the retained pairs, which stay;
+* sample (:func:`_sampled`): the pairs it draws, whose successors the
+  truth writes a block at a time; the previous run's dataset leaves the
+  memo before the draw starts;
+* filter (:func:`_filtered`): every pair's discrepancy and the keep mask;
+  the discrepancies are freed before the retained pairs are gathered, and
+  the mask when the stage returns;
 * assemble and solve (:func:`_fit`): the flow rows' varying columns (two
-  at degree 2), and the exchange's row values, one array of which each
-  round writes only the blocks that can hold the worst row, freed when the
-  solve returns;
+  at degree 2), which assemble writes from two power columns of a fixed
+  length; the exchange evaluates the blocks that can hold the worst row,
+  chunk by chunk, into one scratch of a fixed length, and keeps each
+  chunk's first largest value (a flow of only a few blocks is evaluated
+  whole, into one array of every row's value);
 * audit: the barrier's values on the retained successors and states, two
   columns that Horner's rule fills in place with no basis matrix; the first
   becomes the flow expression per retained pair, kept for the Lipschitz
   estimate;
-* Lipschitz: the slopes between neighbouring states; every sampled dataset
-  is in ascending state order, so the retained pairs are scanned as they are,
-  with no sort order or sorted copy.
+* Lipschitz: the slopes between neighbouring states, a block of them at a
+  time; every sampled dataset is in ascending state order, so the retained
+  pairs are scanned as they are, with no sort order or sorted copy.
 
 The empirical validation simulates only the ground truth, so runs that differ
 in filtering, sampling or guarantee mode share it: it runs once per distinct
@@ -43,9 +50,10 @@ earlier result reads about 0 in ``timing["validate"]``.
 The sampled dataset is reused beside the rollout.  A traditional run and its
 physics-informed twin, or a sweep over the threshold with a pinned truth or
 over the risk, draw the same pairs; the last dataset and its hash are kept
-(one entry, keyed by everything the sampler reads), so the second run of such
-a pair neither samples nor hashes again.  ``timing["sample"]`` covers the
-draw and the hash, and reads about 0 on a reuse.
+(one entry, keyed by everything the sampler reads, dropped before another
+draw), so the second run of such a pair neither samples nor hashes again.
+``timing["sample"]`` covers the draw and the hash, and reads about 0 on a
+reuse.
 """
 
 from __future__ import annotations
@@ -233,8 +241,9 @@ def run(config: RunConfig) -> RunArtifacts:
 def _filtered(config: RunConfig, dataset: Dataset, physics: SystemModel):
     """The pairs of ``dataset`` that the run keeps, and the report's filter block.
 
-    Only this frame holds the filter outcome, so every pair's discrepancy and
-    the keep mask are freed when this returns.
+    Only this frame holds the filter outcome.  Every pair's discrepancy is
+    freed before the retained pairs are gathered, and the keep mask when
+    this returns.
     """
     if not config.filter.enabled:
         return dataset, {"enabled": False, "input_count": dataset.count}
@@ -243,7 +252,7 @@ def _filtered(config: RunConfig, dataset: Dataset, physics: SystemModel):
     jump = None
     if max_jump is not None:
         jump = {"start_index": max_jump[0], "length": max_jump[1]}
-    return outcome.retained, {
+    report = {
         "enabled": True,
         "threshold": config.filter.threshold,
         "input_count": dataset.count,
@@ -252,6 +261,9 @@ def _filtered(config: RunConfig, dataset: Dataset, physics: SystemModel):
         "retention": outcome.retained_count / dataset.count,
         "max_jump": jump,
     }
+    mask = outcome.mask
+    del outcome  # the discrepancies go before the gather
+    return dataset.take(mask), report
 
 
 def _fit(config: RunConfig, retained: Dataset, timings: dict):
@@ -303,11 +315,11 @@ def _sampled(truth: SystemModel, config: RunConfig):
     )
     entry = _dataset_memo.get(key)
     if entry is None:
+        _dataset_memo.clear()  # so the last dataset is freed before the next is drawn
         if mode == MODE_DETERMINISTIC:
             dataset = sample_grid(truth, config.domain, config.sampling.count)
         else:
             dataset = sample_iid(truth, config.domain, config.sampling.count, config.sampling.seed)
-        _dataset_memo.clear()
         entry = _dataset_memo[key] = (dataset, dataset_hash(dataset))
     return entry
 

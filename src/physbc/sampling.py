@@ -28,9 +28,11 @@ them, as latin-1.  The writer writes each block's text to a text handle, and
 decodes the ASCII pieces its child sends back into that handle.  No process
 holds a decoded copy of the whole text.  A writer holds one block's text at
 a time, or one pipe-sized piece of the bytes its child sends; a writing
-child holds the ASCII bytes of its half.  A reader, child or not, holds the
-bytes of its own part of the body and the float64 rows parsed from them.
-The work is split between this process and one forked child when ``os.fork``
+child holds the ASCII bytes of its half.  A reader reads and parses the
+body in line-aligned pieces of about ``_PIECE`` bytes and holds one piece's
+bytes at a time: this process writes each piece's float64 rows straight
+into the result, and a reading child keeps the rows of its part until it
+sends them.  The work is split between this process and one forked child when ``os.fork``
 exists, at least two CPUs are usable and the dataset holds at least
 ``_SPLIT_ROWS`` (131 072) rows, a threshold of its own that the block size
 does not move (see :func:`_split_at`): the child formats the back half of
@@ -355,29 +357,30 @@ def load_dataset(path: str) -> Dataset:
     A sidecar it cannot use, a count above ``DEFAULT_MAX_SAMPLES`` included,
     raises :class:`DatasetParseError` before the body is read or allocated.
     The body is read as bytes with ``os.pread`` and parsed by ``np.loadtxt``,
-    which reads ``%.17g`` text bit for bit; this process holds the bytes and
-    the parsed rows, never a decoded copy of the text.  A body it rejects,
-    one with a byte that is not ASCII or is one of ``\\x1c``-``\\x1f``, a
-    header line other than ``x_1,y_1`` with a ``\\n`` or ``\\r\\n`` ending,
-    or rows whose count disagrees with the sidecar, is read again in text
-    mode by the line loop, which accepts what ``float`` accepts (blank lines
-    included) and names the first bad line, a line with a byte that is not
-    ASCII included.
+    which reads ``%.17g`` text bit for bit, in line-aligned pieces whose rows
+    go straight into the result; this process holds the result and one
+    piece's bytes, never the whole body nor a decoded copy of the text.  A
+    body it rejects, one with a byte that is not ASCII or is one of
+    ``\\x1c``-``\\x1f``, a header line other than ``x_1,y_1`` with a ``\\n``
+    or ``\\r\\n`` ending, or rows whose count disagrees with the sidecar, is
+    read again in text mode by the line loop, which accepts what ``float``
+    accepts (blank lines included) and names the first bad line, a line with
+    a byte that is not ASCII included.
 
     When :func:`_split_at` allows it for the sidecar count, the body is cut at
     the line end past its middle, found by a small read there, and a forked
-    child reads and parses the back part itself and returns its float64
-    bytes; this process reads and parses the front part, then reads the
-    child's bytes straight into the result.  If either part is rejected or is
-    not an array of pairs, the line loop runs as above, so the values and the
-    error messages are those of the one-process path.
+    child reads and parses the back part itself, piece by piece, and returns
+    its float64 bytes; this process parses the front part into the result,
+    then reads the child's bytes straight into the rest of it.  If either
+    part is rejected or is not rows of pairs, the line loop runs as above, so
+    the values and the error messages are those of the one-process path.
     """
     domain, scheme, count, seed = _read_sidecar(path)
     with open(path, "rb") as fh:
         header = fh.readline(len(_HEADER) + 2)
         values = (_loadtxt_rows(fh.fileno(), len(header), count)
                   if header in (f"{_HEADER}\n".encode(), f"{_HEADER}\r\n".encode()) else None)
-    if values is None or values.shape != (count, 2):
+    if values is None:
         values = np.empty((count, 2))
         # latin-1 decodes every byte, so a byte that is not ASCII reaches the
         # line loop, which names its line
@@ -428,25 +431,68 @@ def _read_sidecar(path: str):
 
 
 def _loadtxt_rows(fd: int, start: int, count: int) -> Optional[np.ndarray]:
-    """The file's bytes from ``start`` on as parsed by ``np.loadtxt``; None if it rejects them.
+    """The file's bytes from ``start`` on as ``np.loadtxt`` parses them, as a
+    ``(count, 2)`` array; None if it rejects them or they hold another count.
 
-    When :func:`_split_at` allows it for ``count`` rows, the bytes are cut at
-    the line end past their middle and a forked child parses the back part;
-    both parts must come out as ``(k, 2)`` arrays that make ``count`` rows,
-    and the result is None otherwise.  Each line is parsed on its own, so the
-    values are those of one ``np.loadtxt`` over all the bytes.
+    The bytes are read and parsed in line-aligned pieces
+    (:func:`_parsed_pieces`), each piece's rows written straight into the
+    result.  When :func:`_split_at` allows it for ``count`` rows, the bytes
+    are cut at the line end past their middle and a forked child parses the
+    back part; the front must come out as at most ``count`` rows and the back
+    as the one or more rows that leaves.  Each line is parsed on its own, so
+    the values are those of one ``np.loadtxt`` over all the bytes.
     """
     end = os.fstat(fd).st_size
+    values = np.empty((count, 2))
     cut = _line_end_past(fd, start + (end - start) // 2, end) if _split_at(count) else end
     if cut >= end:
-        return _loadtxt(os.pread(fd, end - start, start))
+        return values if _parse_into(values, fd, start, end) == count else None
 
     def back():
-        parsed = _loadtxt(os.pread(fd, end - cut, cut))
-        return [parsed] if _pairs(parsed) else []
+        parsed = list(_parsed_pieces(fd, cut, end))
+        return [] if any(rows is None for rows in parsed) else parsed
 
-    return _beside(lambda: _loadtxt(os.pread(fd, cut - start, start)), back,
-                   lambda front, stream: _joined(front, stream, count))
+    return _beside(lambda: _parse_into(values, fd, start, cut), back,
+                   lambda rows, stream: _joined(values, rows, stream))
+
+
+def _parsed_pieces(fd: int, start: int, stop: int):
+    """``np.loadtxt``'s rows of the bytes from ``start`` to ``stop``, read and
+    parsed in pieces of about ``_PIECE`` bytes, each cut at its last line end.
+
+    Yields each piece's ``(k, 2)`` rows in order, skipping a piece with no
+    rows (blank lines only), and None for the first piece it rejects or
+    parses into rows of another width, after which it stops.
+    """
+    at = start
+    while at < stop:
+        piece = os.pread(fd, min(_PIECE, stop - at), at)
+        if not piece:
+            return
+        if at + len(piece) < stop:
+            cut = piece.rfind(b"\n") + 1
+            # a line longer than a piece is read to its end
+            piece = piece[:cut] if cut else os.pread(fd, _line_end_past(fd, at, stop) - at, at)
+        at += len(piece)
+        parsed = _loadtxt(piece)
+        if parsed is None or (parsed.size and parsed.shape[1] != 2):
+            yield None
+            return
+        if parsed.size:
+            yield parsed
+
+
+def _parse_into(values: np.ndarray, fd: int, start: int, stop: int) -> Optional[int]:
+    """The rows of the bytes from ``start`` to ``stop``, written into ``values``
+    from its first row on: their count, or None if a piece is rejected or
+    they do not fit."""
+    rows = 0
+    for parsed in _parsed_pieces(fd, start, stop):
+        if parsed is None or rows + len(parsed) > len(values):
+            return None
+        values[rows:rows + len(parsed)] = parsed
+        rows += len(parsed)
+    return rows
 
 
 def _line_end_past(fd: int, at: int, end: int) -> int:
@@ -480,24 +526,17 @@ def _loadtxt(body: bytes) -> Optional[np.ndarray]:
         return None
 
 
-def _pairs(parsed: Optional[np.ndarray]) -> bool:
-    """Whether a parse came out as one or more rows of two values."""
-    return parsed is not None and parsed.shape[0] > 0 and parsed.shape[1:] == (2,)
+def _joined(values: np.ndarray, rows: Optional[int], stream) -> Optional[np.ndarray]:
+    """``values``, its first ``rows`` rows parsed here and the rest read from
+    the float64 rows ``stream`` carries.
 
-
-def _joined(front: Optional[np.ndarray], stream, count: int) -> Optional[np.ndarray]:
-    """``front``'s rows, then the float64 rows ``stream`` carries, as one ``(count, 2)`` array.
-
-    None unless ``front`` is an array of pairs and the stream carries the
-    bytes of exactly the one or more rows that ``count`` leaves.  The stream
-    is read to its end either way, so a child writing to it always finishes.
+    None unless ``rows`` is a count and the stream carries the bytes of
+    exactly the one or more rows that it leaves.  The stream is read to its
+    end either way, so a child writing to it always finishes.
     """
-    rows = front.shape[0] if _pairs(front) else count
-    if rows >= count:
+    if rows is None or rows >= len(values):
         _read_into(stream, memoryview(bytearray()))
         return None
-    values = np.empty((count, 2))
-    values[:rows] = front
     tail = memoryview(values[rows:]).cast("B")
     return values if _read_into(stream, tail) == tail.nbytes else None
 

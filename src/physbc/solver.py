@@ -42,8 +42,12 @@ the head and the block with the largest bound, takes their largest value as
 the level, and evaluates every other block whose bound is not below it
 (:func:`_worst_row`); a skipped block holds only rows below a value some row
 attains.  So the worst row found is the worst of every row, bit for bit, as
-a full evaluation would find it.  A flow of only a few blocks is evaluated
-whole, since there the bound costs more than it skips.
+a full evaluation would find it.  The blocks are evaluated in chunks of
+``_SCRATCH_ROWS`` rows into one scratch that every round reuses, and each
+chunk keeps only its first largest value, so the exchange holds no array
+with a row per flow row.  A flow of only a few blocks is evaluated whole,
+into one array of every row's value, since there the bound costs more than
+it skips.
 
 Where the exchange starts does not decide what it returns.  A restricted
 problem has a subset of the rows, so its minimum is never above the full
@@ -94,6 +98,11 @@ _BOUND_ROWS = 4096
 # bound and the bookkeeping of skipping blocks cost more than they save.
 _PRUNE_BLOCKS = 8
 
+# Flow rows a bounded exchange evaluates at a time, into one scratch of two
+# arrays of this length (the rows' values and a column product) that every
+# round reuses, so it holds no array with a row per flow row.
+_SCRATCH_ROWS = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -107,19 +116,25 @@ class SolveResult:
         return self.status == STATUS_OPTIMAL
 
 
-def _flow_values(columns, decision: np.ndarray, constant: float, out: np.ndarray) -> np.ndarray:
+def _flow_values(columns, decision: np.ndarray, constant: float, out: np.ndarray,
+                 product=None) -> np.ndarray:
     """The flow kernel, ``c_1 u_1 + ... + c_d u_d + c_0 constant`` written into
     ``out``, ``u_e`` the column of ``x^e`` and ``c`` the decision: the last
     column times its coefficient, then each earlier column's product added,
-    last column first, then the constant term's product added.  The flow rows
-    and their block bounds (:meth:`RowSystem.bound`) both run this sequence."""
+    last column first, then the constant term's product added.  Each column
+    product is written into ``product``, an array of ``out``'s length (one
+    is allocated if it is None).  The flow rows and their block bounds
+    (:meth:`RowSystem.bound`) both run this sequence."""
     d = len(columns)
     if d:
         np.multiply(columns[d - 1], decision[d], out=out)
     else:
         out.fill(0.0)
+    if d > 1 and product is None:
+        product = np.empty_like(out)
     for j in range(d - 2, -1, -1):
-        out += columns[j] * decision[1 + j]
+        np.multiply(columns[j], decision[1 + j], out=product)
+        out += product
     out += decision[-1] * constant
     return out
 
@@ -131,8 +146,8 @@ class RowSystem:
     the F-contiguous ``flow``.  The flow rows come in blocks of
     ``_BOUND_ROWS``, the last one shorter; :attr:`extremes` holds each
     block's column extremes, from which :meth:`bound` bounds its rows.  The
-    exchange reads the flow rows through :meth:`bound`, :meth:`spans`,
-    :meth:`evaluate_blocks`, :meth:`row` and :meth:`seed_rows`, and a flow
+    exchange reads the flow rows through :meth:`bound`,
+    :meth:`evaluate_chunks`, :meth:`row` and :meth:`seed_rows`, and a flow
     of only a few blocks as a whole.
     """
 
@@ -213,17 +228,21 @@ class RowSystem:
         h, n = len(self.head), len(self.flow)
         return [(h + first * _BOUND_ROWS, h + min(stop * _BOUND_ROWS, n)) for first, stop in runs]
 
-    def evaluate_blocks(self, decision: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> list:
-        """The flow rows of the blocks marked in ``blocks`` at ``decision``,
-        each written into ``out`` at its row position by :func:`_flow_values`;
-        every other entry of ``out`` is left as it was.  Returns their
-        :meth:`spans`."""
+    def evaluate_chunks(self, decision: np.ndarray, blocks: np.ndarray, scratch):
+        """The flow rows of the blocks marked in ``blocks`` at ``decision``, in
+        ascending chunks of at most ``_SCRATCH_ROWS`` rows within one of their
+        :meth:`spans`: yields ``(start, values)`` per chunk, ``start`` its
+        first row counted as in the system and ``values`` its rows by
+        :func:`_flow_values`.  ``scratch`` is two arrays of at least the chunk
+        length, the values and a column product; each chunk is written over
+        the one before it."""
         h = len(self.head)
-        spans = self.spans(blocks)
-        for start, stop in spans:
-            _flow_values(self.flow[start - h:stop - h].T, decision, self.flow_constant,
-                         out[start:stop])
-        return spans
+        for first, last in self.spans(blocks):
+            for start in range(first, last, _SCRATCH_ROWS):
+                stop = min(start + _SCRATCH_ROWS, last)
+                values, product = (part[:stop - start] for part in scratch)
+                yield start, _flow_values(self.flow[start - h:stop - h].T, decision,
+                                          self.flow_constant, values, product)
 
     def row(self, i: int) -> tuple:
         """Row ``i`` and its offset, the row in exactly the bytes a dense stack holds."""
@@ -285,62 +304,72 @@ def _start_rows(start_rows, count: int) -> np.ndarray:
     return picks
 
 
-def _worst_row(system: RowSystem, decision: np.ndarray, bound: np.ndarray,
-               values: np.ndarray) -> tuple:
+def _worst_row(system: RowSystem, decision: np.ndarray, bound, values: np.ndarray,
+               scratch) -> tuple:
     """The first row with the largest value at ``decision``, as ``np.argmax``
-    over every row would pick it (the first nan if any), and the boolean mask
-    of the blocks evaluated to find it; ``bound`` is ``system.bound(decision)``
-    of a flow of one block or more, or None to evaluate every row into
-    ``values`` (the mask is then None).
+    over every row would pick it (the first nan if any), and that value.
 
-    The head and the block with the largest bound are evaluated into
-    ``values``.  Their largest value, the level, is the value of some row, so
-    the worst row is not below it; a block whose bound is below the level
-    holds only rows below it, and is skipped.  Every other block is evaluated
-    into ``values`` too, found as ``~(bound < level)`` so that a nan bound or
-    level prunes nothing.  The worst row is the first largest over the head,
-    then the evaluated blocks in ascending order."""
+    ``values`` takes the head's values.  With ``bound`` None it takes every
+    flow row's too, after the head, and the worst row is its ``np.argmax``.
+    Otherwise ``bound`` is ``system.bound(decision)`` and ``scratch`` the two
+    arrays of :meth:`RowSystem.evaluate_chunks`.  The block with the largest
+    bound is evaluated, chunk by chunk.  The larger of its largest value and
+    the head's, the level, is the value of some row, so the worst row is not
+    below it; a block whose bound is below the level holds only rows below
+    it, and is skipped.  Every other block is evaluated too, found as
+    ``~(bound < level)`` so that a nan bound or level prunes nothing.  Each
+    chunk keeps its first largest value, and so does the head; the worst row
+    is the first largest of those in row order, by ``np.argmax``, so a nan
+    wins as it does over every row."""
     head = values[:len(system.head)]
     np.matmul(system.head, decision, out=head)
     head += system.head_offsets
     if bound is None:  # every flow row, in one pass
         _flow_values(system.flow.T, decision, system.flow_constant, values[len(head):])
-        return int(np.argmax(values)), None
-    evaluated = np.zeros(bound.shape, dtype=bool)
-    evaluated[np.argmax(bound)] = True
-    spans = system.evaluate_blocks(decision, evaluated, values)
-    (start, stop), = spans
-    level = values[start:stop].max()
+        worst = int(np.argmax(values))
+        return worst, values[worst]
+    first = np.zeros(bound.shape, dtype=bool)
+    first[np.argmax(bound)] = True
+    maxima = _chunk_maxima(system, decision, first, scratch)
+    level = np.max([value for _, value in maxima])
     if head.size:
         level = max(level, head.max())  # keeps a nan level: nan > x is false
+        maxima.append(_chunk_maximum(0, head))
     rest = ~(bound < level)
-    rest[evaluated] = False
-    if rest.any():
-        system.evaluate_blocks(decision, rest, values)
-        evaluated |= rest
-        spans = system.spans(evaluated)
-    if head.size:
-        spans.insert(0, (0, head.size))
-    firsts = [start + int(np.argmax(values[start:stop])) for start, stop in spans]
-    return firsts[int(np.argmax(values[firsts]))], evaluated
+    rest[first] = False
+    maxima += _chunk_maxima(system, decision, rest, scratch)
+    maxima.sort(key=lambda maximum: maximum[0])
+    return maxima[int(np.argmax([value for _, value in maxima]))]
 
 
-def _rows_at_least(system: RowSystem, decision: np.ndarray, level: float, bound: np.ndarray,
-                   evaluated: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _chunk_maximum(start: int, values: np.ndarray) -> tuple:
+    """``(row, value)`` of the first largest of ``values`` (the first nan if
+    any), rows counted from ``start``."""
+    k = int(np.argmax(values))
+    return start + k, values[k]
+
+
+def _chunk_maxima(system: RowSystem, decision: np.ndarray, blocks: np.ndarray,
+                  scratch) -> list:
+    """:func:`_chunk_maximum` of each of :meth:`RowSystem.evaluate_chunks`."""
+    return [_chunk_maximum(start, values)
+            for start, values in system.evaluate_chunks(decision, blocks, scratch)]
+
+
+def _rows_at_least(system: RowSystem, decision: np.ndarray, level: float, bound,
+                   values: np.ndarray, scratch) -> np.ndarray:
     """The rows whose value at ``decision`` is at least ``level``, in ascending
-    order.  ``values`` holds the head and the ``evaluated`` blocks at
-    ``decision`` already, as :func:`_worst_row` left them (every row if
-    ``bound`` is None); of the rest, only the blocks whose ``bound`` is not
-    below ``level`` can hold such a row, so only they are evaluated."""
+    order.  ``values`` holds what :func:`_worst_row` left in it at
+    ``decision``: every row if ``bound`` is None, else the head.  Of the flow
+    blocks, only those whose ``bound`` is not below ``level`` can hold such a
+    row, so only they are evaluated again, chunk by chunk, into
+    ``scratch``."""
     if bound is None:  # every row was evaluated
         return np.flatnonzero(values >= level)
-    reach = ~(bound < level)
-    missing = reach & ~evaluated
-    if missing.any():
-        system.evaluate_blocks(decision, missing, values)
-    spans = [(0, len(system.head)), *system.spans(reach)]
-    return np.concatenate([start + np.flatnonzero(values[start:stop] >= level)
-                           for start, stop in spans])
+    found = [np.flatnonzero(values >= level)]
+    for start, chunk in system.evaluate_chunks(decision, ~(bound < level), scratch):
+        found.append(start + np.flatnonzero(chunk >= level))
+    return np.concatenate(found)
 
 
 def _exchange(system: RowSystem, restricted, start_rows=()) -> SolveResult:
@@ -359,16 +388,20 @@ def _exchange(system: RowSystem, restricted, start_rows=()) -> SolveResult:
     understates the decision's true objective.
 
     A round evaluates the head and only the flow blocks that can hold the
-    worst row, into one reused array; a flow of fewer than
-    ``_PRUNE_BLOCKS`` blocks is evaluated whole, with no bound.  Rounding
-    to nearest is monotone, so the flow kernel run on a block's column
-    extremes, each at the end its coefficient's sign favours, bounds every
-    computed value in the block (:meth:`RowSystem.bound`).  Every computed
-    flow value is at most its block's bound, and every block whose bound
-    reaches the level, the largest value found first, is evaluated exactly;
-    so the worst row, and the maximum the stop compares, are those of every
-    row, bit for bit.  At the stop, the rows within the tolerance of the
-    slack are found the same way, at the level ``slack - tol``.
+    worst row.  Rounding to nearest is monotone, so the flow kernel run on
+    a block's column extremes, each at the end its coefficient's sign
+    favours, bounds every computed value in the block
+    (:meth:`RowSystem.bound`).  Every computed flow value is at most its
+    block's bound, and every block whose bound reaches the level, the
+    largest value found first, is evaluated exactly; so the worst row, and
+    the maximum the stop compares, are those of every row, bit for bit.
+    The blocks are evaluated in chunks of ``_SCRATCH_ROWS`` rows into one
+    scratch of two such arrays, made once per exchange, and each chunk
+    keeps only its first largest value.  At the stop, the blocks whose
+    bound reaches ``slack - tol`` are evaluated again, chunk by chunk, and
+    their rows at that level or above are the active rows.  A flow of
+    fewer than ``_PRUNE_BLOCKS`` blocks is evaluated whole each round, with
+    no bound, into one array of every row's value, which the stop reads.
 
     It needs no round cap: a round that does not stop either admits a row
     outside the working set or raises "stalled", so with N rows and W in the
@@ -376,12 +409,18 @@ def _exchange(system: RowSystem, restricted, start_rows=()) -> SolveResult:
     """
     working = np.union1d(system.seed_rows(), _start_rows(start_rows, system.count)).tolist()
     A_w, b_w = map(np.array, zip(*map(system.row, working)))  # the working rows, fetched once
-    values = np.empty(system.count)  # every round's evaluated rows, in one array
+    bounded = len(system.extremes[0]) >= _PRUNE_BLOCKS
+    scratch = None
+    if bounded:  # the head's values, and a chunk's values and column product
+        values = np.empty(len(system.head))
+        scratch = np.empty((2, min(_SCRATCH_ROWS, len(system.flow))))
+    else:  # every row's values
+        values = np.empty(system.count)
     while True:
         decision, slack = restricted(A_w, b_w)
-        bound = system.bound(decision) if len(system.extremes[0]) >= _PRUNE_BLOCKS else None
-        worst, evaluated = _worst_row(system, decision, bound, values)
-        if values[worst] <= slack + 1e-9 * max(1.0, abs(slack)):
+        bound = system.bound(decision) if bounded else None
+        worst, value = _worst_row(system, decision, bound, values, scratch)
+        if value <= slack + 1e-9 * max(1.0, abs(slack)):
             if np.max(np.abs(decision)) >= 0.5 * _ARTIFICIAL_BOX:
                 return SolveResult(
                     slack=float("-inf"),
@@ -389,14 +428,14 @@ def _exchange(system: RowSystem, restricted, start_rows=()) -> SolveResult:
                     status=STATUS_UNBOUNDED,
                     active_rows=np.empty(0, dtype=int),
                 )
-            slack = max(slack, float(values[worst]))
+            slack = max(slack, float(value))
             tol = 1e-6 * max(1.0, abs(slack))
             return SolveResult(
                 slack=slack,
                 decision=decision,
                 status=STATUS_OPTIMAL,
-                active_rows=_rows_at_least(system, decision, slack - tol, bound, evaluated,
-                                           values),
+                active_rows=_rows_at_least(system, decision, slack - tol, bound, values,
+                                           scratch),
             )
         if worst in working:
             raise PhysbcError("exchange stalled on an already-admitted row")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import physbc.barrier
 import physbc.solver
 from oracles import (
     assemble_vstack,
@@ -714,6 +715,28 @@ def test_blocked_passes_match_whole_array_passes(block, degree):
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("degree", [0, 1, 2, 5])
+def test_the_flow_columns_written_a_block_of_powers_at_a_time_equal_one_pass(monkeypatch, block,
+                                                                             degree):
+    # the power columns of `block` rows, reused: a block short, on its edge,
+    # one past it and one into a third block, with overflowing and nan rows
+    rng = np.random.default_rng(block * 10 + degree)
+    for count in (block - 1, block, block + 1, 2 * block + 1):
+        states = rng.uniform(DOMAIN.lower, DOMAIN.upper, count)
+        successors = rng.choice([-3.0, 0.5, 2.0, 1e200, np.nan], count)
+        data = Dataset(states, successors, SCHEME_IID, DOMAIN, seed=0)
+        with np.errstate(all="ignore"):
+            powers = basis_matrix(states, degree)[:, :-1], basis_matrix(successors, degree)[:, :-1]
+            expected = powers[1] - powers[0] * 0.83
+        monkeypatch.setattr(physbc.barrier, "_POWER_ROWS", block)
+        # the rows that are not finite are returned, not refused, so they are compared too
+        monkeypatch.setattr(physbc.barrier.ConstraintSystem, "first_non_finite",
+                            lambda system: -1)
+        flow = assemble(degree, 0.83, data, INITIAL, UNSAFE).flow
+        assert flow.tobytes() == np.asfortranarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("successor", [1e200, np.nan])
 def test_a_block_names_the_first_pair_whose_flow_row_is_not_finite(monkeypatch, block,
                                                                    successor):
@@ -733,7 +756,7 @@ def test_a_block_names_the_first_pair_whose_flow_row_is_not_finite(monkeypatch, 
             assemble(2, 0.83, data, INITIAL, UNSAFE)
 
 
-def test_assemble_holds_its_flow_columns_and_two_power_columns():
+def test_assemble_holds_its_flow_columns_and_a_fixed_scratch():
     rng = np.random.default_rng(12)
     count = 300_000
     states = rng.uniform(DOMAIN.lower, DOMAIN.upper, count)
@@ -745,10 +768,10 @@ def test_assemble_holds_its_flow_columns_and_two_power_columns():
     finally:
         tracemalloc.stop()
     # the flow rows are their two varying columns, 16 bytes a pair, no
-    # (N, 4) stack of 32; the powers x^2 and y^2 and the finiteness mask
-    # are all that is held beside them while they are written
+    # (N, 4) stack of 32; beside them only the two power columns of
+    # _POWER_ROWS rows each block reuses, and the small block extremes.  The
+    # powers x^2 and y^2 at full length, 16 bytes a pair more, set the
+    # former peak
     assert system.flow.shape == (count, 2) and system.flow.flags.f_contiguous
     assert system.flow.nbytes == 16 * count
-    assert peak - system.flow.nbytes < 2 * states.nbytes + 2 * count + 64 * 1024
-    # the stack, 40 bytes a pair with its offsets, bounded the former peak
-    assert peak < 40 * count
+    assert peak - system.flow.nbytes < 2 * 8 * physbc.barrier._POWER_ROWS + 64 * 1024

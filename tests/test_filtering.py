@@ -30,17 +30,17 @@ def test_filter_keeps_boundary_pairs():
 
 def test_filter_preserves_order():
     data = _dataset_with_deviations([0.01, 0.0, 0.01, 0.001, 0.0])
-    out = apply_filter(data, supply_demand(), 0.005)
-    assert np.array_equal(out.retained.states, data.states[[1, 3, 4]])
-    assert np.array_equal(out.retained.successors, data.successors[[1, 3, 4]])
+    retained = data.take(apply_filter(data, supply_demand(), 0.005).mask)
+    assert np.array_equal(retained.states, data.states[[1, 3, 4]])
+    assert np.array_equal(retained.successors, data.successors[[1, 3, 4]])
 
 
 def test_filter_is_idempotent():
     data = _dataset_with_deviations(np.linspace(-0.01, 0.01, 21).tolist())
-    once = apply_filter(data, supply_demand(), 0.004)
-    twice = apply_filter(once.retained, supply_demand(), 0.004)
+    once = data.take(apply_filter(data, supply_demand(), 0.004).mask)
+    twice = apply_filter(once, supply_demand(), 0.004)
     assert twice.discarded_count == 0
-    assert np.array_equal(twice.retained.states, once.retained.states)
+    assert np.array_equal(once.take(twice.mask).states, once.states)
 
 
 def test_filter_retention_monotone_in_threshold():
@@ -57,7 +57,7 @@ def test_filter_may_discard_everything():
     data = _dataset_with_deviations([0.02, -0.03, 0.04])
     out = apply_filter(data, supply_demand(), 1e-6)
     assert out.retained_count == 0
-    assert out.retained.count == 0
+    assert data.take(out.mask).count == 0
     assert out.discarded_count == 3
 
 
@@ -69,10 +69,11 @@ def test_retained_pairs_are_the_mask_selection(threshold, kept):
     out = apply_filter(data, supply_demand(), threshold)
     assert out.retained_count == np.count_nonzero(out.mask)
     assert out.retained_count in kept
-    assert np.array_equal(out.retained.states, data.states[out.mask])
-    assert np.array_equal(out.retained.successors, data.successors[out.mask])
-    assert out.retained.states.dtype == data.states.dtype
-    assert (out.retained.scheme, out.retained.domain, out.retained.seed) == (
+    retained = data.take(out.mask)
+    assert np.array_equal(retained.states, data.states[out.mask])
+    assert np.array_equal(retained.successors, data.successors[out.mask])
+    assert retained.states.dtype == data.states.dtype
+    assert (retained.scheme, retained.domain, retained.seed) == (
         data.scheme, data.domain, data.seed)
 
 

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import physbc.lipschitz
 from oracles import (
     extreme_value_whole_array,
     neighbour_maxima_grouped,
     pairwise_all_pairs,
     pairwise_whole_array,
+    sample_iid_in_draw_order,
 )
 from physbc.barrier import BarrierCertificate, sample_values
 from physbc.config import preset
@@ -309,3 +311,24 @@ def test_neighbour_maxima_do_not_sort_sorted_states(monkeypatch):
     monkeypatch.setattr(np, "argsort", no_sort)
     for flow, data, expected in cases:
         assert _neighbour_maxima(flow, data) == expected
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("nan_at", [None, 0, "edge", -1], ids=["finite", "first", "edge", "last"])
+@pytest.mark.parametrize("sampler", [sample_iid, sample_iid_in_draw_order],
+                         ids=["ascending", "draw-order"])
+def test_the_neighbour_scan_across_block_edges_equals_one_pass(monkeypatch, block, nan_at,
+                                                               sampler):
+    # distinct states, so the slopes are scanned in blocks of `block` pairs: a
+    # nan flow value, at either end or on a block's edge, gives a nan slope,
+    # which the largest must show as the maximum over one array of them does
+    data = sampler(supply_demand(), DOMAIN, 4 * block + 3, seed=block)
+    flow = sample_values(_quadratic_certificate(), data)
+    if nan_at is not None:
+        flow[block if nan_at == "edge" else nan_at] = np.nan
+    order = np.argsort(data.states)
+    states, family = data.states[order], flow[order]
+    expected = float((np.abs(np.diff(family)) / np.diff(states)).max()), data.count - 1
+    monkeypatch.setattr(physbc.lipschitz, "_SCAN_ROWS", block)
+    assert repr(_neighbour_maxima(flow, data)) == repr(expected)
+    assert (nan_at is None) == (expected[0] == expected[0])

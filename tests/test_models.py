@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import physbc.models
 from oracles import safety_by_step_many, step_many_matmul
 from physbc.errors import PhysbcError
 from physbc.models import (
@@ -283,6 +284,36 @@ def _model_and_states(draw):
 def test_step_kernel_is_byte_equal_to_matmul_in_1d(case):
     model, states = case
     assert model.step_many(states).tobytes() == step_many_matmul(model, states).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+def test_a_batch_step_a_block_at_a_time_equals_one_pass(monkeypatch, block):
+    # a perturbed quadratic, on a block short, on its edge, one past it and
+    # one into a third block, with states that overflow and are nan
+    model = SystemModel(0.8, 0.5, quadratic=0.1, amplitude=0.02, frequency=3.0)
+    rng = np.random.default_rng(block)
+    monkeypatch.setattr(physbc.models, "_STEP_ROWS", block)
+    for count in (block - 1, block, block + 1, 2 * block + 1):
+        x = rng.choice([-2.0, 0.3, 1.7, 1e200, np.nan], count)
+        out = np.empty(count)
+        with np.errstate(all="ignore"):
+            model._advance(x, out, np.empty(count))
+            assert model.step_many(x).tobytes() == out.tobytes()
+
+
+def test_a_batch_step_holds_its_successors_and_a_fixed_scratch():
+    model = SystemModel(0.8, 0.5, quadratic=0.1, amplitude=0.02, frequency=3.0)
+    x = np.random.default_rng(6).uniform(0.0, 1.0, 300_000)
+    model.step_many(x[:10])  # the first call's imports are not counted
+    tracemalloc.start()
+    try:
+        out = model.step_many(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the successors and a scratch of _STEP_ROWS states; a scratch as long as
+    # the batch took 8 bytes a state more
+    assert peak - out.nbytes < 8 * physbc.models._STEP_ROWS + 16 * 1024
 
 
 def test_perturbation_writes_into_a_given_buffer():

@@ -455,15 +455,13 @@ def test_the_constraint_stack_is_freed_before_the_audit(key, cross_check, monkey
 
 
 def test_a_run_peaks_at_one_constraint_stack_per_pair():
-    # beside the pairs (16 bytes a pair) assemble sets the peak: the flow
-    # columns (16) with the two power columns it writes them from (16), about
-    # 48.2 bytes a pair; the bound leaves 2.8 of margin.  Its block extremes
-    # check the flow rows with no finiteness mask (which lifted the peak to
-    # 50.1), and the solve holds the flow columns with one row-value array
-    # and the temporaries of the blocks it evaluates, about 42.6.  The audit
-    # holds two value columns (16); a basis matrix beside them (24 more)
-    # lifted the peak to 56.2, and a dense (N, 4) stack and its offsets (40)
-    # beside the row values would lift it to 64 or more
+    # beside the pairs (16 bytes a pair) a run holds at most the flow columns
+    # (16) and arrays of a fixed number of rows: assemble's two power columns
+    # and the exchange's scratch, two arrays of 8 192 rows each, 4.4 bytes a
+    # pair at these 30 000 pairs, so the peak reads about 37.0.  The power
+    # columns at full length lifted it to 48.2, and the exchange's array of
+    # every row's value to 42.6; the audit holds two value columns (16), and
+    # a basis matrix beside them (24 more) lifted the peak to 56.2
     config = reference_config("sd-prob-trad", 0.1)
     run(config)  # the rollout is memoised and the imports are done
     physbc.pipeline._dataset_memo.clear()  # so the sampled pairs count, as in a cold run
@@ -473,7 +471,69 @@ def test_a_run_peaks_at_one_constraint_stack_per_pair():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / artifacts.dataset.count < 51
+    assert peak / artifacts.dataset.count < 39
+
+
+# the stages of a run, as it looks them up in physbc.pipeline
+RUN_STAGES = ("_sampled", "_filtered", "assemble", "solve", "sample_values", "check_certificate",
+              "estimate_pairwise", "_empirical_safety")
+
+
+@pytest.mark.parametrize("key", ["sd-prob-trad", "sd-prob-phys"])
+def test_each_stage_of_a_full_scale_run_peaks_at_its_pairs_and_flow_columns(key, monkeypatch):
+    # at 300 000 pairs no stage holds more than the pairs (16 bytes a pair)
+    # and the flow columns (16), with arrays of a fixed number of rows beside
+    # them: about 32.5 bytes a pair in assemble and the solve.  Assemble's
+    # full-length power columns read 48.0, the exchange's array of every
+    # row's value 41.5 and the neighbour scan's full-length slopes 41.0; the
+    # filter's discrepancies beside the retained pairs read 34.5 on
+    # sd-prob-phys (28.3 without them), and the draw's full-length scratch 24
+    # (18.0 without it)
+    config = reference_config(key, 1.0)
+    run(config)  # the rollout is memoised and the imports are done
+    physbc.pipeline._dataset_memo.clear()  # so the sampled pairs count, as in a cold run
+    peaks = {"between": 0}
+
+    def traced(name, stage):
+        def wrapper(*args, **kwargs):
+            peaks["between"] = max(peaks["between"], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            try:
+                return stage(*args, **kwargs)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+        return wrapper
+
+    for name in RUN_STAGES:
+        monkeypatch.setattr(physbc.pipeline, name, traced(name, getattr(physbc.pipeline, name)))
+    tracemalloc.start()
+    try:
+        count = run(config).dataset.count
+        peaks["between"] = max(peaks["between"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert count == 300_000 and set(peaks) == {"between", *RUN_STAGES}
+    per_pair = {name: round(peak / count, 2) for name, peak in peaks.items()}
+    assert max(per_pair.values()) <= 33.5, per_pair
+    assert per_pair["_sampled"] <= 19 and per_pair["_filtered"] <= 29, per_pair
+
+
+def test_the_last_dataset_is_freed_before_the_next_draw(monkeypatch):
+    config = tiny(preset("supply-demand", MODE_PROBABILISTIC))
+    artifacts = run(config)
+    last = weakref.ref(artifacts.dataset)
+    del artifacts  # the memo alone holds the dataset now
+    assert last() is not None
+    draw = physbc.pipeline.sample_iid
+    starts = []
+
+    def checked(*args, **kwargs):
+        starts.append(last())
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(physbc.pipeline, "sample_iid", checked)
+    run(_sampling(seed=config.sampling.seed + 1)(config))
+    assert starts == [None]
 
 
 def test_unknown_lipschitz_method_rejected():

@@ -365,6 +365,34 @@ def test_load_matches_rowwise_oracle_on_raw_bodies(tmp_path, body):
         assert outcome[0] is DatasetParseError
 
 
+@pytest.mark.parametrize("piece", [1, 23, 64])
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", LOAD_CASES)
+def test_a_load_in_pieces_matches_rowwise_oracle(tmp_path, monkeypatch, case, crlf, piece):
+    # pieces of a byte, of about half a line and of about a line and a half,
+    # so that lines straddle pieces and some pieces hold blank lines only
+    data = sample_iid(supply_demand(), DOMAIN, 8, seed=1)
+    path = tmp_path / "d.csv"
+    save_dataset(data, str(path))
+    lines = _edit_lines(path.read_text().splitlines(), case)
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode("latin-1") + b"\n")
+    loops, line_loop = [], sampling._parse_rows
+
+    def counted(*args):
+        loops.append(args)
+        return line_loop(*args)
+
+    monkeypatch.setattr(sampling, "_parse_rows", counted)
+    whole = _outcome(load_dataset, str(path))
+    monkeypatch.setattr(sampling, "_PIECE", piece)
+    assert _outcome(load_dataset, str(path)) == whole
+    assert whole == _outcome(load_dataset_rowwise, str(path))
+    # the pieces go to the line loop exactly when the whole body does
+    assert len(loops) in (0, 2)
+    if case in ("clean", "blank-lines"):
+        assert not loops
+
+
 @pytest.mark.parametrize("edit", [
     {"count": -1},
     {"count": 10**12},  # 14.6 TiB of rows
@@ -529,8 +557,12 @@ def test_split_write_gives_the_one_process_bytes(tmp_path_factory, width, draw):
 
 
 def _forced_load(path):
+    """Load ``path`` split with a forked child, each part read and parsed in
+    pieces of at most 64 bytes, so that lines straddle pieces and some are
+    longer than one."""
     forks = []
-    with _split_forced(forks):
+    with _split_forced(forks), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_PIECE", 64)
         outcome = _outcome(load_dataset, str(path))
     _no_child_left()
     return outcome, forks
@@ -738,18 +770,25 @@ def _traced_peak(work):
         tracemalloc.stop()
 
 
-def test_a_split_load_peaks_below_one_and_a_half_times_the_file(tmp_path):
+def test_a_load_peaks_at_the_rows_it_returns(tmp_path, monkeypatch):
     data = sample_iid(supply_demand(), DOMAIN, sampling._SPLIT_ROWS, seed=8)
     path = tmp_path / "d.csv"
     save_dataset(data, str(path))
+    rows = 16 * data.count
     loaded, forks = [], []
     with _split_forced(forks):
-        peak = _traced_peak(lambda: loaded.append(load_dataset(str(path))))
+        split = _traced_peak(lambda: loaded.append(load_dataset(str(path))))
     _no_child_left()
     assert len(forks) == 1
-    assert loaded[0].states.tobytes() == data.states.tobytes()
-    # the bytes of this process's half and the rows parsed from them, never the text
-    assert peak <= 1.5 * path.stat().st_size
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # no split
+    whole = _traced_peak(lambda: loaded.append(load_dataset(str(path))))
+    for dataset in loaded:
+        assert dataset.states.tobytes() == data.states.tobytes()
+    # the parsed rows, one piece of the body's bytes and the dataset's domain
+    # check, about 1.19 times the rows and half the file, split or not; the
+    # bytes of a whole half beside them read 1.81 times the rows
+    assert max(split, whole) <= 1.3 * rows
+    assert path.stat().st_size > 2 * rows
 
 
 def test_a_split_write_peaks_no_higher_than_a_one_process_write(tmp_path, monkeypatch):

@@ -16,8 +16,8 @@ from oracles import (
 )
 from physbc.barrier import assemble
 from physbc.errors import PhysbcError
-from physbc.models import RegionBox
-from physbc.sampling import SCHEME_IID, Dataset
+from physbc.models import RegionBox, supply_demand
+from physbc.sampling import SCHEME_IID, Dataset, sample_iid
 from physbc.solver import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
@@ -617,35 +617,53 @@ def _blocked(rng, width, head, blocks, high, huge):
                      flow, system.flow_constant)
 
 
+def _scratch(system, fill=np.inf):
+    """The buffers the exchange makes for a bounded flow: the head's values and
+    two arrays of at most ``_SCRATCH_ROWS`` rows; ``fill`` so that a stale
+    entry read by mistake would win."""
+    rows = min(physbc.solver._SCRATCH_ROWS, len(system.flow))
+    return np.full(len(system.head), fill), np.full((2, rows), fill)
+
+
 def _assert_the_search_is_the_full_evaluation(system, decision, rng):
-    """The worst row, the evaluated rows and the rows at or above several
+    """The worst row and its value, the chunks and the rows at or above several
     levels at ``decision``, bit for bit as the full elementwise evaluation
     gives them; each block's bound above each of its computed values."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow by design
         full = evaluate_rows(system, decision)
         values = np.full(system.count, np.inf)
-        assert physbc.solver._worst_row(system, decision, None, values) == (np.argmax(full), None)
+        worst, value = physbc.solver._worst_row(system, decision, None, values, None)
+        assert worst == int(np.argmax(full))
+        assert value.tobytes() == full[worst].tobytes()
         assert values.tobytes() == full.tobytes()
-        values = np.full(system.count, np.inf)  # a stale entry read by mistake would win
+        head, scratch = _scratch(system)
         bound = system.bound(decision)
-        worst, evaluated = physbc.solver._worst_row(system, decision, bound, values)
+        worst, value = physbc.solver._worst_row(system, decision, bound, head, scratch)
     assert worst == int(np.argmax(full))
-    assert values[worst].tobytes() == full[worst].tobytes()
-    for start, stop in [(0, len(system.head)), *system.spans(evaluated)]:
-        assert values[start:stop].tobytes() == full[start:stop].tobytes()
+    assert value.tobytes() == full[worst].tobytes()
+    assert head.tobytes() == full[:len(head)].tobytes()
     size, h = physbc.solver._BOUND_ROWS, len(system.head)
     for block, start in enumerate(range(h, system.count, size)):
         rows = full[start:start + size]
         assert not (rows > bound[block]).any()
         if np.isnan(rows).any():
             assert np.isnan(bound[block]) or bound[block] == np.inf
+    # the chunks of some blocks: within the scratch, with their values, and
+    # in ascending order covering exactly the rows of those blocks
+    marked = rng.random(len(bound)) < 0.5
+    covered = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, chunk in system.evaluate_chunks(decision, marked, scratch):
+            assert 0 < len(chunk) <= physbc.solver._SCRATCH_ROWS
+            assert chunk.tobytes() == full[start:start + len(chunk)].tobytes()
+            covered.extend(range(start, start + len(chunk)))
+    assert covered == [h + i for i in range(len(system.flow)) if marked[i // size]]
     # the exchange's stop level at this worst row, some row values, and -inf,
     # which every row but a nan reaches, also in a block whose bound is nan
     top = float(full[worst])
     for level in [top - 1e-6 * max(1.0, abs(top)), *rng.choice(full, 3), -np.inf]:
         with np.errstate(over="ignore", invalid="ignore"):
-            active = physbc.solver._rows_at_least(system, decision, level, bound, evaluated,
-                                                  values)
+            active = physbc.solver._rows_at_least(system, decision, level, bound, head, scratch)
         expected = np.flatnonzero(full >= level)
         assert active.tolist() == expected.tolist()
         assert active.dtype == expected.dtype
@@ -653,15 +671,19 @@ def _assert_the_search_is_the_full_evaluation(system, decision, rng):
 
 def _assert_the_exchange_is_the_full_evaluation(system):
     """Each round of ``solve`` finds the worst row and value the full
-    evaluation finds, and the stop's active rows are the full evaluation's."""
+    evaluation finds, bit for bit, holding only the head's values and a
+    scratch of at most ``_SCRATCH_ROWS`` rows, and the stop's active rows are
+    the full evaluation's."""
     rounds = []
     inner = physbc.solver._worst_row
 
-    def recording(system, decision, bound, values):
+    def recording(system, decision, bound, values, scratch):
         assert bound is not None  # the flow is bounded, not evaluated whole
-        worst, evaluated = inner(system, decision, bound, values)
-        rounds.append((decision.copy(), worst, values[worst]))
-        return worst, evaluated
+        assert values.shape == (len(system.head),)
+        assert scratch.shape == (2, min(physbc.solver._SCRATCH_ROWS, len(system.flow)))
+        worst, value = inner(system, decision, bound, values, scratch)
+        rounds.append((decision.copy(), worst, value))
+        return worst, value
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(physbc.solver, "_worst_row", recording)
@@ -677,10 +699,13 @@ def _assert_the_exchange_is_the_full_evaluation(system):
         assert result.active_rows.tolist() == expected.tolist()
 
 
-# compact systems of several blocks, with the block size cut to a few rows
+# compact systems of several blocks, with the block size cut to a few rows and
+# the scratch to a few rows more or fewer, so that its chunks split blocks and
+# runs of blocks
 @settings(max_examples=150, deadline=5000, derandomize=True)
 @given(
     size=st.integers(4, 16),
+    scratch=st.integers(1, 40),
     blocks=st.integers(2, 6),
     width=st.integers(2, 5),
     head=st.integers(0, 4),
@@ -688,11 +713,12 @@ def _assert_the_exchange_is_the_full_evaluation(system):
     huge=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_the_bounded_blocks_find_what_the_full_evaluation_finds(size, blocks, width, head, high,
-                                                                huge, seed):
+def test_the_bounded_blocks_find_what_the_full_evaluation_finds(size, scratch, blocks, width,
+                                                                head, high, huge, seed):
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(physbc.solver, "_BOUND_ROWS", size)
+        patch.setattr(physbc.solver, "_SCRATCH_ROWS", scratch)
         patch.setattr(physbc.solver, "_PRUNE_BLOCKS", 2)  # so that the exchange bounds them
         system = _blocked(rng, width, head, blocks, high, huge)
         for _ in range(4):
@@ -707,14 +733,39 @@ def test_the_bounded_blocks_find_what_the_full_evaluation_finds(size, blocks, wi
 
 @pytest.mark.parametrize("huge", [False, True])
 def test_the_bounded_blocks_find_what_the_full_evaluation_finds_at_the_real_block_size(huge):
+    # the real block size, and a scratch of a block and a half, so that its
+    # chunks split blocks
     rng = np.random.default_rng(39)
     blocks = physbc.solver._PRUNE_BLOCKS + 1  # so that the exchange bounds them unpatched
-    system = _blocked(rng, 4, 3, blocks, 2, huge)
-    assert len(system.extremes[0]) == blocks
-    for _ in range(8):
-        _assert_the_search_is_the_full_evaluation(system, rng.choice(_COEFFICIENTS, 4), rng)
-    rows, offsets = dense(system)
-    expected = np.concatenate([rows.argmax(0), rows.argmin(0), [offsets.argmax()]])
-    assert system.seed_rows().tolist() == expected.tolist()
-    if not huge:
-        _assert_the_exchange_is_the_full_evaluation(system)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(physbc.solver, "_SCRATCH_ROWS", 3 * physbc.solver._BOUND_ROWS // 2)
+        system = _blocked(rng, 4, 3, blocks, 2, huge)
+        assert len(system.extremes[0]) == blocks
+        for _ in range(8):
+            _assert_the_search_is_the_full_evaluation(system, rng.choice(_COEFFICIENTS, 4), rng)
+        rows, offsets = dense(system)
+        expected = np.concatenate([rows.argmax(0), rows.argmin(0), [offsets.argmax()]])
+        assert system.seed_rows().tolist() == expected.tolist()
+        if not huge:
+            _assert_the_exchange_is_the_full_evaluation(system)
+
+
+def test_a_bounded_exchange_holds_no_array_with_a_row_per_flow_row():
+    count = 300_000
+    data = sample_iid(supply_demand(), RegionBox(0.5, 2.7), count, seed=40)
+    system = assemble(2, 0.83, data, RegionBox(0.5, 0.6), RegionBox(2.6, 2.7))
+    solve(system)  # the block extremes are cached and the first call's imports are done
+    tracemalloc.start()
+    try:
+        result = solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.optimal
+    # the head's values and a scratch of two arrays of _SCRATCH_ROWS rows,
+    # beside the small working set, bounds and active rows; an array of every
+    # row's value would take 8 bytes a flow row, and a column product at full
+    # length 8 more
+    assert len(result.active_rows) < 1000
+    assert peak < 2 * 8 * physbc.solver._SCRATCH_ROWS + 64 * 1024
+    assert 8 * count > 10 * peak
